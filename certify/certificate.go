@@ -1,12 +1,14 @@
 package certify
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"hash/fnv"
+	mathbits "math/bits"
 	"math/rand"
-	"sort"
+	"slices"
 	"sync"
 	"unicode/utf8"
 
@@ -27,15 +29,20 @@ import (
 //	CRC32-IEEE trailer (4 bytes)
 //
 // Integers are unsigned varints; edges are sorted by endpoints, and each
-// label's bytes are the exact core.EncodeLabel bit stream. Decoding is
-// strict — wrong magic, unknown version, truncation, trailing bytes, CRC
-// mismatch, or non-canonical label bytes all fail with ErrBadCertificate —
-// and a decoded certificate re-marshals byte-identically.
+// label's bytes are the exact core.EncodeLabel bit stream, which
+// MarshalBinary writes straight into one exactly sized output buffer.
+// Decoding is strict — wrong magic, unknown version, truncation, trailing
+// bytes, CRC mismatch, or non-canonical label bytes all fail with
+// ErrBadCertificate — and a decoded certificate re-marshals
+// byte-identically.
 //
 // A decoded certificate shares its repeated components by pointer, as a
 // proved one does: every copy of a node entry or completion-edge
 // certificate with the same bits on the wire is one value in memory. Its
-// labels are therefore read-only; Corrupt copies before it mutates.
+// labels are therefore read-only; Corrupt copies before it mutates. Each
+// component is held once, in the layout the wire uses — identifiers as
+// slices aligned with the lanes, and one cached encoding per shared entry
+// and certificate — while whole labels are encoded only when marshaled.
 type Certificate struct {
 	maxLanes    int
 	n, m        int
@@ -133,54 +140,64 @@ func fingerprint(cfg *cert.Config) uint64 {
 	return h.Sum64()
 }
 
-// MarshalBinary encodes the certificate into the versioned wire format.
+// MarshalBinary encodes the certificate into the versioned wire format. The
+// output is sized exactly up front from the labels' memoized bit counts, and
+// every label is encoded straight into it.
 func (c *Certificate) MarshalBinary() ([]byte, error) {
 	if len(c.props) == 0 {
 		return nil, fmt.Errorf("%w: cannot marshal an empty certificate", ErrBadConfig)
 	}
-	out := []byte(certMagic)
-	out = append(out, certVersion)
-	var buf [binary.MaxVarintLen64]byte
-	put := func(v uint64) {
-		n := binary.PutUvarint(buf[:], v)
-		out = append(out, buf[:n]...)
-	}
-	put(uint64(c.maxLanes))
-	put(uint64(c.n))
-	put(uint64(c.m))
-	var fp [8]byte
-	binary.BigEndian.PutUint64(fp[:], c.fingerprint)
-	out = append(out, fp[:]...)
-	put(uint64(len(c.props)))
+	size := len(certMagic) + 1 + uvarintLen(uint64(c.maxLanes)) + uvarintLen(uint64(c.n)) +
+		uvarintLen(uint64(c.m)) + 8 + uvarintLen(uint64(len(c.props))) + 4
 	for _, name := range c.props {
 		l, ok := c.labelings[name]
 		if !ok {
 			return nil, fmt.Errorf("%w: certificate lists property %q without a labeling", ErrBadCertificate, name)
 		}
-		put(uint64(len(name)))
-		out = append(out, name...)
-		edges := make([]graph.Edge, 0, len(l.Edges))
-		for e := range l.Edges {
-			edges = append(edges, e)
-		}
-		sort.Slice(edges, func(i, j int) bool {
-			if edges[i].U != edges[j].U {
-				return edges[i].U < edges[j].U
-			}
-			return edges[i].V < edges[j].V
-		})
-		put(uint64(len(edges)))
-		for _, e := range edges {
-			data, nbits := core.EncodeLabel(l.Edges[e])
-			put(uint64(e.U))
-			put(uint64(e.V))
-			put(uint64(nbits))
-			out = append(out, data...)
+		size += uvarintLen(uint64(len(name))) + len(name) + uvarintLen(uint64(len(l.Edges)))
+		for e, el := range l.Edges {
+			nbits := el.Bits()
+			size += uvarintLen(uint64(e.U)) + uvarintLen(uint64(e.V)) + uvarintLen(uint64(nbits)) + (nbits+7)/8
 		}
 	}
-	var crc [4]byte
-	binary.BigEndian.PutUint32(crc[:], crc32.ChecksumIEEE(out))
-	return append(out, crc[:]...), nil
+	out := make([]byte, 0, size)
+	out = append(out, certMagic...)
+	out = append(out, certVersion)
+	out = binary.AppendUvarint(out, uint64(c.maxLanes))
+	out = binary.AppendUvarint(out, uint64(c.n))
+	out = binary.AppendUvarint(out, uint64(c.m))
+	out = binary.BigEndian.AppendUint64(out, c.fingerprint)
+	out = binary.AppendUvarint(out, uint64(len(c.props)))
+	for _, name := range c.props {
+		l := c.labelings[name]
+		edges := sortedEdges(l)
+		out = binary.AppendUvarint(out, uint64(len(name)))
+		out = append(out, name...)
+		out = binary.AppendUvarint(out, uint64(len(edges)))
+		for _, e := range edges {
+			el := l.Edges[e]
+			out = binary.AppendUvarint(out, uint64(e.U))
+			out = binary.AppendUvarint(out, uint64(e.V))
+			out = binary.AppendUvarint(out, uint64(el.Bits()))
+			out, _ = core.AppendLabel(out, el)
+		}
+	}
+	return binary.BigEndian.AppendUint32(out, crc32.ChecksumIEEE(out)), nil
+}
+
+// uvarintLen returns the byte length of v's binary.AppendUvarint encoding.
+func uvarintLen(v uint64) int { return (mathbits.Len64(v|1) + 6) / 7 }
+
+// sortedEdges returns a labeling's edges in wire order: by endpoints.
+func sortedEdges(l *core.Labeling) []graph.Edge {
+	edges := make([]graph.Edge, 0, len(l.Edges))
+	for e := range l.Edges {
+		edges = append(edges, e)
+	}
+	slices.SortFunc(edges, func(a, b graph.Edge) int {
+		return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V))
+	})
+	return edges
 }
 
 // UnmarshalBinary strictly decodes a certificate previously produced by
@@ -257,6 +274,7 @@ func (c *Certificate) UnmarshalBinary(data []byte) error {
 	out.fingerprint = fp
 	out.labelings = make(map[string]*core.Labeling, nProps)
 	var dec core.Decoder // one per call: labels of every property share components
+	var back []byte      // re-encoding scratch of the canonicality check
 	for p := uint64(0); p < nProps; p++ {
 		nameLen, err := take("property name length")
 		if err != nil {
@@ -328,7 +346,8 @@ func (c *Certificate) UnmarshalBinary(data []byte) error {
 			// decoder interns by raw bits, so this check alone decides
 			// canonicality; for shared components it splices their cached
 			// encodings.
-			back, backBits := core.EncodeLabel(el)
+			var backBits int
+			back, backBits = core.AppendLabel(back[:0], el)
 			if backBits != int(nbits) || string(back) != string(payload) {
 				return bad("label for edge %v is not canonically encoded", e)
 			}
@@ -411,16 +430,7 @@ func (c *Certificate) EncodedLabels(property string) ([]LabelBlob, bool) {
 	if !ok {
 		return nil, false
 	}
-	edges := make([]graph.Edge, 0, len(l.Edges))
-	for e := range l.Edges {
-		edges = append(edges, e)
-	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].U != edges[j].U {
-			return edges[i].U < edges[j].U
-		}
-		return edges[i].V < edges[j].V
-	})
+	edges := sortedEdges(l)
 	out := make([]LabelBlob, len(edges))
 	for i, e := range edges {
 		data, nbits := core.EncodeLabel(l.Edges[e])

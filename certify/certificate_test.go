@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
-	"sort"
 	"testing"
 
 	"repro/internal/core"
@@ -110,16 +109,7 @@ func TestNonCanonicalCopyRejectedAfterInterning(t *testing.T) {
 	}
 	name := honest.props[0]
 	l := honest.labelings[name]
-	edges := make([]graph.Edge, 0, len(l.Edges))
-	for e := range l.Edges {
-		edges = append(edges, e)
-	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].U != edges[j].U {
-			return edges[i].U < edges[j].U
-		}
-		return edges[i].V < edges[j].V
-	})
+	edges := sortedEdges(l)
 	// Find, in wire order, a label whose own path repeats a non-member entry
 	// an earlier label already carried.
 	seen := map[*core.NodeEntry]bool{}
@@ -152,15 +142,26 @@ func TestNonCanonicalCopyRejectedAfterInterning(t *testing.T) {
 		t.Fatalf("the forged label must decode to the honest value (err %v)", err)
 	}
 
+	var c Certificate
+	if err := c.UnmarshalBinary(marshalWithLabel(t, &honest, name, target, forged)); !errors.Is(err, ErrBadCertificate) {
+		t.Fatalf("non-canonical second copy of an interned entry accepted: err=%v", err)
+	}
+}
+
+// marshalWithLabel marshals a copy of the certificate in which one edge of
+// one property carries the given label instead of its own.
+func marshalWithLabel(t *testing.T, honest *Certificate, name string, e graph.Edge, el *core.EdgeLabel) []byte {
+	t.Helper()
 	labelings := make(map[string]*core.Labeling, len(honest.labelings))
 	for p, hl := range honest.labelings {
 		labelings[p] = hl
 	}
+	l := honest.labelings[name]
 	swapped := &core.Labeling{Edges: make(map[graph.Edge]*core.EdgeLabel, len(l.Edges))}
-	for e, el := range l.Edges {
-		swapped.Edges[e] = el
+	for k, v := range l.Edges {
+		swapped.Edges[k] = v
 	}
-	swapped.Edges[target] = forged
+	swapped.Edges[e] = el
 	labelings[name] = swapped
 	bad := &Certificate{
 		maxLanes:    honest.maxLanes,
@@ -174,9 +175,73 @@ func TestNonCanonicalCopyRejectedAfterInterning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return blob
+}
+
+// TestDuplicateLaneRejected forges a node entry whose lane list repeats its
+// first lane, with the ids of that lane repeated to match. Ids are aligned
+// with lanes by position, so the decoder must refuse any lane list that is
+// not strictly increasing; the repeated ids re-encode to the same bits, so
+// the canonicality check alone would not catch it.
+func TestDuplicateLaneRejected(t *testing.T) {
+	var honest Certificate
+	if err := honest.UnmarshalBinary(honestBlob(t)); err != nil {
+		t.Fatal(err)
+	}
+	name := honest.props[0]
+	target := sortedEdges(honest.labelings[name])[0]
+	forged := honest.labelings[name].Edges[target].Clone()
+	en := forged.Own.Path[0]
+	dup := func(s []uint64) []uint64 {
+		if s == nil {
+			return nil
+		}
+		return append([]uint64{s[0]}, s...)
+	}
+	en.Lanes = append([]int{en.Lanes[0]}, en.Lanes...)
+	en.InIDs, en.OutIDs, en.MergedOutIDs = dup(en.InIDs), dup(en.OutIDs), dup(en.MergedOutIDs)
+	if _, err := core.DecodeLabel(core.EncodeLabel(forged)); err == nil {
+		t.Fatal("label with a duplicated lane decoded")
+	}
 	var c Certificate
-	if err := c.UnmarshalBinary(blob); !errors.Is(err, ErrBadCertificate) {
-		t.Fatalf("non-canonical second copy of an interned entry accepted: err=%v", err)
+	if err := c.UnmarshalBinary(marshalWithLabel(t, &honest, name, target, forged)); !errors.Is(err, ErrBadCertificate) {
+		t.Fatalf("duplicated lane accepted: err=%v", err)
+	}
+}
+
+// TestMarshalAllocsIndependentOfSize pins that MarshalBinary encodes every
+// label straight into one exactly sized buffer: its allocation count does
+// not grow with the number of edges.
+func TestMarshalAllocsIndependentOfSize(t *testing.T) {
+	props, err := PropertiesByName("bipartite")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := New(WithProperties(props...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := make([]float64, 0, 2)
+	for _, n := range []int{16, 512} {
+		crt, _, err := c.ProveBatch(context.Background(), Path(n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		blob, err := crt.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(blob) != cap(blob) {
+			t.Fatalf("n=%d: %d bytes in a %d-byte buffer, want it sized exactly", n, len(blob), cap(blob))
+		}
+		allocs = append(allocs, testing.AllocsPerRun(5, func() {
+			if _, err := crt.MarshalBinary(); err != nil {
+				t.Fatal(err)
+			}
+		}))
+	}
+	if allocs[1] != allocs[0] || allocs[0] > 4 {
+		t.Fatalf("MarshalBinary allocates %v times at 15 edges and %v at 511, want the same small count", allocs[0], allocs[1])
 	}
 }
 

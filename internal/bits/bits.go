@@ -11,11 +11,16 @@ import (
 	"slices"
 )
 
-// Writer accumulates bits most-significant-first.
+// Writer accumulates bits most-significant-first. The zero value writes
+// into a fresh buffer; NewWriter appends to an existing one.
 type Writer struct {
 	buf   []byte
 	nbits int
 }
+
+// NewWriter returns a Writer that appends to buf, starting at the byte
+// boundary after its last byte. Bits counts buf's own bits too.
+func NewWriter(buf []byte) Writer { return Writer{buf: buf, nbits: 8 * len(buf)} }
 
 // WriteBit appends one bit.
 func (w *Writer) WriteBit(b bool) {
@@ -84,12 +89,13 @@ func (w *Writer) WriteUvarint(v uint64) {
 	w.writeBits(v, width)                    // value bits below the leading 1
 }
 
-// WriteChunk appends a pre-encoded bit sequence (buf, nbits) as previously
-// produced by a Writer, bit-for-bit identical to replaying the original
-// writes. Byte-aligned chunks are copied wholesale; unaligned chunks are
-// shift-merged byte by byte, so appending a cached encoding costs O(bytes)
-// instead of O(bits).
-func (w *Writer) WriteChunk(buf []byte, nbits int) {
+// WriteChunk appends a pre-encoded bit sequence (the first nbits bits of
+// buf, packed as a Writer packs them), bit-for-bit identical to replaying
+// the original writes. buf is a string so that a cached encoding held as a
+// string key can be spliced without a byte copy of its own. Byte-aligned
+// chunks are copied wholesale; unaligned chunks are shift-merged byte by
+// byte, so appending a cached encoding costs O(bytes) instead of O(bits).
+func (w *Writer) WriteChunk(buf string, nbits int) {
 	if nbits == 0 {
 		return
 	}
@@ -133,8 +139,12 @@ func (w *Writer) Grow(n int) {
 // Bits returns the number of bits written.
 func (w *Writer) Bits() int { return w.nbits }
 
-// Bytes returns the encoded bytes (the final byte zero-padded).
+// Bytes returns a copy of the encoded bytes (the final byte zero-padded).
 func (w *Writer) Bytes() []byte { return append([]byte(nil), w.buf...) }
+
+// Buffer returns the encoded bytes, including any NewWriter started from,
+// without copying them: later writes may change them.
+func (w *Writer) Buffer() []byte { return w.buf }
 
 // ErrOutOfBits is returned when a Reader runs past the end of input.
 var ErrOutOfBits = errors.New("bits: out of input")

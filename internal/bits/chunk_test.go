@@ -44,7 +44,7 @@ func TestWriteChunkBitIdentical(t *testing.T) {
 		// natively at the current offset, in the ground-truth writer; the
 		// chunked writer then appends the pre-encoded chunk in one call.
 		randomWrites(rng, &chunk, &direct, rng.Intn(12))
-		chunked.WriteChunk(chunk.Bytes(), chunk.Bits())
+		chunked.WriteChunk(string(chunk.Bytes()), chunk.Bits())
 
 		randomWrites(rng, &chunked, &direct, rng.Intn(8)) // writes after the chunk
 
@@ -70,7 +70,7 @@ func TestWriteChunkReplaysWrites(t *testing.T) {
 		var prefixA, prefixB Writer
 		randomWrites(rng, &prefixA, &prefixB, rng.Intn(10))
 
-		prefixA.WriteChunk(chunk.Bytes(), chunk.Bits())
+		prefixA.WriteChunk(string(chunk.Bytes()), chunk.Bits())
 		r := NewReader(chunk.Bytes(), chunk.Bits())
 		for {
 			b, err := r.ReadBit()
@@ -81,6 +81,24 @@ func TestWriteChunkReplaysWrites(t *testing.T) {
 		}
 		if prefixA.Bits() != prefixB.Bits() || string(prefixA.Bytes()) != string(prefixB.Bytes()) {
 			t.Fatalf("trial %d: chunk append diverges from bit replay", trial)
+		}
+	}
+}
+
+// TestNewWriterAppends checks that a Writer started on existing bytes
+// leaves them alone and appends exactly what a fresh Writer would write,
+// from the next byte boundary.
+func TestNewWriterAppends(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 200; trial++ {
+		prefix := make([]byte, rng.Intn(4))
+		rng.Read(prefix)
+		appended := NewWriter(append([]byte(nil), prefix...))
+		var fresh Writer
+		randomWrites(rng, &appended, &fresh, rng.Intn(12))
+		if appended.Bits() != 8*len(prefix)+fresh.Bits() ||
+			string(appended.Buffer()) != string(prefix)+string(fresh.Bytes()) {
+			t.Fatalf("trial %d: appending writer diverges from prefix + fresh writer", trial)
 		}
 	}
 }

@@ -30,16 +30,12 @@ func TestAttackLaneBudgetEscalation(t *testing.T) {
 	forged := labeling.Clone()
 	for _, el := range forged.Edges {
 		for _, en := range el.Own.Path {
+			// Every lane now out of budget; the lane-aligned ids follow.
 			shifted := make([]int, len(en.Lanes))
-			remapIn := map[int]uint64{}
-			remapOut := map[int]uint64{}
 			for i, l := range en.Lanes {
-				shifted[i] = l + s.MaxLanes // every lane now out of budget
-				remapIn[l+s.MaxLanes] = en.InIDs[l]
-				remapOut[l+s.MaxLanes] = en.OutIDs[l]
+				shifted[i] = l + s.MaxLanes
 			}
 			en.Lanes = shifted
-			en.InIDs, en.OutIDs = remapIn, remapOut
 		}
 	}
 	if AllAccept(s.Verify(cfg, forged)) {
@@ -97,8 +93,8 @@ func TestAttackPhantomChild(t *testing.T) {
 			phantom := ChildSummary{
 				NodeID:        9999,
 				Lanes:         append([]int(nil), en.Lanes[:1]...),
-				InIDs:         map[int]uint64{en.Lanes[0]: en.OutIDs[en.Lanes[0]]},
-				MergedOutIDs:  map[int]uint64{en.Lanes[0]: 12345},
+				InIDs:         []uint64{en.OutIDs[0]},
+				MergedOutIDs:  []uint64{12345},
 				MergedClassID: en.ClassID,
 			}
 			en.Children = append(en.Children, phantom)

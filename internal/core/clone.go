@@ -52,12 +52,12 @@ func (n *NodeEntry) clone() *NodeEntry {
 		NodeID:        n.NodeID,
 		Kind:          n.Kind,
 		Lanes:         append([]int(nil), n.Lanes...),
-		InIDs:         cloneIDMap(n.InIDs),
-		OutIDs:        cloneIDMap(n.OutIDs),
+		InIDs:         append([]uint64(nil), n.InIDs...),
+		OutIDs:        append([]uint64(nil), n.OutIDs...),
 		ClassID:       n.ClassID,
 		ParentID:      n.ParentID,
 		MergedClassID: n.MergedClassID,
-		MergedOutIDs:  cloneIDMap(n.MergedOutIDs),
+		MergedOutIDs:  append([]uint64(nil), n.MergedOutIDs...),
 		PathIDs:       append([]uint64(nil), n.PathIDs...),
 		RealBits:      append([]bool(nil), n.RealBits...),
 		VInputs:       append([]int(nil), n.VInputs...),
@@ -85,8 +85,8 @@ func (c ChildSummary) clone() ChildSummary {
 	return ChildSummary{
 		NodeID:        c.NodeID,
 		Lanes:         append([]int(nil), c.Lanes...),
-		InIDs:         cloneIDMap(c.InIDs),
-		MergedOutIDs:  cloneIDMap(c.MergedOutIDs),
+		InIDs:         append([]uint64(nil), c.InIDs...),
+		MergedOutIDs:  append([]uint64(nil), c.MergedOutIDs...),
 		MergedClassID: c.MergedClassID,
 	}
 }
@@ -96,20 +96,9 @@ func (o *OperandSummary) clone() *OperandSummary {
 		NodeID:  o.NodeID,
 		Kind:    o.Kind,
 		Lanes:   append([]int(nil), o.Lanes...),
-		InIDs:   cloneIDMap(o.InIDs),
-		OutIDs:  cloneIDMap(o.OutIDs),
+		InIDs:   append([]uint64(nil), o.InIDs...),
+		OutIDs:  append([]uint64(nil), o.OutIDs...),
 		ClassID: o.ClassID,
 		Input:   o.Input,
 	}
-}
-
-func cloneIDMap(m map[int]uint64) map[int]uint64 {
-	if m == nil {
-		return nil
-	}
-	out := make(map[int]uint64, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
 }

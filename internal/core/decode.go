@@ -10,11 +10,23 @@ import (
 )
 
 // EncodeLabel serializes an edge label to its exact bit representation —
-// the artifact that would cross the wire in the PLS model.
+// the artifact that would cross the wire in the PLS model — in a buffer of
+// exactly its size.
 func EncodeLabel(l *EdgeLabel) ([]byte, int) {
-	var w bits.Writer
+	return AppendLabel(make([]byte, 0, (l.Bits()+7)/8), l)
+}
+
+// AppendLabel appends the label's EncodeLabel bytes to dst, starting at a
+// byte boundary, and returns the extended buffer and the label's bit count.
+// The cached encodings of its entries and certificates are spliced in; the
+// label's own bits are written straight into dst, so encoding a labeling
+// into one buffer makes no per-label copy.
+func AppendLabel(dst []byte, l *EdgeLabel) ([]byte, int) {
+	start := len(dst)
+	w := bits.NewWriter(dst)
+	w.Grow(l.Bits())
 	l.encode(&w)
-	return w.Bytes(), w.Bits()
+	return w.Buffer(), w.Bits() - 8*start
 }
 
 // DecodeLabel parses a label previously produced by EncodeLabel, with a
@@ -50,6 +62,7 @@ type Decoder struct {
 
 	key  []byte       // raw-bit key under construction
 	path []*NodeEntry // path of the certificate being parsed
+	ids  u64Arena     // backing store of built entries' id slices
 
 	// Write-only targets of the skip pass.
 	lanes  []int
@@ -207,8 +220,8 @@ func (d *Decoder) entry(r *bits.Reader) (*NodeEntry, error) {
 // parseEntry is the one grammar of a node entry. With build set it returns
 // the decoded entry. Without, it is the skip pass: it reads the same bits
 // and runs the same plausibility checks, but allocates nothing — scalars
-// land in d.skip and d.skipOp, lane lists in d.lanes, and maps and slices
-// are not made — and returns nil.
+// land in d.skip and d.skipOp, lane lists in d.lanes, and id and payload
+// slices are not made — and returns nil.
 func (d *Decoder) parseEntry(r *bits.Reader, build bool) (*NodeEntry, error) {
 	e := &d.skip
 	if build {
@@ -227,10 +240,10 @@ func (d *Decoder) parseEntry(r *bits.Reader, build bool) (*NodeEntry, error) {
 	if e.Lanes, err = d.parseLanes(r, build); err != nil {
 		return nil, err
 	}
-	if e.InIDs, err = parseIDMap(r, e.Lanes, build); err != nil {
+	if e.InIDs, err = d.parseIDs(r, len(e.Lanes), build); err != nil {
 		return nil, err
 	}
-	if e.OutIDs, err = parseIDMap(r, e.Lanes, build); err != nil {
+	if e.OutIDs, err = d.parseIDs(r, len(e.Lanes), build); err != nil {
 		return nil, err
 	}
 	cls, err := r.ReadUvarint()
@@ -248,8 +261,9 @@ func (d *Decoder) parseEntry(r *bits.Reader, build bool) (*NodeEntry, error) {
 		return nil, err
 	}
 	e.MergedClassID = int(merged)
-	mergedOut, err := parseIDMap(r, e.Lanes, build)
-	if err != nil {
+	// Non-members carry no merged ids: the zeros the encoder writes for
+	// them are read here, and dropped.
+	if e.MergedOutIDs, err = d.parseIDs(r, len(e.Lanes), build && e.ParentID != -1); err != nil {
 		return nil, err
 	}
 	nChildren, err := r.ReadUvarint()
@@ -269,11 +283,7 @@ func (d *Decoder) parseEntry(r *bits.Reader, build bool) (*NodeEntry, error) {
 		}
 	}
 	if e.ParentID == -1 {
-		// Non-members carry no merged data; the zero map written by the
-		// encoder is consumed above and discarded here.
-		e.MergedClassID = 0
-	} else {
-		e.MergedOutIDs = mergedOut
+		e.MergedClassID = 0 // likewise written as zero, and dropped
 	}
 	nPath, err := r.ReadUvarint()
 	if err != nil {
@@ -356,7 +366,10 @@ func (d *Decoder) parseEntry(r *bits.Reader, build bool) (*NodeEntry, error) {
 }
 
 // parseLanes reads a lane list: a fresh slice when building, the reused
-// d.lanes on the skip pass (which needs only its length).
+// d.lanes on the skip pass (which needs only its length). Lanes must be
+// strictly increasing, as every encoder writes them: the id lists that
+// follow are aligned with the lanes by position, so a repeated lane would
+// carry two ids for one lane.
 func (d *Decoder) parseLanes(r *bits.Reader, build bool) ([]int, error) {
 	n, err := r.ReadUvarint()
 	if err != nil {
@@ -374,6 +387,9 @@ func (d *Decoder) parseLanes(r *bits.Reader, build bool) ([]int, error) {
 		if err != nil {
 			return nil, err
 		}
+		if i > 0 && l <= uint64(lanes[i-1]) {
+			return nil, fmt.Errorf("core: lane %d follows lane %d", l, lanes[i-1])
+		}
 		lanes = append(lanes, int(l))
 	}
 	if !build {
@@ -382,19 +398,20 @@ func (d *Decoder) parseLanes(r *bits.Reader, build bool) ([]int, error) {
 	return lanes, nil
 }
 
-// parseIDMap reads one id per lane; the map is made only when building.
-func parseIDMap(r *bits.Reader, lanes []int, build bool) (map[int]uint64, error) {
-	var out map[int]uint64
+// parseIDs reads one id per lane into a lane-aligned slice, carved from
+// the Decoder's arena only when building.
+func (d *Decoder) parseIDs(r *bits.Reader, n int, build bool) ([]uint64, error) {
+	var out []uint64
 	if build {
-		out = make(map[int]uint64, len(lanes))
+		out = d.ids.alloc(n)
 	}
-	for _, l := range lanes {
+	for i := range n {
 		v, err := r.ReadUvarint()
 		if err != nil {
 			return nil, err
 		}
 		if build {
-			out[l] = v
+			out[i] = v
 		}
 	}
 	return out, nil
@@ -410,10 +427,10 @@ func (d *Decoder) parseChild(r *bits.Reader, build bool) (ChildSummary, error) {
 	if c.Lanes, err = d.parseLanes(r, build); err != nil {
 		return c, err
 	}
-	if c.InIDs, err = parseIDMap(r, c.Lanes, build); err != nil {
+	if c.InIDs, err = d.parseIDs(r, len(c.Lanes), build); err != nil {
 		return c, err
 	}
-	if c.MergedOutIDs, err = parseIDMap(r, c.Lanes, build); err != nil {
+	if c.MergedOutIDs, err = d.parseIDs(r, len(c.Lanes), build); err != nil {
 		return c, err
 	}
 	cls, err := r.ReadUvarint()
@@ -443,10 +460,10 @@ func (d *Decoder) parseOperand(r *bits.Reader, build bool) (*OperandSummary, err
 	if o.Lanes, err = d.parseLanes(r, build); err != nil {
 		return nil, err
 	}
-	if o.InIDs, err = parseIDMap(r, o.Lanes, build); err != nil {
+	if o.InIDs, err = d.parseIDs(r, len(o.Lanes), build); err != nil {
 		return nil, err
 	}
-	if o.OutIDs, err = parseIDMap(r, o.Lanes, build); err != nil {
+	if o.OutIDs, err = d.parseIDs(r, len(o.Lanes), build); err != nil {
 		return nil, err
 	}
 	cls, err := r.ReadUvarint()

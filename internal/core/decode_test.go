@@ -78,3 +78,29 @@ func TestDecodeLabelRejectsGarbage(t *testing.T) {
 		break
 	}
 }
+
+// TestAppendLabelAppends pins AppendLabel against EncodeLabel on every
+// generator family: onto a non-empty buffer it appends exactly EncodeLabel's
+// bytes and leaves the buffer's own bytes alone, and EncodeLabel's buffer
+// is sized exactly.
+func TestAppendLabelAppends(t *testing.T) {
+	prefix := []byte{0xa5, 0xff, 0x01}
+	for _, tc := range regressionConfigs(t) {
+		t.Run(tc.name, func(t *testing.T) {
+			labeling, _, err := NewScheme(tc.prop, 8).Prove(cert.NewConfig(tc.g), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for e, el := range labeling.Edges {
+				want, wantBits := EncodeLabel(el)
+				if len(want) != cap(want) || wantBits != el.Bits() {
+					t.Fatalf("edge %v: %d bits in %d bytes of a %d-byte buffer, Bits()=%d", e, wantBits, len(want), cap(want), el.Bits())
+				}
+				got, gotBits := AppendLabel(append([]byte(nil), prefix...), el)
+				if gotBits != wantBits || !bytes.Equal(got, append(append([]byte(nil), prefix...), want...)) {
+					t.Fatalf("edge %v: AppendLabel gave %d bits %x, want %d bits %x after the prefix", e, gotBits, got, wantBits, want)
+				}
+			}
+		})
+	}
+}

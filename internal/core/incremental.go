@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/algebra"
@@ -512,56 +513,17 @@ func touchedVertices(edits []Edit) []graph.Vertex {
 }
 
 // artifactEqual reports whether two node artifacts carry identical
-// property-independent content (the derived lane-ordered sequences follow
-// from the compared maps and lane sets, so they are not compared).
+// property-independent content.
 func artifactEqual(a, b *nodeArtifact) bool {
 	if a.member != b.member || a.parentID != b.parentID ||
 		a.input != b.input || a.bridgeReal != b.bridgeReal ||
 		a.rootMember != b.rootMember {
 		return false
 	}
-	if !lanesEqual(a.lanes, b.lanes) || !intsEqual(a.treeChildren, b.treeChildren) ||
-		!intsEqual(a.vInputs, b.vInputs) {
-		return false
-	}
-	if len(a.inIDs) != len(b.inIDs) || !idMapEqual(a.lanes, a.inIDs, b.inIDs) {
-		return false
-	}
-	if len(a.outIDs) != len(b.outIDs) || !idMapEqual(a.lanes, a.outIDs, b.outIDs) {
-		return false
-	}
-	if len(a.mergedOutIDs) != len(b.mergedOutIDs) || !idMapEqual(a.lanes, a.mergedOutIDs, b.mergedOutIDs) {
-		return false
-	}
-	if len(a.pathIDs) != len(b.pathIDs) {
-		return false
-	}
-	for i := range a.pathIDs {
-		if a.pathIDs[i] != b.pathIDs[i] {
-			return false
-		}
-	}
-	if len(a.realBits) != len(b.realBits) {
-		return false
-	}
-	for i := range a.realBits {
-		if a.realBits[i] != b.realBits[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func intsEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return slices.Equal(a.lanes, b.lanes) && slices.Equal(a.treeChildren, b.treeChildren) &&
+		slices.Equal(a.vInputs, b.vInputs) && slices.Equal(a.inIDs, b.inIDs) &&
+		slices.Equal(a.outIDs, b.outIDs) && slices.Equal(a.mergedOutIDs, b.mergedOutIDs) &&
+		slices.Equal(a.pathIDs, b.pathIDs) && slices.Equal(a.realBits, b.realBits)
 }
 
 // Properties returns the configured property names in engine order.

@@ -24,51 +24,41 @@ import (
 
 // ChildSummary is B(Tree-merge(T_child)) as carried on the edges of the
 // parent member (Lemma 6.5, T-node case). Sibling lane sets are disjoint,
-// so a member stores at most k of these.
+// so a member stores at most k of these. The id slices are lane-aligned:
+// InIDs[i] and MergedOutIDs[i] are the terminals on Lanes[i].
 type ChildSummary struct {
 	NodeID        int
 	Lanes         []int
-	InIDs         map[int]uint64
-	MergedOutIDs  map[int]uint64
+	InIDs         []uint64
+	MergedOutIDs  []uint64
 	MergedClassID int
-
-	// Lane-ordered views of the ID maps, shared with the StructuralProof's
-	// node artifacts when the prover assembled this summary (nil on decoded
-	// or cloned labels, which fall back to the maps).
-	inSeq, mergedOutSeq []uint64
 }
 
 // OperandSummary is the basic information of a B-node operand (a V-node or
 // T-node), carried on the edges of the B-node's subgraph (Lemma 6.5,
-// B-node case).
+// B-node case). InIDs and OutIDs are lane-aligned, as in ChildSummary.
 type OperandSummary struct {
 	NodeID  int
 	Kind    lanewidth.Kind
 	Lanes   []int
-	InIDs   map[int]uint64
-	OutIDs  map[int]uint64
+	InIDs   []uint64
+	OutIDs  []uint64
 	ClassID int
 	Input   int // V-node operands: the vertex's input label
-
-	inSeq, outSeq []uint64 // lane-ordered views, see ChildSummary
 }
 
-// encCache memoizes a label component's canonical encoding. Labels are
-// immutable once handed out by Prove (corruption experiments go through
-// Clone, which resets the cache), so the encoding is computed at most once;
-// the sync.Once makes concurrent verifiers (VerifyParallel, dist) race-free.
+// encCache memoizes the canonical encoding of a component many labels
+// splice in: a node entry or a completion-edge certificate. The encoding is
+// held once, as its key — the packed bytes followed by the decimal bit
+// count — and spliced from the key's byte prefix. Components are immutable
+// once handed out by Prove or a Decoder (corruption experiments go through
+// Clone, which starts with an empty cache), so the encoding is computed at
+// most once; the sync.Once makes concurrent verifiers (VerifyParallel,
+// dist) race-free.
 type encCache struct {
 	once  sync.Once
-	data  []byte
-	nbits int
 	key   string
-
-	// sizeOnce/size memoize the exact encoded bit count computed without
-	// materializing the byte encoding (see EdgeLabel.Bits): proof-size
-	// accounting (Labeling.MaxBits, experiments E1/E8/E9) must not pay for
-	// byte assembly it never reads.
-	sizeOnce sync.Once
-	size     int
+	nbits int
 }
 
 // materialize runs the raw encoder once and freezes its output.
@@ -76,27 +66,35 @@ func (c *encCache) materialize(raw func(*bits.Writer)) {
 	c.once.Do(func() {
 		var w bits.Writer
 		raw(&w)
-		c.data = w.Bytes()
 		c.nbits = w.Bits()
-		c.key = string(c.data) + strconv.Itoa(c.nbits)
+		c.key = string(w.Buffer()) + strconv.Itoa(c.nbits)
 	})
+}
+
+// splice appends the cached encoding to w.
+func (c *encCache) splice(w *bits.Writer) {
+	w.WriteChunk(c.key[:(c.nbits+7)/8], c.nbits)
 }
 
 // NodeEntry is the basic information B(G) of one hierarchy node, stored on
 // every edge of the node's subgraph. An edge's certificate holds the entries
-// of the ≤ 2k nodes on its root-to-owner path (Observation 5.5).
+// of the ≤ 2k nodes on its root-to-owner path (Observation 5.5). The id
+// slices are aligned with the sorted Lanes: InIDs[i], OutIDs[i] and
+// MergedOutIDs[i] are the terminals on Lanes[i], exactly as the wire
+// carries them.
 type NodeEntry struct {
 	NodeID  int
 	Kind    lanewidth.Kind
 	Lanes   []int
-	InIDs   map[int]uint64
-	OutIDs  map[int]uint64
+	InIDs   []uint64
+	OutIDs  []uint64
 	ClassID int
 
-	// Tree-member fields (set when the node is a member of a T-node's tree).
+	// Tree-member fields (set when the node is a member of a T-node's tree;
+	// MergedOutIDs is nil otherwise).
 	ParentID      int // enclosing T-node id
 	MergedClassID int
-	MergedOutIDs  map[int]uint64
+	MergedOutIDs  []uint64
 	Children      []ChildSummary
 
 	// E-node: PathIDs = [in, out]; RealBits[0] marks the edge real.
@@ -115,8 +113,6 @@ type NodeEntry struct {
 	// T-node: summary of its tree's root member.
 	RootMember *ChildSummary
 
-	inSeq, outSeq, mergedOutSeq []uint64 // lane-ordered views, see ChildSummary
-
 	cache encCache
 }
 
@@ -128,6 +124,10 @@ type CEdgeLabel struct {
 	OwnerPos int // P-node owners: edge joins PathIDs[OwnerPos], PathIDs[OwnerPos+1]
 
 	cache encCache
+
+	// sizeOnce/size memoize Bits, computed by accounting alone.
+	sizeOnce sync.Once
+	size     int
 }
 
 // EmbEntry simulates a virtual completion edge on one real edge of its
@@ -140,13 +140,19 @@ type EmbEntry struct {
 	Payload  *CEdgeLabel
 }
 
-// EdgeLabel is the complete label of a real edge.
+// EdgeLabel is the complete label of a real edge. It caches no encoding of
+// its own — AppendLabel writes it straight into the buffer that needs it,
+// splicing in the cached encodings of its shared components — only its
+// exact size.
 type EdgeLabel struct {
 	Own      *CEdgeLabel
 	Emb      []EmbEntry
 	Pointing *cert.PointingLabel // root-anchor pointing scheme (Prop 2.2)
 
-	cache encCache
+	// sizeOnce/size memoize Bits: proof-size accounting (Labeling.MaxBits,
+	// experiments E1/E8/E9) and buffer sizing must not pay for encoding.
+	sizeOnce sync.Once
+	size     int
 }
 
 // Labeling is a full proof assignment.
@@ -168,42 +174,40 @@ func (l *Labeling) MaxBits() int {
 
 // --- canonical encodings -------------------------------------------------
 
-// writeIDMap emits the map's ids in lane order. When the prover attached a
-// lane-ordered sequence (shared with the structure's artifacts), the ids
-// stream out without per-lane map lookups; the map path serves decoded and
-// cloned labels and is bit-identical.
-func writeIDMap(w *bits.Writer, lanes []int, m map[int]uint64, seq []uint64) {
-	if len(seq) == len(lanes) {
-		for _, id := range seq {
-			w.WriteUvarint(id)
+// writeIDs emits one id per lane from a lane-aligned slice. The wire always
+// carries exactly one id per lane; a missing id (a nil MergedOutIDs outside
+// any tree) is written as zero.
+func writeIDs(w *bits.Writer, lanes []int, ids []uint64) {
+	for i := range lanes {
+		var id uint64
+		if i < len(ids) {
+			id = ids[i]
 		}
-		return
+		w.WriteUvarint(id)
 	}
+}
+
+func writeLanes(w *bits.Writer, lanes []int) {
+	w.WriteUvarint(uint64(len(lanes)))
 	for _, l := range lanes {
-		w.WriteUvarint(m[l])
+		w.WriteUvarint(uint64(l))
 	}
 }
 
 func (c *ChildSummary) encode(w *bits.Writer) {
 	w.WriteUvarint(uint64(c.NodeID))
-	w.WriteUvarint(uint64(len(c.Lanes)))
-	for _, l := range c.Lanes {
-		w.WriteUvarint(uint64(l))
-	}
-	writeIDMap(w, c.Lanes, c.InIDs, c.inSeq)
-	writeIDMap(w, c.Lanes, c.MergedOutIDs, c.mergedOutSeq)
+	writeLanes(w, c.Lanes)
+	writeIDs(w, c.Lanes, c.InIDs)
+	writeIDs(w, c.Lanes, c.MergedOutIDs)
 	w.WriteUvarint(uint64(c.MergedClassID))
 }
 
 func (o *OperandSummary) encode(w *bits.Writer) {
 	w.WriteUvarint(uint64(o.NodeID))
 	w.WriteUint(uint64(o.Kind), 3)
-	w.WriteUvarint(uint64(len(o.Lanes)))
-	for _, l := range o.Lanes {
-		w.WriteUvarint(uint64(l))
-	}
-	writeIDMap(w, o.Lanes, o.InIDs, o.inSeq)
-	writeIDMap(w, o.Lanes, o.OutIDs, o.outSeq)
+	writeLanes(w, o.Lanes)
+	writeIDs(w, o.Lanes, o.InIDs)
+	writeIDs(w, o.Lanes, o.OutIDs)
 	w.WriteUvarint(uint64(o.ClassID))
 	w.WriteUvarint(uint64(o.Input))
 }
@@ -211,7 +215,7 @@ func (o *OperandSummary) encode(w *bits.Writer) {
 // encode appends the entry's canonical encoding, memoized on first use.
 func (n *NodeEntry) encode(w *bits.Writer) {
 	n.cache.materialize(n.encodeRaw)
-	w.WriteChunk(n.cache.data, n.cache.nbits)
+	n.cache.splice(w)
 }
 
 // encodeRaw is the bit-level definition of the entry's canonical encoding;
@@ -219,16 +223,13 @@ func (n *NodeEntry) encode(w *bits.Writer) {
 func (n *NodeEntry) encodeRaw(w *bits.Writer) {
 	w.WriteUvarint(uint64(n.NodeID))
 	w.WriteUint(uint64(n.Kind), 3)
-	w.WriteUvarint(uint64(len(n.Lanes)))
-	for _, l := range n.Lanes {
-		w.WriteUvarint(uint64(l))
-	}
-	writeIDMap(w, n.Lanes, n.InIDs, n.inSeq)
-	writeIDMap(w, n.Lanes, n.OutIDs, n.outSeq)
+	writeLanes(w, n.Lanes)
+	writeIDs(w, n.Lanes, n.InIDs)
+	writeIDs(w, n.Lanes, n.OutIDs)
 	w.WriteUvarint(uint64(n.ClassID))
 	w.WriteUvarint(uint64(n.ParentID + 1))
 	w.WriteUvarint(uint64(n.MergedClassID))
-	writeIDMap(w, n.Lanes, n.MergedOutIDs, n.mergedOutSeq)
+	writeIDs(w, n.Lanes, n.MergedOutIDs)
 	w.WriteUvarint(uint64(len(n.Children)))
 	for i := range n.Children {
 		n.Children[i].encode(w)
@@ -274,7 +275,7 @@ func (n *NodeEntry) Key() string {
 
 func (c *CEdgeLabel) encode(w *bits.Writer) {
 	c.cache.materialize(c.encodeRaw)
-	w.WriteChunk(c.cache.data, c.cache.nbits)
+	c.cache.splice(w)
 }
 
 func (c *CEdgeLabel) encodeRaw(w *bits.Writer) {
@@ -296,23 +297,23 @@ func (c *CEdgeLabel) Key() string {
 // size accounting alone — the entry encodings it splices are already
 // cached, so no byte assembly happens.
 func (c *CEdgeLabel) Bits() int {
-	c.cache.sizeOnce.Do(func() {
+	c.sizeOnce.Do(func() {
 		n := bits.UvarintLen(uint64(len(c.Path)))
 		for _, e := range c.Path {
 			e.cache.materialize(e.encodeRaw)
 			n += e.cache.nbits
 		}
 		n += bits.UvarintLen(uint64(c.OwnerPos))
-		c.cache.size = n
+		c.size = n
 	})
-	return c.cache.size
+	return c.size
 }
 
 // Bits returns the exact encoded size of the label (memoized). The size is
-// computed by accounting, mirroring encodeRaw bit for bit, so calling it
-// never materializes the label's byte encoding.
+// computed by accounting, mirroring encode bit for bit, so calling it never
+// encodes the label.
 func (l *EdgeLabel) Bits() int {
-	l.cache.sizeOnce.Do(func() {
+	l.sizeOnce.Do(func() {
 		n := 1
 		if l.Own != nil {
 			n += l.Own.Bits()
@@ -327,27 +328,22 @@ func (l *EdgeLabel) Bits() int {
 		if l.Pointing != nil {
 			n += l.Pointing.Bits()
 		}
-		l.cache.size = n
+		l.size = n
 	})
-	return l.cache.size
+	return l.size
 }
 
-// Key returns a canonical encoding of the whole edge label, used for the
-// cross-endpoint agreement check of the distributed simulator. Memoized, so
-// the honest path (both endpoints holding the same label pointer) compares
-// the same string instance in O(1).
+// Key returns a canonical encoding of the whole edge label (bytes plus bit
+// count), used for the cross-endpoint agreement check of the distributed
+// simulator. It encodes on every call; callers compare label pointers
+// first, so the honest path (both endpoints holding the same label) never
+// gets here.
 func (l *EdgeLabel) Key() string {
-	l.cache.materialize(l.encodeRaw)
-	return l.cache.key
+	data, nbits := EncodeLabel(l)
+	return string(data) + strconv.Itoa(nbits)
 }
 
 func (l *EdgeLabel) encode(w *bits.Writer) {
-	l.cache.materialize(l.encodeRaw)
-	w.WriteChunk(l.cache.data, l.cache.nbits)
-}
-
-func (l *EdgeLabel) encodeRaw(w *bits.Writer) {
-	w.Grow(l.Bits())
 	if l.Own != nil {
 		w.WriteBit(true)
 		l.Own.encode(w)
@@ -381,19 +377,6 @@ func sortedLanes(lanes []int) []int {
 	return out
 }
 
-// lanesEqual compares two sorted lane slices.
-func lanesEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 func lanesDisjoint(a, b []int) bool {
 	for _, l := range a {
 		for _, m := range b {
@@ -405,11 +388,21 @@ func lanesDisjoint(a, b []int) bool {
 	return true
 }
 
-func idMapEqual(lanes []int, a, b map[int]uint64) bool {
-	for _, l := range lanes {
-		if a[l] != b[l] {
-			return false
+// laneIndex returns the position of lane l in a lane list, or -1.
+func laneIndex(lanes []int, l int) int {
+	for i, m := range lanes {
+		if m == l {
+			return i
 		}
 	}
-	return true
+	return -1
+}
+
+// idOn returns the id a lane-aligned slice holds for lane l, or 0 when l is
+// not one of the lanes.
+func idOn(lanes []int, ids []uint64, l int) uint64 {
+	if i := laneIndex(lanes, l); i >= 0 && i < len(ids) {
+		return ids[i]
+	}
+	return 0
 }

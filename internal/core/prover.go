@@ -137,7 +137,7 @@ func (s *Scheme) ProveWithCtx(ctx context.Context, sp *StructuralProof) (*Labeli
 // prev (the previous generation's encoder over the previous structure of
 // the same graph) is non-nil, node entries, certificates and edge labels
 // whose content provably did not change are carried over by pointer —
-// cached canonical encodings included — instead of being re-derived. The
+// cached encodings and sizes included — instead of being re-derived. The
 // output is byte-identical to a fresh pass either way; reuse counters are
 // accumulated into ru when non-nil. The returned encoder feeds the next
 // generation's reuse.
@@ -497,7 +497,7 @@ func (enc *encoder) classID(nodeID int) int  { return enc.classIDs[nodeID] }
 func (enc *encoder) mergedID(nodeID int) int { return enc.mergedIDs[nodeID] }
 
 // childSummary assembles the Lemma 6.5 summary of a folded member: its
-// structural maps are shared with the artifact, only the class id is
+// lanes and ids are shared with the artifact, only the class id is
 // property-specific.
 func (enc *encoder) childSummary(nodeID int) ChildSummary {
 	ca := enc.sp.art[nodeID]
@@ -507,8 +507,6 @@ func (enc *encoder) childSummary(nodeID int) ChildSummary {
 		InIDs:         ca.inIDs,
 		MergedOutIDs:  ca.mergedOutIDs,
 		MergedClassID: enc.mergedID(nodeID),
-		inSeq:         ca.inSeq,
-		mergedOutSeq:  ca.mergedOutSeq,
 	}
 }
 
@@ -526,12 +524,9 @@ func (enc *encoder) entryFor(n *lanewidth.Node, arena *entryArena) (*NodeEntry, 
 	e.OutIDs = a.outIDs
 	e.ClassID = enc.classID(n.ID)
 	e.ParentID = -1
-	e.inSeq = a.inSeq
-	e.outSeq = a.outSeq
 	if a.member {
 		e.ParentID = a.parentID
 		e.MergedOutIDs = a.mergedOutIDs
-		e.mergedOutSeq = a.mergedOutSeq
 		e.MergedClassID = enc.mergedID(n.ID)
 		if len(a.treeChildren) > 0 {
 			e.Children = make([]ChildSummary, 0, len(a.treeChildren))
@@ -557,8 +552,6 @@ func (enc *encoder) entryFor(n *lanewidth.Node, arena *entryArena) (*NodeEntry, 
 				InIDs:   oa.inIDs,
 				OutIDs:  oa.outIDs,
 				ClassID: enc.classID(op.ID),
-				inSeq:   oa.inSeq,
-				outSeq:  oa.outSeq,
 			}
 			if op.Kind == lanewidth.VNode {
 				sum.Input = oa.input
@@ -611,7 +604,7 @@ func (enc *encoder) buildCert(e graph.Edge) (*CEdgeLabel, error) {
 // When prev/prevLab are non-nil (incremental re-proving), certificates and
 // whole edge labels that came out content-identical to the previous
 // generation's are swapped for the previous instances, so their memoized
-// canonical encodings carry over; the labeling is byte-identical either way.
+// encodings and sizes carry over; the labeling is byte-identical either way.
 // With workers > 1 (fresh proves only) the certificates are pre-built
 // concurrently; each certificate's content depends only on its edge's owner
 // path, so the pre-built map is identical to the sequential memo.
@@ -701,7 +694,7 @@ func (enc *encoder) buildLabels(prev *encoder, prevLab *Labeling, ru *reuseCount
 	}
 	// Final incremental pass: a label whose every component survived from
 	// the previous generation is replaced by the previous label instance, so
-	// its memoized encoding (and key) is not recomputed.
+	// its memoized size is not recomputed.
 	if prevLab != nil {
 		for e, el := range labeling.Edges {
 			if pe, ok := prevLab.Edges[e]; ok && labelShallowEqual(el, pe) {

@@ -102,23 +102,19 @@ type StructuralProof struct {
 func (sp *StructuralProof) Stages() StageTimings { return sp.stages }
 
 // nodeArtifact is the property-independent part of one hierarchy node's
-// NodeEntry: identifier maps, lane sets, payload identifiers, real bits and
-// input labels. The maps and slices are shared read-only by every labeling
-// built from the same StructuralProof — per-property passes fill in only the
-// class ids.
+// NodeEntry: lane sets, identifiers aligned with them, payload identifiers,
+// real bits and input labels. The slices are shared read-only by every
+// labeling built from the same StructuralProof — per-property passes fill in
+// only the class ids.
 type nodeArtifact struct {
-	lanes  []int // sorted
-	inIDs  map[int]uint64
-	outIDs map[int]uint64
-
-	// Lane-ordered views of the ID maps, spliced into entries so encoding
-	// streams ids without per-lane map lookups.
-	inSeq, outSeq, mergedOutSeq []uint64
+	lanes  []int    // sorted
+	inIDs  []uint64 // inIDs[i] is the in-terminal id on lanes[i]
+	outIDs []uint64
 
 	// Tree-member data (member is false for nodes outside any T-node tree).
 	member       bool
 	parentID     int
-	mergedOutIDs map[int]uint64
+	mergedOutIDs []uint64 // lane-aligned, like inIDs
 	treeChildren []int
 
 	// E-/P-node payloads.
@@ -313,21 +309,23 @@ func assembleStructureReuse(cfg *cert.Config, pd *interval.PathDecomposition, p 
 }
 
 // u64Arena carves small []uint64 views out of slab blocks, replacing the
-// three tiny allocations per hierarchy node the lane-ordered id sequences
-// used to cost. Views escape into the long-lived artifacts, so blocks are
-// simply abandoned to the structure's lifetime rather than reclaimed.
-type u64Arena struct{ block []uint64 }
+// three tiny allocations per hierarchy node (or decoded entry) the
+// lane-aligned id slices would cost. Views escape into long-lived artifacts
+// and labels, so blocks are simply abandoned to their lifetime rather than
+// reclaimed. Block sizes double from 64 to 4096 ids, so an arena that
+// carves only a few views stays small.
+type u64Arena struct {
+	block []uint64
+	size  int // size of the last block made
+}
 
 func (a *u64Arena) alloc(n int) []uint64 {
 	if n == 0 {
 		return nil
 	}
 	if len(a.block) < n {
-		size := 4096
-		if n > size {
-			size = n
-		}
-		a.block = make([]uint64, size)
+		a.size = min(max(2*a.size, 64), 4096)
+		a.block = make([]uint64, max(a.size, n))
 	}
 	s := a.block[:n:n]
 	a.block = a.block[n:]
@@ -439,10 +437,14 @@ func (ab *artifactBuilder) ownsDirty(n *lanewidth.Node) bool {
 	return false
 }
 
-func (ab *artifactBuilder) ids(m map[int]graph.Vertex) map[int]uint64 {
-	out := make(map[int]uint64, len(m))
-	for l, v := range m {
-		out[l] = ab.sp.Cfg.IDs[v]
+// ids carves the identifiers of a lane → terminal map, aligned with lanes,
+// from the arena (0 on a lane the map lacks).
+func (ab *artifactBuilder) ids(arena *u64Arena, lanes []int, m map[int]graph.Vertex) []uint64 {
+	out := arena.alloc(len(lanes))
+	for i, l := range lanes {
+		if v, ok := m[l]; ok {
+			out[i] = ab.sp.Cfg.IDs[v]
+		}
 	}
 	return out
 }
@@ -460,13 +462,6 @@ func (ab *artifactBuilder) frozenParent(pa *nodeArtifact) bool {
 // build derives (or carries over) one node's artifact into sp.art[n.ID].
 func (ab *artifactBuilder) build(n *lanewidth.Node, arena *u64Arena) error {
 	sp, cfg, g := ab.sp, ab.sp.Cfg, ab.sp.Cfg.G
-	seq := func(lanes []int, m map[int]uint64) []uint64 {
-		out := arena.alloc(len(lanes))
-		for i, l := range lanes {
-			out[i] = m[l]
-		}
-		return out
-	}
 	var pa *nodeArtifact
 	if n.ID < ab.first && n != sp.Hierarchy.Root {
 		pa = ab.prevArt[n.ID]
@@ -480,7 +475,7 @@ func (ab *artifactBuilder) build(n *lanewidth.Node, arena *u64Arena) error {
 	// artifact stands whenever the member's fold — parent, tree children,
 	// merged out-terminals — matches the fresh member info. Comparing
 	// against the previous artifact directly skips building throwaway
-	// maps for the overwhelmingly common unchanged case.
+	// id slices for the overwhelmingly common unchanged case.
 	if pa != nil && pa.member && pa.parentID == ab.rootID && ab.rootMember[n.ID] && !ab.ownsDirty(n) &&
 		memberFoldEqual(pa, ab.memberInfo[n.ID], cfg) {
 		sp.art[n.ID] = pa
@@ -488,24 +483,20 @@ func (ab *artifactBuilder) build(n *lanewidth.Node, arena *u64Arena) error {
 	}
 	a := &nodeArtifact{
 		lanes:      sortedLanes(n.Lanes),
-		inIDs:      ab.ids(n.In),
-		outIDs:     ab.ids(n.Out),
 		parentID:   -1,
 		rootMember: -1,
 	}
-	a.inSeq = seq(a.lanes, a.inIDs)
-	a.outSeq = seq(a.lanes, a.outIDs)
+	a.inIDs = ab.ids(arena, a.lanes, n.In)
+	a.outIDs = ab.ids(arena, a.lanes, n.Out)
 	if pa != nil && pa.member && pa.parentID < ab.first && pa.parentID != ab.rootID {
 		a.member = true
 		a.parentID = pa.parentID
 		a.mergedOutIDs = pa.mergedOutIDs
-		a.mergedOutSeq = pa.mergedOutSeq
 		a.treeChildren = pa.treeChildren
 	} else if mi, ok := ab.memberInfo[n.ID]; ok {
 		a.member = true
 		a.parentID = n.Parent.ID
-		a.mergedOutIDs = ab.ids(mi.MergedOut)
-		a.mergedOutSeq = seq(a.lanes, a.mergedOutIDs)
+		a.mergedOutIDs = ab.ids(arena, a.lanes, mi.MergedOut)
 		for _, child := range mi.TreeChildren {
 			a.treeChildren = append(a.treeChildren, child.ID)
 		}
@@ -552,13 +543,14 @@ func memberFoldEqual(pa *nodeArtifact, mi lanewidth.MemberInfo, cfg *cert.Config
 			return false
 		}
 	}
+	// Lanes are distinct, so equal counts and a match on every lane cover
+	// every terminal of the fresh fold.
 	if len(pa.mergedOutIDs) != len(mi.MergedOut) {
 		return false
 	}
-	//lint:certlint ignore mapiter universal predicate with early false; the verdict is order independent
-	for l, v := range mi.MergedOut {
-		id, ok := pa.mergedOutIDs[l]
-		if !ok || id != cfg.IDs[v] {
+	for i, l := range pa.lanes {
+		v, ok := mi.MergedOut[l]
+		if !ok || pa.mergedOutIDs[i] != cfg.IDs[v] {
 			return false
 		}
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -264,16 +265,8 @@ func (s *Scheme) validChain(path []*NodeEntry) bool {
 		return false
 	}
 	for i, e := range path {
-		if !s.validLanes(e.Lanes) || e.NodeID < 0 {
+		if !s.validLanes(e.Lanes) || !idsAligned(e.Lanes, e.InIDs, e.OutIDs) || e.NodeID < 0 {
 			return false
-		}
-		for _, l := range e.Lanes {
-			if _, okIn := e.InIDs[l]; !okIn {
-				return false
-			}
-			if _, okOut := e.OutIDs[l]; !okOut {
-				return false
-			}
 		}
 		if i == 0 {
 			continue
@@ -305,6 +298,16 @@ func (s *Scheme) validChain(path []*NodeEntry) bool {
 	}
 	last := path[len(path)-1]
 	return last.Kind == lanewidth.ENode || last.Kind == lanewidth.PNode || last.Kind == lanewidth.BNode
+}
+
+// idsAligned reports whether every id slice carries exactly one id per lane.
+func idsAligned(lanes []int, ids ...[]uint64) bool {
+	for _, s := range ids {
+		if len(s) != len(lanes) {
+			return false
+		}
+	}
+	return true
 }
 
 func (s *Scheme) validLanes(lanes []int) bool {
@@ -376,11 +379,10 @@ func (s *Scheme) checkENode(e *NodeEntry) bool {
 	if len(e.Lanes) != 1 || len(e.PathIDs) != 2 || len(e.RealBits) != 1 || len(e.VInputs) != 2 {
 		return false
 	}
-	l := e.Lanes[0]
-	if e.PathIDs[0] == e.PathIDs[1] || e.InIDs[l] != e.PathIDs[0] || e.OutIDs[l] != e.PathIDs[1] {
+	if e.PathIDs[0] == e.PathIDs[1] || e.InIDs[0] != e.PathIDs[0] || e.OutIDs[0] != e.PathIDs[1] {
 		return false
 	}
-	cls, err := s.baseE(l, e.RealBits[0], e.VInputs)
+	cls, err := s.baseE(e.Lanes[0], e.RealBits[0], e.VInputs)
 	return s.classMatches(e.ClassID, cls, err)
 }
 
@@ -390,9 +392,8 @@ func (s *Scheme) checkPNode(e *NodeEntry) bool {
 		return false
 	}
 	seen := map[uint64]bool{}
-	for i, l := range e.Lanes {
-		id := e.PathIDs[i]
-		if seen[id] || e.InIDs[l] != id || e.OutIDs[l] != id {
+	for i, id := range e.PathIDs {
+		if seen[id] || e.InIDs[i] != id || e.OutIDs[i] != id {
 			return false
 		}
 		seen[id] = true
@@ -406,33 +407,21 @@ func (s *Scheme) checkBNode(e *NodeEntry) bool {
 		return false
 	}
 	for _, op := range []*OperandSummary{e.Left, e.Right} {
-		if !s.validLanes(op.Lanes) {
+		if !s.validLanes(op.Lanes) || !idsAligned(op.Lanes, op.InIDs, op.OutIDs) {
 			return false
 		}
 		switch op.Kind {
 		case lanewidth.VNode:
-			if len(op.Lanes) != 1 {
+			if len(op.Lanes) != 1 || op.InIDs[0] != op.OutIDs[0] {
 				return false
 			}
-			l := op.Lanes[0]
-			if op.InIDs[l] != op.OutIDs[l] {
-				return false
-			}
-			cls, err := s.baseV(l, op.Input)
+			cls, err := s.baseV(op.Lanes[0], op.Input)
 			if !s.classMatches(op.ClassID, cls, err) {
 				return false
 			}
 		case lanewidth.TNode:
 			// The operand's own entry is checked where visible; here only
-			// shape is validated.
-			for _, l := range op.Lanes {
-				if _, okIn := op.InIDs[l]; !okIn {
-					return false
-				}
-				if _, okOut := op.OutIDs[l]; !okOut {
-					return false
-				}
-			}
+			// its shape, above.
 		default:
 			return false
 		}
@@ -441,13 +430,15 @@ func (s *Scheme) checkBNode(e *NodeEntry) bool {
 		return false
 	}
 	union := sortedLanes(append(append([]int(nil), e.Left.Lanes...), e.Right.Lanes...))
-	if !lanesEqual(union, e.Lanes) {
+	if !slices.Equal(union, e.Lanes) {
 		return false
 	}
-	// Terminals inherited from the operands.
+	// Terminals inherited from the operands (every operand lane is one of
+	// e.Lanes, checked just above).
 	for _, op := range []*OperandSummary{e.Left, e.Right} {
-		for _, l := range op.Lanes {
-			if e.InIDs[l] != op.InIDs[l] || e.OutIDs[l] != op.OutIDs[l] {
+		for i, l := range op.Lanes {
+			j := laneIndex(e.Lanes, l)
+			if e.InIDs[j] != op.InIDs[i] || e.OutIDs[j] != op.OutIDs[i] {
 				return false
 			}
 		}
@@ -474,10 +465,8 @@ func (s *Scheme) checkTNode(e *NodeEntry) bool {
 	if rm == nil {
 		return false
 	}
-	if !lanesEqual(rm.Lanes, e.Lanes) {
-		return false
-	}
-	if !idMapEqual(e.Lanes, rm.InIDs, e.InIDs) || !idMapEqual(e.Lanes, rm.MergedOutIDs, e.OutIDs) {
+	if !slices.Equal(rm.Lanes, e.Lanes) || !slices.Equal(rm.InIDs, e.InIDs) ||
+		!slices.Equal(rm.MergedOutIDs, e.OutIDs) {
 		return false
 	}
 	return rm.MergedClassID == e.ClassID
@@ -489,15 +478,14 @@ func (s *Scheme) checkTNode(e *NodeEntry) bool {
 // child's in-terminals glue onto this member's out-terminals.
 func (s *Scheme) checkMemberFold(e *NodeEntry) bool {
 	acc := s.Reg.Class(e.ClassID)
-	if acc == nil {
+	if acc == nil || !idsAligned(e.Lanes, e.MergedOutIDs) {
 		return false
 	}
-	mergedOut := map[int]uint64{}
-	for _, l := range e.Lanes {
-		mergedOut[l] = e.OutIDs[l]
-	}
+	var buf [8]uint64
+	mergedOut := append(buf[:0], e.OutIDs...)
 	for ci, c := range e.Children {
-		if !s.validLanes(c.Lanes) || !laneSubset(c.Lanes, e.Lanes) {
+		if !s.validLanes(c.Lanes) || !idsAligned(c.Lanes, c.InIDs, c.MergedOutIDs) ||
+			!laneSubset(c.Lanes, e.Lanes) {
 			return false
 		}
 		for _, prev := range e.Children[:ci] {
@@ -505,11 +493,12 @@ func (s *Scheme) checkMemberFold(e *NodeEntry) bool {
 				return false
 			}
 		}
-		for _, l := range c.Lanes {
-			if c.InIDs[l] != e.OutIDs[l] {
+		for i, l := range c.Lanes {
+			j := laneIndex(e.Lanes, l)
+			if c.InIDs[i] != e.OutIDs[j] {
 				return false // gluing violated
 			}
-			mergedOut[l] = c.MergedOutIDs[l]
+			mergedOut[j] = c.MergedOutIDs[i]
 		}
 		childCls := s.Reg.Class(c.MergedClassID)
 		if childCls == nil {
@@ -524,7 +513,7 @@ func (s *Scheme) checkMemberFold(e *NodeEntry) bool {
 	if !s.classMatches(e.MergedClassID, acc, nil) {
 		return false
 	}
-	return idMapEqual(e.Lanes, e.MergedOutIDs, mergedOut)
+	return slices.Equal(e.MergedOutIDs, mergedOut)
 }
 
 // checkRoles runs the vertex-specific checks: ownership counts, terminal
@@ -605,8 +594,8 @@ func (s *Scheme) checkRoles(view *VertexView, ces []completionEdge, entries map[
 				seenPos[o.pos] = true
 			}
 		case lanewidth.BNode:
-			bu := e.Left.OutIDs[e.LaneI]
-			bv := e.Right.OutIDs[e.LaneJ]
+			bu := idOn(e.Left.Lanes, e.Left.OutIDs, e.LaneI)
+			bv := idOn(e.Right.Lanes, e.Right.OutIDs, e.LaneJ)
 			isEndpoint := view.ID == bu || view.ID == bv
 			oe := owned[e.NodeID]
 			if isEndpoint {
@@ -619,7 +608,7 @@ func (s *Scheme) checkRoles(view *VertexView, ces []completionEdge, entries map[
 			// V-node operand vertex: its only appearance in this node's
 			// subgraph is the bridge edge.
 			for _, op := range []*OperandSummary{e.Left, e.Right} {
-				if op.Kind != lanewidth.VNode || view.ID != op.InIDs[op.Lanes[0]] {
+				if op.Kind != lanewidth.VNode || view.ID != op.InIDs[0] {
 					continue
 				}
 				if op.Input != view.Input {
@@ -643,9 +632,8 @@ func (s *Scheme) checkRoles(view *VertexView, ces []completionEdge, entries map[
 					continue
 				}
 				if t, seen := entries[op.NodeID]; seen {
-					if t.Kind != lanewidth.TNode || !lanesEqual(t.Lanes, op.Lanes) ||
-						!idMapEqual(op.Lanes, t.InIDs, op.InIDs) ||
-						!idMapEqual(op.Lanes, t.OutIDs, op.OutIDs) ||
+					if t.Kind != lanewidth.TNode || !slices.Equal(t.Lanes, op.Lanes) ||
+						!slices.Equal(t.InIDs, op.InIDs) || !slices.Equal(t.OutIDs, op.OutIDs) ||
 						t.ClassID != op.ClassID {
 						return false
 					}
@@ -657,23 +645,15 @@ func (s *Scheme) checkRoles(view *VertexView, ces []completionEdge, entries map[
 		// child's in-terminal, the child's actual entry must be visible and
 		// match.
 		for _, c := range e.Children {
-			mine := false
-			for _, l := range c.Lanes {
-				if c.InIDs[l] == view.ID {
-					mine = true
-					break
-				}
-			}
-			if !mine {
+			if !slices.Contains(c.InIDs, view.ID) {
 				continue
 			}
 			child, seen := entries[c.NodeID]
 			if !seen || child.ParentID != e.ParentID {
 				return false
 			}
-			if !lanesEqual(child.Lanes, c.Lanes) ||
-				!idMapEqual(c.Lanes, child.InIDs, c.InIDs) ||
-				!idMapEqual(c.Lanes, child.MergedOutIDs, c.MergedOutIDs) ||
+			if !slices.Equal(child.Lanes, c.Lanes) || !slices.Equal(child.InIDs, c.InIDs) ||
+				!slices.Equal(child.MergedOutIDs, c.MergedOutIDs) ||
 				child.MergedClassID != c.MergedClassID {
 				return false
 			}
@@ -681,18 +661,9 @@ func (s *Scheme) checkRoles(view *VertexView, ces []completionEdge, entries map[
 
 		// Parent binding: a member whose in-terminal is this vertex is
 		// either its T-node's root member or listed by exactly one parent.
-		if e.ParentID != -1 {
-			mine := false
-			for _, l := range e.Lanes {
-				if e.InIDs[l] == view.ID {
-					mine = true
-					break
-				}
-			}
-			if mine {
-				if !s.checkParentBinding(view, e, entries) {
-					return false
-				}
+		if e.ParentID != -1 && slices.Contains(e.InIDs, view.ID) {
+			if !s.checkParentBinding(view, e, entries) {
+				return false
 			}
 		}
 	}
@@ -736,10 +707,10 @@ func (s *Scheme) checkRootAndPointing(view *VertexView, ces []completionEdge, en
 		return false
 	}
 	// Pointing target: the root member's in-terminal on its first lane.
-	if root.RootMember == nil || len(root.RootMember.Lanes) == 0 {
+	if root.RootMember == nil || len(root.RootMember.InIDs) == 0 {
 		return false
 	}
-	x := root.RootMember.InIDs[root.RootMember.Lanes[0]]
+	x := root.RootMember.InIDs[0]
 	var pls []cert.PointingLabel
 	for _, l := range view.Labels {
 		if l.Pointing == nil {

@@ -166,12 +166,9 @@ func injectShiftTerminal(rng *rand.Rand, el *core.EdgeLabel) bool {
 		return false
 	}
 	en := candidates[rng.Intn(len(candidates))]
-	lanes := make([]int, 0, len(en.OutIDs))
-	for lane := range en.OutIDs {
-		lanes = append(lanes, lane)
-	}
-	sort.Ints(lanes)
-	en.OutIDs[lanes[rng.Intn(len(lanes))]] += 1 + uint64(rng.Intn(5))
+	// OutIDs is aligned with the sorted lanes, so index i is the i-th
+	// smallest lane.
+	en.OutIDs[rng.Intn(len(en.OutIDs))] += 1 + uint64(rng.Intn(5))
 	return true
 }
 

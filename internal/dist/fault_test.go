@@ -2,6 +2,7 @@ package dist
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/algebra"
@@ -107,5 +108,64 @@ func TestInjectNotInjectable(t *testing.T) {
 	}
 	if _, ok := Inject(rng, empty, numFaults); ok {
 		t.Error("unknown fault injectable")
+	}
+}
+
+// shiftTerminalSortedKeys is the shift-terminal injector as it read when
+// terminal ids were held in lane-keyed maps: it collects the lanes, sorts
+// them, and bumps the id on a random one. The slice-based injector must
+// draw the same random numbers and hit the same lane.
+func shiftTerminalSortedKeys(rng *rand.Rand, el *core.EdgeLabel) bool {
+	if el == nil || el.Own == nil {
+		return false
+	}
+	var candidates []*core.NodeEntry
+	for _, en := range el.Own.Path {
+		if len(en.OutIDs) > 0 {
+			candidates = append(candidates, en)
+		}
+	}
+	if len(candidates) == 0 {
+		return false
+	}
+	en := candidates[rng.Intn(len(candidates))]
+	pos := make(map[int]int, len(en.Lanes))
+	for i, l := range en.Lanes {
+		pos[l] = i
+	}
+	lanes := make([]int, 0, len(pos))
+	for l := range pos {
+		lanes = append(lanes, l)
+	}
+	sort.Ints(lanes)
+	en.OutIDs[pos[lanes[rng.Intn(len(lanes))]]] += 1 + uint64(rng.Intn(5))
+	return true
+}
+
+// TestShiftTerminalPicksSortedLane keeps E5's shift-terminal detection
+// rates reproducible: for every seed and label of every family, the
+// injector corrupts the same lane by the same amount as the sorted-keys
+// version did.
+func TestShiftTerminalPicksSortedLane(t *testing.T) {
+	for _, tc := range completenessCases(t) {
+		t.Run(tc.name, func(t *testing.T) {
+			labeling, _, err := core.NewScheme(tc.prop, 8).Prove(cert.NewConfig(tc.g), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for e, el := range labeling.Edges {
+				for seed := int64(0); seed < 4; seed++ {
+					got, want := el.Clone(), el.Clone()
+					okGot := injectShiftTerminal(rand.New(rand.NewSource(seed)), got)
+					okWant := shiftTerminalSortedKeys(rand.New(rand.NewSource(seed)), want)
+					if okGot != okWant || got.Key() != want.Key() {
+						t.Fatalf("edge %v seed %d: injector diverges from the sorted-keys version", e, seed)
+					}
+					if okGot && got.Key() == el.Key() {
+						t.Fatalf("edge %v seed %d: injector changed nothing", e, seed)
+					}
+				}
+			}
+		})
 	}
 }
