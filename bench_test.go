@@ -6,6 +6,7 @@ package repro
 // which prints the full series.
 
 import (
+	"context"
 	"io"
 	"os"
 	"testing"
@@ -35,7 +36,7 @@ func BenchmarkBuildStructure(b *testing.B) {
 			cfg := cert.NewConfig(g)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				_, err := core.BuildStructureOpts(cfg, pd, core.StructureOptions{Parallelism: bc.workers})
+				_, err := core.BuildStructureCtx(context.Background(), cfg, pd, core.StructureOptions{Parallelism: bc.workers})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -61,11 +62,11 @@ func BenchmarkProveWith(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				s := core.NewScheme(algebra.Colorable{Q: 2}, 4)
 				s.Workers = bc.workers
-				sp, err := core.BuildStructureOpts(cfg, pd, core.StructureOptions{Parallelism: bc.workers})
+				sp, err := core.BuildStructureCtx(context.Background(), cfg, pd, core.StructureOptions{Parallelism: bc.workers})
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, _, err := s.ProveWith(sp); err != nil {
+				if _, _, err := s.ProveWithCtx(context.Background(), sp); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -243,10 +243,9 @@ func (c *Certifier) newBatch() (*core.Batch, error) {
 		props[i] = p.p
 	}
 	return core.NewBatch(props, core.BatchOptions{
-		MaxLanes:             c.maxLanes,
-		UsePaperConstruction: c.paper,
-		Workers:              c.concurrency,
-		Parallelism:          c.parallelism,
+		MaxLanes:    c.maxLanes,
+		Workers:     c.concurrency,
+		Parallelism: c.parallelism,
 	})
 }
 
@@ -286,53 +285,50 @@ func (c *Certifier) ProveBatch(ctx context.Context, g *Graph) (*Certificate, *Ba
 }
 
 // Verify checks the certificate against the graph: every property, at every
-// vertex, using the parallel verifier unless WithParallelism(1). It
+// vertex, on a worker pool sized by WithParallelism (1 runs inline). It
 // returns nil when all vertices accept, ErrWrongGraph when the certificate
 // was issued for a different configuration, a *VerifyError (matching
 // ErrVerifyFailed) naming the rejecting vertices otherwise, and ctx.Err()
 // on cancellation. Certificates decoded from the wire verify exactly like
 // freshly proved ones: the class registry is reconstructed from the labels.
 func (c *Certifier) Verify(ctx context.Context, g *Graph, crt *Certificate) error {
+	return c.verify(ctx, g, crt, func(cfg *cert.Config, s *core.Scheme, l *core.Labeling) ([]bool, error) {
+		return s.VerifyParallelCtx(ctx, cfg, l)
+	})
+}
+
+// VerifyDistributed checks the certificate by running the distributed
+// verification round (internal/dist) once per property: every processor
+// compares its copies of its incident edge labels with its neighbors' and
+// then runs the Theorem 1 verifier. The round runs on the same worker pool
+// as Verify, and its semantics match Verify's.
+func (c *Certifier) VerifyDistributed(ctx context.Context, g *Graph, crt *Certificate) error {
+	return c.verify(ctx, g, crt, func(cfg *cert.Config, s *core.Scheme, l *core.Labeling) ([]bool, error) {
+		res, err := dist.Run(ctx, cfg, s, l)
+		return res.Verdicts, err
+	})
+}
+
+// verify binds the certificate to the graph and runs one verification per
+// property, in certificate order, on a copy of the property's scheme whose
+// worker bound is the certifier's parallelism (a Scheme holds scalars and
+// pointers to its registry and caches, which the verifier's pool already
+// shares across goroutines).
+func (c *Certifier) verify(ctx context.Context, g *Graph, crt *Certificate,
+	run func(*cert.Config, *core.Scheme, *core.Labeling) ([]bool, error)) error {
 	cfg, err := c.bindCertificate(g, crt)
 	if err != nil {
 		return err
 	}
 	for _, name := range crt.props {
-		scheme := crt.schemes[name]
-		var verdicts []bool
-		var verr error
-		if c.parallelism == 1 {
-			verdicts, verr = scheme.VerifyCtx(ctx, cfg, crt.labelings[name])
-		} else {
-			verdicts, verr = scheme.VerifyParallelCtx(ctx, cfg, crt.labelings[name])
-		}
-		if verr != nil {
-			return verr
+		scheme := *crt.schemes[name]
+		scheme.Workers = c.parallelism
+		verdicts, err := run(cfg, &scheme, crt.labelings[name])
+		if err != nil {
+			return err
 		}
 		if rejected := rejecting(verdicts); len(rejected) > 0 {
 			return newVerifyError(name, rejected)
-		}
-	}
-	return nil
-}
-
-// VerifyDistributed checks the certificate on the goroutine-per-vertex
-// network simulator: one synchronous label-exchange round per property, then
-// the Theorem 1 verifier at every processor. Semantics match Verify; the
-// network's topology precomputation is shared across the properties.
-func (c *Certifier) VerifyDistributed(ctx context.Context, g *Graph, crt *Certificate) error {
-	cfg, err := c.bindCertificate(g, crt)
-	if err != nil {
-		return err
-	}
-	net := dist.NewNetwork(cfg, nil)
-	for _, name := range crt.props {
-		res, rerr := net.RunFor(ctx, crt.schemes[name], crt.labelings[name])
-		if rerr != nil {
-			return rerr
-		}
-		if !res.Accepted() {
-			return newVerifyError(name, append([]int(nil), res.Rejected...))
 		}
 	}
 	return nil

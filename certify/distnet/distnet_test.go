@@ -125,7 +125,8 @@ func ctx(t *testing.T) context.Context {
 
 // TestClusterParityClean is the completeness half of the simulator-parity
 // acceptance: on every generator family, a clean 4-partition TCP cluster
-// and the goroutine-per-vertex simulator both accept the honest labeling.
+// and the in-process distributed round (VerifyDistributed) both accept the
+// honest labeling.
 func TestClusterParityClean(t *testing.T) {
 	for _, f := range families {
 		f := f

@@ -4,9 +4,9 @@
 // deployment, cmd/vertexd), and nodes exchange their copies of cut-edge
 // labels over TCP each round using the certificate's canonical label
 // encoding. Darts between vertices of the same partition short-circuit in
-// memory, exactly as in the internal/dist simulator; both runtimes decide
-// each vertex through the same shared round engine, so a TCP cluster and the
-// simulator reach the same verdict on the same labeling.
+// memory. Every vertex is decided by the rule the in-process round of
+// internal/dist applies (dist.CheckVertex), so a TCP cluster and dist.Run
+// reach the same verdict on the same labeling.
 //
 // A Coordinator numbers rounds, broadcasts round starts over per-partition
 // control connections, and aggregates per-partition verdicts into a global

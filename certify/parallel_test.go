@@ -7,7 +7,9 @@ package certify
 
 import (
 	"context"
+	"errors"
 	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -61,8 +63,11 @@ func TestWithParallelismValidation(t *testing.T) {
 }
 
 // TestParallelismOneSequentialVerify checks the documented contract that
-// parallelism 1 routes Verify through the sequential verifier (and that the
-// verdict matches the parallel one on both accept and reject inputs).
+// parallelism 1 runs verification inline, and that Verify and
+// VerifyDistributed give the same verdict at every parallelism level: accept
+// on the honest certificate, rejection of a wrong graph, and — for every
+// fault of the catalog — equal *VerifyErrors (same property, same rejecting
+// vertices), identical across levels too.
 func TestParallelismOneSequentialVerify(t *testing.T) {
 	ctx := context.Background()
 	g := Path(24)
@@ -74,17 +79,41 @@ func TestParallelismOneSequentialVerify(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	corrupted := make([]*Certificate, len(FaultNames()))
+	for i, fault := range FaultNames() {
+		if corrupted[i], err = crt.Corrupt(1, fault); err != nil {
+			t.Fatalf("corrupt %s: %v", fault, err)
+		}
+	}
+	ref := make([]*VerifyError, len(corrupted))
 	for _, p := range []int{1, 0, 2} {
 		v, err := New(WithParallelism(p))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := v.Verify(ctx, g, crt); err != nil {
-			t.Fatalf("parallelism %d: verify: %v", p, err)
-		}
-		// Wrong graph: every verifier must reject identically.
-		if err := v.Verify(ctx, Cycle(24), crt); err == nil {
-			t.Fatalf("parallelism %d: accepted certificate for wrong graph", p)
+		verifiers := []struct {
+			name string
+			run  func(context.Context, *Graph, *Certificate) error
+		}{{"Verify", v.Verify}, {"VerifyDistributed", v.VerifyDistributed}}
+		for _, vf := range verifiers {
+			if err := vf.run(ctx, g, crt); err != nil {
+				t.Fatalf("parallelism %d: %s: %v", p, vf.name, err)
+			}
+			// Wrong graph: every verifier must reject identically.
+			if err := vf.run(ctx, Cycle(24), crt); err == nil {
+				t.Fatalf("parallelism %d: %s accepted certificate for wrong graph", p, vf.name)
+			}
+			for i, bad := range corrupted {
+				var ve *VerifyError
+				if err := vf.run(ctx, g, bad); !errors.As(err, &ve) {
+					t.Fatalf("parallelism %d: %s on %s: err=%v, want *VerifyError", p, vf.name, FaultNames()[i], err)
+				}
+				if ref[i] == nil {
+					ref[i] = ve
+				} else if ve.Property != ref[i].Property || !slices.Equal(ve.Rejected, ref[i].Rejected) {
+					t.Fatalf("parallelism %d: %s on %s: %+v, want %+v", p, vf.name, FaultNames()[i], ve, ref[i])
+				}
+			}
 		}
 	}
 }

@@ -689,13 +689,14 @@ func TestPropsKeyCanonical(t *testing.T) {
 }
 
 // TestResourceGuards pins the untrusted-input bounds added for service
-// exposure: store capacity (507), wire-format lane-budget cap (400), and
-// the distributed-verifier size limit (422).
+// exposure — store capacity (507) and wire-format lane-budget cap (400) —
+// and that distributed verification has no size cap of its own: it runs on
+// the verifier's worker pool, so a graph of any storable size verifies.
 func TestResourceGuards(t *testing.T) {
-	_, ts := newTestServer(t, Options{MaxGraphs: 2, MaxDistributedN: 8})
+	_, ts := newTestServer(t, Options{MaxGraphs: 2})
 
 	fp := ingest(t, ts.URL, certify.Path(10))
-	ingest(t, ts.URL, certify.Path(11))
+	bigFP := ingest(t, ts.URL, certify.Path(5000))
 
 	// Third distinct graph: capacity exhausted → 507. Re-submitting a
 	// stored one stays idempotent and fine.
@@ -722,8 +723,10 @@ func TestResourceGuards(t *testing.T) {
 		t.Fatalf("oversized max_lanes: %d %s, want 400", resp2.StatusCode, body)
 	}
 
-	// Distributed verification refuses graphs over MaxDistributedN.
-	resp2, body = postJSON(t, ts.URL+"/v1/prove", proveRequest{Fingerprint: fp, Properties: []string{"acyclic"}})
+	// A distributed verify of a 5000-vertex path (over the 4096-vertex cap
+	// the service once imposed on it) answers exactly what a plain verify
+	// answers.
+	resp2, body = postJSON(t, ts.URL+"/v1/prove", proveRequest{Fingerprint: bigFP, Properties: []string{"acyclic"}})
 	if resp2.StatusCode != http.StatusOK {
 		t.Fatalf("prove: %d %s", resp2.StatusCode, body)
 	}
@@ -731,15 +734,19 @@ func TestResourceGuards(t *testing.T) {
 	if err := json.Unmarshal(body, &pr); err != nil {
 		t.Fatal(err)
 	}
-	resp2, body = postJSON(t, ts.URL+"/v1/verify", verifyRequest{
-		Fingerprint: fp, Certificate: pr.Certificate, Distributed: true,
-	})
-	if resp2.StatusCode != http.StatusUnprocessableEntity {
-		t.Fatalf("oversized distributed verify: %d %s, want 422", resp2.StatusCode, body)
+	var verdicts [2]string
+	for i, distributed := range []bool{false, true} {
+		resp2, body = postJSON(t, ts.URL+"/v1/verify", verifyRequest{
+			Fingerprint: bigFP, Certificate: pr.Certificate, Distributed: distributed,
+		})
+		if resp2.StatusCode != http.StatusOK {
+			t.Fatalf("verify (distributed=%v): %d %s", distributed, resp2.StatusCode, body)
+		}
+		verdicts[i] = string(body)
 	}
-	// Under the limit it still works (n=10 > 8 above, so ingest a small one
-	// is impossible — capacity is full; the limit path itself is what this
-	// test pins, the accept path is covered by TestServiceRoundTrip).
+	if !strings.Contains(verdicts[0], `"verdict":"accept"`) || verdicts[1] != verdicts[0] {
+		t.Fatalf("5000-vertex verify: plain %s, distributed %s; want the same accept", verdicts[0], verdicts[1])
+	}
 }
 
 func patchJSON(t *testing.T, url string, req any) (*http.Response, []byte) {

@@ -49,11 +49,6 @@ type Options struct {
 	// further ingests answer 507 until capacity is freed by a restart.
 	// Negative means unlimited.
 	MaxGraphs int
-	// MaxDistributedN caps the graph size the goroutine-per-vertex
-	// distributed verifier may be asked to run on (default 4096): the
-	// simulator spawns one goroutine per vertex, so it is bounded like the
-	// prover rather than left client-controlled. Negative means unlimited.
-	MaxDistributedN int
 	// ReadLimits bounds graph ingestion (default graphio.DefaultLimits).
 	ReadLimits graphio.Limits
 
@@ -85,9 +80,6 @@ func (o Options) withDefaults() Options {
 	if o.MaxGraphs == 0 {
 		o.MaxGraphs = 4096
 	}
-	if o.MaxDistributedN == 0 {
-		o.MaxDistributedN = 4096
-	}
 	return o
 }
 
@@ -116,10 +108,6 @@ type Server struct {
 	quit  chan struct{}
 	wg    sync.WaitGroup
 	mux   *http.ServeMux
-
-	// distSem bounds concurrent distributed verifications (one network
-	// simulator spawns a goroutine per vertex; Workers of them at most).
-	distSem chan struct{}
 
 	// gateParked counts workers parked on testProveGate (tests only).
 	gateParked atomic.Int32
@@ -182,13 +170,12 @@ func New(opts Options) (*Server, error) {
 		maxGraphs = 0 // unlimited
 	}
 	s := &Server{
-		opts:    opts,
-		store:   NewStore(opts.StoreShards, maxGraphs),
-		base:    base,
-		queue:   make(chan *proveJob, opts.QueueDepth),
-		quit:    make(chan struct{}),
-		distSem: make(chan struct{}, opts.Workers),
-		mux:     http.NewServeMux(),
+		opts:  opts,
+		store: NewStore(opts.StoreShards, maxGraphs),
+		base:  base,
+		queue: make(chan *proveJob, opts.QueueDepth),
+		quit:  make(chan struct{}),
+		mux:   http.NewServeMux(),
 	}
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)
 	s.mux.HandleFunc("GET /v1/properties", s.handleProperties)
@@ -809,22 +796,7 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), s.opts.ProveTimeout)
 	defer cancel()
 	if req.Distributed {
-		// The simulator spawns a goroutine per vertex: bound both the graph
-		// size and the number of concurrent simulations rather than letting
-		// clients multiply the two without limit.
-		if s.opts.MaxDistributedN > 0 && entry.Graph().N() > s.opts.MaxDistributedN {
-			writeError(w, http.StatusUnprocessableEntity,
-				fmt.Errorf("distributed verification is limited to n ≤ %d (graph has %d vertices); use the default verifier", s.opts.MaxDistributedN, entry.Graph().N()))
-			return
-		}
-		select {
-		case s.distSem <- struct{}{}:
-		case <-ctx.Done():
-			writeError(w, http.StatusServiceUnavailable, ctx.Err())
-			return
-		}
 		err = s.base.VerifyDistributed(ctx, entry.Graph(), &crt)
-		<-s.distSem
 	} else {
 		err = s.base.Verify(ctx, entry.Graph(), &crt)
 	}

@@ -1,7 +1,7 @@
 // Command certify generates a bounded-pathwidth graph, runs the Theorem 1
 // prover for one or more MSO₂ properties through the public certify API,
-// verifies the certificate at every vertex (optionally over the
-// goroutine-per-vertex network simulator), and reports label statistics.
+// verifies the certificate at every vertex (optionally through the
+// distributed verification round, -dist), and reports label statistics.
 // With a comma-separated property list the structure is built once and
 // every property is certified against it, in one multi-property
 // certificate. Certificates can be saved to disk (-out) and loaded for
@@ -79,7 +79,7 @@ func run(args []string) error {
 		markEvery = fs.Int("mark", 2, "for input-set properties: mark every k-th vertex as X")
 		lanesMax  = fs.Int("lanes", certify.DefaultMaxLanes, "lane budget (certifies pathwidth ≤ lanes-1)")
 		paper     = fs.Bool("paper", false, "use the Proposition 4.6 recursive lane construction")
-		distFlag  = fs.Bool("dist", false, "verify on the goroutine-per-vertex network simulator")
+		distFlag  = fs.Bool("dist", false, "verify with the distributed round: every vertex also checks its neighbors' copies of the shared edge labels")
 		corrupt   = fs.String("corrupt", "", "inject a fault after proving: "+strings.Join(certify.FaultNames(), "|"))
 		seed      = fs.Int64("seed", 1, "random seed (interval generation and fault placement)")
 		outPath   = fs.String("out", "", "write the certificate to this file after proving")

@@ -51,7 +51,6 @@ func run(args []string) error {
 		maxBody   = fs.Int64("max-body", 8<<20, "request body cap in bytes")
 		shards    = fs.Int("shards", 16, "certificate store shard count")
 		maxGraphs = fs.Int("max-graphs", 4096, "stored graph capacity (full store answers 507; -1 = unlimited)")
-		maxDistN  = fs.Int("max-dist-n", 4096, "largest graph the distributed verifier accepts (-1 = unlimited)")
 		lanesMax  = fs.Int("lanes", certify.DefaultMaxLanes, "default lane budget for prove requests")
 		drain     = fs.Duration("drain", 10*time.Second, "graceful-shutdown drain deadline for in-flight requests")
 	)
@@ -59,14 +58,13 @@ func run(args []string) error {
 		return err
 	}
 	s, err := serve.New(serve.Options{
-		Workers:         *workers,
-		QueueDepth:      *queue,
-		ProveTimeout:    *timeout,
-		MaxBodyBytes:    *maxBody,
-		StoreShards:     *shards,
-		MaxGraphs:       *maxGraphs,
-		MaxDistributedN: *maxDistN,
-		MaxLanes:        *lanesMax,
+		Workers:      *workers,
+		QueueDepth:   *queue,
+		ProveTimeout: *timeout,
+		MaxBodyBytes: *maxBody,
+		StoreShards:  *shards,
+		MaxGraphs:    *maxGraphs,
+		MaxLanes:     *lanesMax,
 	})
 	if err != nil {
 		return err

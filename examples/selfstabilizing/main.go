@@ -1,8 +1,9 @@
 // Self-stabilization scenario (the paper's Section 1 motivation): a network
 // maintains a certified invariant; transient faults corrupt label memory;
 // the one-round verification detects the corruption so the system can
-// re-run the prover. This example runs the loop on the goroutine-per-vertex
-// network simulator, injecting every fault of the catalog in turn.
+// re-run the prover. This example runs the loop on the distributed
+// verification round (Certifier.VerifyDistributed), injecting every fault
+// of the catalog in turn.
 //
 //	go run ./examples/selfstabilizing
 package main

@@ -15,7 +15,7 @@ func provenPathLabeling(t *testing.T, n int, prop algebra.Property, maxLanes int
 	t.Helper()
 	s := NewScheme(prop, maxLanes)
 	cfg := cert.NewConfig(graph.PathGraph(n))
-	labeling, _, err := s.Prove(cfg, nil)
+	labeling, _, err := prove(s, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestAttackLaneBudgetEscalation(t *testing.T) {
 			en.Lanes = shifted
 		}
 	}
-	if AllAccept(s.Verify(cfg, forged)) {
+	if AllAccept(verify(t, s, cfg, forged)) {
 		t.Fatal("out-of-budget lanes accepted")
 	}
 }
@@ -59,7 +59,7 @@ func TestAttackRejectingRootClass(t *testing.T) {
 			embRoot.ClassID = emb.Payload.Path[len(emb.Payload.Path)-1].ClassID
 		}
 	}
-	if AllAccept(s.Verify(cfg, forged)) {
+	if AllAccept(verify(t, s, cfg, forged)) {
 		t.Fatal("forged root class accepted")
 	}
 }
@@ -74,7 +74,7 @@ func TestAttackDuplicateOwnership(t *testing.T) {
 	dup := src.clone()
 	dup.Pointing = forged.Edges[graph.NewEdge(1, 2)].Pointing
 	forged.Edges[graph.NewEdge(1, 2)] = dup
-	if AllAccept(s.Verify(cfg, forged)) {
+	if AllAccept(verify(t, s, cfg, forged)) {
 		t.Fatal("duplicated edge ownership accepted")
 	}
 }
@@ -100,7 +100,7 @@ func TestAttackPhantomChild(t *testing.T) {
 			en.Children = append(en.Children, phantom)
 		}
 	}
-	if AllAccept(s.Verify(cfg, forged)) {
+	if AllAccept(verify(t, s, cfg, forged)) {
 		t.Fatal("phantom child accepted")
 	}
 }
@@ -111,7 +111,7 @@ func TestAttackVirtualEdgeTeleport(t *testing.T) {
 	g := graph.CycleGraph(9) // cycles have virtual completion edges
 	s := NewScheme(algebra.Colorable{Q: 3}, 6)
 	cfg := cert.NewConfig(g)
-	labeling, _, err := s.Prove(cfg, nil)
+	labeling, _, err := prove(s, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestAttackVirtualEdgeTeleport(t *testing.T) {
 	if !found {
 		t.Skip("no virtual edges on this instance")
 	}
-	if AllAccept(s.Verify(cfg, forged)) {
+	if AllAccept(verify(t, s, cfg, forged)) {
 		t.Fatal("teleported virtual edge accepted")
 	}
 }
@@ -142,7 +142,7 @@ func TestAttackEveryVertexSeesRoot(t *testing.T) {
 	forged := labeling.Clone()
 	el := forged.Edges[graph.NewEdge(3, 4)]
 	el.Own.Path[0].NodeID = 4242
-	if AllAccept(s.Verify(cfg, forged)) {
+	if AllAccept(verify(t, s, cfg, forged)) {
 		t.Fatal("divergent root identity accepted")
 	}
 }

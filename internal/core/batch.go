@@ -8,12 +8,10 @@ import (
 	"sync"
 
 	"repro/internal/algebra"
-	"repro/internal/cert"
-	"repro/internal/interval"
 )
 
-// DefaultMaxLanes is the lane budget used by the package-level ProveAll
-// (certifies pathwidth ≤ DefaultMaxLanes−1, enough for every generator
+// DefaultMaxLanes is the lane budget a batch uses when BatchOptions.MaxLanes
+// is 0 (certifies pathwidth ≤ DefaultMaxLanes−1, enough for every generator
 // family in this repository).
 const DefaultMaxLanes = 8
 
@@ -21,16 +19,13 @@ const DefaultMaxLanes = 8
 type BatchOptions struct {
 	// MaxLanes is the per-scheme lane budget; 0 means DefaultMaxLanes.
 	MaxLanes int
-	// UsePaperConstruction selects the Proposition 4.6 lane construction
-	// for the shared structure.
-	UsePaperConstruction bool
 	// Workers bounds the number of concurrent per-property labeling passes;
 	// 0 means GOMAXPROCS.
 	Workers int
-	// Parallelism bounds the worker count inside the shared structure build
-	// and inside each property pass (class sweep, entry and label assembly):
-	// 0 means GOMAXPROCS, 1 forces the sequential paths. Labelings are
-	// byte-identical for every value (see Scheme.Workers).
+	// Parallelism bounds the worker count inside each property pass (class
+	// sweep, entry and label assembly): 0 means GOMAXPROCS, 1 forces the
+	// sequential paths. Labelings are byte-identical for every value (see
+	// Scheme.Workers).
 	Parallelism int
 }
 
@@ -38,8 +33,8 @@ type BatchOptions struct {
 // shared StructuralProof: the property-independent pipeline (Sections 4–5)
 // runs once, then each property runs only its algebra sweep (Section 6) on
 // its own Scheme — one Registry per property, exactly as B independent
-// Prove calls would use, so every labeling is byte-identical to the
-// labeling an independent Prove would emit.
+// Scheme.ProveWithCtx calls would use, so every labeling is byte-identical
+// to the labeling an independent prove would emit.
 type Batch struct {
 	opts    BatchOptions
 	names   []string
@@ -68,7 +63,6 @@ func NewBatch(props []algebra.Property, opts BatchOptions) (*Batch, error) {
 			return nil, fmt.Errorf("core: duplicate property %q in batch", name)
 		}
 		s := NewScheme(prop, opts.MaxLanes)
-		s.UsePaperConstruction = opts.UsePaperConstruction
 		s.Workers = opts.Parallelism
 		b.schemes[name] = s
 		b.names = append(b.names, name)
@@ -97,45 +91,22 @@ type BatchStats struct {
 	Congestion     int
 	HierarchyDepth int
 	// PerProperty holds each certified property's stats, identical to what
-	// an independent Prove of that property would report.
+	// an independent prove of that property would report.
 	PerProperty map[string]*Stats
 	// Failed records the properties the configuration does not satisfy
 	// (their error wraps ErrPropertyFails). They have no labeling; the rest
-	// of the batch proceeds — matching B independent Prove calls, where a
+	// of the batch proceeds — matching B independent proves, where a
 	// failing property fails alone.
 	Failed map[string]error
 }
 
-// ProveAll builds the structure once and labels every property of the
-// batch against it. The optional decomposition is used when non-nil.
-func (b *Batch) ProveAll(cfg *cert.Config, pd *interval.PathDecomposition) (map[string]*Labeling, *BatchStats, error) {
-	return b.ProveAllCtx(context.Background(), cfg, pd)
-}
-
-// ProveAllCtx is ProveAll honoring a context: cancellation reaches the
-// structure build and the per-property worker pool.
-func (b *Batch) ProveAllCtx(ctx context.Context, cfg *cert.Config, pd *interval.PathDecomposition) (map[string]*Labeling, *BatchStats, error) {
-	sp, err := BuildStructureCtx(ctx, cfg, pd, StructureOptions{
-		UsePaperConstruction: b.opts.UsePaperConstruction,
-		Parallelism:          b.opts.Parallelism,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return b.ProveAllWithCtx(ctx, sp)
-}
-
-// ProveAllWith labels every property of the batch against an existing
-// structure; callers serving many certification requests per graph can
-// reuse one StructuralProof across any number of batches. Per-property
-// passes run on a worker pool bounded by BatchOptions.Workers.
-func (b *Batch) ProveAllWith(sp *StructuralProof) (map[string]*Labeling, *BatchStats, error) {
-	return b.ProveAllWithCtx(context.Background(), sp)
-}
-
-// ProveAllWithCtx is ProveAllWith honoring a context: workers poll the
-// context before starting each property's pass and inside the class sweeps,
-// so cancellation drains the pool promptly and returns ctx.Err().
+// ProveAllWithCtx labels every property of the batch against a structure
+// from BuildStructureCtx; callers serving many certification requests per
+// graph can reuse one StructuralProof across any number of batches.
+// Per-property passes run on a worker pool bounded by BatchOptions.Workers.
+// Workers poll the context before starting each property's pass and inside
+// the class sweeps, so cancellation drains the pool promptly and returns
+// ctx.Err().
 func (b *Batch) ProveAllWithCtx(ctx context.Context, sp *StructuralProof) (map[string]*Labeling, *BatchStats, error) {
 	if sp == nil {
 		return nil, nil, errors.New("core: nil structural proof")
@@ -196,49 +167,4 @@ func (b *Batch) ProveAllWithCtx(ctx context.Context, sp *StructuralProof) (map[s
 		return nil, nil, firstErr
 	}
 	return labelings, stats, nil
-}
-
-// VerifyAll runs each property's verifier (on the VerifyParallel worker
-// pool) over its labeling and returns the per-vertex verdicts keyed by
-// property name. Labelings must come from this batch's ProveAll: each
-// property's labels refer to its scheme's registry.
-func (b *Batch) VerifyAll(cfg *cert.Config, labelings map[string]*Labeling) (map[string][]bool, error) {
-	return b.VerifyAllCtx(context.Background(), cfg, labelings)
-}
-
-// VerifyAllCtx is VerifyAll honoring a context: cancellation drains each
-// property's verification pool and returns ctx.Err().
-func (b *Batch) VerifyAllCtx(ctx context.Context, cfg *cert.Config, labelings map[string]*Labeling) (map[string][]bool, error) {
-	//lint:certlint ignore mapiter,ctxpoll membership validation bounded by the property count; early error only, no bytes produced
-	for name := range labelings {
-		if _, known := b.schemes[name]; !known {
-			return nil, fmt.Errorf("core: no scheme in batch for property %q", name)
-		}
-	}
-	out := make(map[string][]bool, len(labelings))
-	for _, name := range b.names {
-		l, ok := labelings[name]
-		if !ok {
-			continue
-		}
-		verdicts, err := b.schemes[name].VerifyParallelCtx(ctx, cfg, l)
-		if err != nil {
-			return nil, err
-		}
-		out[name] = verdicts
-	}
-	return out, nil
-}
-
-// ProveAll is the convenience entry for multi-property certification with
-// default options: it builds the structure once and labels each property,
-// returning the per-property labelings and the batch stats. Use NewBatch
-// directly to keep the per-property schemes for verification or to set a
-// lane budget or worker bound.
-func ProveAll(cfg *cert.Config, pd *interval.PathDecomposition, props []algebra.Property) (map[string]*Labeling, *BatchStats, error) {
-	b, err := NewBatch(props, BatchOptions{})
-	if err != nil {
-		return nil, nil, err
-	}
-	return b.ProveAll(cfg, pd)
 }

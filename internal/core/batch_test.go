@@ -1,11 +1,12 @@
 package core
 
-// Pins for the StructuralProof / batch split: ProveAll's labelings must be
-// byte-identical to B independent Prove calls, across every generator
+// Pins for the StructuralProof / batch split: ProveAllWithCtx's labelings
+// must be byte-identical to B independent proves, across every generator
 // family, including failure parity (a property failing in the batch fails
 // the same way independently).
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -27,6 +28,29 @@ func batchProps() []algebra.Property {
 	}
 }
 
+// proveBatch builds the structure with the batch's parallelism and labels
+// every property of the batch against it.
+func proveBatch(b *Batch, cfg *cert.Config) (map[string]*Labeling, *BatchStats, error) {
+	sp, err := BuildStructureCtx(context.Background(), cfg, nil, StructureOptions{Parallelism: b.opts.Parallelism})
+	if err != nil {
+		return nil, nil, err
+	}
+	return b.ProveAllWithCtx(context.Background(), sp)
+}
+
+// verifyBatch verifies each labeling with its property's batch scheme and
+// fails the test if verification errs.
+func verifyBatch(t *testing.T, b *Batch, cfg *cert.Config, labelings map[string]*Labeling) map[string][]bool {
+	t.Helper()
+	out := make(map[string][]bool, len(labelings))
+	for _, name := range b.Properties() {
+		if l, ok := labelings[name]; ok {
+			out[name] = verify(t, b.Scheme(name), cfg, l)
+		}
+	}
+	return out
+}
+
 func TestProveAllByteIdenticalToIndependentProves(t *testing.T) {
 	props := batchProps()
 	for _, tc := range regressionConfigs(t) {
@@ -36,20 +60,20 @@ func TestProveAllByteIdenticalToIndependentProves(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			labelings, stats, err := b.ProveAll(cfg, nil)
+			labelings, stats, err := proveBatch(b, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, prop := range props {
 				name := prop.Name()
 				s := NewScheme(prop, 8)
-				refLabeling, refStats, refErr := s.Prove(cert.NewConfig(tc.g), nil)
+				refLabeling, refStats, refErr := prove(s, cert.NewConfig(tc.g), nil)
 				if refErr != nil {
 					if !errors.Is(refErr, ErrPropertyFails) {
-						t.Fatalf("%s: independent Prove: %v", name, refErr)
+						t.Fatalf("%s: independent prove: %v", name, refErr)
 					}
 					if ferr, failed := stats.Failed[name]; !failed || !errors.Is(ferr, ErrPropertyFails) {
-						t.Fatalf("%s: independent Prove fails (%v) but batch recorded %v", name, refErr, ferr)
+						t.Fatalf("%s: independent prove fails (%v) but batch recorded %v", name, refErr, ferr)
 					}
 					if _, ok := labelings[name]; ok {
 						t.Fatalf("%s: failing property has a batch labeling", name)
@@ -58,7 +82,7 @@ func TestProveAllByteIdenticalToIndependentProves(t *testing.T) {
 				}
 				got, ok := labelings[name]
 				if !ok {
-					t.Fatalf("%s: independent Prove succeeds but batch has no labeling (failed: %v)",
+					t.Fatalf("%s: independent prove succeeds but batch has no labeling (failed: %v)",
 						name, stats.Failed[name])
 				}
 				st := stats.PerProperty[name]
@@ -80,7 +104,7 @@ func TestProveAllByteIdenticalToIndependentProves(t *testing.T) {
 						t.Fatalf("%s: edge %v missing from batch labeling", name, e)
 					}
 					if el.Key() != bl.Key() {
-						t.Fatalf("%s: edge %v label differs between batch and independent Prove", name, e)
+						t.Fatalf("%s: edge %v label differs between batch and independent prove", name, e)
 					}
 					if el.Bits() != bl.Bits() {
 						t.Fatalf("%s: edge %v bit size differs", name, e)
@@ -106,17 +130,14 @@ func TestVerifyAllAcceptsBatchLabelings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	labelings, _, err := b.ProveAll(cfg, nil)
+	labelings, _, err := proveBatch(b, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(labelings) == 0 {
 		t.Fatal("no property certified")
 	}
-	verdicts, err := b.VerifyAll(cfg, labelings)
-	if err != nil {
-		t.Fatal(err)
-	}
+	verdicts := verifyBatch(t, b, cfg, labelings)
 	if len(verdicts) != len(labelings) {
 		t.Fatalf("verdicts for %d of %d labelings", len(verdicts), len(labelings))
 	}
@@ -125,17 +146,17 @@ func TestVerifyAllAcceptsBatchLabelings(t *testing.T) {
 			t.Errorf("%s: honest batch labeling rejected", name)
 		}
 	}
-	// Cross-wiring labelings to the wrong scheme must not be silently
-	// accepted as a batch of this shape.
-	if _, err := b.VerifyAll(cfg, map[string]*Labeling{"no-such-property": nil}); err == nil {
-		t.Error("VerifyAll accepted a labeling for an unknown property")
+	// A labeling for a property outside the batch has no scheme to
+	// verify it with.
+	if b.Scheme("no-such-property") != nil {
+		t.Error("batch has a scheme for an unknown property")
 	}
 }
 
 func TestProveAllSharedStructureReuse(t *testing.T) {
 	g := graph.PathGraph(24)
 	cfg := cert.NewConfig(g)
-	sp, err := BuildStructure(cfg, nil)
+	sp, err := BuildStructureCtx(context.Background(), cfg, nil, StructureOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,14 +170,11 @@ func TestProveAllSharedStructureReuse(t *testing.T) {
 	}
 	// One structure served to two batches: both must certify and verify.
 	for _, b := range []*Batch{b1, b2} {
-		labelings, _, err := b.ProveAllWith(sp)
+		labelings, _, err := b.ProveAllWithCtx(context.Background(), sp)
 		if err != nil {
 			t.Fatal(err)
 		}
-		verdicts, err := b.VerifyAll(cfg, labelings)
-		if err != nil {
-			t.Fatal(err)
-		}
+		verdicts := verifyBatch(t, b, cfg, labelings)
 		for name, vs := range verdicts {
 			if !AllAccept(vs) {
 				t.Errorf("%s: rejected on reused structure", name)
@@ -168,9 +186,11 @@ func TestProveAllSharedStructureReuse(t *testing.T) {
 func TestProveAllSingleVertex(t *testing.T) {
 	g := graph.New(1)
 	cfg := cert.NewConfig(g)
-	labelings, stats, err := ProveAll(cfg, nil, []algebra.Property{
-		algebra.Colorable{Q: 2}, algebra.Acyclic{},
-	})
+	b, err := NewBatch([]algebra.Property{algebra.Colorable{Q: 2}, algebra.Acyclic{}}, BatchOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	labelings, stats, err := proveBatch(b, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,12 +220,12 @@ func TestNewBatchRejectsBadInputs(t *testing.T) {
 func TestProveWithRejectsLaneBudgetOverflow(t *testing.T) {
 	g := gen.Caterpillar(8, 2)
 	cfg := cert.NewConfig(g)
-	sp, err := BuildStructure(cfg, nil)
+	sp, err := BuildStructureCtx(context.Background(), cfg, nil, StructureOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := NewScheme(algebra.Colorable{Q: 2}, 1)
-	if _, _, err := s.ProveWith(sp); !errors.Is(err, ErrTooManyLanes) {
+	if _, _, err := s.ProveWithCtx(context.Background(), sp); !errors.Is(err, ErrTooManyLanes) {
 		t.Fatalf("expected ErrTooManyLanes, got %v", err)
 	}
 }

@@ -15,7 +15,7 @@ func TestCloneIsFaithfulAndIndependent(t *testing.T) {
 	g := graph.CycleGraph(9)
 	s := NewScheme(algebra.Colorable{Q: 3}, 6)
 	cfg := cert.NewConfig(g)
-	labeling, _, err := s.Prove(cfg, nil)
+	labeling, _, err := prove(s, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestCloneIsFaithfulAndIndependent(t *testing.T) {
 		}
 	}
 	// The original must still verify (untouched by clone mutations).
-	if !AllAccept(s.Verify(cfg, labeling)) {
+	if !AllAccept(verify(t, s, cfg, labeling)) {
 		t.Fatal("mutating the clone corrupted the original labeling")
 	}
 }

@@ -26,7 +26,7 @@ func caterpillar(spine, legs int) *graph.Graph {
 func proveOK(t *testing.T, s *Scheme, g *graph.Graph) (*cert.Config, *Labeling, *Stats) {
 	t.Helper()
 	cfg := cert.NewConfig(g)
-	labeling, stats, err := s.Prove(cfg, nil)
+	labeling, stats, err := prove(s, cfg, nil)
 	if err != nil {
 		t.Fatalf("Prove: %v", err)
 	}
@@ -54,7 +54,7 @@ func TestCompletenessAcrossGraphsAndProperties(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			s := NewScheme(tc.prop, 8)
 			cfg, labeling, stats := proveOK(t, s, tc.g)
-			verdicts := s.Verify(cfg, labeling)
+			verdicts := verify(t, s, cfg, labeling)
 			for v, ok := range verdicts {
 				if !ok {
 					t.Fatalf("vertex %d rejected an honest labeling", v)
@@ -69,10 +69,12 @@ func TestCompletenessAcrossGraphsAndProperties(t *testing.T) {
 
 func TestPaperConstructionPipeline(t *testing.T) {
 	s := NewScheme(algebra.Colorable{Q: 2}, 24)
-	s.UsePaperConstruction = true
-	g := caterpillar(6, 1)
-	cfg, labeling, stats := proveOK(t, s, g)
-	if !AllAccept(s.Verify(cfg, labeling)) {
+	cfg := cert.NewConfig(caterpillar(6, 1))
+	labeling, stats, err := proveOpts(s, cfg, nil, StructureOptions{UsePaperConstruction: true})
+	if err != nil {
+		t.Fatalf("prove: %v", err)
+	}
+	if !AllAccept(verify(t, s, cfg, labeling)) {
 		t.Fatal("paper-construction labeling rejected")
 	}
 	if stats.Congestion < 1 && stats.VirtualEdges > 0 {
@@ -96,7 +98,7 @@ func TestProveRejectsNoInstances(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			s := NewScheme(tc.prop, 8)
 			cfg := cert.NewConfig(tc.g)
-			if _, _, err := s.Prove(cfg, nil); !errors.Is(err, ErrPropertyFails) {
+			if _, _, err := prove(s, cfg, nil); !errors.Is(err, ErrPropertyFails) {
 				t.Fatalf("Prove err = %v, want ErrPropertyFails", err)
 			}
 		})
@@ -106,7 +108,7 @@ func TestProveRejectsNoInstances(t *testing.T) {
 func TestProveLaneBudget(t *testing.T) {
 	s := NewScheme(algebra.Colorable{Q: 3}, 1)
 	cfg := cert.NewConfig(graph.CycleGraph(6))
-	if _, _, err := s.Prove(cfg, nil); !errors.Is(err, ErrTooManyLanes) {
+	if _, _, err := prove(s, cfg, nil); !errors.Is(err, ErrTooManyLanes) {
 		t.Fatalf("err = %v, want ErrTooManyLanes", err)
 	}
 }
@@ -114,16 +116,16 @@ func TestProveLaneBudget(t *testing.T) {
 func TestSingleVertex(t *testing.T) {
 	s := NewScheme(algebra.Colorable{Q: 2}, 2)
 	cfg := cert.NewConfig(graph.New(1))
-	labeling, _, err := s.Prove(cfg, nil)
+	labeling, _, err := prove(s, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !AllAccept(s.Verify(cfg, labeling)) {
+	if !AllAccept(verify(t, s, cfg, labeling)) {
 		t.Fatal("single vertex rejected")
 	}
 	// K1 has no perfect matching.
 	sm := NewScheme(algebra.PerfectMatching{}, 2)
-	if _, _, err := sm.Prove(cfg, nil); !errors.Is(err, ErrPropertyFails) {
+	if _, _, err := prove(sm, cfg, nil); !errors.Is(err, ErrPropertyFails) {
 		t.Fatalf("matching on K1: %v", err)
 	}
 }
@@ -141,11 +143,11 @@ func TestLabelBitsGrowLogarithmically(t *testing.T) {
 		g := graph.PathGraph(n)
 		pd := interval.OrderingDecomposition(g, interval.HeuristicOrdering(g))
 		cfg := cert.NewConfig(g)
-		labeling, stats, err := s.Prove(cfg, pd)
+		labeling, stats, err := prove(s, cfg, pd)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !AllAccept(s.Verify(cfg, labeling)) {
+		if !AllAccept(verify(t, s, cfg, labeling)) {
 			t.Fatalf("n=%d rejected", n)
 		}
 		pts = append(pts, point{n, stats.MaxLabelBits})
@@ -280,7 +282,7 @@ func TestSoundnessUnderCorruption(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			s := NewScheme(tc.prop, 8)
 			cfg, labeling, _ := proveOK(t, s, tc.g)
-			if !AllAccept(s.Verify(cfg, labeling)) {
+			if !AllAccept(verify(t, s, cfg, labeling)) {
 				t.Fatal("honest labeling rejected")
 			}
 			rng := rand.New(rand.NewSource(99))
@@ -288,7 +290,7 @@ func TestSoundnessUnderCorruption(t *testing.T) {
 			for trial := 0; trial < trials; trial++ {
 				mutated := labeling.Clone()
 				desc := corrupt(rng, mutated)
-				if AllAccept(s.Verify(cfg, mutated)) {
+				if AllAccept(verify(t, s, cfg, mutated)) {
 					t.Fatalf("trial %d: corruption %q accepted", trial, desc)
 				}
 			}
@@ -304,7 +306,7 @@ func TestSoundnessCycleMasqueradingAsPath(t *testing.T) {
 	pathG := graph.PathGraph(n)
 	s := NewScheme(algebra.Acyclic{}, 4)
 	cfgPath := cert.NewConfig(pathG)
-	labeling, _, err := s.Prove(cfgPath, nil)
+	labeling, _, err := prove(s, cfgPath, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +315,7 @@ func TestSoundnessCycleMasqueradingAsPath(t *testing.T) {
 	for _, donor := range pathG.Edges() {
 		forged := labeling.Clone()
 		forged.Edges[graph.NewEdge(0, n-1)] = forged.Edges[donor].clone()
-		if AllAccept(s.Verify(cfgCycle, forged)) {
+		if AllAccept(verify(t, s, cfgCycle, forged)) {
 			t.Fatalf("cycle accepted with donor label %v", donor)
 		}
 	}
@@ -323,7 +325,7 @@ func TestVerifyRejectsMissingLabel(t *testing.T) {
 	s := NewScheme(algebra.Colorable{Q: 2}, 4)
 	cfg, labeling, _ := proveOK(t, s, graph.PathGraph(6))
 	delete(labeling.Edges, graph.NewEdge(2, 3))
-	if AllAccept(s.Verify(cfg, labeling)) {
+	if AllAccept(verify(t, s, cfg, labeling)) {
 		t.Fatal("missing edge label accepted")
 	}
 }
@@ -360,14 +362,14 @@ func TestQuickRandomIntervalGraphsEndToEnd(t *testing.T) {
 		}
 		s := NewScheme(algebra.Colorable{Q: 3}, 6)
 		cfg := cert.NewConfig(g)
-		labeling, stats, err := s.Prove(cfg, nil)
+		labeling, stats, err := prove(s, cfg, nil)
 		if errors.Is(err, ErrTooManyLanes) {
 			continue
 		}
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		if !AllAccept(s.Verify(cfg, labeling)) {
+		if !AllAccept(verify(t, s, cfg, labeling)) {
 			t.Fatalf("trial %d: honest labeling rejected", trial)
 		}
 		if stats.MaxLabelBits <= 0 {

@@ -30,7 +30,7 @@ func TestLabelEncodeDecodeRoundTrip(t *testing.T) {
 			if tc.mark != nil {
 				cfg.MarkSet(tc.mark)
 			}
-			labeling, _, err := s.Prove(cfg, nil)
+			labeling, _, err := prove(s, cfg, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -50,7 +50,7 @@ func TestLabelEncodeDecodeRoundTrip(t *testing.T) {
 				}
 				decoded.Edges[e] = back
 			}
-			if !AllAccept(s.Verify(cfg, decoded)) {
+			if !AllAccept(verify(t, s, cfg, decoded)) {
 				t.Fatal("decoded labeling rejected")
 			}
 		})
@@ -64,7 +64,7 @@ func TestDecodeLabelRejectsGarbage(t *testing.T) {
 	// Truncations of a real label must fail, not panic.
 	s := NewScheme(algebra.Colorable{Q: 2}, 4)
 	cfg := cert.NewConfig(graph.PathGraph(5))
-	labeling, _, err := s.Prove(cfg, nil)
+	labeling, _, err := prove(s, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestAppendLabelAppends(t *testing.T) {
 	prefix := []byte{0xa5, 0xff, 0x01}
 	for _, tc := range regressionConfigs(t) {
 		t.Run(tc.name, func(t *testing.T) {
-			labeling, _, err := NewScheme(tc.prop, 8).Prove(cert.NewConfig(tc.g), nil)
+			labeling, _, err := prove(NewScheme(tc.prop, 8), cert.NewConfig(tc.g), nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -58,7 +58,7 @@ func TestProveBitIdenticalToNaiveReference(t *testing.T) {
 			prove := func() (*cert.Config, *Labeling, *Stats) {
 				s := NewScheme(tc.prop, 8)
 				cfg := cert.NewConfig(tc.g)
-				labeling, stats, err := s.Prove(cfg, nil)
+				labeling, stats, err := prove(s, cfg, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -114,7 +114,7 @@ func TestEmbPayloadSharing(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			s := NewScheme(tc.prop, 8)
 			cfg := cert.NewConfig(tc.g)
-			labeling, _, err := s.Prove(cfg, nil)
+			labeling, _, err := prove(s, cfg, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

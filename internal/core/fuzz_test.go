@@ -22,7 +22,7 @@ func fuzzLabeling(tb testing.TB) (*Scheme, *cert.Config, *Labeling) {
 	g := gen.Caterpillar(5, 1)
 	s := NewScheme(algebra.Colorable{Q: 2}, 6)
 	cfg := cert.NewConfig(g)
-	labeling, _, err := s.Prove(cfg, nil)
+	labeling, _, err := prove(s, cfg, nil)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestDecodeRejectsTruncatedStreams(t *testing.T) {
 	for e := range labeling.Edges {
 		forged := labeling.Clone()
 		delete(forged.Edges, e)
-		if AllAccept(s.Verify(cfg, forged)) {
+		if AllAccept(verify(t, s, cfg, forged)) {
 			t.Fatalf("edge %v: erased label accepted", e)
 		}
 		break
@@ -158,7 +158,7 @@ func TestVerifierRejectsBitFlippedStreams(t *testing.T) {
 			}
 			forged := labeling.Clone()
 			forged.Edges[e] = dec
-			if !AllAccept(s.Verify(cfg, forged)) {
+			if !AllAccept(verify(t, s, cfg, forged)) {
 				rejected++
 				continue
 			}
@@ -212,7 +212,7 @@ func TestDecodeRoundTripAllFamilies(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			s := NewScheme(tc.prop, 8)
 			cfg := cert.NewConfig(tc.g)
-			labeling, _, err := s.Prove(cfg, nil)
+			labeling, _, err := prove(s, cfg, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -71,7 +71,7 @@ type UpdateStats struct {
 	// TotalSources is the number of distinct virtual-edge sources.
 	ReusedSources, TotalSources int
 	// PerProperty holds each property's post-update stats, byte-identical
-	// to what a fresh Prove of the mutated graph would report.
+	// to what a fresh prove of the mutated graph would report.
 	PerProperty map[string]*Stats
 }
 
@@ -97,7 +97,7 @@ type IncrementalOptions struct {
 // entries and per-edge labels of the current generation, and on each edit
 // batch re-derives only the dirty region — everything an edit provably did
 // not touch is carried over by pointer, memoized encodings included. Every
-// generation's labelings are byte-identical to a fresh Prove of the mutated
+// generation's labelings are byte-identical to a fresh prove of the mutated
 // graph (with the retained decomposition, or from scratch after a
 // fallback), so verification and the wire format are oblivious to how a
 // certificate was produced.
@@ -279,7 +279,6 @@ func (st *pendingState) provePasses(ctx context.Context, inc *Incremental, props
 			prop, caches = props[name], newSchemeCaches()
 		}
 		s := newSchemeShared(prop, inc.opts.MaxLanes, caches)
-		s.UsePaperConstruction = inc.opts.UsePaperConstruction
 		var (
 			prevEnc *encoder
 			prevLab *Labeling

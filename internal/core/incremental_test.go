@@ -19,7 +19,7 @@ func freshProve(t *testing.T, prop algebra.Property, g *graph.Graph, pd *interva
 	t.Helper()
 	cfg := cert.NewConfig(g.Clone())
 	s := NewScheme(prop, maxLanes)
-	lab, stats, err := s.Prove(cfg, pd)
+	lab, stats, err := prove(s, cfg, pd)
 	if err != nil {
 		t.Fatalf("fresh Prove(%s): %v", prop.Name(), err)
 	}
@@ -349,8 +349,7 @@ func TestIncrementalPaperConstructionAlwaysFallsBack(t *testing.T) {
 	}
 	cfg := cert.NewConfig(g.Clone())
 	s := NewScheme(props[0], DefaultMaxLanes)
-	s.UsePaperConstruction = true
-	wantLab, _, err := s.Prove(cfg, nil)
+	wantLab, _, err := proveOpts(s, cfg, nil, StructureOptions{UsePaperConstruction: true})
 	if err != nil {
 		t.Fatalf("fresh paper prove: %v", err)
 	}
@@ -373,7 +372,7 @@ func TestIncrementalVerifies(t *testing.T) {
 	snapG, labs, schemes, _ := inc.Snapshot()
 	cfg := cert.NewConfig(snapG)
 	for name, lab := range labs {
-		verdicts := schemes[name].Verify(cfg, lab)
+		verdicts := verify(t, schemes[name], cfg, lab)
 		for v, ok := range verdicts {
 			if !ok {
 				t.Fatalf("vertex %d rejects %s after incremental update", v, name)

@@ -18,18 +18,18 @@ func TestCertifyDominatingSet(t *testing.T) {
 	cfg := cert.NewConfig(g)
 	cfg.MarkSet([]graph.Vertex{0, 1, 2, 3, 4})
 	s := NewScheme(algebra.DominatingSet{}, 6)
-	labeling, _, err := s.Prove(cfg, nil)
+	labeling, _, err := prove(s, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !AllAccept(s.Verify(cfg, labeling)) {
+	if !AllAccept(verify(t, s, cfg, labeling)) {
 		t.Fatal("dominating-set certification rejected")
 	}
 
 	// A non-dominating set: mark only one spine vertex.
 	cfgBad := cert.NewConfig(g)
 	cfgBad.MarkSet([]graph.Vertex{0})
-	if _, _, err := s.Prove(cfgBad, nil); !errors.Is(err, ErrPropertyFails) {
+	if _, _, err := prove(s, cfgBad, nil); !errors.Is(err, ErrPropertyFails) {
 		t.Fatalf("non-dominating set: err = %v", err)
 	}
 }
@@ -40,16 +40,16 @@ func TestCertifyIndependentSet(t *testing.T) {
 	cfg := cert.NewConfig(g)
 	cfg.MarkSet([]graph.Vertex{0, 2, 4, 6, 8})
 	s := NewScheme(algebra.IndependentSet{}, 6)
-	labeling, _, err := s.Prove(cfg, nil)
+	labeling, _, err := prove(s, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !AllAccept(s.Verify(cfg, labeling)) {
+	if !AllAccept(verify(t, s, cfg, labeling)) {
 		t.Fatal("independent-set certification rejected")
 	}
 	cfgBad := cert.NewConfig(g)
 	cfgBad.MarkSet([]graph.Vertex{0, 1})
-	if _, _, err := s.Prove(cfgBad, nil); !errors.Is(err, ErrPropertyFails) {
+	if _, _, err := prove(s, cfgBad, nil); !errors.Is(err, ErrPropertyFails) {
 		t.Fatalf("adjacent marks: err = %v", err)
 	}
 }
@@ -61,7 +61,7 @@ func TestInputMismatchRejected(t *testing.T) {
 	cfg := cert.NewConfig(g)
 	cfg.MarkSet([]graph.Vertex{0, 2, 4, 6})
 	s := NewScheme(algebra.IndependentSet{}, 6)
-	labeling, _, err := s.Prove(cfg, nil)
+	labeling, _, err := prove(s, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestInputMismatchRejected(t *testing.T) {
 	// so the old labels must not be accepted.
 	cfgFlipped := cert.NewConfig(g)
 	cfgFlipped.MarkSet([]graph.Vertex{0, 1, 2, 4, 6})
-	if AllAccept(s.Verify(cfgFlipped, labeling)) {
+	if AllAccept(verify(t, s, cfgFlipped, labeling)) {
 		t.Fatal("stale labels accepted after the input state changed")
 	}
 
@@ -84,7 +84,7 @@ func TestInputMismatchRejected(t *testing.T) {
 			caught++ // nothing to flip on this draw; count as trivially safe
 			continue
 		}
-		if !AllAccept(s.Verify(cfg, mutated)) {
+		if !AllAccept(verify(t, s, cfg, mutated)) {
 			caught++
 		}
 	}
@@ -121,15 +121,15 @@ func TestSingleVertexWithInput(t *testing.T) {
 	s := NewScheme(algebra.DominatingSet{}, 2)
 	cfg := cert.NewConfig(g)
 	cfg.MarkSet([]graph.Vertex{0})
-	labeling, _, err := s.Prove(cfg, nil)
+	labeling, _, err := prove(s, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !AllAccept(s.Verify(cfg, labeling)) {
+	if !AllAccept(verify(t, s, cfg, labeling)) {
 		t.Fatal("marked K1 rejected")
 	}
 	cfgBad := cert.NewConfig(g)
-	if _, _, err := s.Prove(cfgBad, nil); !errors.Is(err, ErrPropertyFails) {
+	if _, _, err := prove(s, cfgBad, nil); !errors.Is(err, ErrPropertyFails) {
 		t.Fatalf("unmarked K1: err = %v", err)
 	}
 }

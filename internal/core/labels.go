@@ -51,9 +51,9 @@ type OperandSummary struct {
 // splice in: a node entry or a completion-edge certificate. The encoding is
 // held once, as its key — the packed bytes followed by the decimal bit
 // count — and spliced from the key's byte prefix. Components are immutable
-// once handed out by Prove or a Decoder (corruption experiments go through
+// once handed out by the prover or a Decoder (corruption experiments go through
 // Clone, which starts with an empty cache), so the encoding is computed at
-// most once; the sync.Once makes concurrent verifiers (VerifyParallel,
+// most once; the sync.Once makes concurrent verifiers (VerifyParallelCtx,
 // dist) race-free.
 type encCache struct {
 	once  sync.Once

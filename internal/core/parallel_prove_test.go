@@ -48,19 +48,19 @@ func TestUseParallelSweep(t *testing.T) {
 func TestProveByteIdenticalAcrossWorkers(t *testing.T) {
 	for _, tc := range regressionConfigs(t) {
 		t.Run(tc.name, func(t *testing.T) {
-			prove := func(workers int) (*Labeling, *Stats) {
+			proveAt := func(workers int) (*Labeling, *Stats) {
 				s := NewScheme(tc.prop, 8)
 				s.Workers = workers
 				cfg := cert.NewConfig(tc.g)
-				labeling, stats, err := s.Prove(cfg, nil)
+				labeling, stats, err := prove(s, cfg, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
 				return labeling, stats
 			}
-			refLab, refStats := prove(1)
+			refLab, refStats := proveAt(1)
 			for _, workers := range []int{2, 0} {
-				lab, stats := prove(workers)
+				lab, stats := proveAt(workers)
 				// Stage timings are wall-clock, never comparable across runs.
 				s1, s2 := *refStats, *stats
 				s1.Stages, s2.Stages = StageTimings{}, StageTimings{}

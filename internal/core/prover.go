@@ -9,12 +9,11 @@ import (
 	"repro/internal/algebra"
 	"repro/internal/cert"
 	"repro/internal/graph"
-	"repro/internal/interval"
 	"repro/internal/lanewidth"
 	"repro/internal/par"
 )
 
-// ErrPropertyFails is returned by Prove when the configuration does not
+// ErrPropertyFails is returned by ProveWithCtx when the configuration does not
 // satisfy the property (there is nothing to certify; Theorem 1's
 // completeness only speaks about yes-instances).
 var ErrPropertyFails = errors.New("core: property does not hold on this configuration")
@@ -23,9 +22,9 @@ var ErrPropertyFails = errors.New("core: property does not hold on this configur
 // within the scheme's lane budget.
 var ErrTooManyLanes = errors.New("core: lane partition exceeds the scheme's lane budget")
 
-// ErrStaleStructure is returned by ProveWith when the structural proof was
+// ErrStaleStructure is returned by ProveWithCtx when the structural proof was
 // built against an earlier generation of the graph: the graph mutated after
-// BuildStructure, so the structure's decomposition, embedding and artifact
+// BuildStructureCtx, so the structure's decomposition, embedding and artifact
 // tables no longer describe it.
 var ErrStaleStructure = errors.New("core: structural proof is stale (graph mutated since build)")
 
@@ -37,10 +36,6 @@ var ErrStaleStructure = errors.New("core: structural proof is stale (graph mutat
 type Scheme struct {
 	Prop     algebra.Property
 	MaxLanes int
-	// UsePaperConstruction selects the Proposition 4.6 recursive lane
-	// construction (worst-case congestion ≤ H(width)) instead of the greedy
-	// first-fit partition with shortest-path embeddings.
-	UsePaperConstruction bool
 	// Workers bounds the parallelism of the property pass — the class sweep,
 	// entry assembly and label construction: 0 means GOMAXPROCS, 1 forces the
 	// exact sequential path. Output is byte-identical for every value: class
@@ -93,41 +88,13 @@ type Stats struct {
 	Stages StageTimings
 }
 
-// Prove labels the configuration. The optional decomposition is used when
-// non-nil; otherwise one is computed (exactly for small graphs). Prove is a
-// thin wrapper: BuildStructure computes the property-independent structure,
-// ProveWith runs the property's algebra sweep over it.
-// Completeness: on yes-instances of φ ∧ (pathwidth small enough for the lane
-// budget), Prove succeeds and Verify accepts everywhere.
-func (s *Scheme) Prove(cfg *cert.Config, pd *interval.PathDecomposition) (*Labeling, *Stats, error) {
-	return s.ProveCtx(context.Background(), cfg, pd)
-}
-
-// ProveCtx is Prove honoring a context: cancellation is observed between the
-// structure-building stages and periodically inside the class sweep, and the
-// call returns ctx.Err() promptly instead of completing the labeling.
-func (s *Scheme) ProveCtx(ctx context.Context, cfg *cert.Config, pd *interval.PathDecomposition) (*Labeling, *Stats, error) {
-	sp, err := BuildStructureCtx(ctx, cfg, pd, StructureOptions{
-		UsePaperConstruction: s.UsePaperConstruction,
-		Parallelism:          s.Workers,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return s.ProveWithCtx(ctx, sp)
-}
-
-// ProveWith runs only the property-dependent half of the prover — class
+// ProveWithCtx runs the property-dependent half of the prover — class
 // computation, acceptance, certificates and labels (Section 6) — against a
-// shared immutable structure. Its output is byte-identical to Prove on the
-// same configuration. Multiple ProveWith calls (of different schemes) may
-// run concurrently against one StructuralProof.
-func (s *Scheme) ProveWith(sp *StructuralProof) (*Labeling, *Stats, error) {
-	return s.ProveWithCtx(context.Background(), sp)
-}
-
-// ProveWithCtx is ProveWith honoring a context; the class sweep checks for
-// cancellation every few hundred hierarchy nodes.
+// structure from BuildStructureCtx. Any number of schemes may prove
+// concurrently against one StructuralProof. The class sweep checks for
+// cancellation every few hundred hierarchy nodes and returns ctx.Err().
+// Completeness: on yes-instances of φ ∧ (pathwidth small enough for the lane
+// budget), ProveWithCtx succeeds and VerifyParallelCtx accepts everywhere.
 func (s *Scheme) ProveWithCtx(ctx context.Context, sp *StructuralProof) (*Labeling, *Stats, error) {
 	labeling, stats, _, err := s.proveWith(ctx, sp, nil, nil, nil)
 	return labeling, stats, err

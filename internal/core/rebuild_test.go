@@ -48,7 +48,7 @@ func TestRebuildRegistryFreshSchemeAccepts(t *testing.T) {
 				cfg.MarkSet(tc.mark)
 			}
 			prover := NewScheme(tc.prop, 8)
-			labeling, _, err := prover.Prove(cfg, nil)
+			labeling, _, err := prove(prover, cfg, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -61,7 +61,7 @@ func TestRebuildRegistryFreshSchemeAccepts(t *testing.T) {
 			if verifier.Reg.Size() == 0 {
 				t.Fatal("rebuilt registry is empty")
 			}
-			if !AllAccept(verifier.Verify(cfg, decoded)) {
+			if !AllAccept(verify(t, verifier, cfg, decoded)) {
 				t.Fatal("fresh scheme rejected an honest decoded labeling")
 			}
 		})
@@ -76,7 +76,7 @@ func TestRebuildRegistryDetectsCorruption(t *testing.T) {
 	g := graph.CycleGraph(10)
 	cfg := cert.NewConfig(g)
 	prover := NewScheme(algebra.Colorable{Q: 2}, 8)
-	labeling, _, err := prover.Prove(cfg, nil)
+	labeling, _, err := prove(prover, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestRebuildRegistryDetectsCorruption(t *testing.T) {
 				}
 				return // rejected before any vertex ran: fine
 			}
-			if AllAccept(verifier.Verify(cfg, decoded)) {
+			if AllAccept(verify(t, verifier, cfg, decoded)) {
 				t.Fatal("corrupted labeling accepted after registry rebuild — soundness violated")
 			}
 		})

@@ -51,10 +51,10 @@ func sinceMillis(t time.Time) float64 {
 // lanewidth transcript, hierarchical decomposition — plus the per-node
 // boundary/order tables and the root-anchor pointing labels that the label
 // encoder consumes. A StructuralProof is immutable once built and safe for
-// concurrent use: Scheme.ProveWith runs only the property-dependent algebra
+// concurrent use: Scheme.ProveWithCtx runs only the property-dependent algebra
 // sweep (Section 6) against it, so certifying B properties of one
 // configuration builds the structure once instead of B times (see
-// Batch.ProveAll).
+// Batch.ProveAllWithCtx).
 type StructuralProof struct {
 	Cfg        *cert.Config
 	PD         *interval.PathDecomposition
@@ -91,7 +91,7 @@ type StructuralProof struct {
 	stages StageTimings
 
 	// plan is the class sweep's dependency schedule, derived lazily from the
-	// hierarchy on first parallel ProveWith and shared by every property pass
+	// hierarchy on first parallel ProveWithCtx and shared by every property pass
 	// over this structure (see sweepPlan).
 	planOnce sync.Once
 	plan     *sweepPlan
@@ -134,22 +134,13 @@ func (sp *StructuralProof) SingleVertex() bool { return sp.singleVertex }
 // Congestion returns the embedding congestion of the structure.
 func (sp *StructuralProof) Congestion() int { return sp.congestion }
 
-// BuildStructure computes the property-independent structure of the
+// BuildStructureCtx computes the property-independent structure of the
 // configuration. The optional decomposition is used when non-nil; otherwise
-// one is computed. The result can be shared by any number of concurrent
-// Scheme.ProveWith calls.
-func BuildStructure(cfg *cert.Config, pd *interval.PathDecomposition) (*StructuralProof, error) {
-	return BuildStructureOpts(cfg, pd, StructureOptions{})
-}
-
-// BuildStructureOpts is BuildStructure with explicit options.
-func BuildStructureOpts(cfg *cert.Config, pd *interval.PathDecomposition, opts StructureOptions) (*StructuralProof, error) {
-	return BuildStructureCtx(context.Background(), cfg, pd, opts)
-}
-
-// BuildStructureCtx is BuildStructureOpts honoring a context: cancellation
-// is observed between the pipeline stages (decomposition, lane construction,
-// transcript, hierarchy, artifact tables) and aborts the build with ctx.Err().
+// one is computed (exactly for small graphs). The result can be shared by
+// any number of concurrent Scheme.ProveWithCtx calls. Cancellation is
+// observed between the pipeline stages (decomposition, lane construction,
+// transcript, hierarchy, artifact tables) and aborts the build with
+// ctx.Err().
 func BuildStructureCtx(ctx context.Context, cfg *cert.Config, pd *interval.PathDecomposition, opts StructureOptions) (*StructuralProof, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -219,7 +210,7 @@ func BuildStructureCtx(ctx context.Context, cfg *cert.Config, pd *interval.PathD
 		return nil, err
 	}
 
-	sp, err := assembleStructureP(cfg, pd, p, c, emb, h, workers)
+	sp, err := assembleStructureReuse(cfg, pd, p, c, emb, h, nil, 0, nil, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -228,32 +219,22 @@ func BuildStructureCtx(ctx context.Context, cfg *cert.Config, pd *interval.PathD
 	return sp, nil
 }
 
-// assembleStructure packs the pipeline stages into a StructuralProof and
-// derives the shared per-node tables. It is the single assembly point for
-// both the fresh build above and the incremental engine's dirty-region
-// rebuild (incremental.go), so the two produce identical structures from
-// identical stages.
-func assembleStructure(cfg *cert.Config, pd *interval.PathDecomposition, p *lanes.Partition, c *lanes.Completion, emb lanes.Embedding, h *lanewidth.Hierarchy) (*StructuralProof, error) {
-	return assembleStructureReuse(cfg, pd, p, c, emb, h, nil, 0, nil, 1)
-}
-
-// assembleStructureP is assembleStructure distributed over a worker pool:
-// the member folds and artifact derivation run on workers goroutines, and
-// the three mutually independent table builds (artifacts, embedding
-// orientation, root pointing) overlap. Output is identical to the
-// sequential assembly for every workers value.
-func assembleStructureP(cfg *cert.Config, pd *interval.PathDecomposition, p *lanes.Partition, c *lanes.Completion, emb lanes.Embedding, h *lanewidth.Hierarchy, workers int) (*StructuralProof, error) {
-	return assembleStructureReuse(cfg, pd, p, c, emb, h, nil, 0, nil, workers)
-}
-
-// assembleStructureReuse is assembleStructure carrying per-node state over
-// from a previous generation's structure: nodes below the first mark (see
-// lanewidth.BuildHierarchyMark) whose artifacts provably cannot have changed
-// take the previous artifact pointer without being rebuilt or compared, and
-// frozen T-nodes skip their member folds. dirty is the set of graph edges
-// the generation's edit batch touched (in either direction); any node owning
-// one is rebuilt regardless of the mark, since its real bits read the edited
-// adjacency. With prev nil the call is exactly assembleStructure.
+// assembleStructureReuse packs the pipeline stages into a StructuralProof
+// and derives the shared per-node tables. It is the single assembly point
+// for both the fresh build (prev nil) and the incremental engine's
+// dirty-region rebuild (incremental.go), so the two produce identical
+// structures from identical stages. With prev nil and workers > 1 the
+// member folds and artifact derivation run on the pool and the three
+// mutually independent table builds (artifacts, embedding orientation, root
+// pointing) overlap; output is identical for every workers value.
+//
+// With prev set, per-node state carries over from the previous generation's
+// structure: nodes below the first mark (see lanewidth.BuildHierarchyMark)
+// whose artifacts provably cannot have changed take the previous artifact
+// pointer without being rebuilt or compared, and frozen T-nodes skip their
+// member folds. dirty is the set of graph edges the generation's edit batch
+// touched (in either direction); any node owning one is rebuilt regardless
+// of the mark, since its real bits read the edited adjacency.
 func assembleStructureReuse(cfg *cert.Config, pd *interval.PathDecomposition, p *lanes.Partition, c *lanes.Completion, emb lanes.Embedding, h *lanewidth.Hierarchy, prev *StructuralProof, first int, dirty map[graph.Edge]bool, workers int) (*StructuralProof, error) {
 	g := cfg.G
 	if prev == nil {
@@ -273,7 +254,7 @@ func assembleStructureReuse(cfg *cert.Config, pd *interval.PathDecomposition, p 
 		members:    h.MembersByTNodeFromP(first, workers),
 	}
 	// Warm the graph's lazily cached edge order while construction is still
-	// single-threaded; concurrent ProveWith calls then only read it.
+	// single-threaded; concurrent ProveWithCtx calls then only read it.
 	g.EdgesSeq()
 	if prev == nil && workers > 1 {
 		// The three table builds read disjoint inputs (artifacts walk the

@@ -3,8 +3,6 @@ package core
 import (
 	"context"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/algebra"
 	"repro/internal/cert"
@@ -24,79 +22,25 @@ type VertexView struct {
 	Labels   []*EdgeLabel
 }
 
-// Verify runs the local verifier at every vertex and returns the verdicts.
-// The scheme accepts iff all verdicts are true.
-func (s *Scheme) Verify(cfg *cert.Config, labeling *Labeling) []bool {
-	verdicts, _ := s.VerifyCtx(context.Background(), cfg, labeling)
-	return verdicts
-}
-
-// VerifyCtx is Verify honoring a context: cancellation between per-vertex
-// checks aborts the sweep and returns ctx.Err() with a nil verdict slice.
-func (s *Scheme) VerifyCtx(ctx context.Context, cfg *cert.Config, labeling *Labeling) ([]bool, error) {
+// VerifyParallelCtx runs the local verifier at every vertex on a worker pool
+// and returns the verdicts; the scheme accepts iff all are true.
+// Verification is embarrassingly parallel (each vertex's check reads only its
+// own view), so the verdicts are identical for every Scheme.Workers value
+// (0 means GOMAXPROCS; ≤ 1 runs inline on the calling goroutine). The
+// context is polled once per 64-vertex chunk: cancellation drains the pool
+// promptly and the call returns ctx.Err() with a nil verdict slice.
+func (s *Scheme) VerifyParallelCtx(ctx context.Context, cfg *cert.Config, labeling *Labeling) ([]bool, error) {
 	verdicts := make([]bool, cfg.G.N())
-	for v := 0; v < cfg.G.N(); v++ {
+	err := par.ForErr(s.Workers, len(verdicts), func(_, v int) error {
 		if v&63 == 0 {
 			if err := ctx.Err(); err != nil {
-				return nil, err
+				return err
 			}
 		}
 		verdicts[v] = s.verifyVertex(cfg, labeling, v)
-	}
-	return verdicts, nil
-}
-
-// VerifyParallel runs the same per-vertex verifier as Verify on a worker
-// pool (verification is embarrassingly parallel: each vertex's check reads
-// only its own view). The verdicts are identical to Verify's.
-func (s *Scheme) VerifyParallel(cfg *cert.Config, labeling *Labeling) []bool {
-	verdicts, _ := s.VerifyParallelCtx(context.Background(), cfg, labeling)
-	return verdicts
-}
-
-// VerifyParallelCtx is VerifyParallel honoring a context: workers poll the
-// context between the vertex chunks they claim, so cancellation drains the
-// pool promptly and the call returns ctx.Err() with a nil verdict slice.
-// The pool size honors Scheme.Workers (0 means GOMAXPROCS).
-func (s *Scheme) VerifyParallelCtx(ctx context.Context, cfg *cert.Config, labeling *Labeling) ([]bool, error) {
-	n := cfg.G.N()
-	verdicts := make([]bool, n)
-	workers := par.Workers(s.Workers)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		return s.VerifyCtx(ctx, cfg, labeling)
-	}
-	// Dynamic chunking: workers claim fixed-size vertex ranges so a few
-	// expensive vertices cannot serialize the round.
-	const chunk = 64
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				if ctx.Err() != nil {
-					return
-				}
-				lo := int(next.Add(chunk)) - chunk
-				if lo >= n {
-					return
-				}
-				hi := lo + chunk
-				if hi > n {
-					hi = n
-				}
-				for v := lo; v < hi; v++ {
-					verdicts[v] = s.verifyVertex(cfg, labeling, v)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	return verdicts, nil

@@ -1,62 +1,28 @@
 // Package dist runs the one-round distributed verification of a proof
-// labeling scheme on a goroutine-per-vertex network simulator (the paper's
-// Section 1 self-stabilization motivation): every vertex is a processor
-// with its own copy of its incident edge labels, processors exchange those
-// copies with their neighbors over channels in one synchronous round, and
-// each processor then evaluates the scheme's local verifier on what it
-// holds. A processor rejects when its neighbor's copy of a shared edge
-// label disagrees with its own (asymmetric memory corruption) or when the
-// local verifier of Theorem 1 rejects its view.
+// labeling scheme (the paper's Section 1 self-stabilization motivation):
+// every vertex is a processor with its own copy of its incident edge labels,
+// in one synchronous round each processor receives its neighbors' copies of
+// the shared edge labels, and each processor then evaluates the scheme's
+// local verifier on what it holds. A processor rejects when its neighbor's
+// copy of a shared edge label disagrees with its own (asymmetric memory
+// corruption) or when the local verifier of Theorem 1 rejects its view.
+//
+// Each processor reads only its incident labels, so how the round is
+// scheduled is not part of the scheme: Run evaluates every processor's
+// decision (CheckVertex) on the bounded worker pool the verifier uses,
+// sized by Scheme.Workers, and the verdicts are the same for every size.
 package dist
 
 import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sort"
-	"sync"
 
 	"repro/internal/cert"
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/par"
 )
-
-// Network is a simulated message-passing network: the configuration fixes
-// the topology and identifiers, the scheme fixes the local verifier run at
-// each processor.
-type Network struct {
-	cfg    *cert.Config
-	scheme *core.Scheme
-
-	// Dart (directed-edge) indexing, precomputed once so each round pays no
-	// per-round map or sort overhead: vertex v's i-th outgoing dart has index
-	// off[v]+i (following cfg.G.Neighbors(v) order), and rev[d] is the index
-	// of d's reverse dart.
-	off []int
-	rev []int
-}
-
-// NewNetwork builds a network over the configuration's graph.
-func NewNetwork(cfg *cert.Config, scheme *core.Scheme) *Network {
-	g := cfg.G
-	n := &Network{cfg: cfg, scheme: scheme, off: make([]int, g.N()+1)}
-	for v := 0; v < g.N(); v++ {
-		n.off[v+1] = n.off[v] + g.Degree(v)
-	}
-	n.rev = make([]int, n.off[g.N()])
-	idx := make(map[dartKey]int, len(n.rev))
-	for v := 0; v < g.N(); v++ {
-		for i, w := range g.Neighbors(v) {
-			idx[dartKey{v, w}] = n.off[v] + i
-		}
-	}
-	for v := 0; v < g.N(); v++ {
-		for i, w := range g.Neighbors(v) {
-			n.rev[n.off[v]+i] = idx[dartKey{w, v}]
-		}
-	}
-	return n
-}
 
 // Result is the outcome of one verification round.
 type Result struct {
@@ -70,35 +36,16 @@ type Result struct {
 // acceptance condition).
 func (r Result) Accepted() bool { return len(r.Rejected) == 0 }
 
-// message is what a processor publishes into an outbox slot during the
-// exchange round: the sender's copy of that edge's label (nil when the
-// sender's memory holds no label for the edge).
-type message struct {
-	label *core.EdgeLabel
-}
-
-// Run executes one synchronous verification round: each vertex goroutine
-// sends its copy of every incident edge label to the corresponding
-// neighbor, receives the neighbor's copies, and runs the local verifier.
-// Run honors ctx: cancellation aborts the round and returns ctx.Err().
-// The labeling is only read, never mutated.
-func (n *Network) Run(ctx context.Context, labeling *core.Labeling) (Result, error) {
-	return n.RunFor(ctx, n.scheme, labeling)
-}
-
-// RunFor runs one verification round with an explicit scheme, overriding
-// the one given at construction. The network's topology precomputation
-// (dart index) depends only on the configuration, so one Network serves
-// many schemes — multi-property batch certification distributes every
-// property's labeling over the same simulator network, one round each.
-func (n *Network) RunFor(ctx context.Context, scheme *core.Scheme, labeling *core.Labeling) (Result, error) {
-	if scheme == nil {
-		return Result{}, fmt.Errorf("dist: nil scheme")
-	}
+// Run executes one synchronous verification round of the scheme over the
+// configuration's graph, every processor holding the same labeling: each
+// processor collects its own and its neighbors' copies of its incident edge
+// labels and decides. Run honors ctx: cancellation aborts the round and
+// returns ctx.Err(). The labeling is only read, never mutated.
+func Run(ctx context.Context, cfg *cert.Config, scheme *core.Scheme, labeling *core.Labeling) (Result, error) {
 	if labeling == nil {
 		return Result{}, fmt.Errorf("dist: nil labeling")
 	}
-	return n.run(ctx, scheme, func(graph.Vertex, graph.Edge) *core.Labeling { return labeling })
+	return run(ctx, cfg, scheme, func(graph.Vertex) *core.Labeling { return labeling })
 }
 
 // RunWithMemoryFault runs one verification round after corrupting processor
@@ -107,12 +54,10 @@ func (n *Network) RunFor(ctx context.Context, scheme *core.Scheme, labeling *cor
 // requires the neighbor exchange (a neighbor's copy of the shared edge label
 // no longer agrees with v's). It reports ok=false when none of v's incident
 // labels can host the fault. The input labeling is never mutated.
-func (n *Network) RunWithMemoryFault(
-	ctx context.Context, labeling *core.Labeling, rng *rand.Rand, v graph.Vertex, f Fault,
+func RunWithMemoryFault(
+	ctx context.Context, cfg *cert.Config, scheme *core.Scheme, labeling *core.Labeling,
+	rng *rand.Rand, v graph.Vertex, f Fault,
 ) (res Result, ok bool, err error) {
-	if n.scheme == nil {
-		return Result{}, false, fmt.Errorf("dist: network has no scheme (built for RunFor)")
-	}
 	if labeling == nil {
 		return Result{}, false, fmt.Errorf("dist: nil labeling")
 	}
@@ -120,8 +65,11 @@ func (n *Network) RunWithMemoryFault(
 	if inject == nil {
 		return Result{}, false, fmt.Errorf("dist: unknown fault %v", f)
 	}
-	incident := make([]graph.Edge, 0, n.cfg.G.Degree(v))
-	for _, w := range n.cfg.G.Neighbors(v) {
+	if v < 0 || v >= cfg.G.N() {
+		return Result{}, false, fmt.Errorf("dist: processor %d out of range [0, %d)", v, cfg.G.N())
+	}
+	incident := make([]graph.Edge, 0, cfg.G.Degree(v))
+	for _, w := range cfg.G.Neighbors(v) {
 		incident = append(incident, graph.NewEdge(v, w))
 	}
 	// Corrupt memory = the honest labeling with one of v's incident edge
@@ -130,52 +78,45 @@ func (n *Network) RunWithMemoryFault(
 	if !injected {
 		return Result{}, false, nil
 	}
-	honest := labeling
-	res, err = n.run(ctx, n.scheme, func(u graph.Vertex, _ graph.Edge) *core.Labeling {
+	res, err = run(ctx, cfg, scheme, func(u graph.Vertex) *core.Labeling {
 		if u == v {
 			return corrupt
 		}
-		return honest
+		return labeling
 	})
 	return res, true, err
 }
 
-// run executes the round; sideOf selects the label memory vertex v reads
-// its half of edge e from (per-processor memory may diverge under
-// asymmetric corruption).
-//
-// The exchange uses one shared outbox slot per dart instead of per-dart
-// channels: each processor publishes its outgoing copies (each slot has a
-// single writer), all processors synchronize on one barrier, then each
-// reads its neighbors' slots. The barrier is the entire per-round
-// synchronization — no channel allocation, map lookups, or per-message
-// scheduling — and the WaitGroup's happens-before edge makes the reads
-// race-free.
-func (n *Network) run(ctx context.Context, scheme *core.Scheme, sideOf func(graph.Vertex, graph.Edge) *core.Labeling) (Result, error) {
-	if err := ctx.Err(); err != nil {
-		return Result{}, err
+// run executes the round; sideOf selects the label memory of processor u
+// (per-processor memory may diverge under asymmetric corruption). Processor
+// v's own copy of edge {v,w} comes from sideOf(v) and the copy its neighbor
+// sends from sideOf(w), so a fault in one memory is seen only as the two
+// copies disagreeing. The context is polled once per 64-vertex chunk.
+func run(ctx context.Context, cfg *cert.Config, scheme *core.Scheme, sideOf func(graph.Vertex) *core.Labeling) (Result, error) {
+	if scheme == nil {
+		return Result{}, fmt.Errorf("dist: nil scheme")
 	}
-	g := n.cfg.G
-
-	outbox := make([]message, n.off[g.N()])
-	var sent sync.WaitGroup // send-phase barrier, released when all publish
-	sent.Add(g.N())
-
+	g := cfg.G
 	verdicts := make([]bool, g.N())
-	errs := make([]error, g.N())
-	var wg sync.WaitGroup
-	for v := 0; v < g.N(); v++ {
-		wg.Add(1)
-		go func(v graph.Vertex) {
-			defer wg.Done()
-			verdicts[v], errs[v] = n.runVertex(ctx, v, scheme, sideOf, outbox, &sent)
-		}(v)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return Result{}, err
+	err := par.ForErr(scheme.Workers, g.N(), func(_, v int) error {
+		if v&63 == 0 {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
 		}
+		neighbors := g.Neighbors(v)
+		mine := make([]*core.EdgeLabel, len(neighbors))
+		remote := make([]*core.EdgeLabel, len(neighbors))
+		for i, w := range neighbors {
+			e := graph.NewEdge(v, w)
+			mine[i] = sideOf(v).Edges[e]
+			remote[i] = sideOf(w).Edges[e]
+		}
+		verdicts[v] = CheckVertex(scheme, cfg.IDs[v], cfg.Input(v), len(neighbors) == 0, mine, remote)
+		return nil
+	})
+	if err != nil {
+		return Result{}, err
 	}
 	res := Result{Verdicts: verdicts}
 	for v, ok := range verdicts {
@@ -183,51 +124,8 @@ func (n *Network) run(ctx context.Context, scheme *core.Scheme, sideOf func(grap
 			res.Rejected = append(res.Rejected, v)
 		}
 	}
-	sort.Ints(res.Rejected)
 	return res, nil
 }
-
-// runVertex is the processor at vertex v: send phase (publish label copies),
-// barrier, receive phase, then the local verification of Theorem 1 on the
-// vertex's own label memory.
-func (n *Network) runVertex(
-	ctx context.Context,
-	v graph.Vertex,
-	scheme *core.Scheme,
-	sideOf func(graph.Vertex, graph.Edge) *core.Labeling,
-	outbox []message,
-	sent *sync.WaitGroup,
-) (bool, error) {
-	g := n.cfg.G
-	neighbors := g.Neighbors(v)
-
-	// Send: publish one copy of each incident edge label in this vertex's
-	// outbox slots. Publishing never blocks, so the round cannot deadlock.
-	mine := make([]*core.EdgeLabel, len(neighbors))
-	for i, w := range neighbors {
-		e := graph.NewEdge(v, w)
-		mine[i] = sideOf(v, e).Edges[e]
-		outbox[n.off[v]+i] = message{label: mine[i]}
-	}
-	sent.Done()
-	sent.Wait()
-	if err := ctx.Err(); err != nil {
-		return false, err
-	}
-
-	// Receive the neighbors' copies and decide through the shared round
-	// engine (the same decision rule the multi-process runtime applies to
-	// copies that crossed a real wire).
-	remote := make([]*core.EdgeLabel, len(neighbors))
-	for i := range neighbors {
-		remote[i] = outbox[n.rev[n.off[v]+i]].label
-	}
-	return CheckVertex(scheme, n.cfg.IDs[v], n.cfg.Input(v), g.Degree(v) == 0, mine, remote), nil
-}
-
-// dartKey identifies a directed edge (one endpoint's outgoing half of an
-// edge), used to build the dart index in NewNetwork.
-type dartKey struct{ from, to graph.Vertex }
 
 // labelKey canonically encodes an edge label for the cross-endpoint
 // agreement check (nil-tolerant wrapper around core's canonical encoding).

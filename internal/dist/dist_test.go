@@ -23,6 +23,35 @@ func maxDegree(g *graph.Graph) int {
 	return best
 }
 
+// prove builds the configuration's structure and proves the scheme's
+// property on it, failing the test on any error.
+func prove(t *testing.T, s *core.Scheme, cfg *cert.Config) *core.Labeling {
+	t.Helper()
+	sp, err := core.BuildStructureCtx(context.Background(), cfg, nil, core.StructureOptions{})
+	if err != nil {
+		t.Fatalf("structure: %v", err)
+	}
+	labeling, _, err := s.ProveWithCtx(context.Background(), sp)
+	if err != nil {
+		t.Fatalf("prove: %v", err)
+	}
+	return labeling
+}
+
+// verify runs the verifier on a copy of the scheme with the given worker
+// count and fails the test if it errs, so no caller reads the verdicts of
+// a failed run (core.AllAccept(nil) is true).
+func verify(t *testing.T, s *core.Scheme, workers int, cfg *cert.Config, labeling *core.Labeling) []bool {
+	t.Helper()
+	sw := *s
+	sw.Workers = workers
+	verdicts, err := sw.VerifyParallelCtx(context.Background(), cfg, labeling)
+	if err != nil {
+		t.Fatalf("verify (workers=%d): %v", workers, err)
+	}
+	return verdicts
+}
+
 // completenessCases pairs every graph family of internal/gen (plus the
 // plain path and cycle) with a property that holds on it.
 func completenessCases(t *testing.T) []struct {
@@ -57,18 +86,14 @@ func completenessCases(t *testing.T) []struct {
 }
 
 // TestRunCompleteness: an honestly proven labeling is accepted by every
-// processor of the simulator on every graph family.
+// processor of the distributed round on every graph family.
 func TestRunCompleteness(t *testing.T) {
 	for _, tc := range completenessCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
 			s := core.NewScheme(tc.prop, 8)
 			cfg := cert.NewConfig(tc.g)
-			labeling, _, err := s.Prove(cfg, nil)
-			if err != nil {
-				t.Fatalf("prove: %v", err)
-			}
-			net := NewNetwork(cfg, s)
-			res, err := net.Run(context.Background(), labeling)
+			labeling := prove(t, s, cfg)
+			res, err := Run(context.Background(), cfg, s, labeling)
 			if err != nil {
 				t.Fatalf("run: %v", err)
 			}
@@ -82,41 +107,49 @@ func TestRunCompleteness(t *testing.T) {
 	}
 }
 
-// TestRunMatchesSequentialVerify: the simulator's verdicts equal the
-// sequential verifier's on both clean and corrupted labelings.
+// TestRunMatchesSequentialVerify: the distributed round's verdicts equal the
+// verifier's, vertex for vertex, on the honest labeling of every generator
+// family and under every fault of the corruption catalog; no corruption is
+// ever accepted.
 func TestRunMatchesSequentialVerify(t *testing.T) {
-	g := gen.Caterpillar(8, 1)
-	s := core.NewScheme(algebra.Colorable{Q: 2}, 6)
-	cfg := cert.NewConfig(g)
-	labeling, _, err := s.Prove(cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	net := NewNetwork(cfg, s)
-	rng := rand.New(rand.NewSource(3))
-	labelings := []*core.Labeling{labeling}
-	for _, f := range AllFaults {
-		if mutated, ok := Inject(rng, labeling, f); ok {
-			labelings = append(labelings, mutated)
-		}
-	}
-	for i, l := range labelings {
-		want := s.Verify(cfg, l)
-		res, err := net.Run(context.Background(), l)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for v := range want {
-			if res.Verdicts[v] != want[v] {
-				t.Fatalf("labeling %d vertex %d: dist=%v sequential=%v",
-					i, v, res.Verdicts[v], want[v])
+	for _, fam := range verifyFamilies(t) {
+		t.Run(fam.name, func(t *testing.T) {
+			s := core.NewScheme(fam.prop, 8)
+			cfg := cert.NewConfig(fam.g)
+			labeling := prove(t, s, cfg)
+			pooled := *s
+			pooled.Workers = 4 // several workers even on a one-CPU host
+			check := func(what string, l *core.Labeling) []bool {
+				t.Helper()
+				want := verify(t, s, 1, cfg, l)
+				res, err := Run(context.Background(), cfg, &pooled, l)
+				if err != nil {
+					t.Fatalf("%s: run: %v", what, err)
+				}
+				sameVerdicts(t, what, "dist", want, res.Verdicts)
+				return res.Verdicts
 			}
-		}
+			if !core.AllAccept(check("honest", labeling)) {
+				t.Fatal("honest labeling rejected")
+			}
+			rng := rand.New(rand.NewSource(3))
+			for _, fault := range AllFaults {
+				for trial := 0; trial < 8; trial++ {
+					mutated, ok := Inject(rng, labeling, fault)
+					if !ok {
+						continue
+					}
+					if core.AllAccept(check(fault.String(), mutated)) {
+						t.Fatalf("fault %s trial %d: corruption accepted", fault, trial)
+					}
+				}
+			}
+		})
 	}
 }
 
 // TestRunSoundness mirrors internal/core's random-corruption battery on the
-// simulator: every fault kind, injected into an honest labeling, makes at
+// distributed round: every fault kind, injected into an honest labeling, makes at
 // least one processor reject within the single verification round.
 func TestRunSoundness(t *testing.T) {
 	cases := []struct {
@@ -132,11 +165,7 @@ func TestRunSoundness(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			s := core.NewScheme(tc.prop, 6)
 			cfg := cert.NewConfig(tc.g)
-			labeling, _, err := s.Prove(cfg, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			net := NewNetwork(cfg, s)
+			labeling := prove(t, s, cfg)
 			rng := rand.New(rand.NewSource(11))
 			for _, fault := range AllFaults {
 				for trial := 0; trial < 20; trial++ {
@@ -144,7 +173,7 @@ func TestRunSoundness(t *testing.T) {
 					if !ok {
 						t.Fatalf("fault %v not injectable", fault)
 					}
-					res, err := net.Run(context.Background(), mutated)
+					res, err := Run(context.Background(), cfg, s, mutated)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -165,18 +194,14 @@ func TestRunWithMemoryFault(t *testing.T) {
 	g := gen.Caterpillar(8, 1)
 	s := core.NewScheme(algebra.Colorable{Q: 2}, 6)
 	cfg := cert.NewConfig(g)
-	labeling, _, err := s.Prove(cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	net := NewNetwork(cfg, s)
+	labeling := prove(t, s, cfg)
 	rng := rand.New(rand.NewSource(9))
 	for _, fault := range AllFaults {
 		for v := 0; v < g.N(); v++ {
 			if g.Degree(v) == 0 {
 				continue
 			}
-			res, ok, err := net.RunWithMemoryFault(context.Background(), labeling, rng, v, fault)
+			res, ok, err := RunWithMemoryFault(context.Background(), cfg, s, labeling, rng, v, fault)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -188,15 +213,20 @@ func TestRunWithMemoryFault(t *testing.T) {
 			}
 		}
 	}
-	res, err := net.Run(context.Background(), labeling)
+	res, err := Run(context.Background(), cfg, s, labeling)
 	if err != nil || !res.Accepted() {
 		t.Fatalf("honest labeling no longer accepted: %v err=%v", res.Rejected, err)
 	}
-	if _, _, err := net.RunWithMemoryFault(context.Background(), nil, rng, 0, FlipClass); err == nil {
+	if _, _, err := RunWithMemoryFault(context.Background(), cfg, s, nil, rng, 0, FlipClass); err == nil {
 		t.Fatal("nil labeling accepted")
 	}
-	if _, _, err := net.RunWithMemoryFault(context.Background(), labeling, rng, 0, numFaults); err == nil {
+	if _, _, err := RunWithMemoryFault(context.Background(), cfg, s, labeling, rng, 0, numFaults); err == nil {
 		t.Fatal("unknown fault accepted")
+	}
+	for _, v := range []graph.Vertex{-1, g.N()} {
+		if _, _, err := RunWithMemoryFault(context.Background(), cfg, s, labeling, rng, v, FlipClass); err == nil {
+			t.Fatalf("out-of-range processor %d accepted", v)
+		}
 	}
 }
 
@@ -206,38 +236,30 @@ func TestRunContextCancellation(t *testing.T) {
 	g := gen.Caterpillar(10, 1)
 	s := core.NewScheme(algebra.Colorable{Q: 2}, 6)
 	cfg := cert.NewConfig(g)
-	labeling, _, err := s.Prove(cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	net := NewNetwork(cfg, s)
+	labeling := prove(t, s, cfg)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := net.Run(ctx, labeling); !errors.Is(err, context.Canceled) {
+	if _, err := Run(ctx, cfg, s, labeling); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Run with canceled context: err=%v, want context.Canceled", err)
 	}
 
-	// Sanity: the same network still works with a live context afterwards.
-	res, err := net.Run(context.Background(), labeling)
+	// Sanity: the same configuration still verifies with a live context.
+	res, err := Run(context.Background(), cfg, s, labeling)
 	if err != nil || !res.Accepted() {
 		t.Fatalf("Run after cancellation: accepted=%v err=%v", res.Accepted(), err)
 	}
 }
 
-// TestRunRepeatable: Run can be invoked repeatedly on one Network (the
-// self-stabilization loop re-verifies after every recovery).
+// TestRunRepeatable: Run can be invoked repeatedly on one configuration
+// (the self-stabilization loop re-verifies after every recovery).
 func TestRunRepeatable(t *testing.T) {
 	g := gen.Ladder(5)
 	s := core.NewScheme(algebra.Colorable{Q: 2}, 6)
 	cfg := cert.NewConfig(g)
-	labeling, _, err := s.Prove(cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	net := NewNetwork(cfg, s)
+	labeling := prove(t, s, cfg)
 	for i := 0; i < 3; i++ {
-		res, err := net.Run(context.Background(), labeling)
+		res, err := Run(context.Background(), cfg, s, labeling)
 		if err != nil || !res.Accepted() {
 			t.Fatalf("run %d: accepted=%v err=%v", i, res.Accepted(), err)
 		}
@@ -248,8 +270,7 @@ func TestRunRepeatable(t *testing.T) {
 func TestRunNilLabeling(t *testing.T) {
 	g := graph.PathGraph(4)
 	s := core.NewScheme(algebra.Colorable{Q: 2}, 4)
-	net := NewNetwork(cert.NewConfig(g), s)
-	if _, err := net.Run(context.Background(), nil); err == nil {
+	if _, err := Run(context.Background(), cert.NewConfig(g), s, nil); err == nil {
 		t.Fatal("nil labeling accepted")
 	}
 }

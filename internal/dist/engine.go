@@ -1,9 +1,10 @@
 // The reusable round core: the per-processor decision rule shared by the
-// goroutine-per-vertex simulator (Network.Run) and the multi-process network
-// runtime (certify/distnet). Both runtimes stage the same verification
-// round — publish copies of incident edge labels, collect the neighbors'
-// copies, decide locally — and differ only in the transport that carries
-// the copies (in-memory outbox slots vs framed TCP messages).
+// in-process round (Run, which evaluates it on a bounded worker pool) and
+// the multi-process network runtime (certify/distnet). Both stage the same
+// verification round — collect the processor's own and its neighbors'
+// copies of its incident edge labels, decide locally — and differ only in
+// where the neighbors' copies come from (the neighbors' memories in one
+// process vs framed TCP messages).
 package dist
 
 import "repro/internal/core"

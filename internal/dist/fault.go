@@ -96,7 +96,7 @@ func Inject(rng *rand.Rand, l *core.Labeling, f Fault) (*core.Labeling, bool) {
 // returns a copy-on-write labeling with the first successful corruption:
 // only the corrupted edge's label is deep-cloned, every other label is
 // shared with the input, which is never mutated. It is the single
-// construction behind Inject and Network.RunWithMemoryFault.
+// construction behind Inject and RunWithMemoryFault.
 func injectAt(rng *rand.Rand, l *core.Labeling, edges []graph.Edge, inject Injector) (*core.Labeling, bool) {
 	edges = append([]graph.Edge(nil), edges...)
 	sort.Slice(edges, func(i, j int) bool {

@@ -45,20 +45,17 @@ func TestInjectDoesNotMutateInput(t *testing.T) {
 	g := gen.Caterpillar(6, 1)
 	s := core.NewScheme(algebra.Colorable{Q: 2}, 6)
 	cfg := cert.NewConfig(g)
-	labeling, _, err := s.Prove(cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	labeling := prove(t, s, cfg)
 	rng := rand.New(rand.NewSource(5))
 	for _, f := range AllFaults {
 		mutated, ok := Inject(rng, labeling, f)
 		if !ok {
 			t.Fatalf("fault %v not injectable", f)
 		}
-		if core.AllAccept(s.Verify(cfg, mutated)) {
+		if core.AllAccept(verify(t, s, 0, cfg, mutated)) {
 			t.Errorf("fault %v: mutated labeling still accepted", f)
 		}
-		if !core.AllAccept(s.Verify(cfg, labeling)) {
+		if !core.AllAccept(verify(t, s, 0, cfg, labeling)) {
 			t.Fatalf("fault %v mutated the input labeling", f)
 		}
 	}
@@ -74,10 +71,7 @@ func TestAllFaultsApplicableEveryFamily(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			s := core.NewScheme(tc.prop, 8)
 			cfg := cert.NewConfig(tc.g)
-			labeling, _, err := s.Prove(cfg, nil)
-			if err != nil {
-				t.Fatalf("prove: %v", err)
-			}
+			labeling := prove(t, s, cfg)
 			rng := rand.New(rand.NewSource(11))
 			for _, f := range AllFaults {
 				mutated, ok := Inject(rng, labeling, f)
@@ -85,7 +79,7 @@ func TestAllFaultsApplicableEveryFamily(t *testing.T) {
 					t.Errorf("fault %v not applicable on family %s", f, tc.name)
 					continue
 				}
-				if core.AllAccept(s.Verify(cfg, mutated)) {
+				if core.AllAccept(verify(t, s, 0, cfg, mutated)) {
 					t.Errorf("fault %v undetected on family %s", f, tc.name)
 				}
 			}
@@ -149,10 +143,7 @@ func shiftTerminalSortedKeys(rng *rand.Rand, el *core.EdgeLabel) bool {
 func TestShiftTerminalPicksSortedLane(t *testing.T) {
 	for _, tc := range completenessCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
-			labeling, _, err := core.NewScheme(tc.prop, 8).Prove(cert.NewConfig(tc.g), nil)
-			if err != nil {
-				t.Fatal(err)
-			}
+			labeling := prove(t, core.NewScheme(tc.prop, 8), cert.NewConfig(tc.g))
 			for e, el := range labeling.Edges {
 				for seed := int64(0); seed < 4; seed++ {
 					got, want := el.Clone(), el.Clone()

@@ -1,8 +1,9 @@
 package dist
 
-// Regression pin for the parallel verifier: VerifyParallel must agree with
-// the sequential Verify verdict-for-verdict — on honest labelings of every
-// generator family, and under every fault of the corruption catalog.
+// Regression pin for the parallel verifier: VerifyParallelCtx on a worker
+// pool must agree with its inline (Workers 1) run verdict-for-verdict — on
+// honest labelings of every generator family, and under every fault of the
+// corruption catalog.
 
 import (
 	"math/rand"
@@ -44,17 +45,20 @@ func verifyFamilies(t *testing.T) []verifyFamily {
 		{"interval", ig, three},
 		{"lanewidth", lb.Graph(), three},
 		{"spiderfree", gen.SpiderFreeCaterpillar(rng, 26), two},
+		// Longer than several 64-vertex pool chunks, so workers run
+		// concurrently.
+		{"longladder", gen.Ladder(150), two},
 	}
 }
 
-func sameVerdicts(t *testing.T, context string, seq, par []bool) {
+func sameVerdicts(t *testing.T, what, name string, want, got []bool) {
 	t.Helper()
-	if len(seq) != len(par) {
-		t.Fatalf("%s: verdict count %d vs %d", context, len(seq), len(par))
+	if len(want) != len(got) {
+		t.Fatalf("%s: verdict count %d vs %d", what, len(want), len(got))
 	}
-	for v := range seq {
-		if seq[v] != par[v] {
-			t.Fatalf("%s: vertex %d: Verify=%v VerifyParallel=%v", context, v, seq[v], par[v])
+	for v := range want {
+		if want[v] != got[v] {
+			t.Fatalf("%s: vertex %d: sequential=%v %s=%v", what, v, want[v], name, got[v])
 		}
 	}
 }
@@ -64,11 +68,8 @@ func TestVerifyParallelMatchesVerify(t *testing.T) {
 		t.Run(fam.name, func(t *testing.T) {
 			s := core.NewScheme(fam.prop, 8)
 			cfg := cert.NewConfig(fam.g)
-			labeling, _, err := s.Prove(cfg, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameVerdicts(t, "honest", s.Verify(cfg, labeling), s.VerifyParallel(cfg, labeling))
+			labeling := prove(t, s, cfg)
+			sameVerdicts(t, "honest", "parallel", verify(t, s, 1, cfg, labeling), verify(t, s, 4, cfg, labeling))
 
 			rng := rand.New(rand.NewSource(42))
 			for _, fault := range AllFaults {
@@ -77,9 +78,9 @@ func TestVerifyParallelMatchesVerify(t *testing.T) {
 					if !ok {
 						continue
 					}
-					seq := s.Verify(cfg, mutated)
-					par := s.VerifyParallel(cfg, mutated)
-					sameVerdicts(t, fault.String(), seq, par)
+					seq := verify(t, s, 1, cfg, mutated)
+					par := verify(t, s, 4, cfg, mutated)
+					sameVerdicts(t, fault.String(), "parallel", seq, par)
 					if core.AllAccept(par) {
 						t.Fatalf("fault %s trial %d: corruption accepted", fault, trial)
 					}

@@ -41,6 +41,26 @@ type E1Row struct {
 	BasePerLog2  float64 // BaselineBits / log2² n — flat ⇔ Θ(log² n)
 }
 
+// prove builds the configuration's structure and runs the scheme's property
+// pass over it (the optional decomposition is used when non-nil).
+func prove(s *core.Scheme, cfg *cert.Config, pd *interval.PathDecomposition) (*core.Labeling, *core.Stats, error) {
+	sp, err := core.BuildStructureCtx(context.Background(), cfg, pd, core.StructureOptions{Parallelism: s.Workers})
+	if err != nil {
+		return nil, nil, err
+	}
+	return s.ProveWithCtx(context.Background(), sp)
+}
+
+// accepts runs the verifier at every vertex and reports whether all of them
+// accepted; a verifier error is returned, never read as a verdict.
+func accepts(s *core.Scheme, cfg *cert.Config, labeling *core.Labeling) (bool, error) {
+	verdicts, err := s.VerifyParallelCtx(context.Background(), cfg, labeling)
+	if err != nil {
+		return false, err
+	}
+	return core.AllAccept(verdicts), nil
+}
+
 // E1LabelSize measures the Theorem 1 scheme against the FMRT-style baseline
 // on caterpillars of growing size, certifying bipartiteness.
 func E1LabelSize(ns []int) ([]E1Row, error) {
@@ -56,11 +76,15 @@ func E1LabelSizeFor(prop algebra.Property, ns []int) ([]E1Row, error) {
 		cfg := cert.NewConfig(g)
 		pd := interval.OrderingDecomposition(g, interval.HeuristicOrdering(g))
 		s := core.NewScheme(prop, 6)
-		labeling, stats, err := s.Prove(cfg, pd)
+		labeling, stats, err := prove(s, cfg, pd)
 		if err != nil {
 			return nil, fmt.Errorf("e1 n=%d: %w", n, err)
 		}
-		if !core.AllAccept(s.Verify(cfg, labeling)) {
+		ok, err := accepts(s, cfg, labeling)
+		if err != nil {
+			return nil, fmt.Errorf("e1 n=%d: verify: %w", n, err)
+		}
+		if !ok {
 			return nil, fmt.Errorf("e1 n=%d: verification failed", n)
 		}
 		bl, err := baseline.Prove(cfg, pd)
@@ -232,7 +256,7 @@ func E5Soundness(seed int64, trials int) ([]E5Row, error) {
 	g := gen.Caterpillar(8, 1)
 	s := core.NewScheme(algebra.Colorable{Q: 2}, 6)
 	cfg := cert.NewConfig(g)
-	labeling, _, err := s.Prove(cfg, nil)
+	labeling, _, err := prove(s, cfg, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -246,7 +270,11 @@ func E5Soundness(seed int64, trials int) ([]E5Row, error) {
 				continue
 			}
 			injected++
-			if !core.AllAccept(s.Verify(cfg, mutated)) {
+			ok, err := accepts(s, cfg, mutated)
+			if err != nil {
+				return nil, err
+			}
+			if !ok {
 				detected++
 			}
 		}
@@ -282,11 +310,15 @@ func E6LowerBound(ns []int) ([]E6Row, error) {
 		pathG := graph.PathGraph(n)
 		s := core.NewScheme(algebra.Acyclic{}, 4)
 		cfgPath := cert.NewConfig(pathG)
-		labeling, stats, err := s.Prove(cfgPath, nil)
+		labeling, stats, err := prove(s, cfgPath, nil)
 		if err != nil {
 			return nil, err
 		}
-		if !core.AllAccept(s.Verify(cfgPath, labeling)) {
+		ok, err := accepts(s, cfgPath, labeling)
+		if err != nil {
+			return nil, fmt.Errorf("e6 n=%d: verify: %w", n, err)
+		}
+		if !ok {
 			return nil, fmt.Errorf("e6 n=%d: path rejected", n)
 		}
 		cycleG := graph.CycleGraph(n)
@@ -295,7 +327,11 @@ func E6LowerBound(ns []int) ([]E6Row, error) {
 		for donor := range pathG.EdgesSeq() {
 			forged := labeling.Clone()
 			forged.Edges[graph.NewEdge(0, n-1)] = forged.Edges[donor]
-			if !core.AllAccept(s.Verify(cfgCycle, forged)) {
+			ok, err := accepts(s, cfgCycle, forged)
+			if err != nil {
+				return nil, err
+			}
+			if !ok {
 				caught++
 			}
 		}
@@ -346,11 +382,13 @@ func E7MinorFree() ([]E7Row, error) {
 	for _, tc := range cases {
 		s := core.NewScheme(prop, 6)
 		cfg := cert.NewConfig(tc.g)
-		labeling, _, err := s.Prove(cfg, nil)
+		labeling, _, err := prove(s, cfg, nil)
 		proved := err == nil
 		verified := false
 		if proved {
-			verified = core.AllAccept(s.Verify(cfg, labeling))
+			if verified, err = accepts(s, cfg, labeling); err != nil {
+				return nil, err
+			}
 		}
 		oracle := !tc.g.HasMinor(star)
 		if proved != oracle {
@@ -439,13 +477,17 @@ func E8Scaling(ns []int) ([]E8Row, error) {
 		// n=10⁶ tail the retained-heap difference dominates the timing.
 		runtime.GC()
 		start := time.Now()
-		labeling, stats, err := s.Prove(cfg, pd)
+		labeling, stats, err := prove(s, cfg, pd)
 		if err != nil {
 			return nil, err
 		}
 		proveMS := float64(time.Since(start).Microseconds()) / 1000
 		start = time.Now()
-		if !core.AllAccept(s.VerifyParallel(cfg, labeling)) {
+		ok, err := accepts(s, cfg, labeling)
+		if err != nil {
+			return nil, fmt.Errorf("e8 n=%d: verify: %w", n, err)
+		}
+		if !ok {
 			return nil, fmt.Errorf("e8 n=%d rejected", n)
 		}
 		verifyUS := float64(time.Since(start).Microseconds()) / float64(n)
@@ -551,7 +593,7 @@ func e9Point(cfg *cert.Config, props []algebra.Property) (E9Row, error) {
 		for _, p := range props {
 			s := core.NewScheme(p, core.DefaultMaxLanes)
 			start := time.Now()
-			labeling, _, err := s.Prove(cfg, nil)
+			labeling, _, err := prove(s, cfg, nil)
 			elapsed += time.Since(start)
 			if err != nil {
 				return E9Row{}, fmt.Errorf("e9 %s: %w", p.Name(), err)
@@ -575,7 +617,11 @@ func e9Point(cfg *cert.Config, props []algebra.Property) (E9Row, error) {
 			return E9Row{}, err
 		}
 		start := time.Now()
-		labelings, _, err = batch.ProveAll(cfg, nil)
+		sp, err := core.BuildStructureCtx(context.Background(), cfg, nil, core.StructureOptions{})
+		if err != nil {
+			return E9Row{}, err
+		}
+		labelings, _, err = batch.ProveAllWithCtx(context.Background(), sp)
 		if err != nil {
 			return E9Row{}, err
 		}
@@ -649,7 +695,7 @@ func E11Recertification(ns, batches []int) ([]E11Row, error) {
 		for trial := 0; trial < 2; trial++ {
 			s := core.NewScheme(prop, maxLanes)
 			start := time.Now()
-			if _, _, err := s.Prove(cfg, nil); err != nil {
+			if _, _, err := prove(s, cfg, nil); err != nil {
 				return nil, fmt.Errorf("e11 n=%d full prove: %w", n, err)
 			}
 			if ms := float64(time.Since(start).Microseconds()) / 1000; trial == 0 || ms < fullMS {
@@ -717,7 +763,7 @@ func E11Recertification(ns, batches []int) ([]E11Row, error) {
 		// the graph in its current adjacency state.)
 		snapG, labs, _, _ := inc.Snapshot()
 		got := labelingDigest(labs[prop.Name()])
-		refLab, _, err := core.NewScheme(prop, maxLanes).Prove(cert.NewConfig(snapG), nil)
+		refLab, _, err := prove(core.NewScheme(prop, maxLanes), cert.NewConfig(snapG), nil)
 		if err != nil {
 			return nil, fmt.Errorf("e11 n=%d reference prove: %w", n, err)
 		}
