@@ -43,7 +43,6 @@ type Certifier struct {
 	maxLanes    int
 	paper       bool
 	parallelism int
-	concurrency int
 }
 
 // Option configures a Certifier.
@@ -115,32 +114,21 @@ func WithPaperConstruction(on bool) Option {
 	}
 }
 
-// WithParallelism bounds the worker count of every parallel stage the
+// WithParallelism bounds the worker count of every pooled stage the
 // certifier runs — the structure build (lane embedding, hierarchy
-// validation, artifact derivation), each property's proving pass (class
-// sweep, entry and label assembly) and the per-vertex verifier. 0 (the
-// default) means NumCPU; 1 forces the sequential code paths everywhere.
-// Output never depends on the value: certificates are byte-identical and
-// verification verdict-identical at every parallelism level.
+// validation, artifact derivation), the number of property passes ProveBatch
+// and an Updater run at once, each pass's class sweep, entry and label
+// assembly, and the per-vertex verifier. 0 (the default) means GOMAXPROCS;
+// 1 runs everything inline on the calling goroutine, one property after
+// another. Output never depends on the value: certificates are
+// byte-identical and verification verdict-identical at every parallelism
+// level.
 func WithParallelism(n int) Option {
 	return func(c *Certifier) error {
 		if n < 0 {
 			return fmt.Errorf("%w: parallelism must be ≥ 0, got %d", ErrBadConfig, n)
 		}
 		c.parallelism = n
-		return nil
-	}
-}
-
-// WithConcurrency bounds the number of property labeling passes ProveBatch
-// runs concurrently against the shared structure. 0 (the default) means
-// GOMAXPROCS.
-func WithConcurrency(workers int) Option {
-	return func(c *Certifier) error {
-		if workers < 0 {
-			return fmt.Errorf("%w: concurrency must be ≥ 0, got %d", ErrBadConfig, workers)
-		}
-		c.concurrency = workers
 		return nil
 	}
 }
@@ -244,7 +232,6 @@ func (c *Certifier) newBatch() (*core.Batch, error) {
 	}
 	return core.NewBatch(props, core.BatchOptions{
 		MaxLanes:    c.maxLanes,
-		Workers:     c.concurrency,
 		Parallelism: c.parallelism,
 	})
 }
@@ -271,8 +258,8 @@ func (c *Certifier) Prove(ctx context.Context, g *Graph) (*Certificate, *Stats, 
 
 // ProveBatch certifies every configured property on the graph against one
 // shared structure (the property-independent pipeline runs once; each
-// property then runs only its algebra sweep, on a worker pool bounded by
-// WithConcurrency). Properties that do not hold are reported in
+// property then runs only its algebra sweep, at most WithParallelism
+// properties at a time). Properties that do not hold are reported in
 // BatchStats.Failed and omitted from the certificate; if no property holds,
 // the certificate is nil. Labelings are byte-identical to independent Prove
 // runs of each property.

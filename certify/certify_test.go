@@ -280,7 +280,7 @@ func TestBatchMixedOutcome(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := New(WithProperties(props...), WithConcurrency(2))
+	c, err := New(WithProperties(props...), WithParallelism(2))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,7 +55,7 @@ func TestCancellationMidBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := New(WithProperties(props...), WithConcurrency(2))
+	c, err := New(WithProperties(props...), WithParallelism(2))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -110,6 +110,7 @@ func (c *Certifier) NewUpdater(ctx context.Context, g *Graph) (*Updater, error) 
 	inc, err := core.NewIncremental(ctx, cfg, props, core.IncrementalOptions{
 		MaxLanes:             c.maxLanes,
 		UsePaperConstruction: c.paper,
+		Parallelism:          c.parallelism,
 	})
 	if err != nil {
 		return nil, translateProveErr(err)
@@ -145,11 +146,11 @@ func (u *Updater) UpdateCertified(ctx context.Context, edits ...Edit) (*UpdateSt
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	crt, err := u.Certificate()
+	crt, g, err := u.snapshot()
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	return us, crt, u.Graph(), nil
+	return us, crt, g, nil
 }
 
 func (u *Updater) update(ctx context.Context, edits []Edit) (*UpdateStats, error) {
@@ -191,11 +192,19 @@ func (u *Updater) update(ctx context.Context, edits []Edit) (*UpdateStats, error
 // fresh ProveBatch of Graph(). It is immutable and safe to verify, marshal,
 // and store while further updates proceed.
 func (u *Updater) Certificate() (*Certificate, error) {
+	crt, _, err := u.snapshot()
+	return crt, err
+}
+
+// snapshot draws the current generation's certificate and graph from one
+// engine snapshot. The certificate keeps only the graph's size and
+// fingerprint, never the graph itself, so the two share one clone.
+func (u *Updater) snapshot() (*Certificate, *Graph, error) {
 	g, labs, schemes, _ := u.inc.Snapshot()
 	snap := &Graph{g: g, marked: append([]int(nil), u.marked...)}
 	cfg, err := snap.config()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	crt := &Certificate{
 		maxLanes:    u.c.maxLanes,
@@ -210,7 +219,7 @@ func (u *Updater) Certificate() (*Certificate, error) {
 		crt.schemes[catalog] = schemes[display]
 	}
 	crt.props = append(crt.props, u.catalog...)
-	return crt, nil
+	return crt, snap, nil
 }
 
 // Graph returns a snapshot copy of the engine's current graph (topology and

@@ -3,6 +3,7 @@ package certify
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 )
@@ -40,39 +41,76 @@ func requireCertEqual(t *testing.T, got, want *Certificate, what string) {
 	}
 }
 
+// TestUpdaterMatchesFreshProve checks every generation an Updater commits
+// against a fresh prove of the edited graph, at parallelism 1 (every pool
+// loop inline) and 2 (the reuse path on goroutines). Ladder(200) is large
+// enough for several 64-node pool chunks per sweep level.
 func TestUpdaterMatchesFreshProve(t *testing.T) {
 	ctx := context.Background()
-	c, u := newTestUpdater(t, Ladder(10), 4, "bipartite", "maxdeg:3")
-
-	edits := [][]Edit{
-		{{Op: EditRemove, U: 2, V: 3}},
-		{{Op: EditAdd, U: 2, V: 3}, {Op: EditRemove, U: 16, V: 17}},
-		{{Op: EditRemove, U: 0, V: 2}},
+	cases := []struct {
+		name  string
+		g     func() *Graph
+		props []string
+		edits [][]Edit
+	}{
+		{"ladder10", func() *Graph { return Ladder(10) }, []string{"bipartite", "maxdeg:3"}, [][]Edit{
+			{{Op: EditRemove, U: 2, V: 3}},
+			{{Op: EditAdd, U: 2, V: 3}, {Op: EditRemove, U: 16, V: 17}},
+			{{Op: EditRemove, U: 0, V: 2}},
+		}},
+		{"ladder200", func() *Graph { return Ladder(200) }, []string{"bipartite", "maxdeg:3"}, [][]Edit{
+			{{Op: EditRemove, U: 200, V: 201}},
+			{{Op: EditRemove, U: 100, V: 101}, {Op: EditAdd, U: 200, V: 201}},
+			{{Op: EditRemove, U: 300, V: 301}},
+		}},
 	}
-	for i, batch := range edits {
-		us, err := u.Update(ctx, batch...)
-		if err != nil {
-			t.Fatalf("update %d: %v", i, err)
+	for _, tc := range cases {
+		for _, parallelism := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%s/parallelism=%d", tc.name, parallelism), func(t *testing.T) {
+				props, err := PropertiesByName(tc.props...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				c, err := New(WithProperties(props...), WithMaxLanes(4), WithParallelism(parallelism))
+				if err != nil {
+					t.Fatal(err)
+				}
+				u, err := c.NewUpdater(ctx, tc.g())
+				if err != nil {
+					t.Fatalf("NewUpdater: %v", err)
+				}
+				for i, batch := range tc.edits {
+					us, err := u.Update(ctx, batch...)
+					if err != nil {
+						t.Fatalf("update %d: %v", i, err)
+					}
+					for _, name := range tc.props {
+						if us.PerProperty[name] == nil {
+							t.Fatalf("update %d: missing stats for %s", i, name)
+						}
+					}
+					crt, err := u.Certificate()
+					if err != nil {
+						t.Fatalf("certificate %d: %v", i, err)
+					}
+					// The engine proves at the certifier's parallelism.
+					for name, s := range crt.schemes {
+						if s.Workers != parallelism {
+							t.Fatalf("update %d: %s proved with Workers=%d, want %d", i, name, s.Workers, parallelism)
+						}
+					}
+					snap := u.Graph()
+					if err := c.Verify(ctx, snap, crt); err != nil {
+						t.Fatalf("verify after update %d: %v", i, err)
+					}
+					fresh, _, err := c.ProveBatch(ctx, snap)
+					if err != nil {
+						t.Fatalf("fresh prove %d: %v", i, err)
+					}
+					requireCertEqual(t, crt, fresh, "after update")
+				}
+			})
 		}
-		for _, name := range []string{"bipartite", "maxdeg:3"} {
-			if us.PerProperty[name] == nil {
-				t.Fatalf("update %d: missing stats for %s", i, name)
-			}
-		}
-		crt, err := u.Certificate()
-		if err != nil {
-			t.Fatalf("certificate %d: %v", i, err)
-		}
-		snap := u.Graph()
-		if err := c.Verify(ctx, snap, crt); err != nil {
-			t.Fatalf("verify after update %d: %v", i, err)
-		}
-		fresh, _, err := c.ProveBatch(ctx, snap)
-		if err != nil {
-			t.Fatalf("fresh prove %d: %v", i, err)
-		}
-		requireCertEqual(t, crt, fresh, "after update")
-		_ = us
 	}
 }
 
@@ -168,9 +206,20 @@ func TestUpdaterPrivateCopy(t *testing.T) {
 // TestUpdaterConcurrentUpdateVerify hammers one Updater with concurrent
 // edits, certificate draws, verifications, and marshals — the certifyd PATCH
 // workload (one stored graph, updates racing reads). Run under -race in CI.
+// On Ladder(200) the re-proves reuse the previous generation's entries on
+// several pool chunks while other goroutines marshal and verify that
+// generation's certificate.
 func TestUpdaterConcurrentUpdateVerify(t *testing.T) {
+	for _, rungs := range []int{8, 200} {
+		t.Run(fmt.Sprintf("ladder%d", rungs), func(t *testing.T) {
+			hammerUpdater(t, Ladder(rungs))
+		})
+	}
+}
+
+func hammerUpdater(t *testing.T, g *Graph) {
 	ctx := context.Background()
-	c, u := newTestUpdater(t, Ladder(8), 4, "bipartite")
+	c, u := newTestUpdater(t, g, 4, "bipartite")
 
 	const iters = 20
 	var wg sync.WaitGroup

@@ -4,10 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
+	"slices"
 	"sync"
 
 	"repro/internal/algebra"
+	"repro/internal/par"
 )
 
 // DefaultMaxLanes is the lane budget a batch uses when BatchOptions.MaxLanes
@@ -19,13 +20,11 @@ const DefaultMaxLanes = 8
 type BatchOptions struct {
 	// MaxLanes is the per-scheme lane budget; 0 means DefaultMaxLanes.
 	MaxLanes int
-	// Workers bounds the number of concurrent per-property labeling passes;
-	// 0 means GOMAXPROCS.
-	Workers int
-	// Parallelism bounds the worker count inside each property pass (class
-	// sweep, entry and label assembly): 0 means GOMAXPROCS, 1 forces the
-	// sequential paths. Labelings are byte-identical for every value (see
-	// Scheme.Workers).
+	// Parallelism bounds both the number of property passes that run at once
+	// and the worker count inside each pass (class sweep, entry and label
+	// assembly): 0 means GOMAXPROCS, 1 runs every pass inline on the calling
+	// goroutine, one after another. Labelings are byte-identical for every
+	// value (see Scheme.Workers).
 	Parallelism int
 }
 
@@ -38,7 +37,7 @@ type BatchOptions struct {
 type Batch struct {
 	opts    BatchOptions
 	names   []string
-	schemes map[string]*Scheme
+	schemes []*Scheme // aligned with names
 }
 
 // NewBatch builds a batch over the given properties. Property names must be
@@ -50,21 +49,18 @@ func NewBatch(props []algebra.Property, opts BatchOptions) (*Batch, error) {
 	if opts.MaxLanes == 0 {
 		opts.MaxLanes = DefaultMaxLanes
 	}
-	if opts.Workers <= 0 {
-		opts.Workers = runtime.GOMAXPROCS(0)
-	}
-	b := &Batch{opts: opts, schemes: make(map[string]*Scheme, len(props))}
+	b := &Batch{opts: opts}
 	for _, prop := range props {
 		name := prop.Name()
 		if name == "" {
 			return nil, errors.New("core: batch property with empty name")
 		}
-		if _, dup := b.schemes[name]; dup {
+		if slices.Contains(b.names, name) {
 			return nil, fmt.Errorf("core: duplicate property %q in batch", name)
 		}
 		s := NewScheme(prop, opts.MaxLanes)
 		s.Workers = opts.Parallelism
-		b.schemes[name] = s
+		b.schemes = append(b.schemes, s)
 		b.names = append(b.names, name)
 	}
 	return b, nil
@@ -79,7 +75,10 @@ func (b *Batch) Properties() []string {
 // the property's labels refer to, so verification of a batch labeling must
 // go through this scheme. Returns nil for unknown names.
 func (b *Batch) Scheme(name string) *Scheme {
-	return b.schemes[name]
+	if i := slices.Index(b.names, name); i >= 0 {
+		return b.schemes[i]
+	}
+	return nil
 }
 
 // BatchStats reports one batch run: the shared structure's quantities plus
@@ -103,10 +102,9 @@ type BatchStats struct {
 // ProveAllWithCtx labels every property of the batch against a structure
 // from BuildStructureCtx; callers serving many certification requests per
 // graph can reuse one StructuralProof across any number of batches.
-// Per-property passes run on a worker pool bounded by BatchOptions.Workers.
-// Workers poll the context before starting each property's pass and inside
-// the class sweeps, so cancellation drains the pool promptly and returns
-// ctx.Err().
+// Per-property passes run at most BatchOptions.Parallelism at a time (see
+// provePasses). Each pass polls the context on entry and inside its class
+// sweep, so cancellation drains the passes promptly and returns ctx.Err().
 func (b *Batch) ProveAllWithCtx(ctx context.Context, sp *StructuralProof) (map[string]*Labeling, *BatchStats, error) {
 	if sp == nil {
 		return nil, nil, errors.New("core: nil structural proof")
@@ -121,50 +119,74 @@ func (b *Batch) ProveAllWithCtx(ctx context.Context, sp *StructuralProof) (map[s
 		stats.Congestion = sp.congestion
 		stats.HierarchyDepth = sp.Hierarchy.Depth()
 	}
+	results, err := provePasses(ctx, sp, b.schemes, nil, b.opts.Parallelism)
+	if err != nil {
+		return nil, nil, err
+	}
+	return b.collect(results, stats), stats, nil
+}
+
+// collect files each pass's result under its property name: a labeling and
+// stats, or a failure in stats.Failed.
+func (b *Batch) collect(results []passResult, stats *BatchStats) map[string]*Labeling {
 	labelings := make(map[string]*Labeling, len(b.names))
-	var (
-		mu       sync.Mutex
-		firstErr error
-		wg       sync.WaitGroup
-	)
-	sem := make(chan struct{}, b.opts.Workers)
-	for _, name := range b.names {
+	for i, name := range b.names {
+		if r := results[i]; r.err != nil {
+			stats.Failed[name] = r.err
+		} else {
+			labelings[name] = r.lab
+			stats.PerProperty[name] = r.stats
+		}
+	}
+	return labelings
+}
+
+// passResult is one property pass's output. err is nil or wraps
+// ErrPropertyFails; every other failure aborts provePasses.
+type passResult struct {
+	lab   *Labeling
+	stats *Stats
+	enc   *encoder
+	ru    reuseCounters
+	err   error
+}
+
+// provePasses runs one property pass per scheme against sp — the loop
+// behind both Batch.ProveAllWithCtx and every incremental generation. Each
+// pass gets its own goroutine, at most par.Workers(parallelism) of them
+// running at once (a pool that claims indices in chunks would put a
+// handful of properties on one goroutine). Results are stored by index.
+// prev, when non-nil, holds each scheme's previous-generation encoder and
+// labeling for incremental reuse. A pass whose property does not hold
+// reports it in its result; the first other error in scheme order is
+// returned instead of the results.
+func provePasses(ctx context.Context, sp *StructuralProof, schemes []*Scheme, prev []passResult, parallelism int) ([]passResult, error) {
+	results := make([]passResult, len(schemes))
+	sem := make(chan struct{}, par.Workers(parallelism))
+	var wg sync.WaitGroup
+	for i, s := range schemes {
 		wg.Add(1)
-		go func(name string) {
+		go func() {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			if err := ctx.Err(); err != nil {
-				mu.Lock()
-				defer mu.Unlock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				return
+			var p passResult
+			if prev != nil {
+				p = prev[i]
 			}
-			l, st, err := b.schemes[name].ProveWithCtx(ctx, sp)
-			mu.Lock()
-			defer mu.Unlock()
-			switch {
-			case errors.Is(err, ErrPropertyFails):
-				stats.Failed[name] = err
-			case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-				if firstErr == nil {
-					firstErr = err
-				}
-			case err != nil:
-				if firstErr == nil {
-					firstErr = fmt.Errorf("core: batch property %s: %w", name, err)
-				}
-			default:
-				labelings[name] = l
-				stats.PerProperty[name] = st
-			}
-		}(name)
+			r := &results[i]
+			r.lab, r.stats, r.enc, r.err = s.proveWith(ctx, sp, p.enc, p.lab, &r.ru)
+		}()
 	}
 	wg.Wait()
-	if firstErr != nil {
-		return nil, nil, firstErr
+	for i, r := range results {
+		switch {
+		case r.err == nil || errors.Is(r.err, ErrPropertyFails):
+		case errors.Is(r.err, context.Canceled) || errors.Is(r.err, context.DeadlineExceeded):
+			return nil, r.err
+		default:
+			return nil, fmt.Errorf("core: property %s: %w", schemes[i].Prop.Name(), r.err)
+		}
 	}
-	return labelings, stats, nil
+	return results, nil
 }

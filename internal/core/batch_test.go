@@ -56,7 +56,7 @@ func TestProveAllByteIdenticalToIndependentProves(t *testing.T) {
 	for _, tc := range regressionConfigs(t) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := cert.NewConfig(tc.g)
-			b, err := NewBatch(props, BatchOptions{MaxLanes: 8, Workers: 2})
+			b, err := NewBatch(props, BatchOptions{MaxLanes: 8, Parallelism: 2})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -43,7 +43,7 @@ type Edit struct {
 	U, V graph.Vertex
 }
 
-// ErrBadEdit is returned (wrapped) by UpdateEdge/UpdateBatch when an edit
+// ErrBadEdit is returned (wrapped) by UpdateBatch when an edit
 // batch is invalid — an endpoint out of range, a self-loop, adding a present
 // edge, removing an absent one, or a batch that disconnects the graph. The
 // engine's graph and certification state are rolled back: a failed update
@@ -90,6 +90,13 @@ type IncrementalOptions struct {
 	// It has no incremental path (the recursion is global), so every update
 	// is a full re-prove, reported as Fallback in the stats.
 	UsePaperConstruction bool
+	// Parallelism bounds every pooled stage of a generation — the structure
+	// build or dirty-region rebuild, the number of property passes running
+	// at once, and the workers inside each pass — exactly as
+	// BatchOptions.Parallelism does: 0 means GOMAXPROCS, 1 runs everything
+	// inline on the calling goroutine. Certificates are byte-identical for
+	// every value.
+	Parallelism int
 }
 
 // Incremental re-certifies a mutating graph: it retains the path
@@ -202,7 +209,10 @@ func NewIncremental(ctx context.Context, cfg *cert.Config, props []algebra.Prope
 // nil and the properties come from the current schemes.
 func (inc *Incremental) buildFresh(ctx context.Context, props []algebra.Property, us *UpdateStats) (*pendingState, error) {
 	st := &pendingState{us: us}
-	sp, err := BuildStructureCtx(ctx, inc.cfg, nil, StructureOptions{UsePaperConstruction: inc.opts.UsePaperConstruction})
+	sp, err := BuildStructureCtx(ctx, inc.cfg, nil, StructureOptions{
+		UsePaperConstruction: inc.opts.UsePaperConstruction,
+		Parallelism:          inc.opts.Parallelism,
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -260,49 +270,62 @@ func (st *pendingState) deriveTracking(ctx context.Context, g *graph.Graph) erro
 }
 
 // provePasses runs one labeling pass per property against st.sp, in the
-// engine's fixed property order. Each pass gets a fresh Scheme sharing the
-// previous generation's memo caches (pure tables, so output is unchanged);
-// prevGen enables entry/label reuse and is nil for from-scratch passes.
+// engine's fixed property order, through the loop Batch uses. Each pass gets
+// a fresh Scheme sharing the previous generation's memo caches (pure tables,
+// so output is unchanged); a non-nil ru enables entry/label reuse against the
+// current generation and accumulates its counters, nil runs from-scratch
+// passes.
 func (st *pendingState) provePasses(ctx context.Context, inc *Incremental, props map[string]algebra.Property, ru *reuseCounters) error {
-	st.schemes = make(map[string]*Scheme, len(inc.names))
-	st.encs = make(map[string]*encoder, len(inc.names))
-	st.labs = make(map[string]*Labeling, len(inc.names))
-	st.stats = make(map[string]*Stats, len(inc.names))
-	for _, name := range inc.names {
+	schemes := make([]*Scheme, len(inc.names))
+	var prev []passResult
+	if ru != nil {
+		prev = make([]passResult, len(inc.names))
+	}
+	for i, name := range inc.names {
 		var (
 			prop   algebra.Property
 			caches *schemeCaches
 		)
-		if prev := inc.schemes[name]; prev != nil {
-			prop, caches = prev.Prop, prev.caches
+		if cur := inc.schemes[name]; cur != nil {
+			prop, caches = cur.Prop, cur.caches
 		} else {
 			prop, caches = props[name], newSchemeCaches()
 		}
-		s := newSchemeShared(prop, inc.opts.MaxLanes, caches)
-		var (
-			prevEnc *encoder
-			prevLab *Labeling
-		)
-		if ru != nil {
-			prevEnc, prevLab = inc.encs[name], inc.labs[name]
+		schemes[i] = newSchemeShared(prop, inc.opts.MaxLanes, caches)
+		schemes[i].Workers = inc.opts.Parallelism
+		if prev != nil {
+			prev[i] = passResult{enc: inc.encs[name], lab: inc.labs[name]}
 		}
-		lab, stats, enc, err := s.proveWith(ctx, st.sp, prevEnc, prevLab, ru)
-		if err != nil {
-			if errors.Is(err, ErrPropertyFails) {
-				// st.us is set exactly when this pass serves an update
-				// (incremental or fallback); it is nil on the initial build.
-				when := "on the initial graph"
-				if st.us != nil {
-					when = "after edit"
-				}
-				return fmt.Errorf("core: property %s %s: %w", name, when, err)
+	}
+	results, err := provePasses(ctx, st.sp, schemes, prev, inc.opts.Parallelism)
+	if err != nil {
+		return err
+	}
+	st.schemes = make(map[string]*Scheme, len(inc.names))
+	st.encs = make(map[string]*encoder, len(inc.names))
+	st.labs = make(map[string]*Labeling, len(inc.names))
+	st.stats = make(map[string]*Stats, len(inc.names))
+	for i, name := range inc.names {
+		r := results[i]
+		if r.err != nil {
+			// st.us is set exactly when this pass serves an update
+			// (incremental or fallback); it is nil on the initial build.
+			when := "on the initial graph"
+			if st.us != nil {
+				when = "after edit"
 			}
-			return err
+			return fmt.Errorf("core: property %s %s: %w", name, when, r.err)
 		}
-		st.schemes[name] = s
-		st.encs[name] = enc
-		st.labs[name] = lab
-		st.stats[name] = stats
+		st.schemes[name] = schemes[i]
+		st.encs[name] = r.enc
+		st.labs[name] = r.lab
+		st.stats[name] = r.stats
+		if ru != nil {
+			ru.ReusedEntries += r.ru.ReusedEntries
+			ru.TotalEntries += r.ru.TotalEntries
+			ru.ReusedLabels += r.ru.ReusedLabels
+			ru.TotalLabels += r.ru.TotalLabels
+		}
 	}
 	if st.us != nil {
 		st.us.PerProperty = make(map[string]*Stats, len(st.stats))
@@ -319,11 +342,6 @@ func (inc *Incremental) commit(st *pendingState) {
 	inc.pd, inc.ci, inc.r, inc.part, inc.te, inc.log, inc.sp =
 		st.pd, st.ci, st.r, st.part, st.te, st.log, st.sp
 	inc.schemes, inc.encs, inc.labs, inc.stats = st.schemes, st.encs, st.labs, st.stats
-}
-
-// UpdateEdge applies a single edge edit and re-certifies. See UpdateBatch.
-func (inc *Incremental) UpdateEdge(ctx context.Context, op EditOp, u, v graph.Vertex) (*UpdateStats, error) {
-	return inc.UpdateBatch(ctx, []Edit{{Op: op, U: u, V: v}})
 }
 
 // UpdateBatch applies the edits in order and re-certifies every property of
@@ -471,7 +489,7 @@ func (inc *Incremental) rebuild(ctx context.Context, edits []Edit, us *UpdateSta
 	if err != nil {
 		return nil, fmt.Errorf("core: hierarchy: %w", err)
 	}
-	if err := h.ValidateFrom(firstDirty); err != nil {
+	if err := h.ValidateFromP(firstDirty, inc.opts.Parallelism); err != nil {
 		return nil, fmt.Errorf("core: hierarchy invalid: %w", err)
 	}
 	if err := ctx.Err(); err != nil {
@@ -481,7 +499,7 @@ func (inc *Incremental) rebuild(ctx context.Context, edits []Edit, us *UpdateSta
 	for _, e := range edits {
 		dirty[graph.NewEdge(e.U, e.V)] = true
 	}
-	sp, err := assembleStructureReuse(inc.cfg, inc.pd, inc.part, c, te.Emb, h, inc.sp, firstDirty, dirty, 1)
+	sp, err := assembleStructureReuse(inc.cfg, inc.pd, inc.part, c, te.Emb, h, inc.sp, firstDirty, dirty, inc.opts.Parallelism)
 	if err != nil {
 		return nil, err
 	}
@@ -524,16 +542,6 @@ func artifactEqual(a, b *nodeArtifact) bool {
 		slices.Equal(a.outIDs, b.outIDs) && slices.Equal(a.mergedOutIDs, b.mergedOutIDs) &&
 		slices.Equal(a.pathIDs, b.pathIDs) && slices.Equal(a.realBits, b.realBits)
 }
-
-// Properties returns the configured property names in engine order.
-func (inc *Incremental) Properties() []string {
-	return append([]string(nil), inc.names...)
-}
-
-// Config returns the engine's configuration. The graph inside it is owned
-// and mutated by the engine; callers needing a stable copy should Clone it
-// under their own synchronization with updates.
-func (inc *Incremental) Config() *cert.Config { return inc.cfg }
 
 // Snapshot returns the current generation's labelings, schemes and stats
 // (keyed by property name) plus a clone of the current graph. The returned

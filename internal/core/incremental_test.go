@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -80,7 +81,10 @@ func sameEdgeSet(a map[graph.Edge]bool, g *graph.Graph) bool {
 // successful update, every property's labeling and stats are byte-identical
 // to an independent from-scratch Prove of the mutated graph (with the
 // engine's retained decomposition, or from scratch after a fallback); after
-// each rejected update, graph and certification state are rolled back.
+// each rejected update, graph and certification state are rolled back. Each
+// family runs at parallelism 1 (every pool loop inline) and 2 (the reuse
+// path on goroutines) over the same edit sequence; ladder200 is large
+// enough for several 64-node pool chunks per sweep level.
 func TestIncrementalDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	// Lane budgets are kept tight so a fallback onto a wide heuristic
@@ -98,103 +102,132 @@ func TestIncrementalDifferential(t *testing.T) {
 		{"lobster", func() *graph.Graph { return gen.Lobster(8, 2) }, []string{"bipartite"}, 12},
 		{"binarytree", func() *graph.Graph { return gen.BinaryTree(4) }, []string{"3color"}, 4},
 		{"spiderfree", func() *graph.Graph { return gen.SpiderFreeCaterpillar(rand.New(rand.NewSource(11)), 36) }, []string{"3color"}, 4},
+		{"ladder200", func() *graph.Graph { return gen.Ladder(200) }, []string{"bipartite"}, 4},
 	}
+	const steps = 30
 	for _, fam := range families {
 		fam := fam
 		t.Run(fam.name, func(t *testing.T) {
-			g := fam.build()
-			props, err := algebra.ByNames(fam.props)
-			if err != nil {
-				t.Fatalf("ByNames: %v", err)
-			}
-			inc, err := NewIncremental(context.Background(), cert.NewConfig(g), props,
-				IncrementalOptions{MaxLanes: fam.maxLanes})
-			if err != nil {
-				t.Fatalf("NewIncremental: %v", err)
-			}
-			applied, rejected, reusedTotal := 0, 0, 0
-			for step := 0; step < 30; step++ {
-				// Propose a batch: usually one edit, every fifth step up to
-				// three, toggling vertex pairs (absent → add, present →
-				// remove). Pairs are biased toward nearby vertex numbers,
-				// which for these generators correlates with decomposition
-				// locality, so a healthy share of edits stays covered.
-				k := 1
-				if step%5 == 4 {
-					k = 2 + rng.Intn(2)
-				}
-				var edits []Edit
-				for len(edits) < k {
-					u := graph.Vertex(rng.Intn(g.N()))
-					v := u + graph.Vertex(1+rng.Intn(6))
-					if v >= g.N() {
-						continue
-					}
-					op := EditAdd
-					if g.HasEdge(u, v) {
-						op = EditRemove
-					}
-					// Avoid toggling the same pair twice in one batch.
-					dup := false
-					for _, e := range edits {
-						if graph.NewEdge(e.U, e.V) == graph.NewEdge(u, v) {
-							dup = true
+			// The first run draws each batch from rng and records it; later
+			// runs replay the recording. Acceptance is deterministic, so
+			// every run walks the same graph sequence.
+			var recorded [][]Edit
+			for _, parallelism := range []int{1, 2} {
+				t.Run(fmt.Sprintf("parallelism=%d", parallelism), func(t *testing.T) {
+					propose := func(step int, g *graph.Graph) []Edit {
+						if step < len(recorded) {
+							return recorded[step]
 						}
+						edits := randomEditBatch(rng, step, g)
+						recorded = append(recorded, edits)
+						return edits
 					}
-					if dup {
-						continue
-					}
-					edits = append(edits, Edit{Op: op, U: u, V: v})
-				}
-
-				before := edgeSet(g)
-				prevLabs := make(map[string]*Labeling, len(inc.labs))
-				for name, l := range inc.labs {
-					prevLabs[name] = l
-				}
-				us, err := inc.UpdateBatch(context.Background(), edits)
-				if err != nil {
-					rejected++
-					if !errors.Is(err, ErrBadEdit) && !errors.Is(err, ErrPropertyFails) && !errors.Is(err, ErrTooManyLanes) {
-						t.Fatalf("step %d: unexpected update error: %v", step, err)
-					}
-					if !sameEdgeSet(before, g) {
-						t.Fatalf("step %d: rejected batch left the graph mutated", step)
-					}
-					for name, l := range prevLabs {
-						if inc.labs[name] != l {
-							t.Fatalf("step %d: rejected batch replaced labeling of %s", step, name)
-						}
-					}
-					if inc.sp.graphGen != g.Generation() {
-						t.Fatalf("step %d: rollback left structure stale (gen %d vs %d)", step, inc.sp.graphGen, g.Generation())
-					}
-					continue
-				}
-				applied++
-				reusedTotal += us.ReusedEntries
-				pd := inc.pd
-				if us.Fallback {
-					// Fallback contract: byte-identical to a from-scratch
-					// prove (the engine's new pd is the recomputed one, so
-					// comparing against it is the same check — use nil to
-					// exercise the documented contract).
-					pd = nil
-				}
-				for i, prop := range props {
-					name := fam.props[i]
-					wantLab, wantStats := freshProve(t, prop, g, pd, fam.maxLanes)
-					requireByteIdentical(t, fam.name+" "+name, inc.labs[prop.Name()], wantLab)
-					requireStatsEqual(t, fam.name+" "+name, us.PerProperty[prop.Name()], wantStats)
-				}
-			}
-			if applied == 0 {
-				t.Fatalf("no update of %d steps succeeded (rejected=%d); families must exercise the incremental path", 30, rejected)
-			}
-			if reusedTotal == 0 {
-				t.Fatalf("no node entry was ever reused across %d applied updates", applied)
+					runDifferential(t, fam.name, fam.build(), fam.props, fam.maxLanes, parallelism, steps, propose)
+				})
 			}
 		})
+	}
+}
+
+// randomEditBatch proposes a batch: usually one edit, every fifth step up
+// to three, toggling vertex pairs (absent → add, present → remove). Pairs
+// are biased toward nearby vertex numbers, which for these generators
+// correlates with decomposition locality, so a healthy share of edits stays
+// covered.
+func randomEditBatch(rng *rand.Rand, step int, g *graph.Graph) []Edit {
+	k := 1
+	if step%5 == 4 {
+		k = 2 + rng.Intn(2)
+	}
+	var edits []Edit
+	for len(edits) < k {
+		u := graph.Vertex(rng.Intn(g.N()))
+		v := u + graph.Vertex(1+rng.Intn(6))
+		if v >= g.N() {
+			continue
+		}
+		op := EditAdd
+		if g.HasEdge(u, v) {
+			op = EditRemove
+		}
+		// Avoid toggling the same pair twice in one batch.
+		dup := false
+		for _, e := range edits {
+			if graph.NewEdge(e.U, e.V) == graph.NewEdge(u, v) {
+				dup = true
+			}
+		}
+		if dup {
+			continue
+		}
+		edits = append(edits, Edit{Op: op, U: u, V: v})
+	}
+	return edits
+}
+
+// runDifferential applies steps proposed batches to an engine over g at
+// the given parallelism and checks every outcome against a fresh prove (see
+// TestIncrementalDifferential).
+func runDifferential(t *testing.T, name string, g *graph.Graph, propNames []string, maxLanes, parallelism, steps int, propose func(step int, g *graph.Graph) []Edit) {
+	t.Helper()
+	props, err := algebra.ByNames(propNames)
+	if err != nil {
+		t.Fatalf("ByNames: %v", err)
+	}
+	inc, err := NewIncremental(context.Background(), cert.NewConfig(g), props,
+		IncrementalOptions{MaxLanes: maxLanes, Parallelism: parallelism})
+	if err != nil {
+		t.Fatalf("NewIncremental: %v", err)
+	}
+	applied, rejected, reusedTotal := 0, 0, 0
+	for step := 0; step < steps; step++ {
+		edits := propose(step, g)
+		before := edgeSet(g)
+		prevLabs := make(map[string]*Labeling, len(inc.labs))
+		for name, l := range inc.labs {
+			prevLabs[name] = l
+		}
+		us, err := inc.UpdateBatch(context.Background(), edits)
+		if err != nil {
+			rejected++
+			if !errors.Is(err, ErrBadEdit) && !errors.Is(err, ErrPropertyFails) && !errors.Is(err, ErrTooManyLanes) {
+				t.Fatalf("step %d: unexpected update error: %v", step, err)
+			}
+			if !sameEdgeSet(before, g) {
+				t.Fatalf("step %d: rejected batch left the graph mutated", step)
+			}
+			for name, l := range prevLabs {
+				if inc.labs[name] != l {
+					t.Fatalf("step %d: rejected batch replaced labeling of %s", step, name)
+				}
+			}
+			if inc.sp.graphGen != g.Generation() {
+				t.Fatalf("step %d: rollback left structure stale (gen %d vs %d)", step, inc.sp.graphGen, g.Generation())
+			}
+			continue
+		}
+		applied++
+		reusedTotal += us.ReusedEntries
+		pd := inc.pd
+		if us.Fallback {
+			// Fallback contract: byte-identical to a from-scratch
+			// prove (the engine's new pd is the recomputed one, so
+			// comparing against it is the same check — use nil to
+			// exercise the documented contract).
+			pd = nil
+		}
+		for i, prop := range props {
+			propName := propNames[i]
+			wantLab, wantStats := freshProve(t, prop, g, pd, maxLanes)
+			requireByteIdentical(t, name+" "+propName, inc.labs[prop.Name()], wantLab)
+			requireStatsEqual(t, name+" "+propName, us.PerProperty[prop.Name()], wantStats)
+		}
+	}
+	if applied == 0 {
+		t.Fatalf("no update of %d steps succeeded (rejected=%d); families must exercise the incremental path", steps, rejected)
+	}
+	if reusedTotal == 0 {
+		t.Fatalf("no node entry was ever reused across %d applied updates", applied)
 	}
 }
 
@@ -216,9 +249,9 @@ func TestIncrementalFallbackObservable(t *testing.T) {
 	if inc.ci.Covers(0, 11) {
 		t.Fatalf("test premise broken: chord {0,11} covered by the path decomposition")
 	}
-	us, err := inc.UpdateEdge(context.Background(), EditAdd, 0, 11)
+	us, err := inc.UpdateBatch(context.Background(), []Edit{{Op: EditAdd, U: 0, V: 11}})
 	if err != nil {
-		t.Fatalf("UpdateEdge: %v", err)
+		t.Fatalf("UpdateBatch: %v", err)
 	}
 	if !us.Fallback {
 		t.Fatalf("uncovered addition did not report fallback")
@@ -232,9 +265,9 @@ func TestIncrementalFallbackObservable(t *testing.T) {
 
 	// A covered follow-up edit goes back to the incremental path against the
 	// recomputed decomposition.
-	us, err = inc.UpdateEdge(context.Background(), EditRemove, 0, 11)
+	us, err = inc.UpdateBatch(context.Background(), []Edit{{Op: EditRemove, U: 0, V: 11}})
 	if err != nil {
-		t.Fatalf("UpdateEdge (remove): %v", err)
+		t.Fatalf("UpdateBatch (remove): %v", err)
 	}
 	if us.Fallback {
 		t.Fatalf("removal fell back despite a retained valid decomposition")
@@ -273,7 +306,7 @@ func TestIncrementalRejectsBadEdits(t *testing.T) {
 		}
 	}
 	// The engine still works after rejections.
-	if _, err := inc.UpdateEdge(context.Background(), EditRemove, 2, 3); err != nil {
+	if _, err := inc.UpdateBatch(context.Background(), []Edit{{Op: EditRemove, U: 2, V: 3}}); err != nil {
 		t.Fatalf("update after rejections: %v", err)
 	}
 	wantLab, _ := freshProve(t, props[0], g, inc.pd, DefaultMaxLanes)
@@ -293,7 +326,7 @@ func TestIncrementalPropertyFailureRollsBack(t *testing.T) {
 		t.Fatalf("NewIncremental: %v", err)
 	}
 	before := edgeSet(g)
-	if _, err := inc.UpdateEdge(context.Background(), EditRemove, 0, 1); !errors.Is(err, ErrPropertyFails) {
+	if _, err := inc.UpdateBatch(context.Background(), []Edit{{Op: EditRemove, U: 0, V: 1}}); !errors.Is(err, ErrPropertyFails) {
 		t.Fatalf("err=%v, want ErrPropertyFails", err)
 	}
 	if !sameEdgeSet(before, g) {
@@ -340,9 +373,9 @@ func TestIncrementalPaperConstructionAlwaysFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewIncremental: %v", err)
 	}
-	us, err := inc.UpdateEdge(context.Background(), EditRemove, 0, 1)
+	us, err := inc.UpdateBatch(context.Background(), []Edit{{Op: EditRemove, U: 0, V: 1}})
 	if err != nil {
-		t.Fatalf("UpdateEdge: %v", err)
+		t.Fatalf("UpdateBatch: %v", err)
 	}
 	if !us.Fallback {
 		t.Fatalf("paper-construction update did not report fallback")
@@ -365,9 +398,9 @@ func TestIncrementalVerifies(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewIncremental: %v", err)
 	}
-	if _, err := inc.UpdateEdge(context.Background(), EditRemove, g.N()-2, g.N()-1); err != nil {
+	if _, err := inc.UpdateBatch(context.Background(), []Edit{{Op: EditRemove, U: g.N() - 2, V: g.N() - 1}}); err != nil {
 		// Grid corner removal can disconnect only on degenerate sizes.
-		t.Fatalf("UpdateEdge: %v", err)
+		t.Fatalf("UpdateBatch: %v", err)
 	}
 	snapG, labs, schemes, _ := inc.Snapshot()
 	cfg := cert.NewConfig(snapG)

@@ -2,49 +2,23 @@ package core
 
 // Byte-identity pins for parallel proving: the worker count is a throughput
 // knob, never a semantic one. Every generator family must produce the exact
-// same labels, keys, and stats at workers 1 (the sequential reference path),
-// 2 (the smallest count that exercises the level-synchronized sweep and the
-// parallel label build), and 0 (= GOMAXPROCS, whatever the host has).
+// same labels, keys, and stats at workers 1 (every pool loop runs inline),
+// 2 (the smallest count that runs the level-synchronized sweep and the
+// label build on goroutines), and 0 (= GOMAXPROCS, whatever the host has).
+// The bytes themselves are pinned against a committed digest table by the
+// certify package's golden tests.
 
 import (
 	"testing"
 
 	"repro/internal/cert"
-	"repro/internal/par"
 )
-
-func TestUseParallelSweep(t *testing.T) {
-	cases := []struct {
-		workers     int
-		incremental bool
-		want        bool
-	}{
-		{0, false, true}, // 0 resolves to GOMAXPROCS; parallel iff >1
-		{1, false, false},
-		{2, false, false}, // incremental overrides below
-		{2, true, false},
-		{8, false, true},
-		{8, true, false},
-		{-3, false, true}, // negative also resolves to GOMAXPROCS
-	}
-	for _, tc := range cases {
-		want := tc.want
-		if !tc.incremental && tc.workers != 1 {
-			// Non-incremental entries depend on the host's CPU count.
-			want = par.Workers(tc.workers) > 1
-		}
-		if got := useParallelSweep(tc.workers, tc.incremental); got != want {
-			t.Errorf("useParallelSweep(%d, %v) = %v, want %v", tc.workers, tc.incremental, got, want)
-		}
-	}
-}
 
 // TestProveByteIdenticalAcrossWorkers proves every regression family at
 // worker counts 1, 2, and 0 (=GOMAXPROCS) and checks the labelings are
-// key-identical edge for edge with identical stats. Workers 1 runs the
-// sequential recursion, so this pins the parallel sweep, the deferred
-// registry interning, and the parallel label build against the reference
-// bytes.
+// key-identical edge for edge with identical stats: the sweep, the deferred
+// registry interning, and the label build give the same bytes inline and on
+// goroutines.
 func TestProveByteIdenticalAcrossWorkers(t *testing.T) {
 	for _, tc := range regressionConfigs(t) {
 		t.Run(tc.name, func(t *testing.T) {

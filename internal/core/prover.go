@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/algebra"
@@ -37,8 +38,9 @@ type Scheme struct {
 	Prop     algebra.Property
 	MaxLanes int
 	// Workers bounds the parallelism of the property pass — the class sweep,
-	// entry assembly and label construction: 0 means GOMAXPROCS, 1 forces the
-	// exact sequential path. Output is byte-identical for every value: class
+	// entry assembly and label construction: 0 means GOMAXPROCS, 1 runs the
+	// pass inline on the calling goroutine. Fresh and incremental passes take
+	// the same code at every value, and output is byte-identical: class
 	// ids are content hashes whose collision ranks Registry.Canonicalize
 	// orders by content, so they depend only on the set of classes in the
 	// proof, never on sweep order (see DESIGN.md §10).
@@ -135,10 +137,7 @@ func (s *Scheme) proveWith(ctx context.Context, sp *StructuralProof, prev *encod
 	}
 
 	// Section 6: homomorphism classes and certificates.
-	workers := 1
-	if useParallelSweep(s.Workers, prev != nil) {
-		workers = par.Workers(s.Workers)
-	}
+	workers := par.Workers(s.Workers)
 	sweepStart := time.Now()
 	enc, err := s.buildEncoderReuse(ctx, sp, prev, ru, workers)
 	if err != nil {
@@ -191,7 +190,7 @@ type encoder struct {
 	entries []*NodeEntry     // node id → entry
 	// classIDs/mergedIDs are the canonical registry ids of classes/merged,
 	// precomputed right after Canonicalize so entry assembly reads them
-	// without touching the registry (lock-free under the parallel sweep).
+	// without touching the registry (lock-free on the pool).
 	classIDs  []int
 	mergedIDs []int
 	// certs memoizes the completion-edge certificates buildLabels
@@ -200,14 +199,12 @@ type encoder struct {
 	certs map[graph.Edge]*CEdgeLabel
 }
 
-// buildEncoderReuse computes classes bottom-up over the hierarchy and
-// assembles the node entries from the structure's shared artifacts. With
-// workers > 1 the sweep runs level-parallel over the structure's schedule
-// (see sweep.go); otherwise a sequential recursion from the root, polling the
-// context every few hundred nodes so cancellation aborts long sweeps. When
-// prev is non-nil (incremental re-proving, always sequential), entries whose
-// encoded content is provably unchanged are carried over from the previous
-// generation by pointer — see entryReusable for the exact conditions.
+// buildEncoderReuse computes classes bottom-up over the hierarchy (the
+// level-scheduled sweep of sweep.go) and assembles the node entries from the
+// structure's shared artifacts, both on a pool of workers. When prev is
+// non-nil (incremental re-proving), entries whose encoded content is
+// provably unchanged are carried over from the previous generation by
+// pointer — see entryReusable for the exact conditions.
 func (s *Scheme) buildEncoderReuse(ctx context.Context, sp *StructuralProof, prev *encoder, ru *reuseCounters, workers int) (*encoder, error) {
 	nn := len(sp.Hierarchy.Nodes)
 	enc := &encoder{
@@ -217,94 +214,18 @@ func (s *Scheme) buildEncoderReuse(ctx context.Context, sp *StructuralProof, pre
 		merged:  make([]*algebra.Class, nn),
 		entries: make([]*NodeEntry, nn),
 	}
-
-	steps := 0
-	if workers > 1 {
-		if err := s.sweepParallel(ctx, enc, workers); err != nil {
-			return nil, err
-		}
-	} else {
-		var classOf func(n *lanewidth.Node) (*algebra.Class, error)
-		classOf = func(n *lanewidth.Node) (*algebra.Class, error) {
-			if steps++; steps&255 == 0 {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-			}
-			if c := enc.classes[n.ID]; c != nil {
-				return c, nil
-			}
-			a := sp.art[n.ID]
-			var (
-				cls *algebra.Class
-				err error
-			)
-			switch n.Kind {
-			case lanewidth.VNode:
-				cls, err = s.baseV(n.Lanes[0], a.input)
-			case lanewidth.ENode:
-				cls, err = s.baseE(n.Lanes[0], a.realBits[0], a.vInputs)
-			case lanewidth.PNode:
-				cls, err = s.baseP(n.Lanes, a.realBits, a.vInputs)
-			case lanewidth.BNode:
-				var lc, rc *algebra.Class
-				lc, err = classOf(n.Left)
-				if err != nil {
-					return nil, err
-				}
-				rc, err = classOf(n.Right)
-				if err != nil {
-					return nil, err
-				}
-				bridgeLabel := 0
-				if a.bridgeReal {
-					bridgeLabel = algebra.EdgeReal
-				}
-				cls, err = s.bridgeMerge(lc, rc, n.LaneI, n.LaneJ, bridgeLabel)
-			case lanewidth.TNode:
-				members := sp.members[n.ID]
-				// Process in reverse pre-order so children fold before parents.
-				for i := len(members) - 1; i >= 0; i-- {
-					mi := members[i]
-					acc, merr := classOf(mi.Node)
-					if merr != nil {
-						return nil, merr
-					}
-					for _, child := range mi.TreeChildren {
-						childMerged := enc.merged[child.ID]
-						if childMerged == nil {
-							return nil, fmt.Errorf("core: member %d folded before child %d", mi.Node.ID, child.ID)
-						}
-						acc, merr = s.parentMerge(childMerged, acc)
-						if merr != nil {
-							return nil, merr
-						}
-					}
-					enc.merged[mi.Node.ID] = acc
-				}
-				cls = enc.merged[a.rootMember]
-			default:
-				return nil, fmt.Errorf("core: unknown node kind %v", n.Kind)
-			}
-			if err != nil {
-				return nil, err
-			}
-			enc.classes[n.ID] = cls
-			return cls, nil
-		}
-		if _, err := classOf(sp.Hierarchy.Root); err != nil {
-			return nil, err
-		}
+	if err := s.sweep(ctx, enc, workers); err != nil {
+		return nil, err
 	}
 	// Intern the full class set — node classes and member-merge intermediates
 	// (entry assembly references the latter via mergedID) — then fix the
 	// registry numbering by class content and snapshot the canonical ids.
 	// Ids are content hashes with content-ordered collision ranks, so after
 	// Canonicalize they depend only on the set of distinct classes in this
-	// proof — not on sweep order (parallel and sequential agree) and not on
-	// traversal order across generations, so a local edit that introduces no
-	// new class leaves every id, and with it every clean entry and label
-	// byte, unchanged.
+	// proof — not on sweep order or worker count, and not on traversal order
+	// across generations, so a local edit that introduces no new class
+	// leaves every id, and with it every clean entry and label byte,
+	// unchanged.
 	s.Reg.InternAll(enc.classes)
 	s.Reg.InternAll(enc.merged)
 	s.Reg.Canonicalize()
@@ -312,84 +233,61 @@ func (s *Scheme) buildEncoderReuse(ctx context.Context, sp *StructuralProof, pre
 	enc.mergedIDs = s.Reg.InternAll(enc.merged)
 
 	// Assemble entries for every node (V-nodes ride inside B summaries).
-	numEntries := 0
-	if workers > 1 {
-		// All entries are fresh on the parallel path (prev forces sequential):
-		// workers fill disjoint entry slots, each carving from its own arena.
-		arenas := make([]*entryArena, workers)
-		for w := range arenas {
-			arenas[w] = &entryArena{}
-		}
-		if err := par.ForErr(workers, nn, func(worker, i int) error {
-			n := sp.Hierarchy.Nodes[i]
-			if n.Kind == lanewidth.VNode {
-				return nil
-			}
-			entry, err := enc.entryFor(n, arenas[worker])
-			if err != nil {
+	// Workers fill disjoint entry slots, each carving fresh entries from its
+	// own arena; entryReusable reads only read-only state, so reuse is
+	// decided the same way on any worker.
+	reused := func(i int) bool {
+		return prev != nil && i < len(prev.entries) && enc.entries[i] == prev.entries[i]
+	}
+	arenas := make([]entryArena, workers)
+	if err := par.ForErr(workers, nn, func(worker, i int) error {
+		if i&255 == 0 {
+			if err := ctx.Err(); err != nil {
 				return err
 			}
-			enc.entries[n.ID] = entry
+		}
+		n := sp.Hierarchy.Nodes[i]
+		if n.Kind == lanewidth.VNode {
 			return nil
-		}); err != nil {
-			return nil, err
 		}
-		// Materialize the canonical encodings concurrently (each entry's
-		// once-guard is hit by exactly one worker), then intern sequentially:
-		// the key pool sees a single writer, and every certificate referencing
-		// an entry shares its pooled key instance so the verifier's agreement
-		// checks stay pointer-equal string compares.
-		par.For(workers, nn, func(_, i int) {
-			if e := enc.entries[i]; e != nil {
-				e.cache.materialize(e.encodeRaw)
-			}
-		})
-		for _, e := range enc.entries {
-			if e != nil {
-				numEntries++
-				e.cache.key = s.internKey(e.cache.key)
+		if prev != nil && n.ID < len(prev.entries) {
+			if pe := prev.entries[n.ID]; pe != nil && enc.entryReusable(n, pe, prev) {
+				enc.entries[n.ID] = pe
+				return nil
 			}
 		}
-	} else {
-		var arena entryArena
-		for _, n := range sp.Hierarchy.Nodes {
-			if steps++; steps&255 == 0 {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-			}
-			if n.Kind == lanewidth.VNode {
-				continue
-			}
+		enc.entries[n.ID] = enc.entryFor(n, &arenas[worker])
+		return nil
+	}); err != nil {
+		return nil, err
+	}
+	// Materialize the canonical encodings of fresh entries concurrently
+	// (each entry's once-guard is hit by exactly one worker), then intern
+	// them with a single writer: every certificate referencing an entry
+	// shares its pooled key instance, so the verifier's agreement checks stay
+	// pointer-equal string compares. Reused entries are left alone — they
+	// already hold their pooled key (the pool is shared across generations)
+	// and belong to the previous generation's certificate, which another
+	// goroutine may be marshalling or verifying.
+	par.For(workers, nn, func(_, i int) {
+		if e := enc.entries[i]; e != nil && !reused(i) {
+			e.cache.materialize(e.encodeRaw)
+		}
+	})
+	numEntries, numReused := 0, 0
+	for i, e := range enc.entries {
+		switch {
+		case e == nil:
+		case reused(i):
 			numEntries++
-			if prev != nil && n.ID < len(prev.entries) {
-				if pe := prev.entries[n.ID]; pe != nil && enc.entryReusable(n, pe, prev) {
-					enc.entries[n.ID] = pe
-					if ru != nil {
-						ru.ReusedEntries++
-					}
-					continue
-				}
-			}
-			entry, err := enc.entryFor(n, &arena)
-			if err != nil {
-				return nil, err
-			}
-			enc.entries[n.ID] = entry
-		}
-		// Intern every entry's canonical encoding: all certificates referencing
-		// an entry share its single key instance, so the verifier's agreement
-		// checks are pointer-equal string compares. Entries carried over from
-		// the previous generation already hold their canonical key (the pool is
-		// shared across generations), so only fresh entries pay for encoding.
-		for _, e := range enc.entries {
-			if e == nil || e.cache.key != "" {
-				continue
-			}
-			e.cache.key = s.internKey(e.Key())
+			numReused++
+		default:
+			numEntries++
+			e.cache.key = s.internKey(e.cache.key)
 		}
 	}
 	if ru != nil {
+		ru.ReusedEntries += numReused
 		ru.TotalEntries += numEntries
 	}
 	return enc, nil
@@ -481,7 +379,7 @@ func (enc *encoder) childSummary(nodeID int) ChildSummary {
 // the structure's artifact (read-only), the class ids come from this pass.
 // The entry itself comes from the arena (fields assigned individually — the
 // embedded cache holds sync.Onces that must not be copied over).
-func (enc *encoder) entryFor(n *lanewidth.Node, arena *entryArena) (*NodeEntry, error) {
+func (enc *encoder) entryFor(n *lanewidth.Node, arena *entryArena) *NodeEntry {
 	a := enc.sp.art[n.ID]
 	e := arena.alloc()
 	e.NodeID = n.ID
@@ -531,12 +429,12 @@ func (enc *encoder) entryFor(n *lanewidth.Node, arena *entryArena) (*NodeEntry, 
 		rm := enc.childSummary(a.rootMember)
 		e.RootMember = &rm
 	}
-	return e, nil
+	return e
 }
 
 // buildCert assembles one completion edge's certificate from the entry
-// table: the memo- and reuse-free core of certOf, safe for concurrent calls
-// on distinct edges (it only reads shared state).
+// table, safe for concurrent calls on distinct edges (it only reads shared
+// state).
 func (enc *encoder) buildCert(e graph.Edge) (*CEdgeLabel, error) {
 	owner, ok := enc.sp.owners[e]
 	if !ok {
@@ -568,75 +466,56 @@ func (enc *encoder) buildCert(e graph.Edge) (*CEdgeLabel, error) {
 
 // buildLabels assembles the per-edge labels: own certificates on real
 // edges, embedding entries for virtual edges, and root-anchor pointing.
-// When prev/prevLab are non-nil (incremental re-proving), certificates and
-// whole edge labels that came out content-identical to the previous
-// generation's are swapped for the previous instances, so their memoized
-// encodings and sizes carry over; the labeling is byte-identical either way.
-// With workers > 1 (fresh proves only) the certificates are pre-built
-// concurrently; each certificate's content depends only on its edge's owner
-// path, so the pre-built map is identical to the sequential memo.
+// Certificates are built once per completion edge on the pool — each depends
+// only on its edge's owner path, so the table is the same for every worker
+// count. When prev/prevLab are non-nil (incremental re-proving),
+// certificates and whole edge labels that came out content-identical to the
+// previous generation's are swapped for the previous instances, so their
+// memoized encodings and sizes carry over; the labeling is byte-identical
+// either way.
 func (enc *encoder) buildLabels(prev *encoder, prevLab *Labeling, ru *reuseCounters, workers int) (*Labeling, error) {
 	sp := enc.sp
 	orig := sp.Cfg.G
-	owners := sp.owners
-	// Certificates are memoized per completion edge: the label of a real
-	// edge and every EmbEntry simulating a virtual edge on it reference the
-	// same *CEdgeLabel, so the certificate (and its cached encoding) is
-	// built once no matter how many labels carry it.
-	certs := make(map[graph.Edge]*CEdgeLabel, len(owners))
-	enc.certs = certs
-	if prev == nil && workers > 1 {
-		// Real and virtual edges partition the completion edge set, so this
-		// covers every edge certOf will be asked for below.
-		edges := make([]graph.Edge, 0, len(owners))
-		for e := range orig.EdgesSeq() {
-			edges = append(edges, e)
-		}
-		edges = append(edges, sp.Completion.Virtual...)
-		built := make([]*CEdgeLabel, len(edges))
-		if err := par.ForErr(workers, len(edges), func(_, i int) error {
-			cl, err := enc.buildCert(edges[i])
-			built[i] = cl
-			return err
-		}); err != nil {
-			return nil, err
-		}
-		for i, e := range edges {
-			certs[e] = built[i]
-		}
+	// The label of a real edge and every EmbEntry simulating a virtual edge
+	// on it reference the same *CEdgeLabel, so the certificate (and its
+	// cached encoding) is built once no matter how many labels carry it.
+	// Real and virtual edges partition the completion edge set, so the
+	// table covers every edge a label below asks for.
+	edges := make([]graph.Edge, 0, len(sp.owners))
+	for e := range orig.EdgesSeq() {
+		edges = append(edges, e)
 	}
-	certOf := func(e graph.Edge) (*CEdgeLabel, error) {
-		if cl, ok := certs[e]; ok {
-			return cl, nil
-		}
-		cl, err := enc.buildCert(e)
+	edges = append(edges, sp.Completion.Virtual...)
+	built := make([]*CEdgeLabel, len(edges))
+	if err := par.ForErr(workers, len(edges), func(_, i int) error {
+		cl, err := enc.buildCert(edges[i])
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if prev != nil {
-			if pcl, ok := prev.certs[e]; ok && certShallowEqual(cl, pcl) {
+			if pcl, ok := prev.certs[edges[i]]; ok && certShallowEqual(cl, pcl) {
 				cl = pcl
 			}
 		}
-		certs[e] = cl
-		return cl, nil
+		built[i] = cl
+		return nil
+	}); err != nil {
+		return nil, err
 	}
+	certs := make(map[graph.Edge]*CEdgeLabel, len(edges))
+	for i, e := range edges {
+		certs[e] = built[i]
+	}
+	enc.certs = certs
 
 	labeling := &Labeling{Edges: make(map[graph.Edge]*EdgeLabel, orig.M())}
 	for e := range orig.EdgesSeq() {
-		cl, err := certOf(e)
-		if err != nil {
-			return nil, err
-		}
-		labeling.Edges[e] = &EdgeLabel{Own: cl}
+		labeling.Edges[e] = &EdgeLabel{Own: certs[e]}
 	}
 	// Embedding certification for virtual completion edges (Theorem 1).
 	for _, ve := range sp.Completion.Virtual {
 		path := sp.embPaths[ve]
-		payload, err := certOf(ve)
-		if err != nil {
-			return nil, err
-		}
+		payload := certs[ve]
 		total := len(path) - 1
 		for i := 0; i+1 < len(path); i++ {
 			re := graph.NewEdge(path[i], path[i+1])
@@ -682,33 +561,17 @@ func (enc *encoder) buildLabels(prev *encoder, prevLab *Labeling, ru *reuseCount
 // given that entries are canonical pointers within and across generations:
 // same path of entry instances, same owner position.
 func certShallowEqual(a, b *CEdgeLabel) bool {
-	if a.OwnerPos != b.OwnerPos || len(a.Path) != len(b.Path) {
-		return false
-	}
-	for i := range a.Path {
-		if a.Path[i] != b.Path[i] {
-			return false
-		}
-	}
-	return true
+	return a.OwnerPos == b.OwnerPos && slices.Equal(a.Path, b.Path)
 }
 
 // labelShallowEqual reports whether two edge labels are content-identical
 // given that certificates are canonical pointers (see certShallowEqual).
 func labelShallowEqual(a, b *EdgeLabel) bool {
-	if a.Own != b.Own || len(a.Emb) != len(b.Emb) {
+	if a.Own != b.Own || !slices.Equal(a.Emb, b.Emb) {
 		return false
 	}
-	for i := range a.Emb {
-		if a.Emb[i] != b.Emb[i] {
-			return false
-		}
-	}
-	switch {
-	case a.Pointing == nil && b.Pointing == nil:
-		return true
-	case a.Pointing == nil || b.Pointing == nil:
-		return false
+	if a.Pointing == nil || b.Pointing == nil {
+		return a.Pointing == b.Pointing
 	}
 	return *a.Pointing == *b.Pointing
 }

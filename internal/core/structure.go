@@ -21,10 +21,10 @@ type StructureOptions struct {
 	// construction (worst-case congestion ≤ H(width)) instead of the greedy
 	// first-fit partition with shortest-path embeddings.
 	UsePaperConstruction bool
-	// Parallelism bounds the worker count of the build's parallel stages
-	// (embedding, hierarchy validation, artifact derivation): 0 means
-	// GOMAXPROCS, 1 forces the sequential path. The structure is identical
-	// for every value.
+	// Parallelism bounds the worker count of the build's pooled stages
+	// (embedding, hierarchy validation, member folds, artifact derivation):
+	// 0 means GOMAXPROCS, 1 runs every stage inline on the calling
+	// goroutine. The structure is identical for every value.
 	Parallelism int
 }
 
@@ -91,7 +91,7 @@ type StructuralProof struct {
 	stages StageTimings
 
 	// plan is the class sweep's dependency schedule, derived lazily from the
-	// hierarchy on first parallel ProveWithCtx and shared by every property pass
+	// hierarchy on the first property pass and shared by every property pass
 	// over this structure (see sweepPlan).
 	planOnce sync.Once
 	plan     *sweepPlan
@@ -223,10 +223,10 @@ func BuildStructureCtx(ctx context.Context, cfg *cert.Config, pd *interval.PathD
 // and derives the shared per-node tables. It is the single assembly point
 // for both the fresh build (prev nil) and the incremental engine's
 // dirty-region rebuild (incremental.go), so the two produce identical
-// structures from identical stages. With prev nil and workers > 1 the
-// member folds and artifact derivation run on the pool and the three
-// mutually independent table builds (artifacts, embedding orientation, root
-// pointing) overlap; output is identical for every workers value.
+// structures from identical stages. The member folds and artifact
+// derivation run on the pool; with workers > 1 the three mutually
+// independent table builds (artifacts, embedding orientation, root
+// pointing) also overlap. Output is identical for every workers value.
 //
 // With prev set, per-node state carries over from the previous generation's
 // structure: nodes below the first mark (see lanewidth.BuildHierarchyMark)
@@ -256,35 +256,26 @@ func assembleStructureReuse(cfg *cert.Config, pd *interval.PathDecomposition, p 
 	// Warm the graph's lazily cached edge order while construction is still
 	// single-threaded; concurrent ProveWithCtx calls then only read it.
 	g.EdgesSeq()
-	if prev == nil && workers > 1 {
-		// The three table builds read disjoint inputs (artifacts walk the
-		// hierarchy, orientation the embedding, pointing the graph) and write
-		// disjoint fields, so they overlap; artifact derivation additionally
-		// fans out over the pool internally.
-		var (
-			wg         sync.WaitGroup
-			oErr, pErr error
-		)
+	// The three table builds read disjoint inputs (artifacts walk the
+	// hierarchy, orientation the embedding, pointing the graph) and write
+	// disjoint fields, so they may overlap.
+	var (
+		wg         sync.WaitGroup
+		oErr, pErr error
+	)
+	if workers > 1 {
 		wg.Add(2)
 		go func() { defer wg.Done(); oErr = sp.orientEmbedding() }()
 		go func() { defer wg.Done(); pErr = sp.buildPointing() }()
-		aErr := sp.buildArtifactsReuse(nil, 0, nil, workers)
-		wg.Wait()
-		for _, err := range []error{aErr, oErr, pErr} {
-			if err != nil {
-				return nil, err
-			}
+	} else {
+		oErr, pErr = sp.orientEmbedding(), sp.buildPointing()
+	}
+	aErr := sp.buildArtifactsReuse(prev, first, dirty, workers)
+	wg.Wait()
+	for _, err := range []error{aErr, oErr, pErr} {
+		if err != nil {
+			return nil, err
 		}
-		return sp, nil
-	}
-	if err := sp.buildArtifactsReuse(prev, first, dirty, 1); err != nil {
-		return nil, err
-	}
-	if err := sp.orientEmbedding(); err != nil {
-		return nil, err
-	}
-	if err := sp.buildPointing(); err != nil {
-		return nil, err
 	}
 	return sp, nil
 }
@@ -365,26 +356,13 @@ func (sp *StructuralProof) buildArtifactsReuse(prev *StructuralProof, first int,
 		rootMember: rootMember,
 		rootID:     h.Root.ID,
 	}
-	workers = par.Workers(workers)
-	if prev == nil && workers > 1 {
-		// Nodes write disjoint sp.art slots from shared read-only inputs, so
-		// they derive independently; each worker carves its id sequences from
-		// its own arena.
-		arenas := make([]*u64Arena, workers)
-		for w := range arenas {
-			arenas[w] = &u64Arena{}
-		}
-		return par.ForErr(workers, len(h.Nodes), func(worker, i int) error {
-			return ab.build(h.Nodes[i], arenas[worker])
-		})
-	}
-	var arena u64Arena
-	for _, n := range h.Nodes {
-		if err := ab.build(n, &arena); err != nil {
-			return err
-		}
-	}
-	return nil
+	// Nodes write disjoint sp.art slots from shared read-only inputs (the
+	// previous artifacts and the member tables), so they derive
+	// independently; each worker carves its id sequences from its own arena.
+	arenas := make([]u64Arena, par.Workers(workers))
+	return par.ForErr(workers, len(h.Nodes), func(worker, i int) error {
+		return ab.build(h.Nodes[i], &arenas[worker])
+	})
 }
 
 // artifactBuilder bundles the read-only inputs of one buildArtifactsReuse

@@ -9,19 +9,11 @@ import (
 	"repro/internal/par"
 )
 
-// useParallelSweep reports whether a property pass takes the parallel sweep
-// path: only fresh proves (incremental re-proves walk the pointer-reuse path,
-// which is inherently order-dependent) with an effective worker count above
-// one. workers == 1 always forces the exact sequential code path.
-func useParallelSweep(workers int, incremental bool) bool {
-	return !incremental && par.Workers(workers) > 1
-}
-
 // sweepPlan schedules the class sweep as dependency levels: level 0 holds the
 // nodes whose class needs no other node's (V-, E- and P-leaves), level d the
 // nodes all of whose prerequisites sit strictly below d — a B-node above both
 // operands, a T-node above every tree member. Nodes within a level are
-// independent, so the sweep runs each level as one parallel for with a
+// independent, so the sweep runs each level as one pool loop with a
 // barrier between levels; the level count is bounded by the hierarchy depth
 // (≤ 2k), so barrier overhead is O(k) regardless of n. The plan reads only
 // the hierarchy and member tables, never property state, so it is computed
@@ -78,19 +70,22 @@ func (sp *StructuralProof) schedule() *sweepPlan {
 	return sp.plan
 }
 
-// sweepParallel computes every node's class level by level. Class values are
-// identical to the sequential recursion's — the same algebra evaluations on
-// the same operands, and the memo tables backing them are mutex-protected and
-// canonical-pointer-keyed, so concurrent hits return the same instances. No
-// interning happens here: the caller interns the complete class set
-// sequentially and canonicalizes, which fixes the same content-ordered ids as
-// any other sweep order would.
-func (s *Scheme) sweepParallel(ctx context.Context, enc *encoder, workers int) error {
+// sweep computes every node's class level by level. Every node's class is
+// the same algebra evaluation on the same operand classes whatever the order
+// or worker count, and the memo tables backing the evaluations are
+// mutex-protected and canonical-pointer-keyed, so concurrent hits return the
+// same instances. No interning happens here: the caller interns the complete
+// class set and canonicalizes, which fixes content-ordered ids. The context
+// is polled once per 256 nodes of a level, so a level holding most of the
+// leaves is cancellable even when it runs inline.
+func (s *Scheme) sweep(ctx context.Context, enc *encoder, workers int) error {
 	for _, nodes := range enc.sp.schedule().levels {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
 		if err := par.ForErr(workers, len(nodes), func(_, i int) error {
+			if i&255 == 0 {
+				if err := ctx.Err(); err != nil {
+					return err
+				}
+			}
 			return enc.computeClass(nodes[i])
 		}); err != nil {
 			return err
@@ -101,7 +96,7 @@ func (s *Scheme) sweepParallel(ctx context.Context, enc *encoder, workers int) e
 
 // computeClass derives one node's class assuming every prerequisite class is
 // already present (the schedule guarantees it). T-nodes fold their members in
-// reverse pre-order exactly like the sequential recursion; the merged slots a
+// reverse pre-order, so children fold before parents; the merged slots a
 // fold writes belong to its own tree's members only, so concurrent T-nodes
 // never touch the same slot.
 func (enc *encoder) computeClass(n *lanewidth.Node) error {

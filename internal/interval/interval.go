@@ -136,16 +136,6 @@ func (r *Representation) MinCoord() int {
 	return best
 }
 
-// Restrict returns the representation restricted to the given vertices of a
-// subgraph produced by graph.InducedSubgraph with the same vertex order.
-func (r *Representation) Restrict(keep []graph.Vertex) *Representation {
-	sub := &Representation{Ivs: make([]Interval, len(keep))}
-	for i, v := range keep {
-		sub.Ivs[i] = r.Ivs[v]
-	}
-	return sub
-}
-
 // Union returns the smallest interval covering all of the given vertices'
 // intervals. It panics if the set is empty.
 func (r *Representation) Union(vs []graph.Vertex) Interval {

@@ -258,21 +258,17 @@ func (sc *embedScratch) run(g *graph.Graph, src graph.Vertex, ves []graph.Edge, 
 	return sc.queue, nil
 }
 
-// Build constructs the Section 4 artifacts of (g, r) in one call: a lane
+// BuildP constructs the Section 4 artifacts of (g, r) in one call: a lane
 // partition, its completion, and an embedding of every virtual completion
 // edge. usePaper selects the Proposition 4.6 recursive construction (with
 // its worst-case lane and congestion bounds) over the default greedy
 // first-fit partition with shortest-path embeddings. It is the single
-// entry point the property-independent prover layer builds on.
-func Build(g *graph.Graph, r *interval.Representation, usePaper bool) (*Partition, *Completion, Embedding, error) {
-	return BuildP(g, r, usePaper, 1)
-}
-
-// BuildP is Build with the embedding stage distributed over workers (see
-// EmbedShortestPathsP); the partition and completion themselves are cheap
-// sequential scans. The paper construction derives its embeddings inside the
-// recursion and stays sequential regardless of workers. Output is identical
-// to Build for every workers value.
+// entry point the property-independent prover layer builds on. The
+// embedding stage runs on workers (see EmbedShortestPathsP); the partition
+// and completion themselves are cheap sequential scans. The paper
+// construction derives its embeddings inside the recursion and stays
+// sequential regardless of workers. Output is identical for every workers
+// value.
 func BuildP(g *graph.Graph, r *interval.Representation, usePaper bool, workers int) (*Partition, *Completion, Embedding, error) {
 	if usePaper {
 		return BuildLowCongestion(g, r)

@@ -72,65 +72,6 @@ func (n *Node) NodePath() []*Node {
 	return rev
 }
 
-// SubtreeVertices returns the set of graph vertices appearing in the node's
-// subgraph (its own payload plus all descendants').
-func (n *Node) SubtreeVertices() map[graph.Vertex]bool {
-	out := map[graph.Vertex]bool{}
-	var visit func(m *Node)
-	visit = func(m *Node) {
-		switch m.Kind {
-		case VNode:
-			out[m.Vertex] = true
-		case ENode:
-			out[m.Edge.U] = true
-			out[m.Edge.V] = true
-		case PNode:
-			for _, v := range m.PathVs {
-				out[v] = true
-			}
-		case BNode:
-			visit(m.Left)
-			visit(m.Right)
-		case TNode:
-			var walk func(tv *TreeVertex)
-			walk = func(tv *TreeVertex) {
-				visit(tv.Node)
-				for _, c := range tv.Children {
-					walk(c)
-				}
-			}
-			walk(m.Tree)
-		}
-	}
-	visit(n)
-	return out
-}
-
-// SubtreeEdges returns the edges of the node's subgraph.
-func (n *Node) SubtreeEdges() []graph.Edge {
-	var out []graph.Edge
-	var visit func(m *Node)
-	visit = func(m *Node) {
-		out = append(out, m.OwnedEdges()...)
-		switch m.Kind {
-		case BNode:
-			visit(m.Left)
-			visit(m.Right)
-		case TNode:
-			var walk func(tv *TreeVertex)
-			walk = func(tv *TreeVertex) {
-				visit(tv.Node)
-				for _, c := range tv.Children {
-					walk(c)
-				}
-			}
-			walk(m.Tree)
-		}
-	}
-	visit(n)
-	return out
-}
-
 // MemberInfo describes one member of a T-node's internal tree: the member
 // node, its tree parent (nil for the tree root), its tree children, and the
 // out-terminals of Tree-merge applied to its subtree.
@@ -222,7 +163,7 @@ func (h *Hierarchy) ValidateP(workers int) error {
 	return h.ValidateFromP(0, workers)
 }
 
-// ValidateFrom is Validate restricted to the dirty region of an incremental
+// ValidateFromP is ValidateP restricted to the dirty region of an incremental
 // rebuild: nodes with id below first were created by a transcript prefix the
 // previous, already-validated generation shares (see BuildHierarchyMark), so
 // their internal invariants (checks 2–4 and 6) were established when that
@@ -233,14 +174,8 @@ func (h *Hierarchy) ValidateP(workers int) error {
 // frozen members. With first > 0 the root's own subgraph-connectivity check
 // is also skipped: its subgraph is the entire completion, whose connectivity
 // follows from check 1 plus the certified graph's connectivity, which the
-// incremental engine verifies before rebuilding. ValidateFrom(0) is exactly
-// Validate.
-func (h *Hierarchy) ValidateFrom(first int) error {
-	return h.ValidateFromP(first, 1)
-}
-
-// ValidateFromP is ValidateFrom with the connectivity sweep parallelized
-// (see ValidateP).
+// incremental engine verifies before rebuilding. ValidateFromP(0, workers)
+// is exactly ValidateP(workers).
 func (h *Hierarchy) ValidateFromP(first, workers int) error {
 	// 1. Edge partition.
 	owned := map[graph.Edge]int{}
@@ -511,31 +446,23 @@ func max(a, b int) int {
 	return b
 }
 
-// MembersByTNode computes Members for every T-node of the hierarchy in one
-// pass, keyed by T-node id. It is the bulk accessor backing the
+// MembersByTNodeFromP computes Members for every T-node of the hierarchy in
+// one pass, keyed by T-node id. It is the bulk accessor backing the
 // property-independent StructuralProof layer in core: the member tables are
 // computed once per structure and shared read-only by every per-property
 // labeling pass instead of being re-derived per property.
-func (h *Hierarchy) MembersByTNode() map[int][]MemberInfo {
-	return h.MembersByTNodeFrom(0)
-}
-
-// MembersByTNodeFrom is MembersByTNode with the merged-out-terminal fold —
-// the expensive part — elided for frozen T-nodes (id < first, see
-// BuildHierarchyMark): their entries carry the member order and tree
-// children but a nil MergedOut. The incremental structure rebuild reads
-// MergedOut only for members of non-frozen T-nodes (frozen members' folds
-// are carried over from the previous generation's artifacts), while the
-// class sweep reads only order and children, so the shallow entries lose
-// nothing it needs. MembersByTNodeFrom(0) computes every fold.
-func (h *Hierarchy) MembersByTNodeFrom(first int) map[int][]MemberInfo {
-	return h.MembersByTNodeFromP(first, 1)
-}
-
-// MembersByTNodeFromP is MembersByTNodeFrom with the per-T-node folds
-// distributed over a worker pool. Folds of distinct T-nodes are independent
-// (each reads only its own tree), so the result is identical for every
-// workers value.
+//
+// The merged-out-terminal fold — the expensive part — is elided for frozen
+// T-nodes (id < first, see BuildHierarchyMark): their entries carry the
+// member order and tree children but a nil MergedOut. The incremental
+// structure rebuild reads MergedOut only for members of non-frozen T-nodes
+// (frozen members' folds are carried over from the previous generation's
+// artifacts), while the class sweep reads only order and children, so the
+// shallow entries lose nothing it needs. first = 0 computes every fold.
+//
+// The per-T-node folds run on a worker pool. Folds of distinct T-nodes are
+// independent (each reads only its own tree), so the result is identical
+// for every workers value.
 func (h *Hierarchy) MembersByTNodeFromP(first, workers int) map[int][]MemberInfo {
 	var tnodes []*Node
 	for _, n := range h.Nodes {
