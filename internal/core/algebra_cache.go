@@ -41,19 +41,11 @@ type bridgeKey struct {
 	i, j, label int
 }
 
-// schemeCaches bundles every memo table of one property's scheme(s): the
-// canonical-key string pool and the algebra caches. All entries are pure
-// functions of their keys (merge keys use canonical class pointers, which
+// schemeCaches bundles the algebra memo tables of one property's scheme(s).
+// All entries are pure functions of their keys (merge keys use canonical class pointers, which
 // the canonCache itself keeps stable), so the struct can outlive any single
 // Scheme and be shared across scheme generations of the same property.
 type schemeCaches struct {
-	// Key interning for canonical NodeEntry encodings: all entries the
-	// prover emits share one string instance per distinct encoding, so the
-	// verifier's per-entry agreement checks compare pointer-equal strings
-	// in O(1) instead of re-encoding O(label-bits).
-	keyMu   sync.Mutex
-	keyPool map[string]string
-
 	// Memoized algebra evaluations: base classes by payload and merges by
 	// operand identity. The underlying functions are pure, so the caches are
 	// semantically transparent; they turn the per-node algebra of prover and
@@ -67,20 +59,6 @@ type schemeCaches struct {
 }
 
 func newSchemeCaches() *schemeCaches { return &schemeCaches{} }
-
-// internKey returns the canonical instance of the key, registering it if new.
-func (sc *schemeCaches) internKey(k string) string {
-	sc.keyMu.Lock()
-	defer sc.keyMu.Unlock()
-	if sc.keyPool == nil {
-		sc.keyPool = map[string]string{}
-	}
-	if v, ok := sc.keyPool[k]; ok {
-		return v
-	}
-	sc.keyPool[k] = k
-	return k
-}
 
 // canonicalLocked maps a freshly computed class to the scheme's canonical
 // instance of its value (registering it if new). Merge results that are

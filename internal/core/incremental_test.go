@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/algebra"
@@ -411,5 +412,64 @@ func TestIncrementalVerifies(t *testing.T) {
 				t.Fatalf("vertex %d rejects %s after incremental update", v, name)
 			}
 		}
+	}
+}
+
+// cacheEntries totals the entries of every memo table a scheme's caches
+// hold, whatever the table.
+func cacheEntries(sc *schemeCaches) int {
+	v := reflect.ValueOf(sc).Elem()
+	total := 0
+	for i := 0; i < v.NumField(); i++ {
+		if f := v.Field(i); f.Kind() == reflect.Map {
+			total += f.Len()
+		}
+	}
+	return total
+}
+
+// TestIncrementalSchemeCachesLevelOff pins that the memo caches the engine
+// hands from one generation to the next stay bounded under a long edit
+// stream: every entry is a pure algebra evaluation, and on a fixed graph
+// family the distinct local shapes run out. Add/remove pairs of distinct
+// covered chords keep the graph near its start while dirtying a different
+// region each time; after a warm-up, further pairs must add no entry.
+func TestIncrementalSchemeCachesLevelOff(t *testing.T) {
+	const rungs = 100
+	g := gen.Ladder(rungs)
+	var chords [][2]graph.Vertex
+	for i := 0; i+1 < rungs; i++ {
+		// The diagonal of square i, covered by the ladder's decomposition.
+		chords = append(chords, [2]graph.Vertex{2*i + 1, 2*i + 2})
+	}
+	const warm, pairs = 20, 60
+	if len(chords) < pairs {
+		t.Fatalf("only %d covered chords, want %d", len(chords), pairs)
+	}
+	props, _ := algebra.ByNames([]string{"maxdeg:4"})
+	inc, err := NewIncremental(context.Background(), cert.NewConfig(g), props, IncrementalOptions{Parallelism: 1})
+	if err != nil {
+		t.Fatalf("NewIncremental: %v", err)
+	}
+	entries := func() int {
+		_, _, schemes, _ := inc.Snapshot()
+		return cacheEntries(schemes[props[0].Name()].caches)
+	}
+	var atWarm int
+	for i, c := range chords[:pairs] {
+		if i == warm {
+			atWarm = entries()
+		}
+		for _, op := range []EditOp{EditAdd, EditRemove} {
+			if _, err := inc.UpdateBatch(context.Background(), []Edit{{Op: op, U: c[0], V: c[1]}}); err != nil {
+				t.Fatalf("pair %d %v %v: %v", i, op, c, err)
+			}
+		}
+	}
+	if got := entries(); got != atWarm {
+		t.Fatalf("scheme caches grew from %d to %d entries over %d add/remove pairs after warm-up", atWarm, got, pairs-warm)
+	}
+	if inc.Fallbacks() != 0 {
+		t.Fatalf("%d updates fell back; covered chords must take the incremental path", inc.Fallbacks())
 	}
 }

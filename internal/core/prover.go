@@ -49,19 +49,14 @@ type Scheme struct {
 	// exactly as the finite class set C is part of the paper's algorithms.
 	Reg *algebra.Registry
 
-	// caches holds the scheme's memoized pure evaluations (key interning and
-	// algebra memo tables, see algebra_cache.go). The tables are content- or
+	// caches holds the scheme's memoized pure evaluations (the algebra memo
+	// tables, see algebra_cache.go). The tables are content- or
 	// canonical-pointer-keyed and carry no per-run state, so several schemes
 	// for the same property may share one instance: the incremental engine
 	// threads the caches of one generation's scheme into the next, turning
 	// clean re-derivations into pointer hits while class IDs still come from
 	// each generation's own fresh Registry.
 	caches *schemeCaches
-}
-
-// internKey returns the canonical instance of the key, registering it if new.
-func (s *Scheme) internKey(k string) string {
-	return s.caches.internKey(k)
 }
 
 // NewScheme returns a scheme for the property with the given lane budget.
@@ -262,33 +257,24 @@ func (s *Scheme) buildEncoderReuse(ctx context.Context, sp *StructuralProof, pre
 		return nil, err
 	}
 	// Materialize the canonical encodings of fresh entries concurrently
-	// (each entry's once-guard is hit by exactly one worker), then intern
-	// them with a single writer: every certificate referencing an entry
-	// shares its pooled key instance, so the verifier's agreement checks stay
-	// pointer-equal string compares. Reused entries are left alone — they
-	// already hold their pooled key (the pool is shared across generations)
-	// and belong to the previous generation's certificate, which another
-	// goroutine may be marshalling or verifying.
+	// (each entry's once-guard is hit by exactly one worker). Every
+	// certificate referencing a node shares its one entry, and with it the
+	// entry's key string, so the verifier's agreement checks compare
+	// pointer-equal strings. Reused entries already hold their key.
 	par.For(workers, nn, func(_, i int) {
 		if e := enc.entries[i]; e != nil && !reused(i) {
 			e.cache.materialize(e.encodeRaw)
 		}
 	})
-	numEntries, numReused := 0, 0
-	for i, e := range enc.entries {
-		switch {
-		case e == nil:
-		case reused(i):
-			numEntries++
-			numReused++
-		default:
-			numEntries++
-			e.cache.key = s.internKey(e.cache.key)
-		}
-	}
 	if ru != nil {
-		ru.ReusedEntries += numReused
-		ru.TotalEntries += numEntries
+		for i, e := range enc.entries {
+			if e != nil {
+				ru.TotalEntries++
+				if reused(i) {
+					ru.ReusedEntries++
+				}
+			}
+		}
 	}
 	return enc, nil
 }

@@ -74,8 +74,9 @@ type StructuralProof struct {
 
 	// owners maps every completion edge to its owning hierarchy node.
 	owners map[graph.Edge]*lanewidth.Node
-	// members holds each T-node's member infos (pre-order, root first).
-	members map[int][]lanewidth.MemberInfo
+	// members holds each T-node's member infos (pre-order, root first),
+	// indexed by node id; nil for nodes that are not T-nodes.
+	members [][]lanewidth.MemberInfo
 	// embPaths orients each virtual edge's embedding path to start at the
 	// edge's U endpoint, pre-validated against the real edge set.
 	embPaths map[graph.Edge][]graph.Vertex
@@ -107,7 +108,7 @@ func (sp *StructuralProof) Stages() StageTimings { return sp.stages }
 // labeling built from the same StructuralProof — per-property passes fill in
 // only the class ids.
 type nodeArtifact struct {
-	lanes  []int    // sorted
+	lanes  []int    // the node's sorted Lanes, shared
 	inIDs  []uint64 // inIDs[i] is the in-terminal id on lanes[i]
 	outIDs []uint64
 
@@ -331,19 +332,18 @@ func (sp *StructuralProof) buildArtifactsReuse(prev *StructuralProof, first int,
 	if first > len(prevArt) {
 		first = len(prevArt)
 	}
-	memberInfo := make(map[int]lanewidth.MemberInfo)
-	rootMember := map[int]bool{}
+	memberInfo := make([]*lanewidth.MemberInfo, len(h.Nodes))
+	rootMember := make([]bool, len(h.Nodes))
 	for tid, mis := range sp.members {
 		if tid < first && tid != h.Root.ID {
 			// Frozen T-nodes carry shallow member infos (no merged-out fold);
 			// their members' folds come from the previous artifacts below.
 			continue
 		}
-		for _, mi := range mis {
-			memberInfo[mi.Node.ID] = mi
-			if tid == h.Root.ID {
-				rootMember[mi.Node.ID] = true
-			}
+		for i := range mis {
+			id := mis[i].Node.ID
+			memberInfo[id] = &mis[i]
+			rootMember[id] = tid == h.Root.ID
 		}
 	}
 	sp.art = make([]*nodeArtifact, len(h.Nodes))
@@ -372,8 +372,8 @@ type artifactBuilder struct {
 	prevArt    []*nodeArtifact
 	first      int
 	dirty      map[graph.Edge]bool
-	memberInfo map[int]lanewidth.MemberInfo
-	rootMember map[int]bool
+	memberInfo []*lanewidth.MemberInfo // by node id; nil outside folded trees
+	rootMember []bool                  // by node id: a member of the root's tree
 	rootID     int
 }
 
@@ -396,14 +396,11 @@ func (ab *artifactBuilder) ownsDirty(n *lanewidth.Node) bool {
 	return false
 }
 
-// ids carves the identifiers of a lane → terminal map, aligned with lanes,
-// from the arena (0 on a lane the map lacks).
-func (ab *artifactBuilder) ids(arena *u64Arena, lanes []int, m map[int]graph.Vertex) []uint64 {
-	out := arena.alloc(len(lanes))
-	for i, l := range lanes {
-		if v, ok := m[l]; ok {
-			out[i] = ab.sp.Cfg.IDs[v]
-		}
+// ids carves the identifiers of lane-aligned terminals from the arena.
+func (ab *artifactBuilder) ids(arena *u64Arena, vs []graph.Vertex) []uint64 {
+	out := arena.alloc(len(vs))
+	for i, v := range vs {
+		out[i] = ab.sp.Cfg.IDs[v]
 	}
 	return out
 }
@@ -441,21 +438,21 @@ func (ab *artifactBuilder) build(n *lanewidth.Node, arena *u64Arena) error {
 		return nil
 	}
 	a := &nodeArtifact{
-		lanes:      sortedLanes(n.Lanes),
+		lanes:      n.Lanes,
+		inIDs:      ab.ids(arena, n.In),
+		outIDs:     ab.ids(arena, n.Out),
 		parentID:   -1,
 		rootMember: -1,
 	}
-	a.inIDs = ab.ids(arena, a.lanes, n.In)
-	a.outIDs = ab.ids(arena, a.lanes, n.Out)
 	if pa != nil && pa.member && pa.parentID < ab.first && pa.parentID != ab.rootID {
 		a.member = true
 		a.parentID = pa.parentID
 		a.mergedOutIDs = pa.mergedOutIDs
 		a.treeChildren = pa.treeChildren
-	} else if mi, ok := ab.memberInfo[n.ID]; ok {
+	} else if mi := ab.memberInfo[n.ID]; mi != nil {
 		a.member = true
 		a.parentID = n.Parent.ID
-		a.mergedOutIDs = ab.ids(arena, a.lanes, mi.MergedOut)
+		a.mergedOutIDs = ab.ids(arena, mi.MergedOut)
 		for _, child := range mi.TreeChildren {
 			a.treeChildren = append(a.treeChildren, child.ID)
 		}
@@ -464,10 +461,9 @@ func (ab *artifactBuilder) build(n *lanewidth.Node, arena *u64Arena) error {
 	case lanewidth.VNode:
 		a.input = cfg.Input(n.Vertex)
 	case lanewidth.ENode:
-		l := n.Lanes[0]
-		a.pathIDs = []uint64{cfg.IDs[n.In[l]], cfg.IDs[n.Out[l]]}
+		a.pathIDs = []uint64{cfg.IDs[n.In[0]], cfg.IDs[n.Out[0]]}
 		a.realBits = []bool{edgeReal(g, n.Edge)}
-		a.vInputs = []int{cfg.Input(n.In[l]), cfg.Input(n.Out[l])}
+		a.vInputs = []int{cfg.Input(n.In[0]), cfg.Input(n.Out[0])}
 	case lanewidth.PNode:
 		for _, v := range n.PathVs {
 			a.pathIDs = append(a.pathIDs, cfg.IDs[v])
@@ -493,7 +489,7 @@ func (ab *artifactBuilder) build(n *lanewidth.Node, arena *u64Arena) error {
 // the same merged out-terminal identifier per lane. Payload fields are not
 // compared — callers only consult it for nodes below the mark, whose payload
 // halves are frozen by construction.
-func memberFoldEqual(pa *nodeArtifact, mi lanewidth.MemberInfo, cfg *cert.Config) bool {
+func memberFoldEqual(pa *nodeArtifact, mi *lanewidth.MemberInfo, cfg *cert.Config) bool {
 	if len(pa.treeChildren) != len(mi.TreeChildren) {
 		return false
 	}
@@ -502,14 +498,11 @@ func memberFoldEqual(pa *nodeArtifact, mi lanewidth.MemberInfo, cfg *cert.Config
 			return false
 		}
 	}
-	// Lanes are distinct, so equal counts and a match on every lane cover
-	// every terminal of the fresh fold.
 	if len(pa.mergedOutIDs) != len(mi.MergedOut) {
 		return false
 	}
-	for i, l := range pa.lanes {
-		v, ok := mi.MergedOut[l]
-		if !ok || pa.mergedOutIDs[i] != cfg.IDs[v] {
+	for i, v := range mi.MergedOut {
+		if pa.mergedOutIDs[i] != cfg.IDs[v] {
 			return false
 		}
 	}
@@ -540,9 +533,7 @@ func (sp *StructuralProof) orientEmbedding() error {
 // hierarchy root's designated vertex (the root member's in-terminal on its
 // first lane) — property-independent, shared by every labeling.
 func (sp *StructuralProof) buildPointing() error {
-	rm := sp.Hierarchy.Root.RootMember()
-	target := rm.In[sortedLanes(rm.Lanes)[0]]
-	pointing, err := cert.ProvePointing(sp.Cfg, target)
+	pointing, err := cert.ProvePointing(sp.Cfg, sp.Hierarchy.Root.RootMember().In[0])
 	if err != nil {
 		return err
 	}

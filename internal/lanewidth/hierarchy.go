@@ -2,6 +2,7 @@ package lanewidth
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/graph"
 )
@@ -43,12 +44,17 @@ func (k Kind) String() string {
 // are into the certified graph itself (merging never renames vertices, it
 // only glues identical ones), which is what makes local verification
 // possible.
+//
+// Terminals are lane-aligned, the one lane → terminal layout from here to
+// the wire: In[i] and Out[i] are the in- and out-terminal of the (merged)
+// node on Lanes[i], and Lanes is strictly increasing, so a lane's position
+// is found by binary search (LaneIndex).
 type Node struct {
 	ID    int
 	Kind  Kind
-	Lanes []int                // sorted lane set T(G)
-	In    map[int]graph.Vertex // lane → in-terminal of the (merged) node
-	Out   map[int]graph.Vertex // lane → out-terminal of the (merged) node
+	Lanes []int          // sorted lane set T(G)
+	In    []graph.Vertex // In[i] is the in-terminal on Lanes[i]
+	Out   []graph.Vertex // Out[i] is the out-terminal on Lanes[i]
 
 	// Kind-specific payloads.
 	Vertex graph.Vertex   // VNode: the unique vertex
@@ -128,11 +134,10 @@ func BuildHierarchyMark(g *graph.Graph, log OpLog, cleanOps int) (*Hierarchy, in
 	// Base case: the initial path as a P-node inside the working tree.
 	p := b.newNode(PNode)
 	p.PathVs = append([]graph.Vertex(nil), log.Heads...)
-	for i, v := range log.Heads {
+	for i := range log.Heads {
 		p.Lanes = append(p.Lanes, i)
-		p.In[i] = v
-		p.Out[i] = v
 	}
+	p.In, p.Out = p.PathVs, p.PathVs
 	b.top = &TreeVertex{Node: p}
 	b.owner = make([]*TreeVertex, log.K)
 	designated := make([]graph.Vertex, log.K)
@@ -154,8 +159,7 @@ func BuildHierarchyMark(g *graph.Graph, log OpLog, cleanOps int) (*Hierarchy, in
 			e := b.newNode(ENode)
 			e.Edge = graph.NewEdge(op.U, op.V)
 			e.Lanes = []int{op.I}
-			e.In[op.I] = op.U
-			e.Out[op.I] = op.V
+			e.In, e.Out = []graph.Vertex{op.U}, []graph.Vertex{op.V}
 			tv := &TreeVertex{Node: e, parent: b.owner[op.I], depth: b.owner[op.I].depth + 1}
 			b.owner[op.I].Children = append(b.owner[op.I].Children, tv)
 			b.owner[op.I] = tv
@@ -185,25 +189,26 @@ func BuildHierarchyMark(g *graph.Graph, log OpLog, cleanOps int) (*Hierarchy, in
 }
 
 type hBuilder struct {
-	h     *hierarchyRef
+	h     *Hierarchy
 	k     int
 	top   *TreeVertex
 	owner []*TreeVertex // per lane: lowest top-tree vertex containing τ_l
 }
 
-// hierarchyRef is an alias to keep the builder decoupled from the public
-// struct name in method signatures.
-type hierarchyRef = Hierarchy
-
 func (b *hBuilder) newNode(k Kind) *Node {
-	n := &Node{
-		ID:   len(b.h.Nodes),
-		Kind: k,
-		In:   map[int]graph.Vertex{},
-		Out:  map[int]graph.Vertex{},
-	}
+	n := &Node{ID: len(b.h.Nodes), Kind: k}
 	b.h.Nodes = append(b.h.Nodes, n)
 	return n
+}
+
+// LaneIndex returns the position of lane l in the node's sorted lane set,
+// or -1 when the node does not use l. Lane sets hold at most
+// MaxLaneBudget lanes, so the binary search is a handful of probes.
+func (n *Node) LaneIndex(l int) int {
+	if i, ok := slices.BinarySearch(n.Lanes, l); ok {
+		return i
+	}
+	return -1
 }
 
 // eInsert implements the three sub-cases of Case 2 in Proposition 5.6.
@@ -220,8 +225,8 @@ func (b *hBuilder) eInsert(i, j int, u, v graph.Vertex) error {
 			vn := b.newNode(VNode)
 			vn.Vertex = tau
 			vn.Lanes = []int{lane}
-			vn.In[lane] = tau
-			vn.Out[lane] = tau
+			vn.In = []graph.Vertex{tau}
+			vn.Out = vn.In
 			return vn, nil
 		}
 		// T-node wrapping the subtree rooted at the child of lca that is an
@@ -238,13 +243,7 @@ func (b *hBuilder) eInsert(i, j int, u, v graph.Vertex) error {
 	bn.Left, bn.Right = left, right
 	bn.LaneI, bn.LaneJ = i, j
 	bn.Bridge = graph.NewEdge(u, v)
-	bn.Lanes = unionSorted(left.Lanes, right.Lanes)
-	for _, operand := range []*Node{left, right} {
-		for _, l := range operand.Lanes {
-			bn.In[l] = operand.In[l]
-			bn.Out[l] = operand.Out[l]
-		}
-	}
+	mergeTerminals(bn, left, right)
 
 	tv := &TreeVertex{Node: bn, parent: lca, depth: lca.depth + 1}
 	lca.Children = append(lca.Children, tv)
@@ -281,10 +280,11 @@ func (b *hBuilder) wrapTNode(root *TreeVertex) *Node {
 func (b *hBuilder) fillTNode(t *Node, root *TreeVertex) {
 	t.Tree = root
 	root.parent = nil
-	t.Lanes = append([]int(nil), root.Node.Lanes...)
-	for _, l := range t.Lanes {
-		t.In[l] = root.Node.In[l]
-		t.Out[l] = mergedOutLane(root, l)
+	t.Lanes = root.Node.Lanes
+	t.In = root.Node.In
+	t.Out = make([]graph.Vertex, len(t.Lanes))
+	for i, l := range t.Lanes {
+		t.Out[i] = mergedOutLane(root, l)
 	}
 }
 
@@ -297,17 +297,14 @@ func (b *hBuilder) fillTNode(t *Node, root *TreeVertex) {
 func mergedOutLane(tv *TreeVertex, l int) graph.Vertex {
 	for {
 		var next *TreeVertex
-	children:
 		for _, c := range tv.Children {
-			for _, cl := range c.Node.Lanes {
-				if cl == l {
-					next = c
-					break children
-				}
+			if c.Node.LaneIndex(l) >= 0 {
+				next = c
+				break
 			}
 		}
 		if next == nil {
-			return tv.Node.Out[l]
+			return tv.Node.Out[tv.Node.LaneIndex(l)]
 		}
 		tv = next
 	}
@@ -364,27 +361,27 @@ func inSubtree(x, root *TreeVertex) bool {
 	return x == root
 }
 
-func unionSorted(a, b []int) []int {
-	seen := map[int]bool{}
-	var out []int
-	for _, l := range a {
-		if !seen[l] {
-			seen[l] = true
-			out = append(out, l)
+// mergeTerminals sets the B-node's lanes to the sorted union of its
+// operands' lane sets, each lane carrying its operand's terminals. The
+// operands' lane sets are disjoint; Validate rejects a B-node whose
+// operands share a lane.
+func mergeTerminals(bn, left, right *Node) {
+	size := len(left.Lanes) + len(right.Lanes)
+	bn.Lanes = make([]int, 0, size)
+	bn.In = make([]graph.Vertex, 0, size)
+	bn.Out = make([]graph.Vertex, 0, size)
+	for i, j := 0, 0; i+j < size; {
+		from, k := right, j
+		if j == len(right.Lanes) || (i < len(left.Lanes) && left.Lanes[i] < right.Lanes[j]) {
+			from, k = left, i
+			i++
+		} else {
+			j++
 		}
+		bn.Lanes = append(bn.Lanes, from.Lanes[k])
+		bn.In = append(bn.In, from.In[k])
+		bn.Out = append(bn.Out, from.Out[k])
 	}
-	for _, l := range b {
-		if !seen[l] {
-			seen[l] = true
-			out = append(out, l)
-		}
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
 }
 
 // setParents fixes the H-parent pointers: a T-node is the parent of its tree

@@ -2,6 +2,7 @@ package lanewidth
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -260,20 +261,30 @@ func randomOpLog(rng *rand.Rand, k, nOps int) (*Builder, error) {
 	return b, nil
 }
 
+// quickHierarchy builds the hierarchy of the quick-check construction
+// drawn from seed, returning its lane count.
+func quickHierarchy(t *testing.T, seed int64) (*Hierarchy, int, bool) {
+	rng := rand.New(rand.NewSource(seed))
+	k := 2 + rng.Intn(4)
+	b, err := randomOpLog(rng, k, 5+rng.Intn(30))
+	if err != nil {
+		t.Logf("seed %d: builder: %v", seed, err)
+		return nil, 0, false
+	}
+	h, err := BuildHierarchy(b.Graph(), b.Log())
+	if err != nil {
+		t.Logf("seed %d: hierarchy: %v", seed, err)
+		return nil, 0, false
+	}
+	return h, k, true
+}
+
 func TestQuickHierarchyValidAndBoundedDepth(t *testing.T) {
 	// Property (Prop 5.6 + Obs 5.5): every random lanewidth-k construction
 	// yields a valid hierarchical decomposition of depth ≤ 2k.
 	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		k := 2 + rng.Intn(4)
-		b, err := randomOpLog(rng, k, 5+rng.Intn(30))
-		if err != nil {
-			t.Logf("seed %d: builder: %v", seed, err)
-			return false
-		}
-		h, err := BuildHierarchy(b.Graph(), b.Log())
-		if err != nil {
-			t.Logf("seed %d: hierarchy: %v", seed, err)
+		h, k, ok := quickHierarchy(t, seed)
+		if !ok {
 			return false
 		}
 		if err := h.Validate(); err != nil {
@@ -284,6 +295,112 @@ func TestQuickHierarchyValidAndBoundedDepth(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestQuickMemberFolds checks the post-order member fold against the
+// per-lane reference descent: every member's MergedOut is lane-aligned and
+// holds mergedOutLane on each lane. It also checks that the bulk accessor's
+// shallow entries (first > 0) keep the member order, parents and children
+// of the full fold, and drop MergedOut exactly for frozen T-nodes. Both run
+// at default parallelism, so GOMAXPROCS=1 covers the inline folds.
+func TestQuickMemberFolds(t *testing.T) {
+	f := func(seed int64) bool {
+		h, _, ok := quickHierarchy(t, seed)
+		if !ok {
+			return false
+		}
+		full := h.MembersByTNodeFromP(0, 0)
+		first := len(h.Nodes) / 2
+		shallow := h.MembersByTNodeFromP(first, 0)
+		for _, n := range h.Nodes {
+			if (full[n.ID] != nil) != (n.Kind == TNode) {
+				t.Logf("seed %d: node %d (%v) has %d member infos", seed, n.ID, n.Kind, len(full[n.ID]))
+				return false
+			}
+			if n.Kind != TNode {
+				continue
+			}
+			var tvs []*TreeVertex
+			var walk func(tv *TreeVertex)
+			walk = func(tv *TreeVertex) {
+				tvs = append(tvs, tv)
+				for _, c := range tv.Children {
+					walk(c)
+				}
+			}
+			walk(n.Tree)
+			mis, sh := full[n.ID], shallow[n.ID]
+			if len(mis) != len(tvs) || len(sh) != len(tvs) {
+				t.Logf("seed %d: T-node %d: %d and %d member infos for %d members", seed, n.ID, len(mis), len(sh), len(tvs))
+				return false
+			}
+			frozen := n.ID < first && n != h.Root
+			for i, tv := range tvs {
+				mi := mis[i]
+				if mi.Node != tv.Node || sh[i].Node != mi.Node || sh[i].TreeParent != mi.TreeParent ||
+					!slices.Equal(sh[i].TreeChildren, mi.TreeChildren) {
+					t.Logf("seed %d: T-node %d: member %d differs between full and shallow infos", seed, n.ID, i)
+					return false
+				}
+				if len(mi.MergedOut) != len(mi.Node.Lanes) {
+					t.Logf("seed %d: member %d has %d merged terminals for %d lanes", seed, mi.Node.ID, len(mi.MergedOut), len(mi.Node.Lanes))
+					return false
+				}
+				for li, l := range mi.Node.Lanes {
+					if want := mergedOutLane(tv, l); mi.MergedOut[li] != want {
+						t.Logf("seed %d: member %d lane %d merged out %d, want %d", seed, mi.Node.ID, l, mi.MergedOut[li], want)
+						return false
+					}
+				}
+				if (sh[i].MergedOut == nil) != frozen || (!frozen && !slices.Equal(sh[i].MergedOut, mi.MergedOut)) {
+					t.Logf("seed %d: T-node %d (frozen=%v): shallow member %d fold mismatch", seed, n.ID, frozen, i)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestValidateRejectsTerminalCountMismatch pins the validator's one
+// terminal check: on every node of a valid hierarchy, an in- or
+// out-terminal slice one shorter or one longer than the lane set is
+// rejected.
+func TestValidateRejectsTerminalCountMismatch(t *testing.T) {
+	b := figure10Builder(t)
+	h, err := BuildHierarchy(b.Graph(), b.Log())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := h.ValidateP(0); err != nil {
+		t.Fatal(err)
+	}
+	resizes := []struct {
+		name string
+		fn   func([]graph.Vertex) []graph.Vertex
+	}{
+		{"short", func(vs []graph.Vertex) []graph.Vertex { return vs[:len(vs)-1] }},
+		{"long", func(vs []graph.Vertex) []graph.Vertex { return append(slices.Clip(vs), vs[0]) }},
+	}
+	for _, n := range h.Nodes {
+		for _, rs := range resizes {
+			for _, side := range []*[]graph.Vertex{&n.In, &n.Out} {
+				saved := *side
+				*side = rs.fn(saved)
+				err := h.ValidateP(0)
+				*side = saved
+				if err == nil {
+					t.Fatalf("%v-node %d: %s terminal slice accepted", n.Kind, n.ID, rs.name)
+				}
+			}
+		}
+	}
+	if err := h.ValidateP(0); err != nil {
+		t.Fatalf("restored hierarchy rejected: %v", err)
 	}
 }
 

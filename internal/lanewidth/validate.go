@@ -74,56 +74,46 @@ func (n *Node) NodePath() []*Node {
 
 // MemberInfo describes one member of a T-node's internal tree: the member
 // node, its tree parent (nil for the tree root), its tree children, and the
-// out-terminals of Tree-merge applied to its subtree.
+// out-terminals of Tree-merge applied to its subtree, aligned with the
+// member's Lanes like its own Out.
 type MemberInfo struct {
 	Node         *Node
 	TreeParent   *Node
 	TreeChildren []*Node
-	MergedOut    map[int]graph.Vertex
+	MergedOut    []graph.Vertex
 }
 
-// Members returns the member infos of a T-node's tree, root first. The
-// merged out-terminals of all members are computed in one post-order pass
-// (each member's map is assembled from its children's already-computed
-// maps), so the whole call is O(members · k) rather than quadratic in the
-// member count.
-func (h *Hierarchy) Members(t *Node) []MemberInfo {
+// members lists a T-node's member infos in pre-order (root first), and nil
+// for any other node. With fold set, the merged out-terminals of all members
+// are computed in the same walk, post-order: a member's are its own,
+// overwritten on each child's lanes (a subset of its own) by that child's
+// merged ones. The whole call is O(members · k) rather than quadratic in
+// the member count. Without fold, MergedOut stays nil.
+func members(t *Node, fold bool) []MemberInfo {
 	if t.Kind != TNode {
 		return nil
 	}
-	merged := map[*TreeVertex]map[int]graph.Vertex{}
-	var fold func(tv *TreeVertex) map[int]graph.Vertex
-	fold = func(tv *TreeVertex) map[int]graph.Vertex {
-		out := make(map[int]graph.Vertex, len(tv.Node.Out))
-		for l, w := range tv.Node.Out {
-			out[l] = w
+	var out []MemberInfo
+	var walk func(tv *TreeVertex, parent *Node) []graph.Vertex
+	walk = func(tv *TreeVertex, parent *Node) []graph.Vertex {
+		n := tv.Node
+		slot := len(out)
+		out = append(out, MemberInfo{Node: n, TreeParent: parent})
+		var merged []graph.Vertex
+		if fold {
+			merged = append([]graph.Vertex(nil), n.Out...)
 		}
 		for _, c := range tv.Children {
-			sub := fold(c)
-			for _, l := range c.Node.Lanes {
-				out[l] = sub[l]
+			out[slot].TreeChildren = append(out[slot].TreeChildren, c.Node)
+			sub := walk(c, n)
+			if fold {
+				for ci, l := range c.Node.Lanes {
+					merged[n.LaneIndex(l)] = sub[ci]
+				}
 			}
 		}
-		merged[tv] = out
-		return out
-	}
-	fold(t.Tree)
-
-	var out []MemberInfo
-	var walk func(tv *TreeVertex, parent *Node)
-	walk = func(tv *TreeVertex, parent *Node) {
-		mi := MemberInfo{
-			Node:       tv.Node,
-			TreeParent: parent,
-			MergedOut:  merged[tv],
-		}
-		for _, c := range tv.Children {
-			mi.TreeChildren = append(mi.TreeChildren, c.Node)
-		}
-		out = append(out, mi)
-		for _, c := range tv.Children {
-			walk(c, tv.Node)
-		}
+		out[slot].MergedOut = merged
+		return merged
 	}
 	walk(t.Tree, nil)
 	return out
@@ -208,23 +198,23 @@ func (h *Hierarchy) ValidateFromP(first, workers int) error {
 		if len(n.Lanes) == 0 {
 			return fmt.Errorf("lanewidth: node %d has empty lane set", n.ID)
 		}
-		for _, l := range n.Lanes {
-			if _, ok := n.In[l]; !ok {
-				return fmt.Errorf("lanewidth: node %d lane %d missing in-terminal", n.ID, l)
+		for i := 1; i < len(n.Lanes); i++ {
+			if n.Lanes[i] <= n.Lanes[i-1] {
+				return fmt.Errorf("lanewidth: node %d lanes not strictly increasing", n.ID)
 			}
-			if _, ok := n.Out[l]; !ok {
-				return fmt.Errorf("lanewidth: node %d lane %d missing out-terminal", n.ID, l)
-			}
+		}
+		if len(n.In) != len(n.Lanes) || len(n.Out) != len(n.Lanes) {
+			return fmt.Errorf("lanewidth: node %d has %d in- and %d out-terminals for %d lanes",
+				n.ID, len(n.In), len(n.Out), len(n.Lanes))
 		}
 		switch n.Kind {
 		case VNode:
-			if len(n.Lanes) != 1 || n.In[n.Lanes[0]] != n.Vertex || n.Out[n.Lanes[0]] != n.Vertex {
+			if len(n.Lanes) != 1 || n.In[0] != n.Vertex || n.Out[0] != n.Vertex {
 				return fmt.Errorf("lanewidth: malformed V-node %d", n.ID)
 			}
 		case ENode:
-			l := n.Lanes[0]
-			if len(n.Lanes) != 1 || n.In[l] == n.Out[l] ||
-				graph.NewEdge(n.In[l], n.Out[l]) != n.Edge {
+			if len(n.Lanes) != 1 || n.In[0] == n.Out[0] ||
+				graph.NewEdge(n.In[0], n.Out[0]) != n.Edge {
 				return fmt.Errorf("lanewidth: malformed E-node %d", n.ID)
 			}
 		case PNode:
@@ -232,7 +222,7 @@ func (h *Hierarchy) ValidateFromP(first, workers int) error {
 				return fmt.Errorf("lanewidth: malformed P-node %d", n.ID)
 			}
 			for idx, l := range n.Lanes {
-				if n.In[l] != n.PathVs[idx] || n.Out[l] != n.PathVs[idx] {
+				if n.In[idx] != n.PathVs[idx] || n.Out[idx] != n.PathVs[idx] {
 					return fmt.Errorf("lanewidth: P-node %d terminal mismatch on lane %d", n.ID, l)
 				}
 			}
@@ -250,14 +240,15 @@ func (h *Hierarchy) ValidateFromP(first, workers int) error {
 					}
 				}
 			}
-			if graph.NewEdge(n.Left.Out[n.LaneI], n.Right.Out[n.LaneJ]) != n.Bridge {
-				return fmt.Errorf("lanewidth: B-node %d bridge does not join out-terminals", n.ID)
-			}
 			if err := check(n.Left); err != nil {
 				return err
 			}
 			if err := check(n.Right); err != nil {
 				return err
+			}
+			li, rj := n.Left.LaneIndex(n.LaneI), n.Right.LaneIndex(n.LaneJ)
+			if li < 0 || rj < 0 || graph.NewEdge(n.Left.Out[li], n.Right.Out[rj]) != n.Bridge {
+				return fmt.Errorf("lanewidth: B-node %d bridge does not join out-terminals", n.ID)
 			}
 		case TNode:
 			var walk func(tv *TreeVertex) error
@@ -271,13 +262,19 @@ func (h *Hierarchy) ValidateFromP(first, workers int) error {
 					return err
 				}
 				for ci, c := range tv.Children {
-					if !laneSubset(c.Node.Lanes, tv.Node.Lanes) {
-						return fmt.Errorf("lanewidth: T-node %d: child lanes ⊄ parent lanes", n.ID)
+					// The child's own terminal counts are checked before its
+					// terminals are glued onto the parent's.
+					if err := walk(c); err != nil {
+						return err
 					}
-					for _, l := range c.Node.Lanes {
-						if c.Node.In[l] != tv.Node.Out[l] {
+					for li, l := range c.Node.Lanes {
+						pi := tv.Node.LaneIndex(l)
+						if pi < 0 {
+							return fmt.Errorf("lanewidth: T-node %d: child lanes ⊄ parent lanes", n.ID)
+						}
+						if c.Node.In[li] != tv.Node.Out[pi] {
 							return fmt.Errorf("lanewidth: T-node %d: lane %d child in-terminal %d ≠ parent out-terminal %d",
-								n.ID, l, c.Node.In[l], tv.Node.Out[l])
+								n.ID, l, c.Node.In[li], tv.Node.Out[pi])
 						}
 					}
 					for _, sib := range tv.Children[:ci] {
@@ -288,9 +285,6 @@ func (h *Hierarchy) ValidateFromP(first, workers int) error {
 								}
 							}
 						}
-					}
-					if err := walk(c); err != nil {
-						return err
 					}
 				}
 				return nil
@@ -423,34 +417,13 @@ func (s *connScratch) walk(tv *TreeVertex) {
 	}
 }
 
-func laneSubset(sub, super []int) bool {
-	for _, l := range sub {
-		found := false
-		for _, m := range super {
-			if l == m {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return false
-		}
-	}
-	return true
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// MembersByTNodeFromP computes Members for every T-node of the hierarchy in
-// one pass, keyed by T-node id. It is the bulk accessor backing the
-// property-independent StructuralProof layer in core: the member tables are
-// computed once per structure and shared read-only by every per-property
-// labeling pass instead of being re-derived per property.
+// MembersByTNodeFromP computes the member infos of every T-node of the
+// hierarchy (root first, with merged out-terminals) in one pass, indexed by
+// node id and nil for nodes that are not T-nodes. It is the bulk accessor
+// backing the property-independent StructuralProof layer in core: the
+// member tables are computed once per structure and shared read-only by
+// every per-property labeling pass instead of being re-derived per
+// property.
 //
 // The merged-out-terminal fold — the expensive part — is elided for frozen
 // T-nodes (id < first, see BuildHierarchyMark): their entries carry the
@@ -463,49 +436,13 @@ func max(a, b int) int {
 // The per-T-node folds run on a worker pool. Folds of distinct T-nodes are
 // independent (each reads only its own tree), so the result is identical
 // for every workers value.
-func (h *Hierarchy) MembersByTNodeFromP(first, workers int) map[int][]MemberInfo {
-	var tnodes []*Node
-	for _, n := range h.Nodes {
-		if n.Kind == TNode {
-			tnodes = append(tnodes, n)
-		}
-	}
-	results := make([][]MemberInfo, len(tnodes))
-	par.For(workers, len(tnodes), func(_, i int) {
-		n := tnodes[i]
-		if n.ID < first && n != h.Root {
-			results[i] = h.membersShallow(n)
-		} else {
-			// The root's id is reserved (always 0, below any mark) but its
-			// tree is rebuilt every generation, so it always gets the fold.
-			results[i] = h.Members(n)
-		}
+func (h *Hierarchy) MembersByTNodeFromP(first, workers int) [][]MemberInfo {
+	out := make([][]MemberInfo, len(h.Nodes))
+	par.For(workers, len(h.Nodes), func(_, i int) {
+		// The root's id is reserved (always 0, below any mark) but its tree
+		// is rebuilt every generation, so it always gets the fold.
+		n := h.Nodes[i]
+		out[i] = members(n, n.ID >= first || n == h.Root)
 	})
-	out := make(map[int][]MemberInfo, len(tnodes))
-	for i, n := range tnodes {
-		out[n.ID] = results[i]
-	}
-	return out
-}
-
-// membersShallow is Members without the merged-out fold: MergedOut is nil in
-// every returned info.
-func (h *Hierarchy) membersShallow(t *Node) []MemberInfo {
-	if t.Kind != TNode {
-		return nil
-	}
-	var out []MemberInfo
-	var walk func(tv *TreeVertex, parent *Node)
-	walk = func(tv *TreeVertex, parent *Node) {
-		mi := MemberInfo{Node: tv.Node, TreeParent: parent}
-		for _, c := range tv.Children {
-			mi.TreeChildren = append(mi.TreeChildren, c.Node)
-		}
-		out = append(out, mi)
-		for _, c := range tv.Children {
-			walk(c, tv.Node)
-		}
-	}
-	walk(t.Tree, nil)
 	return out
 }
