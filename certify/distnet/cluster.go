@@ -7,10 +7,10 @@ import (
 	"hash/fnv"
 
 	"repro/certify"
-	"repro/internal/algebra"
 	"repro/internal/cert"
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/msoc"
 )
 
 // PartOf returns the partition hosting vertex v under the canonical balanced
@@ -150,7 +150,7 @@ func buildCluster(pub *certify.Graph, crt *certify.Certificate, property string,
 		}
 		pristine.Edges[graph.NewEdge(b.U, b.V)] = el
 	}
-	prop, err := algebra.ByName(property)
+	prop, err := msoc.ByName(property)
 	if err != nil {
 		return nil, fmt.Errorf("distnet: %w", err)
 	}

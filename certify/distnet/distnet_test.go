@@ -2,11 +2,14 @@ package distnet_test
 
 import (
 	"context"
+	"errors"
 	"testing"
 	"time"
 
 	"repro/certify"
 	"repro/certify/distnet"
+	"repro/internal/core"
+	"repro/internal/mso"
 )
 
 // families pairs every public generator family with a property that holds
@@ -386,5 +389,52 @@ func TestPeersSeen(t *testing.T) {
 			t.Fatalf("partition 1 never heard from both neighbors: %v", seen)
 		}
 		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// TestClusterFormulaCertificate pins that a cluster resolves a compiled
+// formula's property name ("mso:" + formula) as the verifier does: an
+// honest certificate of an MSO₂ formula is accepted, and a copy corrupted by
+// any fault of the catalog is rejected.
+func TestClusterFormulaCertificate(t *testing.T) {
+	prop, err := certify.FormulaProperty(mso.BipartiteFormula().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fx := prove(t, certify.Ladder(6), prop.Name())
+	cl := startCluster(t, fx, prop.Name(), 2, 0, 0)
+	v, _, err := cl.coord.RunUntilVerdict(ctx(t), 4)
+	if err != nil {
+		t.Fatalf("cluster verdict: %v", err)
+	}
+	if !v.Accepted {
+		t.Fatalf("cluster rejects the honest formula certificate: %v", v.Rejected)
+	}
+
+	// A fault that makes the labels contradict their own class table is
+	// refused when the cluster is built, before any round runs; every other
+	// fault must be caught by the first round.
+	for _, fault := range certify.FaultNames() {
+		bad, err := fx.crt.Corrupt(1, fault)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := distnet.ClusterFingerprint(fx.g, bad, prop.Name(), 2); err != nil {
+			if !errors.Is(err, core.ErrRegistryRebuild) {
+				t.Fatalf("%s: cluster refused the certificate for another reason: %v", fault, err)
+			}
+			continue
+		}
+		cl := startCluster(t, fixture{g: fx.g, crt: bad}, prop.Name(), 2, 0, 0)
+		v, rounds, err := cl.coord.RunUntilVerdict(ctx(t), 4)
+		if err != nil {
+			t.Fatalf("%s: cluster verdict: %v", fault, err)
+		}
+		if v.Accepted {
+			t.Fatalf("%s: cluster accepts a corrupted formula certificate", fault)
+		}
+		if rounds != 1 {
+			t.Errorf("%s: detected after %d rounds, want 1", fault, rounds)
+		}
 	}
 }

@@ -7,12 +7,6 @@ import (
 	"repro/internal/msoc"
 )
 
-// formulaPrefix marks property names that are compiled MSO₂ formulas
-// rather than catalog entries: "mso:" followed by the canonical formula
-// text. Certificates carry these names on the wire, and the verifying
-// process recompiles the formula from the name alone.
-const formulaPrefix = "mso:"
-
 // Property is one certifiable MSO₂ property, resolved from the catalog.
 // The zero value is invalid; obtain properties from PropertyByName or And.
 type Property struct {
@@ -38,12 +32,16 @@ func (p Property) valid() bool { return p.p != nil }
 // FormulaProperty). Unknown names return ErrUnknownProperty; a formula
 // name that fails to compile returns ErrBadFormula.
 func PropertyByName(name string) (Property, error) {
-	if strings.HasPrefix(name, formulaPrefix) {
-		return FormulaProperty(strings.TrimPrefix(name, formulaPrefix))
-	}
-	p, err := algebra.ByName(name)
-	if err != nil {
+	p, err := msoc.ByName(name)
+	formula := strings.HasPrefix(name, msoc.Prefix)
+	switch {
+	case err != nil && formula:
+		return Property{}, wrapErr(ErrBadFormula, err)
+	case err != nil:
 		return Property{}, wrapErr(ErrUnknownProperty, err)
+	case formula:
+		// A formula's name is its canonical text, whatever the spelling.
+		name = p.Name()
 	}
 	return Property{p: p, name: name}, nil
 }

@@ -10,9 +10,6 @@ import (
 	"repro/internal/algebra"
 	"repro/internal/cert"
 	"repro/internal/graph"
-	"repro/internal/interval"
-	"repro/internal/lanes"
-	"repro/internal/lanewidth"
 )
 
 // EditOp selects the kind of one graph edit.
@@ -75,8 +72,8 @@ type UpdateStats struct {
 	PerProperty map[string]*Stats
 }
 
-// reuseCounters accumulates entry/label reuse across the per-property
-// passes of one update.
+// reuseCounters counts one property pass's entry/label reuse; an update
+// sums them over its passes into UpdateStats.
 type reuseCounters struct {
 	ReusedEntries, TotalEntries int
 	ReusedLabels, TotalLabels   int
@@ -119,47 +116,26 @@ type Incremental struct {
 
 	names []string
 
-	// Retained pipeline state of the current generation. The tracking
-	// fields (ci, r, part, te, log) are nil under the paper construction,
-	// which always re-proves from scratch.
-	pd   *interval.PathDecomposition
-	ci   *interval.CoverIndex
-	r    *interval.Representation
-	part *lanes.Partition
-	te   *lanes.TrackedEmbedding
-	log  lanewidth.OpLog
-	sp   *StructuralProof
-
-	// Per-property state: each generation gets a fresh Scheme (its own
-	// Registry, so class ids match a fresh prove) sharing the previous
-	// generation's memo caches; encoders and labelings feed the next
-	// generation's reuse.
-	schemes map[string]*Scheme
-	encs    map[string]*encoder
-	labs    map[string]*Labeling
-	stats   map[string]*Stats
+	// engineState is the committed generation.
+	engineState
 
 	fallbacks int
 }
 
-// pendingState is one fully built candidate generation; it replaces the
-// engine's state only after every stage and property pass succeeded, so a
-// failed update leaves the previous generation untouched.
-type pendingState struct {
-	pd   *interval.PathDecomposition
-	ci   *interval.CoverIndex
-	r    *interval.Representation
-	part *lanes.Partition
-	te   *lanes.TrackedEmbedding
-	log  lanewidth.OpLog
-	sp   *StructuralProof
-
+// engineState is one generation of the engine: the structure pipeline's
+// generation (which carries what the next update's stages reuse) and one
+// labeling pass per property. Each generation gets a fresh Scheme per
+// property (its own Registry, so class ids match a fresh prove) sharing the
+// previous generation's memo caches; encoders and labelings feed the next
+// generation's reuse. A candidate state replaces the committed one only
+// after every stage and property pass succeeded, so a failed update leaves
+// the previous generation untouched.
+type engineState struct {
+	gen     *generation
 	schemes map[string]*Scheme
 	encs    map[string]*encoder
 	labs    map[string]*Labeling
 	stats   map[string]*Stats
-
-	us *UpdateStats
 }
 
 // NewIncremental builds the engine and proves the initial generation of
@@ -195,90 +171,50 @@ func NewIncremental(ctx context.Context, cfg *cert.Config, props []algebra.Prope
 		inc.names = append(inc.names, name)
 	}
 
-	st, err := inc.buildFresh(ctx, props, nil)
+	st, err := inc.build(ctx, props, nil, nil, nil)
 	if err != nil {
 		return nil, err
 	}
-	inc.commit(st)
+	inc.engineState = *st
 	return inc, nil
 }
 
-// buildFresh runs the full pipeline and a fresh pass per property (no
-// reuse), deriving the tracking state the next incremental update needs.
-// props supplies the properties on first build; on fallback rebuilds it is
-// nil and the properties come from the current schemes.
-func (inc *Incremental) buildFresh(ctx context.Context, props []algebra.Property, us *UpdateStats) (*pendingState, error) {
-	st := &pendingState{us: us}
-	sp, err := BuildStructureCtx(ctx, inc.cfg, nil, StructureOptions{
+// build constructs a candidate generation: the structure pipeline — fresh
+// when prev is nil, otherwise reusing prev's stages for the edits — then one
+// labeling pass per property, with entry/label reuse against the committed
+// generation exactly when the structure reused prev. props, aligned with
+// inc.names, supplies the properties on the initial build; afterwards they
+// come from the committed schemes. us is nil on the initial build and
+// receives the update's accounting otherwise.
+func (inc *Incremental) build(ctx context.Context, props []algebra.Property, prev *generation, edits []Edit, us *UpdateStats) (*engineState, error) {
+	gen, err := buildGeneration(ctx, inc.cfg, nil, StructureOptions{
 		UsePaperConstruction: inc.opts.UsePaperConstruction,
 		Parallelism:          inc.opts.Parallelism,
-	})
+	}, prev, edits)
 	if err != nil {
 		return nil, err
 	}
-	if sp.singleVertex {
-		return nil, errors.New("core: incremental engine needs at least two vertices")
-	}
-	st.sp = sp
-	st.pd = sp.PD
-	if !inc.opts.UsePaperConstruction {
-		if err := st.deriveTracking(ctx, inc.cfg.G); err != nil {
-			return nil, err
-		}
-	}
-	byName := make(map[string]algebra.Property, len(inc.names))
-	for _, p := range props {
-		byName[p.Name()] = p
-	}
-	if props == nil {
-		for name, s := range inc.schemes {
-			byName[name] = s.Prop
-		}
-	}
-	if err := st.provePasses(ctx, inc, byName, nil); err != nil {
+	st := &engineState{gen: gen}
+	if err := st.provePasses(ctx, inc, props, prev != nil, us); err != nil {
 		return nil, err
+	}
+	if prev != nil {
+		us.DirtyOps = gen.dirtyOps
+		us.ReusedSources, us.TotalSources = gen.te.Reused(), gen.te.Sources()
 	}
 	return st, nil
 }
 
-// deriveTracking computes the incremental bookkeeping of a freshly built
-// generation: cover index, intervals, partition, tracked embedding balls
-// and the transcript. The tracked embedding reproduces sp.Emb exactly
-// (same BFS), so later Reembed calls extend this generation seamlessly.
-func (st *pendingState) deriveTracking(ctx context.Context, g *graph.Graph) error {
-	ci, err := interval.NewCoverIndex(st.pd, g.N())
-	if err != nil {
-		return fmt.Errorf("core: cover index: %w", err)
-	}
-	st.ci = ci
-	st.r = st.pd.ToIntervals(g.N())
-	st.part = st.sp.Partition
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	te, err := lanes.EmbedTracked(g, st.sp.Completion)
-	if err != nil {
-		return fmt.Errorf("core: tracked embedding: %w", err)
-	}
-	st.te = te
-	log, err := lanewidth.FromCompletion(g, st.r, st.part)
-	if err != nil {
-		return fmt.Errorf("core: transcript: %w", err)
-	}
-	st.log = log
-	return nil
-}
-
-// provePasses runs one labeling pass per property against st.sp, in the
-// engine's fixed property order, through the loop Batch uses. Each pass gets
-// a fresh Scheme sharing the previous generation's memo caches (pure tables,
-// so output is unchanged); a non-nil ru enables entry/label reuse against the
-// current generation and accumulates its counters, nil runs from-scratch
-// passes.
-func (st *pendingState) provePasses(ctx context.Context, inc *Incremental, props map[string]algebra.Property, ru *reuseCounters) error {
+// provePasses runs one labeling pass per property against st's structure,
+// in the engine's fixed property order, through the loop Batch uses. Each
+// pass gets a fresh Scheme sharing the previous generation's memo caches
+// (pure tables, so output is unchanged); reuse enables entry/label reuse
+// against the committed generation and sums its counters into us, otherwise
+// the passes run from scratch. A non-nil us receives each property's stats.
+func (st *engineState) provePasses(ctx context.Context, inc *Incremental, props []algebra.Property, reuse bool, us *UpdateStats) error {
 	schemes := make([]*Scheme, len(inc.names))
 	var prev []passResult
-	if ru != nil {
+	if reuse {
 		prev = make([]passResult, len(inc.names))
 	}
 	for i, name := range inc.names {
@@ -289,7 +225,7 @@ func (st *pendingState) provePasses(ctx context.Context, inc *Incremental, props
 		if cur := inc.schemes[name]; cur != nil {
 			prop, caches = cur.Prop, cur.caches
 		} else {
-			prop, caches = props[name], newSchemeCaches()
+			prop, caches = props[i], newSchemeCaches()
 		}
 		schemes[i] = newSchemeShared(prop, inc.opts.MaxLanes, caches)
 		schemes[i].Workers = inc.opts.Parallelism
@@ -297,7 +233,7 @@ func (st *pendingState) provePasses(ctx context.Context, inc *Incremental, props
 			prev[i] = passResult{enc: inc.encs[name], lab: inc.labs[name]}
 		}
 	}
-	results, err := provePasses(ctx, st.sp, schemes, prev, inc.opts.Parallelism)
+	results, err := provePasses(ctx, st.gen.sp, schemes, prev, inc.opts.Parallelism)
 	if err != nil {
 		return err
 	}
@@ -308,10 +244,8 @@ func (st *pendingState) provePasses(ctx context.Context, inc *Incremental, props
 	for i, name := range inc.names {
 		r := results[i]
 		if r.err != nil {
-			// st.us is set exactly when this pass serves an update
-			// (incremental or fallback); it is nil on the initial build.
 			when := "on the initial graph"
-			if st.us != nil {
+			if us != nil {
 				when = "after edit"
 			}
 			return fmt.Errorf("core: property %s %s: %w", name, when, r.err)
@@ -320,28 +254,21 @@ func (st *pendingState) provePasses(ctx context.Context, inc *Incremental, props
 		st.encs[name] = r.enc
 		st.labs[name] = r.lab
 		st.stats[name] = r.stats
-		if ru != nil {
-			ru.ReusedEntries += r.ru.ReusedEntries
-			ru.TotalEntries += r.ru.TotalEntries
-			ru.ReusedLabels += r.ru.ReusedLabels
-			ru.TotalLabels += r.ru.TotalLabels
+		if reuse {
+			us.ReusedEntries += r.ru.ReusedEntries
+			us.TotalEntries += r.ru.TotalEntries
+			us.ReusedLabels += r.ru.ReusedLabels
+			us.TotalLabels += r.ru.TotalLabels
 		}
 	}
-	if st.us != nil {
-		st.us.PerProperty = make(map[string]*Stats, len(st.stats))
+	if us != nil {
+		us.PerProperty = make(map[string]*Stats, len(st.stats))
 		for name, s := range st.stats {
 			cp := *s
-			st.us.PerProperty[name] = &cp
+			us.PerProperty[name] = &cp
 		}
 	}
 	return nil
-}
-
-// commit installs a fully built generation.
-func (inc *Incremental) commit(st *pendingState) {
-	inc.pd, inc.ci, inc.r, inc.part, inc.te, inc.log, inc.sp =
-		st.pd, st.ci, st.r, st.part, st.te, st.log, st.sp
-	inc.schemes, inc.encs, inc.labs, inc.stats = st.schemes, st.encs, st.labs, st.stats
 }
 
 // UpdateBatch applies the edits in order and re-certifies every property of
@@ -387,7 +314,7 @@ func (inc *Incremental) UpdateBatch(ctx context.Context, edits []Edit) (*UpdateS
 		inc.rollback(g, snap)
 		return nil, err
 	}
-	inc.commit(st)
+	inc.engineState = *st
 	if us.Fallback {
 		inc.fallbacks++
 	}
@@ -425,93 +352,28 @@ func (inc *Incremental) applyEdits(g *graph.Graph, edits []Edit) error {
 // graph would compute.
 func (inc *Incremental) rollback(g *graph.Graph, snap *graph.AdjSnapshot) {
 	g.RestoreAdj(snap)
-	inc.sp.graphGen = g.Generation()
+	inc.gen.sp.graphGen = g.Generation()
 }
 
 // rebuild constructs the next generation against the already-mutated graph,
 // incrementally when the retained decomposition still covers it and from
 // scratch otherwise (us.Fallback reports which).
-func (inc *Incremental) rebuild(ctx context.Context, edits []Edit, us *UpdateStats) (*pendingState, error) {
+func (inc *Incremental) rebuild(ctx context.Context, edits []Edit, us *UpdateStats) (*engineState, error) {
 	g := inc.cfg.G
 	if !g.Connected() {
 		return nil, fmt.Errorf("%w: batch disconnects the graph", ErrBadEdit)
 	}
-	fallback := inc.opts.UsePaperConstruction
+	prev := inc.gen
+	if inc.opts.UsePaperConstruction {
+		prev = nil
+	}
 	for _, e := range edits {
-		if e.Op == EditAdd && g.HasEdge(e.U, e.V) && !inc.ci.Covers(e.U, e.V) {
-			fallback = true
-			break
+		if prev != nil && e.Op == EditAdd && g.HasEdge(e.U, e.V) && !prev.covers(e.U, e.V) {
+			prev = nil
 		}
 	}
-	if fallback {
-		us.Fallback = true
-		st, err := inc.buildFresh(ctx, nil, us)
-		if err != nil {
-			return nil, err
-		}
-		return st, nil
-	}
-
-	touched := touchedVertices(edits)
-	st := &pendingState{
-		pd:   inc.pd,
-		ci:   inc.ci,
-		r:    inc.r,
-		part: inc.part,
-		us:   us,
-	}
-	// Re-run the edge-dependent pipeline stages over the retained
-	// decomposition and partition; the embedding reuses every BFS ball the
-	// batch did not touch.
-	c := lanes.Complete(g, inc.part, false)
-	te, reusedSrc, err := inc.te.Reembed(g, c, touched)
-	if err != nil {
-		return nil, fmt.Errorf("core: re-embedding: %w", err)
-	}
-	st.te = te
-	us.ReusedSources, us.TotalSources = reusedSrc, te.Sources()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	log, err := lanewidth.FromCompletion(g, inc.r, inc.part)
-	if err != nil {
-		return nil, fmt.Errorf("core: transcript: %w", err)
-	}
-	st.log = log
-	clean := log.Divergence(inc.log)
-	us.DirtyOps = len(log.Ops) - clean
-	// Replay the transcript marking the first node a dirty op created; nodes
-	// below the mark are identical to the previous generation's (same clean
-	// prefix, deterministic replay), so validation and artifact assembly touch
-	// only the dirty region. Graph connectivity — which the root's skipped
-	// subgraph check relies on — was verified above.
-	h, firstDirty, err := lanewidth.BuildHierarchyMark(c.Graph, log, clean)
-	if err != nil {
-		return nil, fmt.Errorf("core: hierarchy: %w", err)
-	}
-	if err := h.ValidateFromP(firstDirty, inc.opts.Parallelism); err != nil {
-		return nil, fmt.Errorf("core: hierarchy invalid: %w", err)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	dirty := make(map[graph.Edge]bool, len(edits))
-	for _, e := range edits {
-		dirty[graph.NewEdge(e.U, e.V)] = true
-	}
-	sp, err := assembleStructureReuse(inc.cfg, inc.pd, inc.part, c, te.Emb, h, inc.sp, firstDirty, dirty, inc.opts.Parallelism)
-	if err != nil {
-		return nil, err
-	}
-	st.sp = sp
-
-	ru := &reuseCounters{}
-	if err := st.provePasses(ctx, inc, nil, ru); err != nil {
-		return nil, err
-	}
-	us.ReusedEntries, us.TotalEntries = ru.ReusedEntries, ru.TotalEntries
-	us.ReusedLabels, us.TotalLabels = ru.ReusedLabels, ru.TotalLabels
-	return st, nil
+	us.Fallback = prev == nil
+	return inc.build(ctx, nil, prev, edits, us)
 }
 
 // touchedVertices returns the distinct endpoints of the batch.

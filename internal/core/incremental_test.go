@@ -202,14 +202,14 @@ func runDifferential(t *testing.T, name string, g *graph.Graph, propNames []stri
 					t.Fatalf("step %d: rejected batch replaced labeling of %s", step, name)
 				}
 			}
-			if inc.sp.graphGen != g.Generation() {
-				t.Fatalf("step %d: rollback left structure stale (gen %d vs %d)", step, inc.sp.graphGen, g.Generation())
+			if inc.gen.sp.graphGen != g.Generation() {
+				t.Fatalf("step %d: rollback left structure stale (gen %d vs %d)", step, inc.gen.sp.graphGen, g.Generation())
 			}
 			continue
 		}
 		applied++
 		reusedTotal += us.ReusedEntries
-		pd := inc.pd
+		pd := inc.gen.sp.PD
 		if us.Fallback {
 			// Fallback contract: byte-identical to a from-scratch
 			// prove (the engine's new pd is the recomputed one, so
@@ -247,7 +247,7 @@ func TestIncrementalFallbackObservable(t *testing.T) {
 	}
 	// The chord {0, 11} closes an even cycle (bipartite holds) but no bag
 	// of the path's decomposition contains both endpoints.
-	if inc.ci.Covers(0, 11) {
+	if inc.gen.covers(0, 11) {
 		t.Fatalf("test premise broken: chord {0,11} covered by the path decomposition")
 	}
 	us, err := inc.UpdateBatch(context.Background(), []Edit{{Op: EditAdd, U: 0, V: 11}})
@@ -273,7 +273,7 @@ func TestIncrementalFallbackObservable(t *testing.T) {
 	if us.Fallback {
 		t.Fatalf("removal fell back despite a retained valid decomposition")
 	}
-	wantLab, _ = freshProve(t, props[0], g, inc.pd, DefaultMaxLanes)
+	wantLab, _ = freshProve(t, props[0], g, inc.gen.sp.PD, DefaultMaxLanes)
 	requireByteIdentical(t, "post-fallback", inc.labs[props[0].Name()], wantLab)
 }
 
@@ -310,7 +310,7 @@ func TestIncrementalRejectsBadEdits(t *testing.T) {
 	if _, err := inc.UpdateBatch(context.Background(), []Edit{{Op: EditRemove, U: 2, V: 3}}); err != nil {
 		t.Fatalf("update after rejections: %v", err)
 	}
-	wantLab, _ := freshProve(t, props[0], g, inc.pd, DefaultMaxLanes)
+	wantLab, _ := freshProve(t, props[0], g, inc.gen.sp.PD, DefaultMaxLanes)
 	requireByteIdentical(t, "after rejections", inc.labs[props[0].Name()], wantLab)
 }
 
@@ -471,5 +471,33 @@ func TestIncrementalSchemeCachesLevelOff(t *testing.T) {
 	}
 	if inc.Fallbacks() != 0 {
 		t.Fatalf("%d updates fell back; covered chords must take the incremental path", inc.Fallbacks())
+	}
+}
+
+// TestIncrementalFillsBuildStages pins that an incremental generation runs
+// the same staged build as a fresh one and so reports its stage timings:
+// after a non-fallback update, the build buckets the update re-ran are
+// non-zero in every property's stats.
+func TestIncrementalFillsBuildStages(t *testing.T) {
+	g := gen.Ladder(40)
+	props, _ := algebra.ByNames([]string{"bipartite"})
+	inc, err := NewIncremental(context.Background(), cert.NewConfig(g), props, IncrementalOptions{Parallelism: 1})
+	if err != nil {
+		t.Fatalf("NewIncremental: %v", err)
+	}
+	// Removing the rung {20, 21} keeps the ladder connected and bipartite.
+	us, err := inc.UpdateBatch(context.Background(), []Edit{{Op: EditRemove, U: 20, V: 21}})
+	if err != nil {
+		t.Fatalf("UpdateBatch: %v", err)
+	}
+	if us.Fallback {
+		t.Fatalf("rung removal fell back")
+	}
+	if us.TotalSources == 0 {
+		t.Fatalf("update reports no embedding sources")
+	}
+	st := us.PerProperty[props[0].Name()].Stages
+	if st.LanesMillis <= 0 || st.TranscriptMillis <= 0 || st.HierarchyMillis <= 0 {
+		t.Fatalf("incremental build stages not recorded: %+v", st)
 	}
 }

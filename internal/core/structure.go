@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -143,39 +144,105 @@ func (sp *StructuralProof) Congestion() int { return sp.congestion }
 // transcript, hierarchy, artifact tables) and aborts the build with
 // ctx.Err().
 func BuildStructureCtx(ctx context.Context, cfg *cert.Config, pd *interval.PathDecomposition, opts StructureOptions) (*StructuralProof, error) {
+	gen, err := buildGeneration(ctx, cfg, pd, opts, nil, nil)
+	if err != nil {
+		return nil, err
+	}
+	return gen.sp, nil
+}
+
+// generation is one run of the structure pipeline: the StructuralProof plus
+// the stage outputs a later generation of the incremental engine reuses.
+type generation struct {
+	sp *StructuralProof
+	// r is the interval representation of sp.PD. Its intervals are the
+	// decomposition's per-vertex bag ranges, so two vertices share a bag
+	// exactly when their intervals overlap.
+	r *interval.Representation
+	// te carries the embedding's per-source BFS balls; nil under the paper
+	// construction, whose recursion has no incremental path.
+	te  *lanes.TrackedEmbedding
+	log lanewidth.OpLog
+	// dirtyOps counts the transcript operations past the point where log
+	// diverges from the previous generation's (all of them for a fresh one).
+	dirtyOps int
+}
+
+// covers reports whether some bag of the generation's decomposition holds
+// both u and v, i.e. whether the decomposition also decomposes the graph
+// with the edge {u, v} added.
+func (gen *generation) covers(u, v graph.Vertex) bool {
+	return gen.r.Ivs[u].Overlaps(gen.r.Ivs[v])
+}
+
+// buildGeneration runs the structure pipeline — decomposition, lane
+// partition, completion and embedding (Section 4), lanewidth transcript,
+// hierarchy and artifact tables (Section 5) — and records each stage's wall
+// clock on the structure. It is the one build behind BuildStructureCtx and
+// every generation of the incremental engine.
+//
+// With prev nil the build is fresh: the configuration is checked and pd is
+// computed when nil. With prev set, the graph has since been changed by
+// edits (prev.te must be non-nil) and every stage reuses what the edits
+// provably left alone: the decomposition, intervals and partition carry
+// over, the embedding re-traverses only BFS sources whose ball an edited
+// endpoint touches, and the hierarchy is validated and assembled only past
+// the node where the new transcript diverges from prev's. The structure is
+// identical to a fresh build over prev's decomposition.
+func buildGeneration(ctx context.Context, cfg *cert.Config, pd *interval.PathDecomposition, opts StructureOptions, prev *generation, edits []Edit) (*generation, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if cfg == nil {
-		return nil, errors.New("core: nil configuration")
-	}
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	g := cfg.G
-	if g.N() == 0 {
-		return nil, errors.New("core: empty graph")
-	}
-	if g.N() == 1 {
-		return &StructuralProof{Cfg: cfg, singleVertex: true, graphGen: g.Generation()}, nil
-	}
-	if !g.Connected() {
-		return nil, errors.New("core: graph must be connected")
-	}
+	var (
+		g       *graph.Graph
+		stages  StageTimings
+		r       *interval.Representation
+		p       *lanes.Partition
+		prevSP  *StructuralProof
+		prevTE  *lanes.TrackedEmbedding
+		touched []graph.Vertex
+		dirty   map[graph.Edge]bool
+	)
 	workers := par.Workers(opts.Parallelism)
-	var stages StageTimings
 	stageStart := time.Now()
-	if pd == nil {
-		var derr error
-		pd, derr = interval.Decompose(g)
-		if derr != nil {
-			return nil, fmt.Errorf("core: decomposition: %w", derr)
+	if prev != nil {
+		// The engine has checked the edited graph's connectivity.
+		g, prevSP, prevTE = cfg.G, prev.sp, prev.te
+		pd, r, p = prevSP.PD, prev.r, prevSP.Partition
+		touched = touchedVertices(edits)
+		dirty = make(map[graph.Edge]bool, len(edits))
+		for _, e := range edits {
+			dirty[graph.NewEdge(e.U, e.V)] = true
 		}
+	} else {
+		if cfg == nil {
+			return nil, errors.New("core: nil configuration")
+		}
+		if err := cfg.Validate(); err != nil {
+			return nil, err
+		}
+		g = cfg.G
+		if g.N() == 0 {
+			return nil, errors.New("core: empty graph")
+		}
+		if g.N() == 1 {
+			return &generation{sp: &StructuralProof{Cfg: cfg, singleVertex: true, graphGen: g.Generation()}}, nil
+		}
+		if !g.Connected() {
+			return nil, errors.New("core: graph must be connected")
+		}
+		if pd == nil {
+			var derr error
+			pd, derr = interval.Decompose(g)
+			if derr != nil {
+				return nil, fmt.Errorf("core: decomposition: %w", derr)
+			}
+		}
+		if err := pd.Validate(g); err != nil {
+			return nil, fmt.Errorf("core: decomposition: %w", err)
+		}
+		r = pd.ToIntervals(g.N())
 	}
-	if err := pd.Validate(g); err != nil {
-		return nil, fmt.Errorf("core: decomposition: %w", err)
-	}
-	r := pd.ToIntervals(g.N())
 	stages.DecomposeMillis = sinceMillis(stageStart)
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -183,7 +250,23 @@ func BuildStructureCtx(ctx context.Context, cfg *cert.Config, pd *interval.PathD
 
 	// Section 4: lane partition + completion + embedding.
 	stageStart = time.Now()
-	p, c, emb, err := lanes.BuildP(g, r, opts.UsePaperConstruction, workers)
+	var (
+		c   *lanes.Completion
+		emb lanes.Embedding
+		te  *lanes.TrackedEmbedding
+		err error
+	)
+	if opts.UsePaperConstruction {
+		p, c, emb, err = lanes.BuildLowCongestion(g, r)
+	} else {
+		if p == nil {
+			p = lanes.Greedy(r)
+		}
+		c = lanes.Complete(g, p, false)
+		if te, err = lanes.Embed(g, c, prevTE, touched, workers); err == nil {
+			emb = te.Emb
+		}
+	}
 	if err != nil {
 		return nil, fmt.Errorf("core: lane construction: %w", err)
 	}
@@ -192,39 +275,44 @@ func BuildStructureCtx(ctx context.Context, cfg *cert.Config, pd *interval.PathD
 		return nil, err
 	}
 
-	// Section 5: lanewidth transcript and hierarchical decomposition.
+	// Section 5: lanewidth transcript and hierarchical decomposition. Nodes
+	// below the mark a shared transcript prefix yields are identical to the
+	// previous generation's (deterministic replay), so validation and
+	// artifact assembly touch only the dirty region. The root's skipped
+	// subgraph check relies on the connectivity verified above.
 	stageStart = time.Now()
 	log, err := lanewidth.FromCompletion(g, r, p)
 	if err != nil {
 		return nil, fmt.Errorf("core: transcript: %w", err)
 	}
+	clean := 0
+	if prev != nil {
+		clean = log.Divergence(prev.log)
+	}
 	stages.TranscriptMillis = sinceMillis(stageStart)
 	stageStart = time.Now()
-	h, err := lanewidth.BuildHierarchy(c.Graph, log)
+	h, first, err := lanewidth.BuildHierarchyMark(c.Graph, log, clean)
 	if err != nil {
 		return nil, fmt.Errorf("core: hierarchy: %w", err)
 	}
-	if err := h.ValidateP(workers); err != nil {
+	if err := h.ValidateFromP(first, workers); err != nil {
 		return nil, fmt.Errorf("core: hierarchy invalid: %w", err)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 
-	sp, err := assembleStructureReuse(cfg, pd, p, c, emb, h, nil, 0, nil, workers)
-	if err != nil {
+	sp := &StructuralProof{Cfg: cfg, PD: pd, Partition: p, Completion: c, Emb: emb, Hierarchy: h}
+	if err := sp.assemble(prevSP, first, dirty, workers); err != nil {
 		return nil, err
 	}
 	stages.HierarchyMillis = sinceMillis(stageStart)
 	sp.stages = stages
-	return sp, nil
+	return &generation{sp: sp, r: r, te: te, log: log, dirtyOps: len(log.Ops) - clean}, nil
 }
 
-// assembleStructureReuse packs the pipeline stages into a StructuralProof
-// and derives the shared per-node tables. It is the single assembly point
-// for both the fresh build (prev nil) and the incremental engine's
-// dirty-region rebuild (incremental.go), so the two produce identical
-// structures from identical stages. The member folds and artifact
+// assemble derives the shared per-node tables of a structure whose stage
+// fields (Cfg through Hierarchy) are set. The member folds and artifact
 // derivation run on the pool; with workers > 1 the three mutually
 // independent table builds (artifacts, embedding orientation, root
 // pointing) also overlap. Output is identical for every workers value.
@@ -236,27 +324,15 @@ func BuildStructureCtx(ctx context.Context, cfg *cert.Config, pd *interval.PathD
 // member folds. dirty is the set of graph edges the generation's edit batch
 // touched (in either direction); any node owning one is rebuilt regardless
 // of the mark, since its real bits read the edited adjacency.
-func assembleStructureReuse(cfg *cert.Config, pd *interval.PathDecomposition, p *lanes.Partition, c *lanes.Completion, emb lanes.Embedding, h *lanewidth.Hierarchy, prev *StructuralProof, first int, dirty map[graph.Edge]bool, workers int) (*StructuralProof, error) {
-	g := cfg.G
-	if prev == nil {
-		first = 0
-	}
-	workers = par.Workers(workers)
-	sp := &StructuralProof{
-		Cfg:        cfg,
-		PD:         pd,
-		Partition:  p,
-		Completion: c,
-		Emb:        emb,
-		Hierarchy:  h,
-		congestion: emb.Congestion(),
-		graphGen:   g.Generation(),
-		owners:     h.EdgeOwners(),
-		members:    h.MembersByTNodeFromP(first, workers),
-	}
+func (sp *StructuralProof) assemble(prev *StructuralProof, first int, dirty map[graph.Edge]bool, workers int) error {
+	h := sp.Hierarchy
+	sp.congestion = sp.Emb.Congestion()
+	sp.graphGen = sp.Cfg.G.Generation()
+	sp.owners = h.EdgeOwners()
+	sp.members = h.MembersByTNodeFromP(first, workers)
 	// Warm the graph's lazily cached edge order while construction is still
 	// single-threaded; concurrent ProveWithCtx calls then only read it.
-	g.EdgesSeq()
+	sp.Cfg.G.EdgesSeq()
 	// The three table builds read disjoint inputs (artifacts walk the
 	// hierarchy, orientation the embedding, pointing the graph) and write
 	// disjoint fields, so they may overlap.
@@ -273,12 +349,7 @@ func assembleStructureReuse(cfg *cert.Config, pd *interval.PathDecomposition, p 
 	}
 	aErr := sp.buildArtifactsReuse(prev, first, dirty, workers)
 	wg.Wait()
-	for _, err := range []error{aErr, oErr, pErr} {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return sp, nil
+	return cmp.Or(aErr, oErr, pErr)
 }
 
 // u64Arena carves small []uint64 views out of slab blocks, replacing the

@@ -132,7 +132,7 @@ func E2Congestion(seed int64, k int, ns []int) ([]E2Row, error) {
 		w := r.Width()
 		greedy := lanes.Greedy(r)
 		gc := lanes.Complete(g, greedy, false)
-		gEmb, err := lanes.EmbedShortestPaths(g, gc)
+		gEmb, err := lanes.Embed(g, gc, nil, nil, 1)
 		if err != nil {
 			return nil, fmt.Errorf("e2 n=%d: %w", n, err)
 		}
@@ -142,7 +142,7 @@ func E2Congestion(seed int64, k int, ns []int) ([]E2Row, error) {
 		}
 		rows = append(rows, E2Row{
 			N: n, Width: w,
-			GreedyLanes: greedy.K(), GreedyCong: gEmb.Congestion(),
+			GreedyLanes: greedy.K(), GreedyCong: gEmb.Emb.Congestion(),
 			PaperLanes: p.K(), PaperCong: pEmb.Congestion(),
 			BoundLanes: lanes.F(w), BoundCong: lanes.H(w),
 		})

@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/graph"
-	"repro/internal/interval"
-	"repro/internal/par"
 )
 
 // Completion is the result of completing a k-lane partition
@@ -95,85 +93,12 @@ func (emb Embedding) Validate(g *graph.Graph, c *Completion) error {
 			}
 		}
 	}
-	for e := range emb {
-		found := false
-		for _, ve := range c.Virtual {
-			if ve == e {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return fmt.Errorf("lanes: embedding contains path for non-virtual edge %v", e)
-		}
+	// Every virtual edge has a path and Virtual lists each edge once, so any
+	// surplus path belongs to a non-virtual edge.
+	if len(emb) != len(c.Virtual) {
+		return fmt.Errorf("lanes: embedding has %d paths for %d virtual edges", len(emb), len(c.Virtual))
 	}
 	return nil
-}
-
-// EmbedShortestPaths embeds every virtual edge of c as a BFS shortest path
-// in g. This is the pragmatic embedding used for greedy partitions; its
-// congestion carries no worst-case guarantee and is measured empirically
-// (experiment E2 ablation).
-//
-// Virtual edges are batched by source: one truncated BFS per distinct
-// source vertex answers every virtual edge leaving it, and the traversal
-// stops as soon as the batch's targets are all reached, so each BFS
-// explores only the ball around its source instead of the whole graph.
-// Scratch arrays are reused across sources via epoch stamps (no per-source
-// O(n) clearing). The truncated BFS builds the same parent-tree prefix a
-// full g.Path BFS would, so each extracted path is identical to the naive
-// per-edge g.Path(ve.U, ve.V) result.
-func EmbedShortestPaths(g *graph.Graph, c *Completion) (Embedding, error) {
-	return EmbedShortestPathsP(g, c, 1)
-}
-
-// EmbedShortestPathsP is EmbedShortestPaths distributed over a worker pool:
-// source batches are independent (each truncated BFS reads only the shared
-// adjacency), so workers process disjoint sources with per-worker scratch and
-// per-worker result maps that are merged afterwards. Each path depends only
-// on its source's batch and the graph, never on scheduling, so the merged
-// embedding is identical to the sequential one. workers ≤ 1 runs inline.
-func EmbedShortestPathsP(g *graph.Graph, c *Completion, workers int) (Embedding, error) {
-	bySource := groupBySource(c.Virtual)
-	workers = par.Workers(workers)
-	if workers <= 1 || len(bySource) < 2 {
-		sc := newEmbedScratch(g.N())
-		emb := make(Embedding, len(c.Virtual))
-		for src, ves := range bySource {
-			if _, err := sc.run(g, src, ves, emb); err != nil {
-				return nil, err
-			}
-		}
-		return emb, nil
-	}
-	sources := make([]graph.Vertex, 0, len(bySource))
-	for src := range bySource {
-		sources = append(sources, src)
-	}
-	if workers > len(sources) {
-		workers = len(sources)
-	}
-	scratches := make([]*embedScratch, workers)
-	partial := make([]Embedding, workers)
-	for w := 0; w < workers; w++ {
-		scratches[w] = newEmbedScratch(g.N())
-		partial[w] = make(Embedding)
-	}
-	err := par.ForErr(workers, len(sources), func(worker, i int) error {
-		src := sources[i]
-		_, rerr := scratches[worker].run(g, src, bySource[src], partial[worker])
-		return rerr
-	})
-	if err != nil {
-		return nil, err
-	}
-	emb := make(Embedding, len(c.Virtual))
-	for _, p := range partial {
-		for ve, path := range p {
-			emb[ve] = path
-		}
-	}
-	return emb, nil
 }
 
 // groupBySource batches virtual edges by their smaller endpoint (the
@@ -186,8 +111,9 @@ func groupBySource(virtual []graph.Edge) map[graph.Vertex][]graph.Edge {
 	return bySource
 }
 
-// embedScratch is the reusable truncated-BFS state shared by all sources of
-// one embedding pass. Epoch stamps avoid per-source O(n) clearing.
+// embedScratch is the reusable truncated-BFS state shared by all sources one
+// worker of an embedding pass handles. Epoch stamps avoid per-source O(n)
+// clearing.
 type embedScratch struct {
 	parent []graph.Vertex
 	seen   []int // BFS visit stamp
@@ -256,30 +182,6 @@ func (sc *embedScratch) run(g *graph.Graph, src graph.Vertex, ves []graph.Edge, 
 		emb[ve] = rev
 	}
 	return sc.queue, nil
-}
-
-// BuildP constructs the Section 4 artifacts of (g, r) in one call: a lane
-// partition, its completion, and an embedding of every virtual completion
-// edge. usePaper selects the Proposition 4.6 recursive construction (with
-// its worst-case lane and congestion bounds) over the default greedy
-// first-fit partition with shortest-path embeddings. It is the single
-// entry point the property-independent prover layer builds on. The
-// embedding stage runs on workers (see EmbedShortestPathsP); the partition
-// and completion themselves are cheap sequential scans. The paper
-// construction derives its embeddings inside the recursion and stays
-// sequential regardless of workers. Output is identical for every workers
-// value.
-func BuildP(g *graph.Graph, r *interval.Representation, usePaper bool, workers int) (*Partition, *Completion, Embedding, error) {
-	if usePaper {
-		return BuildLowCongestion(g, r)
-	}
-	p := Greedy(r)
-	c := Complete(g, p, false)
-	emb, err := EmbedShortestPathsP(g, c, workers)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return p, c, emb, nil
 }
 
 // OrientedPath returns e's embedding path oriented to start at e.U. Paths

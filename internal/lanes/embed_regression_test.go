@@ -1,12 +1,14 @@
 package lanes_test
 
-// Regression pin for the batched-BFS embedding: EmbedShortestPaths must
-// return, for every virtual edge, exactly the path the naive per-edge
+// Regression pin for the batched-BFS embedding: lanes.Embed must return, at
+// any worker count and after any re-embedding, for every virtual edge
+// exactly the path the naive per-edge
 // g.Path(ve.U, ve.V) reference produces. The prover's labels are built from
 // these paths, so path identity is what keeps the optimized prover's output
 // bit-identical to the naive one.
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -55,6 +57,53 @@ func naiveEmbed(t *testing.T, g *graph.Graph, c *lanes.Completion) lanes.Embeddi
 	return emb
 }
 
+// requireNaive asserts got holds exactly the naive reference's path for
+// every virtual edge of c, and nothing else.
+func requireNaive(t *testing.T, where string, g *graph.Graph, c *lanes.Completion, got lanes.Embedding) {
+	t.Helper()
+	want := naiveEmbed(t, g, c)
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d paths, reference has %d", where, len(got), len(want))
+	}
+	for ve, wp := range want {
+		gp, ok := got[ve]
+		if !ok {
+			t.Fatalf("%s: virtual edge %v missing", where, ve)
+		}
+		if len(gp) != len(wp) {
+			t.Fatalf("%s: %v path %v, reference %v", where, ve, gp, wp)
+		}
+		for i := range wp {
+			if gp[i] != wp[i] {
+				t.Fatalf("%s: %v path %v, reference %v", where, ve, gp, wp)
+			}
+		}
+	}
+	if err := got.Validate(g, c); err != nil {
+		t.Fatalf("%s: %v", where, err)
+	}
+}
+
+// nonEdge returns the first vertex pair (in index order) that is not an
+// edge of g, skipping immediate neighbours in index order.
+func nonEdge(t *testing.T, g *graph.Graph) (graph.Vertex, graph.Vertex) {
+	t.Helper()
+	for u := 0; u < g.N(); u++ {
+		for v := u + 2; v < g.N(); v++ {
+			if !g.HasEdge(u, v) {
+				return u, v
+			}
+		}
+	}
+	t.Fatal("graph is complete")
+	return 0, 0
+}
+
+// TestEmbedShortestPathsMatchesNaiveReference pins the embedding to the
+// naive reference on every family, at one and two workers, both from
+// scratch and re-embedded from the previous embedding after an edge is
+// added and removed again (the retained partition stays valid for
+// completion, and adding an edge keeps the graph connected).
 func TestEmbedShortestPathsMatchesNaiveReference(t *testing.T) {
 	for name, g := range genFamilies(t) {
 		t.Run(name, func(t *testing.T) {
@@ -64,32 +113,41 @@ func TestEmbedShortestPathsMatchesNaiveReference(t *testing.T) {
 			}
 			r := pd.ToIntervals(g.N())
 			p := lanes.Greedy(r)
+			u, v := nonEdge(t, g)
 			for _, weak := range []bool{false, true} {
-				c := lanes.Complete(g, p, weak)
-				got, err := lanes.EmbedShortestPaths(g, c)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want := naiveEmbed(t, g, c)
-				if len(got) != len(want) {
-					t.Fatalf("weak=%v: %d paths, reference has %d", weak, len(got), len(want))
-				}
-				for ve, wp := range want {
-					gp, ok := got[ve]
-					if !ok {
-						t.Fatalf("weak=%v: virtual edge %v missing", weak, ve)
+				for _, workers := range []int{1, 2} {
+					where := fmt.Sprintf("weak=%v workers=%d", weak, workers)
+					edited := g.Clone()
+					c := lanes.Complete(edited, p, weak)
+					te, err := lanes.Embed(edited, c, nil, nil, workers)
+					if err != nil {
+						t.Fatal(err)
 					}
-					if len(gp) != len(wp) {
-						t.Fatalf("weak=%v: %v path %v, reference %v", weak, ve, gp, wp)
+					requireNaive(t, where+" fresh", edited, c, te.Emb)
+					if len(c.Virtual) > 0 && te.Sources() == 0 {
+						t.Fatalf("%s: no sources recorded", where)
 					}
-					for i := range wp {
-						if gp[i] != wp[i] {
-							t.Fatalf("weak=%v: %v path %v, reference %v", weak, ve, gp, wp)
-						}
+					if te.Reused() != 0 {
+						t.Fatalf("%s: fresh embedding reused %d sources", where, te.Reused())
 					}
-				}
-				if err := got.Validate(g, c); err != nil {
-					t.Fatalf("weak=%v: %v", weak, err)
+
+					edited.MustAddEdge(u, v)
+					c = lanes.Complete(edited, p, weak)
+					te, err = lanes.Embed(edited, c, te, []graph.Vertex{u, v}, workers)
+					if err != nil {
+						t.Fatal(err)
+					}
+					requireNaive(t, where+" after add", edited, c, te.Emb)
+
+					if err := edited.RemoveEdge(u, v); err != nil {
+						t.Fatal(err)
+					}
+					c = lanes.Complete(edited, p, weak)
+					te, err = lanes.Embed(edited, c, te, []graph.Vertex{u, v}, workers)
+					if err != nil {
+						t.Fatal(err)
+					}
+					requireNaive(t, where+" after remove", edited, c, te.Emb)
 				}
 			}
 		})

@@ -52,11 +52,11 @@ func TestGreedyOnPath(t *testing.T) {
 		t.Fatalf("greedy lanes %d exceed width %d", p.K(), r.Width())
 	}
 	c := Complete(g, p, false)
-	emb, err := EmbedShortestPaths(g, c)
+	te, err := Embed(g, c, nil, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := emb.Validate(g, c); err != nil {
+	if err := te.Emb.Validate(g, c); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -144,6 +144,14 @@ func TestEmbeddingCongestionAndValidate(t *testing.T) {
 	// Missing virtual edge.
 	if err := (Embedding{}).Validate(g, cBad); err == nil {
 		t.Fatal("missing path accepted")
+	}
+	// Path for a non-virtual edge (alongside a valid one).
+	extra := Embedding{
+		graph.NewEdge(0, 2): {0, 1, 2},
+		graph.NewEdge(1, 3): {1, 2, 3},
+	}
+	if err := extra.Validate(g, cBad); err == nil {
+		t.Fatal("path for a non-virtual edge accepted")
 	}
 }
 
@@ -335,11 +343,11 @@ func TestQuickGreedyLaneBound(t *testing.T) {
 			return false
 		}
 		c := Complete(g, p, false)
-		emb, err := EmbedShortestPaths(g, c)
+		te, err := Embed(g, c, nil, nil, 1)
 		if err != nil {
 			return false
 		}
-		return emb.Validate(g, c) == nil
+		return te.Emb.Validate(g, c) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Fatal(err)

@@ -1,9 +1,11 @@
 package lanes
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/graph"
+	"repro/internal/par"
 )
 
 // TrackedEmbedding is an Embedding plus the per-source dependency metadata
@@ -22,78 +24,101 @@ type TrackedEmbedding struct {
 	// traversal's termination point depends on it, so reuse also requires
 	// it to be unchanged.
 	targets map[graph.Vertex][]graph.Vertex
+	// reused counts the sources taken over from the previous embedding.
+	reused int
 }
 
-// EmbedTracked is EmbedShortestPaths plus reuse metadata: the returned
-// embedding is identical, and the tracked form can re-derive later
-// embeddings of edited graphs source-by-source.
-func EmbedTracked(g *graph.Graph, c *Completion) (*TrackedEmbedding, error) {
+// Embed embeds every virtual edge of c as a BFS shortest path in g. This is
+// the pragmatic embedding used for greedy partitions; its congestion carries
+// no worst-case guarantee and is measured empirically (experiment E2
+// ablation).
+//
+// Virtual edges are batched by source: one truncated BFS per distinct
+// source vertex answers every virtual edge leaving it, and the traversal
+// stops as soon as the batch's targets are all reached, so each BFS
+// explores only the ball around its source instead of the whole graph. The
+// truncated BFS builds the same parent-tree prefix a full g.Path BFS would,
+// so each extracted path is identical to the naive per-edge g.Path(ve.U,
+// ve.V) result.
+//
+// With prev set, every source whose prior traversal provably explores
+// identical territory is reused verbatim: its target set is unchanged and no
+// touched vertex lies in its recorded ball. touched must list every vertex
+// whose adjacency changed since prev was built (both endpoints of every
+// added or removed edge); a nil prev embeds from scratch. Sources are
+// independent, so they are distributed over workers (≤ 1 runs inline), each
+// with its own scratch. The embedding is identical for every prev and every
+// workers value: reuse only short-circuits traversals whose inputs did not
+// change, and each path depends only on its source's batch and the graph.
+func Embed(g *graph.Graph, c *Completion, prev *TrackedEmbedding, touched []graph.Vertex, workers int) (*TrackedEmbedding, error) {
 	bySource := groupBySource(c.Virtual)
-	sc := newEmbedScratch(g.N())
-	te := &TrackedEmbedding{
-		Emb:     make(Embedding, len(c.Virtual)),
-		balls:   make(map[graph.Vertex][]graph.Vertex, len(bySource)),
-		targets: make(map[graph.Vertex][]graph.Vertex, len(bySource)),
+	sources := make([]graph.Vertex, 0, len(bySource))
+	for src := range bySource {
+		sources = append(sources, src)
 	}
-	for src, ves := range bySource {
-		ball, err := sc.run(g, src, ves, te.Emb)
-		if err != nil {
-			return nil, err
-		}
-		te.balls[src] = append([]graph.Vertex(nil), ball...)
-		te.targets[src] = sortedTargets(ves)
-	}
-	return te, nil
-}
-
-// Reembed computes the embedding of the edited graph g under the new
-// completion c, reusing every source whose prior truncated BFS provably
-// explores identical territory: the target set is unchanged and no touched
-// vertex lies in the recorded ball. touched must list every vertex whose
-// adjacency changed since the receiver was built (both endpoints of every
-// added or removed edge). The result is byte-identical to a fresh
-// EmbedShortestPaths(g, c); reuse only short-circuits traversals whose
-// inputs did not change. Returns the new tracked embedding and the number
-// of sources reused.
-func (te *TrackedEmbedding) Reembed(g *graph.Graph, c *Completion, touched []graph.Vertex) (*TrackedEmbedding, int, error) {
 	touchSet := make(map[graph.Vertex]bool, len(touched))
 	for _, v := range touched {
 		touchSet[v] = true
 	}
-	bySource := groupBySource(c.Virtual)
+	workers = max(min(par.Workers(workers), len(sources)), 1)
 	out := &TrackedEmbedding{
 		Emb:     make(Embedding, len(c.Virtual)),
-		balls:   make(map[graph.Vertex][]graph.Vertex, len(bySource)),
-		targets: make(map[graph.Vertex][]graph.Vertex, len(bySource)),
+		balls:   make(map[graph.Vertex][]graph.Vertex, len(sources)),
+		targets: make(map[graph.Vertex][]graph.Vertex, len(sources)),
 	}
-	var sc *embedScratch
-	reused := 0
-	for src, ves := range bySource {
-		tg := sortedTargets(ves)
-		if old, ok := te.targets[src]; ok && vertsEqual(tg, old) && !ballTouched(te.balls[src], touchSet) {
-			for _, ve := range ves {
-				out.Emb[ve] = te.Emb[ve]
+	// Each worker writes paths into its own map (worker 0 straight into the
+	// result) and per-source metadata into index-addressed slots.
+	partial := make([]Embedding, workers)
+	partial[0] = out.Emb
+	for w := 1; w < workers; w++ {
+		partial[w] = make(Embedding)
+	}
+	scratches := make([]*embedScratch, workers)
+	balls := make([][]graph.Vertex, len(sources))
+	targets := make([][]graph.Vertex, len(sources))
+	reused := make([]bool, len(sources))
+	err := par.ForErr(workers, len(sources), func(worker, i int) error {
+		src, ves := sources[i], bySource[sources[i]]
+		targets[i] = sortedTargets(ves)
+		if prev != nil {
+			if old, ok := prev.targets[src]; ok && slices.Equal(targets[i], old) && !ballTouched(prev.balls[src], touchSet) {
+				for _, ve := range ves {
+					partial[worker][ve] = prev.Emb[ve]
+				}
+				balls[i], reused[i] = prev.balls[src], true
+				return nil
 			}
-			out.balls[src] = te.balls[src]
-			out.targets[src] = tg
-			reused++
-			continue
 		}
-		if sc == nil {
-			sc = newEmbedScratch(g.N())
+		if scratches[worker] == nil {
+			scratches[worker] = newEmbedScratch(g.N())
 		}
-		ball, err := sc.run(g, src, ves, out.Emb)
-		if err != nil {
-			return nil, 0, err
-		}
-		out.balls[src] = append([]graph.Vertex(nil), ball...)
-		out.targets[src] = tg
+		ball, err := scratches[worker].run(g, src, ves, partial[worker])
+		balls[i] = slices.Clone(ball)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
-	return out, reused, nil
+	for _, p := range partial[1:] {
+		for ve, path := range p {
+			out.Emb[ve] = path
+		}
+	}
+	for i, src := range sources {
+		out.balls[src], out.targets[src] = balls[i], targets[i]
+		if reused[i] {
+			out.reused++
+		}
+	}
+	return out, nil
 }
 
 // Sources returns the number of BFS sources the embedding was batched into.
 func (te *TrackedEmbedding) Sources() int { return len(te.balls) }
+
+// Reused returns how many of those sources were taken over from the
+// previous embedding without a traversal.
+func (te *TrackedEmbedding) Reused() int { return te.reused }
 
 func sortedTargets(ves []graph.Edge) []graph.Vertex {
 	tg := make([]graph.Vertex, len(ves))
@@ -102,18 +127,6 @@ func sortedTargets(ves []graph.Edge) []graph.Vertex {
 	}
 	sort.Ints(tg)
 	return tg
-}
-
-func vertsEqual(a, b []graph.Vertex) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 func ballTouched(ball []graph.Vertex, touched map[graph.Vertex]bool) bool {

@@ -24,35 +24,16 @@ func buildFor(t *testing.T, g *graph.Graph) (*interval.Representation, *lanes.Pa
 	return r, p, c
 }
 
-func TestEmbedTrackedMatchesEmbedShortestPaths(t *testing.T) {
-	g := gen.Ladder(12)
-	_, _, c := buildFor(t, g)
-	want, err := lanes.EmbedShortestPaths(g, c)
-	if err != nil {
-		t.Fatalf("lanes.EmbedShortestPaths: %v", err)
-	}
-	te, err := lanes.EmbedTracked(g, c)
-	if err != nil {
-		t.Fatalf("lanes.EmbedTracked: %v", err)
-	}
-	if !reflect.DeepEqual(te.Emb, want) {
-		t.Fatalf("tracked embedding diverged from lanes.EmbedShortestPaths")
-	}
-	if te.Sources() == 0 {
-		t.Fatalf("no sources recorded")
-	}
-}
-
 // TestReembedMatchesFresh pins the tracked reuse contract: after an edit,
-// Reembed over the retained intervals equals a fresh lanes.EmbedShortestPaths of
+// re-embedding over the retained intervals equals a fresh lanes.Embed of
 // the mutated graph, and at least one source far from the edit is reused.
 func TestReembedMatchesFresh(t *testing.T) {
 	g := gen.Ladder(16)
 	_, p, _ := buildFor(t, g)
 	c0 := lanes.Complete(g, p, false)
-	te, err := lanes.EmbedTracked(g, c0)
+	te, err := lanes.Embed(g, c0, nil, nil, 1)
 	if err != nil {
-		t.Fatalf("lanes.EmbedTracked: %v", err)
+		t.Fatalf("lanes.Embed: %v", err)
 	}
 
 	// Toggle a rung edge (stays connected; intervals and lanes retained).
@@ -71,15 +52,16 @@ func TestReembedMatchesFresh(t *testing.T) {
 	}
 
 	c1 := lanes.Complete(g, p, false)
-	want, err := lanes.EmbedShortestPaths(g, c1)
+	want, err := lanes.Embed(g, c1, nil, nil, 1)
 	if err != nil {
 		t.Fatalf("fresh embed: %v", err)
 	}
-	got, reused, err := te.Reembed(g, c1, []graph.Vertex{rung.U, rung.V})
+	got, err := lanes.Embed(g, c1, te, []graph.Vertex{rung.U, rung.V}, 1)
 	if err != nil {
-		t.Fatalf("Reembed: %v", err)
+		t.Fatalf("re-embed: %v", err)
 	}
-	if !reflect.DeepEqual(got.Emb, want) {
+	reused := got.Reused()
+	if !reflect.DeepEqual(got.Emb, want.Emb) {
 		t.Fatalf("reembedded paths diverge from fresh embedding")
 	}
 	if reused == 0 && got.Sources() > 1 {
@@ -92,15 +74,15 @@ func TestReembedMatchesFresh(t *testing.T) {
 		t.Fatalf("re-add rung: %v", err)
 	}
 	c2 := lanes.Complete(g, p, false)
-	want2, err := lanes.EmbedShortestPaths(g, c2)
+	want2, err := lanes.Embed(g, c2, nil, nil, 1)
 	if err != nil {
 		t.Fatalf("fresh embed 2: %v", err)
 	}
-	got2, _, err := got.Reembed(g, c2, []graph.Vertex{rung.U, rung.V})
+	got2, err := lanes.Embed(g, c2, got, []graph.Vertex{rung.U, rung.V}, 1)
 	if err != nil {
-		t.Fatalf("Reembed 2: %v", err)
+		t.Fatalf("re-embed 2: %v", err)
 	}
-	if !reflect.DeepEqual(got2.Emb, want2) {
+	if !reflect.DeepEqual(got2.Emb, want2.Emb) {
 		t.Fatalf("second reembedding diverges from fresh embedding")
 	}
 }

@@ -91,6 +91,8 @@ type Hierarchy struct {
 	Graph *graph.Graph
 	Root  *Node   // the top-level T-node
 	Nodes []*Node // all nodes indexed by ID
+
+	owners map[graph.Edge]*Node // edge → owning node, kept by validation
 }
 
 // BuildHierarchy constructs the hierarchical decomposition of the graph

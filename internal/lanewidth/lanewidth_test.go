@@ -2,7 +2,9 @@ package lanewidth
 
 import (
 	"math/rand"
+	"reflect"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -401,6 +403,43 @@ func TestValidateRejectsTerminalCountMismatch(t *testing.T) {
 	}
 	if err := h.ValidateP(0); err != nil {
 		t.Fatalf("restored hierarchy rejected: %v", err)
+	}
+}
+
+// TestValidateKeepsOneOwnerTable pins the edge-partition check and the
+// table it leaves behind: validation rejects a second owner of an edge, and
+// a validated hierarchy hands every EdgeOwners caller the one table.
+func TestValidateKeepsOneOwnerTable(t *testing.T) {
+	b := figure10Builder(t)
+	h, err := BuildHierarchy(b.Graph(), b.Log())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var es []*Node
+	for _, n := range h.Nodes {
+		if n.Kind == ENode {
+			es = append(es, n)
+		}
+	}
+	if len(es) < 2 {
+		t.Fatalf("figure 10 has %d E-nodes, want at least 2", len(es))
+	}
+	saved := es[1].Edge
+	es[1].Edge = es[0].Edge
+	err = h.ValidateP(0)
+	es[1].Edge = saved
+	if err == nil || !strings.Contains(err.Error(), "owned by nodes") {
+		t.Fatalf("second owner of edge %v: got %v", es[0].Edge, err)
+	}
+	if err := h.ValidateP(0); err != nil {
+		t.Fatal(err)
+	}
+	owners := h.EdgeOwners()
+	if len(owners) != h.Graph.M() {
+		t.Fatalf("owners cover %d of %d edges", len(owners), h.Graph.M())
+	}
+	if reflect.ValueOf(owners).UnsafePointer() != reflect.ValueOf(h.EdgeOwners()).UnsafePointer() {
+		t.Fatal("EdgeOwners rebuilt the table validation kept")
 	}
 }
 

@@ -49,15 +49,34 @@ func (n *Node) OwnedEdges() []graph.Edge {
 }
 
 // EdgeOwners maps every graph edge to the node that owns it. Each edge is
-// owned by exactly one node in a valid hierarchy.
+// owned by exactly one node in a valid hierarchy. Validation builds this
+// table for its edge-partition check and keeps it, so on a validated
+// hierarchy the call is free and every caller shares the one table (which
+// must not be modified).
 func (h *Hierarchy) EdgeOwners() map[graph.Edge]*Node {
+	if h.owners != nil {
+		return h.owners
+	}
+	owners, _ := h.ownerTable()
+	return owners
+}
+
+// ownerTable maps every owned edge to its owning node. It stops at the
+// first node that owns a non-edge or an edge another node already owns.
+func (h *Hierarchy) ownerTable() (map[graph.Edge]*Node, error) {
 	owners := make(map[graph.Edge]*Node, h.Graph.M())
 	for _, n := range h.Nodes {
 		for _, e := range n.OwnedEdges() {
+			if !h.Graph.HasEdge(e.U, e.V) {
+				return owners, fmt.Errorf("lanewidth: node %d owns non-edge %v", n.ID, e)
+			}
+			if o, dup := owners[e]; dup {
+				return owners, fmt.Errorf("lanewidth: edge %v owned by nodes %d and %d", e, o.ID, n.ID)
+			}
 			owners[e] = n
 		}
 	}
-	return owners
+	return owners, nil
 }
 
 // NodePath returns the chain of nodes from the root down to n (inclusive).
@@ -165,26 +184,19 @@ func (h *Hierarchy) ValidateP(workers int) error {
 // is also skipped: its subgraph is the entire completion, whose connectivity
 // follows from check 1 plus the certified graph's connectivity, which the
 // incremental engine verifies before rebuilding. ValidateFromP(0, workers)
-// is exactly ValidateP(workers).
+// is exactly ValidateP(workers). Validation keeps the edge-owner table it
+// builds for check 1 (see EdgeOwners).
 func (h *Hierarchy) ValidateFromP(first, workers int) error {
-	// 1. Edge partition.
-	owned := map[graph.Edge]int{}
-	for _, n := range h.Nodes {
-		for _, e := range n.OwnedEdges() {
-			if !h.Graph.HasEdge(e.U, e.V) {
-				return fmt.Errorf("lanewidth: node %d owns non-edge %v", n.ID, e)
-			}
-			owned[e]++
-		}
+	// 1. Edge partition: owned edges are distinct graph edges, so covering
+	// all of them means every edge is owned exactly once.
+	owners, err := h.ownerTable()
+	if err != nil {
+		return err
 	}
-	for e := range h.Graph.EdgesSeq() {
-		if owned[e] != 1 {
-			return fmt.Errorf("lanewidth: edge %v owned %d times", e, owned[e])
-		}
+	if len(owners) != h.Graph.M() {
+		return fmt.Errorf("lanewidth: %d owned edges for %d graph edges", len(owners), h.Graph.M())
 	}
-	if len(owned) != h.Graph.M() {
-		return fmt.Errorf("lanewidth: %d owned edges for %d graph edges", len(owned), h.Graph.M())
-	}
+	h.owners = owners
 
 	// 2–4. Per-node checks. Frozen nodes (id < first) short-circuit: their own
 	// invariants and everything inside them were validated by the previous

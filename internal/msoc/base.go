@@ -2,7 +2,6 @@ package msoc
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/algebra"
 	"repro/internal/graph"
@@ -79,13 +78,7 @@ func (p *Prop) Base(bg *algebra.BGraph, boundary []graph.Vertex) (algebra.Table,
 		}
 		constOf[v] = i
 	}
-	edges := g.Edges()
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].U != edges[j].U {
-			return edges[i].U < edges[j].U
-		}
-		return edges[i].V < edges[j].V
-	})
+	edges := g.Edges() // sorted
 	if len(edges) > maxBaseEdges {
 		return nil, fmt.Errorf("msoc: base payload has %d edges, limit %d", len(edges), maxBaseEdges)
 	}

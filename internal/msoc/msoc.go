@@ -29,9 +29,28 @@ package msoc
 
 import (
 	"fmt"
+	"strings"
 
+	"repro/internal/algebra"
 	"repro/internal/mso"
 )
+
+// Prefix marks property names that are compiled MSO₂ formulas rather than
+// catalog entries: "mso:" followed by the canonical formula text.
+// Certificates carry these names on the wire, and the verifying process
+// recompiles the formula from the name alone.
+const Prefix = "mso:"
+
+// ByName resolves a property name as certificates carry it: a compiled
+// formula (Prefix followed by the formula text) is recompiled, and any
+// other name resolves through the algebra catalog. It is the one name
+// resolver every verifying process uses.
+func ByName(name string) (algebra.Property, error) {
+	if src, ok := strings.CutPrefix(name, Prefix); ok {
+		return CompileSource(src)
+	}
+	return algebra.ByName(name)
+}
 
 // CompileError reports a formula that parsed but cannot be compiled:
 // an unbound variable, a sort mismatch, or a class-space blow-up during
@@ -59,7 +78,7 @@ func Compile(f mso.Formula) (*Prop, error) {
 	}
 	p := &Prop{
 		f:       f,
-		name:    "mso:" + f.String(),
+		name:    Prefix + f.String(),
 		in:      newInterner(),
 		nlvls:   maxVDepth(f),
 		joins:   map[string]*table{},
