@@ -193,8 +193,27 @@ func buildGeneration(ctx context.Context, cfg *cert.Config, pd *interval.PathDec
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	// A fresh build checks its input; the engine has already checked an
+	// edited graph (at least two vertices, connected).
+	if prev == nil {
+		if cfg == nil {
+			return nil, errors.New("core: nil configuration")
+		}
+		if err := cfg.Validate(); err != nil {
+			return nil, err
+		}
+		if cfg.G.N() == 0 {
+			return nil, errors.New("core: empty graph")
+		}
+		if cfg.G.N() == 1 {
+			return &generation{sp: &StructuralProof{Cfg: cfg, singleVertex: true, graphGen: cfg.G.Generation()}}, nil
+		}
+		if !cfg.G.Connected() {
+			return nil, errors.New("core: graph must be connected")
+		}
+	}
+	g := cfg.G
 	var (
-		g       *graph.Graph
 		stages  StageTimings
 		r       *interval.Representation
 		p       *lanes.Partition
@@ -206,8 +225,7 @@ func buildGeneration(ctx context.Context, cfg *cert.Config, pd *interval.PathDec
 	workers := par.Workers(opts.Parallelism)
 	stageStart := time.Now()
 	if prev != nil {
-		// The engine has checked the edited graph's connectivity.
-		g, prevSP, prevTE = cfg.G, prev.sp, prev.te
+		prevSP, prevTE = prev.sp, prev.te
 		pd, r, p = prevSP.PD, prev.r, prevSP.Partition
 		touched = touchedVertices(edits)
 		dirty = make(map[graph.Edge]bool, len(edits))
@@ -215,22 +233,6 @@ func buildGeneration(ctx context.Context, cfg *cert.Config, pd *interval.PathDec
 			dirty[graph.NewEdge(e.U, e.V)] = true
 		}
 	} else {
-		if cfg == nil {
-			return nil, errors.New("core: nil configuration")
-		}
-		if err := cfg.Validate(); err != nil {
-			return nil, err
-		}
-		g = cfg.G
-		if g.N() == 0 {
-			return nil, errors.New("core: empty graph")
-		}
-		if g.N() == 1 {
-			return &generation{sp: &StructuralProof{Cfg: cfg, singleVertex: true, graphGen: g.Generation()}}, nil
-		}
-		if !g.Connected() {
-			return nil, errors.New("core: graph must be connected")
-		}
 		if pd == nil {
 			var derr error
 			pd, derr = interval.Decompose(g)
