@@ -31,6 +31,12 @@ import (
 // Integers are unsigned varints; edges are sorted by endpoints, and each
 // label's bytes are the exact core.EncodeLabel bit stream, which
 // MarshalBinary writes straight into one exactly sized output buffer.
+// Version 2 is the label grammar with fixed-width identifiers: every node
+// entry and every label writes one varint width per identifier kind and
+// then each identifier in exactly that many bits, and a class id is a
+// 16-bit content hash plus a varint collision rank. There is no decoder
+// for version 1 (varint identifiers, 32-bit hashes); its blobs fail with
+// the unsupported-version error.
 // Decoding is strict — wrong magic, unknown version, truncation, trailing
 // bytes, CRC mismatch, or non-canonical label bytes all fail with
 // ErrBadCertificate — and a decoded certificate re-marshals
@@ -68,7 +74,7 @@ const MaxLaneBudget = 1 << 12
 // Wire-format constants.
 const (
 	certMagic   = "PLSC" // Proof Labeling Scheme Certificate
-	certVersion = 1
+	certVersion = 2
 
 	// Decode plausibility bounds; anything larger is rejected outright.
 	maxCertProps    = 1 << 10

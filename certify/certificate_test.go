@@ -1,12 +1,16 @@
 package certify
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	mathbits "math/bits"
+	"strings"
 	"testing"
 
+	"repro/internal/bits"
 	"repro/internal/core"
 	"repro/internal/graph"
 )
@@ -98,10 +102,11 @@ func TestCertificateRoundTripIdentity(t *testing.T) {
 }
 
 // TestNonCanonicalCopyRejectedAfterInterning pins that decoding interns by
-// raw bits, not by value: a later copy of a node entry that decodes to the
+// raw bits, not by value: a later copy of a node entry that carries the
 // same value as an earlier, already interned copy, but with different bits,
-// is still rejected as non-canonical. The forged copy is a non-member entry
-// with a non-zero merged class id, a field the decoder reads and discards.
+// is still rejected as non-canonical. The forged copy is the hierarchy
+// root's entry (every certificate path starts there) with its node ids
+// written one width wider than the widest of them needs.
 func TestNonCanonicalCopyRejectedAfterInterning(t *testing.T) {
 	var honest Certificate
 	if err := honest.UnmarshalBinary(honestBlob(t)); err != nil {
@@ -110,40 +115,62 @@ func TestNonCanonicalCopyRejectedAfterInterning(t *testing.T) {
 	name := honest.props[0]
 	l := honest.labelings[name]
 	edges := sortedEdges(l)
-	// Find, in wire order, a label whose own path repeats a non-member entry
-	// an earlier label already carried.
-	seen := map[*core.NodeEntry]bool{}
-	target, at := graph.Edge{U: -1}, -1
+	// Find, in wire order, a label whose own path repeats the non-member
+	// root entry an earlier label already carried.
+	seen := false
+	target := graph.Edge{U: -1}
 	for _, e := range edges {
 		own := l.Edges[e].Own
-		if own == nil {
+		if own == nil || own.Path[0].ParentID != -1 {
 			continue
 		}
-		for i, en := range own.Path {
-			if seen[en] && en.ParentID == -1 {
-				target, at = e, i
-				break
-			}
-		}
-		if at >= 0 {
+		if seen {
+			target = e
 			break
 		}
-		for _, en := range own.Path {
-			seen[en] = true
+		seen = true
+	}
+	if target.U < 0 {
+		t.Fatal("no repeated non-member root entry in the honest labeling")
+	}
+	// Encode a copy whose root node id has one bit above every node id of
+	// the entry set, then clear that bit: the entry's node ids are now
+	// written wider than its widest node id needs, and every value is the
+	// honest one.
+	forged := l.Edges[target].Clone()
+	root := forged.Own.Path[0]
+	widest := root.NodeID
+	if rm := root.RootMember; rm != nil {
+		widest = max(widest, rm.NodeID)
+	}
+	root.NodeID |= 1 << mathbits.Len(uint(widest))
+	data, nbits := core.EncodeLabel(forged)
+	blob := marshalWithLabel(t, &honest, name, target, forged)
+	at := bytes.Index(blob, data)
+	if at < 0 {
+		t.Fatal("the forged label's bytes are not in the marshaled blob")
+	}
+	r := bits.NewReader(data, nbits)
+	for _, field := range []string{"own bit", "path length", "vertex width", "node width"} {
+		var err error
+		if field == "own bit" {
+			_, err = r.ReadBit()
+		} else {
+			_, err = r.ReadUvarint()
+		}
+		if err != nil {
+			t.Fatalf("reading the %s: %v", field, err)
 		}
 	}
-	if at < 0 {
-		t.Fatal("no repeated non-member entry in the honest labeling")
+	data[r.Pos()/8] &^= 1 << uint(7-r.Pos()%8)
+	if _, err := core.DecodeLabel(data, nbits); err == nil || !strings.Contains(err.Error(), "width") {
+		t.Fatalf("an over-wide node id width decoded, or failed for another reason: %v", err)
 	}
-	forged := l.Edges[target].Clone()
-	forged.Own.Path[at].MergedClassID = 5
-	data, nbits := core.EncodeLabel(forged)
-	if dec, err := core.DecodeLabel(data, nbits); err != nil || dec.Key() != l.Edges[target].Key() {
-		t.Fatalf("the forged label must decode to the honest value (err %v)", err)
-	}
+	copy(blob[at:], data)
+	fixCRC(blob)
 
 	var c Certificate
-	if err := c.UnmarshalBinary(marshalWithLabel(t, &honest, name, target, forged)); !errors.Is(err, ErrBadCertificate) {
+	if err := c.UnmarshalBinary(blob); !errors.Is(err, ErrBadCertificate) {
 		t.Fatalf("non-canonical second copy of an interned entry accepted: err=%v", err)
 	}
 }
@@ -270,6 +297,19 @@ func TestCertificateVersionPinned(t *testing.T) {
 	var c Certificate
 	if err := c.UnmarshalBinary(mutated); !errors.Is(err, ErrBadCertificate) {
 		t.Fatalf("future version accepted: %v", err)
+	}
+}
+
+// TestCertificateVersion1Rejected pins that version 1 (varint identifiers)
+// has no decoder: a blob declaring it fails on the version byte.
+func TestCertificateVersion1Rejected(t *testing.T) {
+	blob := honestBlob(t)
+	blob[4] = 1
+	fixCRC(blob)
+	var c Certificate
+	err := c.UnmarshalBinary(blob)
+	if !errors.Is(err, ErrBadCertificate) || !strings.Contains(err.Error(), "unsupported format version 1") {
+		t.Fatalf("version 1 blob: %v", err)
 	}
 }
 

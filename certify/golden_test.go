@@ -22,16 +22,16 @@ var goldenParallelism = []int{1, 2, 0}
 // Only a deliberate wire-format change may re-capture it; any other change
 // that moves a digest has changed what the prover emits.
 var goldenDigests = map[string]string{
-	"family/caterpillar": "e9d6cddc23a42260183a96384c0c5a4ee2491a27eae1aba9162ba54bde18b3a6",
-	"family/cycle":       "cd35e93b79238f0974962470e2310d1908527d32d3b9a1ab95e032f607ffa223",
-	"family/interval":    "518ec39800a27a754f9fbe548fdc7897f847830c3f6f37f4869e0a0cf4e9b5a9",
-	"family/ladder":      "e8d37f8108c9a2b05a8837b29dd22af7deb826ab199533ab18ddfbc480aa25b8",
-	"family/lobster":     "86d0e8239bbb3399b4d70e6ba7ca600cacb03494b90746cfd40e9e6574bd1c77",
-	"family/path":        "b1a6dfab5662bdccc4b39ae1339aa954da902b106e5cb4d6347f2e6f4778e4d5",
-	"family/spider":      "ab90cf02028c2a7fe855667aad78cde98dbe526c4f4dec4acf36eb5879d9b32f",
-	"pair/ladder":        "289bc5bd14892f3b54a5cb26a3432298d4c47b7ab0b27348224a7eee7fd42c69",
-	"updater/ladder10":   "1df423252a8f0dc85b53b8bb5d4347d0a1f26d6d9fccc86af12897ed19d8102b",
-	"updater/ladder200":  "93db21a99307d28a65260990641b83c947c6e7a1d933bb823014c000517900bc",
+	"family/caterpillar": "535dce16e4f0ad31b98183a86afa8375ca7752a2b57459f812edf0bea08dad0f",
+	"family/cycle":       "8bb3c3da5a04109ea3f4a47736f10ccf7524b708be3a6e4d6560df872571c664",
+	"family/interval":    "4392c488382b39dd5176d6f85012dbe49b21f7501d001a6f533e6fb31604d80e",
+	"family/ladder":      "9a5902e847cd48bf12d61501c9e8173236f553dc5007a5143289898c46f2e030",
+	"family/lobster":     "76a0656a39460508fecfaefcb868e450b102d7d3f2f074c1e17231f62c923360",
+	"family/path":        "4a58d21e79b5607e6125a289ca6596cd771892174e475f4d3f654f20284b227f",
+	"family/spider":      "d624d3bf060634ecc09c6f130d96247b49f1f29535149ad156fceeeb8b2dcbcd",
+	"pair/ladder":        "aa3a4da619321c6861c341ea3c4007e930f3eee661f056e692218ac3e8ffc7de",
+	"updater/ladder10":   "f7843fbf61aa19ce9044723591a7901ff84d946e425406e6781eda35d63e10b2",
+	"updater/ladder200":  "026ebcc6a84b11156974d39b94d80d2395bffad973cb7b6ffe3c35eb3c5b4b86",
 }
 
 func certDigest(t *testing.T, crt *Certificate) string {

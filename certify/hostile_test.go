@@ -6,6 +6,8 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"repro/internal/bits"
 )
 
 // blobWriter assembles raw certificate wire bytes for hostile-input tests,
@@ -96,6 +98,66 @@ func hostileBlobs() map[string][]byte {
 	w.uvarint(1)
 	out["implausible edge count"] = w.finish()
 
+	// Label payloads whose fixed-width fields lie, each on the one edge of
+	// a CRC-valid single-property certificate.
+	for name, payload := range hostileLabelPayloads() {
+		w = newBlobWriter()
+		w.header(5, 16, 1)
+		w.uvarint(1)
+		w.uvarint(uint64(len("bipartite")))
+		w.raw([]byte("bipartite"))
+		w.uvarint(1) // edge count
+		w.uvarint(0) // u
+		w.uvarint(1) // v
+		w.uvarint(uint64(payload.Bits()))
+		w.raw(payload.Bytes())
+		out[name] = w.finish()
+	}
+	return out
+}
+
+// hostileLabelPayloads returns label bit streams with an id width of 65
+// or more, an id width wider than the ids it carries, and a class
+// collision rank far past any id an int can hold.
+func hostileLabelPayloads() map[string]*bits.Writer {
+	out := map[string]*bits.Writer{}
+
+	var w bits.Writer
+	w.WriteBit(false) // no own certificate
+	w.WriteUvarint(65)
+	out["label id width 65"] = &w
+
+	// A pointing label whose ids need 2 bits, written in 9.
+	w2 := new(bits.Writer)
+	w2.WriteBit(false)
+	w2.WriteUvarint(9)
+	w2.WriteUvarint(0) // no embedding entries
+	w2.WriteBit(true)
+	for _, id := range []uint64{1, 1, 2} {
+		w2.WriteUint(id, 9)
+	}
+	w2.WriteUvarint(0)
+	w2.WriteUvarint(1)
+	out["label id width over widest id"] = w2
+
+	// An own certificate of one entry with no ids, whose class field
+	// carries a collision rank of 2⁶².
+	w3 := new(bits.Writer)
+	w3.WriteBit(true)
+	w3.WriteUvarint(1)       // path length
+	w3.WriteUvarint(0)       // vertex id width
+	w3.WriteUvarint(0)       // node id width
+	w3.WriteUint(0, 3)       // kind
+	w3.WriteUvarint(0)       // lanes
+	w3.WriteUint(7, 16)      // class hash
+	w3.WriteUvarint(1 << 62) // collision rank
+	out["huge class collision rank"] = w3
+
+	w4 := new(bits.Writer)
+	w4.WriteBit(true)
+	w4.WriteUvarint(1)
+	w4.WriteUvarint(1 << 20) // vertex id width
+	out["entry id width 2^20"] = w4
 	return out
 }
 
@@ -132,5 +194,30 @@ func TestHostileHeaderAllocationBounded(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
 		t.Fatalf("8 hostile decodes allocated %d bytes, want < 1 MiB", grew)
+	}
+}
+
+// TestHostileLabelFieldsRejected pins that each lying width or rank field
+// is what rejects its certificate — the label decoder names the field —
+// and that the rejection allocates a bounded amount, whatever the field
+// declares.
+func TestHostileLabelFieldsRejected(t *testing.T) {
+	blobs := hostileBlobs()
+	for name := range hostileLabelPayloads() {
+		t.Run(strings.ReplaceAll(name, " ", "-"), func(t *testing.T) {
+			blob := blobs[name]
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			var c Certificate
+			err := c.UnmarshalBinary(blob)
+			runtime.ReadMemStats(&after)
+			if !errors.Is(err, ErrBadCertificate) || !strings.Contains(err.Error(), "label for edge") ||
+				!(strings.Contains(err.Error(), "width") || strings.Contains(err.Error(), "rank")) {
+				t.Fatalf("want a width or rank rejection of the label, got %v", err)
+			}
+			if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<10 {
+				t.Fatalf("rejecting the blob allocated %d bytes", grew)
+			}
+		})
 	}
 }

@@ -14,17 +14,22 @@ import (
 // (they run the same algorithm) and is safe for concurrent use by the
 // distributed verifier.
 //
-// Ids are content hashes of the class's canonical key (32-bit FNV-1a), not
-// interning-order sequence numbers. Two provers that derive the same class —
-// in any order, on any graph — agree on its id, which is what makes
-// incremental re-proving effective: a local edit that adds or removes a few
-// distinct classes leaves the ids of every other class untouched, so the
-// entries and labels outside the dirty region keep their exact bytes. The
-// price is a wider id (≤32 bits instead of ⌈log₂|C|⌉), a constant that the
-// varint wire encoding and the O(log n) label bound absorb. Hash collisions
-// between distinct keys are resolved by stacking colliding classes at
-// rank<<32 offsets; Canonicalize fixes the rank order by key content so the
-// resolution, too, is independent of interning order.
+// Ids are content hashes of the class's canonical key, not interning-order
+// sequence numbers. Two provers that derive the same class — in any order,
+// on any graph — agree on its id, which is what makes incremental
+// re-proving effective: a local edit that adds or removes a few distinct
+// classes leaves the ids of every other class untouched, so the entries and
+// labels outside the dirty region keep their exact bytes.
+//
+// An id is a ClassHashBits-bit hash in its low bits (32-bit FNV-1a of the
+// key, xor-folded) plus a collision rank above them: distinct keys sharing
+// a hash stack at rank<<ClassHashBits, and Canonicalize fixes the rank
+// order by key content so the resolution, too, is independent of interning
+// order. No class gets id 0 (hash 0 starts at rank 1), so 0 never names a
+// class. The wire writes the hash in exactly ClassHashBits bits and the
+// rank as an Elias-gamma varint (one bit at rank 0), so an id costs
+// ClassHashBits+1 bits unless its hash collides; the decoder rejects ranks
+// above MaxClassRank, the largest rank whose id fits a non-negative int.
 type Registry struct {
 	mu    sync.Mutex
 	byKey map[string]int
@@ -37,12 +42,32 @@ func NewRegistry() *Registry {
 	return &Registry{byKey: map[string]int{}, byPtr: map[*Class]int{}, byID: map[int]*Class{}}
 }
 
-// idBase is the content hash an id is derived from: the low 32 bits of every
-// id for a class with this key. Colliding keys stack above at rank<<32.
+// ClassHashBits is the width of the content hash in the low bits of every
+// class id; MaxClassRank is the largest collision rank an id may carry.
+const (
+	ClassHashBits = 16
+	MaxClassRank  = 1<<(63-ClassHashBits) - 1
+)
+
+// hashMask selects the content-hash bits of an id.
+const hashMask = 1<<ClassHashBits - 1
+
+// idBase is the content hash an id is derived from: the low ClassHashBits
+// bits of every id for a class with this key.
 func idBase(key string) int {
 	h := fnv.New32a()
 	h.Write([]byte(key))
-	return int(h.Sum32())
+	sum := h.Sum32()
+	return int((sum ^ sum>>ClassHashBits) & hashMask)
+}
+
+// rankedID is the id of the class at the given collision rank of a hash.
+// Hash 0 starts at rank 1, so that no class gets id 0.
+func rankedID(base, rank int) int {
+	if base == 0 {
+		rank++
+	}
+	return base + rank<<ClassHashBits
 }
 
 // Intern returns the id of the class, registering it if new. Instances seen
@@ -80,12 +105,12 @@ func (r *Registry) internLocked(c *Class) int {
 		r.byPtr[c] = id
 		return id
 	}
-	id := idBase(key)
-	for {
+	base, id := idBase(key), 0
+	for rank := 0; ; rank++ {
+		id = rankedID(base, rank)
 		if _, taken := r.byID[id]; !taken {
 			break
 		}
-		id += 1 << 32
 	}
 	r.byKey[key] = id
 	r.byPtr[c] = id
@@ -124,8 +149,8 @@ func RegistryFromTable(classes map[int]*Class) (*Registry, error) {
 }
 
 // Canonicalize fixes the ids of hash-colliding classes into content order:
-// within each set of distinct keys sharing a 32-bit hash, ranks (the id bits
-// above 32) are reassigned by sorting the keys, replacing the
+// within each set of distinct keys sharing a hash, ranks (the id bits above
+// ClassHashBits) are reassigned by sorting the keys, replacing the
 // first-interned-first ranks Intern handed out. The prover calls this once
 // per pass, after the class sweep has interned every class the proof
 // mentions and before any id is encoded into an entry; afterwards every id —
@@ -141,7 +166,7 @@ func (r *Registry) Canonicalize() {
 	buckets := map[int][]string{}
 	//lint:certlint ignore mapiter bucket collection only; every bucket is sorted before any rank is assigned
 	for key, id := range r.byKey {
-		base := id & (1<<32 - 1)
+		base := id & hashMask
 		buckets[base] = append(buckets[base], key)
 	}
 	//lint:certlint ignore mapiter buckets are disjoint hash classes; each rewrite touches only its own keys
@@ -160,7 +185,7 @@ func (r *Registry) Canonicalize() {
 			delete(r.byID, r.byKey[key])
 		}
 		for rank, key := range keys {
-			id := base + rank<<32
+			id := rankedID(base, rank)
 			r.byKey[key] = id
 			r.byID[id] = classes[rank]
 		}

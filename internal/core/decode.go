@@ -3,7 +3,9 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	mathbits "math/bits"
 
+	"repro/internal/algebra"
 	"repro/internal/bits"
 	"repro/internal/cert"
 	"repro/internal/lanewidth"
@@ -64,6 +66,10 @@ type Decoder struct {
 	path []*NodeEntry // path of the certificate being parsed
 	ids  u64Arena     // backing store of built entries' id slices
 
+	// Id widths of the entry being parsed, and its widest ids so far.
+	wd               idWidths
+	widestV, widestN uint64
+
 	// Write-only targets of the skip pass.
 	lanes  []int
 	skip   NodeEntry
@@ -93,6 +99,16 @@ func (d *Decoder) decodeEdgeLabel(r *bits.Reader) (*EdgeLabel, error) {
 		}
 		out.Own = own
 	}
+	width, err := readWidth(r)
+	if err != nil {
+		return nil, err
+	}
+	var widest uint64
+	id := func() (uint64, error) {
+		v, err := r.ReadUint(width)
+		widest = max(widest, v)
+		return v, err
+	}
 	nEmb, err := r.ReadUvarint()
 	if err != nil {
 		return nil, err
@@ -102,10 +118,10 @@ func (d *Decoder) decodeEdgeLabel(r *bits.Reader) (*EdgeLabel, error) {
 	}
 	for i := uint64(0); i < nEmb; i++ {
 		var e EmbEntry
-		if e.UID, err = r.ReadUvarint(); err != nil {
+		if e.UID, err = id(); err != nil {
 			return nil, err
 		}
-		if e.VID, err = r.ReadUvarint(); err != nil {
+		if e.VID, err = id(); err != nil {
 			return nil, err
 		}
 		fwd, err := r.ReadUvarint()
@@ -128,13 +144,13 @@ func (d *Decoder) decodeEdgeLabel(r *bits.Reader) (*EdgeLabel, error) {
 	}
 	if hasPointing {
 		var p cert.PointingLabel
-		if p.X, err = r.ReadUvarint(); err != nil {
+		if p.X, err = id(); err != nil {
 			return nil, err
 		}
-		if p.UID, err = r.ReadUvarint(); err != nil {
+		if p.UID, err = id(); err != nil {
 			return nil, err
 		}
-		if p.VID, err = r.ReadUvarint(); err != nil {
+		if p.VID, err = id(); err != nil {
 			return nil, err
 		}
 		du, err := r.ReadUvarint()
@@ -147,6 +163,9 @@ func (d *Decoder) decodeEdgeLabel(r *bits.Reader) (*EdgeLabel, error) {
 		}
 		p.DU, p.DV = int(du), int(dv)
 		out.Pointing = &p
+	}
+	if err := checkWidth("label vertex", width, widest); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -227,7 +246,15 @@ func (d *Decoder) parseEntry(r *bits.Reader, build bool) (*NodeEntry, error) {
 	if build {
 		e = &NodeEntry{}
 	}
-	id, err := r.ReadUvarint()
+	var err error
+	if d.wd.vertex, err = readWidth(r); err != nil {
+		return nil, err
+	}
+	if d.wd.node, err = readWidth(r); err != nil {
+		return nil, err
+	}
+	d.widestV, d.widestN = 0, 0
+	id, err := d.nodeID(r)
 	if err != nil {
 		return nil, err
 	}
@@ -246,44 +273,43 @@ func (d *Decoder) parseEntry(r *bits.Reader, build bool) (*NodeEntry, error) {
 	if e.OutIDs, err = d.parseIDs(r, len(e.Lanes), build); err != nil {
 		return nil, err
 	}
-	cls, err := r.ReadUvarint()
+	if e.ClassID, err = readClassID(r); err != nil {
+		return nil, err
+	}
+	member, err := r.ReadBit()
 	if err != nil {
 		return nil, err
 	}
-	e.ClassID = int(cls)
-	parent, err := r.ReadUvarint()
-	if err != nil {
-		return nil, err
-	}
-	e.ParentID = int(parent) - 1
-	merged, err := r.ReadUvarint()
-	if err != nil {
-		return nil, err
-	}
-	e.MergedClassID = int(merged)
-	// Non-members carry no merged ids: the zeros the encoder writes for
-	// them are read here, and dropped.
-	if e.MergedOutIDs, err = d.parseIDs(r, len(e.Lanes), build && e.ParentID != -1); err != nil {
-		return nil, err
-	}
-	nChildren, err := r.ReadUvarint()
-	if err != nil {
-		return nil, err
-	}
-	if nChildren > 1<<12 {
-		return nil, fmt.Errorf("core: implausible child count %d", nChildren)
-	}
-	for i := uint64(0); i < nChildren; i++ {
-		c, err := d.parseChild(r, build)
+	// Non-members write no tree-member fields.
+	e.ParentID, e.MergedClassID, e.MergedOutIDs = -1, 0, nil
+	if member {
+		parent, err := d.nodeID(r)
 		if err != nil {
 			return nil, err
 		}
-		if build {
-			e.Children = append(e.Children, c)
+		e.ParentID = int(parent)
+		if e.MergedClassID, err = readClassID(r); err != nil {
+			return nil, err
 		}
-	}
-	if e.ParentID == -1 {
-		e.MergedClassID = 0 // likewise written as zero, and dropped
+		if e.MergedOutIDs, err = d.parseIDs(r, len(e.Lanes), build); err != nil {
+			return nil, err
+		}
+		nChildren, err := r.ReadUvarint()
+		if err != nil {
+			return nil, err
+		}
+		if nChildren > 1<<12 {
+			return nil, fmt.Errorf("core: implausible child count %d", nChildren)
+		}
+		for i := uint64(0); i < nChildren; i++ {
+			c, err := d.parseChild(r, build)
+			if err != nil {
+				return nil, err
+			}
+			if build {
+				e.Children = append(e.Children, c)
+			}
+		}
 	}
 	nPath, err := r.ReadUvarint()
 	if err != nil {
@@ -293,7 +319,7 @@ func (d *Decoder) parseEntry(r *bits.Reader, build bool) (*NodeEntry, error) {
 		return nil, fmt.Errorf("core: implausible path-id count %d", nPath)
 	}
 	for i := uint64(0); i < nPath; i++ {
-		v, err := r.ReadUvarint()
+		v, err := d.vertexID(r)
 		if err != nil {
 			return nil, err
 		}
@@ -359,10 +385,69 @@ func (d *Decoder) parseEntry(r *bits.Reader, build bool) (*NodeEntry, error) {
 			*e.RootMember = rm
 		}
 	}
+	if err := checkWidth("entry vertex", d.wd.vertex, d.widestV); err != nil {
+		return nil, err
+	}
+	if err := checkWidth("entry node", d.wd.node, d.widestN); err != nil {
+		return nil, err
+	}
 	if !build {
 		return nil, nil
 	}
 	return e, nil
+}
+
+// readWidth reads an id width: a varint of at most 64.
+func readWidth(r *bits.Reader) (int, error) {
+	w, err := r.ReadUvarint()
+	if err != nil {
+		return 0, err
+	}
+	if w > 64 {
+		return 0, fmt.Errorf("core: id width %d exceeds 64 bits", w)
+	}
+	return int(w), nil
+}
+
+// checkWidth enforces the canonical width: exactly the bit length of the
+// widest id written in it. A wider width would give the same ids a second
+// encoding.
+func checkWidth(what string, width int, widest uint64) error {
+	if width != mathbits.Len64(widest) {
+		return fmt.Errorf("core: %s id width %d, widest id %d needs %d", what, width, widest, mathbits.Len64(widest))
+	}
+	return nil
+}
+
+// readClassID reads a class id: the content hash in algebra.ClassHashBits
+// bits, then the collision rank as a varint, at most algebra.MaxClassRank.
+func readClassID(r *bits.Reader) (int, error) {
+	hash, err := r.ReadUint(algebra.ClassHashBits)
+	if err != nil {
+		return 0, err
+	}
+	rank, err := r.ReadUvarint()
+	if err != nil {
+		return 0, err
+	}
+	if rank > algebra.MaxClassRank {
+		return 0, fmt.Errorf("core: class collision rank %d exceeds %d", rank, algebra.MaxClassRank)
+	}
+	return int(rank<<algebra.ClassHashBits | hash), nil
+}
+
+// vertexID and nodeID read one id of the entry being parsed, in the
+// entry's width for its kind, and track the widest id read.
+func (d *Decoder) vertexID(r *bits.Reader) (uint64, error) {
+	v, err := r.ReadUint(d.wd.vertex)
+	d.widestV = max(d.widestV, v)
+	return v, err
+}
+
+func (d *Decoder) nodeID(r *bits.Reader) (uint64, error) {
+	v, err := r.ReadUint(d.wd.node)
+	d.widestN = max(d.widestN, v)
+	return v, err
 }
 
 // parseLanes reads a lane list: a fresh slice when building, the reused
@@ -398,15 +483,15 @@ func (d *Decoder) parseLanes(r *bits.Reader, build bool) ([]int, error) {
 	return lanes, nil
 }
 
-// parseIDs reads one id per lane into a lane-aligned slice, carved from
-// the Decoder's arena only when building.
+// parseIDs reads one vertex id per lane into a lane-aligned slice, carved
+// from the Decoder's arena only when building.
 func (d *Decoder) parseIDs(r *bits.Reader, n int, build bool) ([]uint64, error) {
 	var out []uint64
 	if build {
 		out = d.ids.alloc(n)
 	}
 	for i := range n {
-		v, err := r.ReadUvarint()
+		v, err := d.vertexID(r)
 		if err != nil {
 			return nil, err
 		}
@@ -419,7 +504,7 @@ func (d *Decoder) parseIDs(r *bits.Reader, n int, build bool) ([]uint64, error) 
 
 func (d *Decoder) parseChild(r *bits.Reader, build bool) (ChildSummary, error) {
 	var c ChildSummary
-	id, err := r.ReadUvarint()
+	id, err := d.nodeID(r)
 	if err != nil {
 		return c, err
 	}
@@ -433,12 +518,8 @@ func (d *Decoder) parseChild(r *bits.Reader, build bool) (ChildSummary, error) {
 	if c.MergedOutIDs, err = d.parseIDs(r, len(c.Lanes), build); err != nil {
 		return c, err
 	}
-	cls, err := r.ReadUvarint()
-	if err != nil {
-		return c, err
-	}
-	c.MergedClassID = int(cls)
-	return c, nil
+	c.MergedClassID, err = readClassID(r)
+	return c, err
 }
 
 // parseOperand reads a B-node operand summary; nil on the skip pass.
@@ -447,7 +528,7 @@ func (d *Decoder) parseOperand(r *bits.Reader, build bool) (*OperandSummary, err
 	if build {
 		o = &OperandSummary{}
 	}
-	id, err := r.ReadUvarint()
+	id, err := d.nodeID(r)
 	if err != nil {
 		return nil, err
 	}
@@ -466,11 +547,9 @@ func (d *Decoder) parseOperand(r *bits.Reader, build bool) (*OperandSummary, err
 	if o.OutIDs, err = d.parseIDs(r, len(o.Lanes), build); err != nil {
 		return nil, err
 	}
-	cls, err := r.ReadUvarint()
-	if err != nil {
+	if o.ClassID, err = readClassID(r); err != nil {
 		return nil, err
 	}
-	o.ClassID = int(cls)
 	input, err := r.ReadUvarint()
 	if err != nil {
 		return nil, err

@@ -2,11 +2,15 @@ package core
 
 import (
 	"bytes"
+	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/algebra"
+	"repro/internal/bits"
 	"repro/internal/cert"
 	"repro/internal/graph"
+	"repro/internal/lanewidth"
 )
 
 // TestLabelEncodeDecodeRoundTrip proves the reported bit counts correspond
@@ -100,6 +104,138 @@ func TestAppendLabelAppends(t *testing.T) {
 				if gotBits != wantBits || !bytes.Equal(got, append(append([]byte(nil), prefix...), want...)) {
 					t.Fatalf("edge %v: AppendLabel gave %d bits %x, want %d bits %x after the prefix", e, gotBits, got, wantBits, want)
 				}
+			}
+		})
+	}
+}
+
+// hostileLabels returns label streams whose width or rank fields lie, each
+// with the error text its rejection must carry. Every other field is
+// honest, so the named check is the one that fires.
+func hostileLabels(t *testing.T) map[string]struct {
+	data  []byte
+	nbits int
+	want  string
+} {
+	t.Helper()
+	s := NewScheme(algebra.Colorable{Q: 2}, 4)
+	labeling, _, err := prove(s, cert.NewConfig(graph.PathGraph(5)), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	el := labeling.Edges[graph.NewEdge(1, 2)]
+	en := el.Own.Path[len(el.Own.Path)-1]
+	out := map[string]struct {
+		data  []byte
+		nbits int
+		want  string
+	}{}
+	add := func(name, want string, w *bits.Writer) {
+		out[name] = struct {
+			data  []byte
+			nbits int
+			want  string
+		}{w.Bytes(), w.Bits(), want}
+	}
+	// ownEntry starts a label whose own certificate is the single entry
+	// that follows.
+	ownEntry := func() *bits.Writer {
+		var w bits.Writer
+		w.WriteBit(true)
+		w.WriteUvarint(1)
+		return &w
+	}
+
+	var w bits.Writer
+	w.WriteBit(false)
+	w.WriteUvarint(65)
+	add("label width 65", "exceeds 64", &w)
+
+	w = bits.Writer{}
+	w.WriteBit(false)
+	w.WriteUvarint(1 << 40)
+	add("label width 2^40", "exceeds 64", &w)
+
+	// A pointing label whose ids need 2 bits, written in 8.
+	w = bits.Writer{}
+	w.WriteBit(false)
+	w.WriteUvarint(8)
+	w.WriteUvarint(0)
+	w.WriteBit(true)
+	for _, id := range []uint64{1, 1, 2} {
+		w.WriteUint(id, 8)
+	}
+	w.WriteUvarint(0)
+	w.WriteUvarint(1)
+	add("label width over widest id", "width", &w)
+
+	ew := ownEntry()
+	ew.WriteUvarint(65)
+	add("entry vertex width 65", "exceeds 64", ew)
+
+	ew = ownEntry()
+	ew.WriteUvarint(0)
+	ew.WriteUvarint(65)
+	add("entry node width 65", "exceeds 64", ew)
+
+	wd := en.widths()
+	ew = ownEntry()
+	en.encodeWidths(ew, idWidths{vertex: wd.vertex + 1, node: wd.node})
+	ew.WriteUvarint(0)
+	add("entry vertex width over widest id", "entry vertex id width", ew)
+
+	ew = ownEntry()
+	en.encodeWidths(ew, idWidths{vertex: wd.vertex, node: 64})
+	ew.WriteUvarint(0)
+	add("entry node width 64 over widest id", "entry node id width", ew)
+
+	// A class id with a collision rank far above any id an int can hold:
+	// an entry with no ids, whose class field is the first thing after
+	// its lanes.
+	ew = ownEntry()
+	ew.WriteUvarint(0)
+	ew.WriteUvarint(0)
+	ew.WriteUint(uint64(lanewidth.TNode), 3)
+	ew.WriteUvarint(0)
+	ew.WriteUint(0, algebra.ClassHashBits)
+	ew.WriteUvarint(1 << 62)
+	add("huge collision rank", "collision rank", ew)
+
+	ew = ownEntry()
+	ew.WriteUvarint(0)
+	ew.WriteUvarint(0)
+	ew.WriteUint(uint64(lanewidth.TNode), 3)
+	ew.WriteUvarint(0)
+	ew.WriteUint(0, algebra.ClassHashBits)
+	ew.WriteUvarint(algebra.MaxClassRank + 1)
+	add("collision rank one past the cap", "collision rank", ew)
+	return out
+}
+
+// TestDecodeRejectsHostileWidthsAndRanks pins the fixed-width fields'
+// checks: an id width above 64, an id width wider than the widest id it
+// carries (a second encoding of the same ids), and a collision rank whose
+// id does not fit an int are each rejected — without a panic, and without
+// an allocation sized by the lying field.
+func TestDecodeRejectsHostileWidthsAndRanks(t *testing.T) {
+	for name, h := range hostileLabels(t) {
+		t.Run(strings.ReplaceAll(name, " ", "-"), func(t *testing.T) {
+			_, err := DecodeLabel(h.data, h.nbits)
+			if err == nil || !strings.Contains(err.Error(), h.want) {
+				t.Fatalf("decode error %v, want one naming %q", err, h.want)
+			}
+			var d Decoder
+			d.DecodeLabel(h.data, h.nbits) // the Decoder's tables
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for range 100 {
+				if _, err := d.DecodeLabel(h.data, h.nbits); err == nil {
+					t.Fatal("hostile label decoded")
+				}
+			}
+			runtime.ReadMemStats(&after)
+			if per := (after.TotalAlloc - before.TotalAlloc) / 100; per > 1<<10 {
+				t.Fatalf("rejecting the label allocates %d bytes", per)
 			}
 		})
 	}

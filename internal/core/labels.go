@@ -12,10 +12,12 @@
 package core
 
 import (
+	mathbits "math/bits"
 	"sort"
 	"strconv"
 	"sync"
 
+	"repro/internal/algebra"
 	"repro/internal/bits"
 	"repro/internal/cert"
 	"repro/internal/graph"
@@ -173,18 +175,44 @@ func (l *Labeling) MaxBits() int {
 }
 
 // --- canonical encodings -------------------------------------------------
+//
+// Identifiers are close to uniform, so the wire writes them in a fixed
+// width instead of a varint: each node entry writes the bit length of its
+// largest vertex id and of its largest node id, each an Elias-gamma varint,
+// and then every vertex id and node id in exactly that many bits. The
+// widths are per entry, so an entry's encoding stays self-contained (the
+// prover and the Decoder share entries by their exact bits) and the decoder
+// can require each width to be exactly the bit length of the entry's widest
+// id, which keeps the encoding canonical. Edge labels do the same for their
+// own vertex ids. Class ids are written as a fixed-width content hash plus
+// a varint collision rank (writeClassID).
 
-// writeIDs emits one id per lane from a lane-aligned slice. The wire always
-// carries exactly one id per lane; a missing id (a nil MergedOutIDs outside
-// any tree) is written as zero.
-func writeIDs(w *bits.Writer, lanes []int, ids []uint64) {
+// writeIDs emits one id per lane from a lane-aligned slice, each in width
+// bits. The wire always carries exactly one id per lane; a missing id is
+// written as zero.
+func writeIDs(w *bits.Writer, width int, lanes []int, ids []uint64) {
 	for i := range lanes {
 		var id uint64
 		if i < len(ids) {
 			id = ids[i]
 		}
-		w.WriteUvarint(id)
+		w.WriteUint(id, width)
 	}
+}
+
+// maxIDs folds the ids writeIDs writes for these lanes into acc.
+func maxIDs(acc uint64, lanes []int, ids []uint64) uint64 {
+	for _, id := range ids[:min(len(ids), len(lanes))] {
+		acc = max(acc, id)
+	}
+	return acc
+}
+
+// writeClassID emits a class id as its content hash in exactly
+// algebra.ClassHashBits bits, then its collision rank as a varint.
+func writeClassID(w *bits.Writer, id int) {
+	w.WriteUint(uint64(id)&(1<<algebra.ClassHashBits-1), algebra.ClassHashBits)
+	w.WriteUvarint(uint64(id) >> algebra.ClassHashBits)
 }
 
 func writeLanes(w *bits.Writer, lanes []int) {
@@ -194,22 +222,64 @@ func writeLanes(w *bits.Writer, lanes []int) {
 	}
 }
 
-func (c *ChildSummary) encode(w *bits.Writer) {
-	w.WriteUvarint(uint64(c.NodeID))
+// idWidths is the pair of fixed widths a node entry writes its vertex ids
+// and its node ids in.
+type idWidths struct{ vertex, node int }
+
+func (c *ChildSummary) encode(w *bits.Writer, wd idWidths) {
+	w.WriteUint(uint64(c.NodeID), wd.node)
 	writeLanes(w, c.Lanes)
-	writeIDs(w, c.Lanes, c.InIDs)
-	writeIDs(w, c.Lanes, c.MergedOutIDs)
-	w.WriteUvarint(uint64(c.MergedClassID))
+	writeIDs(w, wd.vertex, c.Lanes, c.InIDs)
+	writeIDs(w, wd.vertex, c.Lanes, c.MergedOutIDs)
+	writeClassID(w, c.MergedClassID)
 }
 
-func (o *OperandSummary) encode(w *bits.Writer) {
-	w.WriteUvarint(uint64(o.NodeID))
+func (c *ChildSummary) maxIDs(v, node uint64) (uint64, uint64) {
+	return maxIDs(maxIDs(v, c.Lanes, c.InIDs), c.Lanes, c.MergedOutIDs), max(node, uint64(c.NodeID))
+}
+
+func (o *OperandSummary) encode(w *bits.Writer, wd idWidths) {
+	w.WriteUint(uint64(o.NodeID), wd.node)
 	w.WriteUint(uint64(o.Kind), 3)
 	writeLanes(w, o.Lanes)
-	writeIDs(w, o.Lanes, o.InIDs)
-	writeIDs(w, o.Lanes, o.OutIDs)
-	w.WriteUvarint(uint64(o.ClassID))
+	writeIDs(w, wd.vertex, o.Lanes, o.InIDs)
+	writeIDs(w, wd.vertex, o.Lanes, o.OutIDs)
+	writeClassID(w, o.ClassID)
 	w.WriteUvarint(uint64(o.Input))
+}
+
+func (o *OperandSummary) maxIDs(v, node uint64) (uint64, uint64) {
+	return maxIDs(maxIDs(v, o.Lanes, o.InIDs), o.Lanes, o.OutIDs), max(node, uint64(o.NodeID))
+}
+
+// member reports whether the entry is a member of a T-node's tree. Only
+// members write the tree-member fields.
+func (n *NodeEntry) member() bool { return n.ParentID != -1 }
+
+// widths returns the bit lengths of the largest vertex id and the largest
+// node id the entry writes.
+func (n *NodeEntry) widths() idWidths {
+	v := maxIDs(maxIDs(0, n.Lanes, n.InIDs), n.Lanes, n.OutIDs)
+	node := uint64(n.NodeID)
+	if n.member() {
+		v = maxIDs(v, n.Lanes, n.MergedOutIDs)
+		node = max(node, uint64(n.ParentID))
+		for i := range n.Children {
+			v, node = n.Children[i].maxIDs(v, node)
+		}
+	}
+	for _, id := range n.PathIDs {
+		v = max(v, id)
+	}
+	for _, op := range []*OperandSummary{n.Left, n.Right} {
+		if op != nil {
+			v, node = op.maxIDs(v, node)
+		}
+	}
+	if n.RootMember != nil {
+		v, node = n.RootMember.maxIDs(v, node)
+	}
+	return idWidths{vertex: mathbits.Len64(v), node: mathbits.Len64(node)}
 }
 
 // encode appends the entry's canonical encoding, memoized on first use.
@@ -220,23 +290,33 @@ func (n *NodeEntry) encode(w *bits.Writer) {
 
 // encodeRaw is the bit-level definition of the entry's canonical encoding;
 // callers go through encode/Key, which cache its output.
-func (n *NodeEntry) encodeRaw(w *bits.Writer) {
-	w.WriteUvarint(uint64(n.NodeID))
+func (n *NodeEntry) encodeRaw(w *bits.Writer) { n.encodeWidths(w, n.widths()) }
+
+// encodeWidths writes the entry with the given id widths. Only the entry's
+// own widths give its canonical encoding; any other widths that fit its ids
+// give an encoding the decoder rejects.
+func (n *NodeEntry) encodeWidths(w *bits.Writer, wd idWidths) {
+	w.WriteUvarint(uint64(wd.vertex))
+	w.WriteUvarint(uint64(wd.node))
+	w.WriteUint(uint64(n.NodeID), wd.node)
 	w.WriteUint(uint64(n.Kind), 3)
 	writeLanes(w, n.Lanes)
-	writeIDs(w, n.Lanes, n.InIDs)
-	writeIDs(w, n.Lanes, n.OutIDs)
-	w.WriteUvarint(uint64(n.ClassID))
-	w.WriteUvarint(uint64(n.ParentID + 1))
-	w.WriteUvarint(uint64(n.MergedClassID))
-	writeIDs(w, n.Lanes, n.MergedOutIDs)
-	w.WriteUvarint(uint64(len(n.Children)))
-	for i := range n.Children {
-		n.Children[i].encode(w)
+	writeIDs(w, wd.vertex, n.Lanes, n.InIDs)
+	writeIDs(w, wd.vertex, n.Lanes, n.OutIDs)
+	writeClassID(w, n.ClassID)
+	w.WriteBit(n.member())
+	if n.member() {
+		w.WriteUint(uint64(n.ParentID), wd.node)
+		writeClassID(w, n.MergedClassID)
+		writeIDs(w, wd.vertex, n.Lanes, n.MergedOutIDs)
+		w.WriteUvarint(uint64(len(n.Children)))
+		for i := range n.Children {
+			n.Children[i].encode(w, wd)
+		}
 	}
 	w.WriteUvarint(uint64(len(n.PathIDs)))
 	for _, id := range n.PathIDs {
-		w.WriteUvarint(id)
+		w.WriteUint(id, wd.vertex)
 	}
 	for _, b := range n.RealBits {
 		w.WriteBit(b)
@@ -253,13 +333,13 @@ func (n *NodeEntry) encodeRaw(w *bits.Writer) {
 			continue
 		}
 		w.WriteBit(true)
-		op.encode(w)
+		op.encode(w, wd)
 	}
 	if n.RootMember == nil {
 		w.WriteBit(false)
 	} else {
 		w.WriteBit(true)
-		n.RootMember.encode(w)
+		n.RootMember.encode(w, wd)
 	}
 }
 
@@ -310,27 +390,42 @@ func (c *CEdgeLabel) Bits() int {
 }
 
 // Bits returns the exact encoded size of the label (memoized). The size is
-// computed by accounting, mirroring encode bit for bit, so calling it never
-// encodes the label.
+// computed by accounting, mirroring encode bit for bit — the own bit, the
+// certificates' cached sizes, the id width and every vertex id at that
+// width, the gamma-coded counts and distances — so calling it never encodes
+// the label.
 func (l *EdgeLabel) Bits() int {
 	l.sizeOnce.Do(func() {
+		width := l.idWidth()
 		n := 1
 		if l.Own != nil {
 			n += l.Own.Bits()
 		}
-		n += bits.UvarintLen(uint64(len(l.Emb)))
+		n += bits.UvarintLen(uint64(width)) + bits.UvarintLen(uint64(len(l.Emb)))
 		for _, e := range l.Emb {
-			n += bits.UvarintLen(e.UID) + bits.UvarintLen(e.VID) +
-				bits.UvarintLen(uint64(e.Fwd)) + bits.UvarintLen(uint64(e.Bwd)) +
+			n += 2*width + bits.UvarintLen(uint64(e.Fwd)) + bits.UvarintLen(uint64(e.Bwd)) +
 				e.Payload.Bits()
 		}
 		n++
-		if l.Pointing != nil {
-			n += l.Pointing.Bits()
+		if p := l.Pointing; p != nil {
+			n += 3*width + bits.UvarintLen(uint64(p.DU)) + bits.UvarintLen(uint64(p.DV))
 		}
 		l.size = n
 	})
 	return l.size
+}
+
+// idWidth returns the bit length of the largest vertex id the label writes
+// itself: its embedding entries' endpoints and its pointing label's ids.
+func (l *EdgeLabel) idWidth() int {
+	var v uint64
+	for _, e := range l.Emb {
+		v = max(v, e.UID, e.VID)
+	}
+	if p := l.Pointing; p != nil {
+		v = max(v, p.X, p.UID, p.VID)
+	}
+	return mathbits.Len64(v)
 }
 
 // Key returns a canonical encoding of the whole edge label (bytes plus bit
@@ -350,21 +445,23 @@ func (l *EdgeLabel) encode(w *bits.Writer) {
 	} else {
 		w.WriteBit(false)
 	}
+	width := l.idWidth()
+	w.WriteUvarint(uint64(width))
 	w.WriteUvarint(uint64(len(l.Emb)))
 	for _, e := range l.Emb {
-		w.WriteUvarint(e.UID)
-		w.WriteUvarint(e.VID)
+		w.WriteUint(e.UID, width)
+		w.WriteUint(e.VID, width)
 		w.WriteUvarint(uint64(e.Fwd))
 		w.WriteUvarint(uint64(e.Bwd))
 		e.Payload.encode(w)
 	}
-	if l.Pointing != nil {
+	if p := l.Pointing; p != nil {
 		w.WriteBit(true)
-		w.WriteUvarint(l.Pointing.X)
-		w.WriteUvarint(l.Pointing.UID)
-		w.WriteUvarint(l.Pointing.VID)
-		w.WriteUvarint(uint64(l.Pointing.DU))
-		w.WriteUvarint(uint64(l.Pointing.DV))
+		w.WriteUint(p.X, width)
+		w.WriteUint(p.UID, width)
+		w.WriteUint(p.VID, width)
+		w.WriteUvarint(uint64(p.DU))
+		w.WriteUvarint(uint64(p.DV))
 	} else {
 		w.WriteBit(false)
 	}
