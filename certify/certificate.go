@@ -77,6 +77,10 @@ const (
 	certVersion = 2
 
 	// Decode plausibility bounds; anything larger is rejected outright.
+	// maxLabelBits is ~370,000× the worst version-2 label of a
+	// 32768-vertex width-2 interval graph under 8 lanes (2890 bits);
+	// minEdgeBytes below counts only an edge entry's u, v and bit-count
+	// varints, which the label grammar does not touch.
 	maxCertProps    = 1 << 10
 	maxCertNameLen  = 1 << 12 // compiled-formula names carry the formula text
 	maxCertVertices = 1 << 30

@@ -32,11 +32,15 @@ const (
 
 	// maxFramePayload caps any frame's declared payload: large enough for a
 	// full cut-label batch of the biggest supported partitions, small enough
-	// that a hostile peer cannot make a node reserve unbounded memory.
+	// that a hostile peer cannot make a node reserve unbounded memory. With
+	// fixed-width identifiers (PLSC v2) the worst label of a 32768-vertex
+	// width-2 interval graph under 8 lanes is 2890 bits (~362 bytes), so
+	// one frame holds ~11,500 such labels (~6,400 under v1's 5212 bits).
 	maxFramePayload = 4 << 20
 
-	// maxLabelBits caps one shipped label encoding (far above any honest
-	// O(log n)-bit label).
+	// maxLabelBits caps one shipped label encoding: 1<<22 bits is ~1,450×
+	// that 2890-bit v2 label, which grows by ~125 bits per doubling of n,
+	// so the cap sits far above any honest O(log n)-bit label.
 	maxLabelBits = 1 << 22
 	// maxWireRejected caps the rejected-vertex list one verdict frame
 	// carries; RejectedTotal still reports the full count.
