@@ -115,7 +115,7 @@ func run(args []string) error {
 	}
 
 	if want("e1") {
-		rows, err := experiments.E1LabelSize([]int{32, 128, 512, 2048, 8192})
+		rows, err := experiments.E1LabelSize([]int{32, 128, 512, 2048, 8192, 32768, 131072, 262144})
 		if err != nil {
 			return err
 		}

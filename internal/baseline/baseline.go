@@ -15,6 +15,7 @@ package baseline
 import (
 	"errors"
 	"fmt"
+	mathbits "math/bits"
 	"sort"
 
 	"repro/internal/bits"
@@ -37,13 +38,27 @@ type VertexLabel struct {
 	Frames  []Frame
 }
 
-// Bits returns the exact encoded size of the label.
+// Bits returns the exact encoded size of the label. Identifiers are coded
+// as the core scheme codes them: one Elias-gamma width per label — the bit
+// length of its largest identifier — and then every identifier in exactly
+// that many bits. Bag indices and counts are Elias-gamma varints.
 func (l *VertexLabel) Bits() int {
+	var widest uint64
+	for _, id := range l.HomeBag {
+		widest = max(widest, id)
+	}
+	for _, f := range l.Frames {
+		for _, id := range f.Sep {
+			widest = max(widest, id)
+		}
+	}
+	width := mathbits.Len64(widest)
 	var w bits.Writer
 	w.WriteUvarint(uint64(l.Home))
+	w.WriteUvarint(uint64(width))
 	w.WriteUvarint(uint64(len(l.HomeBag)))
 	for _, id := range l.HomeBag {
-		w.WriteUvarint(id)
+		w.WriteUint(id, width)
 	}
 	w.WriteUvarint(uint64(len(l.Frames)))
 	for _, f := range l.Frames {
@@ -51,7 +66,7 @@ func (l *VertexLabel) Bits() int {
 		w.WriteUvarint(uint64(f.Hi))
 		w.WriteUvarint(uint64(len(f.Sep)))
 		for _, id := range f.Sep {
-			w.WriteUvarint(id)
+			w.WriteUint(id, width)
 		}
 	}
 	return w.Bits()
