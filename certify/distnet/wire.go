@@ -35,7 +35,7 @@ const (
 	// that a hostile peer cannot make a node reserve unbounded memory. With
 	// fixed-width identifiers (PLSC v2) the worst label of a 32768-vertex
 	// width-2 interval graph under 8 lanes is 2890 bits (~362 bytes), so
-	// one frame holds ~11,500 such labels (~6,400 under v1's 5212 bits).
+	// one frame holds ~11,500 such labels.
 	maxFramePayload = 4 << 20
 
 	// maxLabelBits caps one shipped label encoding: 1<<22 bits is ~1,450×

@@ -24,7 +24,7 @@ func worstLabelBits(tb testing.TB, n int) int {
 // TestLabelSizeSlope pins the growth of the worst label with n, the
 // quantity the O(log n) bound is about. Identifiers are written in a
 // fixed width per entry, so quadrupling n adds about two bits to each
-// identifier field; under gamma-coded identifiers it added four.
+// identifier field: about 250 bits to this label.
 func TestLabelSizeSlope(t *testing.T) {
 	small, large := worstLabelBits(t, 2048), worstLabelBits(t, 8192)
 	t.Logf("worst label: %d bits at n=2048, %d bits at n=8192", small, large)

@@ -234,7 +234,7 @@ func runOracle(tb testing.TB, props []algebra.Property, c *choices, st *oracleSt
 	if c.intn(3) > 0 {
 		orig := forged
 		forged = forged.Clone()
-		mutateLabeling(c, forged, orig, cfg)
+		mutateLabeling(c, forged, orig, target)
 	}
 	variants := []*Labeling{forged}
 	if wire, ok := wireRoundTrip(forged); ok {
@@ -323,14 +323,14 @@ type entrySite struct {
 	orig, copy *NodeEntry
 }
 
-func entrySites(clone, orig *Labeling) []entrySite {
+func entrySites(clone, orig *Labeling, edges []graph.Edge) []entrySite {
 	var sites []entrySite
 	pair := func(a, b *CEdgeLabel) {
 		for i := range a.Path {
 			sites = append(sites, entrySite{orig: b.Path[i], copy: a.Path[i]})
 		}
 	}
-	for _, e := range sortedLabelEdges(clone) {
+	for _, e := range edges {
 		a, b := clone.Edges[e], orig.Edges[e]
 		if a.Own != nil {
 			pair(a.Own, b.Own)
@@ -342,28 +342,14 @@ func entrySites(clone, orig *Labeling) []entrySite {
 	return sites
 }
 
-func sortedLabelEdges(l *Labeling) []graph.Edge {
-	edges := make([]graph.Edge, 0, len(l.Edges))
-	for e := range l.Edges {
-		edges = append(edges, e)
-	}
-	slices.SortFunc(edges, func(a, b graph.Edge) int {
-		if a.U != b.U {
-			return a.U - b.U
-		}
-		return a.V - b.V
-	})
-	return edges
-}
-
 // mutateLabeling applies one field mutation to the clone: to one copy of
 // a node entry, to every copy of it (a consistent forgery, which the
 // per-vertex agreement checks cannot catch), or to one label's own
 // embedding and pointing fields. orig is the labeling the clone was taken
-// from; its entries are never written.
+// from, for the configuration cfg; its entries are never written.
 func mutateLabeling(c *choices, clone, orig *Labeling, cfg *cert.Config) {
-	sites := entrySites(clone, orig)
-	edges := sortedLabelEdges(clone)
+	edges := cfg.G.Edges()
+	sites := entrySites(clone, orig, edges)
 	if len(sites) == 0 || len(edges) == 0 {
 		return
 	}
