@@ -102,11 +102,12 @@ func TestCertificateRoundTripIdentity(t *testing.T) {
 }
 
 // TestNonCanonicalCopyRejectedAfterInterning pins that decoding interns by
-// raw bits, not by value: a later copy of a node entry that carries the
+// raw bits, not by value: a later copy of a node entry that decodes to the
 // same value as an earlier, already interned copy, but with different bits,
-// is still rejected as non-canonical. The forged copy is the hierarchy
-// root's entry (every certificate path starts there) with its node ids
-// written one width wider than the widest of them needs.
+// is still rejected as non-canonical. The forged copy is a non-member entry
+// written as a member whose parent id, 2^64−1 in 64 bits, decodes to the
+// non-member parent −1; the decoder reads and drops the member fields that
+// follow it.
 func TestNonCanonicalCopyRejectedAfterInterning(t *testing.T) {
 	var honest Certificate
 	if err := honest.UnmarshalBinary(honestBlob(t)); err != nil {
@@ -114,12 +115,59 @@ func TestNonCanonicalCopyRejectedAfterInterning(t *testing.T) {
 	}
 	name := honest.props[0]
 	l := honest.labelings[name]
-	edges := sortedEdges(l)
+	target, at := repeatedNonMember(t, l)
+	// Two copies whose entry claims parent id −2 or −3: both write the
+	// member fields and every node id in 64 bits, and their encodings
+	// differ only in the parent id's two low bits. Or-ing them writes
+	// parent id 2^64−1.
+	withParent := func(parent int) *core.EdgeLabel {
+		el := l.Edges[target].Clone()
+		en := el.Own.Path[at]
+		en.ParentID, en.MergedClassID, en.MergedOutIDs, en.Children = parent, 0, nil, nil
+		return el
+	}
+	data, nbits := core.EncodeLabel(withParent(-2))
+	other, otherBits := core.EncodeLabel(withParent(-3))
+	if otherBits != nbits {
+		t.Fatalf("parent ids −2 and −3 encode to %d and %d bits", nbits, otherBits)
+	}
+	blob := marshalWithLabel(t, &honest, name, target, withParent(-2))
+	pos := bytes.Index(blob, data)
+	if pos < 0 {
+		t.Fatal("the forged label's bytes are not in the marshaled blob")
+	}
+	for i := range data {
+		data[i] |= other[i]
+	}
+	if dec, err := core.DecodeLabel(data, nbits); err != nil || dec.Key() != l.Edges[target].Key() {
+		t.Fatalf("the forged label must decode to the honest value (err %v)", err)
+	}
+	copy(blob[pos:], data)
+	fixCRC(blob)
+
+	var c Certificate
+	if err := c.UnmarshalBinary(blob); !errors.Is(err, ErrBadCertificate) {
+		t.Fatalf("non-canonical second copy of an interned entry accepted: err=%v", err)
+	}
+}
+
+// TestOverWideCopyRejectedAfterInterning forges a second copy of an
+// interned entry whose node ids are written one width wider than its
+// widest node id needs, every value the honest one. The forged copy is the
+// hierarchy root's entry (every certificate path starts there). The
+// decoder's width check rejects it, so the certificate fails.
+func TestOverWideCopyRejectedAfterInterning(t *testing.T) {
+	var honest Certificate
+	if err := honest.UnmarshalBinary(honestBlob(t)); err != nil {
+		t.Fatal(err)
+	}
+	name := honest.props[0]
+	l := honest.labelings[name]
 	// Find, in wire order, a label whose own path repeats the non-member
 	// root entry an earlier label already carried.
 	seen := false
 	target := graph.Edge{U: -1}
-	for _, e := range edges {
+	for _, e := range sortedEdges(l) {
 		own := l.Edges[e].Own
 		if own == nil || own.Path[0].ParentID != -1 {
 			continue
@@ -134,9 +182,9 @@ func TestNonCanonicalCopyRejectedAfterInterning(t *testing.T) {
 		t.Fatal("no repeated non-member root entry in the honest labeling")
 	}
 	// Encode a copy whose root node id has one bit above every node id of
-	// the entry set, then clear that bit: the entry's node ids are now
-	// written wider than its widest node id needs, and every value is the
-	// honest one.
+	// the entry, then clear that bit: the entry's node ids are now written
+	// wider than its widest node id needs, and every value is the honest
+	// one.
 	forged := l.Edges[target].Clone()
 	root := forged.Own.Path[0]
 	widest := root.NodeID
@@ -171,8 +219,32 @@ func TestNonCanonicalCopyRejectedAfterInterning(t *testing.T) {
 
 	var c Certificate
 	if err := c.UnmarshalBinary(blob); !errors.Is(err, ErrBadCertificate) {
-		t.Fatalf("non-canonical second copy of an interned entry accepted: err=%v", err)
+		t.Fatalf("over-wide second copy of an interned entry accepted: err=%v", err)
 	}
+}
+
+// repeatedNonMember finds, in wire order, a label whose own path repeats a
+// non-member entry an earlier label already carried, and returns the edge
+// and the entry's path position.
+func repeatedNonMember(t *testing.T, l *core.Labeling) (graph.Edge, int) {
+	t.Helper()
+	seen := map[*core.NodeEntry]bool{}
+	for _, e := range sortedEdges(l) {
+		own := l.Edges[e].Own
+		if own == nil {
+			continue
+		}
+		for i, en := range own.Path {
+			if seen[en] && en.ParentID == -1 {
+				return e, i
+			}
+		}
+		for _, en := range own.Path {
+			seen[en] = true
+		}
+	}
+	t.Fatal("no repeated non-member entry in the honest labeling")
+	return graph.Edge{}, 0
 }
 
 // marshalWithLabel marshals a copy of the certificate in which one edge of

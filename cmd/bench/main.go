@@ -73,7 +73,7 @@ func run(args []string) error {
 		e10Level = fs.String("e10-levels", "1,2,4,8", "E10: comma-separated client concurrency levels")
 		e10Reqs  = fs.Int("e10-requests", 12, "E10: prove→fetch→verify round trips per client")
 		e10N     = fs.Int("e10-n", 256, "E10: approximate vertex count of the workload graph")
-		e8MaxN   = fs.Int("e8-max-n", 0, "E8: skip sweep sizes above this (0 = run the full sweep to 10⁶)")
+		e8MaxN   = fs.Int("e8-max-n", 0, "E8: skip sweep sizes above this (0 = run the full sweep to 10⁶; the committed BENCH_E8.json ends at 262144)")
 		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file")
 		memProf  = fs.String("memprofile", "", "write a heap profile after the selected experiments to this file")
 	)

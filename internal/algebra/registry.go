@@ -18,8 +18,12 @@ import (
 // sequence numbers. Two provers that derive the same class — in any order,
 // on any graph — agree on its id, which is what makes incremental
 // re-proving effective: a local edit that adds or removes a few distinct
-// classes leaves the ids of every other class untouched, so the entries and
-// labels outside the dirty region keep their exact bytes.
+// classes leaves the ids of almost every other class untouched, so most
+// entries and labels outside the dirty region keep their exact bytes. The
+// exception is a class whose hash collides with an added or removed one:
+// ranks within a hash follow key order, so such an edit can move a
+// neighbour to another rank, and every entry carrying that neighbour's id
+// gets new bytes.
 //
 // An id is a ClassHashBits-bit hash in its low bits (32-bit FNV-1a of the
 // key, xor-folded) plus a collision rank above them: distinct keys sharing
@@ -30,6 +34,8 @@ import (
 // rank as an Elias-gamma varint (one bit at rank 0), so an id costs
 // ClassHashBits+1 bits unless its hash collides; the decoder rejects ranks
 // above MaxClassRank, the largest rank whose id fits a non-negative int.
+// With 2^16 hashes, collisions are expected once a registry holds a few
+// hundred classes: K classes give about K²/2^17 colliding pairs.
 type Registry struct {
 	mu    sync.Mutex
 	byKey map[string]int
@@ -156,8 +162,9 @@ func RegistryFromTable(classes map[int]*Class) (*Registry, error) {
 // mentions and before any id is encoded into an entry; afterwards every id —
 // collision or not — depends only on the set of distinct classes, never on
 // traversal order, so a fresh prove and an incremental re-prove of the same
-// graph encode identical ids. Non-colliding classes (in practice: all of
-// them) already hold their content hash and are untouched. Canonicalize must
+// graph encode identical ids. Non-colliding classes already hold their
+// content hash and are untouched; colliding ones are expected in any
+// registry of a few hundred classes or more. Canonicalize must
 // not be called on a table-seeded registry; table registries belong to
 // verifiers, which never call it.
 func (r *Registry) Canonicalize() {

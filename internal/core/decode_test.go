@@ -118,13 +118,6 @@ func hostileLabels(t *testing.T) map[string]struct {
 	want  string
 } {
 	t.Helper()
-	s := NewScheme(algebra.Colorable{Q: 2}, 4)
-	labeling, _, err := prove(s, cert.NewConfig(graph.PathGraph(5)), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	el := labeling.Edges[graph.NewEdge(1, 2)]
-	en := el.Own.Path[len(el.Own.Path)-1]
 	out := map[string]struct {
 		data  []byte
 		nbits int
@@ -178,16 +171,40 @@ func hostileLabels(t *testing.T) map[string]struct {
 	ew.WriteUvarint(65)
 	add("entry node width 65", "exceeds 64", ew)
 
-	wd := en.widths()
-	ew = ownEntry()
-	en.encodeWidths(ew, idWidths{vertex: wd.vertex + 1, node: wd.node})
-	ew.WriteUvarint(0)
-	add("entry vertex width over widest id", "entry vertex id width", ew)
-
-	ew = ownEntry()
-	en.encodeWidths(ew, idWidths{vertex: wd.vertex, node: 64})
-	ew.WriteUvarint(0)
-	add("entry node width 64 over widest id", "entry node id width", ew)
+	// A label whose own certificate is one minimal entry with one node id
+	// (1) and one path vertex id (1), its ids written in the given widths;
+	// the owner position and an empty rest of the label follow.
+	idEntry := func(vertexWidth, nodeWidth int) *bits.Writer {
+		w := ownEntry()
+		w.WriteUvarint(uint64(vertexWidth))
+		w.WriteUvarint(uint64(nodeWidth))
+		w.WriteUint(1, nodeWidth)
+		w.WriteUint(uint64(lanewidth.TNode), 3)
+		w.WriteUvarint(0) // no lanes, so no lane-aligned ids
+		w.WriteUint(1, algebra.ClassHashBits)
+		w.WriteUvarint(0)
+		w.WriteBit(false) // not a tree member
+		w.WriteUvarint(1)
+		w.WriteUint(1, vertexWidth)
+		w.WriteUvarint(0) // the path vertex's input
+		w.WriteUvarint(0) // LaneI
+		w.WriteUvarint(0) // LaneJ
+		w.WriteBit(false) // BridgeReal
+		w.WriteBit(false) // no left operand
+		w.WriteBit(false) // no right operand
+		w.WriteBit(false) // no root member
+		w.WriteUvarint(0) // owner position
+		w.WriteUvarint(0) // label id width
+		w.WriteUvarint(0) // no embedding entries
+		w.WriteBit(false) // no pointing label
+		return w
+	}
+	ok := idEntry(1, 1)
+	if _, err := DecodeLabel(ok.Bytes(), ok.Bits()); err != nil {
+		t.Fatalf("the minimal entry in its own widths does not decode: %v", err)
+	}
+	add("entry vertex width over widest id", "entry vertex id width", idEntry(2, 1))
+	add("entry node width 64 over widest id", "entry node id width", idEntry(1, 64))
 
 	// A class id with a collision rank far above any id an int can hold:
 	// an entry with no ids, whose class field is the first thing after

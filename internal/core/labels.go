@@ -290,12 +290,8 @@ func (n *NodeEntry) encode(w *bits.Writer) {
 
 // encodeRaw is the bit-level definition of the entry's canonical encoding;
 // callers go through encode/Key, which cache its output.
-func (n *NodeEntry) encodeRaw(w *bits.Writer) { n.encodeWidths(w, n.widths()) }
-
-// encodeWidths writes the entry with the given id widths. Only the entry's
-// own widths give its canonical encoding; any other widths that fit its ids
-// give an encoding the decoder rejects.
-func (n *NodeEntry) encodeWidths(w *bits.Writer, wd idWidths) {
+func (n *NodeEntry) encodeRaw(w *bits.Writer) {
+	wd := n.widths()
 	w.WriteUvarint(uint64(wd.vertex))
 	w.WriteUvarint(uint64(wd.node))
 	w.WriteUint(uint64(n.NodeID), wd.node)

@@ -104,79 +104,13 @@ func E1LabelSizeFor(prop algebra.Property, ns []int) ([]E1Row, error) {
 	return rows, nil
 }
 
-// PrintE1 renders E1 rows, and the fitted crossover when the rows
-// determine one.
+// PrintE1 renders E1 rows.
 func PrintE1(w io.Writer, rows []E1Row) {
 	fmt.Fprintf(w, "E1  label size: Theorem 1 (ours) vs FMRT-style baseline (bipartiteness on caterpillars)\n")
 	fmt.Fprintf(w, "%8s %12s %14s %12s %14s\n", "n", "ours[bits]", "baseline[bits]", "ours/log n", "base/log^2 n")
 	for _, r := range rows {
 		fmt.Fprintf(w, "%8d %12d %14d %12.1f %14.1f\n", r.N, r.CoreBits, r.BaselineBits, r.CorePerLog, r.BasePerLog2)
 	}
-	if lg, ok := E1Crossover(rows); ok {
-		fmt.Fprintf(w, "fitted crossover (ours linear, baseline quadratic in log2 n): n ≈ 2^%.1f\n", lg)
-	}
-}
-
-// E1Crossover fits ours as a line and the baseline as a quadratic in
-// log₂ n by least squares, and returns the log₂ n beyond which the fitted
-// baseline label is the larger one. ok is false when the rows are too few
-// to fit or the fitted curves never cross.
-func E1Crossover(rows []E1Row) (log2n float64, ok bool) {
-	if len(rows) < 3 {
-		return 0, false
-	}
-	xs := make([]float64, len(rows))
-	ours, base := make([]float64, len(rows)), make([]float64, len(rows))
-	for i, r := range rows {
-		xs[i], ours[i], base[i] = r.Log2N, float64(r.CoreBits), float64(r.BaselineBits)
-	}
-	a := polyFit(xs, ours, 1)
-	b := polyFit(xs, base, 2)
-	// b2·x² + (b1−a1)·x + (b0−a0) = 0; the larger root is the crossover.
-	qa, qb, qc := b[2], b[1]-a[1], b[0]-a[0]
-	disc := qb*qb - 4*qa*qc
-	if qa <= 0 || disc < 0 {
-		return 0, false
-	}
-	return (-qb + math.Sqrt(disc)) / (2 * qa), true
-}
-
-// polyFit returns the least-squares coefficients c[0..deg] of
-// y ≈ Σ c[k]·x^k, solving the normal equations by Gaussian elimination.
-func polyFit(xs, ys []float64, deg int) []float64 {
-	n := deg + 1
-	m := make([][]float64, n) // augmented normal-equation matrix
-	for i := range m {
-		m[i] = make([]float64, n+1)
-		for k, x := range xs {
-			for j := range n {
-				m[i][j] += math.Pow(x, float64(i+j))
-			}
-			m[i][n] += ys[k] * math.Pow(x, float64(i))
-		}
-	}
-	for col := range n {
-		piv := col
-		for r := col + 1; r < n; r++ {
-			if math.Abs(m[r][col]) > math.Abs(m[piv][col]) {
-				piv = r
-			}
-		}
-		m[col], m[piv] = m[piv], m[col]
-		for r := range n {
-			if r != col {
-				f := m[r][col] / m[col][col]
-				for j := col; j <= n; j++ {
-					m[r][j] -= f * m[col][j]
-				}
-			}
-		}
-	}
-	c := make([]float64, n)
-	for i := range c {
-		c[i] = m[i][n] / m[i][i]
-	}
-	return c
 }
 
 // E2Row is one point of the lane/congestion measurement (Proposition 4.6).
@@ -475,8 +409,8 @@ func PrintE7(w io.Writer, rows []E7Row) {
 }
 
 // DefaultE8Ns is the full E8 sweep. cmd/bench's -e8-max-n trims it: CI runs
-// the small prefix on every push, the committed BENCH_E8.json carries the
-// full curve to n = 10⁶.
+// the small prefix on every push. The committed BENCH_E8.json ends at
+// n = 262144; its n = 10⁶ point needs a host with more memory to re-run.
 var DefaultE8Ns = []int{64, 256, 1024, 4096, 16384, 65536, 262144, 1000000}
 
 // E8Row is one point of the scaling measurement. The JSON tags define the

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"bytes"
-	"math"
 	"strings"
 	"testing"
 )
@@ -32,23 +31,6 @@ func TestE1ShapesHold(t *testing.T) {
 	PrintE1(&buf, rows)
 	if !strings.Contains(buf.String(), "E1") {
 		t.Fatal("PrintE1 output missing header")
-	}
-}
-
-// TestE1CrossoverFit pins the crossover fit on exact curves: ours
-// 1000+100·L bits, the baseline 5·L² bits, which cross at
-// L = 10+√300 ≈ 27.32.
-func TestE1CrossoverFit(t *testing.T) {
-	var rows []E1Row
-	for _, lg := range []float64{5, 7, 9, 11, 13} {
-		rows = append(rows, E1Row{Log2N: lg, CoreBits: int(1000 + 100*lg), BaselineBits: int(5 * lg * lg)})
-	}
-	lg, ok := E1Crossover(rows)
-	if want := 10 + math.Sqrt(300); !ok || math.Abs(lg-want) > 0.01 {
-		t.Fatalf("crossover at 2^%.3f (ok=%v), want 2^%.3f", lg, ok, want)
-	}
-	if _, ok := E1Crossover(rows[:2]); ok {
-		t.Fatal("two rows fitted a crossover")
 	}
 }
 
