@@ -65,6 +65,46 @@ func TestFormulaCertificateRoundTrip(t *testing.T) {
 	}
 }
 
+// TestConjunctionWithFormulaRoundTrip pins that a conjunction may nest a
+// compiled formula: "and(mso:…,maxdeg:3)" resolves both operands, proves
+// on a ladder, and its certificate verifies after a wire round trip in a
+// certifier that knows nothing but the certificate's property name.
+func TestConjunctionWithFormulaRoundTrip(t *testing.T) {
+	ctx := context.Background()
+	name := "and(mso:" + bipartiteSrc + ",maxdeg:3)"
+	p, err := certify.PropertyByName(name)
+	if err != nil {
+		t.Fatalf("resolve %s: %v", name, err)
+	}
+	prover, err := certify.New(certify.WithProperties(p))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := certify.Ladder(5)
+	crt, _, err := prover.ProveBatch(ctx, g)
+	if err != nil {
+		t.Fatalf("prove: %v", err)
+	}
+	blob, err := crt.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var decoded certify.Certificate
+	if err := decoded.UnmarshalBinary(blob); err != nil {
+		t.Fatalf("unmarshal: %v", err)
+	}
+	if got := decoded.Properties(); len(got) != 1 || got[0] != name {
+		t.Fatalf("decoded properties %q, want [%q]", got, name)
+	}
+	verifier, err := certify.New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := verifier.Verify(ctx, g, &decoded); err != nil {
+		t.Fatalf("verify decoded: %v", err)
+	}
+}
+
 // TestFormulaFaultParity pins soundness parity between a compiled formula
 // and its hand-written catalog twin: for every fault in the catalog, both
 // certificates react identically — the same fault is detected (or, for

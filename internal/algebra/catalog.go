@@ -11,6 +11,14 @@ import (
 // experiment harness. Parameterized properties take their parameter after a
 // colon: "vc:3" (vertex cover ≤ 3), "maxdeg:2" (maximum degree ≤ 2).
 func ByName(name string) (Property, error) {
+	return ByNameWith(name, ByName)
+}
+
+// ByNameWith resolves a catalog name as ByName does, except that the two
+// operands of a conjunction "and(x,y)" are resolved by operand. A resolver
+// that knows more names than the catalog (msoc.ByName, which compiles
+// formulas) passes itself, so conjunctions may nest its names.
+func ByNameWith(name string, operand func(string) (Property, error)) (Property, error) {
 	switch {
 	case name == "bipartite":
 		return Colorable{Q: 2}, nil
@@ -45,11 +53,11 @@ func ByName(name string) (Property, error) {
 		if !balanced || len(parts) != 2 || parts[0] == "" || parts[1] == "" {
 			return nil, fmt.Errorf("algebra: malformed conjunction %q", name)
 		}
-		p1, err := ByName(parts[0])
+		p1, err := operand(parts[0])
 		if err != nil {
 			return nil, err
 		}
-		p2, err := ByName(parts[1])
+		p2, err := operand(parts[1])
 		if err != nil {
 			return nil, err
 		}

@@ -43,13 +43,14 @@ const Prefix = "mso:"
 
 // ByName resolves a property name as certificates carry it: a compiled
 // formula (Prefix followed by the formula text) is recompiled, and any
-// other name resolves through the algebra catalog. It is the one name
-// resolver every verifying process uses.
+// other name resolves through the algebra catalog, the operands of a
+// conjunction through ByName again, so "and(mso:…,maxdeg:3)" conjoins a
+// formula. It is the one name resolver every verifying process uses.
 func ByName(name string) (algebra.Property, error) {
 	if src, ok := strings.CutPrefix(name, Prefix); ok {
 		return CompileSource(src)
 	}
-	return algebra.ByName(name)
+	return algebra.ByNameWith(name, ByName)
 }
 
 // CompileError reports a formula that parsed but cannot be compiled:
