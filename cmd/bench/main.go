@@ -73,6 +73,7 @@ func run(args []string) error {
 		e10Level = fs.String("e10-levels", "1,2,4,8", "E10: comma-separated client concurrency levels")
 		e10Reqs  = fs.Int("e10-requests", 12, "E10: prove→fetch→verify round trips per client")
 		e10N     = fs.Int("e10-n", 256, "E10: approximate vertex count of the workload graph")
+		e1MaxN   = fs.Int("e1-max-n", 0, "E1: skip sweep sizes above this (0 = run the full sweep to 262144)")
 		e8MaxN   = fs.Int("e8-max-n", 0, "E8: skip sweep sizes above this (0 = run the full sweep to 10⁶; the committed BENCH_E8.json ends at 262144)")
 		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file")
 		memProf  = fs.String("memprofile", "", "write a heap profile after the selected experiments to this file")
@@ -115,7 +116,11 @@ func run(args []string) error {
 	}
 
 	if want("e1") {
-		rows, err := experiments.E1LabelSize([]int{32, 128, 512, 2048, 8192, 32768, 131072, 262144})
+		ns, err := trimSizes(experiments.DefaultE1Ns, *e1MaxN, "-e1-max-n")
+		if err != nil {
+			return err
+		}
+		rows, err := experiments.E1LabelSize(ns)
 		if err != nil {
 			return err
 		}
@@ -196,18 +201,9 @@ func run(args []string) error {
 		ran = true
 	}
 	if want("e8") {
-		ns := experiments.DefaultE8Ns
-		if *e8MaxN > 0 {
-			trimmed := make([]int, 0, len(ns))
-			for _, n := range ns {
-				if n <= *e8MaxN {
-					trimmed = append(trimmed, n)
-				}
-			}
-			ns = trimmed
-		}
-		if len(ns) == 0 {
-			return fmt.Errorf("-e8-max-n %d leaves no sweep sizes", *e8MaxN)
+		ns, err := trimSizes(experiments.DefaultE8Ns, *e8MaxN, "-e8-max-n")
+		if err != nil {
+			return err
 		}
 		rows, err := experiments.E8Scaling(ns)
 		if err != nil {
@@ -404,4 +400,22 @@ func writeJSON(path string, rows any) error {
 		return err
 	}
 	return os.WriteFile(path, append(data, '\n'), 0o644)
+}
+
+// trimSizes drops the sweep sizes above maxN (0 keeps them all) and fails
+// when none is left.
+func trimSizes(ns []int, maxN int, flag string) ([]int, error) {
+	if maxN <= 0 {
+		return ns, nil
+	}
+	var out []int
+	for _, n := range ns {
+		if n <= maxN {
+			out = append(out, n)
+		}
+	}
+	if len(out) == 0 {
+		return nil, fmt.Errorf("%s %d leaves no sweep sizes", flag, maxN)
+	}
+	return out, nil
 }

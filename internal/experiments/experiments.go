@@ -61,6 +61,9 @@ func accepts(s *core.Scheme, cfg *cert.Config, labeling *core.Labeling) (bool, e
 	return core.AllAccept(verdicts), nil
 }
 
+// DefaultE1Ns is the full E1 sweep; cmd/bench's -e1-max-n trims it.
+var DefaultE1Ns = []int{32, 128, 512, 2048, 8192, 32768, 131072, 262144}
+
 // E1LabelSize measures the Theorem 1 scheme against the FMRT-style baseline
 // on caterpillars of growing size, certifying bipartiteness.
 func E1LabelSize(ns []int) ([]E1Row, error) {
