@@ -31,24 +31,27 @@ import (
 // Integers are unsigned varints; edges are sorted by endpoints, and each
 // label's bytes are the exact core.EncodeLabel bit stream, which
 // MarshalBinary writes straight into one exactly sized output buffer.
-// Version 2 is the label grammar with fixed-width identifiers: every node
-// entry and every label writes one varint width per identifier kind and
+// Version 3 is the label grammar with per-label entry tables: a label
+// writes each distinct node entry once, in first-use order, and each of
+// its certificates as row indices into that table. Entries keep version
+// 2's fixed-width identifiers: one varint width per identifier kind and
 // then each identifier in exactly that many bits, and a class id is a
 // 16-bit content hash plus a varint collision rank. There is no decoder
-// for version 1 (varint identifiers, 32-bit hashes); its blobs fail with
-// the unsupported-version error.
+// for versions 1 and 2 (version 2 wrote every certificate's entries in
+// full); their blobs fail with the unsupported-version error.
 // Decoding is strict — wrong magic, unknown version, truncation, trailing
 // bytes, CRC mismatch, or non-canonical label bytes all fail with
 // ErrBadCertificate — and a decoded certificate re-marshals
 // byte-identically.
 //
 // A decoded certificate shares its repeated components by pointer, as a
-// proved one does: every copy of a node entry or completion-edge
-// certificate with the same bits on the wire is one value in memory. Its
-// labels are therefore read-only; Corrupt copies before it mutates. Each
-// component is held once, in the layout the wire uses — identifiers as
-// slices aligned with the lanes, and one cached encoding per shared entry
-// and certificate — while whole labels are encoded only when marshaled.
+// proved one does: every copy of a node entry with the same bits on the
+// wire, and every completion-edge certificate with the same entries and
+// owner position, is one value in memory. Its labels are therefore
+// read-only; Corrupt copies before it mutates. Each component is held
+// once, in the layout the wire uses — identifiers as slices aligned with
+// the lanes, and one cached encoding per shared entry — while certificates
+// and whole labels are encoded only when marshaled.
 type Certificate struct {
 	maxLanes    int
 	n, m        int
@@ -74,7 +77,7 @@ const MaxLaneBudget = 1 << 12
 // Wire-format constants.
 const (
 	certMagic   = "PLSC" // Proof Labeling Scheme Certificate
-	certVersion = 2
+	certVersion = 3
 
 	// Decode plausibility bounds; anything larger is rejected outright.
 	// maxLabelBits is ~370,000× the worst version-2 label of a
@@ -352,10 +355,10 @@ func (c *Certificate) UnmarshalBinary(data []byte) error {
 			}
 			// Canonicality: the payload must be the exact re-encoding, so a
 			// decoded certificate re-marshals byte-identically and labels
-			// cannot smuggle unread trailing bits or dirty padding. The
-			// decoder interns by raw bits, so this check alone decides
-			// canonicality; for shared components it splices their cached
-			// encodings.
+			// cannot smuggle unread trailing bits, dirty padding or a
+			// repeated entry-table row. The decoder interns entries by raw
+			// bits, so this check alone decides canonicality; it splices
+			// the shared entries' cached encodings.
 			var backBits int
 			back, backBits = core.AppendLabel(back[:0], el)
 			if backBits != int(nbits) || string(back) != string(payload) {

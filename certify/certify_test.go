@@ -3,6 +3,7 @@ package certify
 import (
 	"context"
 	"errors"
+	"strconv"
 	"testing"
 
 	"repro/internal/core"
@@ -118,10 +119,12 @@ func TestWireRoundTripEveryFamily(t *testing.T) {
 						if c == nil {
 							continue
 						}
-						certs[c], certKeys[c.Key()] = true, true
+						certKey := strconv.Itoa(c.OwnerPos)
 						for _, en := range c.Path {
 							entries[en], entryKeys[en.Key()] = true, true
+							certKey += "|" + en.Key()
 						}
+						certs[c], certKeys[certKey] = true, true
 					}
 				}
 			}

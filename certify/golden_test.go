@@ -22,16 +22,16 @@ var goldenParallelism = []int{1, 2, 0}
 // Only a deliberate wire-format change may re-capture it; any other change
 // that moves a digest has changed what the prover emits.
 var goldenDigests = map[string]string{
-	"family/caterpillar": "535dce16e4f0ad31b98183a86afa8375ca7752a2b57459f812edf0bea08dad0f",
-	"family/cycle":       "8bb3c3da5a04109ea3f4a47736f10ccf7524b708be3a6e4d6560df872571c664",
-	"family/interval":    "4392c488382b39dd5176d6f85012dbe49b21f7501d001a6f533e6fb31604d80e",
-	"family/ladder":      "9a5902e847cd48bf12d61501c9e8173236f553dc5007a5143289898c46f2e030",
-	"family/lobster":     "76a0656a39460508fecfaefcb868e450b102d7d3f2f074c1e17231f62c923360",
-	"family/path":        "4a58d21e79b5607e6125a289ca6596cd771892174e475f4d3f654f20284b227f",
-	"family/spider":      "d624d3bf060634ecc09c6f130d96247b49f1f29535149ad156fceeeb8b2dcbcd",
-	"pair/ladder":        "aa3a4da619321c6861c341ea3c4007e930f3eee661f056e692218ac3e8ffc7de",
-	"updater/ladder10":   "f7843fbf61aa19ce9044723591a7901ff84d946e425406e6781eda35d63e10b2",
-	"updater/ladder200":  "026ebcc6a84b11156974d39b94d80d2395bffad973cb7b6ffe3c35eb3c5b4b86",
+	"family/caterpillar": "c50c40008f938788c7f6509ed6f1fde47075e0ce9af5da7300b62a309d27a397",
+	"family/cycle":       "4c46d45ee8195afe00e4fae1a40563d60bf97ce57ea92f8b561437e949a38807",
+	"family/interval":    "d1bff4cb7bcdd26adec3933f2ac06979679ff380a32a9ac8abc5760ce5e32248",
+	"family/ladder":      "eb0e4ff6767c673ea1a111f5a86222a1970de5122fe698af42cc4c4ee6769c7a",
+	"family/lobster":     "a425934f0563bae0d8f35aeeac8717a0c9288df43e82e3a8879511b20e7bd849",
+	"family/path":        "afab1c6f70d363231d7c477a370c32271fcaaa8dfb4a8a444cf35be99528331f",
+	"family/spider":      "8b6bc2b4f05fbb0a9286a7e6f44d46889bb23e230d97032c3ba6d0c1422cde83",
+	"pair/ladder":        "f6246ee8b797f8f256d47ab16f1a0da079633ee26c9ae595bdcf5b5830464937",
+	"updater/ladder10":   "3ff92b09565db9ecbaf9085a83a939a54093c29c32dfb0bfeff850e5211158d2",
+	"updater/ladder200":  "ed92d4657f0c37caf6c2fc19c4a6b946fd201754d8dfd134e2bf8c3cbcdff5a3",
 }
 
 func certDigest(t *testing.T, crt *Certificate) string {

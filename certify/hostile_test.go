@@ -3,6 +3,7 @@ package certify
 import (
 	"encoding/binary"
 	"errors"
+	mathbits "math/bits"
 	"runtime"
 	"strings"
 	"testing"
@@ -109,55 +110,115 @@ func hostileBlobs() map[string][]byte {
 		w.uvarint(1) // edge count
 		w.uvarint(0) // u
 		w.uvarint(1) // v
-		w.uvarint(uint64(payload.Bits()))
-		w.raw(payload.Bytes())
+		w.uvarint(uint64(payload.w.Bits()))
+		w.raw(payload.w.Bytes())
 		out[name] = w.finish()
 	}
 	return out
 }
 
-// hostileLabelPayloads returns label bit streams with an id width of 65
-// or more, an id width wider than the ids it carries, and a class
-// collision rank far past any id an int can hold.
-func hostileLabelPayloads() map[string]*bits.Writer {
-	out := map[string]*bits.Writer{}
+// hostileLabelPayload is a label bit stream whose width, rank or entry
+// table lies, and the text its rejection must carry.
+type hostileLabelPayload struct {
+	w    *bits.Writer
+	want string
+}
 
-	var w bits.Writer
+// writeTinyEntry writes an entry of the smallest shape, no ids but its node
+// id, in that id's own width.
+func writeTinyEntry(w *bits.Writer, nodeID uint64) {
+	nodeWidth := mathbits.Len64(nodeID)
+	w.WriteUvarint(0) // vertex id width
+	w.WriteUvarint(uint64(nodeWidth))
+	w.WriteUint(nodeID, nodeWidth)
+	w.WriteUint(0, 3) // kind
+	w.WriteUvarint(0) // lanes
+	w.WriteUint(7, 16)
+	w.WriteUvarint(0) // collision rank
+	w.WriteBit(false) // not a tree member
+	w.WriteUvarint(0) // path ids
+	w.WriteUvarint(0) // LaneI
+	w.WriteUvarint(0) // LaneJ
+	for range 4 {
+		w.WriteBit(false) // BridgeReal, no operands, no root member
+	}
+}
+
+// tableLabel writes a label whose entry table holds a tiny entry per node
+// id and whose own certificate's path is the given rows, each in rw bits.
+func tableLabel(nodeIDs []uint64, rw int, rows ...uint64) *bits.Writer {
+	w := new(bits.Writer)
+	w.WriteUvarint(uint64(len(nodeIDs)))
+	for _, id := range nodeIDs {
+		writeTinyEntry(w, id)
+	}
+	w.WriteBit(true)
+	w.WriteUvarint(uint64(len(rows)))
+	for _, r := range rows {
+		w.WriteUint(r, rw)
+	}
+	w.WriteUvarint(0) // owner position
+	w.WriteUvarint(0) // label id width
+	w.WriteUvarint(0) // no embedding entries
+	w.WriteBit(false) // no pointing label
+	return w
+}
+
+// hostileLabelPayloads returns label bit streams with an id width of 65
+// or more, an id width wider than the ids it carries, a class collision
+// rank far past any id an int can hold, and entry tables that lie: a row
+// index past the table, an unused row, rows used out of table order, a
+// repeated row, and a row count far past the bits that follow.
+func hostileLabelPayloads() map[string]hostileLabelPayload {
+	out := map[string]hostileLabelPayload{}
+
+	w := new(bits.Writer)
+	w.WriteUvarint(0) // empty entry table
 	w.WriteBit(false) // no own certificate
 	w.WriteUvarint(65)
-	out["label id width 65"] = &w
+	out["label id width 65"] = hostileLabelPayload{w, "width"}
 
 	// A pointing label whose ids need 2 bits, written in 9.
-	w2 := new(bits.Writer)
-	w2.WriteBit(false)
-	w2.WriteUvarint(9)
-	w2.WriteUvarint(0) // no embedding entries
-	w2.WriteBit(true)
+	w = new(bits.Writer)
+	w.WriteUvarint(0)
+	w.WriteBit(false)
+	w.WriteUvarint(9)
+	w.WriteUvarint(0) // no embedding entries
+	w.WriteBit(true)
 	for _, id := range []uint64{1, 1, 2} {
-		w2.WriteUint(id, 9)
+		w.WriteUint(id, 9)
 	}
-	w2.WriteUvarint(0)
-	w2.WriteUvarint(1)
-	out["label id width over widest id"] = w2
+	w.WriteUvarint(0)
+	w.WriteUvarint(1)
+	out["label id width over widest id"] = hostileLabelPayload{w, "width"}
 
-	// An own certificate of one entry with no ids, whose class field
-	// carries a collision rank of 2⁶².
-	w3 := new(bits.Writer)
-	w3.WriteBit(true)
-	w3.WriteUvarint(1)       // path length
-	w3.WriteUvarint(0)       // vertex id width
-	w3.WriteUvarint(0)       // node id width
-	w3.WriteUint(0, 3)       // kind
-	w3.WriteUvarint(0)       // lanes
-	w3.WriteUint(7, 16)      // class hash
-	w3.WriteUvarint(1 << 62) // collision rank
-	out["huge class collision rank"] = w3
+	// A table of one entry with no ids, whose class field carries a
+	// collision rank of 2⁶².
+	w = new(bits.Writer)
+	w.WriteUvarint(1)       // table rows
+	w.WriteUvarint(0)       // vertex id width
+	w.WriteUvarint(0)       // node id width
+	w.WriteUint(0, 3)       // kind
+	w.WriteUvarint(0)       // lanes
+	w.WriteUint(7, 16)      // class hash
+	w.WriteUvarint(1 << 62) // collision rank
+	out["huge class collision rank"] = hostileLabelPayload{w, "rank"}
 
-	w4 := new(bits.Writer)
-	w4.WriteBit(true)
-	w4.WriteUvarint(1)
-	w4.WriteUvarint(1 << 20) // vertex id width
-	out["entry id width 2^20"] = w4
+	w = new(bits.Writer)
+	w.WriteUvarint(1)
+	w.WriteUvarint(1 << 20) // vertex id width
+	w.WriteUint(0, 64)      // room for one entry
+	out["entry id width 2^20"] = hostileLabelPayload{w, "width"}
+
+	out["row index past the table"] = hostileLabelPayload{tableLabel([]uint64{1, 2, 3}, 2, 0, 1, 3), "row index 3"}
+	out["unused table row"] = hostileLabelPayload{tableLabel([]uint64{1, 2}, 1, 0), "used by no certificate"}
+	out["table rows out of first-use order"] = hostileLabelPayload{tableLabel([]uint64{1, 2}, 1, 1, 0), "used before row"}
+	out["duplicate table row"] = hostileLabelPayload{tableLabel([]uint64{1, 1}, 1, 0, 1), "not canonically encoded"}
+
+	w = new(bits.Writer)
+	w.WriteUvarint(1 << 40) // table rows
+	w.WriteUint(0, 64)
+	out["huge table row count"] = hostileLabelPayload{w, "entry table of"}
 	return out
 }
 
@@ -197,13 +258,13 @@ func TestHostileHeaderAllocationBounded(t *testing.T) {
 	}
 }
 
-// TestHostileLabelFieldsRejected pins that each lying width or rank field
-// is what rejects its certificate — the label decoder names the field —
-// and that the rejection allocates a bounded amount, whatever the field
-// declares.
+// TestHostileLabelFieldsRejected pins that each lying width, rank or entry
+// table field is what rejects its certificate — the label decoder names the
+// field, or the re-encode check rejects a repeated row — and that the
+// rejection allocates a bounded amount, whatever the field declares.
 func TestHostileLabelFieldsRejected(t *testing.T) {
 	blobs := hostileBlobs()
-	for name := range hostileLabelPayloads() {
+	for name, payload := range hostileLabelPayloads() {
 		t.Run(strings.ReplaceAll(name, " ", "-"), func(t *testing.T) {
 			blob := blobs[name]
 			var before, after runtime.MemStats
@@ -212,8 +273,8 @@ func TestHostileLabelFieldsRejected(t *testing.T) {
 			err := c.UnmarshalBinary(blob)
 			runtime.ReadMemStats(&after)
 			if !errors.Is(err, ErrBadCertificate) || !strings.Contains(err.Error(), "label for edge") ||
-				!(strings.Contains(err.Error(), "width") || strings.Contains(err.Error(), "rank")) {
-				t.Fatalf("want a width or rank rejection of the label, got %v", err)
+				!strings.Contains(err.Error(), payload.want) {
+				t.Fatalf("want a rejection of the label naming %q, got %v", payload.want, err)
 			}
 			if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<10 {
 				t.Fatalf("rejecting the blob allocated %d bytes", grew)

@@ -166,6 +166,9 @@ func NewReader(buf []byte, nbits int) *Reader {
 // Pos returns the number of bits consumed so far.
 func (r *Reader) Pos() int { return r.pos }
 
+// Remaining returns the number of bits not yet consumed.
+func (r *Reader) Remaining() int { return r.size - r.pos }
+
 // Seek moves the read position to pos, a value previously returned by Pos.
 func (r *Reader) Seek(pos int) { r.pos = pos }
 

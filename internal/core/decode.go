@@ -20,7 +20,7 @@ func EncodeLabel(l *EdgeLabel) ([]byte, int) {
 
 // AppendLabel appends the label's EncodeLabel bytes to dst, starting at a
 // byte boundary, and returns the extended buffer and the label's bit count.
-// The cached encodings of its entries and certificates are spliced in; the
+// The cached encodings of its node entries are spliced in; the
 // label's own bits are written straight into dst, so encoding a labeling
 // into one buffer makes no per-label copy.
 func AppendLabel(dst []byte, l *EdgeLabel) ([]byte, int) {
@@ -46,25 +46,35 @@ func DecodeLabel(data []byte, nbits int) (*EdgeLabel, error) {
 // edge of its embedding path, so the labels of one labeling repeat the same
 // node entries and certificates many times. A Decoder builds each distinct
 // NodeEntry and CEdgeLabel once and hands every later copy the same pointer,
-// exactly as the prover shares them; the memoized encodings and keys of a
-// component are then computed once per distinct component.
+// exactly as the prover shares them; the memoized encodings and keys of an
+// entry are then computed once per distinct entry.
 //
-// The tables are keyed by a component's exact bit string, not by its
-// canonical Key. The parse is deterministic, so equal bits decode to equal
-// values and sharing is sound even for non-canonical input: a Decoder
-// accepts and rejects exactly the streams DecodeLabel does, whatever it
-// decoded before. Canonicality remains the caller's check (re-encode the
-// label and compare). Labels from one Decoder share structure, so they are
-// read-only: corrupt a copy (Clone), never the original.
+// Entries are keyed by their exact bit string, not by their canonical Key.
+// The parse is deterministic, so equal bits decode to equal values and
+// sharing is sound even for non-canonical input: a Decoder accepts and
+// rejects exactly the streams DecodeLabel does, whatever it decoded before.
+// A certificate's bits are row indices into its label's entry table, so
+// certificates are keyed by the interned identities of their entries plus
+// their owner position instead. Canonicality remains the caller's check
+// (re-encode the label and compare); a label whose table repeats an entry
+// decodes, its two rows interned to one pointer, and fails that check.
+// Labels from one Decoder share structure, so they are read-only: corrupt a
+// copy (Clone), never the original.
 //
 // The zero value is ready to use. A Decoder is not safe for concurrent use.
 type Decoder struct {
-	entries map[string]*NodeEntry
+	entries map[string]entryRef
 	certs   map[string]*CEdgeLabel
 
-	key  []byte       // raw-bit key under construction
+	key  []byte       // interning key under construction
 	path []*NodeEntry // path of the certificate being parsed
 	ids  u64Arena     // backing store of built entries' id slices
+
+	// Entry table of the label being parsed: its rows, their index width,
+	// and the number of rows its certificates have used so far.
+	rows     []entryRef
+	rowWidth int
+	used     int
 
 	// Id widths of the entry being parsed, and its widest ids so far.
 	wd               idWidths
@@ -76,17 +86,33 @@ type Decoder struct {
 	skipOp OperandSummary
 }
 
-// DecodeLabel parses one label, sharing every node entry and certificate
-// whose exact bits this Decoder has decoded before.
+// entryRef is an interned entry and its ordinal in the Decoder, which
+// certificate keys are built from.
+type entryRef struct {
+	e  *NodeEntry
+	id uint64
+}
+
+// minEntryBits is the fewest bits a node entry can take: two one-bit
+// widths, the kind, an empty lane list, a class id of rank 0, the member
+// bit, an empty path-id list, both lane indices and the four presence bits.
+// It bounds the row count a label may declare by the bits that remain.
+const minEntryBits = 1 + 1 + 3 + 1 + algebra.ClassHashBits + 1 + 1 + 1 + 1 + 1 + 1 + 1 + 1 + 1
+
+// DecodeLabel parses one label, sharing every node entry whose exact bits
+// and every certificate whose entries this Decoder has decoded before.
 func (d *Decoder) DecodeLabel(data []byte, nbits int) (*EdgeLabel, error) {
 	if d.entries == nil {
-		d.entries = make(map[string]*NodeEntry)
+		d.entries = make(map[string]entryRef)
 		d.certs = make(map[string]*CEdgeLabel)
 	}
 	return d.decodeEdgeLabel(bits.NewReader(data, nbits))
 }
 
 func (d *Decoder) decodeEdgeLabel(r *bits.Reader) (*EdgeLabel, error) {
+	if err := d.table(r); err != nil {
+		return nil, err
+	}
 	out := &EdgeLabel{}
 	hasOwn, err := r.ReadBit()
 	if err != nil {
@@ -138,6 +164,9 @@ func (d *Decoder) decodeEdgeLabel(r *bits.Reader) (*EdgeLabel, error) {
 		}
 		out.Emb = append(out.Emb, e)
 	}
+	if d.used != len(d.rows) {
+		return nil, fmt.Errorf("core: entry table row %d of %d is used by no certificate", d.used, len(d.rows))
+	}
 	hasPointing, err := r.ReadBit()
 	if err != nil {
 		return nil, err
@@ -170,40 +199,66 @@ func (d *Decoder) decodeEdgeLabel(r *bits.Reader) (*EdgeLabel, error) {
 	return out, nil
 }
 
-// setKey loads d.key with the raw bits [from, r.Pos()): their count, then
-// the bits packed from a byte boundary. The count comes first, so distinct
-// bit strings never share a key.
-func (d *Decoder) setKey(r *bits.Reader, from int) {
-	d.key = binary.AppendUvarint(d.key[:0], uint64(r.Pos()-from))
-	d.key = r.AppendBits(d.key, from, r.Pos())
+// table parses the label's entry table into d.rows. The declared row count
+// is checked against the bits that remain before any row is read.
+func (d *Decoder) table(r *bits.Reader) error {
+	n, err := r.ReadUvarint()
+	if err != nil {
+		return err
+	}
+	if n > uint64(r.Remaining()/minEntryBits) {
+		return fmt.Errorf("core: entry table of %d rows in %d remaining bits", n, r.Remaining())
+	}
+	d.rows, d.rowWidth, d.used = d.rows[:0], rowWidth(int(n)), 0
+	for i := uint64(0); i < n; i++ {
+		ref, err := d.entry(r)
+		if err != nil {
+			return err
+		}
+		d.rows = append(d.rows, ref)
+	}
+	return nil
 }
 
-// cedge parses one completion-edge certificate. Its entries are interned as
-// they are read, so a certificate whose bits were seen before allocates
-// nothing: every entry hits, and the certificate itself is then found by
-// its bits.
+// cedge parses one completion-edge certificate: its path as row indices
+// into the label's entry table, then its owner position. Rows must be
+// first used in table order, so every label has one table. A certificate
+// whose entries and owner position were seen before allocates nothing.
 func (d *Decoder) cedge(r *bits.Reader) (*CEdgeLabel, error) {
-	start := r.Pos()
 	n, err := r.ReadUvarint()
 	if err != nil {
 		return nil, err
 	}
-	if n > 1<<16 {
-		return nil, fmt.Errorf("core: implausible path length %d", n)
+	// A root-to-owner path never repeats a node, so it is no longer than
+	// the table.
+	if n > uint64(len(d.rows)) {
+		return nil, fmt.Errorf("core: path length %d exceeds the %d-row entry table", n, len(d.rows))
 	}
+	d.key = binary.AppendUvarint(d.key[:0], n)
 	d.path = d.path[:0]
 	for i := uint64(0); i < n; i++ {
-		e, err := d.entry(r)
+		row, err := r.ReadUint(d.rowWidth)
 		if err != nil {
 			return nil, err
 		}
-		d.path = append(d.path, e)
+		if row >= uint64(len(d.rows)) {
+			return nil, fmt.Errorf("core: row index %d in a %d-row entry table", row, len(d.rows))
+		}
+		if row > uint64(d.used) {
+			return nil, fmt.Errorf("core: entry table row %d used before row %d", row, d.used)
+		}
+		if row == uint64(d.used) {
+			d.used++
+		}
+		ref := d.rows[row]
+		d.path = append(d.path, ref.e)
+		d.key = binary.AppendUvarint(d.key, ref.id)
 	}
 	pos, err := r.ReadUvarint()
 	if err != nil {
 		return nil, err
 	}
-	d.setKey(r, start)
+	d.key = binary.AppendUvarint(d.key, pos)
 	if c, ok := d.certs[string(d.key)]; ok {
 		return c, nil
 	}
@@ -212,28 +267,37 @@ func (d *Decoder) cedge(r *bits.Reader) (*CEdgeLabel, error) {
 	return c, nil
 }
 
+// setKey loads d.key with the raw bits [from, r.Pos()): their count, then
+// the bits packed from a byte boundary. The count comes first, so distinct
+// bit strings never share a key.
+func (d *Decoder) setKey(r *bits.Reader, from int) {
+	d.key = binary.AppendUvarint(d.key[:0], uint64(r.Pos()-from))
+	d.key = r.AppendBits(d.key, from, r.Pos())
+}
+
 // entry parses one node entry: a skip pass finds its extent, and the entry
 // is built only when its bits are new to this Decoder.
-func (d *Decoder) entry(r *bits.Reader) (*NodeEntry, error) {
+func (d *Decoder) entry(r *bits.Reader) (entryRef, error) {
 	start := r.Pos()
 	if _, err := d.parseEntry(r, false); err != nil {
-		return nil, err
+		return entryRef{}, err
 	}
 	d.setKey(r, start)
-	if e, ok := d.entries[string(d.key)]; ok {
-		return e, nil
+	if ref, ok := d.entries[string(d.key)]; ok {
+		return ref, nil
 	}
 	end := r.Pos()
 	r.Seek(start)
 	e, err := d.parseEntry(r, true)
 	if err != nil {
-		return nil, err
+		return entryRef{}, err
 	}
 	if r.Pos() != end {
-		return nil, fmt.Errorf("core: entry build pass read %d bits, skip pass %d", r.Pos()-start, end-start)
+		return entryRef{}, fmt.Errorf("core: entry build pass read %d bits, skip pass %d", r.Pos()-start, end-start)
 	}
-	d.entries[string(d.key)] = e
-	return e, nil
+	ref := entryRef{e: e, id: uint64(len(d.entries))}
+	d.entries[string(d.key)] = ref
+	return ref, nil
 }
 
 // parseEntry is the one grammar of a node entry. With build set it returns

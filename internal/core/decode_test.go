@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"errors"
+	mathbits "math/bits"
 	"runtime"
 	"strings"
 	"testing"
@@ -109,49 +111,90 @@ func TestAppendLabelAppends(t *testing.T) {
 	}
 }
 
-// hostileLabels returns label streams whose width or rank fields lie, each
-// with the error text its rejection must carry. Every other field is
-// honest, so the named check is the one that fires.
-func hostileLabels(t *testing.T) map[string]struct {
+// hostileLabel is a label stream built by hand and the error text its
+// rejection must carry. An empty want marks a stream that decodes but is
+// not canonical: its re-encoding differs, so the caller's re-encode check
+// rejects it.
+type hostileLabel struct {
 	data  []byte
 	nbits int
 	want  string
-} {
-	t.Helper()
-	out := map[string]struct {
-		data  []byte
-		nbits int
-		want  string
-	}{}
-	add := func(name, want string, w *bits.Writer) {
-		out[name] = struct {
-			data  []byte
-			nbits int
-			want  string
-		}{w.Bytes(), w.Bits(), want}
+}
+
+// writeMinEntry writes a minimal node entry with one node id and one path
+// vertex id (1), its ids in the given widths.
+func writeMinEntry(w *bits.Writer, vertexWidth, nodeWidth int, nodeID uint64) {
+	w.WriteUvarint(uint64(vertexWidth))
+	w.WriteUvarint(uint64(nodeWidth))
+	w.WriteUint(nodeID, nodeWidth)
+	w.WriteUint(uint64(lanewidth.TNode), 3)
+	w.WriteUvarint(0) // no lanes, so no lane-aligned ids
+	w.WriteUint(1, algebra.ClassHashBits)
+	w.WriteUvarint(0)
+	w.WriteBit(false) // not a tree member
+	w.WriteUvarint(1)
+	w.WriteUint(1, vertexWidth)
+	w.WriteUvarint(0) // the path vertex's input
+	w.WriteUvarint(0) // LaneI
+	w.WriteUvarint(0) // LaneJ
+	w.WriteBit(false) // BridgeReal
+	w.WriteBit(false) // no left operand
+	w.WriteBit(false) // no right operand
+	w.WriteBit(false) // no root member
+}
+
+// writeOwnTail ends a label after its entry table: an own certificate
+// whose path is the given rows, each in rw bits, owner position 0, and no
+// embedding entries or pointing label.
+func writeOwnTail(w *bits.Writer, rw int, rows ...uint64) {
+	w.WriteBit(true)
+	w.WriteUvarint(uint64(len(rows)))
+	for _, r := range rows {
+		w.WriteUint(r, rw)
 	}
-	// ownEntry starts a label whose own certificate is the single entry
+	w.WriteUvarint(0) // owner position
+	w.WriteUvarint(0) // label id width
+	w.WriteUvarint(0) // no embedding entries
+	w.WriteBit(false) // no pointing label
+}
+
+// hostileLabels returns label streams whose width, rank or entry-table
+// fields lie. Every other field is honest, so the named check is the one
+// that fires.
+func hostileLabels(t *testing.T) map[string]hostileLabel {
+	t.Helper()
+	out := map[string]hostileLabel{}
+	// Streams end in 64 zero bits, so a short stream is rejected by the
+	// field it lies in, not by the row count's bound on remaining bits.
+	add := func(name, want string, w *bits.Writer) {
+		w.WriteUint(0, 64)
+		out[name] = hostileLabel{w.Bytes(), w.Bits(), want}
+	}
+	// noTable starts a label with an empty entry table and no own
+	// certificate; ownEntry starts one whose table is the single entry
 	// that follows.
+	noTable := func() *bits.Writer {
+		var w bits.Writer
+		w.WriteUvarint(0)
+		w.WriteBit(false)
+		return &w
+	}
 	ownEntry := func() *bits.Writer {
 		var w bits.Writer
-		w.WriteBit(true)
 		w.WriteUvarint(1)
 		return &w
 	}
 
-	var w bits.Writer
-	w.WriteBit(false)
+	w := noTable()
 	w.WriteUvarint(65)
-	add("label width 65", "exceeds 64", &w)
+	add("label width 65", "exceeds 64", w)
 
-	w = bits.Writer{}
-	w.WriteBit(false)
+	w = noTable()
 	w.WriteUvarint(1 << 40)
-	add("label width 2^40", "exceeds 64", &w)
+	add("label width 2^40", "exceeds 64", w)
 
 	// A pointing label whose ids need 2 bits, written in 8.
-	w = bits.Writer{}
-	w.WriteBit(false)
+	w = noTable()
 	w.WriteUvarint(8)
 	w.WriteUvarint(0)
 	w.WriteBit(true)
@@ -160,43 +203,23 @@ func hostileLabels(t *testing.T) map[string]struct {
 	}
 	w.WriteUvarint(0)
 	w.WriteUvarint(1)
-	add("label width over widest id", "width", &w)
+	add("label width over widest id", "width", w)
 
-	ew := ownEntry()
-	ew.WriteUvarint(65)
-	add("entry vertex width 65", "exceeds 64", ew)
+	w = ownEntry()
+	w.WriteUvarint(65)
+	add("entry vertex width 65", "exceeds 64", w)
 
-	ew = ownEntry()
-	ew.WriteUvarint(0)
-	ew.WriteUvarint(65)
-	add("entry node width 65", "exceeds 64", ew)
+	w = ownEntry()
+	w.WriteUvarint(0)
+	w.WriteUvarint(65)
+	add("entry node width 65", "exceeds 64", w)
 
-	// A label whose own certificate is one minimal entry with one node id
-	// (1) and one path vertex id (1), its ids written in the given widths;
-	// the owner position and an empty rest of the label follow.
+	// A label whose own certificate is one minimal entry, its ids written
+	// in the given widths.
 	idEntry := func(vertexWidth, nodeWidth int) *bits.Writer {
 		w := ownEntry()
-		w.WriteUvarint(uint64(vertexWidth))
-		w.WriteUvarint(uint64(nodeWidth))
-		w.WriteUint(1, nodeWidth)
-		w.WriteUint(uint64(lanewidth.TNode), 3)
-		w.WriteUvarint(0) // no lanes, so no lane-aligned ids
-		w.WriteUint(1, algebra.ClassHashBits)
-		w.WriteUvarint(0)
-		w.WriteBit(false) // not a tree member
-		w.WriteUvarint(1)
-		w.WriteUint(1, vertexWidth)
-		w.WriteUvarint(0) // the path vertex's input
-		w.WriteUvarint(0) // LaneI
-		w.WriteUvarint(0) // LaneJ
-		w.WriteBit(false) // BridgeReal
-		w.WriteBit(false) // no left operand
-		w.WriteBit(false) // no right operand
-		w.WriteBit(false) // no root member
-		w.WriteUvarint(0) // owner position
-		w.WriteUvarint(0) // label id width
-		w.WriteUvarint(0) // no embedding entries
-		w.WriteBit(false) // no pointing label
+		writeMinEntry(w, vertexWidth, nodeWidth, 1)
+		writeOwnTail(w, 0, 0)
 		return w
 	}
 	ok := idEntry(1, 1)
@@ -209,44 +232,132 @@ func hostileLabels(t *testing.T) map[string]struct {
 	// A class id with a collision rank far above any id an int can hold:
 	// an entry with no ids, whose class field is the first thing after
 	// its lanes.
-	ew = ownEntry()
-	ew.WriteUvarint(0)
-	ew.WriteUvarint(0)
-	ew.WriteUint(uint64(lanewidth.TNode), 3)
-	ew.WriteUvarint(0)
-	ew.WriteUint(0, algebra.ClassHashBits)
-	ew.WriteUvarint(1 << 62)
-	add("huge collision rank", "collision rank", ew)
+	w = ownEntry()
+	w.WriteUvarint(0)
+	w.WriteUvarint(0)
+	w.WriteUint(uint64(lanewidth.TNode), 3)
+	w.WriteUvarint(0)
+	w.WriteUint(0, algebra.ClassHashBits)
+	w.WriteUvarint(1 << 62)
+	add("huge collision rank", "collision rank", w)
 
-	ew = ownEntry()
-	ew.WriteUvarint(0)
-	ew.WriteUvarint(0)
-	ew.WriteUint(uint64(lanewidth.TNode), 3)
-	ew.WriteUvarint(0)
-	ew.WriteUint(0, algebra.ClassHashBits)
-	ew.WriteUvarint(algebra.MaxClassRank + 1)
-	add("collision rank one past the cap", "collision rank", ew)
+	w = ownEntry()
+	w.WriteUvarint(0)
+	w.WriteUvarint(0)
+	w.WriteUint(uint64(lanewidth.TNode), 3)
+	w.WriteUvarint(0)
+	w.WriteUint(0, algebra.ClassHashBits)
+	w.WriteUvarint(algebra.MaxClassRank + 1)
+	add("collision rank one past the cap", "collision rank", w)
+
+	// Entry tables. table writes a table of minimal entries with the given
+	// node ids: equal ids give byte-identical rows.
+	table := func(nodeIDs ...uint64) *bits.Writer {
+		var w bits.Writer
+		w.WriteUvarint(uint64(len(nodeIDs)))
+		for _, id := range nodeIDs {
+			writeMinEntry(&w, 1, mathbits.Len64(id), id)
+		}
+		return &w
+	}
+	w = table(1, 2, 3)
+	writeOwnTail(w, 2, 0, 1, 2)
+	if _, err := DecodeLabel(w.Bytes(), w.Bits()); err != nil {
+		t.Fatalf("a three-row table used in order does not decode: %v", err)
+	}
+	w = table(1, 2, 3)
+	writeOwnTail(w, 2, 0, 1, 3)
+	add("row index past the table", "row index 3", w)
+
+	w = table(1, 2)
+	writeOwnTail(w, 1, 0)
+	add("unused row", "used by no certificate", w)
+
+	w = table(1, 2)
+	writeOwnTail(w, 1, 1, 0)
+	add("rows out of first-use order", "used before row", w)
+
+	w = table(1, 1)
+	writeOwnTail(w, 1, 0, 1)
+	add("duplicate row", "", w)
+
+	var huge bits.Writer
+	huge.WriteUvarint(1 << 40)
+	add("huge row count", "entry table of", &huge)
 	return out
 }
 
-// TestDecodeRejectsHostileWidthsAndRanks pins the fixed-width fields'
-// checks: an id width above 64, an id width wider than the widest id it
-// carries (a second encoding of the same ids), and a collision rank whose
-// id does not fit an int are each rejected — without a panic, and without
-// an allocation sized by the lying field.
+// TestMinEntryBits pins the row-count bound's divisor: the smallest entry
+// the grammar admits takes exactly minEntryBits bits.
+func TestMinEntryBits(t *testing.T) {
+	var w bits.Writer
+	w.WriteUvarint(0)
+	w.WriteUvarint(0)
+	w.WriteUint(uint64(lanewidth.TNode), 3)
+	w.WriteUvarint(0) // no lanes
+	w.WriteUint(0, algebra.ClassHashBits)
+	w.WriteUvarint(0) // rank
+	w.WriteBit(false) // not a member
+	w.WriteUvarint(0) // no path ids
+	w.WriteUvarint(0) // LaneI
+	w.WriteUvarint(0) // LaneJ
+	for range 4 {
+		w.WriteBit(false) // BridgeReal, no operands, no root member
+	}
+	if w.Bits() != minEntryBits {
+		t.Fatalf("the smallest entry takes %d bits, minEntryBits is %d", w.Bits(), minEntryBits)
+	}
+	var d Decoder
+	r := bits.NewReader(w.Bytes(), w.Bits())
+	if _, err := d.parseEntry(r, true); err != nil || r.Pos() != minEntryBits {
+		t.Fatalf("the smallest entry does not parse: %v", err)
+	}
+}
+
+// decodeCanonical decodes a label with d and, like a certificate decoder,
+// rejects it unless it re-encodes to its own bits.
+func decodeCanonical(d *Decoder, data []byte, nbits int) error {
+	el, err := d.DecodeLabel(data, nbits)
+	if err != nil {
+		return err
+	}
+	var w bits.Writer
+	w.Grow(el.Bits())
+	el.encode(&w)
+	if w.Bits() != nbits || !bytes.Equal(w.Buffer(), data[:len(w.Buffer())]) {
+		return errNotCanonical
+	}
+	return nil
+}
+
+var errNotCanonical = errors.New("re-encoding differs")
+
+// TestDecodeRejectsHostileWidthsAndRanks pins the checks of the fixed-width
+// fields and the entry table: an id width above 64, an id width wider than
+// the widest id it carries (a second encoding of the same ids), a
+// collision rank whose id does not fit an int, a row index past the table,
+// a row no certificate uses, rows used out of table order, a row count the
+// remaining bits cannot hold, and a repeated row (which decodes, its rows
+// interned to one entry, and fails the re-encode check) are each rejected —
+// without a panic, and without an allocation sized by the lying field.
 func TestDecodeRejectsHostileWidthsAndRanks(t *testing.T) {
 	for name, h := range hostileLabels(t) {
 		t.Run(strings.ReplaceAll(name, " ", "-"), func(t *testing.T) {
-			_, err := DecodeLabel(h.data, h.nbits)
-			if err == nil || !strings.Contains(err.Error(), h.want) {
-				t.Fatalf("decode error %v, want one naming %q", err, h.want)
+			want := h.want
+			if want == "" {
+				want = errNotCanonical.Error()
+			}
+			var one Decoder
+			err := decodeCanonical(&one, h.data, h.nbits)
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("decode error %v, want one naming %q", err, want)
 			}
 			var d Decoder
-			d.DecodeLabel(h.data, h.nbits) // the Decoder's tables
+			decodeCanonical(&d, h.data, h.nbits) // the Decoder's tables
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			for range 100 {
-				if _, err := d.DecodeLabel(h.data, h.nbits); err == nil {
+				if decodeCanonical(&d, h.data, h.nbits) == nil {
 					t.Fatal("hostile label decoded")
 				}
 			}
@@ -255,5 +366,42 @@ func TestDecodeRejectsHostileWidthsAndRanks(t *testing.T) {
 				t.Fatalf("rejecting the label allocates %d bytes", per)
 			}
 		})
+	}
+}
+
+// TestEntryTableMergesByKey pins how a label's entry table is built: rows
+// are merged by canonical encoding, not by pointer, so a label whose
+// embedding payload is a clone of its own certificate writes each entry
+// once — whether the table is small enough for the linear row scan or
+// large enough for the keyed one — and decodes to one shared certificate.
+func TestEntryTableMergesByKey(t *testing.T) {
+	for _, rows := range []int{3, linearRows, 3 * linearRows} {
+		own := &CEdgeLabel{OwnerPos: 1}
+		for i := range rows {
+			own.Path = append(own.Path, &NodeEntry{NodeID: i + 1, Kind: lanewidth.TNode, ParentID: -1, PathIDs: []uint64{uint64(i)}, VInputs: []int{0}})
+		}
+		el := &EdgeLabel{Own: own, Emb: []EmbEntry{{UID: 1, VID: 2, Fwd: 1, Bwd: 1, Payload: own.clone()}}}
+		single := &EdgeLabel{Own: own}
+		data, nbits := EncodeLabel(el)
+		_, ownBits := EncodeLabel(single)
+		// The clone adds its embedding fields and one row index per entry,
+		// never a second copy of an entry.
+		if extra := nbits - ownBits; extra > 64+rows*rowWidth(rows)+8 {
+			t.Fatalf("%d rows: the cloned payload adds %d bits", rows, extra)
+		}
+		if el.Bits() != nbits {
+			t.Fatalf("%d rows: Bits()=%d, encoding has %d", rows, el.Bits(), nbits)
+		}
+		dec, err := DecodeLabel(data, nbits)
+		if err != nil {
+			t.Fatalf("%d rows: %v", rows, err)
+		}
+		if dec.Own != dec.Emb[0].Payload {
+			t.Fatalf("%d rows: the decoded payload is not the decoded own certificate", rows)
+		}
+		again, againBits := EncodeLabel(dec)
+		if againBits != nbits || !bytes.Equal(again, data) {
+			t.Fatalf("%d rows: re-encoding differs", rows)
+		}
 	}
 }

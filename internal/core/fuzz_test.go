@@ -7,6 +7,7 @@ package core
 
 import (
 	"math/rand"
+	"strconv"
 	"testing"
 
 	"repro/internal/algebra"
@@ -60,9 +61,9 @@ func FuzzDecodeLabel(f *testing.F) {
 		if nbits > len(data)*8 {
 			nbits = len(data) * 8
 		}
-		// An entry starts within the first 16 bits of a label (after the
-		// Own bit and the path-length varint), so these offsets cover the
-		// real entry positions of short inputs as well as arbitrary ones.
+		// A label's first entry starts within its first 16 bits (after the
+		// entry table's row-count varint), so these offsets cover the real
+		// entry positions of short inputs as well as arbitrary ones.
 		for start := 0; start < nbits && start < 16; start++ {
 			var d Decoder
 			skip, build := bits.NewReader(data, nbits), bits.NewReader(data, nbits)
@@ -207,6 +208,16 @@ func TestVerifierNeverPanicsOnRandomStreams(t *testing.T) {
 // one shared Decoder: each label must equal its one-shot decode, and the
 // shared decode must hold exactly one pointer per distinct entry and
 // certificate — interning happens, and never merges different components.
+// certKey is a canonical key of a certificate's content: its owner
+// position and its entries' keys.
+func certKey(c *CEdgeLabel) string {
+	k := strconv.Itoa(c.OwnerPos)
+	for _, e := range c.Path {
+		k += "|" + e.Key()
+	}
+	return k
+}
+
 func TestDecodeRoundTripAllFamilies(t *testing.T) {
 	for _, tc := range regressionConfigs(t) {
 		t.Run(tc.name, func(t *testing.T) {
@@ -247,7 +258,7 @@ func TestDecodeRoundTripAllFamilies(t *testing.T) {
 					if c == nil {
 						continue
 					}
-					certs[c], certKeys[c.Key()] = true, true
+					certs[c], certKeys[certKey(c)] = true, true
 					for _, en := range c.Path {
 						entries[en], entryKeys[en.Key()] = true, true
 					}

@@ -49,14 +49,14 @@ type OperandSummary struct {
 	Input   int // V-node operands: the vertex's input label
 }
 
-// encCache memoizes the canonical encoding of a component many labels
-// splice in: a node entry or a completion-edge certificate. The encoding is
-// held once, as its key — the packed bytes followed by the decimal bit
-// count — and spliced from the key's byte prefix. Components are immutable
-// once handed out by the prover or a Decoder (corruption experiments go through
-// Clone, which starts with an empty cache), so the encoding is computed at
-// most once; the sync.Once makes concurrent verifiers (VerifyParallelCtx,
-// dist) race-free.
+// encCache memoizes the canonical encoding of a node entry, which every
+// label carrying the entry splices in. The encoding is held once, as its
+// key — the packed bytes followed by the decimal bit count — and spliced
+// from the key's byte prefix. Entries are immutable once handed out by the
+// prover or a Decoder (corruption experiments go through Clone, which
+// starts with an empty cache), so the encoding is computed at most once;
+// the sync.Once makes concurrent verifiers (VerifyParallelCtx, dist)
+// race-free.
 type encCache struct {
 	once  sync.Once
 	key   string
@@ -120,16 +120,38 @@ type NodeEntry struct {
 
 // CEdgeLabel is the certificate of one completion edge: the node entries
 // along its root-to-owner path, plus the edge's position when its owner is
-// a P-node (whose several edges share the entry).
+// a P-node (whose several edges share the entry). It has no encoding of its
+// own: on the wire it is a list of rows of the entry table of the label
+// carrying it (see EdgeLabel), so its bits depend on that label.
 type CEdgeLabel struct {
 	Path     []*NodeEntry
 	OwnerPos int // P-node owners: edge joins PathIDs[OwnerPos], PathIDs[OwnerPos+1]
+}
 
-	cache encCache
+// sameCert reports whether two certificates have the same content: the same
+// owner position and, position by position, the same entry — the same
+// pointer, or else the same canonical encoding.
+func sameCert(a, b *CEdgeLabel) bool {
+	if a == b {
+		return true
+	}
+	if a.OwnerPos != b.OwnerPos || len(a.Path) != len(b.Path) {
+		return false
+	}
+	for i, e := range a.Path {
+		if !sameEntry(e, b.Path[i]) {
+			return false
+		}
+	}
+	return true
+}
 
-	// sizeOnce/size memoize Bits, computed by accounting alone.
-	sizeOnce sync.Once
-	size     int
+// sameEntry reports whether two node entries have the same canonical
+// encoding. Pointers and node ids are compared first, so entries the
+// prover or a Decoder shares, and the distinct entries of one honest
+// label, never have their keys compared.
+func sameEntry(a, b *NodeEntry) bool {
+	return a == b || a.NodeID == b.NodeID && a.Key() == b.Key()
 }
 
 // EmbEntry simulates a virtual completion edge on one real edge of its
@@ -144,8 +166,8 @@ type EmbEntry struct {
 
 // EdgeLabel is the complete label of a real edge. It caches no encoding of
 // its own — AppendLabel writes it straight into the buffer that needs it,
-// splicing in the cached encodings of its shared components — only its
-// exact size.
+// splicing in the cached encodings of its node entries — only its exact
+// size.
 type EdgeLabel struct {
 	Own      *CEdgeLabel
 	Emb      []EmbEntry
@@ -186,6 +208,13 @@ func (l *Labeling) MaxBits() int {
 // id, which keeps the encoding canonical. Edge labels do the same for their
 // own vertex ids. Class ids are written as a fixed-width content hash plus
 // a varint collision rank (writeClassID).
+//
+// A label writes each distinct node entry once: an entry table of its
+// entries in first-use order (its own certificate's path, then each
+// embedding payload's path), then every certificate as a path length, one
+// row index per path entry in exactly rowWidth(rows) bits, and the owner
+// position. The certificates of one label share most of their root-side
+// entries, so the table is what keeps a label's size near one path.
 
 // writeIDs emits one id per lane from a lane-aligned slice, each in width
 // bits. The wire always carries exactly one id per lane; a missing id is
@@ -349,58 +378,108 @@ func (n *NodeEntry) Key() string {
 	return n.cache.key
 }
 
-func (c *CEdgeLabel) encode(w *bits.Writer) {
-	c.cache.materialize(c.encodeRaw)
-	c.cache.splice(w)
+// bits returns the entry's encoded size, materializing its encoding.
+func (n *NodeEntry) bits() int {
+	n.cache.materialize(n.encodeRaw)
+	return n.cache.nbits
 }
 
-func (c *CEdgeLabel) encodeRaw(w *bits.Writer) {
-	w.Grow(c.Bits())
+// linearRows is the table size up to which table finds rows by a linear
+// scan; larger tables (long paths under large lane budgets, or
+// hostile decoded labels) switch to a map so encoding stays linear.
+const linearRows = 32
+
+// table returns the label's entry table, appended to the given buffers:
+// its distinct node entries, merged by canonical encoding, in first-use
+// order (its own certificate's path, then each embedding payload's path),
+// and the row of every certificate path entry in that same order.
+func (l *EdgeLabel) table(rows []*NodeEntry, idx []int) ([]*NodeEntry, []int) {
+	var byKey map[string]int
+	for i := -1; i < len(l.Emb); i++ {
+		c := l.Own
+		if i >= 0 {
+			c = l.Emb[i].Payload
+		} else if c == nil {
+			continue
+		}
+	path:
+		for _, e := range c.Path {
+			if byKey == nil {
+				for r, f := range rows {
+					if sameEntry(f, e) {
+						idx = append(idx, r)
+						continue path
+					}
+				}
+			} else if r, ok := byKey[e.Key()]; ok {
+				idx = append(idx, r)
+				continue
+			}
+			idx = append(idx, len(rows))
+			rows = append(rows, e)
+			switch {
+			case byKey != nil:
+				byKey[e.Key()] = len(rows) - 1
+			case len(rows) > linearRows:
+				byKey = make(map[string]int, 2*len(rows))
+				for r, f := range rows {
+					byKey[f.Key()] = r
+				}
+			}
+		}
+	}
+	return rows, idx
+}
+
+// rowWidth is the fixed width of a row index into a table of n rows: the
+// bit length of the largest index, n−1.
+func rowWidth(n int) int {
+	if n < 2 {
+		return 0
+	}
+	return mathbits.Len(uint(n - 1))
+}
+
+// bits returns the certificate's encoded size with row indices of width rw.
+func (c *CEdgeLabel) bits(rw int) int {
+	return bits.UvarintLen(uint64(len(c.Path))) + len(c.Path)*rw + bits.UvarintLen(uint64(c.OwnerPos))
+}
+
+// encode writes the certificate, taking its row indices from idx in order,
+// and returns the indices it did not use.
+func (c *CEdgeLabel) encode(w *bits.Writer, rw int, idx []int) []int {
 	w.WriteUvarint(uint64(len(c.Path)))
-	for _, e := range c.Path {
-		e.encode(w)
+	for _, r := range idx[:len(c.Path)] {
+		w.WriteUint(uint64(r), rw)
 	}
 	w.WriteUvarint(uint64(c.OwnerPos))
-}
-
-// Key returns a canonical encoding of the certificate, memoized on first use.
-func (c *CEdgeLabel) Key() string {
-	c.cache.materialize(c.encodeRaw)
-	return c.cache.key
-}
-
-// Bits returns the exact encoded size of the certificate (memoized) by
-// size accounting alone — the entry encodings it splices are already
-// cached, so no byte assembly happens.
-func (c *CEdgeLabel) Bits() int {
-	c.sizeOnce.Do(func() {
-		n := bits.UvarintLen(uint64(len(c.Path)))
-		for _, e := range c.Path {
-			e.cache.materialize(e.encodeRaw)
-			n += e.cache.nbits
-		}
-		n += bits.UvarintLen(uint64(c.OwnerPos))
-		c.size = n
-	})
-	return c.size
+	return idx[len(c.Path):]
 }
 
 // Bits returns the exact encoded size of the label (memoized). The size is
-// computed by accounting, mirroring encode bit for bit — the own bit, the
-// certificates' cached sizes, the id width and every vertex id at that
-// width, the gamma-coded counts and distances — so calling it never encodes
-// the label.
+// computed by accounting, mirroring encode bit for bit — the entry table
+// (its row count and the entries' cached sizes), the own bit, the
+// certificates' lengths, row indices and owner positions, the id width and
+// every vertex id at that width, the gamma-coded counts and distances — so
+// calling it never encodes the label.
 func (l *EdgeLabel) Bits() int {
 	l.sizeOnce.Do(func() {
-		width := l.idWidth()
-		n := 1
-		if l.Own != nil {
-			n += l.Own.Bits()
+		var rowBuf [16]*NodeEntry
+		var idxBuf [64]int
+		rows, _ := l.table(rowBuf[:0], idxBuf[:0])
+		rw := rowWidth(len(rows))
+		n := bits.UvarintLen(uint64(len(rows))) + 1
+		for _, e := range rows {
+			n += e.bits()
 		}
+		if l.Own != nil {
+			n += l.Own.bits(rw)
+		}
+		width := l.idWidth()
 		n += bits.UvarintLen(uint64(width)) + bits.UvarintLen(uint64(len(l.Emb)))
 		for _, e := range l.Emb {
 			n += 2*width + bits.UvarintLen(uint64(e.Fwd)) + bits.UvarintLen(uint64(e.Bwd)) +
-				e.Payload.Bits()
+				e.Payload.bits(rw)
 		}
 		n++
 		if p := l.Pointing; p != nil {
@@ -435,9 +514,17 @@ func (l *EdgeLabel) Key() string {
 }
 
 func (l *EdgeLabel) encode(w *bits.Writer) {
+	var rowBuf [16]*NodeEntry
+	var idxBuf [64]int
+	rows, idx := l.table(rowBuf[:0], idxBuf[:0])
+	w.WriteUvarint(uint64(len(rows)))
+	for _, e := range rows {
+		e.encode(w)
+	}
+	rw := rowWidth(len(rows))
 	if l.Own != nil {
 		w.WriteBit(true)
-		l.Own.encode(w)
+		idx = l.Own.encode(w, rw, idx)
 	} else {
 		w.WriteBit(false)
 	}
@@ -449,7 +536,7 @@ func (l *EdgeLabel) encode(w *bits.Writer) {
 		w.WriteUint(e.VID, width)
 		w.WriteUvarint(uint64(e.Fwd))
 		w.WriteUvarint(uint64(e.Bwd))
-		e.Payload.encode(w)
+		idx = e.Payload.encode(w, rw, idx)
 	}
 	if p := l.Pointing; p != nil {
 		w.WriteBit(true)

@@ -32,3 +32,15 @@ func TestLabelSizeSlope(t *testing.T) {
 		t.Fatalf("worst label grows by %d bits from n=2048 to n=8192, want ≤ 300", gap)
 	}
 }
+
+// TestLabelSizeEntryTable pins the per-label entry table: a label writes
+// each distinct node entry once, however many of its certificates carry
+// it. Under version 2, which wrote every certificate's path in full, the
+// worst label at n=8192 was 2632 bits; with the table it is 1883. The pin
+// is 0.8× the version-2 size.
+func TestLabelSizeEntryTable(t *testing.T) {
+	const v2Bits = 2632
+	if got := worstLabelBits(t, 8192); 5*got > 4*v2Bits {
+		t.Fatalf("worst label at n=8192 is %d bits, want ≤ 0.8 × %d", got, v2Bits)
+	}
+}

@@ -101,7 +101,8 @@ func (s *Scheme) ProveWithCtx(ctx context.Context, sp *StructuralProof) (*Labeli
 // prev (the previous generation's encoder over the previous structure of
 // the same graph) is non-nil, node entries, certificates and edge labels
 // whose content provably did not change are carried over by pointer —
-// cached encodings and sizes included — instead of being re-derived. The
+// entries' cached encodings and labels' sizes included — instead of being
+// re-derived. The
 // output is byte-identical to a fresh pass either way; reuse counters are
 // accumulated into ru when non-nil. The returned encoder feeds the next
 // generation's reuse.
@@ -456,15 +457,14 @@ func (enc *encoder) buildCert(e graph.Edge) (*CEdgeLabel, error) {
 // only on its edge's owner path, so the table is the same for every worker
 // count. When prev/prevLab are non-nil (incremental re-proving),
 // certificates and whole edge labels that came out content-identical to the
-// previous generation's are swapped for the previous instances, so their
-// memoized encodings and sizes carry over; the labeling is byte-identical
-// either way.
+// previous generation's are swapped for the previous instances, so labels'
+// memoized sizes carry over; the labeling is byte-identical either way.
 func (enc *encoder) buildLabels(prev *encoder, prevLab *Labeling, ru *reuseCounters, workers int) (*Labeling, error) {
 	sp := enc.sp
 	orig := sp.Cfg.G
 	// The label of a real edge and every EmbEntry simulating a virtual edge
-	// on it reference the same *CEdgeLabel, so the certificate (and its
-	// cached encoding) is built once no matter how many labels carry it.
+	// on it reference the same *CEdgeLabel, so the certificate is built once
+	// no matter how many labels carry it.
 	// Real and virtual edges partition the completion edge set, so the
 	// table covers every edge a label below asks for.
 	edges := make([]graph.Edge, 0, len(sp.owners))

@@ -136,10 +136,9 @@ func (s *Scheme) reconstructCompletion(view *VertexView) ([]completionEdge, bool
 		}
 		// All copies of a virtual edge's certificate must agree.
 		first := g.entries[0]
-		pk := first.Payload.Key()
 		total := first.Fwd + first.Bwd
 		for _, e := range g.entries[1:] {
-			if e.Payload.Key() != pk || e.Fwd+e.Bwd != total {
+			if !sameCert(e.Payload, first.Payload) || e.Fwd+e.Bwd != total {
 				return nil, false
 			}
 		}

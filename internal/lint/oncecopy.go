@@ -10,7 +10,7 @@ import (
 
 // OnceCopy flags by-value copies and whole-struct literal initialization
 // of structs that carry a memoized sync.Once encoding cache (NodeEntry,
-// CEdgeLabel, EdgeLabel and their encCache embeds; msoc's bridgeOnce).
+// EdgeLabel and NodeEntry's encCache embed; msoc's bridgeOnce).
 //
 // go vet's copylocks already rejects most copies of lock-carrying values,
 // but it deliberately permits composite literals — and a composite literal
