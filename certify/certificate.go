@@ -80,8 +80,8 @@ const (
 	certVersion = 3
 
 	// Decode plausibility bounds; anything larger is rejected outright.
-	// maxLabelBits is ~370,000× the worst version-2 label of a
-	// 32768-vertex width-2 interval graph under 8 lanes (2890 bits);
+	// maxLabelBits is ~520,000× the worst version-3 label of a
+	// 32768-vertex width-2 interval graph under 8 lanes (2065 bits);
 	// minEdgeBytes below counts only an edge entry's u, v and bit-count
 	// varints, which the label grammar does not touch.
 	maxCertProps    = 1 << 10

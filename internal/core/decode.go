@@ -93,11 +93,17 @@ type entryRef struct {
 	id uint64
 }
 
-// minEntryBits is the fewest bits a node entry can take: two one-bit
-// widths, the kind, an empty lane list, a class id of rank 0, the member
-// bit, an empty path-id list, both lane indices and the four presence bits.
-// It bounds the row count a label may declare by the bits that remain.
-const minEntryBits = 1 + 1 + 3 + 1 + algebra.ClassHashBits + 1 + 1 + 1 + 1 + 1 + 1 + 1 + 1 + 1
+// minEntryBits is the fewest bits a node entry can take. It bounds the row
+// count a label may declare by the bits that remain.
+const minEntryBits = 2 + // vertex and node id widths of 0
+	3 + // kind
+	1 + // empty lane list
+	algebra.ClassHashBits + 1 + // class id of rank 0
+	1 + // member bit
+	1 + // empty path-id list
+	2 + // LaneI and LaneJ of 0
+	1 + // BridgeReal
+	3 // operand and root-member presence bits
 
 // DecodeLabel parses one label, sharing every node entry whose exact bits
 // and every certificate whose entries this Decoder has decoded before.
@@ -222,8 +228,9 @@ func (d *Decoder) table(r *bits.Reader) error {
 
 // cedge parses one completion-edge certificate: its path as row indices
 // into the label's entry table, then its owner position. Rows must be
-// first used in table order, so every label has one table. A certificate
-// whose entries and owner position were seen before allocates nothing.
+// first used in table order, so the certificates determine the table's
+// order. A certificate whose entries and owner position were seen before
+// allocates nothing.
 func (d *Decoder) cedge(r *bits.Reader) (*CEdgeLabel, error) {
 	n, err := r.ReadUvarint()
 	if err != nil {

@@ -13,6 +13,7 @@ package core
 
 import (
 	mathbits "math/bits"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -147,9 +148,8 @@ func sameCert(a, b *CEdgeLabel) bool {
 }
 
 // sameEntry reports whether two node entries have the same canonical
-// encoding. Pointers and node ids are compared first, so entries the
-// prover or a Decoder shares, and the distinct entries of one honest
-// label, never have their keys compared.
+// encoding. Pointers and node ids are compared first, so shared entries
+// and entries of different nodes never have their keys compared.
 func sameEntry(a, b *NodeEntry) bool {
 	return a == b || a.NodeID == b.NodeID && a.Key() == b.Key()
 }
@@ -394,6 +394,11 @@ const linearRows = 32
 // order (its own certificate's path, then each embedding payload's path),
 // and the row of every certificate path entry in that same order.
 func (l *EdgeLabel) table(rows []*NodeEntry, idx []int) ([]*NodeEntry, []int) {
+	// Rows are found by pointer first, then by node id and key: entries the
+	// prover or a Decoder shares match without a row being loaded, and the
+	// rows' node ids, kept beside them, rule out most other rows.
+	var idBuf [16]int
+	ids := idBuf[:0]
 	var byKey map[string]int
 	for i := -1; i < len(l.Emb); i++ {
 		c := l.Own
@@ -405,8 +410,12 @@ func (l *EdgeLabel) table(rows []*NodeEntry, idx []int) ([]*NodeEntry, []int) {
 	path:
 		for _, e := range c.Path {
 			if byKey == nil {
-				for r, f := range rows {
-					if sameEntry(f, e) {
+				if r := slices.Index(rows, e); r >= 0 {
+					idx = append(idx, r)
+					continue
+				}
+				for r, id := range ids {
+					if id == e.NodeID && rows[r].Key() == e.Key() {
 						idx = append(idx, r)
 						continue path
 					}
@@ -416,7 +425,7 @@ func (l *EdgeLabel) table(rows []*NodeEntry, idx []int) ([]*NodeEntry, []int) {
 				continue
 			}
 			idx = append(idx, len(rows))
-			rows = append(rows, e)
+			rows, ids = append(rows, e), append(ids, e.NodeID)
 			switch {
 			case byKey != nil:
 				byKey[e.Key()] = len(rows) - 1
