@@ -102,19 +102,25 @@ func hostileBlobs() map[string][]byte {
 	// Label payloads whose fixed-width fields lie, each on the one edge of
 	// a CRC-valid single-property certificate.
 	for name, payload := range hostileLabelPayloads() {
-		w = newBlobWriter()
-		w.header(5, 16, 1)
-		w.uvarint(1)
-		w.uvarint(uint64(len("bipartite")))
-		w.raw([]byte("bipartite"))
-		w.uvarint(1) // edge count
-		w.uvarint(0) // u
-		w.uvarint(1) // v
-		w.uvarint(uint64(payload.w.Bits()))
-		w.raw(payload.w.Bytes())
-		out[name] = w.finish()
+		out[name] = oneLabelBlob(payload.w)
 	}
 	return out
+}
+
+// oneLabelBlob returns a CRC-valid single-property certificate whose one
+// edge carries the given label bits.
+func oneLabelBlob(label *bits.Writer) []byte {
+	w := newBlobWriter()
+	w.header(5, 16, 1)
+	w.uvarint(1)
+	w.uvarint(uint64(len("bipartite")))
+	w.raw([]byte("bipartite"))
+	w.uvarint(1) // edge count
+	w.uvarint(0) // u
+	w.uvarint(1) // v
+	w.uvarint(uint64(label.Bits()))
+	w.raw(label.Bytes())
+	return w.finish()
 }
 
 // hostileLabelPayload is a label bit stream whose width, rank or entry
@@ -263,6 +269,11 @@ func TestHostileHeaderAllocationBounded(t *testing.T) {
 // field, or the re-encode check rejects a repeated row — and that the
 // rejection allocates a bounded amount, whatever the field declares.
 func TestHostileLabelFieldsRejected(t *testing.T) {
+	// The honest twin of the table cases decodes: they fail by their lie.
+	var c Certificate
+	if err := c.UnmarshalBinary(oneLabelBlob(tableLabel([]uint64{1, 2}, 1, 0, 1))); err != nil {
+		t.Fatalf("a two-row table used in order is rejected: %v", err)
+	}
 	blobs := hostileBlobs()
 	for name, payload := range hostileLabelPayloads() {
 		t.Run(strings.ReplaceAll(name, " ", "-"), func(t *testing.T) {

@@ -164,10 +164,7 @@ func writeOwnTail(w *bits.Writer, rw int, rows ...uint64) {
 func hostileLabels(t *testing.T) map[string]hostileLabel {
 	t.Helper()
 	out := map[string]hostileLabel{}
-	// Streams end in 64 zero bits, so a short stream is rejected by the
-	// field it lies in, not by the row count's bound on remaining bits.
 	add := func(name, want string, w *bits.Writer) {
-		w.WriteUint(0, 64)
 		out[name] = hostileLabel{w.Bytes(), w.Bits(), want}
 	}
 	// noTable starts a label with an empty entry table and no own
@@ -205,13 +202,17 @@ func hostileLabels(t *testing.T) map[string]hostileLabel {
 	w.WriteUvarint(1)
 	add("label width over widest id", "width", w)
 
+	// These two streams end in 64 zero bits, so they are rejected by the
+	// width they lie in, not by the row count's bound on remaining bits.
 	w = ownEntry()
 	w.WriteUvarint(65)
+	w.WriteUint(0, 64)
 	add("entry vertex width 65", "exceeds 64", w)
 
 	w = ownEntry()
 	w.WriteUvarint(0)
 	w.WriteUvarint(65)
+	w.WriteUint(0, 64)
 	add("entry node width 65", "exceeds 64", w)
 
 	// A label whose own certificate is one minimal entry, its ids written
@@ -223,8 +224,8 @@ func hostileLabels(t *testing.T) map[string]hostileLabel {
 		return w
 	}
 	ok := idEntry(1, 1)
-	if _, err := DecodeLabel(ok.Bytes(), ok.Bits()); err != nil {
-		t.Fatalf("the minimal entry in its own widths does not decode: %v", err)
+	if err := decodeCanonical(new(Decoder), ok.Bytes(), ok.Bits()); err != nil {
+		t.Fatalf("the minimal entry in its own widths does not decode canonically: %v", err)
 	}
 	add("entry vertex width over widest id", "entry vertex id width", idEntry(2, 1))
 	add("entry node width 64 over widest id", "entry node id width", idEntry(1, 64))
@@ -262,8 +263,8 @@ func hostileLabels(t *testing.T) map[string]hostileLabel {
 	}
 	w = table(1, 2, 3)
 	writeOwnTail(w, 2, 0, 1, 2)
-	if _, err := DecodeLabel(w.Bytes(), w.Bits()); err != nil {
-		t.Fatalf("a three-row table used in order does not decode: %v", err)
+	if err := decodeCanonical(new(Decoder), w.Bytes(), w.Bits()); err != nil {
+		t.Fatalf("a three-row table used in order does not decode canonically: %v", err)
 	}
 	w = table(1, 2, 3)
 	writeOwnTail(w, 2, 0, 1, 3)

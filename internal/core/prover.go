@@ -102,10 +102,9 @@ func (s *Scheme) ProveWithCtx(ctx context.Context, sp *StructuralProof) (*Labeli
 // the same graph) is non-nil, node entries, certificates and edge labels
 // whose content provably did not change are carried over by pointer —
 // entries' cached encodings and labels' sizes included — instead of being
-// re-derived. The
-// output is byte-identical to a fresh pass either way; reuse counters are
-// accumulated into ru when non-nil. The returned encoder feeds the next
-// generation's reuse.
+// re-derived. The output is byte-identical to a fresh pass either way;
+// reuse counters are accumulated into ru when non-nil. The returned
+// encoder feeds the next generation's reuse.
 func (s *Scheme) proveWith(ctx context.Context, sp *StructuralProof, prev *encoder, prevLab *Labeling, ru *reuseCounters) (*Labeling, *Stats, *encoder, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, nil, err
@@ -427,8 +426,9 @@ func (enc *encoder) buildCert(e graph.Edge) (*CEdgeLabel, error) {
 	if !ok {
 		return nil, fmt.Errorf("core: completion edge %v has no owner", e)
 	}
-	cl := &CEdgeLabel{}
-	for _, n := range owner.NodePath() {
+	nodes := owner.NodePath()
+	cl := &CEdgeLabel{Path: make([]*NodeEntry, 0, len(nodes))}
+	for _, n := range nodes {
 		entry := enc.entries[n.ID]
 		if entry == nil {
 			return nil, fmt.Errorf("core: node %d has no entry", n.ID)
