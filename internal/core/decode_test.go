@@ -322,10 +322,8 @@ func decodeCanonical(d *Decoder, data []byte, nbits int) error {
 	if err != nil {
 		return err
 	}
-	var w bits.Writer
-	w.Grow(el.Bits())
-	el.encode(&w)
-	if w.Bits() != nbits || !bytes.Equal(w.Buffer(), data[:len(w.Buffer())]) {
+	again, againBits := EncodeLabel(el)
+	if againBits != nbits || !bytes.Equal(again, data[:len(again)]) {
 		return errNotCanonical
 	}
 	return nil
