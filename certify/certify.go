@@ -216,6 +216,10 @@ func translateProveErr(err error) error {
 		return wrapErr(ErrPropertyFails, err)
 	case errors.Is(err, core.ErrTooManyLanes), errors.Is(err, interval.ErrTooLarge):
 		return wrapErr(ErrTooWide, err)
+	case errors.Is(err, core.ErrDisconnected):
+		return wrapErr(ErrDisconnected, err)
+	case errors.Is(err, core.ErrBadEdit):
+		return wrapErr(ErrBadEdit, err)
 	default:
 		return err
 	}
@@ -239,8 +243,8 @@ func (c *Certifier) newBatch() (*core.Batch, error) {
 // Prove certifies the certifier's single configured property on the graph
 // and returns the certificate with the run's stats. It fails with
 // ErrPropertyFails when the property does not hold (nothing to certify),
-// ErrTooWide when the graph exceeds the lane budget, and ctx.Err() on
-// cancellation.
+// ErrTooWide when the graph exceeds the lane budget, ErrDisconnected when
+// it is empty or disconnected, and ctx.Err() on cancellation.
 func (c *Certifier) Prove(ctx context.Context, g *Graph) (*Certificate, *Stats, error) {
 	if len(c.props) != 1 {
 		return nil, nil, fmt.Errorf("%w: Prove needs exactly one configured property, have %d (use ProveBatch)", ErrBadConfig, len(c.props))

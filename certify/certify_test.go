@@ -245,6 +245,29 @@ func TestTypedErrors(t *testing.T) {
 		t.Fatalf("lane budget: %v", err)
 	}
 
+	// Empty and disconnected graphs are outside the scheme, on the prove
+	// and the incremental path alike.
+	disconnected, err := FromEdges(4, [][2]int{{0, 1}, {2, 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	empty, err := FromEdges(0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []*Graph{disconnected, empty} {
+		if _, _, err := c.Prove(ctx, g); !errors.Is(err, ErrDisconnected) {
+			t.Fatalf("prove on n=%d m=%d: %v", g.N(), g.M(), err)
+		}
+		if _, err := c.NewUpdater(ctx, g); !errors.Is(err, ErrDisconnected) {
+			t.Fatalf("updater on n=%d m=%d: %v", g.N(), g.M(), err)
+		}
+	}
+	// No edit is valid on a single vertex, so its updater is refused.
+	if _, err := c.NewUpdater(ctx, Path(1)); !errors.Is(err, ErrBadEdit) {
+		t.Fatalf("updater on one vertex: %v", err)
+	}
+
 	// Wrong graph: a certificate is bound to its configuration, including
 	// the marked set.
 	dom, err := New(WithProperty(mustProp(t, "dominating")))

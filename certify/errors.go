@@ -17,6 +17,10 @@ var (
 	// ErrTooWide reports a graph the scheme cannot certify within the lane
 	// budget (its lane partition — and hence pathwidth bound — is too large).
 	ErrTooWide = errors.New("certify: graph exceeds the lane budget")
+	// ErrDisconnected reports a graph the scheme cannot certify because it
+	// is empty or disconnected: the paper's scheme is defined on connected
+	// graphs only.
+	ErrDisconnected = errors.New("certify: graph is empty or disconnected")
 	// ErrPropertyFails reports a configuration that does not satisfy the
 	// property: there is nothing to certify (completeness only speaks about
 	// yes-instances), which is not a proving malfunction.

@@ -618,7 +618,7 @@ func mustParseFP(t *testing.T, s string) uint64 {
 // TestStructureBuiltOnce pins the amortization: concurrent Structure calls
 // on one entry share a single build.
 func TestStructureBuiltOnce(t *testing.T) {
-	store := NewStore(4, 0)
+	store := NewStore(0)
 	entry, err := store.PutGraph(certify.Path(32))
 	if err != nil {
 		t.Fatal(err)
@@ -649,7 +649,7 @@ func TestStructureBuiltOnce(t *testing.T) {
 // existing entry (and its cached certificates), and that distinct
 // configurations get distinct entries.
 func TestStoreIdempotentPut(t *testing.T) {
-	store := NewStore(1, 0)
+	store := NewStore(0)
 	a1, err := store.PutGraph(certify.Path(16))
 	if err != nil {
 		t.Fatal(err)
@@ -996,5 +996,98 @@ func TestFormulaProve(t *testing.T) {
 		if resp.StatusCode != tc.want || !strings.Contains(string(body), tc.needMsg) {
 			t.Fatalf("%s: %d %s (want %d containing %q)", tc.name, resp.StatusCode, body, tc.want, tc.needMsg)
 		}
+	}
+}
+
+// TestUncertifiableGraph pins that a stored graph outside the scheme answers
+// 422 on the prove and PATCH routes, never 500: a disconnected graph on both
+// (even when the edit would connect it, since the updater starts from a
+// certified generation), and a single vertex under PATCH, where no edit is
+// valid.
+func TestUncertifiableGraph(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	disconnected, err := certify.FromEdges(4, [][2]int{{0, 1}, {2, 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp := ingest(t, ts.URL, disconnected)
+	single := ingest(t, ts.URL, certify.Path(1))
+
+	resp, body := postJSON(t, ts.URL+"/v1/prove", proveRequest{Fingerprint: fp, Properties: []string{"bipartite"}})
+	if resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("prove on a disconnected graph: %d %s, want 422", resp.StatusCode, body)
+	}
+	for _, tc := range []struct {
+		fp   string
+		edit editJSON
+	}{
+		{fp, editJSON{Op: "add", U: 1, V: 2}},
+		{single, editJSON{Op: "add", U: 0, V: 1}},
+	} {
+		resp, body := patchJSON(t, ts.URL+"/v1/graphs/"+tc.fp+"/edges", patchRequest{
+			Edits: []editJSON{tc.edit}, Properties: []string{"bipartite"},
+		})
+		if resp.StatusCode != http.StatusUnprocessableEntity {
+			t.Fatalf("PATCH %s %+v: %d %s, want 422", tc.fp, tc.edit, resp.StatusCode, body)
+		}
+	}
+}
+
+// TestStoreCapacityAcrossPatch pins that a PATCH moves a graph within the
+// store rather than adding one: with room for two graphs, A and B stored
+// and A patched to A′, the store still holds two, a third distinct ingest
+// is refused, and re-ingesting A′'s configuration finds the patched entry.
+func TestStoreCapacityAcrossPatch(t *testing.T) {
+	s, ts := newTestServer(t, Options{MaxGraphs: 2})
+	fpA := ingest(t, ts.URL, certify.Ladder(6))
+	ingest(t, ts.URL, certify.Path(10))
+
+	resp, body := patchJSON(t, ts.URL+"/v1/graphs/"+fpA+"/edges", patchRequest{
+		Edits: []editJSON{{Op: "remove", U: 2, V: 3}}, Properties: []string{"bipartite"},
+	})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("patch: %d %s", resp.StatusCode, body)
+	}
+	var pr patchResponse
+	if err := json.Unmarshal(body, &pr); err != nil {
+		t.Fatal(err)
+	}
+	if n := s.Store().Len(); n != 2 {
+		t.Fatalf("store holds %d graphs after PATCH, want 2", n)
+	}
+
+	resp, err := http.Post(ts.URL+"/v1/graphs?format=edgelist", "text/plain",
+		strings.NewReader(edgeListOf(t, certify.Path(12))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusInsufficientStorage {
+		t.Fatalf("third distinct ingest: %d, want 507", resp.StatusCode)
+	}
+
+	var edges [][2]int
+	for _, e := range certify.Ladder(6).Edges() {
+		if e != [2]int{2, 3} {
+			edges = append(edges, e)
+		}
+	}
+	patched, err := certify.FromEdges(certify.Ladder(6).N(), edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, ok := s.Store().Get(mustParseFP(t, pr.Fingerprint))
+	if !ok {
+		t.Fatal("patched entry not stored under its new fingerprint")
+	}
+	if fp := ingest(t, ts.URL, patched); fp != pr.Fingerprint {
+		t.Fatalf("re-ingest of the patched configuration: %s, want %s", fp, pr.Fingerprint)
+	}
+	if after, _ := s.Store().Get(mustParseFP(t, pr.Fingerprint)); after != before {
+		t.Fatal("re-ingest replaced the patched entry")
+	}
+	if _, ok := before.Certificate("bipartite"); !ok {
+		t.Fatal("patched entry lost its certificate on re-ingest")
 	}
 }

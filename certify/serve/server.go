@@ -16,13 +16,19 @@ import (
 	"repro/certify/graphio"
 )
 
-// errBadRequest is the failure class for malformed client input the handler
-// layer rejects before it reaches the facade: an unparseable fingerprint or
-// a request body that is not strict JSON. Handlers map it to 400; wrapping
-// it (rather than returning naked errors.New values) keeps the service on
-// the same typed-sentinel taxonomy the certlint errtaxonomy analyzer
-// enforces for the facade.
-var errBadRequest = errors.New("serve: bad request")
+// Failure classes the handler layer itself raises. errBadRequest is
+// malformed client input rejected before it reaches the facade (an
+// unparseable fingerprint, a body that is not strict JSON, a missing
+// field); errNotFound is a fingerprint or certificate key the store does not
+// hold; errQueueFull is prover-pool backpressure. Wrapping them, rather than
+// returning naked errors.New values, keeps the service on the typed-sentinel
+// taxonomy the certlint errtaxonomy analyzer enforces for the facade, and
+// lets statusOf map every failure to its status in one place.
+var (
+	errBadRequest = errors.New("serve: bad request")
+	errNotFound   = errors.New("serve: not found")
+	errQueueFull  = errors.New("serve: prove queue is full, retry later")
+)
 
 // Options configures a Server. The zero value of any field means its
 // documented default.
@@ -43,14 +49,10 @@ type Options struct {
 	// MaxLanes is the default lane budget for prove requests that do not
 	// set max_lanes (default certify.DefaultMaxLanes).
 	MaxLanes int
-	// StoreShards is the certificate store's shard count (default 16).
-	StoreShards int
 	// MaxGraphs caps the number of stored configurations (default 4096);
 	// further ingests answer 507 until capacity is freed by a restart.
 	// Negative means unlimited.
 	MaxGraphs int
-	// ReadLimits bounds graph ingestion (default graphio.DefaultLimits).
-	ReadLimits graphio.Limits
 
 	// testProveGate, when set (tests only), makes every worker block on a
 	// receive from the gate before processing a job — the deterministic way
@@ -74,9 +76,6 @@ func (o Options) withDefaults() Options {
 	if o.MaxLanes <= 0 {
 		o.MaxLanes = certify.DefaultMaxLanes
 	}
-	if o.StoreShards <= 0 {
-		o.StoreShards = 16
-	}
 	if o.MaxGraphs == 0 {
 		o.MaxGraphs = 4096
 	}
@@ -86,7 +85,8 @@ func (o Options) withDefaults() Options {
 // Server is the certifyd HTTP handler: graph ingestion, certification
 // through a bounded prover pool, certificate fetch, and verification of
 // uploaded certificates against stored graphs. Create with New, serve with
-// any http.Server, stop the workers with Close.
+// any http.Server, stop the workers with Close. Every failure is answered
+// as a JSON {"error": …} body with the status statusOf assigns.
 //
 //	POST /v1/graphs?format=auto      ingest a graph (edge list or DIMACS)
 //	GET  /v1/graphs/{fp}             stored graph summary + certificate keys
@@ -128,29 +128,13 @@ type Server struct {
 }
 
 // proveJob is one unit of prover-pool work: a closure run by a worker under
-// the request context. Prove and PATCH requests share the pool (and hence
-// its backpressure) by enqueueing different closures.
+// the request context, writing its results into the handler's variables.
+// Prove and PATCH requests share the pool (and hence its backpressure) by
+// enqueueing different closures.
 type proveJob struct {
 	ctx   context.Context
-	run   func(ctx context.Context) proveOutcome
-	reply chan proveOutcome // buffered: a worker never blocks on a gone handler
-}
-
-type proveOutcome struct {
-	crt   *certify.Certificate
-	stats *certify.BatchStats
-	patch *patchOutcome
-	err   error
-}
-
-// patchOutcome is the committed result of one PATCH job.
-type patchOutcome struct {
-	newFp uint64
-	n, m  int
-	us    *certify.UpdateStats
-	crt   *certify.Certificate
-	key   string
-	props []string
+	run   func(ctx context.Context) error
+	reply chan error // buffered: a worker never blocks on a gone handler
 }
 
 // New builds the service and starts its worker pool. A default lane budget
@@ -165,26 +149,22 @@ func New(opts Options) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	maxGraphs := opts.MaxGraphs
-	if maxGraphs < 0 {
-		maxGraphs = 0 // unlimited
-	}
 	s := &Server{
 		opts:  opts,
-		store: NewStore(opts.StoreShards, maxGraphs),
+		store: NewStore(max(opts.MaxGraphs, 0)),
 		base:  base,
 		queue: make(chan *proveJob, opts.QueueDepth),
 		quit:  make(chan struct{}),
 		mux:   http.NewServeMux(),
 	}
-	s.mux.HandleFunc("GET /healthz", s.handleHealth)
-	s.mux.HandleFunc("GET /v1/properties", s.handleProperties)
-	s.mux.HandleFunc("POST /v1/graphs", s.handleIngest)
-	s.mux.HandleFunc("GET /v1/graphs/{fp}", s.handleGraphInfo)
-	s.mux.HandleFunc("POST /v1/prove", s.handleProve)
-	s.mux.HandleFunc("PATCH /v1/graphs/{fp}/edges", s.handlePatch)
-	s.mux.HandleFunc("POST /v1/verify", s.handleVerify)
-	s.mux.HandleFunc("GET /v1/certificates/{fp}", s.handleFetch)
+	s.handle("GET /healthz", s.handleHealth)
+	s.handle("GET /v1/properties", s.handleProperties)
+	s.handle("POST /v1/graphs", s.handleIngest)
+	s.handle("GET /v1/graphs/{fp}", s.handleGraphInfo)
+	s.handle("POST /v1/prove", s.handleProve)
+	s.handle("PATCH /v1/graphs/{fp}/edges", s.handlePatch)
+	s.handle("POST /v1/verify", s.handleVerify)
+	s.handle("GET /v1/certificates/{fp}", s.handleFetch)
 	for i := 0; i < opts.Workers; i++ {
 		s.wg.Add(1)
 		go s.worker()
@@ -192,8 +172,64 @@ func New(opts Options) (*Server, error) {
 	return s, nil
 }
 
-// Store exposes the underlying certificate store (the load generator and
-// tests read it directly).
+// handle registers a handler that reports failure as an error, answered
+// with statusOf's status.
+func (s *Server) handle(pattern string, h func(http.ResponseWriter, *http.Request) error) {
+	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
+		if err := h(w, r); err != nil {
+			writeJSON(w, statusOf(err), errorResponse{Error: err.Error()})
+		}
+	})
+}
+
+// statusClientClosedRequest is nginx's conventional status for a request
+// whose client went away; there is no stdlib constant.
+const statusClientClosedRequest = 499
+
+// statusOf maps a failure to its HTTP status, so the same input gets the
+// same status on every route.
+func statusOf(err error) int {
+	var tooBig *http.MaxBytesError
+	switch {
+	case errors.Is(err, context.Canceled):
+		return statusClientClosedRequest
+	case errors.Is(err, context.DeadlineExceeded):
+		return http.StatusGatewayTimeout
+	case errors.Is(err, errBadRequest),
+		errors.Is(err, certify.ErrUnknownProperty),
+		errors.Is(err, certify.ErrBadConfig),
+		errors.Is(err, certify.ErrBadCertificate):
+		return http.StatusBadRequest
+	case errors.As(err, &tooBig):
+		// Only a graph body gets here: a JSON body over the cap fails
+		// strict decoding and wraps errBadRequest.
+		return http.StatusRequestEntityTooLarge
+	case errors.Is(err, graphio.ErrFormat):
+		return http.StatusBadRequest
+	case errors.Is(err, errNotFound):
+		return http.StatusNotFound
+	case errors.Is(err, certify.ErrWrongGraph):
+		return http.StatusConflict
+	case errors.Is(err, certify.ErrBadFormula),
+		errors.Is(err, certify.ErrTooWide),
+		errors.Is(err, certify.ErrDisconnected),
+		errors.Is(err, certify.ErrBadEdit),
+		errors.Is(err, certify.ErrPropertyFails):
+		// Semantic rejections: the request is well-formed, but the formula
+		// does not compile or the graph cannot be (re)certified as asked.
+		// A rejected PATCH rolled back, leaving the stored generation as is.
+		return http.StatusUnprocessableEntity
+	case errors.Is(err, errQueueFull):
+		return http.StatusTooManyRequests
+	case errors.Is(err, ErrStoreFull):
+		return http.StatusInsufficientStorage
+	default:
+		return http.StatusInternalServerError
+	}
+}
+
+// Store exposes the underlying certificate store (benchmarks and tests read
+// it directly).
 func (s *Server) Store() *Store { return s.store }
 
 // Close stops the worker pool. In-flight jobs finish; queued jobs whose
@@ -221,7 +257,7 @@ func (s *Server) worker() {
 
 // process runs one queued job under the pool's test gate and cancellation
 // discipline.
-func (s *Server) process(job *proveJob) proveOutcome {
+func (s *Server) process(job *proveJob) error {
 	if gate := s.opts.testProveGate; gate != nil {
 		s.gateParked.Add(1)
 		select {
@@ -232,12 +268,12 @@ func (s *Server) process(job *proveJob) proveOutcome {
 	}
 	// A request cancelled while queued is dropped before any proving work.
 	if err := job.ctx.Err(); err != nil {
-		return proveOutcome{err: err}
+		return err
 	}
 	start := time.Now()
-	out := job.run(job.ctx)
+	err := job.run(job.ctx)
 	s.recordLatency(time.Since(start))
-	return out
+	return err
 }
 
 // recordLatency folds one executed job's wall time into the moving average
@@ -276,24 +312,30 @@ func (s *Server) retryAfter() string {
 	return strconv.Itoa(secs)
 }
 
-// dispatch enqueues a job on the prover pool and waits for its outcome (or
-// the context). It reports ok=false after answering 429 itself when the
-// queue is full — backpressure, not buffering without bound.
-func (s *Server) dispatch(w http.ResponseWriter, ctx context.Context, run func(context.Context) proveOutcome) (proveOutcome, bool) {
-	job := &proveJob{ctx: ctx, run: run, reply: make(chan proveOutcome, 1)}
+// dispatch runs a job on the prover pool under the request's proving budget
+// and waits for it (or the context). A full queue fails fast with
+// errQueueFull and a Retry-After estimate — backpressure, not buffering
+// without bound.
+func (s *Server) dispatch(w http.ResponseWriter, r *http.Request, run func(context.Context) error) error {
+	ctx, cancel := context.WithTimeout(r.Context(), s.opts.ProveTimeout)
+	defer cancel()
+	job := &proveJob{ctx: ctx, run: run, reply: make(chan error, 1)}
 	select {
 	case s.queue <- job:
 	default:
 		w.Header().Set("Retry-After", s.retryAfter())
-		writeError(w, http.StatusTooManyRequests, errors.New("prove queue is full, retry later"))
-		return proveOutcome{}, false
+		return errQueueFull
 	}
+	var err error
 	select {
-	case out := <-job.reply:
-		return out, true
+	case err = <-job.reply:
 	case <-ctx.Done():
-		return proveOutcome{err: ctx.Err()}, true
+		err = ctx.Err()
 	}
+	if errors.Is(err, context.DeadlineExceeded) {
+		return fmt.Errorf("proving exceeded the %s budget: %w", s.opts.ProveTimeout, err)
+	}
+	return err
 }
 
 // ---- wire types ----
@@ -393,10 +435,6 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-func writeError(w http.ResponseWriter, code int, err error) {
-	writeJSON(w, code, errorResponse{Error: err.Error()})
-}
-
 func parseFingerprint(s string) (uint64, error) {
 	if s == "" || len(s) > 16 {
 		return 0, fmt.Errorf("%w: bad fingerprint %q", errBadRequest, s)
@@ -409,6 +447,23 @@ func parseFingerprint(s string) (uint64, error) {
 }
 
 func fpString(fp uint64) string { return fmt.Sprintf("%016x", fp) }
+
+// lookup parses a fingerprint and returns the entry stored under it.
+func (s *Server) lookup(fpHex string) (*Entry, error) {
+	fp, err := parseFingerprint(fpHex)
+	if err != nil {
+		return nil, err
+	}
+	return s.get(fp)
+}
+
+func (s *Server) get(fp uint64) (*Entry, error) {
+	entry, ok := s.store.Get(fp)
+	if !ok {
+		return nil, fmt.Errorf("%w: no graph %s (submit it via POST /v1/graphs first)", errNotFound, fpString(fp))
+	}
+	return entry, nil
+}
 
 // decodeRequest strictly decodes a JSON request body under the body cap.
 func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request, v any) error {
@@ -423,7 +478,7 @@ func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request, v any) er
 	return nil
 }
 
-func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) error {
 	writeJSON(w, http.StatusOK, map[string]any{
 		"ok":        true,
 		"graphs":    s.store.Len(),
@@ -431,43 +486,29 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		"queue_cap": cap(s.queue),
 		"workers":   s.opts.Workers,
 	})
+	return nil
 }
 
-func (s *Server) handleProperties(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleProperties(w http.ResponseWriter, r *http.Request) error {
 	writeJSON(w, http.StatusOK, map[string]any{
 		"properties": certify.Names(),
 		"faults":     certify.FaultNames(),
 	})
+	return nil
 }
 
-func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) error {
 	format, err := graphio.ParseFormat(r.URL.Query().Get("format"))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
+		return fmt.Errorf("%w: %w", errBadRequest, err)
 	}
-	body := http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
-	g, err := graphio.ReadLimited(body, format, s.opts.ReadLimits)
+	g, err := graphio.Read(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes), format)
 	if err != nil {
-		var tooBig *http.MaxBytesError
-		switch {
-		case errors.As(err, &tooBig):
-			writeError(w, http.StatusRequestEntityTooLarge, err)
-		case errors.Is(err, graphio.ErrFormat):
-			writeError(w, http.StatusBadRequest, err)
-		default:
-			writeError(w, http.StatusInternalServerError, err)
-		}
-		return
+		return err
 	}
 	entry, err := s.store.PutGraph(g)
 	if err != nil {
-		if errors.Is(err, ErrStoreFull) {
-			writeError(w, http.StatusInsufficientStorage, err)
-			return
-		}
-		writeError(w, http.StatusBadRequest, err)
-		return
+		return err
 	}
 	writeJSON(w, http.StatusOK, graphResponse{
 		Fingerprint: fpString(entry.Fingerprint()),
@@ -475,145 +516,126 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		M:           g.M(),
 		Marked:      len(g.Marked()),
 	})
+	return nil
 }
 
-func (s *Server) handleGraphInfo(w http.ResponseWriter, r *http.Request) {
-	fp, err := parseFingerprint(r.PathValue("fp"))
+func (s *Server) handleGraphInfo(w http.ResponseWriter, r *http.Request) error {
+	entry, err := s.lookup(r.PathValue("fp"))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	entry, ok := s.store.Get(fp)
-	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("no graph %s", fpString(fp)))
-		return
+		return err
 	}
 	g := entry.Graph()
 	writeJSON(w, http.StatusOK, graphResponse{
-		Fingerprint: fpString(fp),
+		Fingerprint: fpString(entry.Fingerprint()),
 		N:           g.N(),
 		M:           g.M(),
 		Marked:      len(g.Marked()),
 		Keys:        entry.CertificateKeys(),
 	})
+	return nil
 }
 
-func (s *Server) handleProve(w http.ResponseWriter, r *http.Request) {
-	var req proveRequest
-	if err := s.decodeRequest(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	fp, err := parseFingerprint(req.Fingerprint)
+// certifierFor is the prologue prove and PATCH requests share: it resolves
+// the requested properties (catalog names, or for prove a formula), applies
+// the default lane budget, builds the Certifier and looks up the stored
+// entry. Every failure here is the client's and is answered before the
+// request takes a queue slot or a prover worker. updKey canonicalizes the
+// property set and lane budget: an entry's cached incremental engine is
+// reused only for the exact pair it was built for.
+func (s *Server) certifierFor(fpHex string, names []string, formula string, maxLanes int) (c *certify.Certifier, entry *Entry, updKey string, err error) {
+	fp, err := parseFingerprint(fpHex)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
+		return nil, nil, "", err
 	}
 	var props []certify.Property
 	switch {
-	case req.Formula != "":
-		if len(req.Properties) > 0 {
-			writeError(w, http.StatusBadRequest, errors.New(`"properties" and "formula" are mutually exclusive; pass one or the other`))
-			return
+	case formula != "":
+		if len(names) > 0 {
+			return nil, nil, "", fmt.Errorf(`%w: "properties" and "formula" are mutually exclusive; pass one or the other`, errBadRequest)
 		}
-		p, err := s.formulaProperty(req.Formula)
+		// A formula that does not compile is ErrBadFormula: a semantic
+		// rejection, with the parser's position or the checker's
+		// subformula in the message.
+		p, err := s.formulaProperty(formula)
 		if err != nil {
-			// The request is well-formed JSON but the formula itself does
-			// not compile — semantic rejection, with the parser's position
-			// or the checker's subformula in the message.
-			writeError(w, http.StatusUnprocessableEntity, err)
-			return
+			return nil, nil, "", err
 		}
 		props = []certify.Property{p}
-	case len(req.Properties) == 0:
-		writeError(w, http.StatusBadRequest, errors.New("no properties requested"))
-		return
+	case len(names) == 0:
+		return nil, nil, "", fmt.Errorf("%w: no properties requested", errBadRequest)
 	default:
-		if props, err = certify.PropertiesByName(req.Properties...); err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
+		if props, err = certify.PropertiesByName(names...); err != nil {
+			return nil, nil, "", err
 		}
 	}
-	maxLanes := req.MaxLanes
 	if maxLanes <= 0 {
 		maxLanes = s.opts.MaxLanes
 	}
-	// Building the Certifier here keeps every malformed-request failure —
-	// duplicate properties, a max_lanes the wire format cannot carry — an
-	// immediate 400 that never consumes a queue slot or a prover worker.
-	certifier, err := certify.New(
-		certify.WithProperties(props...),
-		certify.WithMaxLanes(maxLanes),
-	)
+	// Duplicate properties and a max_lanes the wire format cannot carry
+	// fail here with ErrBadConfig.
+	c, err = certify.New(certify.WithProperties(props...), certify.WithMaxLanes(maxLanes))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
+		return nil, nil, "", err
 	}
-	entry, ok := s.store.Get(fp)
-	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("no graph %s (submit it via POST /v1/graphs first)", fpString(fp)))
-		return
+	if entry, err = s.get(fp); err != nil {
+		return nil, nil, "", err
 	}
+	return c, entry, PropsKey(c.Properties()) + "|" + strconv.Itoa(maxLanes), nil
+}
 
-	ctx, cancel := context.WithTimeout(r.Context(), s.opts.ProveTimeout)
-	defer cancel()
-	out, ok := s.dispatch(w, ctx, func(ctx context.Context) proveOutcome {
+func (s *Server) handleProve(w http.ResponseWriter, r *http.Request) error {
+	var req proveRequest
+	if err := s.decodeRequest(w, r, &req); err != nil {
+		return err
+	}
+	certifier, entry, _, err := s.certifierFor(req.Fingerprint, req.Properties, req.Formula, req.MaxLanes)
+	if err != nil {
+		return err
+	}
+	var (
+		crt   *certify.Certificate
+		stats *certify.BatchStats
+	)
+	err = s.dispatch(w, r, func(ctx context.Context) error {
 		st, err := entry.Structure(ctx, s.base)
 		if err != nil {
-			return proveOutcome{err: err}
+			return err
 		}
-		crt, stats, err := certifier.ProveBatchOn(ctx, st)
-		return proveOutcome{crt: crt, stats: stats, err: err}
+		crt, stats, err = certifier.ProveBatchOn(ctx, st)
+		return err
 	})
-	if !ok {
-		return
-	}
-	if out.err != nil {
-		switch {
-		case errors.Is(out.err, context.DeadlineExceeded):
-			writeError(w, http.StatusGatewayTimeout, fmt.Errorf("proving exceeded the %s budget", s.opts.ProveTimeout))
-		case errors.Is(out.err, context.Canceled):
-			writeError(w, statusClientClosedRequest, out.err)
-		case errors.Is(out.err, certify.ErrTooWide):
-			writeError(w, http.StatusUnprocessableEntity, out.err)
-		default:
-			writeError(w, http.StatusInternalServerError, out.err)
-		}
-		return
+	if err != nil {
+		return err
 	}
 
-	resp := proveResponse{Fingerprint: fpString(fp), Failed: out.stats.Failed}
+	resp := proveResponse{Fingerprint: fpString(entry.Fingerprint()), Failed: stats.Failed}
 	resp.Stats = &batchStatsJSON{
-		Lanes:          out.stats.Lanes,
-		VirtualEdges:   out.stats.VirtualEdges,
-		Congestion:     out.stats.Congestion,
-		HierarchyDepth: out.stats.HierarchyDepth,
-		PerProperty:    make(map[string]propStatsJSON, len(out.stats.PerProperty)),
+		Lanes:          stats.Lanes,
+		VirtualEdges:   stats.VirtualEdges,
+		Congestion:     stats.Congestion,
+		HierarchyDepth: stats.HierarchyDepth,
+		PerProperty:    make(map[string]propStatsJSON, len(stats.PerProperty)),
 	}
-	for name, st := range out.stats.PerProperty {
+	for name, st := range stats.PerProperty {
 		resp.Stats.PerProperty[name] = propStatsJSON{
 			RegistryClasses: st.RegistryClasses,
 			MaxLabelBits:    st.MaxLabelBits,
 		}
 	}
-	if out.crt != nil {
-		blob, err := out.crt.MarshalBinary()
+	if crt != nil {
+		blob, err := crt.MarshalBinary()
 		if err != nil {
-			writeError(w, http.StatusInternalServerError, err)
-			return
+			return err
 		}
-		key := PropsKey(out.crt.Properties())
-		entry.PutCertificate(key, out.crt)
-		resp.Properties = out.crt.Properties()
+		key := PropsKey(crt.Properties())
+		entry.PutCertificate(key, crt)
+		resp.Properties = crt.Properties()
 		resp.CertificateKey = key
 		resp.Certificate = blob
 	}
 	writeJSON(w, http.StatusOK, resp)
+	return nil
 }
-
-// statusClientClosedRequest is nginx's conventional status for a request
-// whose client went away; there is no stdlib constant.
-const statusClientClosedRequest = 499
 
 // formulaProperty compiles an MSO₂ formula source, serving repeats of the
 // same (canonicalized) formula from the cache so their warmed-up compiled
@@ -636,24 +658,13 @@ func (s *Server) formulaProperty(src string) (certify.Property, error) {
 	return p, nil
 }
 
-func (s *Server) handlePatch(w http.ResponseWriter, r *http.Request) {
-	fp, err := parseFingerprint(r.PathValue("fp"))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
+func (s *Server) handlePatch(w http.ResponseWriter, r *http.Request) error {
 	var req patchRequest
 	if err := s.decodeRequest(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
+		return err
 	}
 	if len(req.Edits) == 0 {
-		writeError(w, http.StatusBadRequest, errors.New("no edits in batch"))
-		return
-	}
-	if len(req.Properties) == 0 {
-		writeError(w, http.StatusBadRequest, errors.New("no properties requested"))
-		return
+		return fmt.Errorf("%w: no edits in batch", errBadRequest)
 	}
 	edits := make([]certify.Edit, len(req.Edits))
 	for i, e := range req.Edits {
@@ -664,134 +675,77 @@ func (s *Server) handlePatch(w http.ResponseWriter, r *http.Request) {
 		case "remove":
 			op = certify.EditRemove
 		default:
-			writeError(w, http.StatusBadRequest, fmt.Errorf("edit %d: unknown op %q (want \"add\" or \"remove\")", i, e.Op))
-			return
+			return fmt.Errorf("%w: edit %d: unknown op %q (want \"add\" or \"remove\")", errBadRequest, i, e.Op)
 		}
 		edits[i] = certify.Edit{Op: op, U: e.U, V: e.V}
 	}
-	props, err := certify.PropertiesByName(req.Properties...)
+	certifier, entry, updKey, err := s.certifierFor(r.PathValue("fp"), req.Properties, "", req.MaxLanes)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
+		return err
 	}
-	maxLanes := req.MaxLanes
-	if maxLanes <= 0 {
-		maxLanes = s.opts.MaxLanes
-	}
-	certifier, err := certify.New(
-		certify.WithProperties(props...),
-		certify.WithMaxLanes(maxLanes),
+	var (
+		us   *certify.UpdateStats
+		crt  *certify.Certificate
+		key  string
+		next *Entry
 	)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	entry, ok := s.store.Get(fp)
-	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("no graph %s (submit it via POST /v1/graphs first)", fpString(fp)))
-		return
-	}
-	// The updater key canonicalizes the certification configuration: an
-	// entry's cached incremental engine is reused only for the exact
-	// property-set/lane-budget pair it was built for.
-	names := make([]string, len(props))
-	for i, p := range props {
-		names[i] = p.Name()
-	}
-	updKey := PropsKey(names) + "|" + strconv.Itoa(maxLanes)
-
-	ctx, cancel := context.WithTimeout(r.Context(), s.opts.ProveTimeout)
-	defer cancel()
-	out, ok := s.dispatch(w, ctx, func(ctx context.Context) proveOutcome {
-		upd, us, crt, gSnap, err := entry.UpdateEdges(ctx, certifier, updKey, edits)
+	err = s.dispatch(w, r, func(ctx context.Context) error {
+		upd, stats, c, g, err := entry.UpdateEdges(ctx, certifier, updKey, edits)
 		if err != nil {
-			return proveOutcome{err: err}
+			return err
 		}
-		newFp, err := gSnap.Fingerprint()
+		newFp, err := g.Fingerprint()
 		if err != nil {
-			return proveOutcome{err: err}
+			return err
 		}
-		certKey := PropsKey(crt.Properties())
+		us, crt, key = stats, c, PropsKey(c.Properties())
 		// Commit: the edited graph takes over the store slot under its new
 		// fingerprint, carrying the updater so the next PATCH is incremental.
-		next := entry.successor(newFp, gSnap, upd, updKey, certKey, crt)
-		s.store.Replace(fp, next)
-		return proveOutcome{patch: &patchOutcome{
-			newFp: newFp,
-			n:     gSnap.N(),
-			m:     gSnap.M(),
-			us:    us,
-			crt:   crt,
-			key:   certKey,
-			props: crt.Properties(),
-		}}
+		next = entry.successor(newFp, g, upd, updKey, key, crt)
+		s.store.Replace(entry.Fingerprint(), next)
+		return nil
 	})
-	if !ok {
-		return
-	}
-	if out.err != nil {
-		switch {
-		case errors.Is(out.err, context.DeadlineExceeded):
-			writeError(w, http.StatusGatewayTimeout, fmt.Errorf("recertification exceeded the %s budget", s.opts.ProveTimeout))
-		case errors.Is(out.err, context.Canceled):
-			writeError(w, statusClientClosedRequest, out.err)
-		case errors.Is(out.err, certify.ErrBadEdit),
-			errors.Is(out.err, certify.ErrPropertyFails),
-			errors.Is(out.err, certify.ErrTooWide):
-			// The engine rolled back: the stored generation is untouched.
-			writeError(w, http.StatusUnprocessableEntity, out.err)
-		default:
-			writeError(w, http.StatusInternalServerError, out.err)
-		}
-		return
-	}
-	p := out.patch
-	blob, err := p.crt.MarshalBinary()
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
-		return
+		return err
+	}
+	blob, err := crt.MarshalBinary()
+	if err != nil {
+		return err
 	}
 	writeJSON(w, http.StatusOK, patchResponse{
-		Fingerprint:    fpString(p.newFp),
-		OldFingerprint: fpString(fp),
-		N:              p.n,
-		M:              p.m,
-		Properties:     p.props,
+		Fingerprint:    fpString(next.Fingerprint()),
+		OldFingerprint: fpString(entry.Fingerprint()),
+		N:              next.Graph().N(),
+		M:              next.Graph().M(),
+		Properties:     crt.Properties(),
 		Update: &updateStatsJSON{
-			Fallback:      p.us.Fallback,
-			DirtyOps:      p.us.DirtyOps,
-			ReusedEntries: p.us.ReusedEntries,
-			TotalEntries:  p.us.TotalEntries,
-			ReusedLabels:  p.us.ReusedLabels,
-			TotalLabels:   p.us.TotalLabels,
-			ReusedSources: p.us.ReusedSources,
-			TotalSources:  p.us.TotalSources,
+			Fallback:      us.Fallback,
+			DirtyOps:      us.DirtyOps,
+			ReusedEntries: us.ReusedEntries,
+			TotalEntries:  us.TotalEntries,
+			ReusedLabels:  us.ReusedLabels,
+			TotalLabels:   us.TotalLabels,
+			ReusedSources: us.ReusedSources,
+			TotalSources:  us.TotalSources,
 		},
-		CertificateKey: p.key,
+		CertificateKey: key,
 		Certificate:    blob,
 	})
+	return nil
 }
 
-func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) error {
 	var req verifyRequest
 	if err := s.decodeRequest(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
+		return err
 	}
-	fp, err := parseFingerprint(req.Fingerprint)
+	entry, err := s.lookup(req.Fingerprint)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	entry, ok := s.store.Get(fp)
-	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("no graph %s", fpString(fp)))
-		return
+		return err
 	}
 	var crt certify.Certificate
 	if err := crt.UnmarshalBinary(req.Certificate); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
+		return err
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.opts.ProveTimeout)
 	defer cancel()
@@ -800,6 +754,9 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 	} else {
 		err = s.base.Verify(ctx, entry.Graph(), &crt)
 	}
+	// A certificate naming an "mso:" property whose formula no longer
+	// compiles is ErrBadFormula: a semantic defect in the upload, not a
+	// malformed body.
 	var ve *certify.VerifyError
 	switch {
 	case err == nil:
@@ -810,33 +767,16 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 			Property: ve.Property,
 			Rejected: ve.Rejected,
 		})
-	case errors.Is(err, certify.ErrWrongGraph):
-		writeError(w, http.StatusConflict, err)
-	case errors.Is(err, certify.ErrBadFormula):
-		// The certificate names an "mso:" property whose formula no longer
-		// compiles — a semantic defect in the upload, not a malformed body.
-		writeError(w, http.StatusUnprocessableEntity, err)
-	case errors.Is(err, certify.ErrUnknownProperty):
-		writeError(w, http.StatusBadRequest, err)
-	case errors.Is(err, context.DeadlineExceeded):
-		writeError(w, http.StatusGatewayTimeout, err)
-	case errors.Is(err, context.Canceled):
-		writeError(w, statusClientClosedRequest, err)
 	default:
-		writeError(w, http.StatusInternalServerError, err)
+		return err
 	}
+	return nil
 }
 
-func (s *Server) handleFetch(w http.ResponseWriter, r *http.Request) {
-	fp, err := parseFingerprint(r.PathValue("fp"))
+func (s *Server) handleFetch(w http.ResponseWriter, r *http.Request) error {
+	entry, err := s.lookup(r.PathValue("fp"))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	entry, ok := s.store.Get(fp)
-	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("no graph %s", fpString(fp)))
-		return
+		return err
 	}
 	var key string
 	if props := r.URL.Query().Get("props"); props != "" {
@@ -845,8 +785,7 @@ func (s *Server) handleFetch(w http.ResponseWriter, r *http.Request) {
 		keys := entry.CertificateKeys()
 		switch len(keys) {
 		case 0:
-			writeError(w, http.StatusNotFound, errors.New("no certificates stored for this graph"))
-			return
+			return fmt.Errorf("%w: no certificates stored for this graph", errNotFound)
 		case 1:
 			key = keys[0]
 		default:
@@ -854,22 +793,21 @@ func (s *Server) handleFetch(w http.ResponseWriter, r *http.Request) {
 				"error":        "several certificates stored, pick one with ?props=",
 				"certificates": keys,
 			})
-			return
+			return nil
 		}
 	}
 	crt, ok := entry.Certificate(key)
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("no certificate %q for graph %s", key, fpString(fp)))
-		return
+		return fmt.Errorf("%w: no certificate %q for graph %s", errNotFound, key, fpString(entry.Fingerprint()))
 	}
 	blob, err := crt.MarshalBinary()
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
-		return
+		return err
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("X-Certificate-Key", key)
 	w.Header().Set("Content-Length", strconv.Itoa(len(blob)))
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(blob)
+	return nil
 }

@@ -1,10 +1,10 @@
 // Package serve implements certifyd, the HTTP/JSON certification service,
 // on top of the certify facade: graphs are ingested from the graphio
 // interchange formats, keyed by their configuration fingerprint in an
-// in-process sharded store, and certified by a bounded prover worker pool
-// with per-request cancellation and queue-full backpressure. The package
-// exports the handler and store so cmd/certifyd stays a thin flag-parsing
-// main and the cmd/bench load generator can drive an in-process instance.
+// in-process store, and certified by a bounded prover worker pool with
+// per-request cancellation and queue-full backpressure. The package exports
+// the handler and store so cmd/certifyd stays a thin flag-parsing main and
+// the certbench service-mix workload can drive an in-process instance.
 //
 // The service realizes the paper's prove-once / verify-everywhere workload
 // at service scale: many independent prove/verify requests against a few
@@ -20,7 +20,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"repro/certify"
 )
@@ -32,44 +31,20 @@ import (
 var ErrStoreFull = errors.New("serve: graph store is full")
 
 // Store is the in-process certificate store: graph configurations and their
-// proved certificates, keyed by the configuration fingerprint and spread
-// over 2^k lock shards so concurrent requests for different graphs never
-// contend.
+// proved certificates, keyed by the configuration fingerprint. One lock
+// guards the map: every operation is a single map access, while each prove
+// request spends tens of milliseconds in the prover, so the lock is never
+// the bottleneck at any rate the worker pool can serve.
 type Store struct {
-	shards []storeShard
-	mask   uint64
-	// maxGraphs caps the stored graph count (0 = unlimited); count tracks
-	// it exactly across shards.
-	maxGraphs int
-	count     atomic.Int64
-}
-
-type storeShard struct {
 	mu      sync.RWMutex
 	entries map[uint64]*Entry
+	// maxGraphs caps the stored graph count (0 = unlimited).
+	maxGraphs int
 }
 
-// NewStore builds a store with at least the given shard count (rounded up
-// to a power of two; values < 1 mean 16) holding at most maxGraphs graphs
-// (0 = unlimited).
-func NewStore(shards, maxGraphs int) *Store {
-	if shards < 1 {
-		shards = 16
-	}
-	size := 1
-	for size < shards {
-		size <<= 1
-	}
-	s := &Store{shards: make([]storeShard, size), mask: uint64(size - 1), maxGraphs: maxGraphs}
-	for i := range s.shards {
-		s.shards[i].entries = map[uint64]*Entry{}
-	}
-	return s
-}
-
-func (s *Store) shard(fp uint64) *storeShard {
-	// Fingerprints are FNV hashes: the low bits are already well mixed.
-	return &s.shards[fp&s.mask]
+// NewStore builds a store holding at most maxGraphs graphs (0 = unlimited).
+func NewStore(maxGraphs int) *Store {
+	return &Store{entries: map[uint64]*Entry{}, maxGraphs: maxGraphs}
 }
 
 // PutGraph stores the graph under its fingerprint and returns the entry.
@@ -81,75 +56,43 @@ func (s *Store) PutGraph(g *certify.Graph) (*Entry, error) {
 	if err != nil {
 		return nil, err
 	}
-	sh := s.shard(fp)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if e, ok := sh.entries[fp]; ok {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if e, ok := s.entries[fp]; ok {
 		return e, nil
 	}
-	if s.maxGraphs > 0 && s.count.Add(1) > int64(s.maxGraphs) {
-		s.count.Add(-1)
+	if s.maxGraphs > 0 && len(s.entries) >= s.maxGraphs {
 		return nil, ErrStoreFull
 	}
 	e := &Entry{fp: fp, g: g, certs: map[string]*certify.Certificate{}}
-	sh.entries[fp] = e
+	s.entries[fp] = e
 	return e, nil
 }
 
 // Replace installs e under its own fingerprint and removes the entry stored
 // under oldFp — the store-side commit of one PATCH generation: the edited
 // graph takes over the old configuration's slot under its new key, so later
-// requests find it by the fingerprint the PATCH response reported. Shards
-// are locked in index order, making concurrent Replace calls deadlock-free;
-// the capacity count is conserved (a move is not an ingest).
+// requests find it by the fingerprint the PATCH response reported.
 func (s *Store) Replace(oldFp uint64, e *Entry) {
-	iOld, iNew := oldFp&s.mask, e.fp&s.mask
-	first, second := &s.shards[iOld], &s.shards[iNew]
-	if iNew < iOld {
-		first, second = second, first
-	}
-	first.mu.Lock()
-	if second != first {
-		second.mu.Lock()
-	}
-	_, hadOld := s.shards[iOld].entries[oldFp]
-	delete(s.shards[iOld].entries, oldFp)
-	_, hadNew := s.shards[iNew].entries[e.fp]
-	s.shards[iNew].entries[e.fp] = e
-	if second != first {
-		second.mu.Unlock()
-	}
-	first.mu.Unlock()
-	delta := 0
-	if hadOld {
-		delta--
-	}
-	if !hadNew {
-		delta++
-	}
-	if delta != 0 {
-		s.count.Add(int64(delta))
-	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	delete(s.entries, oldFp)
+	s.entries[e.fp] = e
 }
 
 // Get returns the entry stored under the fingerprint.
 func (s *Store) Get(fp uint64) (*Entry, bool) {
-	sh := s.shard(fp)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	e, ok := sh.entries[fp]
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	e, ok := s.entries[fp]
 	return e, ok
 }
 
 // Len counts the stored graphs.
 func (s *Store) Len() int {
-	n := 0
-	for i := range s.shards {
-		s.shards[i].mu.RLock()
-		n += len(s.shards[i].entries)
-		s.shards[i].mu.RUnlock()
-	}
-	return n
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return len(s.entries)
 }
 
 // Entry is one stored configuration: the graph, its lazily built shared

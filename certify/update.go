@@ -2,7 +2,6 @@ package certify
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 
@@ -83,7 +82,9 @@ type Updater struct {
 // seen, and the engine never mutates the caller's graph). Every configured
 // property must hold on the initial graph — the Updater's invariant is that
 // the current generation certifies all of them — otherwise it fails with
-// ErrPropertyFails. ErrTooWide and cancellation follow Prove's contract.
+// ErrPropertyFails. ErrTooWide, ErrDisconnected and cancellation follow
+// Prove's contract; a single-vertex graph, on which no edit is valid, fails
+// with ErrBadEdit.
 func (c *Certifier) NewUpdater(ctx context.Context, g *Graph) (*Updater, error) {
 	if len(c.props) == 0 {
 		return nil, fmt.Errorf("%w: no properties configured (use WithProperty)", ErrBadConfig)
@@ -165,9 +166,6 @@ func (u *Updater) update(ctx context.Context, edits []Edit) (*UpdateStats, error
 	}
 	us, err := u.inc.UpdateBatch(ctx, ce)
 	if err != nil {
-		if errors.Is(err, core.ErrBadEdit) {
-			return nil, wrapErr(ErrBadEdit, err)
-		}
 		return nil, translateProveErr(err)
 	}
 	out := &UpdateStats{

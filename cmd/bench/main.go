@@ -8,13 +8,8 @@
 //	bench -exp e8,e9 -json   # also write BENCH_E8.json / BENCH_E9.json
 //	bench -exp e11 -json     # incremental recertification → BENCH_E11.json
 //
-// E10 is the certifyd load generator: it boots an in-process service (or
-// targets a running daemon with -url) and drives concurrent
-// prove→fetch→verify round trips:
-//
-//	bench -exp e10 -json                         # in-process service
-//	bench -exp e10 -url http://127.0.0.1:8080    # a booted certifyd
-//	bench -exp e10 -e10-levels 1 -e10-requests 1 # one CI round trip
+// E10, the closed-loop certifyd load generator, is retired: certbench's
+// open-loop service-mix workload (cmd/certbench) measures the service.
 //
 // E12 boots distnet clusters over loopback TCP (certify/distnet, the
 // multi-process runtime behind cmd/vertexd) and measures round time against
@@ -54,12 +49,11 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("bench", flag.ContinueOnError)
 	var (
-		exp      = fs.String("exp", "all", "experiments to run: comma-separated subset of e1..e13, or all")
+		exp      = fs.String("exp", "all", "experiments to run: comma-separated subset of e1..e9 and e11..e13, or all")
 		seed     = fs.Int64("seed", 1, "random seed")
-		jsonOut  = fs.Bool("json", false, "write the E8/E9/E10 series as machine-readable JSON")
+		jsonOut  = fs.Bool("json", false, "write the E8, E9 and E11–E13 series as machine-readable JSON")
 		jsonPath = fs.String("json-path", "BENCH_E8.json", "output path for the E8 series with -json")
 		e9Path   = fs.String("e9-json-path", "BENCH_E9.json", "output path for the E9 series with -json")
-		e10Path  = fs.String("e10-json-path", "BENCH_E10.json", "output path for the E10 series with -json")
 		e11Path  = fs.String("e11-json-path", "BENCH_E11.json", "output path for the E11 series with -json")
 		e11N     = fs.String("e11-ns", "1024,4096,16384", "E11: comma-separated graph sizes")
 		e12Path  = fs.String("e12-json-path", "BENCH_E12.json", "output path for the E12 series with -json")
@@ -69,10 +63,6 @@ func run(args []string) error {
 		e12Rates = fs.String("e12-rates", "0.1,0.3,0.6,1.0", "E12: comma-separated per-round fault-injection rates")
 		e13Path  = fs.String("e13-json-path", "BENCH_E13.json", "output path for the E13 series with -json")
 		e13N     = fs.Int("e13-n", 4096, "E13: approximate vertex count of the workload graph")
-		url      = fs.String("url", "", "E10: drive the certifyd at this base URL instead of an in-process service")
-		e10Level = fs.String("e10-levels", "1,2,4,8", "E10: comma-separated client concurrency levels")
-		e10Reqs  = fs.Int("e10-requests", 12, "E10: prove→fetch→verify round trips per client")
-		e10N     = fs.Int("e10-n", 256, "E10: approximate vertex count of the workload graph")
 		e1MaxN   = fs.Int("e1-max-n", 0, "E1: skip sweep sizes above this (0 = run the full sweep to 262144)")
 		e8MaxN   = fs.Int("e8-max-n", 0, "E8: skip sweep sizes above this (0 = run the full sweep to 10⁶; the committed BENCH_E8.json ends at 262144)")
 		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file")
@@ -234,24 +224,6 @@ func run(args []string) error {
 		}
 		ran = true
 	}
-	if want("e10") {
-		levels, err := parseLevels(*e10Level)
-		if err != nil {
-			return err
-		}
-		rows, err := runE10(out, *url, levels, *e10Reqs, *e10N)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(out)
-		if *jsonOut {
-			if err := writeJSON(*e10Path, rows); err != nil {
-				return err
-			}
-			fmt.Fprintf(out, "wrote %s\n", *e10Path)
-		}
-		ran = true
-	}
 	if want("e11") {
 		ns, err := parseLevels(*e11N)
 		if err != nil {
@@ -317,13 +289,14 @@ func run(args []string) error {
 	if !ran {
 		return fmt.Errorf("unknown experiment selection %q", *exp)
 	}
-	if *jsonOut && !want("e8") && !want("e9") && !want("e10") && !want("e11") && !want("e12") && !want("e13") {
-		return fmt.Errorf("-json requires the e8, e9, e10, e11, e12 or e13 experiment (got -exp %s)", *exp)
+	if *jsonOut && !want("e8") && !want("e9") && !want("e11") && !want("e12") && !want("e13") {
+		return fmt.Errorf("-json requires the e8, e9, e11, e12 or e13 experiment (got -exp %s)", *exp)
 	}
 	return nil
 }
 
-// parseLevels parses the E10 concurrency-level list.
+// parseLevels parses a comma-separated list of positive integers (E11's
+// graph sizes, E12's partition counts).
 func parseLevels(s string) ([]int, error) {
 	var out []int
 	for _, part := range strings.Split(s, ",") {
@@ -333,19 +306,19 @@ func parseLevels(s string) ([]int, error) {
 		}
 		c, err := strconv.Atoi(part)
 		if err != nil || c < 1 {
-			return nil, fmt.Errorf("bad concurrency level %q", part)
+			return nil, fmt.Errorf("bad list entry %q (want a positive integer)", part)
 		}
 		out = append(out, c)
 	}
 	if len(out) == 0 {
-		return nil, fmt.Errorf("empty concurrency level list %q", s)
+		return nil, fmt.Errorf("empty list %q", s)
 	}
 	return out, nil
 }
 
 // knownExps lists every -exp name in display order; "all" selects them all.
 var knownExps = []string{
-	"e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13",
+	"e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e11", "e12", "e13",
 }
 
 // parseRates parses the E12 fault-rate list.

@@ -15,10 +15,10 @@ func TestParseExpList(t *testing.T) {
 		{"all", "all", []string{"all"}, ""},
 		{"single", "e11", []string{"e11"}, ""},
 		{"subset", "e1,e8,e9", []string{"e1", "e8", "e9"}, ""},
-		{"case and spaces", " E2 , e10 ", []string{"e2", "e10"}, ""},
+		{"case and spaces", " E2 , e11 ", []string{"e2", "e11"}, ""},
 		{"trailing comma", "e3,", []string{"e3"}, ""},
 		{"unknown name", "e99", nil, `unknown experiment "e99"`},
-		{"typo lists valid names", "e1,ee2", nil, "valid: e1, e2, e3, e4, e5, e6, e7, e8, e9, e10, e11, e12, e13, all"},
+		{"typo lists valid names", "e1,ee2", nil, "valid: e1, e2, e3, e4, e5, e6, e7, e8, e9, e11, e12, e13, all"},
 		{"empty", "", nil, "empty experiment selection"},
 		{"only commas", ",,", nil, "empty experiment selection"},
 	}

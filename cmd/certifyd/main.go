@@ -1,8 +1,8 @@
 // Command certifyd is the HTTP/JSON certification service: a long-running
 // daemon that ingests graphs (edge-list or DIMACS via the graphio formats),
 // proves catalog properties on them through a bounded prover worker pool,
-// stores the resulting PLSC certificates in an in-process sharded store
-// keyed by configuration fingerprint, and verifies uploaded certificates
+// stores the resulting PLSC certificates in an in-process store keyed by
+// configuration fingerprint, and verifies uploaded certificates
 // against stored graphs. Backpressure is explicit: when the prove queue is
 // full the service answers 429 rather than buffering without bound, and
 // every request is cancellable end to end.
@@ -49,7 +49,6 @@ func run(args []string) error {
 		queue     = fs.Int("queue", 64, "pending prove queue depth (full queue answers 429)")
 		timeout   = fs.Duration("timeout", 60*time.Second, "per-request proving budget")
 		maxBody   = fs.Int64("max-body", 8<<20, "request body cap in bytes")
-		shards    = fs.Int("shards", 16, "certificate store shard count")
 		maxGraphs = fs.Int("max-graphs", 4096, "stored graph capacity (full store answers 507; -1 = unlimited)")
 		lanesMax  = fs.Int("lanes", certify.DefaultMaxLanes, "default lane budget for prove requests")
 		drain     = fs.Duration("drain", 10*time.Second, "graceful-shutdown drain deadline for in-flight requests")
@@ -62,7 +61,6 @@ func run(args []string) error {
 		QueueDepth:   *queue,
 		ProveTimeout: *timeout,
 		MaxBodyBytes: *maxBody,
-		StoreShards:  *shards,
 		MaxGraphs:    *maxGraphs,
 		MaxLanes:     *lanesMax,
 	})

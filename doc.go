@@ -17,9 +17,9 @@
 // daemon (package repro/certify/serve) that ingests graphs in the
 // repro/certify/graphio interchange formats (strictly validated edge-list
 // and DIMACS), proves catalog properties through a bounded prover worker
-// pool with queue backpressure, stores certificates in an in-process
-// sharded store keyed by configuration fingerprint, and verifies uploaded
-// certificates against stored graphs. Quickstart:
+// pool with queue backpressure, stores certificates in an in-process store
+// keyed by configuration fingerprint, and verifies uploaded certificates
+// against stored graphs. Quickstart:
 //
 //	go run ./cmd/certifyd &
 //	go run ./cmd/certify -graph ladder -n 20 -graph-out /tmp/g.txt
@@ -27,8 +27,8 @@
 //	curl -X POST -d '{"fingerprint":"<fp>","properties":["bipartite"]}' localhost:8080/v1/prove
 //	curl 'localhost:8080/v1/certificates/<fp>?props=bipartite' -o proof.plsc
 //
-// The cmd/bench -exp e10 load generator drives a certifyd concurrently and
-// records the throughput/latency series in BENCH_E10.json.
+// The certbench service-mix workload (cmd/certbench) drives an in-process
+// certifyd with open-loop traffic and measures it.
 //
 // The implementation lives in internal/ packages behind the facade (see
 // DESIGN.md for the map); cmd/certify, cmd/certifyd and cmd/bench are the

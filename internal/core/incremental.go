@@ -153,8 +153,13 @@ func NewIncremental(ctx context.Context, cfg *cert.Config, props []algebra.Prope
 	if opts.MaxLanes == 0 {
 		opts.MaxLanes = DefaultMaxLanes
 	}
-	if cfg.G.N() < 2 {
-		return nil, errors.New("core: incremental engine needs at least two vertices")
+	switch cfg.G.N() {
+	case 0:
+		return nil, fmt.Errorf("%w: empty graph", ErrDisconnected)
+	case 1:
+		// Every edit of a single vertex is invalid: an added edge would be
+		// a self-loop, and there is no edge to remove.
+		return nil, fmt.Errorf("%w: the incremental engine needs at least two vertices", ErrBadEdit)
 	}
 	inc := &Incremental{cfg: cfg, opts: opts}
 	seen := map[string]bool{}

@@ -23,6 +23,10 @@ var ErrPropertyFails = errors.New("core: property does not hold on this configur
 // within the scheme's lane budget.
 var ErrTooManyLanes = errors.New("core: lane partition exceeds the scheme's lane budget")
 
+// ErrDisconnected is returned when the graph is empty or disconnected: the
+// scheme certifies connected graphs only.
+var ErrDisconnected = errors.New("core: graph must be connected")
+
 // ErrStaleStructure is returned by ProveWithCtx when the structural proof was
 // built against an earlier generation of the graph: the graph mutated after
 // BuildStructureCtx, so the structure's decomposition, embedding and artifact

@@ -203,13 +203,13 @@ func buildGeneration(ctx context.Context, cfg *cert.Config, pd *interval.PathDec
 			return nil, err
 		}
 		if cfg.G.N() == 0 {
-			return nil, errors.New("core: empty graph")
+			return nil, fmt.Errorf("%w: empty graph", ErrDisconnected)
 		}
 		if cfg.G.N() == 1 {
 			return &generation{sp: &StructuralProof{Cfg: cfg, singleVertex: true, graphGen: cfg.G.Generation()}}, nil
 		}
 		if !cfg.G.Connected() {
-			return nil, errors.New("core: graph must be connected")
+			return nil, ErrDisconnected
 		}
 	}
 	g := cfg.G

@@ -2,8 +2,7 @@
 // DESIGN.md: each function regenerates the measurements that stand in for one
 // of the paper's quantitative claims (the paper is a theory result with no
 // measurement tables; see EXPERIMENTS.md for the mapping). The functions are
-// shared between cmd/bench and the root testing.B benchmarks. E10, the
-// service load generator, lives in cmd/bench because it drives HTTP.
+// shared between cmd/bench and the root testing.B benchmarks.
 package experiments
 
 import (
