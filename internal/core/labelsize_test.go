@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/algebra"
+	"repro/internal/bits"
 	"repro/internal/cert"
 	"repro/internal/gen"
 )
@@ -42,5 +43,130 @@ func TestLabelSizeEntryTable(t *testing.T) {
 	const v2Bits = 2632
 	if got := worstLabelBits(t, 8192); 5*got > 4*v2Bits {
 		t.Fatalf("worst label at n=8192 is %d bits, want ≤ 0.8 × %d", got, v2Bits)
+	}
+}
+
+// splitFields names the parts labelSplit divides a label's bits into, in
+// the order they are logged.
+var splitFields = []string{
+	"vertex ids", "node ids", "class ids", "embedding and pointing",
+	"id widths", "lane lists", "row indices", "rest",
+}
+
+// labelSplit accounts a label's bits by field, mirroring the encoder field
+// by field: vertex ids, node ids, class ids, the label's own embedding and
+// pointing fields, the gamma-coded id widths, lane lists, entry-table row
+// indices, and the rest (counts, kinds, flags, real bits, inputs, owner
+// positions). The parts sum to EdgeLabel.Bits exactly.
+func labelSplit(l *EdgeLabel) map[string]int {
+	s := map[string]int{}
+	rows, _ := l.table(nil, nil)
+	s["rest"] += bits.UvarintLen(uint64(len(rows))) + 1 // row count, own bit
+	for _, e := range rows {
+		entrySplit(s, e)
+	}
+	rw := rowWidth(len(rows))
+	certSplit := func(c *CEdgeLabel) {
+		s["rest"] += bits.UvarintLen(uint64(len(c.Path))) + bits.UvarintLen(uint64(c.OwnerPos))
+		s["row indices"] += len(c.Path) * rw
+	}
+	if l.Own != nil {
+		certSplit(l.Own)
+	}
+	width := l.idWidth()
+	s["id widths"] += bits.UvarintLen(uint64(width))
+	s["embedding and pointing"] += bits.UvarintLen(uint64(len(l.Emb))) + 1 // count, pointing bit
+	for _, e := range l.Emb {
+		s["embedding and pointing"] += 2*width + bits.UvarintLen(uint64(e.Fwd)) + bits.UvarintLen(uint64(e.Bwd))
+		certSplit(e.Payload)
+	}
+	if p := l.Pointing; p != nil {
+		s["embedding and pointing"] += 3*width + bits.UvarintLen(uint64(p.DU)) + bits.UvarintLen(uint64(p.DV))
+	}
+	return s
+}
+
+// entrySplit adds one node entry's bits to s, field by field as encodeRaw
+// writes them.
+func entrySplit(s map[string]int, e *NodeEntry) {
+	wd := e.widths()
+	class := func(id int) {
+		s["class ids"] += algebra.ClassHashBits + bits.UvarintLen(uint64(id)>>algebra.ClassHashBits)
+	}
+	lanes := func(ls []int) {
+		s["lane lists"] += bits.UvarintLen(uint64(len(ls)))
+		for _, l := range ls {
+			s["lane lists"] += bits.UvarintLen(uint64(l))
+		}
+	}
+	vertices := func(n int) { s["vertex ids"] += n * wd.vertex }
+	s["id widths"] += bits.UvarintLen(uint64(wd.vertex)) + bits.UvarintLen(uint64(wd.node))
+	s["node ids"] += wd.node
+	s["rest"] += 3 + 1 // kind, member bit
+	lanes(e.Lanes)
+	vertices(2 * len(e.Lanes))
+	class(e.ClassID)
+	child := func(c *ChildSummary) {
+		s["node ids"] += wd.node
+		lanes(c.Lanes)
+		vertices(2 * len(c.Lanes))
+		class(c.MergedClassID)
+	}
+	if e.member() {
+		s["node ids"] += wd.node
+		class(e.MergedClassID)
+		vertices(len(e.Lanes))
+		s["rest"] += bits.UvarintLen(uint64(len(e.Children)))
+		for i := range e.Children {
+			child(&e.Children[i])
+		}
+	}
+	s["rest"] += bits.UvarintLen(uint64(len(e.PathIDs))) + len(e.RealBits)
+	vertices(len(e.PathIDs))
+	for _, in := range e.VInputs {
+		s["rest"] += bits.UvarintLen(uint64(in))
+	}
+	s["rest"] += bits.UvarintLen(uint64(e.LaneI)) + bits.UvarintLen(uint64(e.LaneJ)) + 1 + 3 // BridgeReal, presence bits
+	for _, op := range []*OperandSummary{e.Left, e.Right} {
+		if op != nil {
+			s["node ids"] += wd.node
+			s["rest"] += 3 + bits.UvarintLen(uint64(op.Input))
+			lanes(op.Lanes)
+			vertices(2 * len(op.Lanes))
+			class(op.ClassID)
+		}
+	}
+	if e.RootMember != nil {
+		child(e.RootMember)
+	}
+}
+
+// TestLabelSizeSplit accounts the worst label at n=2048 and n=8192 by field
+// (EXPERIMENTS.md records the split) and pins that the parts sum to the
+// label's size exactly, so the accounting follows the encoder.
+func TestLabelSizeSplit(t *testing.T) {
+	for _, n := range []int{2048, 8192} {
+		g, _ := gen.IntervalGraph(rand.New(rand.NewSource(1)), n, 2)
+		labeling, stats, err := prove(NewScheme(algebra.Colorable{Q: 3}, 8), cert.NewConfig(g), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var worst *EdgeLabel
+		for _, e := range g.Edges() {
+			if el := labeling.Edges[e]; worst == nil || el.Bits() > worst.Bits() {
+				worst = el
+			}
+		}
+		if worst.Bits() != stats.MaxLabelBits {
+			t.Fatalf("n=%d: worst label %d bits, stats say %d", n, worst.Bits(), stats.MaxLabelBits)
+		}
+		split, sum := labelSplit(worst), 0
+		for _, f := range splitFields {
+			sum += split[f]
+			t.Logf("n=%d %-24s %5d bits", n, f, split[f])
+		}
+		if len(split) > len(splitFields) || sum != worst.Bits() {
+			t.Fatalf("n=%d: the split sums to %d bits over %d fields, the label has %d", n, sum, len(split), worst.Bits())
+		}
 	}
 }
