@@ -31,14 +31,17 @@ import (
 // Integers are unsigned varints; edges are sorted by endpoints, and each
 // label's bytes are the exact core.EncodeLabel bit stream, which
 // MarshalBinary writes straight into one exactly sized output buffer.
-// Version 3 is the label grammar with per-label entry tables: a label
-// writes each distinct node entry once, in first-use order, and each of
-// its certificates as row indices into that table. Entries keep version
-// 2's fixed-width identifiers: one varint width per identifier kind and
-// then each identifier in exactly that many bits, and a class id is a
-// 16-bit content hash plus a varint collision rank. There is no decoder
-// for versions 1 and 2 (version 2 wrote every certificate's entries in
-// full); their blobs fail with the unsupported-version error.
+// Version 4 is the label grammar with per-entry vertex-id dictionaries: a
+// label writes each distinct node entry once, in an entry table in
+// first-use order, and each of its certificates as row indices into that
+// table (as version 3 did); each entry writes its distinct vertex ids once,
+// in first-use order, and every vertex-id occurrence as an index into
+// them. Identifiers keep version 2's fixed widths: one varint width per
+// identifier kind and then each identifier in exactly that many bits, and
+// a class id is a 16-bit content hash plus a varint collision rank. There
+// is no decoder for versions 1 to 3 (version 3 wrote every vertex-id
+// occurrence in full); their blobs fail with the unsupported-version
+// error.
 // Decoding is strict — wrong magic, unknown version, truncation, trailing
 // bytes, CRC mismatch, or non-canonical label bytes all fail with
 // ErrBadCertificate — and a decoded certificate re-marshals
@@ -77,11 +80,11 @@ const MaxLaneBudget = 1 << 12
 // Wire-format constants.
 const (
 	certMagic   = "PLSC" // Proof Labeling Scheme Certificate
-	certVersion = 3
+	certVersion = 4
 
 	// Decode plausibility bounds; anything larger is rejected outright.
-	// maxLabelBits is ~520,000× the worst version-3 label of a
-	// 32768-vertex width-2 interval graph under 8 lanes (2065 bits);
+	// maxLabelBits is ~630,000× the worst version-4 label of a
+	// 32768-vertex width-2 interval graph under 8 lanes (1708 bits);
 	// minEdgeBytes below counts only an edge entry's u, v and bit-count
 	// varints, which the label grammar does not touch.
 	maxCertProps    = 1 << 10

@@ -7,6 +7,8 @@ import (
 	"errors"
 	"hash/crc32"
 	mathbits "math/bits"
+	"os"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -199,12 +201,20 @@ func TestOverWideCopyRejectedAfterInterning(t *testing.T) {
 		t.Fatal("the forged label's bytes are not in the marshaled blob")
 	}
 	r := bits.NewReader(data, nbits)
-	// The root entry is the first row of the label's entry table.
-	for _, field := range []string{"table row count", "vertex width", "node width"} {
-		if _, err := r.ReadUvarint(); err != nil {
+	// The root entry is the first row of the label's entry table. Its node
+	// id follows its two widths and its vertex-id dictionary.
+	read := func(field string) uint64 {
+		v, err := r.ReadUvarint()
+		if err != nil {
 			t.Fatalf("reading the %s: %v", field, err)
 		}
+		return v
 	}
+	read("table row count")
+	vertexWidth := read("vertex width")
+	read("node width")
+	dictBits := int(read("dictionary size") * vertexWidth)
+	r.Seek(r.Pos() + dictBits)
 	data[r.Pos()/8] &^= 1 << uint(7-r.Pos()%8)
 	if _, err := core.DecodeLabel(data, nbits); err == nil || !strings.Contains(err.Error(), "width") {
 		t.Fatalf("an over-wide node id width decoded, or failed for another reason: %v", err)
@@ -377,6 +387,37 @@ func TestCertificateVersion1Rejected(t *testing.T) {
 	err := c.UnmarshalBinary(blob)
 	if !errors.Is(err, ErrBadCertificate) || !strings.Contains(err.Error(), "unsupported format version 1") {
 		t.Fatalf("version 1 blob: %v", err)
+	}
+}
+
+// corpusBytes returns the value of a fuzz corpus file holding one []byte.
+func corpusBytes(t *testing.T, raw []byte) []byte {
+	t.Helper()
+	_, value, ok := bytes.Cut(raw, []byte("\n[]byte("))
+	quoted, ok2 := bytes.CutSuffix(bytes.TrimSpace(value), []byte(")"))
+	s, err := strconv.Unquote(string(quoted))
+	if !ok || !ok2 || err != nil {
+		t.Fatalf("not a one-[]byte corpus file (%v)", err)
+	}
+	return []byte(s)
+}
+
+// TestCertificateVersion3Rejected pins that version 3 (every vertex-id
+// occurrence written in full) has no decoder: the committed version-3
+// fuzz seed, an honest certificate of its day, fails on the version byte.
+func TestCertificateVersion3Rejected(t *testing.T) {
+	raw, err := os.ReadFile("testdata/fuzz/FuzzCertificateDecode/seed-v3-honest")
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob := corpusBytes(t, raw)
+	if len(blob) < 5 || blob[4] != 3 {
+		t.Fatalf("seed-v3-honest is not a version-3 blob")
+	}
+	var c Certificate
+	err = c.UnmarshalBinary(blob)
+	if !errors.Is(err, ErrBadCertificate) || !strings.Contains(err.Error(), "unsupported format version 3") {
+		t.Fatalf("version 3 blob: %v", err)
 	}
 }
 

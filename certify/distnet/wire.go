@@ -33,13 +33,13 @@ const (
 	// maxFramePayload caps any frame's declared payload: large enough for a
 	// full cut-label batch of the biggest supported partitions, small enough
 	// that a hostile peer cannot make a node reserve unbounded memory. With
-	// per-label entry tables (PLSC v3) the worst label of a 32768-vertex
-	// width-2 interval graph under 8 lanes is 2065 bits (~259 bytes), so
-	// one frame holds ~16,000 such labels.
+	// per-entry vertex-id dictionaries (PLSC v4) the worst label of a
+	// 32768-vertex width-2 interval graph under 8 lanes is 1708 bits (~214
+	// bytes), so one frame holds ~19,600 such labels.
 	maxFramePayload = 4 << 20
 
-	// maxLabelBits caps one shipped label encoding: 1<<22 bits is ~2,000×
-	// that 2065-bit v3 label, which grows by ~90 bits per doubling of n,
+	// maxLabelBits caps one shipped label encoding: 1<<22 bits is ~2,400×
+	// that 1708-bit v4 label, which grows by ~50 bits per doubling of n,
 	// so the cap sits far above any honest O(log n)-bit label.
 	maxLabelBits = 1 << 22
 	// maxWireRejected caps the rejected-vertex list one verdict frame

@@ -22,16 +22,16 @@ var goldenParallelism = []int{1, 2, 0}
 // Only a deliberate wire-format change may re-capture it; any other change
 // that moves a digest has changed what the prover emits.
 var goldenDigests = map[string]string{
-	"family/caterpillar": "c50c40008f938788c7f6509ed6f1fde47075e0ce9af5da7300b62a309d27a397",
-	"family/cycle":       "4c46d45ee8195afe00e4fae1a40563d60bf97ce57ea92f8b561437e949a38807",
-	"family/interval":    "d1bff4cb7bcdd26adec3933f2ac06979679ff380a32a9ac8abc5760ce5e32248",
-	"family/ladder":      "eb0e4ff6767c673ea1a111f5a86222a1970de5122fe698af42cc4c4ee6769c7a",
-	"family/lobster":     "a425934f0563bae0d8f35aeeac8717a0c9288df43e82e3a8879511b20e7bd849",
-	"family/path":        "afab1c6f70d363231d7c477a370c32271fcaaa8dfb4a8a444cf35be99528331f",
-	"family/spider":      "8b6bc2b4f05fbb0a9286a7e6f44d46889bb23e230d97032c3ba6d0c1422cde83",
-	"pair/ladder":        "f6246ee8b797f8f256d47ab16f1a0da079633ee26c9ae595bdcf5b5830464937",
-	"updater/ladder10":   "3ff92b09565db9ecbaf9085a83a939a54093c29c32dfb0bfeff850e5211158d2",
-	"updater/ladder200":  "ed92d4657f0c37caf6c2fc19c4a6b946fd201754d8dfd134e2bf8c3cbcdff5a3",
+	"family/caterpillar": "1d28a2bd69132e7f06ef49ed1cf61cbbbf40e7fb5bf0652f33a90423403ac0ea",
+	"family/cycle":       "b0e70d18af2b72068c1f5bcd18841f4de64ff0425382c74d4a2b0689a83f71bd",
+	"family/interval":    "33113a4be818af2bb6211a03497572ebe9782c5361805e811cb53b58c1df3cae",
+	"family/ladder":      "ddf43afafad463a82daba0d22ceda4adaa8556a7f808063f40549b8f85cfb71a",
+	"family/lobster":     "837c34a7c4dbd8ceec6bd47ba5946d70850046152e26da801c905af65d25c48c",
+	"family/path":        "be40ebac6b080f2a10fd6ed41994f995c1dfbdeb9fbaaeb95fb8290414913b75",
+	"family/spider":      "9d536921a93c402e35533341ea905db033efb463f914aa87cc9f1288776b6bc7",
+	"pair/ladder":        "b8ac16107bc73144a86259fd21945a8e2d362e33e11a92c976756f347aa2ee54",
+	"updater/ladder10":   "dd1a599a5f4a4c5cc5f1f7b19b07e15b0978e7c98b008f78dec98e7d925b7387",
+	"updater/ladder200":  "7393dee00faf1cddf4580efe00b09059c9400d21b2e20c4d785765c5f4946002",
 }
 
 func certDigest(t *testing.T, crt *Certificate) string {

@@ -133,16 +133,40 @@ type hostileLabelPayload struct {
 // writeTinyEntry writes an entry of the smallest shape, no ids but its node
 // id, in that id's own width.
 func writeTinyEntry(w *bits.Writer, nodeID uint64) {
-	nodeWidth := mathbits.Len64(nodeID)
-	w.WriteUvarint(0) // vertex id width
+	writePathEntry(w, nodeID, nil)
+}
+
+// writePathEntry writes an entry whose only vertex ids are its path ids:
+// a dictionary of the given ids in the widest one's width, then one path
+// id per index in rows, each in the dictionary's index width. Its node id
+// is written in that id's own width.
+func writePathEntry(w *bits.Writer, nodeID uint64, dict []uint64, rows ...uint64) {
+	vertexWidth, nodeWidth := 0, mathbits.Len64(nodeID)
+	for _, id := range dict {
+		vertexWidth = max(vertexWidth, mathbits.Len64(id))
+	}
+	w.WriteUvarint(uint64(vertexWidth))
 	w.WriteUvarint(uint64(nodeWidth))
+	w.WriteUvarint(uint64(len(dict)))
+	for _, id := range dict {
+		w.WriteUint(id, vertexWidth)
+	}
 	w.WriteUint(nodeID, nodeWidth)
 	w.WriteUint(0, 3) // kind
 	w.WriteUvarint(0) // lanes
 	w.WriteUint(7, 16)
 	w.WriteUvarint(0) // collision rank
 	w.WriteBit(false) // not a tree member
-	w.WriteUvarint(0) // path ids
+	w.WriteUvarint(uint64(len(rows)))
+	for _, r := range rows {
+		w.WriteUint(r, mathbits.Len(uint(max(len(dict), 1)-1)))
+	}
+	for range max(len(rows)-1, 0) {
+		w.WriteBit(false) // a virtual path edge
+	}
+	for range rows {
+		w.WriteUvarint(0) // the path vertex's input
+	}
 	w.WriteUvarint(0) // LaneI
 	w.WriteUvarint(0) // LaneJ
 	for range 4 {
@@ -150,14 +174,10 @@ func writeTinyEntry(w *bits.Writer, nodeID uint64) {
 	}
 }
 
-// tableLabel writes a label whose entry table holds a tiny entry per node
-// id and whose own certificate's path is the given rows, each in rw bits.
-func tableLabel(nodeIDs []uint64, rw int, rows ...uint64) *bits.Writer {
-	w := new(bits.Writer)
-	w.WriteUvarint(uint64(len(nodeIDs)))
-	for _, id := range nodeIDs {
-		writeTinyEntry(w, id)
-	}
+// ownLabel ends a label after its entry table: an own certificate whose
+// path is the given rows, each in rw bits, and no embedding entries or
+// pointing label.
+func ownLabel(w *bits.Writer, rw int, rows ...uint64) *bits.Writer {
 	w.WriteBit(true)
 	w.WriteUvarint(uint64(len(rows)))
 	for _, r := range rows {
@@ -170,11 +190,33 @@ func tableLabel(nodeIDs []uint64, rw int, rows ...uint64) *bits.Writer {
 	return w
 }
 
+// tableLabel writes a label whose entry table holds a tiny entry per node
+// id and whose own certificate's path is the given rows, each in rw bits.
+func tableLabel(nodeIDs []uint64, rw int, rows ...uint64) *bits.Writer {
+	w := new(bits.Writer)
+	w.WriteUvarint(uint64(len(nodeIDs)))
+	for _, id := range nodeIDs {
+		writeTinyEntry(w, id)
+	}
+	return ownLabel(w, rw, rows...)
+}
+
+// dictLabel writes a label whose one entry's path ids are the given
+// indices into a dictionary of the given ids.
+func dictLabel(dict []uint64, rows ...uint64) *bits.Writer {
+	w := new(bits.Writer)
+	w.WriteUvarint(1) // table rows
+	writePathEntry(w, 1, dict, rows...)
+	return ownLabel(w, 0, 0)
+}
+
 // hostileLabelPayloads returns label bit streams with an id width of 65
 // or more, an id width wider than the ids it carries, a class collision
-// rank far past any id an int can hold, and entry tables that lie: a row
+// rank far past any id an int can hold, entry tables that lie — a row
 // index past the table, an unused row, rows used out of table order, a
-// repeated row, and a row count far past the bits that follow.
+// repeated row, and a row count far past the bits that follow — and
+// vertex dictionaries that lie the same five ways, plus a width-0
+// dictionary declaring two ids.
 func hostileLabelPayloads() map[string]hostileLabelPayload {
 	out := map[string]hostileLabelPayload{}
 
@@ -204,6 +246,7 @@ func hostileLabelPayloads() map[string]hostileLabelPayload {
 	w.WriteUvarint(1)       // table rows
 	w.WriteUvarint(0)       // vertex id width
 	w.WriteUvarint(0)       // node id width
+	w.WriteUvarint(0)       // empty vertex dictionary
 	w.WriteUint(0, 3)       // kind
 	w.WriteUvarint(0)       // lanes
 	w.WriteUint(7, 16)      // class hash
@@ -225,6 +268,27 @@ func hostileLabelPayloads() map[string]hostileLabelPayload {
 	w.WriteUvarint(1 << 40) // table rows
 	w.WriteUint(0, 64)
 	out["huge table row count"] = hostileLabelPayload{w, "entry table of"}
+
+	out["vertex index past the dictionary"] = hostileLabelPayload{dictLabel([]uint64{1, 2, 3}, 0, 1, 3), "vertex index 3"}
+	out["unused dictionary row"] = hostileLabelPayload{dictLabel([]uint64{1, 2}, 0), "used by no id"}
+	out["dictionary rows out of first-use order"] = hostileLabelPayload{dictLabel([]uint64{1, 2}, 1, 0), "used before row"}
+	out["duplicate dictionary id"] = hostileLabelPayload{dictLabel([]uint64{2, 2}, 0, 1), "not canonically encoded"}
+
+	// Dictionary sizes past the bits that follow, and past the ids a
+	// width of 0 can hold.
+	for name, width := range map[string]uint64{"huge dictionary": 40, "width-0 dictionary of two ids": 0} {
+		size := uint64(1 << 40)
+		if width == 0 {
+			size = 2
+		}
+		w = new(bits.Writer)
+		w.WriteUvarint(1)     // table rows
+		w.WriteUvarint(width) // vertex id width
+		w.WriteUvarint(1)     // node id width
+		w.WriteUvarint(size)
+		w.WriteUint(0, 64)
+		out[name] = hostileLabelPayload{w, "vertex dictionary of"}
+	}
 	return out
 }
 
@@ -273,6 +337,9 @@ func TestHostileLabelFieldsRejected(t *testing.T) {
 	var c Certificate
 	if err := c.UnmarshalBinary(oneLabelBlob(tableLabel([]uint64{1, 2}, 1, 0, 1))); err != nil {
 		t.Fatalf("a two-row table used in order is rejected: %v", err)
+	}
+	if err := c.UnmarshalBinary(oneLabelBlob(dictLabel([]uint64{1, 2, 3}, 0, 1, 2))); err != nil {
+		t.Fatalf("a three-id dictionary used in order is rejected: %v", err)
 	}
 	blobs := hostileBlobs()
 	for name, payload := range hostileLabelPayloads() {

@@ -80,6 +80,12 @@ type Decoder struct {
 	wd               idWidths
 	widestV, widestN uint64
 
+	// Vertex-id dictionary of the entry being parsed, the width of an
+	// index into it, and the number of its rows used so far.
+	dict     []uint64
+	dictRW   int
+	dictUsed int
+
 	// Write-only targets of the skip pass.
 	lanes  []int
 	skip   NodeEntry
@@ -96,6 +102,7 @@ type entryRef struct {
 // minEntryBits is the fewest bits a node entry can take. It bounds the row
 // count a label may declare by the bits that remain.
 const minEntryBits = 2 + // vertex and node id widths of 0
+	1 + // empty vertex-id dictionary
 	3 + // kind
 	1 + // empty lane list
 	algebra.ClassHashBits + 1 + // class id of rank 0
@@ -325,6 +332,9 @@ func (d *Decoder) parseEntry(r *bits.Reader, build bool) (*NodeEntry, error) {
 		return nil, err
 	}
 	d.widestV, d.widestN = 0, 0
+	if err := d.parseDict(r); err != nil {
+		return nil, err
+	}
 	id, err := d.nodeID(r)
 	if err != nil {
 		return nil, err
@@ -456,6 +466,9 @@ func (d *Decoder) parseEntry(r *bits.Reader, build bool) (*NodeEntry, error) {
 			*e.RootMember = rm
 		}
 	}
+	if d.dictUsed != len(d.dict) {
+		return nil, fmt.Errorf("core: vertex dictionary row %d of %d is used by no id", d.dictUsed, len(d.dict))
+	}
 	if err := checkWidth("entry vertex", d.wd.vertex, d.widestV); err != nil {
 		return nil, err
 	}
@@ -507,14 +520,54 @@ func readClassID(r *bits.Reader) (int, error) {
 	return int(rank<<algebra.ClassHashBits | hash), nil
 }
 
-// vertexID and nodeID read one id of the entry being parsed, in the
-// entry's width for its kind, and track the widest id read.
-func (d *Decoder) vertexID(r *bits.Reader) (uint64, error) {
-	v, err := r.ReadUint(d.wd.vertex)
-	d.widestV = max(d.widestV, v)
-	return v, err
+// parseDict reads the vertex-id dictionary of the entry being parsed into
+// the reused d.dict: its size, bounded by the bits that remain at the
+// entry's vertex width and by the ids that width can hold before the
+// buffer grows, then each id in that width.
+func (d *Decoder) parseDict(r *bits.Reader) error {
+	n, err := r.ReadUvarint()
+	if err != nil {
+		return err
+	}
+	width := d.wd.vertex
+	if n > uint64(r.Remaining()/max(1, width)) || width < 64 && n > 1<<width {
+		return fmt.Errorf("core: vertex dictionary of %d ids at width %d in %d remaining bits", n, width, r.Remaining())
+	}
+	d.dict, d.dictRW, d.dictUsed = d.dict[:0], rowWidth(int(n)), 0
+	for i := uint64(0); i < n; i++ {
+		v, err := r.ReadUint(width)
+		if err != nil {
+			return err
+		}
+		d.widestV = max(d.widestV, v)
+		d.dict = append(d.dict, v)
+	}
+	return nil
 }
 
+// vertexID reads one vertex-id occurrence of the entry being parsed: an
+// index into its dictionary, in exactly the dictionary's index width.
+// Rows must be first used in dictionary order, so the occurrences
+// determine the dictionary's order.
+func (d *Decoder) vertexID(r *bits.Reader) (uint64, error) {
+	i, err := r.ReadUint(d.dictRW)
+	if err != nil {
+		return 0, err
+	}
+	if i >= uint64(len(d.dict)) {
+		return 0, fmt.Errorf("core: vertex index %d in a %d-id dictionary", i, len(d.dict))
+	}
+	if i > uint64(d.dictUsed) {
+		return 0, fmt.Errorf("core: vertex dictionary row %d used before row %d", i, d.dictUsed)
+	}
+	if i == uint64(d.dictUsed) {
+		d.dictUsed++
+	}
+	return d.dict[i], nil
+}
+
+// nodeID reads one node id of the entry being parsed, in the entry's node
+// id width, and tracks the widest node id read.
 func (d *Decoder) nodeID(r *bits.Reader) (uint64, error) {
 	v, err := r.ReadUint(d.wd.node)
 	d.widestN = max(d.widestN, v)

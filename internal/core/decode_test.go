@@ -124,17 +124,36 @@ type hostileLabel struct {
 // writeMinEntry writes a minimal node entry with one node id and one path
 // vertex id (1), its ids in the given widths.
 func writeMinEntry(w *bits.Writer, vertexWidth, nodeWidth int, nodeID uint64) {
+	writePathEntry(w, vertexWidth, nodeWidth, nodeID, 1, []uint64{1}, 0)
+}
+
+// writePathEntry writes a node entry whose only vertex ids are its path
+// ids: a dictionary declaring size ids and holding dict, each in
+// vertexWidth bits, then one path id per index in rows, each in the index
+// width of a dictionary of that size.
+func writePathEntry(w *bits.Writer, vertexWidth, nodeWidth int, nodeID, size uint64, dict []uint64, rows ...uint64) {
 	w.WriteUvarint(uint64(vertexWidth))
 	w.WriteUvarint(uint64(nodeWidth))
+	w.WriteUvarint(size)
+	for _, id := range dict {
+		w.WriteUint(id, vertexWidth)
+	}
 	w.WriteUint(nodeID, nodeWidth)
 	w.WriteUint(uint64(lanewidth.TNode), 3)
 	w.WriteUvarint(0) // no lanes, so no lane-aligned ids
 	w.WriteUint(1, algebra.ClassHashBits)
 	w.WriteUvarint(0)
 	w.WriteBit(false) // not a tree member
-	w.WriteUvarint(1)
-	w.WriteUint(1, vertexWidth)
-	w.WriteUvarint(0) // the path vertex's input
+	w.WriteUvarint(uint64(len(rows)))
+	for _, r := range rows {
+		w.WriteUint(r, rowWidth(int(size)))
+	}
+	for range max(len(rows)-1, 0) {
+		w.WriteBit(false) // the path edge is virtual
+	}
+	for range rows {
+		w.WriteUvarint(0) // the path vertex's input
+	}
 	w.WriteUvarint(0) // LaneI
 	w.WriteUvarint(0) // LaneJ
 	w.WriteBit(false) // BridgeReal
@@ -158,8 +177,8 @@ func writeOwnTail(w *bits.Writer, rw int, rows ...uint64) {
 	w.WriteBit(false) // no pointing label
 }
 
-// hostileLabels returns label streams whose width, rank or entry-table
-// fields lie. Every other field is honest, so the named check is the one
+// hostileLabels returns label streams whose width, rank, entry-table or
+// vertex-dictionary fields lie. Every other field is honest, so the named check is the one
 // that fires.
 func hostileLabels(t *testing.T) map[string]hostileLabel {
 	t.Helper()
@@ -236,6 +255,7 @@ func hostileLabels(t *testing.T) map[string]hostileLabel {
 	w = ownEntry()
 	w.WriteUvarint(0)
 	w.WriteUvarint(0)
+	w.WriteUvarint(0) // empty vertex dictionary
 	w.WriteUint(uint64(lanewidth.TNode), 3)
 	w.WriteUvarint(0)
 	w.WriteUint(0, algebra.ClassHashBits)
@@ -245,6 +265,7 @@ func hostileLabels(t *testing.T) map[string]hostileLabel {
 	w = ownEntry()
 	w.WriteUvarint(0)
 	w.WriteUvarint(0)
+	w.WriteUvarint(0) // empty vertex dictionary
 	w.WriteUint(uint64(lanewidth.TNode), 3)
 	w.WriteUvarint(0)
 	w.WriteUint(0, algebra.ClassHashBits)
@@ -285,6 +306,40 @@ func hostileLabels(t *testing.T) map[string]hostileLabel {
 	var huge bits.Writer
 	huge.WriteUvarint(1 << 40)
 	add("huge row count", "entry table of", &huge)
+
+	// Vertex dictionaries. dictLabel writes a label whose one entry's path
+	// ids are the given indices into a dictionary of the given ids.
+	dictLabel := func(dict []uint64, rows ...uint64) *bits.Writer {
+		w := ownEntry()
+		writePathEntry(w, 2, 1, 1, uint64(len(dict)), dict, rows...)
+		writeOwnTail(w, 0, 0)
+		return w
+	}
+	w = dictLabel([]uint64{1, 2, 3}, 0, 1, 2)
+	if err := decodeCanonical(new(Decoder), w.Bytes(), w.Bits()); err != nil {
+		t.Fatalf("a three-id dictionary used in order does not decode canonically: %v", err)
+	}
+	add("vertex index past the dictionary", "vertex index 3", dictLabel([]uint64{1, 2, 3}, 0, 1, 3))
+	add("unused dictionary row", "used by no id", dictLabel([]uint64{1, 2}, 0))
+	add("dictionary rows out of first-use order", "used before row", dictLabel([]uint64{1, 2}, 1, 0))
+	add("duplicate dictionary id", "", dictLabel([]uint64{2, 2}, 0, 1))
+
+	// A dictionary size far past the bits that follow, and one past the
+	// ids a width of 0 can hold. Both streams end in 64 zero bits, so only
+	// the size's bounds can reject them.
+	w = ownEntry()
+	w.WriteUvarint(40)
+	w.WriteUvarint(1)
+	w.WriteUvarint(1 << 40)
+	w.WriteUint(0, 64)
+	add("huge dictionary", "vertex dictionary of", w)
+
+	w = ownEntry()
+	w.WriteUvarint(0)
+	w.WriteUvarint(1)
+	w.WriteUvarint(2)
+	w.WriteUint(0, 64)
+	add("width-0 dictionary of two ids", "vertex dictionary of 2 ids at width 0", w)
 	return out
 }
 
@@ -294,6 +349,7 @@ func TestMinEntryBits(t *testing.T) {
 	var w bits.Writer
 	w.WriteUvarint(0)
 	w.WriteUvarint(0)
+	w.WriteUvarint(0) // empty vertex dictionary
 	w.WriteUint(uint64(lanewidth.TNode), 3)
 	w.WriteUvarint(0) // no lanes
 	w.WriteUint(0, algebra.ClassHashBits)
@@ -332,13 +388,15 @@ func decodeCanonical(d *Decoder, data []byte, nbits int) error {
 var errNotCanonical = errors.New("re-encoding differs")
 
 // TestDecodeRejectsHostileWidthsAndRanks pins the checks of the fixed-width
-// fields and the entry table: an id width above 64, an id width wider than
-// the widest id it carries (a second encoding of the same ids), a
-// collision rank whose id does not fit an int, a row index past the table,
-// a row no certificate uses, rows used out of table order, a row count the
-// remaining bits cannot hold, and a repeated row (which decodes, its rows
-// interned to one entry, and fails the re-encode check) are each rejected —
-// without a panic, and without an allocation sized by the lying field.
+// fields, the entry table and the vertex dictionaries: an id width above
+// 64, an id width wider than the widest id it carries (a second encoding
+// of the same ids), a collision rank whose id does not fit an int, a row
+// or vertex index past its table or dictionary, a row no certificate or
+// dictionary id no occurrence uses, rows used out of order, a row count or
+// dictionary size the remaining bits (or, for a dictionary, its width)
+// cannot hold, and a repeated row or dictionary id (which decodes and
+// fails the re-encode check) are each rejected — without a panic, and
+// without an allocation sized by the lying field.
 func TestDecodeRejectsHostileWidthsAndRanks(t *testing.T) {
 	for name, h := range hostileLabels(t) {
 		t.Run(strings.ReplaceAll(name, " ", "-"), func(t *testing.T) {

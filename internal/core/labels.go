@@ -201,13 +201,19 @@ func (l *Labeling) MaxBits() int {
 // Identifiers are close to uniform, so the wire writes them in a fixed
 // width instead of a varint: each node entry writes the bit length of its
 // largest vertex id and of its largest node id, each an Elias-gamma varint,
-// and then every vertex id and node id in exactly that many bits. The
-// widths are per entry, so an entry's encoding stays self-contained (the
-// prover and the Decoder share entries by their exact bits) and the decoder
-// can require each width to be exactly the bit length of the entry's widest
-// id, which keeps the encoding canonical. Edge labels do the same for their
-// own vertex ids. Class ids are written as a fixed-width content hash plus
-// a varint collision rank (writeClassID).
+// and then every node id in exactly that many bits. Vertex ids repeat
+// inside an entry (a node's in and out terminals reappear in its children's,
+// operands' and root member's summaries), so an entry writes its distinct
+// vertex ids once, as a dictionary — their count, then each id in the
+// vertex width, in first-use order — and every vertex-id occurrence as an
+// index into it in exactly rowWidth(count) bits. The widths and the
+// dictionary are per entry, so an entry's encoding stays self-contained (the
+// prover and the Decoder share entries by their exact bits), and the
+// decoder can require each width to be exactly the bit length of the
+// entry's widest id and the dictionary to be used in its own order, which
+// keeps the encoding canonical. Edge labels write their own vertex ids in
+// one fixed width of their own. Class ids are written as a fixed-width
+// content hash plus a varint collision rank (writeClassID).
 //
 // A label writes each distinct node entry once: an entry table of its
 // entries in first-use order (its own certificate's path, then each
@@ -216,25 +222,73 @@ func (l *Labeling) MaxBits() int {
 // position. The certificates of one label share most of their root-side
 // entries, so the table is what keeps a label's size near one path.
 
-// writeIDs emits one id per lane from a lane-aligned slice, each in width
-// bits. The wire always carries exactly one id per lane; a missing id is
-// written as zero.
-func writeIDs(w *bits.Writer, width int, lanes []int, ids []uint64) {
+// vertexDict is a node entry's vertex-id dictionary: its distinct vertex
+// ids in first-use order, and the width of an index into them. Ids are
+// found by a linear scan up to linearRows of them; larger dictionaries
+// (hostile decoded entries) switch to a map so encoding stays linear.
+type vertexDict struct {
+	ids   []uint64
+	index map[uint64]int
+	rw    int
+}
+
+// find returns the index of id in the dictionary, or -1.
+func (d vertexDict) find(id uint64) int {
+	if d.index == nil {
+		return slices.Index(d.ids, id)
+	}
+	if i, ok := d.index[id]; ok {
+		return i
+	}
+	return -1
+}
+
+// with returns the dictionary with id appended unless it holds id already.
+// Dictionaries are passed by value while they grow, so a caller's stack
+// buffer stays on the stack.
+func (d vertexDict) with(id uint64) vertexDict {
+	if d.find(id) >= 0 {
+		return d
+	}
+	d.ids = append(d.ids, id)
+	switch {
+	case d.index != nil:
+		d.index[id] = len(d.ids) - 1
+	case len(d.ids) > linearRows:
+		d.index = make(map[uint64]int, 2*len(d.ids))
+		for i, v := range d.ids {
+			d.index[v] = i
+		}
+	}
+	return d
+}
+
+// width returns the bit length of the dictionary's widest id: the width
+// the entry writes its dictionary in.
+func (d vertexDict) width() int {
+	var widest uint64
+	for _, id := range d.ids {
+		widest = max(widest, id)
+	}
+	return mathbits.Len64(widest)
+}
+
+// writeIDs emits one id per lane from a lane-aligned slice, each as its
+// index in the entry's dictionary. The wire always carries exactly one id
+// per lane; a missing id is the vertex id zero.
+func writeIDs(w *bits.Writer, dict *vertexDict, lanes []int, ids []uint64) {
+	laneIDs(lanes, ids, func(id uint64) { w.WriteUint(uint64(dict.find(id)), dict.rw) })
+}
+
+// laneIDs calls f on the id writeIDs writes for each lane.
+func laneIDs(lanes []int, ids []uint64, f func(uint64)) {
 	for i := range lanes {
 		var id uint64
 		if i < len(ids) {
 			id = ids[i]
 		}
-		w.WriteUint(id, width)
+		f(id)
 	}
-}
-
-// maxIDs folds the ids writeIDs writes for these lanes into acc.
-func maxIDs(acc uint64, lanes []int, ids []uint64) uint64 {
-	for _, id := range ids[:min(len(ids), len(lanes))] {
-		acc = max(acc, id)
-	}
-	return acc
 }
 
 // writeClassID emits a class id as its content hash in exactly
@@ -255,60 +309,84 @@ func writeLanes(w *bits.Writer, lanes []int) {
 // and its node ids in.
 type idWidths struct{ vertex, node int }
 
-func (c *ChildSummary) encode(w *bits.Writer, wd idWidths) {
-	w.WriteUint(uint64(c.NodeID), wd.node)
+func (c *ChildSummary) encode(w *bits.Writer, nodeWidth int, dict *vertexDict) {
+	w.WriteUint(uint64(c.NodeID), nodeWidth)
 	writeLanes(w, c.Lanes)
-	writeIDs(w, wd.vertex, c.Lanes, c.InIDs)
-	writeIDs(w, wd.vertex, c.Lanes, c.MergedOutIDs)
+	writeIDs(w, dict, c.Lanes, c.InIDs)
+	writeIDs(w, dict, c.Lanes, c.MergedOutIDs)
 	writeClassID(w, c.MergedClassID)
 }
 
-func (c *ChildSummary) maxIDs(v, node uint64) (uint64, uint64) {
-	return maxIDs(maxIDs(v, c.Lanes, c.InIDs), c.Lanes, c.MergedOutIDs), max(node, uint64(c.NodeID))
-}
-
-func (o *OperandSummary) encode(w *bits.Writer, wd idWidths) {
-	w.WriteUint(uint64(o.NodeID), wd.node)
+func (o *OperandSummary) encode(w *bits.Writer, nodeWidth int, dict *vertexDict) {
+	w.WriteUint(uint64(o.NodeID), nodeWidth)
 	w.WriteUint(uint64(o.Kind), 3)
 	writeLanes(w, o.Lanes)
-	writeIDs(w, wd.vertex, o.Lanes, o.InIDs)
-	writeIDs(w, wd.vertex, o.Lanes, o.OutIDs)
+	writeIDs(w, dict, o.Lanes, o.InIDs)
+	writeIDs(w, dict, o.Lanes, o.OutIDs)
 	writeClassID(w, o.ClassID)
 	w.WriteUvarint(uint64(o.Input))
-}
-
-func (o *OperandSummary) maxIDs(v, node uint64) (uint64, uint64) {
-	return maxIDs(maxIDs(v, o.Lanes, o.InIDs), o.Lanes, o.OutIDs), max(node, uint64(o.NodeID))
 }
 
 // member reports whether the entry is a member of a T-node's tree. Only
 // members write the tree-member fields.
 func (n *NodeEntry) member() bool { return n.ParentID != -1 }
 
-// widths returns the bit lengths of the largest vertex id and the largest
-// node id the entry writes.
-func (n *NodeEntry) widths() idWidths {
-	v := maxIDs(maxIDs(0, n.Lanes, n.InIDs), n.Lanes, n.OutIDs)
-	node := uint64(n.NodeID)
+// operands returns the entry's B-node operand slots in wire order.
+func (n *NodeEntry) operands() [2]*OperandSummary { return [2]*OperandSummary{n.Left, n.Right} }
+
+// vertexIDs calls f on every vertex-id occurrence the entry writes, in
+// wire order.
+func (n *NodeEntry) vertexIDs(f func(uint64)) {
+	laneIDs(n.Lanes, n.InIDs, f)
+	laneIDs(n.Lanes, n.OutIDs, f)
 	if n.member() {
-		v = maxIDs(v, n.Lanes, n.MergedOutIDs)
-		node = max(node, uint64(n.ParentID))
+		laneIDs(n.Lanes, n.MergedOutIDs, f)
 		for i := range n.Children {
-			v, node = n.Children[i].maxIDs(v, node)
+			laneIDs(n.Children[i].Lanes, n.Children[i].InIDs, f)
+			laneIDs(n.Children[i].Lanes, n.Children[i].MergedOutIDs, f)
 		}
 	}
 	for _, id := range n.PathIDs {
-		v = max(v, id)
+		f(id)
 	}
-	for _, op := range []*OperandSummary{n.Left, n.Right} {
+	for _, op := range n.operands() {
 		if op != nil {
-			v, node = op.maxIDs(v, node)
+			laneIDs(op.Lanes, op.InIDs, f)
+			laneIDs(op.Lanes, op.OutIDs, f)
+		}
+	}
+	if rm := n.RootMember; rm != nil {
+		laneIDs(rm.Lanes, rm.InIDs, f)
+		laneIDs(rm.Lanes, rm.MergedOutIDs, f)
+	}
+}
+
+// nodeWidth returns the bit length of the largest node id the entry writes.
+func (n *NodeEntry) nodeWidth() int {
+	node := uint64(n.NodeID)
+	if n.member() {
+		node = max(node, uint64(n.ParentID))
+		for i := range n.Children {
+			node = max(node, uint64(n.Children[i].NodeID))
+		}
+	}
+	for _, op := range n.operands() {
+		if op != nil {
+			node = max(node, uint64(op.NodeID))
 		}
 	}
 	if n.RootMember != nil {
-		v, node = n.RootMember.maxIDs(v, node)
+		node = max(node, uint64(n.RootMember.NodeID))
 	}
-	return idWidths{vertex: mathbits.Len64(v), node: mathbits.Len64(node)}
+	return mathbits.Len64(node)
+}
+
+// dictionary builds the entry's vertex-id dictionary into buf.
+func (n *NodeEntry) dictionary(buf []uint64) vertexDict {
+	dict := vertexDict{ids: buf[:0]}
+	n.vertexIDs(func(id uint64) { dict = dict.with(id) })
+	dict.rw = rowWidth(len(dict.ids))
+	return dict
 }
 
 // encode appends the entry's canonical encoding, memoized on first use.
@@ -320,28 +398,34 @@ func (n *NodeEntry) encode(w *bits.Writer) {
 // encodeRaw is the bit-level definition of the entry's canonical encoding;
 // callers go through encode/Key, which cache its output.
 func (n *NodeEntry) encodeRaw(w *bits.Writer) {
-	wd := n.widths()
-	w.WriteUvarint(uint64(wd.vertex))
-	w.WriteUvarint(uint64(wd.node))
-	w.WriteUint(uint64(n.NodeID), wd.node)
+	var buf [linearRows]uint64
+	dict := n.dictionary(buf[:])
+	vw, nw := dict.width(), n.nodeWidth()
+	w.WriteUvarint(uint64(vw))
+	w.WriteUvarint(uint64(nw))
+	w.WriteUvarint(uint64(len(dict.ids)))
+	for _, id := range dict.ids {
+		w.WriteUint(id, vw)
+	}
+	w.WriteUint(uint64(n.NodeID), nw)
 	w.WriteUint(uint64(n.Kind), 3)
 	writeLanes(w, n.Lanes)
-	writeIDs(w, wd.vertex, n.Lanes, n.InIDs)
-	writeIDs(w, wd.vertex, n.Lanes, n.OutIDs)
+	writeIDs(w, &dict, n.Lanes, n.InIDs)
+	writeIDs(w, &dict, n.Lanes, n.OutIDs)
 	writeClassID(w, n.ClassID)
 	w.WriteBit(n.member())
 	if n.member() {
-		w.WriteUint(uint64(n.ParentID), wd.node)
+		w.WriteUint(uint64(n.ParentID), nw)
 		writeClassID(w, n.MergedClassID)
-		writeIDs(w, wd.vertex, n.Lanes, n.MergedOutIDs)
+		writeIDs(w, &dict, n.Lanes, n.MergedOutIDs)
 		w.WriteUvarint(uint64(len(n.Children)))
 		for i := range n.Children {
-			n.Children[i].encode(w, wd)
+			n.Children[i].encode(w, nw, &dict)
 		}
 	}
 	w.WriteUvarint(uint64(len(n.PathIDs)))
 	for _, id := range n.PathIDs {
-		w.WriteUint(id, wd.vertex)
+		w.WriteUint(uint64(dict.find(id)), dict.rw)
 	}
 	for _, b := range n.RealBits {
 		w.WriteBit(b)
@@ -352,19 +436,19 @@ func (n *NodeEntry) encodeRaw(w *bits.Writer) {
 	w.WriteUvarint(uint64(n.LaneI))
 	w.WriteUvarint(uint64(n.LaneJ))
 	w.WriteBit(n.BridgeReal)
-	for _, op := range []*OperandSummary{n.Left, n.Right} {
+	for _, op := range n.operands() {
 		if op == nil {
 			w.WriteBit(false)
 			continue
 		}
 		w.WriteBit(true)
-		op.encode(w, wd)
+		op.encode(w, nw, &dict)
 	}
 	if n.RootMember == nil {
 		w.WriteBit(false)
 	} else {
 		w.WriteBit(true)
-		n.RootMember.encode(w, wd)
+		n.RootMember.encode(w, nw, &dict)
 	}
 }
 

@@ -24,13 +24,15 @@ func worstLabelBits(tb testing.TB, n int) int {
 
 // TestLabelSizeSlope pins the growth of the worst label with n, the
 // quantity the O(log n) bound is about. Identifiers are written in a
-// fixed width per entry, so quadrupling n adds about two bits to each
-// identifier field: about 250 bits to this label.
+// fixed width per entry, and each entry writes each distinct vertex id
+// once, so quadrupling n adds about two bits per distinct identifier:
+// 114 bits to this label (178 when every vertex-id occurrence was written
+// in full).
 func TestLabelSizeSlope(t *testing.T) {
 	small, large := worstLabelBits(t, 2048), worstLabelBits(t, 8192)
 	t.Logf("worst label: %d bits at n=2048, %d bits at n=8192", small, large)
-	if gap := large - small; gap > 300 {
-		t.Fatalf("worst label grows by %d bits from n=2048 to n=8192, want ≤ 300", gap)
+	if gap := large - small; gap > 150 {
+		t.Fatalf("worst label grows by %d bits from n=2048 to n=8192, want ≤ 150", gap)
 	}
 }
 
@@ -46,18 +48,32 @@ func TestLabelSizeEntryTable(t *testing.T) {
 	}
 }
 
+// TestLabelSizeVertexDictionary pins the per-entry vertex-id dictionary:
+// an entry writes each distinct vertex id once and every occurrence as an
+// index into them. Under version 3, which wrote every occurrence in full,
+// the worst label at n=8192 was 1883 bits; with the dictionary it is 1590.
+// The pin is 0.9× the version-3 size.
+func TestLabelSizeVertexDictionary(t *testing.T) {
+	const v3Bits = 1883
+	if got := worstLabelBits(t, 8192); 10*got > 9*v3Bits {
+		t.Fatalf("worst label at n=8192 is %d bits, want ≤ 0.9 × %d", got, v3Bits)
+	}
+}
+
 // splitFields names the parts labelSplit divides a label's bits into, in
 // the order they are logged.
 var splitFields = []string{
-	"vertex ids", "node ids", "class ids", "embedding and pointing",
-	"id widths", "lane lists", "row indices", "rest",
+	"vertex ids", "vertex indices", "node ids", "class ids",
+	"embedding and pointing", "id widths", "lane lists", "row indices", "rest",
 }
 
 // labelSplit accounts a label's bits by field, mirroring the encoder field
-// by field: vertex ids, node ids, class ids, the label's own embedding and
-// pointing fields, the gamma-coded id widths, lane lists, entry-table row
-// indices, and the rest (counts, kinds, flags, real bits, inputs, owner
-// positions). The parts sum to EdgeLabel.Bits exactly.
+// by field: vertex ids (each entry's dictionary: its size and its ids),
+// vertex indices (every vertex-id occurrence as a dictionary index), node
+// ids, class ids, the label's own embedding and pointing fields, the
+// gamma-coded id widths, lane lists, entry-table row indices, and the rest
+// (counts, kinds, flags, real bits, inputs, owner positions). The parts sum
+// to EdgeLabel.Bits exactly.
 func labelSplit(l *EdgeLabel) map[string]int {
 	s := map[string]int{}
 	rows, _ := l.table(nil, nil)
@@ -89,7 +105,9 @@ func labelSplit(l *EdgeLabel) map[string]int {
 // entrySplit adds one node entry's bits to s, field by field as encodeRaw
 // writes them.
 func entrySplit(s map[string]int, e *NodeEntry) {
-	wd := e.widths()
+	var buf [linearRows]uint64
+	dict := e.dictionary(buf[:])
+	vw, nw := dict.width(), e.nodeWidth()
 	class := func(id int) {
 		s["class ids"] += algebra.ClassHashBits + bits.UvarintLen(uint64(id)>>algebra.ClassHashBits)
 	}
@@ -99,21 +117,22 @@ func entrySplit(s map[string]int, e *NodeEntry) {
 			s["lane lists"] += bits.UvarintLen(uint64(l))
 		}
 	}
-	vertices := func(n int) { s["vertex ids"] += n * wd.vertex }
-	s["id widths"] += bits.UvarintLen(uint64(wd.vertex)) + bits.UvarintLen(uint64(wd.node))
-	s["node ids"] += wd.node
+	vertices := func(n int) { s["vertex indices"] += n * dict.rw }
+	s["id widths"] += bits.UvarintLen(uint64(vw)) + bits.UvarintLen(uint64(nw))
+	s["vertex ids"] += bits.UvarintLen(uint64(len(dict.ids))) + len(dict.ids)*vw
+	s["node ids"] += nw
 	s["rest"] += 3 + 1 // kind, member bit
 	lanes(e.Lanes)
 	vertices(2 * len(e.Lanes))
 	class(e.ClassID)
 	child := func(c *ChildSummary) {
-		s["node ids"] += wd.node
+		s["node ids"] += nw
 		lanes(c.Lanes)
 		vertices(2 * len(c.Lanes))
 		class(c.MergedClassID)
 	}
 	if e.member() {
-		s["node ids"] += wd.node
+		s["node ids"] += nw
 		class(e.MergedClassID)
 		vertices(len(e.Lanes))
 		s["rest"] += bits.UvarintLen(uint64(len(e.Children)))
@@ -129,7 +148,7 @@ func entrySplit(s map[string]int, e *NodeEntry) {
 	s["rest"] += bits.UvarintLen(uint64(e.LaneI)) + bits.UvarintLen(uint64(e.LaneJ)) + 1 + 3 // BridgeReal, presence bits
 	for _, op := range []*OperandSummary{e.Left, e.Right} {
 		if op != nil {
-			s["node ids"] += wd.node
+			s["node ids"] += nw
 			s["rest"] += 3 + bits.UvarintLen(uint64(op.Input))
 			lanes(op.Lanes)
 			vertices(2 * len(op.Lanes))
