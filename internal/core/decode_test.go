@@ -462,3 +462,34 @@ func TestEntryTableMergesByKey(t *testing.T) {
 		}
 	}
 }
+
+// TestVertexDictionaryWritesEachIDOnce pins the per-entry vertex-id
+// dictionary: an entry whose path names d distinct vertices, each twice,
+// writes each id once and every occurrence as a bitlen(d−1)-bit index —
+// whether the dictionary is small enough for the linear scan or large
+// enough for the keyed one — and decodes back to its own bits.
+func TestVertexDictionaryWritesEachIDOnce(t *testing.T) {
+	for _, d := range []int{3, linearRows, 3 * linearRows} {
+		var ids []uint64
+		for i := range 2 * d {
+			ids = append(ids, uint64(1<<10+i%d))
+		}
+		entry := &NodeEntry{NodeID: 1, Kind: lanewidth.PNode, ParentID: -1, PathIDs: ids,
+			RealBits: make([]bool, len(ids)-1), VInputs: make([]int, len(ids))}
+		plain := &NodeEntry{NodeID: 1, Kind: lanewidth.PNode, ParentID: -1, RealBits: entry.RealBits[:0], VInputs: entry.VInputs}
+		// Against an entry with the same fields but no vertex ids, the
+		// path costs its dictionary (γ(d) over γ(0), d ids of 11 bits) and
+		// 2d indices, plus its longer length and real bits.
+		want := plain.bits() - bits.UvarintLen(0) - bits.UvarintLen(0) - bits.UvarintLen(0) +
+			bits.UvarintLen(11) + bits.UvarintLen(uint64(d)) + 11*d + 2*d*rowWidth(d) +
+			bits.UvarintLen(uint64(len(ids))) + len(ids) - 1
+		if got := entry.bits(); got != want {
+			t.Fatalf("d=%d: the entry takes %d bits, want %d", d, got, want)
+		}
+		el := &EdgeLabel{Own: &CEdgeLabel{Path: []*NodeEntry{entry}}}
+		data, nbits := EncodeLabel(el)
+		if err := decodeCanonical(new(Decoder), data, nbits); err != nil {
+			t.Fatalf("d=%d: %v", d, err)
+		}
+	}
+}

@@ -222,73 +222,47 @@ func (l *Labeling) MaxBits() int {
 // position. The certificates of one label share most of their root-side
 // entries, so the table is what keeps a label's size near one path.
 
-// vertexDict is a node entry's vertex-id dictionary: its distinct vertex
-// ids in first-use order, and the width of an index into them. Ids are
-// found by a linear scan up to linearRows of them; larger dictionaries
-// (hostile decoded entries) switch to a map so encoding stays linear.
-type vertexDict struct {
-	ids   []uint64
-	index map[uint64]int
-	rw    int
-}
-
-// find returns the index of id in the dictionary, or -1.
-func (d vertexDict) find(id uint64) int {
-	if d.index == nil {
-		return slices.Index(d.ids, id)
-	}
-	if i, ok := d.index[id]; ok {
-		return i
-	}
-	return -1
-}
-
-// with returns the dictionary with id appended unless it holds id already.
-// Dictionaries are passed by value while they grow, so a caller's stack
-// buffer stays on the stack.
-func (d vertexDict) with(id uint64) vertexDict {
-	if d.find(id) >= 0 {
-		return d
-	}
-	d.ids = append(d.ids, id)
-	switch {
-	case d.index != nil:
-		d.index[id] = len(d.ids) - 1
-	case len(d.ids) > linearRows:
-		d.index = make(map[uint64]int, 2*len(d.ids))
-		for i, v := range d.ids {
-			d.index[v] = i
-		}
-	}
-	return d
+// vertexCodes is how a node entry writes its vertex ids: its dictionary
+// (the distinct ids in first-use order) and, in wire order, every
+// occurrence's index into the dictionary, which write emits in turn in
+// exactly rw bits.
+type vertexCodes struct {
+	dict []uint64
+	idx  []uint64
+	next int
+	rw   int
 }
 
 // width returns the bit length of the dictionary's widest id: the width
 // the entry writes its dictionary in.
-func (d vertexDict) width() int {
+func (c *vertexCodes) width() int {
 	var widest uint64
-	for _, id := range d.ids {
+	for _, id := range c.dict {
 		widest = max(widest, id)
 	}
 	return mathbits.Len64(widest)
 }
 
-// writeIDs emits one id per lane from a lane-aligned slice, each as its
-// index in the entry's dictionary. The wire always carries exactly one id
-// per lane; a missing id is the vertex id zero.
-func writeIDs(w *bits.Writer, dict *vertexDict, lanes []int, ids []uint64) {
-	laneIDs(lanes, ids, func(id uint64) { w.WriteUint(uint64(dict.find(id)), dict.rw) })
+// write emits the indices of the next count occurrences.
+func (c *vertexCodes) write(w *bits.Writer, count int) {
+	for _, i := range c.idx[c.next : c.next+count] {
+		w.WriteUint(i, c.rw)
+	}
+	c.next += count
 }
 
-// laneIDs calls f on the id writeIDs writes for each lane.
-func laneIDs(lanes []int, ids []uint64, f func(uint64)) {
+// appendLaneIDs appends one id per lane from a lane-aligned slice. The
+// wire always carries exactly one id per lane; a missing id is the vertex
+// id zero.
+func appendLaneIDs(dst []uint64, lanes []int, ids []uint64) []uint64 {
 	for i := range lanes {
 		var id uint64
 		if i < len(ids) {
 			id = ids[i]
 		}
-		f(id)
+		dst = append(dst, id)
 	}
+	return dst
 }
 
 // writeClassID emits a class id as its content hash in exactly
@@ -309,20 +283,18 @@ func writeLanes(w *bits.Writer, lanes []int) {
 // and its node ids in.
 type idWidths struct{ vertex, node int }
 
-func (c *ChildSummary) encode(w *bits.Writer, nodeWidth int, dict *vertexDict) {
+func (c *ChildSummary) encode(w *bits.Writer, nodeWidth int, codes *vertexCodes) {
 	w.WriteUint(uint64(c.NodeID), nodeWidth)
 	writeLanes(w, c.Lanes)
-	writeIDs(w, dict, c.Lanes, c.InIDs)
-	writeIDs(w, dict, c.Lanes, c.MergedOutIDs)
+	codes.write(w, 2*len(c.Lanes)) // InIDs, MergedOutIDs
 	writeClassID(w, c.MergedClassID)
 }
 
-func (o *OperandSummary) encode(w *bits.Writer, nodeWidth int, dict *vertexDict) {
+func (o *OperandSummary) encode(w *bits.Writer, nodeWidth int, codes *vertexCodes) {
 	w.WriteUint(uint64(o.NodeID), nodeWidth)
 	w.WriteUint(uint64(o.Kind), 3)
 	writeLanes(w, o.Lanes)
-	writeIDs(w, dict, o.Lanes, o.InIDs)
-	writeIDs(w, dict, o.Lanes, o.OutIDs)
+	codes.write(w, 2*len(o.Lanes)) // InIDs, OutIDs
 	writeClassID(w, o.ClassID)
 	w.WriteUvarint(uint64(o.Input))
 }
@@ -334,31 +306,30 @@ func (n *NodeEntry) member() bool { return n.ParentID != -1 }
 // operands returns the entry's B-node operand slots in wire order.
 func (n *NodeEntry) operands() [2]*OperandSummary { return [2]*OperandSummary{n.Left, n.Right} }
 
-// vertexIDs calls f on every vertex-id occurrence the entry writes, in
+// appendVertexIDs appends every vertex-id occurrence the entry writes, in
 // wire order.
-func (n *NodeEntry) vertexIDs(f func(uint64)) {
-	laneIDs(n.Lanes, n.InIDs, f)
-	laneIDs(n.Lanes, n.OutIDs, f)
+func (n *NodeEntry) appendVertexIDs(dst []uint64) []uint64 {
+	dst = appendLaneIDs(dst, n.Lanes, n.InIDs)
+	dst = appendLaneIDs(dst, n.Lanes, n.OutIDs)
 	if n.member() {
-		laneIDs(n.Lanes, n.MergedOutIDs, f)
+		dst = appendLaneIDs(dst, n.Lanes, n.MergedOutIDs)
 		for i := range n.Children {
-			laneIDs(n.Children[i].Lanes, n.Children[i].InIDs, f)
-			laneIDs(n.Children[i].Lanes, n.Children[i].MergedOutIDs, f)
+			dst = appendLaneIDs(dst, n.Children[i].Lanes, n.Children[i].InIDs)
+			dst = appendLaneIDs(dst, n.Children[i].Lanes, n.Children[i].MergedOutIDs)
 		}
 	}
-	for _, id := range n.PathIDs {
-		f(id)
-	}
+	dst = append(dst, n.PathIDs...)
 	for _, op := range n.operands() {
 		if op != nil {
-			laneIDs(op.Lanes, op.InIDs, f)
-			laneIDs(op.Lanes, op.OutIDs, f)
+			dst = appendLaneIDs(dst, op.Lanes, op.InIDs)
+			dst = appendLaneIDs(dst, op.Lanes, op.OutIDs)
 		}
 	}
 	if rm := n.RootMember; rm != nil {
-		laneIDs(rm.Lanes, rm.InIDs, f)
-		laneIDs(rm.Lanes, rm.MergedOutIDs, f)
+		dst = appendLaneIDs(dst, rm.Lanes, rm.InIDs)
+		dst = appendLaneIDs(dst, rm.Lanes, rm.MergedOutIDs)
 	}
+	return dst
 }
 
 // nodeWidth returns the bit length of the largest node id the entry writes.
@@ -381,12 +352,37 @@ func (n *NodeEntry) nodeWidth() int {
 	return mathbits.Len64(node)
 }
 
-// dictionary builds the entry's vertex-id dictionary into buf.
-func (n *NodeEntry) dictionary(buf []uint64) vertexDict {
-	dict := vertexDict{ids: buf[:0]}
-	n.vertexIDs(func(id uint64) { dict = dict.with(id) })
-	dict.rw = rowWidth(len(dict.ids))
-	return dict
+// vertexCodes returns the entry's vertex codes, built in the given
+// buffers. Ids are found by a linear scan of the dictionary up to
+// linearRows of them; larger dictionaries (hostile decoded entries) switch
+// to a map so encoding stays linear.
+func (n *NodeEntry) vertexCodes(dict, idx []uint64) vertexCodes {
+	idx, dict = n.appendVertexIDs(idx[:0]), dict[:0]
+	var index map[uint64]int
+	for k, id := range idx {
+		i, ok := 0, false
+		if index == nil {
+			i = slices.Index(dict, id)
+			ok = i >= 0
+		} else {
+			i, ok = index[id]
+		}
+		if !ok {
+			i = len(dict)
+			dict = append(dict, id)
+			switch {
+			case index != nil:
+				index[id] = i
+			case len(dict) > linearRows:
+				index = make(map[uint64]int, 2*len(dict))
+				for j, v := range dict {
+					index[v] = j
+				}
+			}
+		}
+		idx[k] = uint64(i)
+	}
+	return vertexCodes{dict: dict, idx: idx, rw: rowWidth(len(dict))}
 }
 
 // encode appends the entry's canonical encoding, memoized on first use.
@@ -398,35 +394,33 @@ func (n *NodeEntry) encode(w *bits.Writer) {
 // encodeRaw is the bit-level definition of the entry's canonical encoding;
 // callers go through encode/Key, which cache its output.
 func (n *NodeEntry) encodeRaw(w *bits.Writer) {
-	var buf [linearRows]uint64
-	dict := n.dictionary(buf[:])
-	vw, nw := dict.width(), n.nodeWidth()
+	var dictBuf [linearRows]uint64
+	var idxBuf [4 * linearRows]uint64
+	codes := n.vertexCodes(dictBuf[:], idxBuf[:])
+	vw, nw := codes.width(), n.nodeWidth()
 	w.WriteUvarint(uint64(vw))
 	w.WriteUvarint(uint64(nw))
-	w.WriteUvarint(uint64(len(dict.ids)))
-	for _, id := range dict.ids {
+	w.WriteUvarint(uint64(len(codes.dict)))
+	for _, id := range codes.dict {
 		w.WriteUint(id, vw)
 	}
 	w.WriteUint(uint64(n.NodeID), nw)
 	w.WriteUint(uint64(n.Kind), 3)
 	writeLanes(w, n.Lanes)
-	writeIDs(w, &dict, n.Lanes, n.InIDs)
-	writeIDs(w, &dict, n.Lanes, n.OutIDs)
+	codes.write(w, 2*len(n.Lanes)) // InIDs, OutIDs
 	writeClassID(w, n.ClassID)
 	w.WriteBit(n.member())
 	if n.member() {
 		w.WriteUint(uint64(n.ParentID), nw)
 		writeClassID(w, n.MergedClassID)
-		writeIDs(w, &dict, n.Lanes, n.MergedOutIDs)
+		codes.write(w, len(n.Lanes)) // MergedOutIDs
 		w.WriteUvarint(uint64(len(n.Children)))
 		for i := range n.Children {
-			n.Children[i].encode(w, nw, &dict)
+			n.Children[i].encode(w, nw, &codes)
 		}
 	}
 	w.WriteUvarint(uint64(len(n.PathIDs)))
-	for _, id := range n.PathIDs {
-		w.WriteUint(uint64(dict.find(id)), dict.rw)
-	}
+	codes.write(w, len(n.PathIDs))
 	for _, b := range n.RealBits {
 		w.WriteBit(b)
 	}
@@ -442,13 +436,13 @@ func (n *NodeEntry) encodeRaw(w *bits.Writer) {
 			continue
 		}
 		w.WriteBit(true)
-		op.encode(w, nw, &dict)
+		op.encode(w, nw, &codes)
 	}
 	if n.RootMember == nil {
 		w.WriteBit(false)
 	} else {
 		w.WriteBit(true)
-		n.RootMember.encode(w, nw, &dict)
+		n.RootMember.encode(w, nw, &codes)
 	}
 }
 

@@ -105,9 +105,8 @@ func labelSplit(l *EdgeLabel) map[string]int {
 // entrySplit adds one node entry's bits to s, field by field as encodeRaw
 // writes them.
 func entrySplit(s map[string]int, e *NodeEntry) {
-	var buf [linearRows]uint64
-	dict := e.dictionary(buf[:])
-	vw, nw := dict.width(), e.nodeWidth()
+	codes := e.vertexCodes(nil, nil)
+	vw, nw := codes.width(), e.nodeWidth()
 	class := func(id int) {
 		s["class ids"] += algebra.ClassHashBits + bits.UvarintLen(uint64(id)>>algebra.ClassHashBits)
 	}
@@ -117,9 +116,9 @@ func entrySplit(s map[string]int, e *NodeEntry) {
 			s["lane lists"] += bits.UvarintLen(uint64(l))
 		}
 	}
-	vertices := func(n int) { s["vertex indices"] += n * dict.rw }
+	vertices := func(n int) { s["vertex indices"] += n * codes.rw }
 	s["id widths"] += bits.UvarintLen(uint64(vw)) + bits.UvarintLen(uint64(nw))
-	s["vertex ids"] += bits.UvarintLen(uint64(len(dict.ids))) + len(dict.ids)*vw
+	s["vertex ids"] += bits.UvarintLen(uint64(len(codes.dict))) + len(codes.dict)*vw
 	s["node ids"] += nw
 	s["rest"] += 3 + 1 // kind, member bit
 	lanes(e.Lanes)
