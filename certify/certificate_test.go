@@ -5,10 +5,9 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	mathbits "math/bits"
-	"os"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -377,47 +376,20 @@ func TestCertificateVersionPinned(t *testing.T) {
 	}
 }
 
-// TestCertificateVersion1Rejected pins that version 1 (varint identifiers)
-// has no decoder: a blob declaring it fails on the version byte.
+// TestCertificateVersion1Rejected pins that the retired versions — 1
+// (varint identifiers), 2 (certificates written in full) and 3 (every
+// vertex-id occurrence written in full) — have no decoder: a blob
+// declaring one fails on the version byte.
 func TestCertificateVersion1Rejected(t *testing.T) {
-	blob := honestBlob(t)
-	blob[4] = 1
-	fixCRC(blob)
-	var c Certificate
-	err := c.UnmarshalBinary(blob)
-	if !errors.Is(err, ErrBadCertificate) || !strings.Contains(err.Error(), "unsupported format version 1") {
-		t.Fatalf("version 1 blob: %v", err)
-	}
-}
-
-// corpusBytes returns the value of a fuzz corpus file holding one []byte.
-func corpusBytes(t *testing.T, raw []byte) []byte {
-	t.Helper()
-	_, value, ok := bytes.Cut(raw, []byte("\n[]byte("))
-	quoted, ok2 := bytes.CutSuffix(bytes.TrimSpace(value), []byte(")"))
-	s, err := strconv.Unquote(string(quoted))
-	if !ok || !ok2 || err != nil {
-		t.Fatalf("not a one-[]byte corpus file (%v)", err)
-	}
-	return []byte(s)
-}
-
-// TestCertificateVersion3Rejected pins that version 3 (every vertex-id
-// occurrence written in full) has no decoder: the committed version-3
-// fuzz seed, an honest certificate of its day, fails on the version byte.
-func TestCertificateVersion3Rejected(t *testing.T) {
-	raw, err := os.ReadFile("testdata/fuzz/FuzzCertificateDecode/seed-v3-honest")
-	if err != nil {
-		t.Fatal(err)
-	}
-	blob := corpusBytes(t, raw)
-	if len(blob) < 5 || blob[4] != 3 {
-		t.Fatalf("seed-v3-honest is not a version-3 blob")
-	}
-	var c Certificate
-	err = c.UnmarshalBinary(blob)
-	if !errors.Is(err, ErrBadCertificate) || !strings.Contains(err.Error(), "unsupported format version 3") {
-		t.Fatalf("version 3 blob: %v", err)
+	for v := byte(1); v < certVersion; v++ {
+		blob := honestBlob(t)
+		blob[4] = v
+		fixCRC(blob)
+		var c Certificate
+		err := c.UnmarshalBinary(blob)
+		if !errors.Is(err, ErrBadCertificate) || !strings.Contains(err.Error(), fmt.Sprintf("unsupported format version %d", v)) {
+			t.Fatalf("version %d blob: %v", v, err)
+		}
 	}
 }
 

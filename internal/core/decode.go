@@ -92,6 +92,10 @@ type Decoder struct {
 	skipOp OperandSummary
 }
 
+// idWidths is the pair of fixed widths a node entry writes its vertex-id
+// dictionary and its node ids in.
+type idWidths struct{ vertex, node int }
+
 // entryRef is an interned entry and its ordinal in the Decoder, which
 // certificate keys are built from.
 type entryRef struct {

@@ -279,10 +279,6 @@ func writeLanes(w *bits.Writer, lanes []int) {
 	}
 }
 
-// idWidths is the pair of fixed widths a node entry writes its vertex ids
-// and its node ids in.
-type idWidths struct{ vertex, node int }
-
 func (c *ChildSummary) encode(w *bits.Writer, nodeWidth int, codes *vertexCodes) {
 	w.WriteUint(uint64(c.NodeID), nodeWidth)
 	writeLanes(w, c.Lanes)
