@@ -67,7 +67,9 @@ type encCache struct {
 // materialize runs the raw encoder once and freezes its output.
 func (c *encCache) materialize(raw func(*bits.Writer)) {
 	c.once.Do(func() {
-		var w bits.Writer
+		// Most entries fit in 64 bytes: one allocation instead of the
+		// writer growing a byte at a time from empty.
+		w := bits.NewWriter(make([]byte, 0, 64))
 		raw(&w)
 		c.nbits = w.Bits()
 		c.key = string(w.Buffer()) + strconv.Itoa(c.nbits)
