@@ -276,16 +276,15 @@ func hostileLabelPayloads() map[string]hostileLabelPayload {
 
 	// Dictionary sizes past the bits that follow, and past the ids a
 	// width of 0 can hold.
-	for name, width := range map[string]uint64{"huge dictionary": 40, "width-0 dictionary of two ids": 0} {
-		size := uint64(1 << 40)
-		if width == 0 {
-			size = 2
-		}
+	for name, d := range map[string]struct{ width, size uint64 }{
+		"huge dictionary":               {40, 1 << 40},
+		"width-0 dictionary of two ids": {0, 2},
+	} {
 		w = new(bits.Writer)
-		w.WriteUvarint(1)     // table rows
-		w.WriteUvarint(width) // vertex id width
-		w.WriteUvarint(1)     // node id width
-		w.WriteUvarint(size)
+		w.WriteUvarint(1)       // table rows
+		w.WriteUvarint(d.width) // vertex id width
+		w.WriteUvarint(1)       // node id width
+		w.WriteUvarint(d.size)
 		w.WriteUint(0, 64)
 		out[name] = hostileLabelPayload{w, "vertex dictionary of"}
 	}

@@ -124,17 +124,16 @@ type hostileLabel struct {
 // writeMinEntry writes a minimal node entry with one node id and one path
 // vertex id (1), its ids in the given widths.
 func writeMinEntry(w *bits.Writer, vertexWidth, nodeWidth int, nodeID uint64) {
-	writePathEntry(w, vertexWidth, nodeWidth, nodeID, 1, []uint64{1}, 0)
+	writePathEntry(w, vertexWidth, nodeWidth, nodeID, []uint64{1}, 0)
 }
 
 // writePathEntry writes a node entry whose only vertex ids are its path
-// ids: a dictionary declaring size ids and holding dict, each in
-// vertexWidth bits, then one path id per index in rows, each in the index
-// width of a dictionary of that size.
-func writePathEntry(w *bits.Writer, vertexWidth, nodeWidth int, nodeID, size uint64, dict []uint64, rows ...uint64) {
+// ids: a dictionary of the given ids, each in vertexWidth bits, then one
+// path id per index in rows, each in the dictionary's index width.
+func writePathEntry(w *bits.Writer, vertexWidth, nodeWidth int, nodeID uint64, dict []uint64, rows ...uint64) {
 	w.WriteUvarint(uint64(vertexWidth))
 	w.WriteUvarint(uint64(nodeWidth))
-	w.WriteUvarint(size)
+	w.WriteUvarint(uint64(len(dict)))
 	for _, id := range dict {
 		w.WriteUint(id, vertexWidth)
 	}
@@ -146,7 +145,7 @@ func writePathEntry(w *bits.Writer, vertexWidth, nodeWidth int, nodeID, size uin
 	w.WriteBit(false) // not a tree member
 	w.WriteUvarint(uint64(len(rows)))
 	for _, r := range rows {
-		w.WriteUint(r, rowWidth(int(size)))
+		w.WriteUint(r, rowWidth(len(dict)))
 	}
 	for range max(len(rows)-1, 0) {
 		w.WriteBit(false) // the path edge is virtual
@@ -311,7 +310,7 @@ func hostileLabels(t *testing.T) map[string]hostileLabel {
 	// ids are the given indices into a dictionary of the given ids.
 	dictLabel := func(dict []uint64, rows ...uint64) *bits.Writer {
 		w := ownEntry()
-		writePathEntry(w, 2, 1, 1, uint64(len(dict)), dict, rows...)
+		writePathEntry(w, 2, 1, 1, dict, rows...)
 		writeOwnTail(w, 0, 0)
 		return w
 	}
