@@ -399,12 +399,14 @@ type decodedCertificate struct {
 }
 
 // ensureSchemes builds the per-property verification schemes of a decoded
-// certificate: each property resolves through the catalog and its class
-// registry is reconstructed from the labeling (fresh certificates keep the
-// prover's schemes and skip this). An unresolvable property name fails with
-// ErrUnknownProperty; a labeling that does not determine a consistent
-// registry fails verification (ErrVerifyFailed).
-func (c *Certificate) ensureSchemes() error {
+// certificate: each property resolves to the verifying certifier's
+// configured instance of that name, whose memo the scheme then shares, or
+// else through the catalog, and its class registry is reconstructed from
+// the labeling (fresh certificates keep the prover's schemes and skip
+// this). An unresolvable property name fails with ErrUnknownProperty; a
+// labeling that does not determine a consistent registry fails
+// verification (ErrVerifyFailed).
+func (c *Certificate) ensureSchemes(v *Certifier) error {
 	c.schemeMu.Lock()
 	defer c.schemeMu.Unlock()
 	if c.schemes != nil {
@@ -412,11 +414,14 @@ func (c *Certificate) ensureSchemes() error {
 	}
 	schemes := make(map[string]*core.Scheme, len(c.props))
 	for _, name := range c.props {
-		p, err := PropertyByName(name)
-		if err != nil {
-			return err
+		p, ok := v.property(name)
+		if !ok {
+			var err error
+			if p, err = PropertyByName(name); err != nil {
+				return err
+			}
 		}
-		s := core.NewScheme(p.p, c.maxLanes)
+		s := core.NewSchemeMemo(p.p, c.maxLanes, p.algebraMemo())
 		if err := s.RebuildRegistry(c.labelings[name]); err != nil {
 			return newVerifyError(name, nil)
 		}

@@ -225,16 +225,34 @@ func translateProveErr(err error) error {
 	}
 }
 
+// algebras returns the configured properties' algebras and, aligned with
+// them, the memos their schemes evaluate through.
+func (c *Certifier) algebras() ([]algebra.Property, []*core.Memo) {
+	props := make([]algebra.Property, len(c.props))
+	memos := make([]*core.Memo, len(c.props))
+	for i, p := range c.props {
+		props[i], memos[i] = p.p, p.algebraMemo()
+	}
+	return props, memos
+}
+
+// property returns the configured property with the given name.
+func (c *Certifier) property(name string) (Property, bool) {
+	for _, p := range c.props {
+		if p.name == name {
+			return p, true
+		}
+	}
+	return Property{}, false
+}
+
 // newBatch assembles the core batch for the certifier's property set.
 func (c *Certifier) newBatch() (*core.Batch, error) {
 	if len(c.props) == 0 {
 		return nil, fmt.Errorf("%w: no properties configured (use WithProperty)", ErrBadConfig)
 	}
-	props := make([]algebra.Property, len(c.props))
-	for i, p := range c.props {
-		props[i] = p.p
-	}
-	return core.NewBatch(props, core.BatchOptions{
+	props, memos := c.algebras()
+	return core.NewBatchMemo(props, memos, core.BatchOptions{
 		MaxLanes:    c.maxLanes,
 		Parallelism: c.parallelism,
 	})
@@ -303,7 +321,7 @@ func (c *Certifier) VerifyDistributed(ctx context.Context, g *Graph, crt *Certif
 // verify binds the certificate to the graph and runs one verification per
 // property, in certificate order, on a copy of the property's scheme whose
 // worker bound is the certifier's parallelism (a Scheme holds scalars and
-// pointers to its registry and caches, which the verifier's pool already
+// pointers to its registry and memo, which the verifier's pool already
 // shares across goroutines).
 func (c *Certifier) verify(ctx context.Context, g *Graph, crt *Certificate,
 	run func(*cert.Config, *core.Scheme, *core.Labeling) ([]bool, error)) error {
@@ -342,7 +360,7 @@ func (c *Certifier) bindCertificate(g *Graph, crt *Certificate) (*cert.Config, e
 	if crt.n != g.N() || crt.m != g.M() || crt.fingerprint != fingerprint(cfg) {
 		return nil, wrapErr(ErrWrongGraph, fmt.Errorf("certificate is for n=%d m=%d fp=%016x", crt.n, crt.m, crt.fingerprint))
 	}
-	if err := crt.ensureSchemes(); err != nil {
+	if err := crt.ensureSchemes(c); err != nil {
 		return nil, err
 	}
 	return cfg, nil

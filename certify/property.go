@@ -2,17 +2,60 @@ package certify
 
 import (
 	"strings"
+	"sync/atomic"
 
 	"repro/internal/algebra"
+	"repro/internal/core"
 	"repro/internal/msoc"
 )
 
 // Property is one certifiable MSO₂ property, resolved from the catalog.
 // The zero value is invalid; obtain properties from PropertyByName or And.
+//
+// Each resolved instance carries the memo of its class algebra's
+// evaluations, and copies of a Property share it: every prove, update and
+// verification through the same instance reuses what earlier ones computed,
+// on any graph. Resolving the name again yields an independent instance
+// with an empty memo.
 type Property struct {
 	p    algebra.Property
 	name string
+	memo *memoCell
 }
+
+// maxMemoEntries caps the entries one property's memo may reach before the
+// property moves on to a fresh one. A proof of 3color on an 8192-vertex
+// interval graph of width 4 leaves 3.6k entries, one of maxdeg:30 9k; the
+// cap bounds what a stream of hostile certificates, each naming new local
+// shapes, can pin in a long-lived property (entries are 0.3–1 kB).
+const maxMemoEntries = 1 << 14
+
+// memoCell holds a property instance's current memo.
+type memoCell struct{ cur atomic.Pointer[core.Memo] }
+
+func newMemoCell() *memoCell {
+	c := &memoCell{}
+	c.cur.Store(core.NewMemo())
+	return c
+}
+
+// load returns the memo new schemes should use. A memo holding limit
+// entries or more is replaced by an empty one for later callers; schemes
+// already using it keep it, so it is never cleared under them.
+func (c *memoCell) load(limit int) *core.Memo {
+	m := c.cur.Load()
+	if m.Len() < limit {
+		return m
+	}
+	fresh := core.NewMemo()
+	if c.cur.CompareAndSwap(m, fresh) {
+		return fresh
+	}
+	return c.cur.Load()
+}
+
+// algebraMemo returns the memo for a new scheme of this property.
+func (p Property) algebraMemo() *core.Memo { return p.memo.load(maxMemoEntries) }
 
 // Name returns the property's catalog name (the exact string that resolved
 // it). Names are the identity carried by certificates: a wire certificate
@@ -43,7 +86,7 @@ func PropertyByName(name string) (Property, error) {
 		// A formula's name is its canonical text, whatever the spelling.
 		name = p.Name()
 	}
-	return Property{p: p, name: name}, nil
+	return Property{p: p, name: name, memo: newMemoCell()}, nil
 }
 
 // FormulaProperty compiles an MSO₂ formula (s-expression syntax, see
@@ -58,7 +101,7 @@ func FormulaProperty(src string) (Property, error) {
 	if err != nil {
 		return Property{}, wrapErr(ErrBadFormula, err)
 	}
-	return Property{p: p, name: p.Name()}, nil
+	return Property{p: p, name: p.Name(), memo: newMemoCell()}, nil
 }
 
 // PropertiesByName resolves a list of catalog names in order.
@@ -81,6 +124,7 @@ func And(p, q Property) Property {
 	return Property{
 		p:    algebra.And{P1: p.p, P2: q.p},
 		name: "and(" + p.name + "," + q.name + ")",
+		memo: newMemoCell(),
 	}
 }
 

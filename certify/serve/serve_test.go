@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -973,11 +974,8 @@ func TestFormulaProve(t *testing.T) {
 	if resp, body = postJSON(t, ts.URL+"/v1/prove", proveRequest{Fingerprint: fp, Formula: spaced}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("spaced formula prove: %d %s", resp.StatusCode, body)
 	}
-	s.formulaMu.Lock()
-	cached := len(s.formulas)
-	s.formulaMu.Unlock()
-	if cached != 1 {
-		t.Fatalf("formula cache has %d entries, want 1", cached)
+	if cached := s.props.len(); cached != 1 {
+		t.Fatalf("property cache has %d entries, want 1", cached)
 	}
 
 	// Failure taxonomy: syntax and semantic errors are 422 with the
@@ -1089,5 +1087,51 @@ func TestStoreCapacityAcrossPatch(t *testing.T) {
 	}
 	if _, ok := before.Certificate("bipartite"); !ok {
 		t.Fatal("patched entry lost its certificate on re-ingest")
+	}
+}
+
+// TestPropertyCacheBounded pins the property cache's cap: proving
+// maxCachedProperties+1 distinct properties leaves the cache at the cap,
+// and the overflow request still succeeds with the certificate a fresh
+// server issues. A verify naming an evicted property resolves it again.
+func TestPropertyCacheBounded(t *testing.T) {
+	s, ts := newTestServer(t, Options{})
+	g := certify.Path(6)
+	fp := ingest(t, ts.URL, g)
+	prove := func(base, name string) []byte {
+		t.Helper()
+		resp, body := postJSON(t, base+"/v1/prove", proveRequest{Fingerprint: fp, Properties: []string{name}})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("prove %s: %d %s", name, resp.StatusCode, body)
+		}
+		var pr proveResponse
+		if err := json.Unmarshal(body, &pr); err != nil {
+			t.Fatal(err)
+		}
+		return pr.Certificate
+	}
+	var first, last []byte
+	for d := 2; d < 2+maxCachedProperties+1; d++ {
+		blob := prove(ts.URL, "maxdeg:"+strconv.Itoa(d))
+		if d == 2 {
+			first = blob
+		}
+		last = blob
+	}
+	if n := s.props.len(); n != maxCachedProperties {
+		t.Fatalf("property cache holds %d entries after %d names, want the cap %d", n, maxCachedProperties+1, maxCachedProperties)
+	}
+	_, fresh := newTestServer(t, Options{})
+	ingest(t, fresh.URL, g)
+	if want := prove(fresh.URL, "maxdeg:"+strconv.Itoa(2+maxCachedProperties)); !bytes.Equal(last, want) {
+		t.Fatal("the overflow request's certificate differs from a fresh server's")
+	}
+	// maxdeg:2 was the least recently used name, so the overflow evicted it.
+	resp, body := postJSON(t, ts.URL+"/v1/verify", verifyRequest{Fingerprint: fp, Certificate: first})
+	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), `"accept"`) {
+		t.Fatalf("verify of an evicted property: %d %s", resp.StatusCode, body)
+	}
+	if n := s.props.len(); n != maxCachedProperties {
+		t.Fatalf("property cache holds %d entries after a verify, want the cap %d", n, maxCachedProperties)
 	}
 }

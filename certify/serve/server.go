@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -118,13 +119,71 @@ type Server struct {
 	latMu   sync.Mutex
 	latEWMA time.Duration
 
-	// formulaMu guards formulas, the compiled-formula cache keyed by the
-	// canonical (re-printed) formula. A compiled property accumulates its
-	// join/accept memo tables as it proves, so handing every request for
-	// the same formula the same instance makes repeat proves cheaper;
-	// differently spaced sources coalesce on the canonical key.
-	formulaMu sync.Mutex
-	formulas  map[string]certify.Property
+	// props holds one resolved instance per property name, so every
+	// prove, PATCH and verify naming a property shares its algebra memo.
+	props propCache
+}
+
+// maxCachedProperties caps the server's property cache. Each cached
+// property keeps its algebra memo, which the certify package caps in
+// entries, so the two caps bound what clients naming ever new formulas or
+// parameters can pin.
+const maxCachedProperties = 32
+
+// propCache maps canonical property names (catalog names, "mso:" plus the
+// canonical formula text) to one resolved instance each, keeping the
+// maxCachedProperties most recently used.
+type propCache struct {
+	mu     sync.Mutex
+	byName map[string]certify.Property
+	order  []string // least recently used first
+}
+
+// get returns the cached instance of the name, if any.
+func (c *propCache) get(name string) (certify.Property, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	p, ok := c.byName[name]
+	if ok {
+		c.touchLocked(name)
+	}
+	return p, ok
+}
+
+// add caches p under its name, evicting the least recently used entry when
+// the cache is full, and returns the cached instance: an earlier one of the
+// same name wins, so concurrent resolvers converge on one memo.
+func (c *propCache) add(p certify.Property) certify.Property {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	name := p.Name()
+	if q, ok := c.byName[name]; ok {
+		c.touchLocked(name)
+		return q
+	}
+	if c.byName == nil {
+		c.byName = map[string]certify.Property{}
+	}
+	if len(c.order) == maxCachedProperties {
+		delete(c.byName, c.order[0])
+		c.order = slices.Delete(c.order, 0, 1)
+	}
+	c.byName[name] = p
+	c.order = append(c.order, name)
+	return p
+}
+
+// touchLocked moves a cached name to the most recently used end.
+func (c *propCache) touchLocked(name string) {
+	i := slices.Index(c.order, name)
+	c.order = append(slices.Delete(c.order, i, i+1), name)
+}
+
+// len returns the number of cached properties.
+func (c *propCache) len() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.byName)
 }
 
 // proveJob is one unit of prover-pool work: a closure run by a worker under
@@ -556,15 +615,15 @@ func (s *Server) certifierFor(fpHex string, names []string, formula string, maxL
 		// A formula that does not compile is ErrBadFormula: a semantic
 		// rejection, with the parser's position or the checker's
 		// subformula in the message.
-		p, err := s.formulaProperty(formula)
+		p, err := certify.FormulaProperty(formula)
 		if err != nil {
 			return nil, nil, "", err
 		}
-		props = []certify.Property{p}
+		props = []certify.Property{s.props.add(p)}
 	case len(names) == 0:
 		return nil, nil, "", fmt.Errorf("%w: no properties requested", errBadRequest)
 	default:
-		if props, err = certify.PropertiesByName(names...); err != nil {
+		if props, err = s.properties(names); err != nil {
 			return nil, nil, "", err
 		}
 	}
@@ -637,25 +696,23 @@ func (s *Server) handleProve(w http.ResponseWriter, r *http.Request) error {
 	return nil
 }
 
-// formulaProperty compiles an MSO₂ formula source, serving repeats of the
-// same (canonicalized) formula from the cache so their warmed-up compiled
-// algebras are shared across requests. Compilation itself is a cheap AST
-// walk; the valuable cached state is the memo tables inside the property.
-func (s *Server) formulaProperty(src string) (certify.Property, error) {
-	p, err := certify.FormulaProperty(src)
-	if err != nil {
-		return certify.Property{}, err
+// properties resolves catalog names through the property cache: a cached
+// name costs a map lookup, and a new one is resolved once and cached under
+// its canonical name (differently spaced formulas coalesce there).
+func (s *Server) properties(names []string) ([]certify.Property, error) {
+	props := make([]certify.Property, len(names))
+	for i, name := range names {
+		p, ok := s.props.get(name)
+		if !ok {
+			var err error
+			if p, err = certify.PropertyByName(name); err != nil {
+				return nil, err
+			}
+			p = s.props.add(p)
+		}
+		props[i] = p
 	}
-	s.formulaMu.Lock()
-	defer s.formulaMu.Unlock()
-	if cached, ok := s.formulas[p.Name()]; ok {
-		return cached, nil
-	}
-	if s.formulas == nil {
-		s.formulas = map[string]certify.Property{}
-	}
-	s.formulas[p.Name()] = p
-	return p, nil
+	return props, nil
 }
 
 func (s *Server) handlePatch(w http.ResponseWriter, r *http.Request) error {
@@ -747,12 +804,22 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) error {
 	if err := crt.UnmarshalBinary(req.Certificate); err != nil {
 		return err
 	}
+	// Verify through the cached instances of the certificate's properties,
+	// so the registry rebuild and the per-vertex checks hit the memos
+	// earlier requests filled. A name the cache cannot resolve goes to the
+	// property-less base certifier, which reports it as it always has.
+	verifier := s.base
+	if props, err := s.properties(crt.Properties()); err == nil {
+		if c, err := certify.New(certify.WithProperties(props...)); err == nil {
+			verifier = c
+		}
+	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.opts.ProveTimeout)
 	defer cancel()
 	if req.Distributed {
-		err = s.base.VerifyDistributed(ctx, entry.Graph(), &crt)
+		err = verifier.VerifyDistributed(ctx, entry.Graph(), &crt)
 	} else {
-		err = s.base.Verify(ctx, entry.Graph(), &crt)
+		err = verifier.Verify(ctx, entry.Graph(), &crt)
 	}
 	// A certificate naming an "mso:" property whose formula no longer
 	// compiles is ErrBadFormula: a semantic defect in the upload, not a

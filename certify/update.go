@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 
-	"repro/internal/algebra"
 	"repro/internal/core"
 )
 
@@ -97,18 +96,17 @@ func (c *Certifier) NewUpdater(ctx context.Context, g *Graph) (*Updater, error) 
 	if err != nil {
 		return nil, err
 	}
-	props := make([]algebra.Property, len(c.props))
+	props, memos := c.algebras()
 	u := &Updater{
 		c:         c,
 		marked:    private.marked,
 		catalogOf: make(map[string]string, len(c.props)),
 	}
-	for i, p := range c.props {
-		props[i] = p.p
+	for _, p := range c.props {
 		u.catalog = append(u.catalog, p.Name())
 		u.catalogOf[p.p.Name()] = p.Name()
 	}
-	inc, err := core.NewIncremental(ctx, cfg, props, core.IncrementalOptions{
+	inc, err := core.NewIncremental(ctx, cfg, props, memos, core.IncrementalOptions{
 		MaxLanes:             c.maxLanes,
 		UsePaperConstruction: c.paper,
 		Parallelism:          c.parallelism,

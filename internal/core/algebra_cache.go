@@ -12,12 +12,12 @@ import (
 // and ParentMerge are pure functions of their operands, and on
 // bounded-pathwidth graphs the same local shapes recur thousands of times
 // (every E-node of a lane sees the same two-vertex payload; a T-node chain
-// folds the same (child, parent) class pair over and over). Caching them per
-// scheme turns the per-node algebra of both the prover and the verifier into
-// map hits, and — because cache hits return the *same* *algebra.Class
-// instance — downstream registry interning and merge lookups become pointer
-// hits too. The caches are shared by concurrent verifiers and batch proving
-// workers under algMu.
+// folds the same (child, parent) class pair over and over). Caching them in
+// the property's Memo turns the per-node algebra of both the prover and the
+// verifier into map hits, and — because cache hits return the *same*
+// *algebra.Class instance — downstream registry interning and merge lookups
+// become pointer hits too. The tables are shared by concurrent verifiers and
+// proving workers under Memo.mu.
 
 // baseKey identifies a V-/E-/P-node base payload. V: lane+a(input).
 // E: lane+real+a,b (endpoint inputs). P: extra (lanes, real bits, inputs).
@@ -41,71 +41,105 @@ type bridgeKey struct {
 	i, j, label int
 }
 
-// schemeCaches bundles the algebra memo tables of one property's scheme(s).
-// All entries are pure functions of their keys (merge keys use canonical class pointers, which
-// the canonCache itself keeps stable), so the struct can outlive any single
-// Scheme and be shared across scheme generations of the same property.
-type schemeCaches struct {
-	// Memoized algebra evaluations: base classes by payload and merges by
-	// operand identity. The underlying functions are pure, so the caches are
-	// semantically transparent; they turn the per-node algebra of prover and
-	// verifier into map hits whenever the same local shape recurs (on
-	// bounded-pathwidth families almost always).
-	algMu       sync.Mutex
+// Memo holds the algebra memo tables of one property instance. Every entry
+// is a pure function of its key (merge keys use canonical class pointers,
+// which canonCache itself keeps stable), and for a fixed property the
+// reachable class set does not depend on the graph, so one Memo serves every
+// scheme of its property for as long as the property lives: each batch pass,
+// each incremental generation, and each registry rebuild and verification of
+// a decoded certificate. Class ids still come from each scheme's own
+// Registry, so sharing a Memo never changes a byte of output. A Memo must
+// only ever serve schemes of the one property instance that filled it (two
+// compiled instances of one formula hash-cons their own nodes). It is safe
+// for concurrent use.
+type Memo struct {
+	mu          sync.Mutex
+	n           int // entries across the four tables
 	baseCache   map[baseKey]*algebra.Class
 	pMergeCache map[mergePair]*algebra.Class
 	bMergeCache map[bridgeKey]*algebra.Class
 	canonCache  map[string]*algebra.Class
 }
 
-func newSchemeCaches() *schemeCaches { return &schemeCaches{} }
+// NewMemo returns an empty memo.
+func NewMemo() *Memo {
+	return &Memo{
+		baseCache:   map[baseKey]*algebra.Class{},
+		pMergeCache: map[mergePair]*algebra.Class{},
+		bMergeCache: map[bridgeKey]*algebra.Class{},
+		canonCache:  map[string]*algebra.Class{},
+	}
+}
 
-// canonicalLocked maps a freshly computed class to the scheme's canonical
+// memoAt returns memos[i], or a new empty memo when memos or the entry is
+// nil.
+func memoAt(memos []*Memo, i int) *Memo {
+	if memos == nil || memos[i] == nil {
+		return NewMemo()
+	}
+	return memos[i]
+}
+
+// Len returns the number of memoized entries, canonical classes included.
+func (m *Memo) Len() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.n
+}
+
+// canonicalLocked maps a freshly computed class to the memo's canonical
 // instance of its value (registering it if new). Merge results that are
 // value-equal across different fold positions thereby collapse to one
 // pointer, which is what lets the pointer-keyed merge caches converge to
-// hits on long chains. Callers hold algMu.
-func (s *Scheme) canonicalLocked(c *algebra.Class) *algebra.Class {
-	if s.caches.canonCache == nil {
-		s.caches.canonCache = map[string]*algebra.Class{}
-	}
+// hits on long chains. Callers hold mu.
+func (m *Memo) canonicalLocked(c *algebra.Class) *algebra.Class {
 	key := c.Key()
-	if prev, ok := s.caches.canonCache[key]; ok {
+	if prev, ok := m.canonCache[key]; ok {
 		return prev
 	}
-	s.caches.canonCache[key] = c
+	m.canonCache[key] = c
+	m.n++
 	return c
 }
 
-// cachedBase returns the memoized class for the key, computing it at most
-// once per distinct key (concurrent racers defer to the first stored
-// instance so pointers stay canonical).
-func (s *Scheme) cachedBase(k baseKey, compute func() (*algebra.Class, error)) (*algebra.Class, error) {
-	s.caches.algMu.Lock()
-	if c, ok := s.caches.baseCache[k]; ok {
-		s.caches.algMu.Unlock()
+// memoized returns table[k], computing it at most once per distinct key
+// unless two callers race (the later one defers to the first stored
+// instance so pointers stay canonical). Every computation counts as one
+// miss of scheme s.
+func memoized[K comparable](s *Scheme, table map[K]*algebra.Class, k K, compute func() (*algebra.Class, error)) (*algebra.Class, error) {
+	m := s.memo
+	m.mu.Lock()
+	if c, ok := table[k]; ok {
+		m.mu.Unlock()
 		return c, nil
 	}
-	s.caches.algMu.Unlock()
+	m.mu.Unlock()
 	c, err := compute()
 	if err != nil {
 		return nil, err
 	}
-	s.caches.algMu.Lock()
-	defer s.caches.algMu.Unlock()
-	if s.caches.baseCache == nil {
-		s.caches.baseCache = map[baseKey]*algebra.Class{}
-	}
-	if prev, ok := s.caches.baseCache[k]; ok {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	s.misses++
+	if prev, ok := table[k]; ok {
 		return prev, nil
 	}
-	c = s.canonicalLocked(c)
-	s.caches.baseCache[k] = c
+	c = m.canonicalLocked(c)
+	table[k] = c
+	m.n++
 	return c, nil
 }
 
+// memoMisses returns how many evaluations the scheme has computed rather
+// than found in its memo.
+func (s *Scheme) memoMisses() int {
+	s.memo.mu.Lock()
+	defer s.memo.mu.Unlock()
+	return s.misses
+}
+
 func (s *Scheme) baseV(lane, input int) (*algebra.Class, error) {
-	return s.cachedBase(baseKey{kind: lanewidth.VNode, lane: lane, a: input},
+	return memoized(s, s.memo.baseCache, baseKey{kind: lanewidth.VNode, lane: lane, a: input},
 		func() (*algebra.Class, error) {
 			return algebra.BaseClass(s.Prop, vNodeBGraph(lane, input))
 		})
@@ -116,7 +150,7 @@ func (s *Scheme) baseE(lane int, real bool, inputs []int) (*algebra.Class, error
 	if len(inputs) == 2 {
 		k.a, k.b = inputs[0], inputs[1]
 	}
-	return s.cachedBase(k, func() (*algebra.Class, error) {
+	return memoized(s, s.memo.baseCache, k, func() (*algebra.Class, error) {
 		return algebra.BaseClass(s.Prop, eNodeBGraph(lane, real, inputs))
 	})
 }
@@ -140,7 +174,7 @@ func (s *Scheme) baseP(lanes []int, realBits []bool, inputs []int) (*algebra.Cla
 		sb = strconv.AppendInt(sb, int64(in), 10)
 		sb = append(sb, ',')
 	}
-	return s.cachedBase(baseKey{kind: lanewidth.PNode, extra: string(sb)},
+	return memoized(s, s.memo.baseCache, baseKey{kind: lanewidth.PNode, extra: string(sb)},
 		func() (*algebra.Class, error) {
 			return algebra.BaseClass(s.Prop, pNodeBGraph(lanes, realBits, inputs))
 		})
@@ -148,52 +182,12 @@ func (s *Scheme) baseP(lanes []int, realBits []bool, inputs []int) (*algebra.Cla
 
 // parentMerge is algebra.ParentMerge memoized by operand identity.
 func (s *Scheme) parentMerge(child, parent *algebra.Class) (*algebra.Class, error) {
-	k := mergePair{child: child, parent: parent}
-	s.caches.algMu.Lock()
-	if c, ok := s.caches.pMergeCache[k]; ok {
-		s.caches.algMu.Unlock()
-		return c, nil
-	}
-	s.caches.algMu.Unlock()
-	c, err := algebra.ParentMerge(s.Prop, child, parent)
-	if err != nil {
-		return nil, err
-	}
-	s.caches.algMu.Lock()
-	defer s.caches.algMu.Unlock()
-	if s.caches.pMergeCache == nil {
-		s.caches.pMergeCache = map[mergePair]*algebra.Class{}
-	}
-	if prev, ok := s.caches.pMergeCache[k]; ok {
-		return prev, nil
-	}
-	c = s.canonicalLocked(c)
-	s.caches.pMergeCache[k] = c
-	return c, nil
+	return memoized(s, s.memo.pMergeCache, mergePair{child: child, parent: parent},
+		func() (*algebra.Class, error) { return algebra.ParentMerge(s.Prop, child, parent) })
 }
 
 // bridgeMerge is algebra.BridgeMerge memoized by operand identity.
 func (s *Scheme) bridgeMerge(left, right *algebra.Class, i, j, label int) (*algebra.Class, error) {
-	k := bridgeKey{left: left, right: right, i: i, j: j, label: label}
-	s.caches.algMu.Lock()
-	if c, ok := s.caches.bMergeCache[k]; ok {
-		s.caches.algMu.Unlock()
-		return c, nil
-	}
-	s.caches.algMu.Unlock()
-	c, err := algebra.BridgeMerge(s.Prop, left, right, i, j, label)
-	if err != nil {
-		return nil, err
-	}
-	s.caches.algMu.Lock()
-	defer s.caches.algMu.Unlock()
-	if s.caches.bMergeCache == nil {
-		s.caches.bMergeCache = map[bridgeKey]*algebra.Class{}
-	}
-	if prev, ok := s.caches.bMergeCache[k]; ok {
-		return prev, nil
-	}
-	c = s.canonicalLocked(c)
-	s.caches.bMergeCache[k] = c
-	return c, nil
+	return memoized(s, s.memo.bMergeCache, bridgeKey{left: left, right: right, i: i, j: j, label: label},
+		func() (*algebra.Class, error) { return algebra.BridgeMerge(s.Prop, left, right, i, j, label) })
 }

@@ -40,9 +40,17 @@ type Batch struct {
 	schemes []*Scheme // aligned with names
 }
 
-// NewBatch builds a batch over the given properties. Property names must be
-// non-empty and pairwise distinct (they key the result maps).
+// NewBatch builds a batch over the given properties, each with an empty
+// memo. Property names must be non-empty and pairwise distinct (they key the
+// result maps).
 func NewBatch(props []algebra.Property, opts BatchOptions) (*Batch, error) {
+	return NewBatchMemo(props, nil, opts)
+}
+
+// NewBatchMemo is NewBatch with each property's scheme evaluating through
+// memos[i] (see NewSchemeMemo); memos is aligned with props, and a nil slice
+// or a nil entry means an empty memo.
+func NewBatchMemo(props []algebra.Property, memos []*Memo, opts BatchOptions) (*Batch, error) {
 	if len(props) == 0 {
 		return nil, errors.New("core: batch needs at least one property")
 	}
@@ -50,7 +58,7 @@ func NewBatch(props []algebra.Property, opts BatchOptions) (*Batch, error) {
 		opts.MaxLanes = DefaultMaxLanes
 	}
 	b := &Batch{opts: opts}
-	for _, prop := range props {
+	for i, prop := range props {
 		name := prop.Name()
 		if name == "" {
 			return nil, errors.New("core: batch property with empty name")
@@ -58,7 +66,7 @@ func NewBatch(props []algebra.Property, opts BatchOptions) (*Batch, error) {
 		if slices.Contains(b.names, name) {
 			return nil, fmt.Errorf("core: duplicate property %q in batch", name)
 		}
-		s := NewScheme(prop, opts.MaxLanes)
+		s := NewSchemeMemo(prop, opts.MaxLanes, memoAt(memos, i))
 		s.Workers = opts.Parallelism
 		b.schemes = append(b.schemes, s)
 		b.names = append(b.names, name)

@@ -229,3 +229,58 @@ func TestProveWithRejectsLaneBudgetOverflow(t *testing.T) {
 		t.Fatalf("expected ErrTooManyLanes, got %v", err)
 	}
 }
+
+// TestSharedMemoSecondPassComputesNothing pins Stats' memo-miss count:
+// batches built over one set of memos share every evaluation, so a second
+// batch on the same configuration computes none, its labelings stay
+// byte-identical to the first's, and a scheme over the same memo rebuilds
+// and verifies a decoded copy without computing anything either.
+func TestSharedMemoSecondPassComputesNothing(t *testing.T) {
+	props := batchProps()
+	memos := make([]*Memo, len(props))
+	for i := range memos {
+		memos[i] = NewMemo()
+	}
+	cfg := cert.NewConfig(gen.Ladder(10))
+	run := func() (map[string]*Labeling, *BatchStats) {
+		b, err := NewBatchMemo(props, memos, BatchOptions{Parallelism: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		labelings, stats, err := proveBatch(b, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return labelings, stats
+	}
+	first, firstStats := run()
+	second, secondStats := run()
+	for i, prop := range props {
+		name := prop.Name()
+		st, ok := secondStats.PerProperty[name]
+		if !ok {
+			continue // the property fails on the ladder
+		}
+		if firstStats.PerProperty[name].Stages.MemoMisses == 0 {
+			t.Fatalf("%s: the first pass over an empty memo computed nothing", name)
+		}
+		if st.Stages.MemoMisses != 0 {
+			t.Fatalf("%s: the second pass computed %d evaluations, want 0", name, st.Stages.MemoMisses)
+		}
+		requireByteIdentical(t, name, second[name], first[name])
+
+		s := NewSchemeMemo(prop, DefaultMaxLanes, memos[i])
+		decoded := decodedCopy(t, first[name])
+		if err := s.RebuildRegistry(decoded); err != nil {
+			t.Fatal(err)
+		}
+		for v, ok := range verify(t, s, cfg, decoded) {
+			if !ok {
+				t.Fatalf("%s: vertex %d rejects the decoded copy", name, v)
+			}
+		}
+		if n := s.memoMisses(); n != 0 {
+			t.Fatalf("%s: rebuild and verify of the decoded copy computed %d evaluations, want 0", name, n)
+		}
+	}
+}

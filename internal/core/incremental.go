@@ -114,7 +114,12 @@ type Incremental struct {
 	cfg  *cert.Config
 	opts IncrementalOptions
 
+	// names, props and memos are aligned, in the engine's fixed property
+	// order: every generation's scheme for names[i] evaluates props[i]
+	// through memos[i].
 	names []string
+	props []algebra.Property
+	memos []*Memo
 
 	// engineState is the committed generation.
 	engineState
@@ -126,7 +131,7 @@ type Incremental struct {
 // generation (which carries what the next update's stages reuse) and one
 // labeling pass per property. Each generation gets a fresh Scheme per
 // property (its own Registry, so class ids match a fresh prove) sharing the
-// previous generation's memo caches; encoders and labelings feed the next
+// property's one Memo; encoders and labelings feed the next
 // generation's reuse. A candidate state replaces the committed one only
 // after every stage and property pass succeeded, so a failed update leaves
 // the previous generation untouched.
@@ -141,9 +146,11 @@ type engineState struct {
 // NewIncremental builds the engine and proves the initial generation of
 // every property. It fails with ErrPropertyFails (wrapped, naming the
 // property) when some property does not hold — the engine's contract is
-// that every generation certifies all configured properties. The engine
-// takes ownership of cfg.G.
-func NewIncremental(ctx context.Context, cfg *cert.Config, props []algebra.Property, opts IncrementalOptions) (*Incremental, error) {
+// that every generation certifies all configured properties. memos, when
+// non-nil, is aligned with props and gives each property the memo every
+// generation's scheme evaluates through (nil entries, or a nil slice, mean
+// empty memos; see NewSchemeMemo). The engine takes ownership of cfg.G.
+func NewIncremental(ctx context.Context, cfg *cert.Config, props []algebra.Property, memos []*Memo, opts IncrementalOptions) (*Incremental, error) {
 	if cfg == nil || cfg.G == nil {
 		return nil, errors.New("core: nil configuration")
 	}
@@ -161,10 +168,10 @@ func NewIncremental(ctx context.Context, cfg *cert.Config, props []algebra.Prope
 		// a self-loop, and there is no edge to remove.
 		return nil, fmt.Errorf("%w: the incremental engine needs at least two vertices", ErrBadEdit)
 	}
-	inc := &Incremental{cfg: cfg, opts: opts}
+	inc := &Incremental{cfg: cfg, opts: opts, props: props, memos: make([]*Memo, len(props))}
 	seen := map[string]bool{}
 	//lint:certlint ignore ctxpoll name validation bounded by the configured property count; no proving work
-	for _, p := range props {
+	for i, p := range props {
 		name := p.Name()
 		if name == "" {
 			return nil, errors.New("core: incremental property with empty name")
@@ -174,9 +181,10 @@ func NewIncremental(ctx context.Context, cfg *cert.Config, props []algebra.Prope
 		}
 		seen[name] = true
 		inc.names = append(inc.names, name)
+		inc.memos[i] = memoAt(memos, i)
 	}
 
-	st, err := inc.build(ctx, props, nil, nil, nil)
+	st, err := inc.build(ctx, nil, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -187,11 +195,9 @@ func NewIncremental(ctx context.Context, cfg *cert.Config, props []algebra.Prope
 // build constructs a candidate generation: the structure pipeline — fresh
 // when prev is nil, otherwise reusing prev's stages for the edits — then one
 // labeling pass per property, with entry/label reuse against the committed
-// generation exactly when the structure reused prev. props, aligned with
-// inc.names, supplies the properties on the initial build; afterwards they
-// come from the committed schemes. us is nil on the initial build and
-// receives the update's accounting otherwise.
-func (inc *Incremental) build(ctx context.Context, props []algebra.Property, prev *generation, edits []Edit, us *UpdateStats) (*engineState, error) {
+// generation exactly when the structure reused prev. us is nil on the
+// initial build and receives the update's accounting otherwise.
+func (inc *Incremental) build(ctx context.Context, prev *generation, edits []Edit, us *UpdateStats) (*engineState, error) {
 	gen, err := buildGeneration(ctx, inc.cfg, nil, StructureOptions{
 		UsePaperConstruction: inc.opts.UsePaperConstruction,
 		Parallelism:          inc.opts.Parallelism,
@@ -200,7 +206,7 @@ func (inc *Incremental) build(ctx context.Context, props []algebra.Property, pre
 		return nil, err
 	}
 	st := &engineState{gen: gen}
-	if err := st.provePasses(ctx, inc, props, prev != nil, us); err != nil {
+	if err := st.provePasses(ctx, inc, prev != nil, us); err != nil {
 		return nil, err
 	}
 	if prev != nil {
@@ -212,27 +218,18 @@ func (inc *Incremental) build(ctx context.Context, props []algebra.Property, pre
 
 // provePasses runs one labeling pass per property against st's structure,
 // in the engine's fixed property order, through the loop Batch uses. Each
-// pass gets a fresh Scheme sharing the previous generation's memo caches
-// (pure tables, so output is unchanged); reuse enables entry/label reuse
-// against the committed generation and sums its counters into us, otherwise
-// the passes run from scratch. A non-nil us receives each property's stats.
-func (st *engineState) provePasses(ctx context.Context, inc *Incremental, props []algebra.Property, reuse bool, us *UpdateStats) error {
+// pass gets a fresh Scheme over the property's memo (pure tables, so output
+// is unchanged); reuse enables entry/label reuse against the committed
+// generation and sums its counters into us, otherwise the passes run from
+// scratch. A non-nil us receives each property's stats.
+func (st *engineState) provePasses(ctx context.Context, inc *Incremental, reuse bool, us *UpdateStats) error {
 	schemes := make([]*Scheme, len(inc.names))
 	var prev []passResult
 	if reuse {
 		prev = make([]passResult, len(inc.names))
 	}
 	for i, name := range inc.names {
-		var (
-			prop   algebra.Property
-			caches *schemeCaches
-		)
-		if cur := inc.schemes[name]; cur != nil {
-			prop, caches = cur.Prop, cur.caches
-		} else {
-			prop, caches = props[i], newSchemeCaches()
-		}
-		schemes[i] = newSchemeShared(prop, inc.opts.MaxLanes, caches)
+		schemes[i] = NewSchemeMemo(inc.props[i], inc.opts.MaxLanes, inc.memos[i])
 		schemes[i].Workers = inc.opts.Parallelism
 		if prev != nil {
 			prev[i] = passResult{enc: inc.encs[name], lab: inc.labs[name]}
@@ -378,7 +375,7 @@ func (inc *Incremental) rebuild(ctx context.Context, edits []Edit, us *UpdateSta
 		}
 	}
 	us.Fallback = prev == nil
-	return inc.build(ctx, nil, prev, edits, us)
+	return inc.build(ctx, prev, edits, us)
 }
 
 // touchedVertices returns the distinct endpoints of the batch.

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"repro/internal/algebra"
@@ -175,7 +174,7 @@ func runDifferential(t *testing.T, name string, g *graph.Graph, propNames []stri
 	if err != nil {
 		t.Fatalf("ByNames: %v", err)
 	}
-	inc, err := NewIncremental(context.Background(), cert.NewConfig(g), props,
+	inc, err := NewIncremental(context.Background(), cert.NewConfig(g), props, nil,
 		IncrementalOptions{MaxLanes: maxLanes, Parallelism: parallelism})
 	if err != nil {
 		t.Fatalf("NewIncremental: %v", err)
@@ -241,7 +240,7 @@ func TestIncrementalFallbackObservable(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ByNames: %v", err)
 	}
-	inc, err := NewIncremental(context.Background(), cert.NewConfig(g), props, IncrementalOptions{})
+	inc, err := NewIncremental(context.Background(), cert.NewConfig(g), props, nil, IncrementalOptions{})
 	if err != nil {
 		t.Fatalf("NewIncremental: %v", err)
 	}
@@ -282,7 +281,7 @@ func TestIncrementalFallbackObservable(t *testing.T) {
 func TestIncrementalRejectsBadEdits(t *testing.T) {
 	g := gen.Ladder(6)
 	props, _ := algebra.ByNames([]string{"bipartite"})
-	inc, err := NewIncremental(context.Background(), cert.NewConfig(g), props, IncrementalOptions{})
+	inc, err := NewIncremental(context.Background(), cert.NewConfig(g), props, nil, IncrementalOptions{})
 	if err != nil {
 		t.Fatalf("NewIncremental: %v", err)
 	}
@@ -322,7 +321,7 @@ func TestIncrementalPropertyFailureRollsBack(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ByNames: %v", err)
 	}
-	inc, err := NewIncremental(context.Background(), cert.NewConfig(g), props, IncrementalOptions{})
+	inc, err := NewIncremental(context.Background(), cert.NewConfig(g), props, nil, IncrementalOptions{})
 	if err != nil {
 		t.Fatalf("NewIncremental: %v", err)
 	}
@@ -346,7 +345,7 @@ func TestIncrementalPropertyFailureRollsBack(t *testing.T) {
 func TestIncrementalEmptyBatch(t *testing.T) {
 	g := gen.Ladder(4)
 	props, _ := algebra.ByNames([]string{"bipartite"})
-	inc, err := NewIncremental(context.Background(), cert.NewConfig(g), props, IncrementalOptions{})
+	inc, err := NewIncremental(context.Background(), cert.NewConfig(g), props, nil, IncrementalOptions{})
 	if err != nil {
 		t.Fatalf("NewIncremental: %v", err)
 	}
@@ -369,7 +368,7 @@ func TestIncrementalEmptyBatch(t *testing.T) {
 func TestIncrementalPaperConstructionAlwaysFallsBack(t *testing.T) {
 	g := gen.Ladder(6)
 	props, _ := algebra.ByNames([]string{"bipartite"})
-	inc, err := NewIncremental(context.Background(), cert.NewConfig(g), props,
+	inc, err := NewIncremental(context.Background(), cert.NewConfig(g), props, nil,
 		IncrementalOptions{UsePaperConstruction: true})
 	if err != nil {
 		t.Fatalf("NewIncremental: %v", err)
@@ -395,7 +394,7 @@ func TestIncrementalPaperConstructionAlwaysFallsBack(t *testing.T) {
 func TestIncrementalVerifies(t *testing.T) {
 	g := gen.Grid(3, 5)
 	props, _ := algebra.ByNames([]string{"bipartite"})
-	inc, err := NewIncremental(context.Background(), cert.NewConfig(g), props, IncrementalOptions{})
+	inc, err := NewIncremental(context.Background(), cert.NewConfig(g), props, nil, IncrementalOptions{})
 	if err != nil {
 		t.Fatalf("NewIncremental: %v", err)
 	}
@@ -415,21 +414,8 @@ func TestIncrementalVerifies(t *testing.T) {
 	}
 }
 
-// cacheEntries totals the entries of every memo table a scheme's caches
-// hold, whatever the table.
-func cacheEntries(sc *schemeCaches) int {
-	v := reflect.ValueOf(sc).Elem()
-	total := 0
-	for i := 0; i < v.NumField(); i++ {
-		if f := v.Field(i); f.Kind() == reflect.Map {
-			total += f.Len()
-		}
-	}
-	return total
-}
-
-// TestIncrementalSchemeCachesLevelOff pins that the memo caches the engine
-// hands from one generation to the next stay bounded under a long edit
+// TestIncrementalSchemeCachesLevelOff pins that the memo every generation
+// of the engine evaluates through stays bounded under a long edit
 // stream: every entry is a pure algebra evaluation, and on a fixed graph
 // family the distinct local shapes run out. Add/remove pairs of distinct
 // covered chords keep the graph near its start while dirtying a different
@@ -447,13 +433,13 @@ func TestIncrementalSchemeCachesLevelOff(t *testing.T) {
 		t.Fatalf("only %d covered chords, want %d", len(chords), pairs)
 	}
 	props, _ := algebra.ByNames([]string{"maxdeg:4"})
-	inc, err := NewIncremental(context.Background(), cert.NewConfig(g), props, IncrementalOptions{Parallelism: 1})
+	inc, err := NewIncremental(context.Background(), cert.NewConfig(g), props, nil, IncrementalOptions{Parallelism: 1})
 	if err != nil {
 		t.Fatalf("NewIncremental: %v", err)
 	}
 	entries := func() int {
 		_, _, schemes, _ := inc.Snapshot()
-		return cacheEntries(schemes[props[0].Name()].caches)
+		return schemes[props[0].Name()].memo.Len()
 	}
 	var atWarm int
 	for i, c := range chords[:pairs] {
@@ -467,7 +453,7 @@ func TestIncrementalSchemeCachesLevelOff(t *testing.T) {
 		}
 	}
 	if got := entries(); got != atWarm {
-		t.Fatalf("scheme caches grew from %d to %d entries over %d add/remove pairs after warm-up", atWarm, got, pairs-warm)
+		t.Fatalf("memo grew from %d to %d entries over %d add/remove pairs after warm-up", atWarm, got, pairs-warm)
 	}
 	if inc.Fallbacks() != 0 {
 		t.Fatalf("%d updates fell back; covered chords must take the incremental path", inc.Fallbacks())
@@ -481,7 +467,7 @@ func TestIncrementalSchemeCachesLevelOff(t *testing.T) {
 func TestIncrementalFillsBuildStages(t *testing.T) {
 	g := gen.Ladder(40)
 	props, _ := algebra.ByNames([]string{"bipartite"})
-	inc, err := NewIncremental(context.Background(), cert.NewConfig(g), props, IncrementalOptions{Parallelism: 1})
+	inc, err := NewIncremental(context.Background(), cert.NewConfig(g), props, nil, IncrementalOptions{Parallelism: 1})
 	if err != nil {
 		t.Fatalf("NewIncremental: %v", err)
 	}

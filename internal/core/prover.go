@@ -53,26 +53,32 @@ type Scheme struct {
 	// exactly as the finite class set C is part of the paper's algorithms.
 	Reg *algebra.Registry
 
-	// caches holds the scheme's memoized pure evaluations (the algebra memo
-	// tables, see algebra_cache.go). The tables are content- or
-	// canonical-pointer-keyed and carry no per-run state, so several schemes
-	// for the same property may share one instance: the incremental engine
-	// threads the caches of one generation's scheme into the next, turning
-	// clean re-derivations into pointer hits while class IDs still come from
-	// each generation's own fresh Registry.
-	caches *schemeCaches
+	// memo holds the property's memoized algebra evaluations (see
+	// algebra_cache.go). The tables carry no per-run state, so every scheme
+	// of one property instance shares one Memo: batch passes, incremental
+	// generations and verifiers all hit what earlier ones computed, while
+	// class ids still come from each scheme's own fresh Registry.
+	memo *Memo
+	// misses counts the evaluations this scheme computed rather than found
+	// in memo; guarded by memo.mu.
+	misses int
 }
 
-// NewScheme returns a scheme for the property with the given lane budget.
+// NewScheme returns a scheme for the property with the given lane budget and
+// an empty memo.
 func NewScheme(prop algebra.Property, maxLanes int) *Scheme {
-	return newSchemeShared(prop, maxLanes, newSchemeCaches())
+	return NewSchemeMemo(prop, maxLanes, nil)
 }
 
-// newSchemeShared returns a scheme backed by an existing cache set. The
-// caches must have been populated only by schemes of the same property —
-// base classes and merges are property-dependent evaluations.
-func newSchemeShared(prop algebra.Property, maxLanes int, caches *schemeCaches) *Scheme {
-	return &Scheme{Prop: prop, MaxLanes: maxLanes, Reg: algebra.NewRegistry(), caches: caches}
+// NewSchemeMemo returns a scheme whose algebra evaluations go through memo,
+// or through an empty one when memo is nil. The memo must only ever serve
+// schemes of this property instance: base classes and merges are
+// property-dependent evaluations.
+func NewSchemeMemo(prop algebra.Property, maxLanes int, memo *Memo) *Scheme {
+	if memo == nil {
+		memo = NewMemo()
+	}
+	return &Scheme{Prop: prop, MaxLanes: maxLanes, Reg: algebra.NewRegistry(), memo: memo}
 }
 
 // Stats reports measurable quantities of one proving run (experiments
@@ -84,8 +90,9 @@ type Stats struct {
 	HierarchyDepth  int
 	RegistryClasses int
 	MaxLabelBits    int
-	// Stages is the wall-clock stage breakdown: the structure build's
-	// pipeline stages plus this pass's sweep (classes, entries, labels).
+	// Stages is the run's cost breakdown: the structure build's pipeline
+	// stages plus this pass's sweep (classes, entries, labels) and its memo
+	// misses.
 	Stages StageTimings
 }
 
@@ -137,7 +144,7 @@ func (s *Scheme) proveWith(ctx context.Context, sp *StructuralProof, prev *encod
 
 	// Section 6: homomorphism classes and certificates.
 	workers := par.Workers(s.Workers)
-	sweepStart := time.Now()
+	sweepStart, misses := time.Now(), s.memoMisses()
 	enc, err := s.buildEncoderReuse(ctx, sp, prev, ru, workers)
 	if err != nil {
 		return nil, nil, nil, err
@@ -165,6 +172,7 @@ func (s *Scheme) proveWith(ctx context.Context, sp *StructuralProof, prev *encod
 		Stages:          sp.stages,
 	}
 	stats.Stages.SweepMillis = sinceMillis(sweepStart)
+	stats.Stages.MemoMisses = s.memoMisses() - misses
 	return labeling, stats, enc, nil
 }
 

@@ -29,17 +29,24 @@ type StructureOptions struct {
 	Parallelism int
 }
 
-// StageTimings is the wall-clock breakdown of one prove, in milliseconds:
-// the structure build's pipeline stages (decomposition, lane construction,
-// lanewidth transcript, hierarchy + artifact assembly) plus the property
-// pass's class sweep. Build stages are recorded on the StructuralProof and
-// copied into every Stats derived from it; Sweep is per property pass.
+// StageTimings is the cost breakdown of one prove: the wall-clock
+// milliseconds of the structure build's pipeline stages (decomposition,
+// lane construction, lanewidth transcript, hierarchy + artifact assembly)
+// and of the property pass's class sweep, plus the pass's memo misses.
+// Build stages are recorded on the StructuralProof and copied into every
+// Stats derived from it; Sweep and MemoMisses are per property pass. All of
+// it depends on the run, not on the proof.
 type StageTimings struct {
 	DecomposeMillis  float64 `json:"decompose_ms"`
 	LanesMillis      float64 `json:"lanes_ms"`
 	TranscriptMillis float64 `json:"transcript_ms"`
 	HierarchyMillis  float64 `json:"hierarchy_ms"`
 	SweepMillis      float64 `json:"sweep_ms"`
+	// MemoMisses counts the algebra evaluations (base classes, bridge and
+	// parent merges) the pass computed rather than found in the property's
+	// memo: 0 when earlier passes of the same property instance already met
+	// every local shape of this one.
+	MemoMisses int `json:"memo_misses"`
 }
 
 func sinceMillis(t time.Time) float64 {

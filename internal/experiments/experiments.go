@@ -705,7 +705,7 @@ func E11Recertification(ns, batches []int) ([]E11Row, error) {
 			}
 		}
 		inc, err := core.NewIncremental(ctx, cert.NewConfig(gen.Ladder(k)),
-			[]algebra.Property{prop}, core.IncrementalOptions{MaxLanes: maxLanes})
+			[]algebra.Property{prop}, nil, core.IncrementalOptions{MaxLanes: maxLanes})
 		if err != nil {
 			return nil, fmt.Errorf("e11 n=%d: %w", n, err)
 		}
