@@ -9,8 +9,11 @@ import (
 	"context"
 	"io"
 	"os"
+	"slices"
+	"strconv"
 	"testing"
 
+	"repro/certify"
 	"repro/internal/algebra"
 	"repro/internal/cert"
 	"repro/internal/core"
@@ -230,6 +233,52 @@ func BenchmarkE11IncrementalRecertification(b *testing.B) {
 		if i == 0 {
 			experiments.PrintE11(benchOut, rows)
 			b.ReportMetric(rows[len(rows)-1].Speedup, "speedup@tail")
+		}
+	}
+}
+
+// BenchmarkVerifyDecoded measures the verify-everywhere path on its own:
+// UnmarshalBinary and Verify of a certificate proved once, outside the
+// timer, for {3color, maxdeg:Δ} on an interval graph of n = 8192 (Δ its
+// maximum degree) — the decoder's interning, the canonical re-encode
+// check, the registry rebuild and the per-vertex verifier. The allocation
+// figures are the pin for the verifier's reused vertex scratch.
+func BenchmarkVerifyDecoded(b *testing.B) {
+	ctx := context.Background()
+	g := certify.Interval(1, 8192, 2)
+	deg := make([]int, g.N())
+	for _, e := range g.Edges() {
+		deg[e[0]]++
+		deg[e[1]]++
+	}
+	props, err := certify.PropertiesByName("3color", "maxdeg:"+strconv.Itoa(slices.Max(deg)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	c, err := certify.New(certify.WithProperties(props...))
+	if err != nil {
+		b.Fatal(err)
+	}
+	crt, bst, err := c.ProveBatch(ctx, g)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if len(bst.Failed) > 0 {
+		b.Fatalf("properties failed: %v", bst.Failed)
+	}
+	blob, err := crt.MarshalBinary()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var d certify.Certificate
+		if err := d.UnmarshalBinary(blob); err != nil {
+			b.Fatal(err)
+		}
+		if err := c.Verify(ctx, g, &d); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

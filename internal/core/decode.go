@@ -116,13 +116,27 @@ const minEntryBits = 2 + // vertex and node id widths of 0
 	1 + // BridgeReal
 	3 // operand and root-member presence bits
 
+// Grow sizes the Decoder's intern tables for the labels of the given
+// number of edges, so that decoding them does not rehash the tables as
+// they fill: an honest labeling carries about three distinct node entries
+// and two distinct certificates per edge. Every entry takes at least
+// minEntryBits of the input, so the hint is capped by the bits the input
+// has left, and a header that declares more edges than the input carries
+// cannot make the Decoder reserve more than the input could fill. Grow
+// must come before the first DecodeLabel; later calls do nothing.
+func (d *Decoder) Grow(edges, bits int) {
+	if d.entries != nil {
+		return
+	}
+	most := bits / minEntryBits
+	d.entries = make(map[string]entryRef, min(3*edges, most))
+	d.certs = make(map[string]*CEdgeLabel, min(2*edges, most))
+}
+
 // DecodeLabel parses one label, sharing every node entry whose exact bits
 // and every certificate whose entries this Decoder has decoded before.
 func (d *Decoder) DecodeLabel(data []byte, nbits int) (*EdgeLabel, error) {
-	if d.entries == nil {
-		d.entries = make(map[string]entryRef)
-		d.certs = make(map[string]*CEdgeLabel)
-	}
+	d.Grow(0, 0)
 	return d.decodeEdgeLabel(bits.NewReader(data, nbits))
 }
 

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/algebra"
 	"repro/internal/lanewidth"
@@ -52,7 +54,7 @@ func (s *Scheme) RebuildRegistry(labelings ...*Labeling) error {
 				remaining = append(remaining, d)
 				continue
 			}
-			cls, err := d.build(resolved)
+			cls, err := s.build(&d, resolved)
 			progress = true
 			if err != nil {
 				// Unbuildable definitions come only from corrupted entries;
@@ -89,138 +91,203 @@ func (s *Scheme) RebuildRegistry(labelings ...*Labeling) error {
 	return nil
 }
 
-// classDef is one recomputable definition of a claimed class id: build runs
-// once every dependency id is resolved.
+// defOp is the algebra operation a classDef recomputes.
+type defOp uint8
+
+const (
+	defE     defOp = iota // E-node base class
+	defP                  // P-node base class
+	defV                  // V-node operand base class
+	defB                  // fB bridge merge of two operand ids
+	defAlias              // T-node: its root member's merged id
+	defFold               // Lemma 6.5 member fold: fP of the children into the own id
+)
+
+// classDef is one recomputable definition of a claimed class id, by value:
+// the operation and every input its build reads. Two definitions with equal
+// fields build the same class, so the rebuild keeps one of each.
 type classDef struct {
-	id    int
-	deps  []int
-	build func(resolved map[int]*algebra.Class) (*algebra.Class, error)
+	op     defOp
+	id     int
+	lanes  []int  // defE, defV: the lane; defP: the lanes; defB: LaneI, LaneJ
+	real   []bool // defE, defP: the real bits; defB: BridgeReal
+	inputs []int  // defE, defP, defV: the vertices' input labels
+	deps   []int  // ids it merges, which must resolve first: defB left and right; defAlias the source; defFold own, then each child
 }
 
-// collectClassDefs walks every certificate path of the labelings and gathers
-// the class definitions and the set of all referenced ids. Certificates are
-// deduplicated by pointer first: prover output and decoded certificates
-// share them, so each distinct one is walked once. Entries are deduplicated
-// by canonical encoding, which also covers byte-identical copies that do
-// not share a pointer (cloned labelings, separately decoded labels). Their
-// keys are memoized, and a second, pointer-keyed set for entries cost time
-// on unshared labelings without a measurable gain on shared ones.
-func (s *Scheme) collectClassDefs(labelings []*Labeling) ([]classDef, map[int]bool) {
-	var defs []classDef
-	refs := map[int]bool{}
-	seen := map[string]bool{}
-	seenCert := map[*CEdgeLabel]bool{}
-
-	addEntry := func(e *NodeEntry) {
-		refs[e.ClassID] = true
-		switch e.Kind {
-		case lanewidth.ENode:
-			if len(e.Lanes) == 1 && len(e.RealBits) == 1 && len(e.VInputs) == 2 {
-				lane, real, inputs := e.Lanes[0], e.RealBits[0], e.VInputs
-				defs = append(defs, classDef{id: e.ClassID,
-					build: func(map[int]*algebra.Class) (*algebra.Class, error) {
-						return s.baseE(lane, real, inputs)
-					}})
-			}
-		case lanewidth.PNode:
-			if len(e.Lanes) > 0 && len(e.RealBits) == len(e.PathIDs)-1 && len(e.VInputs) == len(e.PathIDs) {
-				lanes, realBits, inputs := e.Lanes, e.RealBits, e.VInputs
-				defs = append(defs, classDef{id: e.ClassID,
-					build: func(map[int]*algebra.Class) (*algebra.Class, error) {
-						return s.baseP(lanes, realBits, inputs)
-					}})
-			}
-		case lanewidth.BNode:
-			if e.Left != nil && e.Right != nil {
-				for _, op := range []*OperandSummary{e.Left, e.Right} {
-					refs[op.ClassID] = true
-					if op.Kind == lanewidth.VNode && len(op.Lanes) == 1 {
-						lane, input := op.Lanes[0], op.Input
-						defs = append(defs, classDef{id: op.ClassID,
-							build: func(map[int]*algebra.Class) (*algebra.Class, error) {
-								return s.baseV(lane, input)
-							}})
-					}
-				}
-				id, li, lj := e.ClassID, e.LaneI, e.LaneJ
-				left, right, bridgeReal := e.Left.ClassID, e.Right.ClassID, e.BridgeReal
-				defs = append(defs, classDef{id: id, deps: []int{left, right},
-					build: func(resolved map[int]*algebra.Class) (*algebra.Class, error) {
-						label := 0
-						if bridgeReal {
-							label = algebra.EdgeReal
-						}
-						return s.bridgeMerge(resolved[left], resolved[right], li, lj, label)
-					}})
-			}
-		case lanewidth.TNode:
-			// checkTNode pins ClassID == RootMember.MergedClassID, whose
-			// definition lives at the root member's own entry; recording the
-			// alias keeps the id resolvable when the two numbers agree.
-			if e.RootMember != nil {
-				refs[e.RootMember.MergedClassID] = true
-				id, src := e.ClassID, e.RootMember.MergedClassID
-				defs = append(defs, classDef{id: id, deps: []int{src},
-					build: func(resolved map[int]*algebra.Class) (*algebra.Class, error) {
-						return resolved[src], nil
-					}})
-			}
-		}
-		if e.ParentID != -1 {
-			// Lemma 6.5 member fold: merged = fP(children..., own).
-			refs[e.MergedClassID] = true
-			deps := []int{e.ClassID}
-			for i := range e.Children {
-				refs[e.Children[i].MergedClassID] = true
-				deps = append(deps, e.Children[i].MergedClassID)
-			}
-			id, own, children := e.MergedClassID, e.ClassID, e.Children
-			defs = append(defs, classDef{id: id, deps: deps,
-				build: func(resolved map[int]*algebra.Class) (*algebra.Class, error) {
-					acc := resolved[own]
-					for i := range children {
-						next, err := s.parentMerge(resolved[children[i].MergedClassID], acc)
-						if err != nil {
-							return nil, err
-						}
-						acc = next
-					}
-					return acc, nil
-				}})
+// appendKey appends an encoding of every field, distinct for distinct
+// definitions.
+func (d *classDef) appendKey(b []byte) []byte {
+	b = append(b, byte(d.op))
+	b = binary.AppendVarint(b, int64(d.id))
+	for _, xs := range [][]int{d.lanes, d.inputs, d.deps} {
+		b = binary.AppendUvarint(b, uint64(len(xs)))
+		for _, x := range xs {
+			b = binary.AppendVarint(b, int64(x))
 		}
 	}
+	b = binary.AppendUvarint(b, uint64(len(d.real)))
+	for _, r := range d.real {
+		b = append(b, boolByte(r))
+	}
+	return b
+}
 
-	addCert := func(c *CEdgeLabel) {
-		if c == nil || seenCert[c] {
-			return
+func boolByte(b bool) byte {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// build recomputes the definition's class; every dependency is resolved.
+func (s *Scheme) build(d *classDef, resolved map[int]*algebra.Class) (*algebra.Class, error) {
+	switch d.op {
+	case defE:
+		return s.baseE(d.lanes[0], d.real[0], d.inputs)
+	case defP:
+		return s.baseP(d.lanes, d.real, d.inputs)
+	case defV:
+		return s.baseV(d.lanes[0], d.inputs[0])
+	case defB:
+		label := 0
+		if d.real[0] {
+			label = algebra.EdgeReal
 		}
-		seenCert[c] = true
-		for _, e := range c.Path {
-			if e == nil {
-				continue
-			}
-			k := e.Key()
-			if seen[k] {
-				continue
-			}
-			seen[k] = true
-			addEntry(e)
+		return s.bridgeMerge(resolved[d.deps[0]], resolved[d.deps[1]], d.lanes[0], d.lanes[1], label)
+	case defAlias:
+		return resolved[d.deps[0]], nil
+	}
+	acc := resolved[d.deps[0]]
+	for _, child := range d.deps[1:] {
+		next, err := s.parentMerge(resolved[child], acc)
+		if err != nil {
+			return nil, err
 		}
+		acc = next
+	}
+	return acc, nil
+}
+
+// defCollector gathers the distinct class definitions of a set of
+// labelings and every class id they reference.
+type defCollector struct {
+	defs      []classDef
+	refs      map[int]bool
+	seenDef   map[string]bool
+	seenEntry map[*NodeEntry]bool
+	seenCert  map[*CEdgeLabel]bool
+
+	key         []byte // encoding of the definition being added
+	lanes, deps []int  // field scratch of the definition being added
+	real        [1]bool
+	input       [1]int
+}
+
+// add records d unless an equal definition is already recorded. d's
+// slices may alias scratch or entry memory; a recorded copy owns its own.
+func (c *defCollector) add(d classDef) {
+	c.key = d.appendKey(c.key[:0])
+	if c.seenDef[string(c.key)] {
+		return
+	}
+	c.seenDef[string(c.key)] = true
+	d.lanes, d.real = slices.Clone(d.lanes), slices.Clone(d.real)
+	d.inputs, d.deps = slices.Clone(d.inputs), slices.Clone(d.deps)
+	c.defs = append(c.defs, d)
+}
+
+// collectClassDefs walks every certificate path of the labelings and
+// returns the distinct class definitions they carry and the set of all
+// referenced ids. Certificates and entries are deduplicated by pointer:
+// prover output and decoded labelings share both (a Decoder interns equal
+// bits to one pointer), so each distinct one is walked once. Definitions
+// are then deduplicated by value, which also merges the copies that do not
+// share a pointer — cloned labelings, separately decoded labels, and the
+// many distinct entries whose definitions coincide (an honest labeling's
+// tens of thousands of entries carry a few dozen distinct definitions, one
+// or two per class id).
+func (s *Scheme) collectClassDefs(labelings []*Labeling) ([]classDef, map[int]bool) {
+	c := &defCollector{
+		refs:      map[int]bool{},
+		seenDef:   map[string]bool{},
+		seenEntry: map[*NodeEntry]bool{},
+		seenCert:  map[*CEdgeLabel]bool{},
 	}
 	for _, l := range labelings {
 		if l == nil {
 			continue
 		}
-		//lint:certlint ignore mapiter collects defs deduped by content key; resolution order is fixed by the dependency pass, not this loop
+		//lint:certlint ignore mapiter collects distinct defs; resolution order is fixed by the dependency pass, not this loop
 		for _, el := range l.Edges {
 			if el == nil {
 				continue
 			}
-			addCert(el.Own)
+			c.addCert(el.Own)
 			for i := range el.Emb {
-				addCert(el.Emb[i].Payload)
+				c.addCert(el.Emb[i].Payload)
 			}
 		}
 	}
-	return defs, refs
+	return c.defs, c.refs
+}
+
+func (c *defCollector) addCert(ce *CEdgeLabel) {
+	if ce == nil || c.seenCert[ce] {
+		return
+	}
+	c.seenCert[ce] = true
+	for _, e := range ce.Path {
+		if e != nil && !c.seenEntry[e] {
+			c.seenEntry[e] = true
+			c.addEntry(e)
+		}
+	}
+}
+
+func (c *defCollector) addEntry(e *NodeEntry) {
+	c.refs[e.ClassID] = true
+	switch e.Kind {
+	case lanewidth.ENode:
+		if len(e.Lanes) == 1 && len(e.RealBits) == 1 && len(e.VInputs) == 2 {
+			c.add(classDef{op: defE, id: e.ClassID, lanes: e.Lanes, real: e.RealBits, inputs: e.VInputs})
+		}
+	case lanewidth.PNode:
+		if len(e.Lanes) > 0 && len(e.RealBits) == len(e.PathIDs)-1 && len(e.VInputs) == len(e.PathIDs) {
+			c.add(classDef{op: defP, id: e.ClassID, lanes: e.Lanes, real: e.RealBits, inputs: e.VInputs})
+		}
+	case lanewidth.BNode:
+		if e.Left != nil && e.Right != nil {
+			for _, op := range []*OperandSummary{e.Left, e.Right} {
+				c.refs[op.ClassID] = true
+				if op.Kind == lanewidth.VNode && len(op.Lanes) == 1 {
+					c.input[0] = op.Input
+					c.add(classDef{op: defV, id: op.ClassID, lanes: op.Lanes, inputs: c.input[:]})
+				}
+			}
+			c.lanes = append(c.lanes[:0], e.LaneI, e.LaneJ)
+			c.deps = append(c.deps[:0], e.Left.ClassID, e.Right.ClassID)
+			c.real[0] = e.BridgeReal
+			c.add(classDef{op: defB, id: e.ClassID, lanes: c.lanes, real: c.real[:], deps: c.deps})
+		}
+	case lanewidth.TNode:
+		// checkTNode pins ClassID == RootMember.MergedClassID, whose
+		// definition lives at the root member's own entry; recording the
+		// alias keeps the id resolvable when the two numbers agree.
+		if e.RootMember != nil {
+			c.refs[e.RootMember.MergedClassID] = true
+			c.deps = append(c.deps[:0], e.RootMember.MergedClassID)
+			c.add(classDef{op: defAlias, id: e.ClassID, deps: c.deps})
+		}
+	}
+	if e.ParentID != -1 {
+		// Lemma 6.5 member fold: merged = fP(children..., own).
+		c.refs[e.MergedClassID] = true
+		c.deps = append(c.deps[:0], e.ClassID)
+		for i := range e.Children {
+			c.refs[e.Children[i].MergedClassID] = true
+			c.deps = append(c.deps, e.Children[i].MergedClassID)
+		}
+		c.add(classDef{op: defFold, id: e.MergedClassID, deps: c.deps})
+	}
 }

@@ -2,11 +2,15 @@ package core
 
 import (
 	"errors"
+	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/algebra"
 	"repro/internal/cert"
+	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/lanewidth"
 )
 
 // decodedCopy round-trips a labeling through the wire encoding, so the
@@ -141,5 +145,99 @@ func TestRebuildRegistryDetectsCorruption(t *testing.T) {
 				t.Fatal("corrupted labeling accepted after registry rebuild — soundness violated")
 			}
 		})
+	}
+}
+
+// handLabeling puts each entry on its own edge as a one-entry certificate:
+// enough for the registry rebuild, which reads only the entries.
+func handLabeling(entries ...*NodeEntry) *Labeling {
+	l := &Labeling{Edges: map[graph.Edge]*EdgeLabel{}}
+	for i, e := range entries {
+		l.Edges[graph.NewEdge(i, i+1)] = &EdgeLabel{Own: &CEdgeLabel{Path: []*NodeEntry{e}}}
+	}
+	return l
+}
+
+// handENode is an E-node entry on lane 0 with the given class id and real
+// bit.
+func handENode(nodeID, classID int, real bool) *NodeEntry {
+	return &NodeEntry{
+		NodeID: nodeID, Kind: lanewidth.ENode, Lanes: []int{0},
+		InIDs: []uint64{1}, OutIDs: []uint64{2}, ClassID: classID, ParentID: -1,
+		PathIDs: []uint64{1, 2}, RealBits: []bool{real}, VInputs: []int{0, 0},
+	}
+}
+
+// member makes e a member of T-node 99 with the given merged id and one
+// child per given merged id.
+func member(e *NodeEntry, mergedID int, childIDs ...int) *NodeEntry {
+	e.ParentID, e.MergedClassID, e.MergedOutIDs = 99, mergedID, []uint64{2}
+	for i, id := range childIDs {
+		e.Children = append(e.Children, ChildSummary{NodeID: 50 + i, Lanes: []int{0}, InIDs: []uint64{2}, MergedOutIDs: []uint64{3}, MergedClassID: id})
+	}
+	return e
+}
+
+// TestRebuildRejectsConflictingDefinitions: two entries that claim one
+// class id with different inputs must fail the rebuild, however many
+// equal copies of each definition the labeling carries. The definitions are
+// deduplicated by value, so a pair differing only in the real bit, or only
+// in a member's children, must stay two definitions.
+func TestRebuildRejectsConflictingDefinitions(t *testing.T) {
+	const real, virtual, merged = 5, 6, 7
+	cases := []struct {
+		name    string
+		entries []*NodeEntry
+	}{
+		{"E-node pair", []*NodeEntry{
+			handENode(1, real, true), handENode(2, real, false), handENode(3, real, true),
+		}},
+		{"member-fold pair", []*NodeEntry{
+			handENode(1, real, true), handENode(2, virtual, false),
+			member(handENode(3, real, true), merged, real),
+			member(handENode(4, real, true), merged, virtual),
+			member(handENode(5, real, true), merged, real),
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := NewScheme(algebra.Colorable{Q: 2}, 8)
+			err := s.RebuildRegistry(handLabeling(tc.entries...))
+			if !errors.Is(err, ErrRegistryRebuild) || !strings.Contains(err.Error(), "claimed by two distinct classes") {
+				t.Fatalf("rebuild error %v, want a conflicting-id ErrRegistryRebuild", err)
+			}
+		})
+	}
+	// The honest halves of each pair rebuild: the conflict is what fails.
+	s := NewScheme(algebra.Colorable{Q: 2}, 8)
+	if err := s.RebuildRegistry(handLabeling(handENode(1, real, true), handENode(2, virtual, false),
+		member(handENode(3, real, true), merged, real))); err != nil {
+		t.Fatalf("consistent hand-built labeling: %v", err)
+	}
+}
+
+// TestRebuildDefinitionsAreDistinct pins the registry rebuild to work per
+// distinct definition, not per entry: a decoded n = 2048 interval-graph
+// labeling carries thousands of distinct entries, but only about as many
+// distinct class definitions as its registry has classes.
+func TestRebuildDefinitionsAreDistinct(t *testing.T) {
+	g, _ := gen.IntervalGraph(rand.New(rand.NewSource(1)), 2048, 2)
+	cfg := cert.NewConfig(g)
+	labeling, _, err := prove(NewScheme(algebra.Colorable{Q: 3}, 4), cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decoded := decodedCopy(t, labeling)
+	s := NewScheme(algebra.Colorable{Q: 3}, 4)
+	if err := s.RebuildRegistry(decoded); err != nil {
+		t.Fatal(err)
+	}
+	defs, refs := s.collectClassDefs([]*Labeling{decoded})
+	t.Logf("%d edges, %d definitions, %d referenced ids, %d classes", len(decoded.Edges), len(defs), len(refs), s.Reg.Size())
+	if len(defs) > 4*s.Reg.Size() {
+		t.Fatalf("%d class definitions for a %d-class registry, want ≤ 4 per class", len(defs), s.Reg.Size())
+	}
+	if !AllAccept(verify(t, s, cfg, decoded)) {
+		t.Fatal("rebuilt scheme rejected the honest labeling")
 	}
 }

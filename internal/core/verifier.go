@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"slices"
 
@@ -26,18 +27,20 @@ type VertexView struct {
 // and returns the verdicts; the scheme accepts iff all are true.
 // Verification is embarrassingly parallel (each vertex's check reads only its
 // own view), so the verdicts are identical for every Scheme.Workers value
-// (0 means GOMAXPROCS; ≤ 1 runs inline on the calling goroutine). The
+// (0 means GOMAXPROCS; ≤ 1 runs inline on the calling goroutine). Each
+// worker reuses one vertexScratch for every vertex it verifies. The
 // context is polled once per 64-vertex chunk: cancellation drains the pool
 // promptly and the call returns ctx.Err() with a nil verdict slice.
 func (s *Scheme) VerifyParallelCtx(ctx context.Context, cfg *cert.Config, labeling *Labeling) ([]bool, error) {
 	verdicts := make([]bool, cfg.G.N())
-	err := par.ForErr(s.Workers, len(verdicts), func(_, v int) error {
+	scratch := make([]vertexScratch, par.Workers(s.Workers))
+	err := par.ForErr(s.Workers, len(verdicts), func(worker, v int) error {
 		if v&63 == 0 {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
 		}
-		verdicts[v] = s.verifyVertex(cfg, labeling, v)
+		verdicts[v] = s.verifyVertex(cfg, labeling, v, &scratch[worker])
 		return nil
 	})
 	if err != nil {
@@ -46,9 +49,10 @@ func (s *Scheme) VerifyParallelCtx(ctx context.Context, cfg *cert.Config, labeli
 	return verdicts, nil
 }
 
-// verifyVertex assembles vertex v's view from the labeling and runs VerifyAt.
-func (s *Scheme) verifyVertex(cfg *cert.Config, labeling *Labeling, v graph.Vertex) bool {
-	view := &VertexView{ID: cfg.IDs[v], Input: cfg.Input(v), Isolated: cfg.G.Degree(v) == 0}
+// verifyVertex assembles vertex v's view from the labeling and runs the
+// verifier on it.
+func (s *Scheme) verifyVertex(cfg *cert.Config, labeling *Labeling, v graph.Vertex, sc *vertexScratch) bool {
+	view := VertexView{ID: cfg.IDs[v], Input: cfg.Input(v), Isolated: cfg.G.Degree(v) == 0, Labels: sc.labels[:0]}
 	for _, w := range cfg.G.Neighbors(v) {
 		l, has := labeling.Edges[graph.NewEdge(v, w)]
 		if !has || l == nil {
@@ -56,7 +60,8 @@ func (s *Scheme) verifyVertex(cfg *cert.Config, labeling *Labeling, v graph.Vert
 		}
 		view.Labels = append(view.Labels, l)
 	}
-	return s.VerifyAt(view)
+	sc.labels = view.Labels
+	return s.verifyAt(&view, sc)
 }
 
 // AllAccept reports whether every verdict is true.
@@ -75,128 +80,170 @@ type completionEdge struct {
 	real    bool
 }
 
+// ownedEdge is an incident completion edge filed under the node that owns
+// it (the last entry of its certificate path), with its owner position.
+type ownedEdge struct {
+	node int
+	real bool
+	pos  int
+}
+
+// vertexScratch holds the working sets of one vertex's verification. A
+// vertex view holds a few dozen certificates and node entries, so they are
+// kept in small slices searched linearly or sorted, never in maps, and a
+// worker of VerifyParallelCtx reuses one scratch across its vertices: after
+// the first few vertices a view allocates nothing.
+type vertexScratch struct {
+	labels  []*EdgeLabel         // the view's labels (verifyVertex)
+	ces     []completionEdge     // incident completion edges
+	embs    []EmbEntry           // embedding entries, sorted by virtual edge
+	entries []*NodeEntry         // distinct node entries, one per node id
+	owned   []ownedEdge          // incident edges by owner, sorted by node
+	pls     []cert.PointingLabel // pointing labels of the incident edges
+}
+
+// entry returns the vertex's entry of node id, or nil when none is visible.
+func (sc *vertexScratch) entry(id int) *NodeEntry {
+	for _, e := range sc.entries {
+		if e.NodeID == id {
+			return e
+		}
+	}
+	return nil
+}
+
+// ownedBy returns the incident completion edges that node owns.
+func (sc *vertexScratch) ownedBy(node int) []ownedEdge {
+	i, _ := slices.BinarySearchFunc(sc.owned, node, func(o ownedEdge, n int) int { return cmp.Compare(o.node, n) })
+	j := i
+	for j < len(sc.owned) && sc.owned[j].node == node {
+		j++
+	}
+	return sc.owned[i:j]
+}
+
 // VerifyAt is the verification algorithm V of Theorem 1 at a single vertex.
 // It returns false on any malformed, inconsistent, or property-violating
 // label configuration.
 func (s *Scheme) VerifyAt(view *VertexView) bool {
+	return s.verifyAt(view, &vertexScratch{})
+}
+
+func (s *Scheme) verifyAt(view *VertexView, sc *vertexScratch) bool {
 	if view.Isolated {
 		// Single-vertex network: decide the property locally.
 		ok, err := s.singleVertexAccept(view.Input)
 		return err == nil && ok && len(view.Labels) == 0
 	}
-	ces, ok := s.reconstructCompletion(view)
-	if !ok {
+	if !s.reconstructCompletion(view, sc) {
 		return false
 	}
-	entries, ok := s.collectEntries(view, ces)
-	if !ok {
+	if !s.collectEntries(sc) {
 		return false
 	}
-	if !s.checkEntryStructure(entries) {
+	if !s.checkEntryStructure(sc.entries) {
 		return false
 	}
-	if !s.checkRoles(view, ces, entries) {
+	if !s.checkRoles(view, sc) {
 		return false
 	}
-	return s.checkRootAndPointing(view, ces, entries)
+	return s.checkRootAndPointing(view, sc)
 }
 
 // reconstructCompletion validates the embedding certification (Theorem 1)
-// and returns the vertex's incident completion edges: all real edges plus
-// the virtual edges of which it is an endpoint.
-func (s *Scheme) reconstructCompletion(view *VertexView) ([]completionEdge, bool) {
-	var ces []completionEdge
-	type embGroup struct {
-		entries []EmbEntry
-	}
-	groups := map[[2]uint64]*embGroup{}
+// and fills sc.ces with the vertex's incident completion edges: all real
+// edges plus the virtual edges of which it is an endpoint. The embedding
+// entries are grouped by virtual edge by sorting them on its endpoint ids;
+// each group's checks are symmetric in its members, so the verdict does
+// not depend on the order within a group or of the groups.
+func (s *Scheme) reconstructCompletion(view *VertexView, sc *vertexScratch) bool {
+	sc.ces, sc.embs = sc.ces[:0], sc.embs[:0]
 	for _, l := range view.Labels {
 		if l == nil || l.Own == nil || len(l.Own.Path) == 0 {
-			return nil, false
+			return false
 		}
-		ces = append(ces, completionEdge{payload: l.Own, real: true})
+		sc.ces = append(sc.ces, completionEdge{payload: l.Own, real: true})
 		for _, e := range l.Emb {
 			if e.Payload == nil || len(e.Payload.Path) == 0 || e.Fwd < 1 || e.Bwd < 1 {
-				return nil, false
+				return false
 			}
-			key := [2]uint64{e.UID, e.VID}
-			g, okG := groups[key]
-			if !okG {
-				g = &embGroup{}
-				groups[key] = g
-			}
-			g.entries = append(g.entries, e)
+			sc.embs = append(sc.embs, e)
 		}
 	}
-	//lint:certlint ignore mapiter per-group validation with early reject; the verdict is order independent
-	for key, g := range groups {
-		uid, vid := key[0], key[1]
+	slices.SortFunc(sc.embs, func(a, b EmbEntry) int {
+		return cmp.Or(cmp.Compare(a.UID, b.UID), cmp.Compare(a.VID, b.VID))
+	})
+	for rest := sc.embs; len(rest) > 0; {
+		uid, vid := rest[0].UID, rest[0].VID
+		n := 1
+		for n < len(rest) && rest[n].UID == uid && rest[n].VID == vid {
+			n++
+		}
+		group := rest[:n]
+		rest = rest[n:]
 		if uid == vid {
-			return nil, false
+			return false
 		}
 		// All copies of a virtual edge's certificate must agree.
-		first := g.entries[0]
+		first := group[0]
 		total := first.Fwd + first.Bwd
-		for _, e := range g.entries[1:] {
+		for _, e := range group[1:] {
 			if !sameCert(e.Payload, first.Payload) || e.Fwd+e.Bwd != total {
-				return nil, false
+				return false
 			}
 		}
-		switch len(g.entries) {
+		switch len(group) {
 		case 1:
-			e := g.entries[0]
-			isU := e.Fwd == 1 && view.ID == uid
-			isV := e.Bwd == 1 && view.ID == vid
+			isU := first.Fwd == 1 && view.ID == uid
+			isV := first.Bwd == 1 && view.ID == vid
 			if !isU && !isV {
-				return nil, false
+				return false
 			}
-			ces = append(ces, completionEdge{payload: e.Payload, real: false})
+			sc.ces = append(sc.ces, completionEdge{payload: first.Payload, real: false})
 		case 2:
 			// Intermediate vertex: consecutive ranks, not an endpoint.
 			if view.ID == uid || view.ID == vid {
-				return nil, false
+				return false
 			}
-			d := g.entries[0].Fwd - g.entries[1].Fwd
+			d := group[0].Fwd - group[1].Fwd
 			if d != 1 && d != -1 {
-				return nil, false
+				return false
 			}
 		default:
-			return nil, false
+			return false
 		}
 	}
-	return ces, true
+	return true
 }
 
-// collectEntries gathers the node entries across all incident completion
-// edges, requiring byte-identical copies, valid path chains, and in-budget
-// lanes.
-func (s *Scheme) collectEntries(view *VertexView, ces []completionEdge) (map[int]*NodeEntry, bool) {
-	entries := map[int]*NodeEntry{}
-	keys := map[int]string{}
+// collectEntries gathers into sc.entries the node entries across all
+// incident completion edges, one per node id, requiring byte-identical
+// copies (the same pointer, or else the same canonical encoding), valid
+// path chains, and in-budget lanes.
+func (s *Scheme) collectEntries(sc *vertexScratch) bool {
+	sc.entries = sc.entries[:0]
 	rootID := -1
-	for _, ce := range ces {
+	for _, ce := range sc.ces {
 		path := ce.payload.Path
 		if !s.validChain(path) {
-			return nil, false
+			return false
 		}
 		if rootID == -1 {
 			rootID = path[0].NodeID
 		} else if rootID != path[0].NodeID {
-			return nil, false
+			return false
 		}
 		for _, e := range path {
-			k := e.Key()
-			if prev, seen := keys[e.NodeID]; seen {
-				if prev != k {
-					return nil, false
+			if prev := sc.entry(e.NodeID); prev != nil {
+				if !sameEntry(prev, e) {
+					return false
 				}
 				continue
 			}
-			keys[e.NodeID] = k
-			entries[e.NodeID] = e
+			sc.entries = append(sc.entries, e)
 		}
 	}
-	return entries, true
+	return true
 }
 
 // validChain checks the root-to-owner structure of one certificate path.
@@ -271,8 +318,7 @@ func (s *Scheme) validLanes(lanes []int) bool {
 // checkEntryStructure runs the vertex-independent checks on each entry:
 // kind shapes, class recomputations (Lemma 6.4 and Proposition 6.1), and
 // tree-member folds (Lemma 6.5).
-func (s *Scheme) checkEntryStructure(entries map[int]*NodeEntry) bool {
-	//lint:certlint ignore mapiter per-entry validation with early reject; the verdict is order independent
+func (s *Scheme) checkEntryStructure(entries []*NodeEntry) bool {
 	for _, e := range entries {
 		switch e.Kind {
 		case lanewidth.ENode:
@@ -334,12 +380,10 @@ func (s *Scheme) checkPNode(e *NodeEntry) bool {
 		len(e.VInputs) != len(e.PathIDs) {
 		return false
 	}
-	seen := map[uint64]bool{}
 	for i, id := range e.PathIDs {
-		if seen[id] || e.InIDs[i] != id || e.OutIDs[i] != id {
+		if slices.Contains(e.PathIDs[:i], id) || e.InIDs[i] != id || e.OutIDs[i] != id {
 			return false
 		}
-		seen[id] = true
 	}
 	cls, err := s.baseP(e.Lanes, e.RealBits, e.VInputs)
 	return s.classMatches(e.ClassID, cls, err)
@@ -372,8 +416,11 @@ func (s *Scheme) checkBNode(e *NodeEntry) bool {
 	if !lanesDisjoint(e.Left.Lanes, e.Right.Lanes) {
 		return false
 	}
-	union := sortedLanes(append(append([]int(nil), e.Left.Lanes...), e.Right.Lanes...))
-	if !slices.Equal(union, e.Lanes) {
+	// The operands' lanes must be exactly e.Lanes. Both operand lists are
+	// strictly increasing (just checked), and so is e.Lanes (validChain),
+	// so two disjoint subsets whose sizes add up to len(e.Lanes) are it.
+	if len(e.Left.Lanes)+len(e.Right.Lanes) != len(e.Lanes) ||
+		!laneSubset(e.Left.Lanes, e.Lanes) || !laneSubset(e.Right.Lanes, e.Lanes) {
 		return false
 	}
 	// Terminals inherited from the operands (every operand lane is one of
@@ -461,24 +508,16 @@ func (s *Scheme) checkMemberFold(e *NodeEntry) bool {
 
 // checkRoles runs the vertex-specific checks: ownership counts, terminal
 // identities, operand and child/parent bindings.
-func (s *Scheme) checkRoles(view *VertexView, ces []completionEdge, entries map[int]*NodeEntry) bool {
-	// owned[nodeID] = incident completion edges whose owner is that node.
-	type ownedEdge struct {
-		ce  completionEdge
-		pos int
-	}
-	owned := map[int][]ownedEdge{}
-	onPath := map[int]bool{} // nodes appearing on some incident edge's path
-	for _, ce := range ces {
+func (s *Scheme) checkRoles(view *VertexView, sc *vertexScratch) bool {
+	// sc.ownedBy(nodeID) = incident completion edges whose owner is that node.
+	sc.owned = sc.owned[:0]
+	for _, ce := range sc.ces {
 		last := ce.payload.Path[len(ce.payload.Path)-1]
-		owned[last.NodeID] = append(owned[last.NodeID], ownedEdge{ce: ce, pos: ce.payload.OwnerPos})
-		for _, e := range ce.payload.Path {
-			onPath[e.NodeID] = true
-		}
+		sc.owned = append(sc.owned, ownedEdge{node: last.NodeID, real: ce.real, pos: ce.payload.OwnerPos})
 	}
+	slices.SortFunc(sc.owned, func(a, b ownedEdge) int { return cmp.Compare(a.node, b.node) })
 
-	//lint:certlint ignore mapiter per-entry validation with early reject; the verdict is order independent
-	for _, e := range entries {
+	for _, e := range sc.entries {
 		switch e.Kind {
 		case lanewidth.ENode:
 			isTerminal := false
@@ -490,9 +529,9 @@ func (s *Scheme) checkRoles(view *VertexView, ces []completionEdge, entries map[
 					}
 				}
 			}
-			oe := owned[e.NodeID]
+			oe := sc.ownedBy(e.NodeID)
 			if isTerminal {
-				if len(oe) != 1 || oe[0].ce.real != e.RealBits[0] {
+				if len(oe) != 1 || oe[0].real != e.RealBits[0] {
 					return false
 				}
 			} else if len(oe) != 0 {
@@ -506,7 +545,7 @@ func (s *Scheme) checkRoles(view *VertexView, ces []completionEdge, entries map[
 					break
 				}
 			}
-			oe := owned[e.NodeID]
+			oe := sc.ownedBy(e.NodeID)
 			if myPos == -1 {
 				if len(oe) != 0 {
 					return false
@@ -516,33 +555,38 @@ func (s *Scheme) checkRoles(view *VertexView, ces []completionEdge, entries map[
 			if e.VInputs[myPos] != view.Input {
 				return false // entry lies about this vertex's input
 			}
-			want := map[int]bool{}
+			// The vertex owns exactly its path edges: position myPos-1 (the
+			// edge before it) and myPos (the edge after it), where they
+			// exist, each once. seenPos[i] marks position myPos-1+i.
+			want := 0
 			if myPos > 0 {
-				want[myPos-1] = true
+				want++
 			}
 			if myPos < len(e.PathIDs)-1 {
-				want[myPos] = true
+				want++
 			}
-			if len(oe) != len(want) {
+			if len(oe) != want {
 				return false
 			}
-			seenPos := map[int]bool{}
+			var seenPos [2]bool
 			for _, o := range oe {
-				if !want[o.pos] || seenPos[o.pos] {
+				before := o.pos == myPos-1 && myPos > 0
+				after := o.pos == myPos && myPos < len(e.PathIDs)-1
+				if !before && !after || seenPos[o.pos-myPos+1] {
 					return false
 				}
-				if o.ce.real != e.RealBits[o.pos] {
+				if o.real != e.RealBits[o.pos] {
 					return false
 				}
-				seenPos[o.pos] = true
+				seenPos[o.pos-myPos+1] = true
 			}
 		case lanewidth.BNode:
 			bu := idOn(e.Left.Lanes, e.Left.OutIDs, e.LaneI)
 			bv := idOn(e.Right.Lanes, e.Right.OutIDs, e.LaneJ)
 			isEndpoint := view.ID == bu || view.ID == bv
-			oe := owned[e.NodeID]
+			oe := sc.ownedBy(e.NodeID)
 			if isEndpoint {
-				if len(oe) != 1 || oe[0].ce.real != e.BridgeReal {
+				if len(oe) != 1 || oe[0].real != e.BridgeReal {
 					return false
 				}
 			} else if len(oe) != 0 {
@@ -558,7 +602,7 @@ func (s *Scheme) checkRoles(view *VertexView, ces []completionEdge, entries map[
 					return false // summary lies about this vertex's input
 				}
 				count := 0
-				for _, ce := range ces {
+				for _, ce := range sc.ces {
 					for _, pe := range ce.payload.Path {
 						if pe.NodeID == e.NodeID {
 							count++
@@ -574,7 +618,7 @@ func (s *Scheme) checkRoles(view *VertexView, ces []completionEdge, entries map[
 				if op.Kind != lanewidth.TNode {
 					continue
 				}
-				if t, seen := entries[op.NodeID]; seen {
+				if t := sc.entry(op.NodeID); t != nil {
 					if t.Kind != lanewidth.TNode || !slices.Equal(t.Lanes, op.Lanes) ||
 						!slices.Equal(t.InIDs, op.InIDs) || !slices.Equal(t.OutIDs, op.OutIDs) ||
 						t.ClassID != op.ClassID {
@@ -591,8 +635,8 @@ func (s *Scheme) checkRoles(view *VertexView, ces []completionEdge, entries map[
 			if !slices.Contains(c.InIDs, view.ID) {
 				continue
 			}
-			child, seen := entries[c.NodeID]
-			if !seen || child.ParentID != e.ParentID {
+			child := sc.entry(c.NodeID)
+			if child == nil || child.ParentID != e.ParentID {
 				return false
 			}
 			if !slices.Equal(child.Lanes, c.Lanes) || !slices.Equal(child.InIDs, c.InIDs) ||
@@ -605,7 +649,7 @@ func (s *Scheme) checkRoles(view *VertexView, ces []completionEdge, entries map[
 		// Parent binding: a member whose in-terminal is this vertex is
 		// either its T-node's root member or listed by exactly one parent.
 		if e.ParentID != -1 && slices.Contains(e.InIDs, view.ID) {
-			if !s.checkParentBinding(view, e, entries) {
+			if !s.checkParentBinding(e, sc) {
 				return false
 			}
 		}
@@ -613,12 +657,12 @@ func (s *Scheme) checkRoles(view *VertexView, ces []completionEdge, entries map[
 	return true
 }
 
-func (s *Scheme) checkParentBinding(view *VertexView, e *NodeEntry, entries map[int]*NodeEntry) bool {
-	t, seenT := entries[e.ParentID]
-	isRoot := seenT && t.Kind == lanewidth.TNode && t.RootMember != nil &&
+func (s *Scheme) checkParentBinding(e *NodeEntry, sc *vertexScratch) bool {
+	t := sc.entry(e.ParentID)
+	isRoot := t != nil && t.Kind == lanewidth.TNode && t.RootMember != nil &&
 		t.RootMember.NodeID == e.NodeID
 	parents := 0
-	for _, m := range entries {
+	for _, m := range sc.entries {
 		if m.ParentID != e.ParentID || m.NodeID == e.NodeID {
 			continue
 		}
@@ -636,11 +680,11 @@ func (s *Scheme) checkParentBinding(view *VertexView, e *NodeEntry, entries map[
 
 // checkRootAndPointing verifies acceptance at the root class and the
 // root-anchor pointing scheme.
-func (s *Scheme) checkRootAndPointing(view *VertexView, ces []completionEdge, entries map[int]*NodeEntry) bool {
-	if len(ces) == 0 {
+func (s *Scheme) checkRootAndPointing(view *VertexView, sc *vertexScratch) bool {
+	if len(sc.ces) == 0 {
 		return false
 	}
-	root := ces[0].payload.Path[0]
+	root := sc.ces[0].payload.Path[0]
 	rootCls := s.Reg.Class(root.ClassID)
 	if rootCls == nil {
 		return false
@@ -654,14 +698,14 @@ func (s *Scheme) checkRootAndPointing(view *VertexView, ces []completionEdge, en
 		return false
 	}
 	x := root.RootMember.InIDs[0]
-	var pls []cert.PointingLabel
+	sc.pls = sc.pls[:0]
 	for _, l := range view.Labels {
 		if l.Pointing == nil {
 			return false
 		}
-		pls = append(pls, *l.Pointing)
+		sc.pls = append(sc.pls, *l.Pointing)
 	}
-	return cert.VerifyPointingAt(view.ID, x, pls, false)
+	return cert.VerifyPointingAt(view.ID, x, sc.pls, false)
 }
 
 func laneIn(l int, lanes []int) bool {

@@ -61,8 +61,7 @@ func RunWithMemoryFault(
 	if labeling == nil {
 		return Result{}, false, fmt.Errorf("dist: nil labeling")
 	}
-	inject := InjectorFor(f)
-	if inject == nil {
+	if InjectorFor(f) == nil {
 		return Result{}, false, fmt.Errorf("dist: unknown fault %v", f)
 	}
 	if v < 0 || v >= cfg.G.N() {
@@ -74,7 +73,7 @@ func RunWithMemoryFault(
 	}
 	// Corrupt memory = the honest labeling with one of v's incident edge
 	// labels replaced (copy-on-write; the round only reads).
-	corrupt, injected := injectAt(rng, labeling, incident, inject)
+	corrupt, injected := injectAt(rng, labeling, incident, f)
 	if !injected {
 		return Result{}, false, nil
 	}

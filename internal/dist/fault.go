@@ -5,8 +5,10 @@
 package dist
 
 import (
+	"cmp"
+	"maps"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/graph"
@@ -80,53 +82,69 @@ func InjectorFor(f Fault) Injector {
 // never mutated: only the corrupted edge's label is deep-cloned, the rest
 // is shared (verification is read-only).
 func Inject(rng *rand.Rand, l *core.Labeling, f Fault) (*core.Labeling, bool) {
-	inject := InjectorFor(f)
-	if inject == nil || l == nil {
+	if InjectorFor(f) == nil || l == nil {
 		return nil, false
 	}
 	edges := make([]graph.Edge, 0, len(l.Edges))
 	for e := range l.Edges {
 		edges = append(edges, e)
 	}
-	return injectAt(rng, l, edges, inject)
+	return injectAt(rng, l, edges, f)
 }
 
-// injectAt tries the injector on the candidate edges in a seeded random
-// order (sorted first, so the sequence is reproducible per rng seed) and
-// returns a copy-on-write labeling with the first successful corruption:
-// only the corrupted edge's label is deep-cloned, every other label is
-// shared with the input, which is never mutated. It is the single
-// construction behind Inject and RunWithMemoryFault.
-func injectAt(rng *rand.Rand, l *core.Labeling, edges []graph.Edge, inject Injector) (*core.Labeling, bool) {
-	edges = append([]graph.Edge(nil), edges...)
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].U != edges[j].U {
-			return edges[i].U < edges[j].U
-		}
-		return edges[i].V < edges[j].V
+// injectAt tries the fault on the candidate edges in a seeded random order
+// (sorted first, so the sequence is reproducible per rng seed; the slice is
+// reordered in place) and returns a copy-on-write labeling with the first
+// successful corruption: only the corrupted edge's label is deep-cloned,
+// every other label is shared with the input, which is never mutated.
+// Candidates are probed with hosts before anything is cloned, and an
+// injector draws from rng only once it applies, so probing changes neither
+// the chosen edge nor the corruption. It is the single construction behind
+// Inject and RunWithMemoryFault.
+func injectAt(rng *rand.Rand, l *core.Labeling, edges []graph.Edge, f Fault) (*core.Labeling, bool) {
+	inject := InjectorFor(f)
+	slices.SortFunc(edges, func(a, b graph.Edge) int {
+		return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V))
 	})
 	rng.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
 	for _, e := range edges {
 		el := l.Edges[e]
-		if el == nil {
+		if !f.hosts(el) {
 			continue
 		}
 		trial := el.Clone()
-		if !inject(rng, trial) {
-			continue // injectors mutate only on success, so the clone is clean garbage
-		}
-		mutated := &core.Labeling{Edges: make(map[graph.Edge]*core.EdgeLabel, len(l.Edges))}
-		for k, v := range l.Edges {
-			mutated.Edges[k] = v
-		}
+		inject(rng, trial) // hosts(el) holds, so it applies to the clone
+		mutated := &core.Labeling{Edges: maps.Clone(l.Edges)}
 		mutated.Edges[e] = trial
 		return mutated, true
 	}
 	return nil, false
 }
 
+// hosts reports whether the fault applies to the label: exactly the
+// injector's early returns, evaluated without mutating or cloning. A clone
+// keeps every length these read, so it answers the same for el.Clone().
+func (f Fault) hosts(el *core.EdgeLabel) bool {
+	if el == nil {
+		return false
+	}
+	switch f {
+	case FlipClass:
+		return el.Own != nil && len(el.Own.Path) > 0
+	case FlipRealBit:
+		return el.Own != nil && slices.ContainsFunc(el.Own.Path, func(en *core.NodeEntry) bool { return len(en.RealBits) > 0 })
+	case ShiftTerminal:
+		return el.Own != nil && slices.ContainsFunc(el.Own.Path, func(en *core.NodeEntry) bool { return len(en.OutIDs) > 0 })
+	case RankSkew:
+		return len(el.Emb) > 0
+	case EraseLabel:
+		return el.Own != nil || len(el.Emb) > 0 || el.Pointing != nil
+	}
+	return false
+}
+
 func injectFlipClass(rng *rand.Rand, el *core.EdgeLabel) bool {
-	if el == nil || el.Own == nil || len(el.Own.Path) == 0 {
+	if !FlipClass.hosts(el) {
 		return false
 	}
 	el.Own.Path[rng.Intn(len(el.Own.Path))].ClassID += 1 + rng.Intn(3)
@@ -134,7 +152,7 @@ func injectFlipClass(rng *rand.Rand, el *core.EdgeLabel) bool {
 }
 
 func injectFlipRealBit(rng *rand.Rand, el *core.EdgeLabel) bool {
-	if el == nil || el.Own == nil {
+	if !FlipRealBit.hosts(el) {
 		return false
 	}
 	var candidates []*core.NodeEntry
@@ -143,9 +161,6 @@ func injectFlipRealBit(rng *rand.Rand, el *core.EdgeLabel) bool {
 			candidates = append(candidates, en)
 		}
 	}
-	if len(candidates) == 0 {
-		return false
-	}
 	en := candidates[rng.Intn(len(candidates))]
 	i := rng.Intn(len(en.RealBits))
 	en.RealBits[i] = !en.RealBits[i]
@@ -153,7 +168,7 @@ func injectFlipRealBit(rng *rand.Rand, el *core.EdgeLabel) bool {
 }
 
 func injectShiftTerminal(rng *rand.Rand, el *core.EdgeLabel) bool {
-	if el == nil || el.Own == nil {
+	if !ShiftTerminal.hosts(el) {
 		return false
 	}
 	var candidates []*core.NodeEntry
@@ -161,9 +176,6 @@ func injectShiftTerminal(rng *rand.Rand, el *core.EdgeLabel) bool {
 		if len(en.OutIDs) > 0 {
 			candidates = append(candidates, en)
 		}
-	}
-	if len(candidates) == 0 {
-		return false
 	}
 	en := candidates[rng.Intn(len(candidates))]
 	// OutIDs is aligned with the sorted lanes, so index i is the i-th
@@ -173,7 +185,7 @@ func injectShiftTerminal(rng *rand.Rand, el *core.EdgeLabel) bool {
 }
 
 func injectRankSkew(rng *rand.Rand, el *core.EdgeLabel) bool {
-	if el == nil || len(el.Emb) == 0 {
+	if !RankSkew.hosts(el) {
 		return false
 	}
 	el.Emb[rng.Intn(len(el.Emb))].Fwd += 1 + rng.Intn(2)
@@ -181,7 +193,7 @@ func injectRankSkew(rng *rand.Rand, el *core.EdgeLabel) bool {
 }
 
 func injectEraseLabel(_ *rand.Rand, el *core.EdgeLabel) bool {
-	if el == nil || (el.Own == nil && el.Emb == nil && el.Pointing == nil) {
+	if !EraseLabel.hosts(el) {
 		return false // nothing left to erase — not a new corruption
 	}
 	el.Own = nil

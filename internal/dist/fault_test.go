@@ -160,3 +160,31 @@ func TestShiftTerminalPicksSortedLane(t *testing.T) {
 		})
 	}
 }
+
+// TestInjectAllocationsDoNotGrow bounds the allocations of one
+// flip-real-bit injection by a constant, on interval graphs whose edge
+// counts differ eightfold. Only a few labels of an interval graph can host
+// the fault, so an injector that cloned every label it tried would
+// allocate in proportion to the edges probed (236,712 allocations at
+// m = 2047 when every candidate was cloned); probing first clones one
+// label. The copy-on-write map adds one table per ~900 edges, which the
+// constant leaves room for (80 and 86 allocations at the two sizes).
+func TestInjectAllocationsDoNotGrow(t *testing.T) {
+	if testing.Short() {
+		t.Skip("proves two interval graphs")
+	}
+	const maxAllocs = 128
+	for _, n := range []int{256, 2048} {
+		g, _ := gen.IntervalGraph(rand.New(rand.NewSource(1)), n, 2)
+		labeling := prove(t, core.NewScheme(algebra.Colorable{Q: 3}, 3), cert.NewConfig(g))
+		allocs := testing.AllocsPerRun(5, func() {
+			if _, ok := Inject(rand.New(rand.NewSource(1)), labeling, FlipRealBit); !ok {
+				t.Fatal("flip-real-bit not injectable")
+			}
+		})
+		t.Logf("n=%d m=%d: %.0f allocations per injection", n, g.M(), allocs)
+		if allocs > maxAllocs {
+			t.Errorf("n=%d m=%d: %.0f allocations per injection, want ≤ %d", n, g.M(), allocs, maxAllocs)
+		}
+	}
+}
