@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"slices"
@@ -115,29 +114,9 @@ type classDef struct {
 	deps   []int  // ids it merges, which must resolve first: defB left and right; defAlias the source; defFold own, then each child
 }
 
-// appendKey appends an encoding of every field, distinct for distinct
-// definitions.
-func (d *classDef) appendKey(b []byte) []byte {
-	b = append(b, byte(d.op))
-	b = binary.AppendVarint(b, int64(d.id))
-	for _, xs := range [][]int{d.lanes, d.inputs, d.deps} {
-		b = binary.AppendUvarint(b, uint64(len(xs)))
-		for _, x := range xs {
-			b = binary.AppendVarint(b, int64(x))
-		}
-	}
-	b = binary.AppendUvarint(b, uint64(len(d.real)))
-	for _, r := range d.real {
-		b = append(b, boolByte(r))
-	}
-	return b
-}
-
-func boolByte(b bool) byte {
-	if b {
-		return 1
-	}
-	return 0
+func (d *classDef) equal(o *classDef) bool {
+	return d.op == o.op && d.id == o.id && slices.Equal(d.lanes, o.lanes) && slices.Equal(d.real, o.real) &&
+		slices.Equal(d.inputs, o.inputs) && slices.Equal(d.deps, o.deps)
 }
 
 // build recomputes the definition's class; every dependency is resolved.
@@ -172,48 +151,50 @@ func (s *Scheme) build(d *classDef, resolved map[int]*algebra.Class) (*algebra.C
 // defCollector gathers the distinct class definitions of a set of
 // labelings and every class id they reference.
 type defCollector struct {
-	defs      []classDef
-	refs      map[int]bool
-	seenDef   map[string]bool
-	seenEntry map[*NodeEntry]bool
-	seenCert  map[*CEdgeLabel]bool
+	defs     []classDef
+	ids      map[int][]int // every referenced id, to the indices of its definitions in defs
+	seenCert map[*CEdgeLabel]bool
 
-	key         []byte // encoding of the definition being added
-	lanes, deps []int  // field scratch of the definition being added
+	lanes, deps []int // field scratch of the definition being added
 	real        [1]bool
 	input       [1]int
+}
+
+// ref records a referenced class id.
+func (c *defCollector) ref(id int) {
+	if _, ok := c.ids[id]; !ok {
+		c.ids[id] = nil
+	}
 }
 
 // add records d unless an equal definition is already recorded. d's
 // slices may alias scratch or entry memory; a recorded copy owns its own.
 func (c *defCollector) add(d classDef) {
-	c.key = d.appendKey(c.key[:0])
-	if c.seenDef[string(c.key)] {
-		return
+	for _, i := range c.ids[d.id] {
+		if c.defs[i].equal(&d) {
+			return
+		}
 	}
-	c.seenDef[string(c.key)] = true
 	d.lanes, d.real = slices.Clone(d.lanes), slices.Clone(d.real)
 	d.inputs, d.deps = slices.Clone(d.inputs), slices.Clone(d.deps)
+	c.ids[d.id] = append(c.ids[d.id], len(c.defs))
 	c.defs = append(c.defs, d)
 }
 
 // collectClassDefs walks every certificate path of the labelings and
-// returns the distinct class definitions they carry and the set of all
-// referenced ids. Certificates and entries are deduplicated by pointer:
-// prover output and decoded labelings share both (a Decoder interns equal
-// bits to one pointer), so each distinct one is walked once. Definitions
-// are then deduplicated by value, which also merges the copies that do not
-// share a pointer — cloned labelings, separately decoded labels, and the
-// many distinct entries whose definitions coincide (an honest labeling's
-// tens of thousands of entries carry a few dozen distinct definitions, one
-// or two per class id).
-func (s *Scheme) collectClassDefs(labelings []*Labeling) ([]classDef, map[int]bool) {
-	c := &defCollector{
-		refs:      map[int]bool{},
-		seenDef:   map[string]bool{},
-		seenEntry: map[*NodeEntry]bool{},
-		seenCert:  map[*CEdgeLabel]bool{},
-	}
+// returns the distinct class definitions they carry and every referenced
+// id, mapped to the indices of its definitions. Certificates are
+// deduplicated by pointer: prover output and decoded labelings share them
+// (a Decoder interns them), so each distinct one is walked once.
+// Definitions are deduplicated by value, against the few already recorded
+// for the same id, which also merges the copies that share no pointer —
+// cloned labelings, separately decoded labels, and the many distinct
+// entries whose definitions coincide (an honest labeling's tens of
+// thousands of entries carry a few dozen distinct definitions, one or two
+// per class id). Entries are not deduplicated first: deriving an entry's
+// definitions costs no more than a pointer-set lookup would.
+func (s *Scheme) collectClassDefs(labelings []*Labeling) ([]classDef, map[int][]int) {
+	c := &defCollector{ids: map[int][]int{}, seenCert: map[*CEdgeLabel]bool{}}
 	for _, l := range labelings {
 		if l == nil {
 			continue
@@ -229,7 +210,7 @@ func (s *Scheme) collectClassDefs(labelings []*Labeling) ([]classDef, map[int]bo
 			}
 		}
 	}
-	return c.defs, c.refs
+	return c.defs, c.ids
 }
 
 func (c *defCollector) addCert(ce *CEdgeLabel) {
@@ -238,15 +219,14 @@ func (c *defCollector) addCert(ce *CEdgeLabel) {
 	}
 	c.seenCert[ce] = true
 	for _, e := range ce.Path {
-		if e != nil && !c.seenEntry[e] {
-			c.seenEntry[e] = true
+		if e != nil {
 			c.addEntry(e)
 		}
 	}
 }
 
 func (c *defCollector) addEntry(e *NodeEntry) {
-	c.refs[e.ClassID] = true
+	c.ref(e.ClassID)
 	switch e.Kind {
 	case lanewidth.ENode:
 		if len(e.Lanes) == 1 && len(e.RealBits) == 1 && len(e.VInputs) == 2 {
@@ -259,7 +239,7 @@ func (c *defCollector) addEntry(e *NodeEntry) {
 	case lanewidth.BNode:
 		if e.Left != nil && e.Right != nil {
 			for _, op := range []*OperandSummary{e.Left, e.Right} {
-				c.refs[op.ClassID] = true
+				c.ref(op.ClassID)
 				if op.Kind == lanewidth.VNode && len(op.Lanes) == 1 {
 					c.input[0] = op.Input
 					c.add(classDef{op: defV, id: op.ClassID, lanes: op.Lanes, inputs: c.input[:]})
@@ -275,17 +255,17 @@ func (c *defCollector) addEntry(e *NodeEntry) {
 		// definition lives at the root member's own entry; recording the
 		// alias keeps the id resolvable when the two numbers agree.
 		if e.RootMember != nil {
-			c.refs[e.RootMember.MergedClassID] = true
+			c.ref(e.RootMember.MergedClassID)
 			c.deps = append(c.deps[:0], e.RootMember.MergedClassID)
 			c.add(classDef{op: defAlias, id: e.ClassID, deps: c.deps})
 		}
 	}
 	if e.ParentID != -1 {
 		// Lemma 6.5 member fold: merged = fP(children..., own).
-		c.refs[e.MergedClassID] = true
+		c.ref(e.MergedClassID)
 		c.deps = append(c.deps[:0], e.ClassID)
 		for i := range e.Children {
-			c.refs[e.Children[i].MergedClassID] = true
+			c.ref(e.Children[i].MergedClassID)
 			c.deps = append(c.deps, e.Children[i].MergedClassID)
 		}
 		c.add(classDef{op: defFold, id: e.MergedClassID, deps: c.deps})

@@ -170,9 +170,6 @@ func TestShiftTerminalPicksSortedLane(t *testing.T) {
 // label. The copy-on-write map adds one table per ~900 edges, which the
 // constant leaves room for (80 and 86 allocations at the two sizes).
 func TestInjectAllocationsDoNotGrow(t *testing.T) {
-	if testing.Short() {
-		t.Skip("proves two interval graphs")
-	}
 	const maxAllocs = 128
 	for _, n := range []int{256, 2048} {
 		g, _ := gen.IntervalGraph(rand.New(rand.NewSource(1)), n, 2)
