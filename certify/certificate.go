@@ -80,11 +80,11 @@ const MaxLaneBudget = 1 << 12
 // Wire-format constants.
 const (
 	certMagic   = "PLSC" // Proof Labeling Scheme Certificate
-	certVersion = 4
+	certVersion = 5
 
 	// Decode plausibility bounds; anything larger is rejected outright.
-	// maxLabelBits is ~630,000× the worst version-4 label of a
-	// 32768-vertex width-2 interval graph under 8 lanes (1708 bits);
+	// maxLabelBits is ~910,000× the worst version-5 label of a
+	// 32768-vertex width-2 interval graph under 8 lanes (1181 bits);
 	// minEdgeBytes below counts only an edge entry's u, v and bit-count
 	// varints, which the label grammar does not touch.
 	maxCertProps    = 1 << 10

@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	mathbits "math/bits"
 	"strings"
 	"testing"
 
@@ -182,17 +181,13 @@ func TestOverWideCopyRejectedAfterInterning(t *testing.T) {
 	if target.U < 0 {
 		t.Fatal("no repeated non-member root entry in the honest labeling")
 	}
-	// Encode a copy whose root node id has one bit above every node id of
-	// the entry, then clear that bit: the entry's node ids are now written
-	// wider than its widest node id needs, and every value is the honest
-	// one.
+	// Encode a copy whose root node id has bit 62 set, above every node id
+	// of the label, then clear that bit: the label's node ids are now
+	// written wider than its widest node id needs, and every value is the
+	// honest one.
 	forged := l.Edges[target].Clone()
 	root := forged.Own.Path[0]
-	widest := root.NodeID
-	if rm := root.RootMember; rm != nil {
-		widest = max(widest, rm.NodeID)
-	}
-	root.NodeID |= 1 << mathbits.Len(uint(widest))
+	root.NodeID |= 1 << 62
 	data, nbits := core.EncodeLabel(forged)
 	blob := marshalWithLabel(t, &honest, name, target, forged)
 	at := bytes.Index(blob, data)
@@ -200,8 +195,9 @@ func TestOverWideCopyRejectedAfterInterning(t *testing.T) {
 		t.Fatal("the forged label's bytes are not in the marshaled blob")
 	}
 	r := bits.NewReader(data, nbits)
-	// The root entry is the first row of the label's entry table. Its node
-	// id follows its two widths and its vertex-id dictionary.
+	// The root entry is the first row of the label's entry table, so its
+	// node id is the first id of the node dictionary, which follows the
+	// vertex and class dictionaries.
 	read := func(field string) uint64 {
 		v, err := r.ReadUvarint()
 		if err != nil {
@@ -210,10 +206,15 @@ func TestOverWideCopyRejectedAfterInterning(t *testing.T) {
 		return v
 	}
 	read("table row count")
+	vertices := read("vertex dictionary size")
 	vertexWidth := read("vertex width")
+	r.Seek(r.Pos() + int(vertices*vertexWidth))
+	for range read("class dictionary size") {
+		r.Seek(r.Pos() + 16)
+		read("class collision rank")
+	}
+	read("node dictionary size")
 	read("node width")
-	dictBits := int(read("dictionary size") * vertexWidth)
-	r.Seek(r.Pos() + dictBits)
 	data[r.Pos()/8] &^= 1 << uint(7-r.Pos()%8)
 	if _, err := core.DecodeLabel(data, nbits); err == nil || !strings.Contains(err.Error(), "width") {
 		t.Fatalf("an over-wide node id width decoded, or failed for another reason: %v", err)

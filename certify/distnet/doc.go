@@ -5,7 +5,7 @@
 // labels over TCP each round using the certificate's canonical label
 // encoding. Darts between vertices of the same partition short-circuit in
 // memory. Every vertex is decided by the rule the in-process round of
-// internal/dist applies (dist.CheckVertex), so a TCP cluster and dist.Run
+// internal/dist applies (dist.Checker.CheckVertex), so a TCP cluster and dist.Run
 // reach the same verdict on the same labeling.
 //
 // A Coordinator numbers rounds, broadcasts round starts over per-partition

@@ -631,20 +631,22 @@ func (n *Node) runRound(r uint64) verdictMsg {
 
 	v := verdictMsg{round: r, accepted: true}
 	nTotal := n.cl.g.N()
+	// One Checker and one pair of copy lists serve every local vertex.
+	var check dist.Checker
+	var mine, remote []*core.EdgeLabel
 	for _, u := range n.locals {
 		neighbors := n.cl.g.Neighbors(u)
-		mine := make([]*core.EdgeLabel, len(neighbors))
-		remote := make([]*core.EdgeLabel, len(neighbors))
-		for i, w := range neighbors {
+		mine, remote = mine[:0], remote[:0]
+		for _, w := range neighbors {
 			e := graph.NewEdge(u, w)
-			mine[i] = snap[e]
+			mine = append(mine, snap[e])
 			if p := PartOf(w, nTotal, n.cl.parts); p == n.part {
-				remote[i] = mine[i] // local dart short-circuits in memory
+				remote = append(remote, snap[e]) // local dart short-circuits in memory
 			} else {
-				remote[i] = got[p][e]
+				remote = append(remote, got[p][e])
 			}
 		}
-		ok := dist.CheckVertex(n.cl.scheme, n.cl.cfg.IDs[u], n.cl.cfg.Input(u), len(neighbors) == 0, mine, remote)
+		ok := check.CheckVertex(n.cl.scheme, n.cl.cfg.IDs[u], n.cl.cfg.Input(u), len(neighbors) == 0, mine, remote)
 		if !ok {
 			v.accepted = false
 			v.rejectedTotal++

@@ -33,14 +33,14 @@ const (
 	// maxFramePayload caps any frame's declared payload: large enough for a
 	// full cut-label batch of the biggest supported partitions, small enough
 	// that a hostile peer cannot make a node reserve unbounded memory. With
-	// per-entry vertex-id dictionaries (PLSC v4) the worst label of a
-	// 32768-vertex width-2 interval graph under 8 lanes is 1708 bits (~214
-	// bytes), so one frame holds ~19,600 such labels.
+	// label-wide id dictionaries (PLSC v5) the worst label of a
+	// 32768-vertex width-2 interval graph under 8 lanes is 1181 bits (~148
+	// bytes), so one frame holds ~28,000 such labels.
 	maxFramePayload = 4 << 20
 
-	// maxLabelBits caps one shipped label encoding: 1<<22 bits is ~2,400×
-	// that 1708-bit v4 label, which grows by ~50 bits per doubling of n,
-	// so the cap sits far above any honest O(log n)-bit label.
+	// maxLabelBits caps one shipped label encoding: 1<<22 bits is ~3,500×
+	// that 1181-bit v5 label, which grows by a few dozen bits per doubling
+	// of n, so the cap sits far above any honest O(log n)-bit label.
 	maxLabelBits = 1 << 22
 	// maxWireRejected caps the rejected-vertex list one verdict frame
 	// carries; RejectedTotal still reports the full count.

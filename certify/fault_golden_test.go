@@ -16,11 +16,11 @@ import (
 // corrupted blobs all depend on that. Only a deliberate change of the
 // corruption model or of the wire format may re-capture the table.
 var faultDigests = map[string]string{
-	"flip-class":     "f3dc79d1fd1d26c20a892e949179bf6f4872736ddf16654adb5083cde43e5a6d",
-	"flip-real-bit":  "6f52bc8c413166f72bd036b296ad14628f269aedbd3016fa004a60814e0ee8b8",
-	"shift-terminal": "83a32edd8253dba9b0b772f06be317e8de11aa5ee0f68c1802fd970691f6e8b2",
-	"rank-skew":      "c9dd046b154e57160428056a6566c61b3d6ede29e8aa8d03c597b84a5f2100db",
-	"erase-label":    "5a6d9dc25f8a8dfcd2632dafc5554a0cbe255f57a6a061844177748e2501950d",
+	"flip-class":     "b127644ef26d2117f9a8fa30875cba54e4cd0f4adbc007ad7358e89f768cd159",
+	"flip-real-bit":  "ffd73659c8016a944dffcd17b9e3b5453ee2a340d4e2153c51fffc48f9f32bc3",
+	"shift-terminal": "36180a4597faf5310f7b33541011411d9db0d74511eb1e7ee5cda37e18b252a4",
+	"rank-skew":      "2e44473d64d0982809a0a33542f9e749459f37cb925da6fa0471562883aa9cc9",
+	"erase-label":    "fedf04752b96d00df90e927e712c8f17ea10853fa29d7677488b6f10a4a3f195",
 }
 
 const faultSeed = 7

@@ -22,16 +22,16 @@ var goldenParallelism = []int{1, 2, 0}
 // Only a deliberate wire-format change may re-capture it; any other change
 // that moves a digest has changed what the prover emits.
 var goldenDigests = map[string]string{
-	"family/caterpillar": "1d28a2bd69132e7f06ef49ed1cf61cbbbf40e7fb5bf0652f33a90423403ac0ea",
-	"family/cycle":       "b0e70d18af2b72068c1f5bcd18841f4de64ff0425382c74d4a2b0689a83f71bd",
-	"family/interval":    "33113a4be818af2bb6211a03497572ebe9782c5361805e811cb53b58c1df3cae",
-	"family/ladder":      "ddf43afafad463a82daba0d22ceda4adaa8556a7f808063f40549b8f85cfb71a",
-	"family/lobster":     "837c34a7c4dbd8ceec6bd47ba5946d70850046152e26da801c905af65d25c48c",
-	"family/path":        "be40ebac6b080f2a10fd6ed41994f995c1dfbdeb9fbaaeb95fb8290414913b75",
-	"family/spider":      "9d536921a93c402e35533341ea905db033efb463f914aa87cc9f1288776b6bc7",
-	"pair/ladder":        "b8ac16107bc73144a86259fd21945a8e2d362e33e11a92c976756f347aa2ee54",
-	"updater/ladder10":   "dd1a599a5f4a4c5cc5f1f7b19b07e15b0978e7c98b008f78dec98e7d925b7387",
-	"updater/ladder200":  "7393dee00faf1cddf4580efe00b09059c9400d21b2e20c4d785765c5f4946002",
+	"family/caterpillar": "b6d64925c7bd3c6dfe54eaa7ca4112ef4de06b8f651b880cb4f057df02b0a9fc",
+	"family/cycle":       "222d059308343c817afbaf25b53806dd3092ebcbb1a126beee878e7e3ccd457a",
+	"family/interval":    "1c1de51f05a2d79fd832d60aaebef0b79a01681bd5d0762aa683445c68755d5c",
+	"family/ladder":      "1ceee4b652bd3232cc6f17a0bf05ab9d0b04055bd0982ae1f4552082e588819a",
+	"family/lobster":     "b1def892cceae5ee9330c086f44f1f6ffa32fbe679ee8e84f9beafb6ea7bd2ee",
+	"family/path":        "4f7811ffeeff449e8641340364d8516742615673b61d5c7b2a40c4c40cc660ec",
+	"family/spider":      "660410f29978e4a76c2bd07a8eb2111f29c4086800e72da49fdf207aba0dc10d",
+	"pair/ladder":        "4332f5ac0e82ffbc810cd1ca4650953e44d523e79629feaa7fd96e55ee9c6ad5",
+	"updater/ladder10":   "4f4cdc75958c1acc63788562ab5faecadf88123a0c6cb5bb17d0e883e8eae728",
+	"updater/ladder200":  "b94dfac6ba53ccea0ba39f8c7365d9ce387b6fc4ed01dec4aafa73dd813a61f7",
 }
 
 func certDigest(t *testing.T, crt *Certificate) string {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	mathbits "math/bits"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -123,44 +124,65 @@ func oneLabelBlob(label *bits.Writer) []byte {
 	return w.finish()
 }
 
-// hostileLabelPayload is a label bit stream whose width, rank or entry
-// table lies, and the text its rejection must carry.
+// hostileLabelPayload is a label bit stream whose width, rank, entry
+// table or dictionary lies, and the text its rejection must carry.
 type hostileLabelPayload struct {
 	w    *bits.Writer
 	want string
 }
 
+// writeIDDict writes a vertex-id or node-id dictionary: its size, the given
+// width, then each id in that width.
+func writeIDDict(w *bits.Writer, width int, ids []uint64) {
+	w.WriteUvarint(uint64(len(ids)))
+	w.WriteUvarint(uint64(width))
+	for _, id := range ids {
+		w.WriteUint(id, width)
+	}
+}
+
+// widthOf returns the bit length of the widest id.
+func widthOf(ids []uint64) int {
+	width := 0
+	for _, id := range ids {
+		width = max(width, mathbits.Len64(id))
+	}
+	return width
+}
+
+// writeDicts writes a label's dictionaries, each id list in its widest
+// id's width: the vertex ids, the class ids (collision rank 0), then the
+// node ids.
+func writeDicts(w *bits.Writer, vertex []uint64, classes []uint64, nodes []uint64) {
+	writeIDDict(w, widthOf(vertex), vertex)
+	w.WriteUvarint(uint64(len(classes)))
+	for _, c := range classes {
+		w.WriteUint(c, 16)
+		w.WriteUvarint(0) // collision rank
+	}
+	writeIDDict(w, widthOf(nodes), nodes)
+}
+
+// indexWidth returns the width of an index into a dictionary of n ids.
+func indexWidth(n int) int { return mathbits.Len(uint(max(n, 1) - 1)) }
+
 // writeTinyEntry writes an entry of the smallest shape, no ids but its node
-// id, in that id's own width.
-func writeTinyEntry(w *bits.Writer, nodeID uint64) {
-	writePathEntry(w, nodeID, nil)
+// id and its class, as the given indices into node and class dictionaries
+// of the given sizes.
+func writeTinyEntry(w *bits.Writer, nodes, node, classes, class int) {
+	writePathEntry(w, nodes, node, classes, class, 0)
 }
 
 // writePathEntry writes an entry whose only vertex ids are its path ids:
-// a dictionary of the given ids in the widest one's width, then one path
-// id per index in rows, each in the dictionary's index width. Its node id
-// is written in that id's own width.
-func writePathEntry(w *bits.Writer, nodeID uint64, dict []uint64, rows ...uint64) {
-	vertexWidth, nodeWidth := 0, mathbits.Len64(nodeID)
-	for _, id := range dict {
-		vertexWidth = max(vertexWidth, mathbits.Len64(id))
-	}
-	w.WriteUvarint(uint64(vertexWidth))
-	w.WriteUvarint(uint64(nodeWidth))
-	w.WriteUvarint(uint64(len(dict)))
-	for _, id := range dict {
-		w.WriteUint(id, vertexWidth)
-	}
-	w.WriteUint(nodeID, nodeWidth)
+// its fixed fields, then its index block — one path id per index in rows,
+// each in the width of an index into a dictionary of dict ids, then its
+// class and node id as the given indices into class and node dictionaries
+// of the given sizes.
+func writePathEntry(w *bits.Writer, nodes, node, classes, class, dict int, rows ...uint64) {
 	w.WriteUint(0, 3) // kind
 	w.WriteUvarint(0) // lanes
-	w.WriteUint(7, 16)
-	w.WriteUvarint(0) // collision rank
 	w.WriteBit(false) // not a tree member
 	w.WriteUvarint(uint64(len(rows)))
-	for _, r := range rows {
-		w.WriteUint(r, mathbits.Len(uint(max(len(dict), 1)-1)))
-	}
 	for range max(len(rows)-1, 0) {
 		w.WriteBit(false) // a virtual path edge
 	}
@@ -172,6 +194,11 @@ func writePathEntry(w *bits.Writer, nodeID uint64, dict []uint64, rows ...uint64
 	for range 4 {
 		w.WriteBit(false) // BridgeReal, no operands, no root member
 	}
+	for _, r := range rows {
+		w.WriteUint(r, indexWidth(dict))
+	}
+	w.WriteUint(uint64(class), indexWidth(classes))
+	w.WriteUint(uint64(node), indexWidth(nodes))
 }
 
 // ownLabel ends a label after its entry table: an own certificate whose
@@ -184,80 +211,122 @@ func ownLabel(w *bits.Writer, rw int, rows ...uint64) *bits.Writer {
 		w.WriteUint(r, rw)
 	}
 	w.WriteUvarint(0) // owner position
-	w.WriteUvarint(0) // label id width
 	w.WriteUvarint(0) // no embedding entries
 	w.WriteBit(false) // no pointing label
 	return w
 }
 
 // tableLabel writes a label whose entry table holds a tiny entry per node
-// id and whose own certificate's path is the given rows, each in rw bits.
+// id, its class the one class 7, and whose own certificate's path is the
+// given rows, each in rw bits.
 func tableLabel(nodeIDs []uint64, rw int, rows ...uint64) *bits.Writer {
+	var nodes []uint64
+	for _, id := range nodeIDs {
+		if !slices.Contains(nodes, id) {
+			nodes = append(nodes, id)
+		}
+	}
 	w := new(bits.Writer)
 	w.WriteUvarint(uint64(len(nodeIDs)))
+	writeDicts(w, nil, []uint64{7}, nodes)
 	for _, id := range nodeIDs {
-		writeTinyEntry(w, id)
+		writeTinyEntry(w, len(nodes), slices.Index(nodes, id), 1, 0)
 	}
 	return ownLabel(w, rw, rows...)
 }
 
 // dictLabel writes a label whose one entry's path ids are the given
-// indices into a dictionary of the given ids.
+// indices into a vertex dictionary of the given ids.
 func dictLabel(dict []uint64, rows ...uint64) *bits.Writer {
 	w := new(bits.Writer)
 	w.WriteUvarint(1) // table rows
-	writePathEntry(w, 1, dict, rows...)
+	writeDicts(w, dict, []uint64{7}, []uint64{1})
+	writePathEntry(w, 1, 0, 1, 0, len(dict), rows...)
 	return ownLabel(w, 0, 0)
+}
+
+// dictTable writes a label whose table holds one tiny entry per index
+// pair, its node and class the given indices into node and class
+// dictionaries of the given ids, the rows used in order.
+func dictTable(nodes, classes []uint64, node, class []int) *bits.Writer {
+	w := new(bits.Writer)
+	w.WriteUvarint(uint64(len(node)))
+	writeDicts(w, nil, classes, nodes)
+	var rows []uint64
+	for i := range node {
+		writeTinyEntry(w, len(nodes), node[i], len(classes), class[i])
+		rows = append(rows, uint64(i))
+	}
+	return ownLabel(w, indexWidth(len(node)), rows...)
 }
 
 // hostileLabelPayloads returns label bit streams with an id width of 65
 // or more, an id width wider than the ids it carries, a class collision
-// rank far past any id an int can hold, entry tables that lie — a row
-// index past the table, an unused row, rows used out of table order, a
-// repeated row, and a row count far past the bits that follow — and
-// vertex dictionaries that lie the same five ways, plus a width-0
-// dictionary declaring two ids.
+// rank far past any id an int can hold or one past the cap, entry tables
+// that lie — a row index past the table, an unused row, rows used out of
+// table order, a repeated row, and a row count far past the bits that
+// follow — and vertex, class and node dictionaries that lie the same five
+// ways, plus a width-0 dictionary declaring two ids.
 func hostileLabelPayloads() map[string]hostileLabelPayload {
 	out := map[string]hostileLabelPayload{}
 
+	// The label's own ids are indices into the vertex dictionary, so
+	// their width is the dictionary's: a table-less label whose
+	// dictionary declares a width of 65.
 	w := new(bits.Writer)
 	w.WriteUvarint(0) // empty entry table
-	w.WriteBit(false) // no own certificate
+	w.WriteUvarint(3) // vertex dictionary size
 	w.WriteUvarint(65)
 	out["label id width 65"] = hostileLabelPayload{w, "width"}
 
-	// A pointing label whose ids need 2 bits, written in 9.
+	// A pointing label whose ids need 2 bits, in a dictionary of width 9.
 	w = new(bits.Writer)
 	w.WriteUvarint(0)
-	w.WriteBit(false)
-	w.WriteUvarint(9)
+	writeIDDict(w, 9, []uint64{1, 2})
+	w.WriteUvarint(0) // empty class dictionary
+	writeIDDict(w, 0, nil)
+	w.WriteBit(false) // no own certificate
 	w.WriteUvarint(0) // no embedding entries
 	w.WriteBit(true)
-	for _, id := range []uint64{1, 1, 2} {
-		w.WriteUint(id, 9)
+	for _, i := range []uint64{0, 0, 1} {
+		w.WriteUint(i, 1)
 	}
 	w.WriteUvarint(0)
 	w.WriteUvarint(1)
 	out["label id width over widest id"] = hostileLabelPayload{w, "width"}
 
-	// A table of one entry with no ids, whose class field carries a
-	// collision rank of 2⁶².
-	w = new(bits.Writer)
-	w.WriteUvarint(1)       // table rows
-	w.WriteUvarint(0)       // vertex id width
-	w.WriteUvarint(0)       // node id width
-	w.WriteUvarint(0)       // empty vertex dictionary
-	w.WriteUint(0, 3)       // kind
-	w.WriteUvarint(0)       // lanes
-	w.WriteUint(7, 16)      // class hash
-	w.WriteUvarint(1 << 62) // collision rank
-	out["huge class collision rank"] = hostileLabelPayload{w, "rank"}
+	// A table of one entry whose class dictionary holds a collision rank
+	// of 2⁶², or one past the cap.
+	for name, rank := range map[string]uint64{
+		"huge class collision rank":         1 << 62,
+		"class collision rank past the cap": 1 << 47, // algebra.MaxClassRank + 1
+	} {
+		w = new(bits.Writer)
+		w.WriteUvarint(1) // table rows
+		writeIDDict(w, 0, nil)
+		w.WriteUvarint(1)  // one class
+		w.WriteUint(7, 16) // class hash
+		w.WriteUvarint(rank)
+		out[name] = hostileLabelPayload{w, "rank"}
+	}
 
 	w = new(bits.Writer)
 	w.WriteUvarint(1)
+	w.WriteUvarint(1)       // vertex dictionary size
 	w.WriteUvarint(1 << 20) // vertex id width
 	w.WriteUint(0, 64)      // room for one entry
 	out["entry id width 2^20"] = hostileLabelPayload{w, "width"}
+
+	// A node dictionary written wider than its widest id.
+	w = new(bits.Writer)
+	w.WriteUvarint(1)
+	writeIDDict(w, 0, nil)
+	w.WriteUvarint(1)
+	w.WriteUint(7, 16)
+	w.WriteUvarint(0)
+	writeIDDict(w, 5, []uint64{1})
+	writeTinyEntry(w, 1, 0, 1, 0)
+	out["node id width over widest id"] = hostileLabelPayload{ownLabel(w, 0, 0), "width"}
 
 	out["row index past the table"] = hostileLabelPayload{tableLabel([]uint64{1, 2, 3}, 2, 0, 1, 3), "row index 3"}
 	out["unused table row"] = hostileLabelPayload{tableLabel([]uint64{1, 2}, 1, 0), "used by no certificate"}
@@ -274,6 +343,17 @@ func hostileLabelPayloads() map[string]hostileLabelPayload {
 	out["dictionary rows out of first-use order"] = hostileLabelPayload{dictLabel([]uint64{1, 2}, 1, 0), "used before row"}
 	out["duplicate dictionary id"] = hostileLabelPayload{dictLabel([]uint64{2, 2}, 0, 1), "not canonically encoded"}
 
+	one, two, three := []uint64{7}, []uint64{7, 8}, []uint64{7, 8, 9}
+	nodes := []uint64{1, 2, 3}
+	out["class index past the dictionary"] = hostileLabelPayload{dictTable(nodes, three, []int{0, 1, 2}, []int{0, 1, 3}), "class index 3"}
+	out["unused class dictionary row"] = hostileLabelPayload{dictTable(nodes[:2], two, []int{0, 1}, []int{0, 0}), "class dictionary row 1 of 2 is used by no id"}
+	out["class dictionary rows out of first-use order"] = hostileLabelPayload{dictTable(nodes[:2], two, []int{0, 1}, []int{1, 0}), "used before row"}
+	out["duplicate class dictionary id"] = hostileLabelPayload{dictTable(nodes[:2], []uint64{8, 8}, []int{0, 1}, []int{0, 1}), "not canonically encoded"}
+	out["node index past the dictionary"] = hostileLabelPayload{dictTable(nodes, three, []int{0, 1, 3}, []int{0, 1, 2}), "node index 3"}
+	out["unused node dictionary row"] = hostileLabelPayload{dictTable(nodes[:2], one, []int{0}, []int{0}), "node dictionary row 1 of 2 is used by no id"}
+	out["node dictionary rows out of first-use order"] = hostileLabelPayload{dictTable(nodes[:2], two, []int{1, 0}, []int{0, 1}), "used before row"}
+	out["duplicate node dictionary id"] = hostileLabelPayload{dictTable([]uint64{2, 2}, two, []int{0, 1}, []int{0, 1}), "not canonically encoded"}
+
 	// Dictionary sizes past the bits that follow, and past the ids a
 	// width of 0 can hold.
 	for name, d := range map[string]struct{ width, size uint64 }{
@@ -281,13 +361,27 @@ func hostileLabelPayloads() map[string]hostileLabelPayload {
 		"width-0 dictionary of two ids": {0, 2},
 	} {
 		w = new(bits.Writer)
-		w.WriteUvarint(1)       // table rows
-		w.WriteUvarint(d.width) // vertex id width
-		w.WriteUvarint(1)       // node id width
+		w.WriteUvarint(1) // table rows
 		w.WriteUvarint(d.size)
+		w.WriteUvarint(d.width)
 		w.WriteUint(0, 64)
 		out[name] = hostileLabelPayload{w, "vertex dictionary of"}
 	}
+	w = new(bits.Writer)
+	w.WriteUvarint(1)
+	writeIDDict(w, 0, nil)
+	w.WriteUvarint(1 << 40) // class dictionary size
+	w.WriteUint(0, 64)
+	out["huge class dictionary"] = hostileLabelPayload{w, "class dictionary of"}
+
+	w = new(bits.Writer)
+	w.WriteUvarint(1)
+	writeIDDict(w, 0, nil)
+	w.WriteUvarint(0)
+	w.WriteUvarint(1 << 40) // node dictionary size
+	w.WriteUvarint(1)
+	w.WriteUint(0, 64)
+	out["huge node dictionary"] = hostileLabelPayload{w, "node dictionary of"}
 	return out
 }
 

@@ -33,24 +33,29 @@ func (w *Writer) WriteBit(b bool) {
 	w.nbits++
 }
 
-// writeBits appends the n low bits of v, most significant first, merging
-// them into the buffer byte-at-a-time instead of bit-at-a-time. It upholds
-// the Writer's zero-padding invariant (bits past nbits are zero).
+// writeBits appends the n low bits of v, most significant first, in one
+// 64-bit merge: the bits are aligned under the partial last byte, its free
+// bits take the first of them, and the rest are appended as whole bytes.
+// It upholds the Writer's zero-padding invariant (bits past nbits are
+// zero).
 func (w *Writer) writeBits(v uint64, n int) {
-	for n > 0 {
-		if w.nbits%8 == 0 {
-			w.buf = append(w.buf, 0)
-		}
-		free := 8 - w.nbits%8
-		take := free
-		if n < take {
-			take = n
-		}
-		chunk := byte(v>>uint(n-take)) & (1<<uint(take) - 1)
-		w.buf[len(w.buf)-1] |= chunk << uint(free-take)
-		w.nbits += take
-		n -= take
+	if n > 56 {
+		// At most 7 bits of the last byte are taken, so one merge holds
+		// 56 bits: write the high n−32 bits first, then the low 32.
+		w.writeBits(v>>32, n-32)
+		n = 32
 	}
+	if n <= 0 {
+		return
+	}
+	used := w.nbits % 8
+	word := (v & (1<<uint(n) - 1)) << uint(64-used-n)
+	if used > 0 {
+		w.buf[len(w.buf)-1] |= byte(word >> 56)
+		word <<= 8
+	}
+	w.nbits += n
+	w.buf = binary.BigEndian.AppendUint64(w.buf, word)[:(w.nbits+7)/8]
 }
 
 // WriteUint appends v in exactly width bits (big-endian). It panics if v

@@ -20,15 +20,11 @@ func EncodeLabel(l *EdgeLabel) ([]byte, int) {
 
 // AppendLabel appends the label's EncodeLabel bytes to dst, starting at a
 // byte boundary, and returns the extended buffer and the label's bit count.
-// The cached encodings of its node entries are spliced in; the
-// label's own bits are written straight into dst, so encoding a labeling
-// into one buffer makes no per-label copy.
+// The label is encoded once (on first use) and its cached bytes are copied
+// in.
 func AppendLabel(dst []byte, l *EdgeLabel) ([]byte, int) {
-	start := len(dst)
-	w := bits.NewWriter(dst)
-	w.Grow(l.Bits())
-	l.encode(&w)
-	return w.Buffer(), w.Bits() - 8*start
+	l.materialize()
+	return append(dst, l.cache.bytes()...), l.cache.nbits
 }
 
 // DecodeLabel parses a label previously produced by EncodeLabel, with a
@@ -49,10 +45,13 @@ func DecodeLabel(data []byte, nbits int) (*EdgeLabel, error) {
 // exactly as the prover shares them; the memoized encodings and keys of an
 // entry are then computed once per distinct entry.
 //
-// Entries are keyed by their exact bit string, not by their canonical Key.
-// The parse is deterministic, so equal bits decode to equal values and
-// sharing is sound even for non-canonical input: a Decoder accepts and
-// rejects exactly the streams DecodeLabel does, whatever it decoded before.
+// An entry's vertex ids and class ids are indices into its label's
+// dictionaries, so the same entry has different bits in different labels.
+// Entries are keyed by their raw bits with every index replaced by the
+// dictionary value it selects — not by their canonical Key. The parse is
+// deterministic, so equal keys decode to equal values and sharing is sound
+// even for non-canonical input: a Decoder accepts and rejects exactly the
+// streams DecodeLabel does, whatever it decoded before.
 // A certificate's bits are row indices into its label's entry table, so
 // certificates are keyed by the interned identities of their entries plus
 // their owner position instead. Canonicality remains the caller's check
@@ -76,25 +75,26 @@ type Decoder struct {
 	rowWidth int
 	used     int
 
-	// Id widths of the entry being parsed, and its widest ids so far.
-	wd               idWidths
-	widestV, widestN uint64
+	// Dictionaries of the label being parsed: its vertex ids, class ids
+	// (as uint64) and node ids, the width of an index into each, and the
+	// number of each one's rows used so far.
+	vdict, cdict, ndict []uint64
+	vRW, cRW, nRW       int
+	vUsed, cUsed, nUsed int
 
-	// Vertex-id dictionary of the entry being parsed, the width of an
-	// index into it, and the number of its rows used so far.
-	dict     []uint64
-	dictRW   int
-	dictUsed int
+	// keying is set while the skip pass builds an entry's interning key in
+	// key.
+	keying bool
+
+	// Ids of the entry being built, in index-block order.
+	vals []uint64
 
 	// Write-only targets of the skip pass.
 	lanes  []int
 	skip   NodeEntry
 	skipOp OperandSummary
+	skipRM ChildSummary
 }
-
-// idWidths is the pair of fixed widths a node entry writes its vertex-id
-// dictionary and its node ids in.
-type idWidths struct{ vertex, node int }
 
 // entryRef is an interned entry and its ordinal in the Decoder, which
 // certificate keys are built from.
@@ -105,11 +105,10 @@ type entryRef struct {
 
 // minEntryBits is the fewest bits a node entry can take. It bounds the row
 // count a label may declare by the bits that remain.
-const minEntryBits = 2 + // vertex and node id widths of 0
-	1 + // empty vertex-id dictionary
+const minEntryBits = 0 + // node index into a one-node dictionary
 	3 + // kind
 	1 + // empty lane list
-	algebra.ClassHashBits + 1 + // class id of rank 0
+	0 + // class index into a one-class dictionary
 	1 + // member bit
 	1 + // empty path-id list
 	2 + // LaneI and LaneJ of 0
@@ -156,16 +155,6 @@ func (d *Decoder) decodeEdgeLabel(r *bits.Reader) (*EdgeLabel, error) {
 		}
 		out.Own = own
 	}
-	width, err := readWidth(r)
-	if err != nil {
-		return nil, err
-	}
-	var widest uint64
-	id := func() (uint64, error) {
-		v, err := r.ReadUint(width)
-		widest = max(widest, v)
-		return v, err
-	}
 	nEmb, err := r.ReadUvarint()
 	if err != nil {
 		return nil, err
@@ -175,10 +164,10 @@ func (d *Decoder) decodeEdgeLabel(r *bits.Reader) (*EdgeLabel, error) {
 	}
 	for i := uint64(0); i < nEmb; i++ {
 		var e EmbEntry
-		if e.UID, err = id(); err != nil {
+		if e.UID, err = d.vertexID(r); err != nil {
 			return nil, err
 		}
-		if e.VID, err = id(); err != nil {
+		if e.VID, err = d.vertexID(r); err != nil {
 			return nil, err
 		}
 		fwd, err := r.ReadUvarint()
@@ -204,13 +193,13 @@ func (d *Decoder) decodeEdgeLabel(r *bits.Reader) (*EdgeLabel, error) {
 	}
 	if hasPointing {
 		var p cert.PointingLabel
-		if p.X, err = id(); err != nil {
+		if p.X, err = d.vertexID(r); err != nil {
 			return nil, err
 		}
-		if p.UID, err = id(); err != nil {
+		if p.UID, err = d.vertexID(r); err != nil {
 			return nil, err
 		}
-		if p.VID, err = id(); err != nil {
+		if p.VID, err = d.vertexID(r); err != nil {
 			return nil, err
 		}
 		du, err := r.ReadUvarint()
@@ -224,14 +213,20 @@ func (d *Decoder) decodeEdgeLabel(r *bits.Reader) (*EdgeLabel, error) {
 		p.DU, p.DV = int(du), int(dv)
 		out.Pointing = &p
 	}
-	if err := checkWidth("label vertex", width, widest); err != nil {
-		return nil, err
+	for _, dict := range []struct {
+		what       string
+		used, size int
+	}{{"vertex", d.vUsed, len(d.vdict)}, {"class", d.cUsed, len(d.cdict)}, {"node", d.nUsed, len(d.ndict)}} {
+		if dict.used != dict.size {
+			return nil, fmt.Errorf("core: %s dictionary row %d of %d is used by no id", dict.what, dict.used, dict.size)
+		}
 	}
 	return out, nil
 }
 
-// table parses the label's entry table into d.rows. The declared row count
-// is checked against the bits that remain before any row is read.
+// table parses the label's entry table: its row count, checked against the
+// bits that remain before any row is read, its dictionaries, and its rows
+// into d.rows.
 func (d *Decoder) table(r *bits.Reader) error {
 	n, err := r.ReadUvarint()
 	if err != nil {
@@ -239,6 +234,9 @@ func (d *Decoder) table(r *bits.Reader) error {
 	}
 	if n > uint64(r.Remaining()/minEntryBits) {
 		return fmt.Errorf("core: entry table of %d rows in %d remaining bits", n, r.Remaining())
+	}
+	if err := d.dictionaries(r); err != nil {
+		return err
 	}
 	d.rows, d.rowWidth, d.used = d.rows[:0], rowWidth(int(n)), 0
 	for i := uint64(0); i < n; i++ {
@@ -249,6 +247,68 @@ func (d *Decoder) table(r *bits.Reader) error {
 		d.rows = append(d.rows, ref)
 	}
 	return nil
+}
+
+// dictionaries reads the label's vertex-id, class-id and node-id
+// dictionaries into the reused d.vdict, d.cdict and d.ndict.
+func (d *Decoder) dictionaries(r *bits.Reader) error {
+	var err error
+	if d.vdict, err = readIDDict(r, "vertex", d.vdict[:0]); err != nil {
+		return err
+	}
+	n, err := r.ReadUvarint()
+	if err != nil {
+		return err
+	}
+	if n > uint64(r.Remaining()/(algebra.ClassHashBits+1)) {
+		return fmt.Errorf("core: class dictionary of %d ids in %d remaining bits", n, r.Remaining())
+	}
+	d.cdict = d.cdict[:0]
+	for i := uint64(0); i < n; i++ {
+		c, err := readClassID(r)
+		if err != nil {
+			return err
+		}
+		d.cdict = append(d.cdict, uint64(c))
+	}
+	if d.ndict, err = readIDDict(r, "node", d.ndict[:0]); err != nil {
+		return err
+	}
+	d.vRW, d.vUsed = rowWidth(len(d.vdict)), 0
+	d.cRW, d.cUsed = rowWidth(len(d.cdict)), 0
+	d.nRW, d.nUsed = rowWidth(len(d.ndict)), 0
+	return nil
+}
+
+// readIDDict appends a vertex-id or node-id dictionary to dst: its size,
+// bounded by the bits that remain at its width (and by the 2^width
+// distinct ids the width holds) before dst grows, its width, which must be
+// exactly the widest id's bit length, and its ids.
+func readIDDict(r *bits.Reader, what string, dst []uint64) ([]uint64, error) {
+	n, err := r.ReadUvarint()
+	if err != nil {
+		return nil, err
+	}
+	width, err := readWidth(r)
+	if err != nil {
+		return nil, err
+	}
+	if n > uint64(r.Remaining()/max(1, width)) || width < 64 && n > 1<<width {
+		return nil, fmt.Errorf("core: %s dictionary of %d ids at width %d in %d remaining bits", what, n, width, r.Remaining())
+	}
+	var widest uint64
+	for i := uint64(0); i < n; i++ {
+		v, err := r.ReadUint(width)
+		if err != nil {
+			return nil, err
+		}
+		widest = max(widest, v)
+		dst = append(dst, v)
+	}
+	if err := checkWidth(what+" dictionary", width, widest); err != nil {
+		return nil, err
+	}
+	return dst, nil
 }
 
 // cedge parses one completion-edge certificate: its path as row indices
@@ -299,31 +359,37 @@ func (d *Decoder) cedge(r *bits.Reader) (*CEdgeLabel, error) {
 	return c, nil
 }
 
-// setKey loads d.key with the raw bits [from, r.Pos()): their count, then
-// the bits packed from a byte boundary. The count comes first, so distinct
-// bit strings never share a key.
-func (d *Decoder) setKey(r *bits.Reader, from int) {
-	d.key = binary.AppendUvarint(d.key[:0], uint64(r.Pos()-from))
-	d.key = r.AppendBits(d.key, from, r.Pos())
+// keyValue appends the dictionary value an index just read selects to the
+// interning key of the entry being skipped.
+func (d *Decoder) keyValue(v uint64) {
+	if d.keying {
+		d.key = binary.AppendUvarint(d.key, v)
+	}
 }
 
-// entry parses one node entry: a skip pass finds its extent, and the entry
-// is built only when its bits are new to this Decoder.
+// entry parses one node entry: a skip pass finds its extent, checks its
+// indices against the label's dictionaries and builds its interning key —
+// the raw bits of its fixed fields, then the value every index selects —
+// and the entry is built only when that key is new to this Decoder.
 func (d *Decoder) entry(r *bits.Reader) (entryRef, error) {
-	start := r.Pos()
-	if _, err := d.parseEntry(r, false); err != nil {
+	start, vUsed, cUsed, nUsed := r.Pos(), d.vUsed, d.cUsed, d.nUsed
+	d.key, d.keying = d.key[:0], true
+	_, err := d.parseEntry(r, false)
+	d.keying = false
+	if err != nil {
 		return entryRef{}, err
 	}
-	d.setKey(r, start)
 	if ref, ok := d.entries[string(d.key)]; ok {
 		return ref, nil
 	}
-	end := r.Pos()
+	end, vEnd, cEnd, nEnd := r.Pos(), d.vUsed, d.cUsed, d.nUsed
 	r.Seek(start)
+	d.vUsed, d.cUsed, d.nUsed = vUsed, cUsed, nUsed
 	e, err := d.parseEntry(r, true)
 	if err != nil {
 		return entryRef{}, err
 	}
+	d.vUsed, d.cUsed, d.nUsed = vEnd, cEnd, nEnd
 	if r.Pos() != end {
 		return entryRef{}, fmt.Errorf("core: entry build pass read %d bits, skip pass %d", r.Pos()-start, end-start)
 	}
@@ -332,32 +398,23 @@ func (d *Decoder) entry(r *bits.Reader) (entryRef, error) {
 	return ref, nil
 }
 
-// parseEntry is the one grammar of a node entry. With build set it returns
-// the decoded entry. Without, it is the skip pass: it reads the same bits
-// and runs the same plausibility checks, but allocates nothing — scalars
-// land in d.skip and d.skipOp, lane lists in d.lanes, and id and payload
-// slices are not made — and returns nil.
+// parseEntry is the one grammar of a node entry: its fixed fields (see
+// NodeEntry.writeFixed), whose lane lists and counts determine how many
+// ids it names, then one index per vertex-id, class-id and node-id
+// occurrence, in that order. With build set it returns the decoded entry.
+// Without, it is the skip pass: it reads the same bits and runs the same
+// plausibility checks, but allocates nothing — scalars land in d.skip and
+// d.skipOp, lane lists in d.lanes, indices are checked and keyed but not
+// kept — and returns nil.
 func (d *Decoder) parseEntry(r *bits.Reader, build bool) (*NodeEntry, error) {
+	start := r.Pos()
 	e := &d.skip
 	if build {
 		e = &NodeEntry{}
 	}
-	var err error
-	if d.wd.vertex, err = readWidth(r); err != nil {
-		return nil, err
-	}
-	if d.wd.node, err = readWidth(r); err != nil {
-		return nil, err
-	}
-	d.widestV, d.widestN = 0, 0
-	if err := d.parseDict(r); err != nil {
-		return nil, err
-	}
-	id, err := d.nodeID(r)
-	if err != nil {
-		return nil, err
-	}
-	e.NodeID = int(id)
+	// nV, nC and nN count the entry's vertex-id, class-id and node-id
+	// occurrences as its fixed fields are read.
+	nV, nC, nN := 0, 1, 1 // ClassID, NodeID
 	kind, err := r.ReadUint(3)
 	if err != nil {
 		return nil, err
@@ -366,33 +423,15 @@ func (d *Decoder) parseEntry(r *bits.Reader, build bool) (*NodeEntry, error) {
 	if e.Lanes, err = d.parseLanes(r, build); err != nil {
 		return nil, err
 	}
-	if e.InIDs, err = d.parseIDs(r, len(e.Lanes), build); err != nil {
-		return nil, err
-	}
-	if e.OutIDs, err = d.parseIDs(r, len(e.Lanes), build); err != nil {
-		return nil, err
-	}
-	if e.ClassID, err = readClassID(r); err != nil {
-		return nil, err
-	}
+	nV += 2 * len(e.Lanes) // InIDs, OutIDs
 	member, err := r.ReadBit()
 	if err != nil {
 		return nil, err
 	}
 	// Non-members write no tree-member fields.
-	e.ParentID, e.MergedClassID, e.MergedOutIDs = -1, 0, nil
+	e.ParentID, e.MergedClassID, e.MergedOutIDs, e.Children = -1, 0, nil, nil
 	if member {
-		parent, err := d.nodeID(r)
-		if err != nil {
-			return nil, err
-		}
-		e.ParentID = int(parent)
-		if e.MergedClassID, err = readClassID(r); err != nil {
-			return nil, err
-		}
-		if e.MergedOutIDs, err = d.parseIDs(r, len(e.Lanes), build); err != nil {
-			return nil, err
-		}
+		nV, nC, nN = nV+len(e.Lanes), nC+1, nN+1 // MergedOutIDs, MergedClassID, ParentID
 		nChildren, err := r.ReadUvarint()
 		if err != nil {
 			return nil, err
@@ -400,14 +439,18 @@ func (d *Decoder) parseEntry(r *bits.Reader, build bool) (*NodeEntry, error) {
 		if nChildren > 1<<12 {
 			return nil, fmt.Errorf("core: implausible child count %d", nChildren)
 		}
-		for i := uint64(0); i < nChildren; i++ {
-			c, err := d.parseChild(r, build)
+		if build {
+			e.Children = make([]ChildSummary, nChildren)
+		}
+		for i := range int(nChildren) {
+			lanes, err := d.parseLanes(r, build)
 			if err != nil {
 				return nil, err
 			}
 			if build {
-				e.Children = append(e.Children, c)
+				e.Children[i].Lanes = lanes
 			}
+			nV, nC, nN = nV+2*len(lanes), nC+1, nN+1
 		}
 	}
 	nPath, err := r.ReadUvarint()
@@ -417,17 +460,10 @@ func (d *Decoder) parseEntry(r *bits.Reader, build bool) (*NodeEntry, error) {
 	if nPath > 1<<12 {
 		return nil, fmt.Errorf("core: implausible path-id count %d", nPath)
 	}
-	for i := uint64(0); i < nPath; i++ {
-		v, err := d.vertexID(r)
-		if err != nil {
-			return nil, err
-		}
-		if build {
-			e.PathIDs = append(e.PathIDs, v)
-		}
-	}
+	nV += int(nPath)
 	// RealBits and VInputs lengths are kind-determined: one real bit per
 	// consecutive path pair, one input per path vertex.
+	e.RealBits, e.VInputs = nil, nil
 	for i := uint64(1); i < nPath; i++ {
 		b, err := r.ReadBit()
 		if err != nil {
@@ -458,6 +494,7 @@ func (d *Decoder) parseEntry(r *bits.Reader, build bool) (*NodeEntry, error) {
 	if e.BridgeReal, err = r.ReadBit(); err != nil {
 		return nil, err
 	}
+	e.Left, e.Right = nil, nil
 	for _, dst := range []**OperandSummary{&e.Left, &e.Right} {
 		has, err := r.ReadBit()
 		if err != nil {
@@ -469,34 +506,110 @@ func (d *Decoder) parseEntry(r *bits.Reader, build bool) (*NodeEntry, error) {
 		if *dst, err = d.parseOperand(r, build); err != nil {
 			return nil, err
 		}
+		nV, nC, nN = nV+2*len((*dst).Lanes), nC+1, nN+1
 	}
 	hasRM, err := r.ReadBit()
 	if err != nil {
 		return nil, err
 	}
+	e.RootMember = nil
 	if hasRM {
-		rm, err := d.parseChild(r, build)
+		lanes, err := d.parseLanes(r, build)
 		if err != nil {
 			return nil, err
 		}
+		e.RootMember = &d.skipRM
 		if build {
-			e.RootMember = new(ChildSummary)
-			*e.RootMember = rm
+			e.RootMember = &ChildSummary{}
 		}
+		e.RootMember.Lanes = lanes
+		nV, nC, nN = nV+2*len(lanes), nC+1, nN+1
 	}
-	if d.dictUsed != len(d.dict) {
-		return nil, fmt.Errorf("core: vertex dictionary row %d of %d is used by no id", d.dictUsed, len(d.dict))
+	if d.keying {
+		d.key = binary.AppendUvarint(d.key, uint64(r.Pos()-start))
+		d.key = r.AppendBits(d.key, start, r.Pos())
 	}
-	if err := checkWidth("entry vertex", d.wd.vertex, d.widestV); err != nil {
-		return nil, err
-	}
-	if err := checkWidth("entry node", d.wd.node, d.widestN); err != nil {
+	if err := d.parseIndices(r, e, member, build, nV, nC, nN); err != nil {
 		return nil, err
 	}
 	if !build {
 		return nil, nil
 	}
 	return e, nil
+}
+
+// parseIndices reads an entry's index block — nV vertex-id, nC class-id
+// and nN node-id indices — and, when building, fills the entry's ids in
+// the order appendVertexIDs, appendClassIDs and appendNodeIDs list them.
+func (d *Decoder) parseIndices(r *bits.Reader, e *NodeEntry, member, build bool, nV, nC, nN int) error {
+	d.vals = d.vals[:0]
+	for range nV {
+		v, err := d.vertexID(r)
+		if err != nil {
+			return err
+		}
+		if build {
+			d.vals = append(d.vals, v)
+		}
+	}
+	vertices := len(d.vals)
+	for range nC {
+		c, err := d.classID(r)
+		if err != nil {
+			return err
+		}
+		if build {
+			d.vals = append(d.vals, uint64(c))
+		}
+	}
+	classes := len(d.vals)
+	for range nN {
+		n, err := d.nodeID(r)
+		if err != nil {
+			return err
+		}
+		if build {
+			d.vals = append(d.vals, n)
+		}
+	}
+	if !build {
+		return nil
+	}
+	vs, cs, ns := d.vals[:vertices], d.vals[vertices:classes], d.vals[classes:]
+	take := func(n int) []uint64 {
+		ids := d.ids.alloc(n)
+		copy(ids, vs)
+		vs = vs[n:]
+		return ids
+	}
+	next := func(vals *[]uint64) int {
+		v := (*vals)[0]
+		*vals = (*vals)[1:]
+		return int(v)
+	}
+	e.InIDs, e.OutIDs = take(len(e.Lanes)), take(len(e.Lanes))
+	e.ClassID, e.NodeID = next(&cs), next(&ns)
+	if member {
+		e.MergedOutIDs = take(len(e.Lanes))
+		e.MergedClassID, e.ParentID = next(&cs), next(&ns)
+		for i := range e.Children {
+			c := &e.Children[i]
+			c.InIDs, c.MergedOutIDs = take(len(c.Lanes)), take(len(c.Lanes))
+			c.MergedClassID, c.NodeID = next(&cs), next(&ns)
+		}
+	}
+	e.PathIDs = take(len(e.VInputs))
+	for _, op := range e.operands() {
+		if op != nil {
+			op.InIDs, op.OutIDs = take(len(op.Lanes)), take(len(op.Lanes))
+			op.ClassID, op.NodeID = next(&cs), next(&ns)
+		}
+	}
+	if rm := e.RootMember; rm != nil {
+		rm.InIDs, rm.MergedOutIDs = take(len(rm.Lanes)), take(len(rm.Lanes))
+		rm.MergedClassID, rm.NodeID = next(&cs), next(&ns)
+	}
+	return nil
 }
 
 // readWidth reads an id width: a varint of at most 64.
@@ -538,58 +651,45 @@ func readClassID(r *bits.Reader) (int, error) {
 	return int(rank<<algebra.ClassHashBits | hash), nil
 }
 
-// parseDict reads the vertex-id dictionary of the entry being parsed into
-// the reused d.dict: its size, bounded by the bits that remain at the
-// entry's vertex width and by the ids that width can hold before the
-// buffer grows, then each id in that width.
-func (d *Decoder) parseDict(r *bits.Reader) error {
-	n, err := r.ReadUvarint()
-	if err != nil {
-		return err
-	}
-	width := d.wd.vertex
-	if n > uint64(r.Remaining()/max(1, width)) || width < 64 && n > 1<<width {
-		return fmt.Errorf("core: vertex dictionary of %d ids at width %d in %d remaining bits", n, width, r.Remaining())
-	}
-	d.dict, d.dictRW, d.dictUsed = d.dict[:0], rowWidth(int(n)), 0
-	for i := uint64(0); i < n; i++ {
-		v, err := r.ReadUint(width)
-		if err != nil {
-			return err
-		}
-		d.widestV = max(d.widestV, v)
-		d.dict = append(d.dict, v)
-	}
-	return nil
+// vertexID reads one vertex-id occurrence: an index into the label's
+// vertex dictionary.
+func (d *Decoder) vertexID(r *bits.Reader) (uint64, error) {
+	return d.index(r, "vertex", d.vdict, d.vRW, &d.vUsed)
 }
 
-// vertexID reads one vertex-id occurrence of the entry being parsed: an
-// index into its dictionary, in exactly the dictionary's index width.
-// Rows must be first used in dictionary order, so the occurrences
-// determine the dictionary's order.
-func (d *Decoder) vertexID(r *bits.Reader) (uint64, error) {
-	i, err := r.ReadUint(d.dictRW)
+// classID reads one class-id occurrence: an index into the label's class
+// dictionary.
+func (d *Decoder) classID(r *bits.Reader) (int, error) {
+	c, err := d.index(r, "class", d.cdict, d.cRW, &d.cUsed)
+	return int(c), err
+}
+
+// index reads one index into a dictionary of the label, in exactly the
+// dictionary's index width, and returns the value it selects. Rows must be
+// first used in dictionary order, so the occurrences determine the
+// dictionary's order.
+func (d *Decoder) index(r *bits.Reader, what string, dict []uint64, rw int, used *int) (uint64, error) {
+	i, err := r.ReadUint(rw)
 	if err != nil {
 		return 0, err
 	}
-	if i >= uint64(len(d.dict)) {
-		return 0, fmt.Errorf("core: vertex index %d in a %d-id dictionary", i, len(d.dict))
+	if i >= uint64(len(dict)) {
+		return 0, fmt.Errorf("core: %s index %d in a %d-id dictionary", what, i, len(dict))
 	}
-	if i > uint64(d.dictUsed) {
-		return 0, fmt.Errorf("core: vertex dictionary row %d used before row %d", i, d.dictUsed)
+	if i > uint64(*used) {
+		return 0, fmt.Errorf("core: %s dictionary row %d used before row %d", what, i, *used)
 	}
-	if i == uint64(d.dictUsed) {
-		d.dictUsed++
+	if i == uint64(*used) {
+		*used++
 	}
-	return d.dict[i], nil
+	d.keyValue(dict[i])
+	return dict[i], nil
 }
 
-// nodeID reads one node id of the entry being parsed, in the entry's node
-// id width, and tracks the widest node id read.
+// nodeID reads one node-id occurrence: an index into the label's node
+// dictionary.
 func (d *Decoder) nodeID(r *bits.Reader) (uint64, error) {
-	v, err := r.ReadUint(d.wd.node)
-	d.widestN = max(d.widestN, v)
-	return v, err
+	return d.index(r, "node", d.ndict, d.nRW, &d.nUsed)
 }
 
 // parseLanes reads a lane list: a fresh slice when building, the reused
@@ -625,56 +725,13 @@ func (d *Decoder) parseLanes(r *bits.Reader, build bool) ([]int, error) {
 	return lanes, nil
 }
 
-// parseIDs reads one vertex id per lane into a lane-aligned slice, carved
-// from the Decoder's arena only when building.
-func (d *Decoder) parseIDs(r *bits.Reader, n int, build bool) ([]uint64, error) {
-	var out []uint64
-	if build {
-		out = d.ids.alloc(n)
-	}
-	for i := range n {
-		v, err := d.vertexID(r)
-		if err != nil {
-			return nil, err
-		}
-		if build {
-			out[i] = v
-		}
-	}
-	return out, nil
-}
-
-func (d *Decoder) parseChild(r *bits.Reader, build bool) (ChildSummary, error) {
-	var c ChildSummary
-	id, err := d.nodeID(r)
-	if err != nil {
-		return c, err
-	}
-	c.NodeID = int(id)
-	if c.Lanes, err = d.parseLanes(r, build); err != nil {
-		return c, err
-	}
-	if c.InIDs, err = d.parseIDs(r, len(c.Lanes), build); err != nil {
-		return c, err
-	}
-	if c.MergedOutIDs, err = d.parseIDs(r, len(c.Lanes), build); err != nil {
-		return c, err
-	}
-	c.MergedClassID, err = readClassID(r)
-	return c, err
-}
-
-// parseOperand reads a B-node operand summary; nil on the skip pass.
+// parseOperand reads a B-node operand's fixed fields — kind, lanes and
+// input — into a fresh summary, or into d.skipOp on the skip pass.
 func (d *Decoder) parseOperand(r *bits.Reader, build bool) (*OperandSummary, error) {
 	o := &d.skipOp
 	if build {
 		o = &OperandSummary{}
 	}
-	id, err := d.nodeID(r)
-	if err != nil {
-		return nil, err
-	}
-	o.NodeID = int(id)
 	kind, err := r.ReadUint(3)
 	if err != nil {
 		return nil, err
@@ -683,22 +740,10 @@ func (d *Decoder) parseOperand(r *bits.Reader, build bool) (*OperandSummary, err
 	if o.Lanes, err = d.parseLanes(r, build); err != nil {
 		return nil, err
 	}
-	if o.InIDs, err = d.parseIDs(r, len(o.Lanes), build); err != nil {
-		return nil, err
-	}
-	if o.OutIDs, err = d.parseIDs(r, len(o.Lanes), build); err != nil {
-		return nil, err
-	}
-	if o.ClassID, err = readClassID(r); err != nil {
-		return nil, err
-	}
 	input, err := r.ReadUvarint()
 	if err != nil {
 		return nil, err
 	}
 	o.Input = int(input)
-	if !build {
-		return nil, nil
-	}
 	return o, nil
 }

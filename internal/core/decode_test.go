@@ -5,6 +5,7 @@ import (
 	"errors"
 	mathbits "math/bits"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -121,36 +122,46 @@ type hostileLabel struct {
 	want  string
 }
 
-// writeMinEntry writes a minimal node entry with one node id and one path
-// vertex id (1), its ids in the given widths.
-func writeMinEntry(w *bits.Writer, vertexWidth, nodeWidth int, nodeID uint64) {
-	writePathEntry(w, vertexWidth, nodeWidth, nodeID, []uint64{1}, 0)
+// writeDicts writes a table's dictionaries: the vertex ids, each in
+// vertexWidth bits, the class ids, then the node ids, each in nodeWidth
+// bits.
+func writeDicts(w *bits.Writer, vertexWidth int, vertex []uint64, nodeWidth int, nodes []uint64, classes ...int) {
+	writeIDs := func(width int, ids []uint64) {
+		w.WriteUvarint(uint64(len(ids)))
+		w.WriteUvarint(uint64(width))
+		for _, id := range ids {
+			w.WriteUint(id, width)
+		}
+	}
+	writeIDs(vertexWidth, vertex)
+	w.WriteUvarint(uint64(len(classes)))
+	for _, c := range classes {
+		w.WriteUint(uint64(c), algebra.ClassHashBits)
+		w.WriteUvarint(0) // collision rank
+	}
+	writeIDs(nodeWidth, nodes)
 }
 
-// writePathEntry writes a node entry whose only vertex ids are its path
-// ids: a dictionary of the given ids, each in vertexWidth bits, then one
-// path id per index in rows, each in the dictionary's index width.
-func writePathEntry(w *bits.Writer, vertexWidth, nodeWidth int, nodeID uint64, dict []uint64, rows ...uint64) {
-	w.WriteUvarint(uint64(vertexWidth))
-	w.WriteUvarint(uint64(nodeWidth))
-	w.WriteUvarint(uint64(len(dict)))
-	for _, id := range dict {
-		w.WriteUint(id, vertexWidth)
-	}
-	w.WriteUint(nodeID, nodeWidth)
+// writeMinEntry writes a minimal node entry: node index ni in nrw bits,
+// then class index 0 and one path vertex, index 0, both into one-row
+// dictionaries.
+func writeMinEntry(w *bits.Writer, nrw int, ni uint64) {
+	writeEntry(w, nrw, ni, 0, 0, 0, 0)
+}
+
+// writeEntry writes a node entry whose only vertex ids are its path ids:
+// its fixed fields, then its index block — one path id per vertex index in
+// path, each in vrw bits, its class as index ci in crw bits and its node
+// id as index ni in nrw bits.
+func writeEntry(w *bits.Writer, nrw int, ni uint64, crw int, ci uint64, vrw int, path ...uint64) {
 	w.WriteUint(uint64(lanewidth.TNode), 3)
 	w.WriteUvarint(0) // no lanes, so no lane-aligned ids
-	w.WriteUint(1, algebra.ClassHashBits)
-	w.WriteUvarint(0)
 	w.WriteBit(false) // not a tree member
-	w.WriteUvarint(uint64(len(rows)))
-	for _, r := range rows {
-		w.WriteUint(r, rowWidth(len(dict)))
-	}
-	for range max(len(rows)-1, 0) {
+	w.WriteUvarint(uint64(len(path)))
+	for range max(len(path)-1, 0) {
 		w.WriteBit(false) // the path edge is virtual
 	}
-	for range rows {
+	for range path {
 		w.WriteUvarint(0) // the path vertex's input
 	}
 	w.WriteUvarint(0) // LaneI
@@ -159,6 +170,11 @@ func writePathEntry(w *bits.Writer, vertexWidth, nodeWidth int, nodeID uint64, d
 	w.WriteBit(false) // no left operand
 	w.WriteBit(false) // no right operand
 	w.WriteBit(false) // no root member
+	for _, v := range path {
+		w.WriteUint(v, vrw)
+	}
+	w.WriteUint(ci, crw)
+	w.WriteUint(ni, nrw)
 }
 
 // writeOwnTail ends a label after its entry table: an own certificate
@@ -171,121 +187,141 @@ func writeOwnTail(w *bits.Writer, rw int, rows ...uint64) {
 		w.WriteUint(r, rw)
 	}
 	w.WriteUvarint(0) // owner position
-	w.WriteUvarint(0) // label id width
 	w.WriteUvarint(0) // no embedding entries
 	w.WriteBit(false) // no pointing label
 }
 
+// rowsOf returns the first-use rows of ids: the distinct ids in order,
+// and each id's row.
+func rowsOf(ids ...uint64) (dict, rows []uint64) {
+	for _, id := range ids {
+		i := slices.Index(dict, id)
+		if i < 0 {
+			i = len(dict)
+			dict = append(dict, id)
+		}
+		rows = append(rows, uint64(i))
+	}
+	return dict, rows
+}
+
 // hostileLabels returns label streams whose width, rank, entry-table or
-// vertex-dictionary fields lie. Every other field is honest, so the named check is the one
-// that fires.
+// dictionary fields lie. Every other field is honest, so the named check
+// is the one that fires.
 func hostileLabels(t *testing.T) map[string]hostileLabel {
 	t.Helper()
 	out := map[string]hostileLabel{}
 	add := func(name, want string, w *bits.Writer) {
 		out[name] = hostileLabel{w.Bytes(), w.Bits(), want}
 	}
-	// noTable starts a label with an empty entry table and no own
-	// certificate; ownEntry starts one whose table is the single entry
-	// that follows.
-	noTable := func() *bits.Writer {
-		var w bits.Writer
-		w.WriteUvarint(0)
-		w.WriteBit(false)
-		return &w
+	canonical := func(what string, w *bits.Writer) {
+		if err := decodeCanonical(new(Decoder), w.Bytes(), w.Bits()); err != nil {
+			t.Fatalf("%s does not decode canonically: %v", what, err)
+		}
 	}
+	// ownEntry starts a label whose table is the single entry that follows
+	// its dictionaries.
 	ownEntry := func() *bits.Writer {
 		var w bits.Writer
 		w.WriteUvarint(1)
 		return &w
 	}
 
-	w := noTable()
-	w.WriteUvarint(65)
-	add("label width 65", "exceeds 64", w)
-
-	w = noTable()
-	w.WriteUvarint(1 << 40)
-	add("label width 2^40", "exceeds 64", w)
-
-	// A pointing label whose ids need 2 bits, written in 8.
-	w = noTable()
-	w.WriteUvarint(8)
-	w.WriteUvarint(0)
-	w.WriteBit(true)
-	for _, id := range []uint64{1, 1, 2} {
-		w.WriteUint(id, 8)
+	// The label's own ids (here a pointing label's X, UID and VID) are
+	// indices into the vertex dictionary, so the width they are written
+	// in is that dictionary's. pointing writes a label with no table whose
+	// pointing ids are the given indices into a dictionary of the given
+	// ids in the given width.
+	pointing := func(width int, dict []uint64, idx ...uint64) *bits.Writer {
+		var w bits.Writer
+		w.WriteUvarint(0)
+		writeDicts(&w, width, dict, 0, nil)
+		w.WriteBit(false) // no own certificate
+		w.WriteUvarint(0) // no embedding entries
+		w.WriteBit(true)
+		for _, i := range idx {
+			w.WriteUint(i, rowWidth(len(dict)))
+		}
+		w.WriteUvarint(0) // DU
+		w.WriteUvarint(1) // DV
+		return &w
 	}
-	w.WriteUvarint(0)
-	w.WriteUvarint(1)
-	add("label width over widest id", "width", w)
+	canonical("a pointing label in its own width", pointing(2, []uint64{1, 2}, 0, 0, 1))
+	// A pointing label whose ids need 2 bits, written in 8.
+	add("label width over widest id", "vertex dictionary id width", pointing(8, []uint64{1, 2}, 0, 0, 1))
+	add("pointing index past the dictionary", "vertex index 3", pointing(2, []uint64{1, 2, 3}, 0, 1, 3))
 
-	// These two streams end in 64 zero bits, so they are rejected by the
-	// width they lie in, not by the row count's bound on remaining bits.
-	w = ownEntry()
+	// These streams end in 64 zero bits, so they are rejected by the
+	// width they lie in, not by a count's bound on remaining bits.
+	for name, width := range map[string]uint64{"label width 65": 65, "label width 2^40": 1 << 40} {
+		var w bits.Writer
+		w.WriteUvarint(0)
+		w.WriteUvarint(2)
+		w.WriteUvarint(width)
+		w.WriteUint(0, 64)
+		add(name, "exceeds 64", &w)
+	}
+
+	w := ownEntry()
+	w.WriteUvarint(1)
 	w.WriteUvarint(65)
 	w.WriteUint(0, 64)
 	add("entry vertex width 65", "exceeds 64", w)
 
 	w = ownEntry()
 	w.WriteUvarint(0)
+	w.WriteUvarint(0) // empty vertex dictionary
+	w.WriteUvarint(1)
+	w.WriteUint(1, algebra.ClassHashBits)
+	w.WriteUvarint(0) // one class
+	w.WriteUvarint(1)
 	w.WriteUvarint(65)
 	w.WriteUint(0, 64)
 	add("entry node width 65", "exceeds 64", w)
 
 	// A label whose own certificate is one minimal entry, its ids written
-	// in the given widths.
+	// in the given dictionary widths.
 	idEntry := func(vertexWidth, nodeWidth int) *bits.Writer {
 		w := ownEntry()
-		writeMinEntry(w, vertexWidth, nodeWidth, 1)
+		writeDicts(w, vertexWidth, []uint64{1}, nodeWidth, []uint64{1}, 1)
+		writeMinEntry(w, 0, 0)
 		writeOwnTail(w, 0, 0)
 		return w
 	}
-	ok := idEntry(1, 1)
-	if err := decodeCanonical(new(Decoder), ok.Bytes(), ok.Bits()); err != nil {
-		t.Fatalf("the minimal entry in its own widths does not decode canonically: %v", err)
+	canonical("the minimal entry in its own widths", idEntry(1, 1))
+	add("entry vertex width over widest id", "vertex dictionary id width", idEntry(2, 1))
+	add("entry node width 64 over widest id", "node dictionary id width", idEntry(1, 64))
+
+	// A class id whose collision rank is far above any id an int can
+	// hold, and one just past the cap: the one class of the dictionary.
+	for name, rank := range map[string]uint64{
+		"huge collision rank":             1 << 62,
+		"collision rank one past the cap": algebra.MaxClassRank + 1,
+	} {
+		w = ownEntry()
+		w.WriteUvarint(0)
+		w.WriteUvarint(0) // empty vertex dictionary
+		w.WriteUvarint(1) // one class
+		w.WriteUint(0, algebra.ClassHashBits)
+		w.WriteUvarint(rank)
+		add(name, "collision rank", w)
 	}
-	add("entry vertex width over widest id", "entry vertex id width", idEntry(2, 1))
-	add("entry node width 64 over widest id", "entry node id width", idEntry(1, 64))
-
-	// A class id with a collision rank far above any id an int can hold:
-	// an entry with no ids, whose class field is the first thing after
-	// its lanes.
-	w = ownEntry()
-	w.WriteUvarint(0)
-	w.WriteUvarint(0)
-	w.WriteUvarint(0) // empty vertex dictionary
-	w.WriteUint(uint64(lanewidth.TNode), 3)
-	w.WriteUvarint(0)
-	w.WriteUint(0, algebra.ClassHashBits)
-	w.WriteUvarint(1 << 62)
-	add("huge collision rank", "collision rank", w)
-
-	w = ownEntry()
-	w.WriteUvarint(0)
-	w.WriteUvarint(0)
-	w.WriteUvarint(0) // empty vertex dictionary
-	w.WriteUint(uint64(lanewidth.TNode), 3)
-	w.WriteUvarint(0)
-	w.WriteUint(0, algebra.ClassHashBits)
-	w.WriteUvarint(algebra.MaxClassRank + 1)
-	add("collision rank one past the cap", "collision rank", w)
 
 	// Entry tables. table writes a table of minimal entries with the given
 	// node ids: equal ids give byte-identical rows.
 	table := func(nodeIDs ...uint64) *bits.Writer {
 		var w bits.Writer
 		w.WriteUvarint(uint64(len(nodeIDs)))
-		for _, id := range nodeIDs {
-			writeMinEntry(&w, 1, mathbits.Len64(id), id)
+		nodes, rows := rowsOf(nodeIDs...)
+		writeDicts(&w, 1, []uint64{1}, mathbits.Len64(slices.Max(nodes)), nodes, 1)
+		for _, r := range rows {
+			writeMinEntry(&w, rowWidth(len(nodes)), r)
 		}
 		return &w
 	}
 	w = table(1, 2, 3)
 	writeOwnTail(w, 2, 0, 1, 2)
-	if err := decodeCanonical(new(Decoder), w.Bytes(), w.Bits()); err != nil {
-		t.Fatalf("a three-row table used in order does not decode canonically: %v", err)
-	}
+	canonical("a three-row table used in order", w)
 	w = table(1, 2, 3)
 	writeOwnTail(w, 2, 0, 1, 3)
 	add("row index past the table", "row index 3", w)
@@ -306,39 +342,97 @@ func hostileLabels(t *testing.T) map[string]hostileLabel {
 	huge.WriteUvarint(1 << 40)
 	add("huge row count", "entry table of", &huge)
 
-	// Vertex dictionaries. dictLabel writes a label whose one entry's path
-	// ids are the given indices into a dictionary of the given ids.
-	dictLabel := func(dict []uint64, rows ...uint64) *bits.Writer {
+	// Vertex dictionaries. vertexLabel writes a label whose one entry's
+	// path ids are the given indices into a vertex dictionary of the given
+	// ids.
+	vertexLabel := func(dict []uint64, path ...uint64) *bits.Writer {
 		w := ownEntry()
-		writePathEntry(w, 2, 1, 1, dict, rows...)
+		writeDicts(w, 2, dict, 1, []uint64{1}, 1)
+		writeEntry(w, 0, 0, 0, 0, rowWidth(len(dict)), path...)
 		writeOwnTail(w, 0, 0)
 		return w
 	}
-	w = dictLabel([]uint64{1, 2, 3}, 0, 1, 2)
-	if err := decodeCanonical(new(Decoder), w.Bytes(), w.Bits()); err != nil {
-		t.Fatalf("a three-id dictionary used in order does not decode canonically: %v", err)
-	}
-	add("vertex index past the dictionary", "vertex index 3", dictLabel([]uint64{1, 2, 3}, 0, 1, 3))
-	add("unused dictionary row", "used by no id", dictLabel([]uint64{1, 2}, 0))
-	add("dictionary rows out of first-use order", "used before row", dictLabel([]uint64{1, 2}, 1, 0))
-	add("duplicate dictionary id", "", dictLabel([]uint64{2, 2}, 0, 1))
+	canonical("a three-id vertex dictionary used in order", vertexLabel([]uint64{1, 2, 3}, 0, 1, 2))
+	add("vertex index past the dictionary", "vertex index 3", vertexLabel([]uint64{1, 2, 3}, 0, 1, 3))
+	add("unused dictionary row", "vertex dictionary row 1 of 2 is used by no id", vertexLabel([]uint64{1, 2}, 0))
+	add("dictionary rows out of first-use order", "vertex dictionary row 1 used before row 0", vertexLabel([]uint64{1, 2}, 1, 0))
+	add("duplicate dictionary id", "", vertexLabel([]uint64{2, 2}, 0, 1))
 
-	// A dictionary size far past the bits that follow, and one past the
-	// ids a width of 0 can hold. Both streams end in 64 zero bits, so only
-	// the size's bounds can reject them.
+	// A vertex row first used out of order across the rows of a table:
+	// the first entry uses row 1 before the second uses row 0.
+	w = &bits.Writer{}
+	w.WriteUvarint(2)
+	writeDicts(w, 2, []uint64{1, 2}, 2, []uint64{1, 2}, 1)
+	writeEntry(w, 1, 0, 0, 0, 1, 1)
+	writeEntry(w, 1, 1, 0, 0, 1, 0)
+	writeOwnTail(w, 1, 0, 1)
+	add("vertex rows out of first-use order across entries", "vertex dictionary row 1 used before row 0", w)
+
+	// A vertex dictionary size far past the bits that follow, and one past
+	// the ids a width of 0 can hold. Both streams end in 64 zero bits, so
+	// only the size's bounds can reject them.
 	w = ownEntry()
-	w.WriteUvarint(40)
-	w.WriteUvarint(1)
 	w.WriteUvarint(1 << 40)
+	w.WriteUvarint(1)
 	w.WriteUint(0, 64)
 	add("huge dictionary", "vertex dictionary of", w)
 
 	w = ownEntry()
-	w.WriteUvarint(0)
-	w.WriteUvarint(1)
 	w.WriteUvarint(2)
+	w.WriteUvarint(0)
 	w.WriteUint(0, 64)
 	add("width-0 dictionary of two ids", "vertex dictionary of 2 ids at width 0", w)
+
+	// Class and node dictionaries. dictTable writes a label whose table
+	// has one minimal entry per index pair, its class and node the given
+	// indices into class and node dictionaries of the given ids.
+	dictTable := func(classes []int, nodes []uint64, ci, ni []uint64) *bits.Writer {
+		var w bits.Writer
+		w.WriteUvarint(uint64(len(ci)))
+		writeDicts(&w, 1, []uint64{1}, mathbits.Len64(slices.Max(nodes)), nodes, classes...)
+		var rows []uint64
+		for i := range ci {
+			writeEntry(&w, rowWidth(len(nodes)), ni[i], rowWidth(len(classes)), ci[i], 0, 0)
+			rows = append(rows, uint64(i))
+		}
+		writeOwnTail(&w, rowWidth(len(ci)), rows...)
+		return &w
+	}
+	three, two := []uint64{1, 2, 3}, []uint64{1, 2}
+	classLabel := func(classes []int, ci ...uint64) *bits.Writer {
+		return dictTable(classes, three[:len(ci)], ci, []uint64{0, 1, 2}[:len(ci)])
+	}
+	canonical("a three-id class dictionary used in order", classLabel([]int{1, 2, 3}, 0, 1, 2))
+	add("class index past the dictionary", "class index 3", classLabel([]int{1, 2, 3}, 0, 1, 3))
+	add("unused class dictionary row", "class dictionary row 1 of 2 is used by no id", classLabel([]int{1, 2}, 0, 0))
+	add("class dictionary rows out of first-use order", "class dictionary row 1 used before row 0", classLabel([]int{1, 2}, 1, 0))
+	add("duplicate class dictionary id", "", classLabel([]int{2, 2}, 0, 1))
+
+	nodeLabel := func(nodes []uint64, ni ...uint64) *bits.Writer {
+		return dictTable([]int{1, 2, 3}[:len(ni)], nodes, []uint64{0, 1, 2}[:len(ni)], ni)
+	}
+	canonical("a three-id node dictionary used in order", nodeLabel(three, 0, 1, 2))
+	add("node index past the dictionary", "node index 3", nodeLabel(three, 0, 1, 3))
+	add("unused node dictionary row", "node dictionary row 1 of 2 is used by no id", nodeLabel(two, 0))
+	add("node dictionary rows out of first-use order", "node dictionary row 1 used before row 0", nodeLabel(two, 1, 0))
+	add("duplicate node dictionary id", "", nodeLabel([]uint64{2, 2}, 0, 1))
+
+	// Class and node dictionary sizes far past the bits that follow.
+	w = ownEntry()
+	w.WriteUvarint(0)
+	w.WriteUvarint(0) // empty vertex dictionary
+	w.WriteUvarint(1 << 40)
+	w.WriteUint(0, 64)
+	add("huge class dictionary", "class dictionary of", w)
+
+	w = ownEntry()
+	w.WriteUvarint(0)
+	w.WriteUvarint(0) // empty vertex dictionary
+	w.WriteUvarint(0) // empty class dictionary
+	w.WriteUvarint(1 << 40)
+	w.WriteUvarint(1)
+	w.WriteUint(0, 64)
+	add("huge node dictionary", "node dictionary of", w)
 	return out
 }
 
@@ -346,13 +440,8 @@ func hostileLabels(t *testing.T) map[string]hostileLabel {
 // the grammar admits takes exactly minEntryBits bits.
 func TestMinEntryBits(t *testing.T) {
 	var w bits.Writer
-	w.WriteUvarint(0)
-	w.WriteUvarint(0)
-	w.WriteUvarint(0) // empty vertex dictionary
 	w.WriteUint(uint64(lanewidth.TNode), 3)
 	w.WriteUvarint(0) // no lanes
-	w.WriteUint(0, algebra.ClassHashBits)
-	w.WriteUvarint(0) // rank
 	w.WriteBit(false) // not a member
 	w.WriteUvarint(0) // no path ids
 	w.WriteUvarint(0) // LaneI
@@ -360,10 +449,12 @@ func TestMinEntryBits(t *testing.T) {
 	for range 4 {
 		w.WriteBit(false) // BridgeReal, no operands, no root member
 	}
+	// The class index and the node index, each into a one-row
+	// dictionary, take no bits.
 	if w.Bits() != minEntryBits {
 		t.Fatalf("the smallest entry takes %d bits, minEntryBits is %d", w.Bits(), minEntryBits)
 	}
-	var d Decoder
+	d := Decoder{cdict: []uint64{1}, ndict: []uint64{0}}
 	r := bits.NewReader(w.Bytes(), w.Bits())
 	if _, err := d.parseEntry(r, true); err != nil || r.Pos() != minEntryBits {
 		t.Fatalf("the smallest entry does not parse: %v", err)
@@ -387,14 +478,15 @@ func decodeCanonical(d *Decoder, data []byte, nbits int) error {
 var errNotCanonical = errors.New("re-encoding differs")
 
 // TestDecodeRejectsHostileWidthsAndRanks pins the checks of the fixed-width
-// fields, the entry table and the vertex dictionaries: an id width above
-// 64, an id width wider than the widest id it carries (a second encoding
-// of the same ids), a collision rank whose id does not fit an int, a row
-// or vertex index past its table or dictionary, a row no certificate or
-// dictionary id no occurrence uses, rows used out of order, a row count or
-// dictionary size the remaining bits (or, for a dictionary, its width)
-// cannot hold, and a repeated row or dictionary id (which decodes and
-// fails the re-encode check) are each rejected — without a panic, and
+// fields, the entry table and the vertex-id and class-id dictionaries: an
+// id width above 64, an id width wider than the widest id it carries (a
+// second encoding of the same ids), a collision rank whose id does not fit
+// an int, a row, vertex or class index past its table or dictionary, a row
+// no certificate or dictionary id no occurrence uses, rows used out of
+// order, a row count or dictionary size the remaining bits (or, for the
+// vertex dictionary, its width) cannot hold, and a repeated row or
+// dictionary id (which decodes and fails the re-encode check) are each
+// rejected — without a panic, and
 // without an allocation sized by the lying field.
 func TestDecodeRejectsHostileWidthsAndRanks(t *testing.T) {
 	for name, h := range hostileLabels(t) {
@@ -462,11 +554,19 @@ func TestEntryTableMergesByKey(t *testing.T) {
 	}
 }
 
-// TestVertexDictionaryWritesEachIDOnce pins the per-entry vertex-id
-// dictionary: an entry whose path names d distinct vertices, each twice,
-// writes each id once and every occurrence as a bitlen(d−1)-bit index —
-// whether the dictionary is small enough for the linear scan or large
-// enough for the keyed one — and decodes back to its own bits.
+// keyBits returns the size of an entry's Key: the entry written as a
+// one-row table, its own dictionaries included.
+func keyBits(e *NodeEntry) int {
+	e.Key()
+	return e.cache.nbits
+}
+
+// TestVertexDictionaryWritesEachIDOnce pins the vertex-id dictionary: an
+// entry whose path names d distinct vertices, each twice, writes each id
+// once and every occurrence as a bitlen(d−1)-bit index — whether the
+// dictionary is small enough for the stack index or large enough to grow
+// it — and decodes back to its own bits. A second row naming the same
+// vertices adds its indices and no dictionary id.
 func TestVertexDictionaryWritesEachIDOnce(t *testing.T) {
 	for _, d := range []int{3, linearRows, 3 * linearRows} {
 		var ids []uint64
@@ -477,18 +577,38 @@ func TestVertexDictionaryWritesEachIDOnce(t *testing.T) {
 			RealBits: make([]bool, len(ids)-1), VInputs: make([]int, len(ids))}
 		plain := &NodeEntry{NodeID: 1, Kind: lanewidth.PNode, ParentID: -1, RealBits: entry.RealBits[:0], VInputs: entry.VInputs}
 		// Against an entry with the same fields but no vertex ids, the
-		// path costs its dictionary (γ(d) over γ(0), d ids of 11 bits) and
-		// 2d indices, plus its longer length and real bits.
-		want := plain.bits() - bits.UvarintLen(0) - bits.UvarintLen(0) - bits.UvarintLen(0) +
+		// path costs its dictionary (γ(d) and γ(11) over γ(0) and γ(0), d
+		// ids of 11 bits) and 2d indices, plus its longer length and real
+		// bits.
+		want := keyBits(plain) - bits.UvarintLen(0) - bits.UvarintLen(0) - bits.UvarintLen(0) +
 			bits.UvarintLen(11) + bits.UvarintLen(uint64(d)) + 11*d + 2*d*rowWidth(d) +
 			bits.UvarintLen(uint64(len(ids))) + len(ids) - 1
-		if got := entry.bits(); got != want {
+		if got := keyBits(entry); got != want {
 			t.Fatalf("d=%d: the entry takes %d bits, want %d", d, got, want)
 		}
 		el := &EdgeLabel{Own: &CEdgeLabel{Path: []*NodeEntry{entry}}}
 		data, nbits := EncodeLabel(el)
 		if err := decodeCanonical(new(Decoder), data, nbits); err != nil {
 			t.Fatalf("d=%d: %v", d, err)
+		}
+		twin := entry.clone()
+		twin.NodeID = 2
+		two := &EdgeLabel{Own: &CEdgeLabel{Path: []*NodeEntry{entry, twin}}}
+		// The twin's fields are its Key less its own dictionaries (its d
+		// vertex ids, its class, its 2-bit node id). Beside them the
+		// second row grows the node dictionary from {1} to {1, 2}, gives
+		// both rows' node indices a bit, and adds a row to the table
+		// count, the certificate's path length and its 1-bit row indices.
+		g := bits.UvarintLen
+		twinFields := keyBits(twin) - (g(uint64(d)) + g(11) + 11*d) -
+			(g(1) + algebra.ClassHashBits + g(0)) - (g(1) + g(2) + 2)
+		nodeDict := (g(2) + g(2) + 2*2) - (g(1) + g(1) + 1)
+		if extra, want := two.Bits()-nbits, twinFields+nodeDict+2+2*(g(2)-g(1))+2; extra != want {
+			t.Fatalf("d=%d: a second row naming the same ids adds %d bits, want %d", d, extra, want)
+		}
+		data, nbits = EncodeLabel(two)
+		if err := decodeCanonical(new(Decoder), data, nbits); err != nil {
+			t.Fatalf("d=%d, two rows: %v", d, err)
 		}
 	}
 }

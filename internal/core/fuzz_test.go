@@ -61,19 +61,25 @@ func FuzzDecodeLabel(f *testing.F) {
 		if nbits > len(data)*8 {
 			nbits = len(data) * 8
 		}
-		// A label's first entry starts within its first 16 bits (after the
-		// entry table's row-count varint), so these offsets cover the real
-		// entry positions of short inputs as well as arbitrary ones.
-		for start := 0; start < nbits && start < 16; start++ {
-			var d Decoder
-			skip, build := bits.NewReader(data, nbits), bits.NewReader(data, nbits)
-			skip.Seek(start)
-			build.Seek(start)
-			_, skipErr := d.parseEntry(skip, false)
-			_, buildErr := d.parseEntry(build, true)
-			if (skipErr == nil) != (buildErr == nil) || skip.Pos() != build.Pos() {
-				t.Fatalf("entry at bit %d: skip pass (%v) ends at %d, build pass (%v) at %d",
-					start, skipErr, skip.Pos(), buildErr, build.Pos())
+		// A label's first entry follows its row count and dictionaries.
+		// With those loaded as a label's table would load them, the skip
+		// and build passes are compared at that entry and the 15 offsets
+		// after it, each pass from the same dictionary state.
+		var d Decoder
+		hdr := bits.NewReader(data, nbits)
+		if _, err := hdr.ReadUvarint(); err == nil && d.dictionaries(hdr) == nil {
+			for start := hdr.Pos(); start < nbits && start < hdr.Pos()+16; start++ {
+				skip, build := bits.NewReader(data, nbits), bits.NewReader(data, nbits)
+				skip.Seek(start)
+				build.Seek(start)
+				d.vUsed, d.cUsed, d.nUsed = 0, 0, 0
+				_, skipErr := d.parseEntry(skip, false)
+				d.vUsed, d.cUsed, d.nUsed = 0, 0, 0
+				_, buildErr := d.parseEntry(build, true)
+				if (skipErr == nil) != (buildErr == nil) || skip.Pos() != build.Pos() {
+					t.Fatalf("entry at bit %d: skip pass (%v) ends at %d, build pass (%v) at %d",
+						start, skipErr, skip.Pos(), buildErr, build.Pos())
+				}
 			}
 		}
 		var warm Decoder

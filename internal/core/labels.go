@@ -50,36 +50,40 @@ type OperandSummary struct {
 	Input   int // V-node operands: the vertex's input label
 }
 
-// encCache memoizes the canonical encoding of a node entry, which every
-// label carrying the entry splices in. The encoding is held once, as its
-// key — the packed bytes followed by the decimal bit count — and spliced
-// from the key's byte prefix. Entries are immutable once handed out by the
-// prover or a Decoder (corruption experiments go through Clone, which
-// starts with an empty cache), so the encoding is computed at most once;
-// the sync.Once makes concurrent verifiers (VerifyParallelCtx, dist)
-// race-free.
+// encCache memoizes an encoding: a node entry's Key or its fixed fields,
+// or an edge label's wire bits. The encoding is held once, as its key —
+// the packed bytes followed by the decimal bit count — and read from the
+// key's byte prefix. Entries and labels are immutable once handed out by the prover or
+// a Decoder (corruption experiments go through Clone, which starts with an
+// empty cache), so the encoding is computed at most once; the sync.Once
+// makes concurrent verifiers (VerifyParallelCtx, dist) race-free.
 type encCache struct {
 	once  sync.Once
 	key   string
 	nbits int
 }
 
-// materialize runs the raw encoder once and freezes its output.
-func (c *encCache) materialize(raw func(*bits.Writer)) {
-	c.once.Do(func() {
-		// Most entries fit in 64 bytes: one allocation instead of the
-		// writer growing a byte at a time from empty.
-		w := bits.NewWriter(make([]byte, 0, 64))
-		raw(&w)
-		c.nbits = w.Bits()
-		c.key = string(w.Buffer()) + strconv.Itoa(c.nbits)
-	})
+// set freezes the encoding written to w and hands w's buffer back to
+// encBufs. Callers run it inside once.Do, with the writer on their own
+// stack, started on a buffer from encBufs: a writer reached through a
+// function value would escape to the heap and pay a write barrier on
+// every append, and a buffer of its own would escape with it.
+func (c *encCache) set(w *bits.Writer, buf *[]byte) {
+	c.nbits = w.Bits()
+	c.key = string(w.Buffer()) + strconv.Itoa(c.nbits)
+	*buf = w.Buffer()[:0]
+	encBufs.Put(buf)
 }
 
-// splice appends the cached encoding to w.
-func (c *encCache) splice(w *bits.Writer) {
-	w.WriteChunk(c.key[:(c.nbits+7)/8], c.nbits)
-}
+// encBufs holds the scratch buffers encodings are written in before they
+// are frozen.
+var encBufs = sync.Pool{New: func() any { b := make([]byte, 0, 512); return &b }}
+
+// encBuf takes a scratch buffer from encBufs.
+func encBuf() *[]byte { return encBufs.Get().(*[]byte) }
+
+// bytes returns the packed bytes of the cached encoding.
+func (c *encCache) bytes() string { return c.key[:(c.nbits+7)/8] }
 
 // NodeEntry is the basic information B(G) of one hierarchy node, stored on
 // every edge of the node's subgraph. An edge's certificate holds the entries
@@ -118,7 +122,8 @@ type NodeEntry struct {
 	// T-node: summary of its tree's root member.
 	RootMember *ChildSummary
 
-	cache encCache
+	cache encCache // Key: the entry as a one-row table
+	fixed encCache // writeFixed's fields, spliced into every row
 }
 
 // CEdgeLabel is the certificate of one completion edge: the node entries
@@ -166,19 +171,16 @@ type EmbEntry struct {
 	Payload  *CEdgeLabel
 }
 
-// EdgeLabel is the complete label of a real edge. It caches no encoding of
-// its own — AppendLabel writes it straight into the buffer that needs it,
-// splicing in the cached encodings of its node entries — only its exact
-// size.
+// EdgeLabel is the complete label of a real edge. Its entries' bits depend
+// on the label carrying them (their ids are indices into the label's
+// dictionaries), so the label is encoded as a whole, once, and caches its
+// bytes: Bits, AppendLabel, EncodeLabel and Key all read that encoding.
 type EdgeLabel struct {
 	Own      *CEdgeLabel
 	Emb      []EmbEntry
 	Pointing *cert.PointingLabel // root-anchor pointing scheme (Prop 2.2)
 
-	// sizeOnce/size memoize Bits: proof-size accounting (Labeling.MaxBits,
-	// experiments E1/E8/E9) and buffer sizing must not pay for encoding.
-	sizeOnce sync.Once
-	size     int
+	cache encCache
 }
 
 // Labeling is a full proof assignment.
@@ -200,58 +202,82 @@ func (l *Labeling) MaxBits() int {
 
 // --- canonical encodings -------------------------------------------------
 //
-// Identifiers are close to uniform, so the wire writes them in a fixed
-// width instead of a varint: each node entry writes the bit length of its
-// largest vertex id and of its largest node id, each an Elias-gamma varint,
-// and then every node id in exactly that many bits. Vertex ids repeat
-// inside an entry (a node's in and out terminals reappear in its children's,
-// operands' and root member's summaries), so an entry writes its distinct
-// vertex ids once, as a dictionary — their count, then each id in the
-// vertex width, in first-use order — and every vertex-id occurrence as an
-// index into it in exactly rowWidth(count) bits. The widths and the
-// dictionary are per entry, so an entry's encoding stays self-contained (the
-// prover and the Decoder share entries by their exact bits), and the
-// decoder can require each width to be exactly the bit length of the
-// entry's widest id and the dictionary to be used in its own order, which
-// keeps the encoding canonical. Edge labels write their own vertex ids in
-// one fixed width of their own. Class ids are written as a fixed-width
-// content hash plus a varint collision rank (writeClassID).
-//
 // A label writes each distinct node entry once: an entry table of its
 // entries in first-use order (its own certificate's path, then each
 // embedding payload's path), then every certificate as a path length, one
 // row index per path entry in exactly rowWidth(rows) bits, and the owner
 // position. The certificates of one label share most of their root-side
 // entries, so the table is what keeps a label's size near one path.
+//
+// Ids repeat across the rows of a table (a node's terminals reappear in
+// its parent's, children's and operands' summaries, a node id in its
+// parent's and children's entries, a class in every entry that names it),
+// so the table opens with three dictionaries of the distinct ids its label
+// writes, each in first-use order: vertex ids, class ids and node ids. The
+// vertex and node dictionaries are each written as their size, the bit
+// length of their widest id, then every id in that width; the class
+// dictionary as its size, then every class id as a fixed-width content
+// hash plus a varint collision rank (writeClassID). Every occurrence — in
+// the rows, and the label's own embedding endpoints and pointing ids after
+// them — is an index into its dictionary in exactly rowWidth(size) bits.
+// The dictionaries come before the rows because the rows' index widths
+// depend on their sizes. Requiring every width to be exactly the bit
+// length of its widest id and every dictionary row to be first used in its
+// own order keeps the encoding canonical.
+//
+// A row is an entry's fixed fields (writeFixed: everything but its ids),
+// then its index block: the indices of its vertex-id, class-id and node-id
+// occurrences, in that order. The fixed fields do not depend on the label,
+// so each entry encodes them once and every row splices them in; only the
+// index block is written per label. An entry's bits thus depend on the
+// label that carries it, so the label is the unit that is encoded and
+// cached (EdgeLabel.cache). A node entry's Key is the same writer run over
+// a table of that one entry: its own dictionaries, then its row, so it
+// depends on the entry alone.
 
-// vertexCodes is how a node entry writes its vertex ids: its dictionary
-// (the distinct ids in first-use order) and, in wire order, every
-// occurrence's index into the dictionary, which write emits in turn in
-// exactly rw bits.
-type vertexCodes struct {
-	dict []uint64
-	idx  []uint64
-	next int
-	rw   int
-}
-
-// width returns the bit length of the dictionary's widest id: the width
-// the entry writes its dictionary in.
-func (c *vertexCodes) width() int {
-	var widest uint64
-	for _, id := range c.dict {
-		widest = max(widest, id)
+// dictionary replaces every id of occ by its row in a dictionary of the
+// distinct ids in first-use order, which it appends to ids and returns.
+// Rows are found through slots, an open-addressing index of row+1 values
+// (0 marks a free slot; its length is a power of two), started on the
+// caller's buffer and replaced by one twice the size when it passes half
+// full.
+func dictionary(occ, ids []uint64, slots []int32) []uint64 {
+	for k, id := range occ {
+		if 2*(len(ids)+1) > len(slots) {
+			slots = dictSlots(ids, max(64, 2*len(slots)))
+		}
+		mask := uint64(len(slots) - 1)
+		for h := dictHash(id) & mask; ; h = (h + 1) & mask {
+			if s := slots[h]; s == 0 {
+				ids = append(ids, id)
+				slots[h] = int32(len(ids))
+				occ[k] = uint64(len(ids) - 1)
+				break
+			} else if ids[s-1] == id {
+				occ[k] = uint64(s - 1)
+				break
+			}
+		}
 	}
-	return mathbits.Len64(widest)
+	return ids
 }
 
-// write emits the indices of the next count occurrences.
-func (c *vertexCodes) write(w *bits.Writer, count int) {
-	for _, i := range c.idx[c.next : c.next+count] {
-		w.WriteUint(i, c.rw)
+// dictSlots returns a fresh open-addressing index of n slots over ids.
+func dictSlots(ids []uint64, n int) []int32 {
+	slots := make([]int32, n)
+	mask := uint64(n - 1)
+	for r, id := range ids {
+		h := dictHash(id) & mask
+		for slots[h] != 0 {
+			h = (h + 1) & mask
+		}
+		slots[h] = int32(r + 1)
 	}
-	c.next += count
+	return slots
 }
+
+// dictHash spreads an id over the slot index (Fibonacci hashing).
+func dictHash(id uint64) uint64 { return id * 0x9e3779b97f4a7c15 >> 32 }
 
 // appendLaneIDs appends one id per lane from a lane-aligned slice. The
 // wire always carries exactly one id per lane; a missing id is the vertex
@@ -279,22 +305,6 @@ func writeLanes(w *bits.Writer, lanes []int) {
 	for _, l := range lanes {
 		w.WriteUvarint(uint64(l))
 	}
-}
-
-func (c *ChildSummary) encode(w *bits.Writer, nodeWidth int, codes *vertexCodes) {
-	w.WriteUint(uint64(c.NodeID), nodeWidth)
-	writeLanes(w, c.Lanes)
-	codes.write(w, 2*len(c.Lanes)) // InIDs, MergedOutIDs
-	writeClassID(w, c.MergedClassID)
-}
-
-func (o *OperandSummary) encode(w *bits.Writer, nodeWidth int, codes *vertexCodes) {
-	w.WriteUint(uint64(o.NodeID), nodeWidth)
-	w.WriteUint(uint64(o.Kind), 3)
-	writeLanes(w, o.Lanes)
-	codes.write(w, 2*len(o.Lanes)) // InIDs, OutIDs
-	writeClassID(w, o.ClassID)
-	w.WriteUvarint(uint64(o.Input))
 }
 
 // member reports whether the entry is a member of a T-node's tree. Only
@@ -330,95 +340,141 @@ func (n *NodeEntry) appendVertexIDs(dst []uint64) []uint64 {
 	return dst
 }
 
-// nodeWidth returns the bit length of the largest node id the entry writes.
-func (n *NodeEntry) nodeWidth() int {
-	node := uint64(n.NodeID)
+// appendClassIDs appends every class-id occurrence the entry writes, in
+// wire order.
+func (n *NodeEntry) appendClassIDs(dst []uint64) []uint64 {
+	dst = append(dst, uint64(n.ClassID))
 	if n.member() {
-		node = max(node, uint64(n.ParentID))
+		dst = append(dst, uint64(n.MergedClassID))
 		for i := range n.Children {
-			node = max(node, uint64(n.Children[i].NodeID))
+			dst = append(dst, uint64(n.Children[i].MergedClassID))
 		}
 	}
 	for _, op := range n.operands() {
 		if op != nil {
-			node = max(node, uint64(op.NodeID))
+			dst = append(dst, uint64(op.ClassID))
 		}
 	}
-	if n.RootMember != nil {
-		node = max(node, uint64(n.RootMember.NodeID))
+	if rm := n.RootMember; rm != nil {
+		dst = append(dst, uint64(rm.MergedClassID))
 	}
-	return mathbits.Len64(node)
+	return dst
 }
 
-// vertexCodes returns the entry's vertex codes, built in the given
-// buffers. Ids are found by a linear scan of the dictionary up to
-// linearRows of them; larger dictionaries (hostile decoded entries) switch
-// to a map so encoding stays linear.
-func (n *NodeEntry) vertexCodes(dict, idx []uint64) vertexCodes {
-	idx, dict = n.appendVertexIDs(idx[:0]), dict[:0]
-	var index map[uint64]int
-	for k, id := range idx {
-		i, ok := 0, false
-		if index == nil {
-			i = slices.Index(dict, id)
-			ok = i >= 0
-		} else {
-			i, ok = index[id]
+// appendNodeIDs appends every node-id occurrence the entry writes, in
+// wire order.
+func (n *NodeEntry) appendNodeIDs(dst []uint64) []uint64 {
+	dst = append(dst, uint64(n.NodeID))
+	if n.member() {
+		dst = append(dst, uint64(n.ParentID))
+		for i := range n.Children {
+			dst = append(dst, uint64(n.Children[i].NodeID))
 		}
-		if !ok {
-			i = len(dict)
-			dict = append(dict, id)
-			switch {
-			case index != nil:
-				index[id] = i
-			case len(dict) > linearRows:
-				index = make(map[uint64]int, 2*len(dict))
-				for j, v := range dict {
-					index[v] = j
-				}
-			}
+	}
+	for _, op := range n.operands() {
+		if op != nil {
+			dst = append(dst, uint64(op.NodeID))
 		}
-		idx[k] = uint64(i)
 	}
-	return vertexCodes{dict: dict, idx: idx, rw: rowWidth(len(dict))}
+	if rm := n.RootMember; rm != nil {
+		dst = append(dst, uint64(rm.NodeID))
+	}
+	return dst
 }
 
-// encode appends the entry's canonical encoding, memoized on first use.
-func (n *NodeEntry) encode(w *bits.Writer) {
-	n.cache.materialize(n.encodeRaw)
-	n.cache.splice(w)
+// writeIDDict writes a vertex-id or node-id dictionary — its size, the bit
+// length of its widest id, then every id in that width — and returns the
+// width of an index into it.
+func writeIDDict(w *bits.Writer, ids []uint64) int {
+	var widest uint64
+	for _, id := range ids {
+		widest = max(widest, id)
+	}
+	width := mathbits.Len64(widest)
+	w.WriteUvarint(uint64(len(ids)))
+	w.WriteUvarint(uint64(width))
+	writeUints(w, ids, width)
+	return rowWidth(len(ids))
 }
 
-// encodeRaw is the bit-level definition of the entry's canonical encoding;
-// callers go through encode/Key, which cache its output.
-func (n *NodeEntry) encodeRaw(w *bits.Writer) {
-	var dictBuf [linearRows]uint64
-	var idxBuf [4 * linearRows]uint64
-	codes := n.vertexCodes(dictBuf[:], idxBuf[:])
-	vw, nw := codes.width(), n.nodeWidth()
-	w.WriteUvarint(uint64(vw))
-	w.WriteUvarint(uint64(nw))
-	w.WriteUvarint(uint64(len(codes.dict)))
-	for _, id := range codes.dict {
-		w.WriteUint(id, vw)
+// writeTable writes a table's dictionaries and rows and, for a label
+// (l non-nil, idx its certificates' row indices), the rest of the label,
+// whose own vertex ids join the vertex dictionary after the rows' ids.
+// Occurrences are gathered into stack buffers and replaced by their
+// dictionary rows in place, so an honest table allocates nothing.
+func writeTable(w *bits.Writer, rows []*NodeEntry, l *EdgeLabel, idx []int) {
+	var vBuf [8 * linearRows]uint64
+	var cBuf, nBuf, vIDs, cIDs, nIDs [2 * linearRows]uint64
+	var vSlots, cSlots, nSlots [4 * linearRows]int32
+	var endBuf [16][3]int
+	occV, occC, occN, ends := vBuf[:0], cBuf[:0], nBuf[:0], endBuf[:0]
+	for _, e := range rows {
+		occV, occC, occN = e.appendVertexIDs(occV), e.appendClassIDs(occC), e.appendNodeIDs(occN)
+		ends = append(ends, [3]int{len(occV), len(occC), len(occN)})
 	}
-	w.WriteUint(uint64(n.NodeID), nw)
+	rowsEnd := len(occV)
+	if l != nil {
+		occV = l.appendVertexIDs(occV)
+	}
+	rwV := writeIDDict(w, dictionary(occV, vIDs[:0], vSlots[:]))
+	cd := dictionary(occC, cIDs[:0], cSlots[:])
+	w.WriteUvarint(uint64(len(cd)))
+	for _, id := range cd {
+		writeClassID(w, int(id))
+	}
+	rwC := rowWidth(len(cd))
+	rwN := writeIDDict(w, dictionary(occN, nIDs[:0], nSlots[:]))
+	var from [3]int
+	for r, e := range rows {
+		e.materializeFixed()
+		w.WriteChunk(e.fixed.bytes(), e.fixed.nbits)
+		writeUints(w, occV[from[0]:ends[r][0]], rwV)
+		writeUints(w, occC[from[1]:ends[r][1]], rwC)
+		writeUints(w, occN[from[2]:ends[r][2]], rwN)
+		from = ends[r]
+	}
+	if l != nil {
+		l.encodeTail(w, occV[rowsEnd:], rwV, rowWidth(len(rows)), idx)
+	}
+}
+
+// writeUints writes values, each in exactly width bits. A label writes a
+// hundred or so indices and dozens of dictionary ids, so they are packed
+// into words of up to 56 bits before they reach the writer.
+func writeUints(w *bits.Writer, vals []uint64, width int) {
+	if width == 0 {
+		return
+	}
+	var word uint64
+	n := 0
+	for _, v := range vals {
+		if n+width > 56 {
+			w.WriteUint(word, n)
+			word, n = 0, 0
+		}
+		word, n = word<<uint(width)|v, n+width
+	}
+	if n > 0 {
+		w.WriteUint(word, n)
+	}
+}
+
+// writeFixed writes the entry's fields other than its ids, which follow
+// them in a table row as indices: its kind and lanes, the tree-member
+// flag and its children's lane lists, its path length, real bits and
+// inputs, its B-node bridge, and its operands' and root member's kinds,
+// lanes and inputs.
+func (n *NodeEntry) writeFixed(w *bits.Writer) {
 	w.WriteUint(uint64(n.Kind), 3)
 	writeLanes(w, n.Lanes)
-	codes.write(w, 2*len(n.Lanes)) // InIDs, OutIDs
-	writeClassID(w, n.ClassID)
 	w.WriteBit(n.member())
 	if n.member() {
-		w.WriteUint(uint64(n.ParentID), nw)
-		writeClassID(w, n.MergedClassID)
-		codes.write(w, len(n.Lanes)) // MergedOutIDs
 		w.WriteUvarint(uint64(len(n.Children)))
 		for i := range n.Children {
-			n.Children[i].encode(w, nw, &codes)
+			writeLanes(w, n.Children[i].Lanes)
 		}
 	}
 	w.WriteUvarint(uint64(len(n.PathIDs)))
-	codes.write(w, len(n.PathIDs))
 	for _, b := range n.RealBits {
 		w.WriteBit(b)
 	}
@@ -429,40 +485,58 @@ func (n *NodeEntry) encodeRaw(w *bits.Writer) {
 	w.WriteUvarint(uint64(n.LaneJ))
 	w.WriteBit(n.BridgeReal)
 	for _, op := range n.operands() {
-		if op == nil {
-			w.WriteBit(false)
-			continue
+		w.WriteBit(op != nil)
+		if op != nil {
+			w.WriteUint(uint64(op.Kind), 3)
+			writeLanes(w, op.Lanes)
+			w.WriteUvarint(uint64(op.Input))
 		}
-		w.WriteBit(true)
-		op.encode(w, nw, &codes)
 	}
-	if n.RootMember == nil {
-		w.WriteBit(false)
-	} else {
-		w.WriteBit(true)
-		n.RootMember.encode(w, nw, &codes)
+	w.WriteBit(n.RootMember != nil)
+	if rm := n.RootMember; rm != nil {
+		writeLanes(w, rm.Lanes)
 	}
+}
+
+// materializeFixed encodes the entry's fixed fields once; every table row
+// carrying the entry splices them in.
+func (n *NodeEntry) materializeFixed() {
+	n.fixed.once.Do(func() {
+		buf := encBuf()
+		w := bits.NewWriter(*buf)
+		n.writeFixed(&w)
+		n.fixed.set(&w, buf)
+	})
+}
+
+// encodeRaw is the entry's canonical encoding: writeTable over a table of
+// this one entry. Callers go through Key, which caches its output.
+func (n *NodeEntry) encodeRaw(w *bits.Writer) {
+	rows := [1]*NodeEntry{n}
+	writeTable(w, rows[:], nil, nil)
 }
 
 // Key returns a canonical encoding of the entry (payload bytes plus the
 // exact bit count, so partial final bytes cannot alias), used for the
-// per-vertex consistency checks ("all incident edges agree on B(G)").
-// The encoding is memoized: repeated calls return the same string instance,
-// so honest-path comparisons are pointer-equal and O(1).
+// per-vertex consistency checks ("all incident edges agree on B(G)") and to
+// merge a label's table rows. It depends on the entry alone, never on a
+// label carrying it. The encoding is memoized: repeated calls return the
+// same string instance, so honest-path comparisons are pointer-equal and
+// O(1).
 func (n *NodeEntry) Key() string {
-	n.cache.materialize(n.encodeRaw)
+	n.cache.once.Do(func() {
+		buf := encBuf()
+		w := bits.NewWriter(*buf)
+		n.encodeRaw(&w)
+		n.cache.set(&w, buf)
+	})
 	return n.cache.key
-}
-
-// bits returns the entry's encoded size, materializing its encoding.
-func (n *NodeEntry) bits() int {
-	n.cache.materialize(n.encodeRaw)
-	return n.cache.nbits
 }
 
 // linearRows is the table size up to which table finds rows by a linear
 // scan; larger tables (long paths under large lane budgets, or
-// hostile decoded labels) switch to a map so encoding stays linear.
+// hostile decoded labels) switch to a map so encoding stays linear. It
+// also sizes writeTable's stack buffers.
 const linearRows = 32
 
 // table returns the label's entry table, appended to the given buffers:
@@ -525,11 +599,6 @@ func rowWidth(n int) int {
 	return mathbits.Len(uint(n - 1))
 }
 
-// bits returns the certificate's encoded size with row indices of width rw.
-func (c *CEdgeLabel) bits(rw int) int {
-	return bits.UvarintLen(uint64(len(c.Path))) + len(c.Path)*rw + bits.UvarintLen(uint64(c.OwnerPos))
-}
-
 // encode writes the certificate, taking its row indices from idx in order,
 // and returns the indices it did not use.
 func (c *CEdgeLabel) encode(w *bits.Writer, rw int, idx []int) []int {
@@ -541,93 +610,80 @@ func (c *CEdgeLabel) encode(w *bits.Writer, rw int, idx []int) []int {
 	return idx[len(c.Path):]
 }
 
-// Bits returns the exact encoded size of the label (memoized). The size is
-// computed by accounting, mirroring encode bit for bit — the entry table
-// (its row count and the entries' cached sizes), the own bit, the
-// certificates' lengths, row indices and owner positions, the id width and
-// every vertex id at that width, the gamma-coded counts and distances — so
-// calling it never encodes the label.
+// Bits returns the exact encoded size of the label, encoding it on first
+// use (see materialize).
 func (l *EdgeLabel) Bits() int {
-	l.sizeOnce.Do(func() {
-		var rowBuf [16]*NodeEntry
-		var idxBuf [64]int
-		rows, _ := l.table(rowBuf[:0], idxBuf[:0])
-		rw := rowWidth(len(rows))
-		n := bits.UvarintLen(uint64(len(rows))) + 1
-		for _, e := range rows {
-			n += e.bits()
-		}
-		if l.Own != nil {
-			n += l.Own.bits(rw)
-		}
-		width := l.idWidth()
-		n += bits.UvarintLen(uint64(width)) + bits.UvarintLen(uint64(len(l.Emb)))
-		for _, e := range l.Emb {
-			n += 2*width + bits.UvarintLen(uint64(e.Fwd)) + bits.UvarintLen(uint64(e.Bwd)) +
-				e.Payload.bits(rw)
-		}
-		n++
-		if p := l.Pointing; p != nil {
-			n += 3*width + bits.UvarintLen(uint64(p.DU)) + bits.UvarintLen(uint64(p.DV))
-		}
-		l.size = n
-	})
-	return l.size
+	l.materialize()
+	return l.cache.nbits
 }
 
-// idWidth returns the bit length of the largest vertex id the label writes
-// itself: its embedding entries' endpoints and its pointing label's ids.
-func (l *EdgeLabel) idWidth() int {
-	var v uint64
+// materialize encodes the label once and caches its bytes; Bits,
+// AppendLabel, EncodeLabel and Key all read that one encoding. The prover
+// materializes its labels on its worker pool; a decoded label is
+// materialized by its canonicality check, so it holds the bits it was
+// checked against.
+func (l *EdgeLabel) materialize() {
+	l.cache.once.Do(func() {
+		buf := encBuf()
+		w := bits.NewWriter(*buf)
+		l.encodeRaw(&w)
+		l.cache.set(&w, buf)
+	})
+}
+
+// appendVertexIDs appends the vertex ids the label writes itself, in wire
+// order: its embedding entries' endpoints and its pointing label's ids.
+func (l *EdgeLabel) appendVertexIDs(dst []uint64) []uint64 {
 	for _, e := range l.Emb {
-		v = max(v, e.UID, e.VID)
+		dst = append(dst, e.UID, e.VID)
 	}
 	if p := l.Pointing; p != nil {
-		v = max(v, p.X, p.UID, p.VID)
+		dst = append(dst, p.X, p.UID, p.VID)
 	}
-	return mathbits.Len64(v)
+	return dst
 }
 
 // Key returns a canonical encoding of the whole edge label (bytes plus bit
 // count), used for the cross-endpoint agreement check of the distributed
-// simulator. It encodes on every call; callers compare label pointers
-// first, so the honest path (both endpoints holding the same label) never
-// gets here.
+// simulator. It is the label's cached encoding.
 func (l *EdgeLabel) Key() string {
-	data, nbits := EncodeLabel(l)
-	return string(data) + strconv.Itoa(nbits)
+	l.materialize()
+	return l.cache.key
 }
 
-func (l *EdgeLabel) encode(w *bits.Writer) {
+// encodeRaw is the bit-level definition of the label's canonical encoding:
+// its row count, then its table (writeTable), which ends with encodeTail.
+// Callers go through materialize, which caches its output.
+func (l *EdgeLabel) encodeRaw(w *bits.Writer) {
 	var rowBuf [16]*NodeEntry
 	var idxBuf [64]int
 	rows, idx := l.table(rowBuf[:0], idxBuf[:0])
 	w.WriteUvarint(uint64(len(rows)))
-	for _, e := range rows {
-		e.encode(w)
-	}
-	rw := rowWidth(len(rows))
+	writeTable(w, rows, l, idx)
+}
+
+// encodeTail writes the label after its table's rows: its certificates as
+// row indices of width rw taken from idx, and its embedding and pointing
+// fields, their vertex ids as the dictionary indices own, each in rwV
+// bits.
+func (l *EdgeLabel) encodeTail(w *bits.Writer, own []uint64, rwV, rw int, idx []int) {
 	if l.Own != nil {
 		w.WriteBit(true)
 		idx = l.Own.encode(w, rw, idx)
 	} else {
 		w.WriteBit(false)
 	}
-	width := l.idWidth()
-	w.WriteUvarint(uint64(width))
 	w.WriteUvarint(uint64(len(l.Emb)))
 	for _, e := range l.Emb {
-		w.WriteUint(e.UID, width)
-		w.WriteUint(e.VID, width)
+		writeUints(w, own[:2], rwV) // UID, VID
+		own = own[2:]
 		w.WriteUvarint(uint64(e.Fwd))
 		w.WriteUvarint(uint64(e.Bwd))
 		idx = e.Payload.encode(w, rw, idx)
 	}
 	if p := l.Pointing; p != nil {
 		w.WriteBit(true)
-		w.WriteUint(p.X, width)
-		w.WriteUint(p.UID, width)
-		w.WriteUint(p.VID, width)
+		writeUints(w, own[:3], rwV) // X, UID, VID
 		w.WriteUvarint(uint64(p.DU))
 		w.WriteUvarint(uint64(p.DV))
 	} else {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	mathbits "math/bits"
 	"math/rand"
 	"testing"
 
@@ -24,15 +25,15 @@ func worstLabelBits(tb testing.TB, n int) int {
 
 // TestLabelSizeSlope pins the growth of the worst label with n, the
 // quantity the O(log n) bound is about. Identifiers are written in a
-// fixed width per entry, and each entry writes each distinct vertex id
-// once, so quadrupling n adds about two bits per distinct identifier:
-// 114 bits to this label (178 when every vertex-id occurrence was written
-// in full).
+// fixed width per label dictionary, and each label writes each distinct
+// id once, so quadrupling n adds about two bits per distinct identifier:
+// 48 bits to this label (114 with one dictionary per entry, 178 when every
+// vertex-id occurrence was written in full).
 func TestLabelSizeSlope(t *testing.T) {
 	small, large := worstLabelBits(t, 2048), worstLabelBits(t, 8192)
 	t.Logf("worst label: %d bits at n=2048, %d bits at n=8192", small, large)
-	if gap := large - small; gap > 150 {
-		t.Fatalf("worst label grows by %d bits from n=2048 to n=8192, want ≤ 150", gap)
+	if gap := large - small; gap > 80 {
+		t.Fatalf("worst label grows by %d bits from n=2048 to n=8192, want ≤ 80", gap)
 	}
 }
 
@@ -60,26 +61,62 @@ func TestLabelSizeVertexDictionary(t *testing.T) {
 	}
 }
 
+// TestLabelSizeLabelDictionary pins the label-wide dictionaries: a label
+// writes each distinct vertex id, class id and node id once, for all its
+// entry-table rows and its own fields together, and every occurrence as an
+// index into them. Under version
+// 4, which kept one vertex-id dictionary per entry and wrote class ids
+// inline, the worst label at n=8192 was 1590 bits. The pin is 0.85× the
+// version-4 size.
+func TestLabelSizeLabelDictionary(t *testing.T) {
+	const v4Bits = 1590
+	if got := worstLabelBits(t, 8192); 100*got > 85*v4Bits {
+		t.Fatalf("worst label at n=8192 is %d bits, want ≤ 0.85 × %d", got, v4Bits)
+	}
+}
+
 // splitFields names the parts labelSplit divides a label's bits into, in
 // the order they are logged.
 var splitFields = []string{
-	"vertex ids", "vertex indices", "node ids", "class ids",
-	"embedding and pointing", "id widths", "lane lists", "row indices", "rest",
+	"vertex ids", "vertex indices", "node ids", "node indices", "class ids", "class indices",
+	"embedding and pointing", "lane lists", "row indices", "rest",
 }
 
 // labelSplit accounts a label's bits by field, mirroring the encoder field
-// by field: vertex ids (each entry's dictionary: its size and its ids),
-// vertex indices (every vertex-id occurrence as a dictionary index), node
-// ids, class ids, the label's own embedding and pointing fields, the
-// gamma-coded id widths, lane lists, entry-table row indices, and the rest
-// (counts, kinds, flags, real bits, inputs, owner positions). The parts sum
-// to EdgeLabel.Bits exactly.
+// by field: vertex ids and node ids (the label's vertex and node
+// dictionaries: size, width and ids), vertex indices and node indices
+// (every occurrence in the rows as a dictionary index), class ids (the
+// class dictionary: its size and ids), class indices, the label's own
+// embedding and pointing fields (their vertex ids as indices), lane
+// lists, entry-table row indices, and the rest (counts, kinds, flags, real
+// bits, inputs, owner positions). The parts sum to EdgeLabel.Bits exactly.
 func labelSplit(l *EdgeLabel) map[string]int {
 	s := map[string]int{}
 	rows, _ := l.table(nil, nil)
 	s["rest"] += bits.UvarintLen(uint64(len(rows))) + 1 // row count, own bit
+	var occV, occC, occN []uint64
 	for _, e := range rows {
-		entrySplit(s, e)
+		occV, occC, occN = e.appendVertexIDs(occV), e.appendClassIDs(occC), e.appendNodeIDs(occN)
+	}
+	occV = l.appendVertexIDs(occV)
+	idDict := func(field string, occ []uint64) int {
+		ids := dictionary(occ, nil, nil)
+		var widest uint64
+		for _, id := range ids {
+			widest = max(widest, id)
+		}
+		width := mathbits.Len64(widest)
+		s[field] += bits.UvarintLen(uint64(len(ids))) + bits.UvarintLen(uint64(width)) + len(ids)*width
+		return rowWidth(len(ids))
+	}
+	rwV, rwN := idDict("vertex ids", occV), idDict("node ids", occN)
+	cd := dictionary(occC, nil, nil)
+	s["class ids"] += bits.UvarintLen(uint64(len(cd)))
+	for _, id := range cd {
+		s["class ids"] += algebra.ClassHashBits + bits.UvarintLen(id>>algebra.ClassHashBits)
+	}
+	for _, e := range rows {
+		entrySplit(s, e, rwV, rowWidth(len(cd)), rwN)
 	}
 	rw := rowWidth(len(rows))
 	certSplit := func(c *CEdgeLabel) {
@@ -89,50 +126,44 @@ func labelSplit(l *EdgeLabel) map[string]int {
 	if l.Own != nil {
 		certSplit(l.Own)
 	}
-	width := l.idWidth()
-	s["id widths"] += bits.UvarintLen(uint64(width))
 	s["embedding and pointing"] += bits.UvarintLen(uint64(len(l.Emb))) + 1 // count, pointing bit
 	for _, e := range l.Emb {
-		s["embedding and pointing"] += 2*width + bits.UvarintLen(uint64(e.Fwd)) + bits.UvarintLen(uint64(e.Bwd))
+		s["embedding and pointing"] += 2*rwV + bits.UvarintLen(uint64(e.Fwd)) + bits.UvarintLen(uint64(e.Bwd))
 		certSplit(e.Payload)
 	}
 	if p := l.Pointing; p != nil {
-		s["embedding and pointing"] += 3*width + bits.UvarintLen(uint64(p.DU)) + bits.UvarintLen(uint64(p.DV))
+		s["embedding and pointing"] += 3*rwV + bits.UvarintLen(uint64(p.DU)) + bits.UvarintLen(uint64(p.DV))
 	}
 	return s
 }
 
-// entrySplit adds one node entry's bits to s, field by field as encodeRaw
-// writes them.
-func entrySplit(s map[string]int, e *NodeEntry) {
-	codes := e.vertexCodes(nil, nil)
-	vw, nw := codes.width(), e.nodeWidth()
-	class := func(id int) {
-		s["class ids"] += algebra.ClassHashBits + bits.UvarintLen(uint64(id)>>algebra.ClassHashBits)
-	}
+// entrySplit adds one table row's bits to s, field by field as
+// NodeEntry.encode writes them, with vertex, class and node indices of
+// widths rwV, rwC and rwN.
+func entrySplit(s map[string]int, e *NodeEntry, rwV, rwC, rwN int) {
+	class := func() { s["class indices"] += rwC }
+	node := func() { s["node indices"] += rwN }
 	lanes := func(ls []int) {
 		s["lane lists"] += bits.UvarintLen(uint64(len(ls)))
 		for _, l := range ls {
 			s["lane lists"] += bits.UvarintLen(uint64(l))
 		}
 	}
-	vertices := func(n int) { s["vertex indices"] += n * codes.rw }
-	s["id widths"] += bits.UvarintLen(uint64(vw)) + bits.UvarintLen(uint64(nw))
-	s["vertex ids"] += bits.UvarintLen(uint64(len(codes.dict))) + len(codes.dict)*vw
-	s["node ids"] += nw
+	vertices := func(n int) { s["vertex indices"] += n * rwV }
+	node()
 	s["rest"] += 3 + 1 // kind, member bit
 	lanes(e.Lanes)
 	vertices(2 * len(e.Lanes))
-	class(e.ClassID)
+	class()
 	child := func(c *ChildSummary) {
-		s["node ids"] += nw
+		node()
 		lanes(c.Lanes)
 		vertices(2 * len(c.Lanes))
-		class(c.MergedClassID)
+		class()
 	}
 	if e.member() {
-		s["node ids"] += nw
-		class(e.MergedClassID)
+		node()
+		class()
 		vertices(len(e.Lanes))
 		s["rest"] += bits.UvarintLen(uint64(len(e.Children)))
 		for i := range e.Children {
@@ -147,11 +178,11 @@ func entrySplit(s map[string]int, e *NodeEntry) {
 	s["rest"] += bits.UvarintLen(uint64(e.LaneI)) + bits.UvarintLen(uint64(e.LaneJ)) + 1 + 3 // BridgeReal, presence bits
 	for _, op := range []*OperandSummary{e.Left, e.Right} {
 		if op != nil {
-			s["node ids"] += nw
+			node()
 			s["rest"] += 3 + bits.UvarintLen(uint64(op.Input))
 			lanes(op.Lanes)
 			vertices(2 * len(op.Lanes))
-			class(op.ClassID)
+			class()
 		}
 	}
 	if e.RootMember != nil {

@@ -268,16 +268,6 @@ func (s *Scheme) buildEncoderReuse(ctx context.Context, sp *StructuralProof, pre
 	}); err != nil {
 		return nil, err
 	}
-	// Materialize the canonical encodings of fresh entries concurrently
-	// (each entry's once-guard is hit by exactly one worker). Every
-	// certificate referencing a node shares its one entry, and with it the
-	// entry's key string, so the verifier's agreement checks compare
-	// pointer-equal strings. Reused entries already hold their key.
-	par.For(workers, nn, func(_, i int) {
-		if e := enc.entries[i]; e != nil && !reused(i) {
-			e.cache.materialize(e.encodeRaw)
-		}
-	})
 	if ru != nil {
 		for i, e := range enc.entries {
 			if e != nil {
@@ -470,7 +460,7 @@ func (enc *encoder) buildCert(e graph.Edge) (*CEdgeLabel, error) {
 // count. When prev/prevLab are non-nil (incremental re-proving),
 // certificates and whole edge labels that came out content-identical to the
 // previous generation's are swapped for the previous instances, so labels'
-// memoized sizes carry over; the labeling is byte-identical either way.
+// cached encodings carry over; the labeling is byte-identical either way.
 func (enc *encoder) buildLabels(prev *encoder, prevLab *Labeling, ru *reuseCounters, workers int) (*Labeling, error) {
 	sp := enc.sp
 	orig := sp.Cfg.G
@@ -538,7 +528,7 @@ func (enc *encoder) buildLabels(prev *encoder, prevLab *Labeling, ru *reuseCount
 	}
 	// Final incremental pass: a label whose every component survived from
 	// the previous generation is replaced by the previous label instance, so
-	// its memoized size is not recomputed.
+	// it is not encoded again.
 	if prevLab != nil {
 		for e, el := range labeling.Edges {
 			if pe, ok := prevLab.Edges[e]; ok && labelShallowEqual(el, pe) {
@@ -552,6 +542,14 @@ func (enc *encoder) buildLabels(prev *encoder, prevLab *Labeling, ru *reuseCount
 	if ru != nil {
 		ru.TotalLabels += len(labeling.Edges)
 	}
+	// Encode every label once, on the pool (each label's once-guard is hit
+	// by one worker): MaxBits, MarshalBinary and EncodedLabels then read
+	// the cached bytes. Reused labels already hold theirs.
+	labels := make([]*EdgeLabel, 0, len(labeling.Edges))
+	for e := range orig.EdgesSeq() {
+		labels = append(labels, labeling.Edges[e])
+	}
+	par.For(workers, len(labels), func(_, i int) { labels[i].materialize() })
 	return labeling, nil
 }
 

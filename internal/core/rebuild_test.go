@@ -16,7 +16,7 @@ import (
 // decodedCopy round-trips a labeling through the wire encoding, so the
 // result shares no pointers (and no memoized keys) with the prover's output
 // — exactly what a different process would hold.
-func decodedCopy(t *testing.T, l *Labeling) *Labeling {
+func decodedCopy(t testing.TB, l *Labeling) *Labeling {
 	t.Helper()
 	out := &Labeling{Edges: make(map[graph.Edge]*EdgeLabel, len(l.Edges))}
 	for e, el := range l.Edges {

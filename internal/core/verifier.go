@@ -88,28 +88,137 @@ type ownedEdge struct {
 	pos  int
 }
 
+// childClaim is one member entry's claim to be the parent of a child: the
+// claiming member's T-node and the child's node id.
+type childClaim struct{ parent, child int }
+
+// entrySlot is a slot of vertexScratch's entry index: a row of
+// sc.entries, valid only while gen is the scratch's current generation.
+type entrySlot struct {
+	gen uint32
+	row int32
+}
+
 // vertexScratch holds the working sets of one vertex's verification. A
-// vertex view holds a few dozen certificates and node entries, so they are
-// kept in small slices searched linearly or sorted, never in maps, and a
-// worker of VerifyParallelCtx reuses one scratch across its vertices: after
-// the first few vertices a view allocates nothing.
+// vertex view usually holds a few dozen certificates and node entries, so
+// they are kept in small slices searched linearly or sorted, never in
+// maps, and a worker of VerifyParallelCtx reuses one scratch across its
+// vertices: after the first few vertices a view allocates nothing. A hub's
+// view holds entries in proportion to its degree, so past linearRows
+// entries they are also found through an open-addressing index, and the
+// child claims the parent binding counts are sorted once per vertex.
 type vertexScratch struct {
 	labels  []*EdgeLabel         // the view's labels (verifyVertex)
 	ces     []completionEdge     // incident completion edges
 	embs    []EmbEntry           // embedding entries, sorted by virtual edge
 	entries []*NodeEntry         // distinct node entries, one per node id
+	uses    []int                // certificate paths naming each entry's node
 	owned   []ownedEdge          // incident edges by owner, sorted by node
 	pls     []cert.PointingLabel // pointing labels of the incident edges
+	claims  []childClaim         // child claims of the entries, sorted
+	claimed bool                 // claims holds this vertex's claims
+
+	// index finds entries by node id once there are more than
+	// linearRows of them; a slot is empty unless its gen is gen, so
+	// starting a vertex's index is one increment.
+	index []entrySlot
+	gen   uint32
 }
 
 // entry returns the vertex's entry of node id, or nil when none is visible.
 func (sc *vertexScratch) entry(id int) *NodeEntry {
-	for _, e := range sc.entries {
-		if e.NodeID == id {
-			return e
-		}
+	if r := sc.row(id); r >= 0 {
+		return sc.entries[r]
 	}
 	return nil
+}
+
+// row returns the row of sc.entries holding node id's entry, or -1.
+func (sc *vertexScratch) row(id int) int {
+	if len(sc.entries) <= linearRows {
+		for r, e := range sc.entries {
+			if e.NodeID == id {
+				return r
+			}
+		}
+		return -1
+	}
+	mask := uint64(len(sc.index) - 1)
+	for h := dictHash(uint64(id)) & mask; ; h = (h + 1) & mask {
+		s := sc.index[h]
+		if s.gen != sc.gen {
+			return -1
+		}
+		if sc.entries[s.row].NodeID == id {
+			return int(s.row)
+		}
+	}
+}
+
+// addEntry appends a node entry, named by one certificate path so far, to
+// the view's entries, indexing them once there are more than linearRows.
+func (sc *vertexScratch) addEntry(e *NodeEntry) {
+	sc.entries, sc.uses = append(sc.entries, e), append(sc.uses, 1)
+	n := len(sc.entries)
+	if n <= linearRows {
+		return
+	}
+	if n == linearRows+1 || 2*n > len(sc.index) {
+		// Start a fresh generation, in a larger table when this one would
+		// pass half full, and index every entry so far.
+		if 2*n > len(sc.index) {
+			sc.index = make([]entrySlot, max(4*linearRows, 2*len(sc.index)))
+		}
+		if sc.gen++; sc.gen == 0 {
+			clear(sc.index)
+			sc.gen = 1
+		}
+		for r := range sc.entries {
+			sc.indexRow(r)
+		}
+		return
+	}
+	sc.indexRow(n - 1)
+}
+
+// indexRow files row r of sc.entries in the index.
+func (sc *vertexScratch) indexRow(r int) {
+	mask := uint64(len(sc.index) - 1)
+	h := dictHash(uint64(sc.entries[r].NodeID)) & mask
+	for sc.index[h].gen == sc.gen {
+		h = (h + 1) & mask
+	}
+	sc.index[h] = entrySlot{gen: sc.gen, row: int32(r)}
+}
+
+// parentClaims returns how many visible member entries of T-node parent,
+// other than the child itself, list child among their children. The
+// claims are collected and sorted on the vertex's first call, so a hub's
+// parent bindings cost O(m log m) in its m claims, not a scan of every
+// entry per member.
+func (sc *vertexScratch) parentClaims(parent, child int) int {
+	if !sc.claimed {
+		sc.claims = sc.claims[:0]
+		for _, m := range sc.entries {
+			for _, c := range m.Children {
+				if c.NodeID != m.NodeID {
+					sc.claims = append(sc.claims, childClaim{m.ParentID, c.NodeID})
+				}
+			}
+		}
+		slices.SortFunc(sc.claims, compareClaims)
+		sc.claimed = true
+	}
+	i, _ := slices.BinarySearchFunc(sc.claims, childClaim{parent, child}, compareClaims)
+	j := i
+	for j < len(sc.claims) && sc.claims[j] == (childClaim{parent, child}) {
+		j++
+	}
+	return j - i
+}
+
+func compareClaims(a, b childClaim) int {
+	return cmp.Or(cmp.Compare(a.parent, b.parent), cmp.Compare(a.child, b.child))
 }
 
 // ownedBy returns the incident completion edges that node owns.
@@ -124,9 +233,22 @@ func (sc *vertexScratch) ownedBy(node int) []ownedEdge {
 
 // VerifyAt is the verification algorithm V of Theorem 1 at a single vertex.
 // It returns false on any malformed, inconsistent, or property-violating
-// label configuration.
+// label configuration. It runs on a fresh Scratch; a caller verifying many
+// vertices in turn passes its own to VerifyAtWith.
 func (s *Scheme) VerifyAt(view *VertexView) bool {
-	return s.verifyAt(view, &vertexScratch{})
+	return s.VerifyAtWith(view, new(Scratch))
+}
+
+// Scratch is the reusable working memory of vertex verifications. A
+// goroutine that verifies vertex after vertex (a worker of dist.Run, a
+// distnet node's round) keeps one and passes it to every VerifyAtWith, so
+// that once it is warm a view allocates nothing. The zero value is ready
+// to use; a Scratch is not safe for concurrent use.
+type Scratch struct{ sc vertexScratch }
+
+// VerifyAtWith is VerifyAt on the caller's scratch.
+func (s *Scheme) VerifyAtWith(view *VertexView, sc *Scratch) bool {
+	return s.verifyAt(view, &sc.sc)
 }
 
 func (s *Scheme) verifyAt(view *VertexView, sc *vertexScratch) bool {
@@ -219,9 +341,10 @@ func (s *Scheme) reconstructCompletion(view *VertexView, sc *vertexScratch) bool
 // collectEntries gathers into sc.entries the node entries across all
 // incident completion edges, one per node id, requiring byte-identical
 // copies (the same pointer, or else the same canonical encoding), valid
-// path chains, and in-budget lanes.
+// path chains, and in-budget lanes, and counts in sc.uses how many
+// certificate paths name each entry's node.
 func (s *Scheme) collectEntries(sc *vertexScratch) bool {
-	sc.entries = sc.entries[:0]
+	sc.entries, sc.uses, sc.claimed = sc.entries[:0], sc.uses[:0], false
 	rootID := -1
 	for _, ce := range sc.ces {
 		path := ce.payload.Path
@@ -234,13 +357,14 @@ func (s *Scheme) collectEntries(sc *vertexScratch) bool {
 			return false
 		}
 		for _, e := range path {
-			if prev := sc.entry(e.NodeID); prev != nil {
-				if !sameEntry(prev, e) {
+			if r := sc.row(e.NodeID); r >= 0 {
+				if !sameEntry(sc.entries[r], e) {
 					return false
 				}
+				sc.uses[r]++
 				continue
 			}
-			sc.entries = append(sc.entries, e)
+			sc.addEntry(e)
 		}
 	}
 	return true
@@ -517,7 +641,7 @@ func (s *Scheme) checkRoles(view *VertexView, sc *vertexScratch) bool {
 	}
 	slices.SortFunc(sc.owned, func(a, b ownedEdge) int { return cmp.Compare(a.node, b.node) })
 
-	for _, e := range sc.entries {
+	for i, e := range sc.entries {
 		switch e.Kind {
 		case lanewidth.ENode:
 			isTerminal := false
@@ -601,15 +725,7 @@ func (s *Scheme) checkRoles(view *VertexView, sc *vertexScratch) bool {
 				if op.Input != view.Input {
 					return false // summary lies about this vertex's input
 				}
-				count := 0
-				for _, ce := range sc.ces {
-					for _, pe := range ce.payload.Path {
-						if pe.NodeID == e.NodeID {
-							count++
-						}
-					}
-				}
-				if count != 1 || len(oe) != 1 {
+				if sc.uses[i] != 1 || len(oe) != 1 {
 					return false
 				}
 			}
@@ -661,17 +777,7 @@ func (s *Scheme) checkParentBinding(e *NodeEntry, sc *vertexScratch) bool {
 	t := sc.entry(e.ParentID)
 	isRoot := t != nil && t.Kind == lanewidth.TNode && t.RootMember != nil &&
 		t.RootMember.NodeID == e.NodeID
-	parents := 0
-	for _, m := range sc.entries {
-		if m.ParentID != e.ParentID || m.NodeID == e.NodeID {
-			continue
-		}
-		for _, c := range m.Children {
-			if c.NodeID == e.NodeID {
-				parents++
-			}
-		}
-	}
+	parents := sc.parentClaims(e.ParentID, e.NodeID)
 	if isRoot {
 		return parents == 0
 	}

@@ -9,8 +9,9 @@
 //
 // Each processor reads only its incident labels, so how the round is
 // scheduled is not part of the scheme: Run evaluates every processor's
-// decision (CheckVertex) on the bounded worker pool the verifier uses,
-// sized by Scheme.Workers, and the verdicts are the same for every size.
+// decision (Checker.CheckVertex) on the bounded worker pool the verifier
+// uses, sized by Scheme.Workers, one Checker per worker, and the verdicts
+// are the same for every size.
 package dist
 
 import (
@@ -97,21 +98,28 @@ func run(ctx context.Context, cfg *cert.Config, scheme *core.Scheme, sideOf func
 	}
 	g := cfg.G
 	verdicts := make([]bool, g.N())
-	err := par.ForErr(scheme.Workers, g.N(), func(_, v int) error {
+	// Each worker decides vertex after vertex on its own Checker and its
+	// own copy lists, so a round allocates per worker, not per vertex.
+	type worker struct {
+		check        Checker
+		mine, remote []*core.EdgeLabel
+	}
+	workers := make([]worker, par.Workers(scheme.Workers))
+	err := par.ForErr(scheme.Workers, g.N(), func(wk, v int) error {
 		if v&63 == 0 {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
 		}
+		w := &workers[wk]
 		neighbors := g.Neighbors(v)
-		mine := make([]*core.EdgeLabel, len(neighbors))
-		remote := make([]*core.EdgeLabel, len(neighbors))
-		for i, w := range neighbors {
-			e := graph.NewEdge(v, w)
-			mine[i] = sideOf(v).Edges[e]
-			remote[i] = sideOf(w).Edges[e]
+		w.mine, w.remote = w.mine[:0], w.remote[:0]
+		for _, u := range neighbors {
+			e := graph.NewEdge(v, u)
+			w.mine = append(w.mine, sideOf(v).Edges[e])
+			w.remote = append(w.remote, sideOf(u).Edges[e])
 		}
-		verdicts[v] = CheckVertex(scheme, cfg.IDs[v], cfg.Input(v), len(neighbors) == 0, mine, remote)
+		verdicts[v] = w.check.CheckVertex(scheme, cfg.IDs[v], cfg.Input(v), len(neighbors) == 0, w.mine, w.remote)
 		return nil
 	})
 	if err != nil {

@@ -9,6 +9,16 @@ package dist
 
 import "repro/internal/core"
 
+// Checker makes the round-end decisions of processors one after another,
+// reusing its memory across them: the verifier's scratch and the view's
+// label list. A worker of Run and a distnet node each keep one, so a warm
+// decision allocates nothing. The zero value is ready to use; a Checker is
+// not safe for concurrent use.
+type Checker struct {
+	scratch core.Scratch
+	labels  []*core.EdgeLabel
+}
+
 // CheckVertex is the round-end decision of one processor: every neighbor's
 // copy of a shared edge label must agree with the processor's own copy
 // (asymmetric memory corruption is exactly a disagreement between the two
@@ -20,7 +30,7 @@ import "repro/internal/core"
 // graph's neighbor order; nil means "no label in memory". Agreement compares
 // canonical encodings with a pointer-equality fast path, so honest
 // same-process copies cost O(1).
-func CheckVertex(scheme *core.Scheme, id uint64, input int, isolated bool, mine, remote []*core.EdgeLabel) bool {
+func (c *Checker) CheckVertex(scheme *core.Scheme, id uint64, input int, isolated bool, mine, remote []*core.EdgeLabel) bool {
 	if len(mine) != len(remote) {
 		return false
 	}
@@ -33,12 +43,13 @@ func CheckVertex(scheme *core.Scheme, id uint64, input int, isolated bool, mine,
 	if !consistent {
 		return false
 	}
-	view := &core.VertexView{ID: id, Input: input, Isolated: isolated}
+	view := core.VertexView{ID: id, Input: input, Isolated: isolated, Labels: c.labels[:0]}
 	for _, l := range mine {
 		if l == nil {
 			return false // no label in memory for an incident edge
 		}
 		view.Labels = append(view.Labels, l)
 	}
-	return scheme.VerifyAt(view)
+	c.labels = view.Labels
+	return scheme.VerifyAtWith(&view, &c.scratch)
 }

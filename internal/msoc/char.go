@@ -214,7 +214,7 @@ type Prop struct {
 // thanks to hash-consing — combine once, property-wide.
 type composeCtx struct {
 	mu   sync.Mutex
-	memo map[string]*node
+	memo map[comboKey]*node
 }
 
 var _ algebra.Property = (*Prop)(nil)

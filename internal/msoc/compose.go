@@ -1,6 +1,7 @@
 package msoc
 
 import (
+	"bytes"
 	"fmt"
 
 	"repro/internal/algebra"
@@ -126,29 +127,27 @@ func identity(n, offset int) []int {
 // constant: instantiating a variable at a node with several preimages just
 // ORs the preimages' vector bits — there is no per-constant subtree to
 // choose, so same-side fusion cannot manufacture chimera witnesses.
-type envT []int8
+//
+// An environment is immutable, so it is held as a string of int8 levels:
+// it compares by content and is part of a memo key without a copy.
+type envT string
 
-func newEnv(n int) envT {
-	e := make(envT, n)
-	for i := range e {
-		e[i] = -1
-	}
-	return e
-}
+func newEnv(n int) envT { return envT(bytes.Repeat([]byte{0xff}, n)) } // every level -1
 
 func envWith(env envT, lvl, m int) envT {
-	out := make(envT, len(env))
-	copy(out, env)
-	out[lvl] = int8(m)
-	return out
+	out := []byte(env)
+	out[lvl] = byte(int8(m))
+	return envT(out)
 }
 
-func envKey(env envT) string {
-	b := make([]byte, len(env))
-	for i, v := range env {
-		b[i] = byte(v)
-	}
-	return string(b)
+// at returns level i's entry: -1 or a merged node.
+func (e envT) at(i int) int8 { return int8(e[i]) }
+
+// comboKey is a combine memo key. Nodes are hash-consed within a Prop, so
+// equal subtrees are one pointer and the pointers identify them exactly.
+type comboKey struct {
+	x, y *node
+	env  envT
 }
 
 // composer carries the per-compose state of the lockstep walk. The memo
@@ -228,7 +227,7 @@ func (p *Prop) compose(ta, tb *table, spec algebra.JoinSpec) (*table, error) {
 	p.mu.Lock()
 	ctx, ok := p.ctxs[ctxKey]
 	if !ok {
-		ctx = &composeCtx{memo: map[string]*node{}}
+		ctx = &composeCtx{memo: map[comboKey]*node{}}
 		p.ctxs[ctxKey] = ctx
 	}
 	p.mu.Unlock()
@@ -268,7 +267,7 @@ func (cc *composer) combine(x, y *node, env envT) *node {
 		}
 		return cc.fail("misaligned tables (%d/%d vs %d/%d)", x.op, x.srt, y.op, y.srt)
 	}
-	key := x.id + y.id + envKey(env)
+	key := comboKey{x, y, env}
 	cc.ctx.mu.Lock()
 	r0, hit := cc.ctx.memo[key]
 	cc.ctx.mu.Unlock()
@@ -444,7 +443,7 @@ func (cc *composer) rewrite(n *node, cmap []int, env envT) leafVal {
 	case lfBool, lfBoolAnd, lfAbsFalse:
 		return leafVal{kind: n.leaf, val: n.val}
 	case lfEqSS:
-		ea, eb := env[n.a], env[n.b]
+		ea, eb := env.at(n.a), env.at(n.b)
 		switch {
 		case ea < 0 && eb < 0:
 			return leafVal{kind: lfEqSS, a: n.a, b: n.b}
@@ -461,7 +460,7 @@ func (cc *composer) rewrite(n *node, cmap []int, env envT) leafVal {
 			return leafVal{kind: lfAbsFalse}
 		}
 	case lfAdjSS:
-		ea, eb := env[n.a], env[n.b]
+		ea, eb := env.at(n.a), env.at(n.b)
 		switch {
 		case ea < 0 && eb < 0:
 			return leafVal{kind: lfAdjSS, a: n.a, b: n.b}
@@ -480,7 +479,7 @@ func (cc *composer) rewrite(n *node, cmap []int, env envT) leafVal {
 			return cc.vecValC(n.a, cc.rowVec(int(eb)))
 		}
 	case lfVec, lfVecC:
-		ev := env[n.a]
+		ev := env.at(n.a)
 		var nv uint64
 		val := false
 		for c, m := range cmap {
@@ -503,7 +502,7 @@ func (cc *composer) rewrite(n *node, cmap []int, env envT) leafVal {
 		}
 		return cc.vecVal(n.a, nv)
 	case lfExtS:
-		if env[n.a] >= 0 {
+		if env.at(n.a) >= 0 {
 			// The constant internalized: nothing outside is adjacent or
 			// incident to it, in any completion. Decided, like a resolved
 			// vector bit, so the merge promotes it to an absolute false.
@@ -664,10 +663,14 @@ func (p *Prop) Accept(t algebra.Table) (bool, error) {
 		return v, nil
 	}
 	p.mu.Unlock()
-	memo := map[string]bool{}
+	type evalKey struct {
+		n   *node
+		env envT
+	}
+	memo := map[evalKey]bool{}
 	var ev func(n *node, env envT) bool
 	ev = func(n *node, env envT) bool {
-		key := n.id + envKey(env)
+		key := evalKey{n, env}
 		if v, ok := memo[key]; ok {
 			return v
 		}
@@ -678,15 +681,15 @@ func (p *Prop) Accept(t algebra.Table) (bool, error) {
 			case lfBool, lfBoolAnd, lfAbsFalse:
 				v = n.val
 			case lfEqSS:
-				v = env[n.a] >= 0 && env[n.a] == env[n.b]
+				v = env.at(n.a) >= 0 && env.at(n.a) == env.at(n.b)
 			case lfAdjSS:
-				ca, cb := env[n.a], env[n.b]
+				ca, cb := env.at(n.a), env.at(n.b)
 				v = ca >= 0 && cb >= 0 && ca != cb && tb.m[ca]>>uint(cb)&1 == 1
 			case lfExtS:
 				// Nothing is outside the complete graph.
 				v = false
 			default:
-				v = env[n.a] >= 0 && n.vec>>uint(env[n.a])&1 == 1
+				v = env.at(n.a) >= 0 && n.vec>>uint(env.at(n.a))&1 == 1
 			}
 		case opNot:
 			v = !ev(n.sub[0], env)
