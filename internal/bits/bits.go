@@ -94,34 +94,59 @@ func (w *Writer) WriteUvarint(v uint64) {
 	w.writeBits(v, width)                    // value bits below the leading 1
 }
 
-// WriteChunk appends a pre-encoded bit sequence (the first nbits bits of
-// buf, packed as a Writer packs them), bit-for-bit identical to replaying
-// the original writes. buf is a string so that a cached encoding held as a
-// string key can be spliced without a byte copy of its own. Byte-aligned
-// chunks are copied wholesale; unaligned chunks are shift-merged byte by
-// byte, so appending a cached encoding costs O(bytes) instead of O(bits).
-func (w *Writer) WriteChunk(buf string, nbits int) {
-	if nbits == 0 {
+// WriteChunk appends the bits [from, to) of a pre-encoded bit sequence
+// (buf, packed as a Writer packs it), bit-for-bit identical to replaying
+// the writes that produced those bits. buf is a string so that a cached
+// encoding held as a string key can be spliced without a byte copy of its
+// own. The bits are moved 56 at a time, so a chunk costs O(bytes) at any
+// pair of bit offsets; bits of buf outside the range are never written.
+func (w *Writer) WriteChunk(buf string, from, to int) {
+	if from >= to {
 		return
 	}
-	nbytes := (nbits + 7) / 8
-	shift := uint(w.nbits % 8)
-	if shift == 0 {
-		w.buf = append(w.buf, buf[:nbytes]...)
-		w.nbits += nbits
-		return
+	// Room for the chunk plus one 8-byte store past its end.
+	w.buf = slices.Grow(w.buf, (to-from+7)/8+8)
+	b := w.buf[:cap(w.buf)]
+	pos := w.nbits
+	for from < to {
+		n := min(56, to-from)
+		// A load at byte from/8 shifted by from%8 ≤ 7 holds at least 57
+		// bits starting at from; they go under the used bits of byte pos/8
+		// (bits past nbits are zero, bytes past len are free).
+		v := load64(buf, from/8) << uint(from%8) >> uint(64-n)
+		i, used := pos/8, uint(pos%8)
+		word := v << (64 - used - uint(n))
+		if used > 0 {
+			word |= uint64(b[i]) << 56
+		}
+		binary.BigEndian.PutUint64(b[i:], word)
+		from, pos = from+n, pos+n
 	}
-	last := len(w.buf) - 1
-	for i := 0; i < nbytes; i++ {
-		b := buf[i]
-		w.buf[last+i] |= b >> shift
-		w.buf = append(w.buf, b<<(8-shift))
+	w.nbits = pos
+	w.buf = b[:(pos+7)/8]
+}
+
+// load64 returns the eight bytes of s starting at byte i, most significant
+// first; bytes past the end read as zero.
+func load64(s string, i int) uint64 {
+	if i+8 <= len(s) {
+		s = s[i : i+8]
+		return uint64(s[0])<<56 | uint64(s[1])<<48 | uint64(s[2])<<40 | uint64(s[3])<<32 |
+			uint64(s[4])<<24 | uint64(s[5])<<16 | uint64(s[6])<<8 | uint64(s[7])
 	}
-	w.nbits += nbits
-	// Drop the overflow byte when the merged tail fits in one fewer byte.
-	// (Bits past nbits are zero by the Writer's zero-padding invariant, so
-	// the retained tail byte carries no stray bits.)
-	w.buf = w.buf[:(w.nbits+7)/8]
+	return loadTail(s, i)
+}
+
+// loadTail is load64 near the end of s.
+func loadTail(s string, i int) uint64 {
+	var v uint64
+	for k := i; k < i+8; k++ {
+		v <<= 8
+		if k < len(s) {
+			v |= uint64(s[k])
+		}
+	}
+	return v
 }
 
 // UvarintLen returns the exact bit length WriteUvarint(v) produces

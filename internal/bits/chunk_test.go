@@ -28,9 +28,10 @@ func randomWrites(rng *rand.Rand, w, mirror *Writer, count int) {
 }
 
 // TestWriteChunkBitIdentical checks that appending a pre-encoded chunk at an
-// arbitrary (usually unaligned) bit offset produces exactly the stream that
-// replaying the chunk's original writes would, and that the writer stays
-// usable afterwards.
+// arbitrary (usually unaligned) bit offset, taken from an arbitrary bit
+// offset of a longer encoding, produces exactly the stream that replaying
+// the chunk's original writes would, and that the writer stays usable
+// afterwards.
 func TestWriteChunkBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 500; trial++ {
@@ -43,8 +44,13 @@ func TestWriteChunkBitIdentical(t *testing.T) {
 		// The same random writes land in the standalone chunk writer and,
 		// natively at the current offset, in the ground-truth writer; the
 		// chunked writer then appends the pre-encoded chunk in one call.
+		var before, discard Writer
+		randomWrites(rng, &chunk, &before, rng.Intn(6)) // bits before the chunk in its source
+		from := chunk.Bits()
 		randomWrites(rng, &chunk, &direct, rng.Intn(12))
-		chunked.WriteChunk(string(chunk.Bytes()), chunk.Bits())
+		to := chunk.Bits()
+		randomWrites(rng, &chunk, &discard, rng.Intn(6)) // bits after it
+		chunked.WriteChunk(string(chunk.Bytes()), from, to)
 
 		randomWrites(rng, &chunked, &direct, rng.Intn(8)) // writes after the chunk
 
@@ -59,19 +65,26 @@ func TestWriteChunkBitIdentical(t *testing.T) {
 }
 
 // TestWriteChunkReplaysWrites pins WriteChunk against a bit-by-bit replay of
-// the chunk (the definitionally correct append).
+// the chunk (the definitionally correct append), for every kind of range:
+// a whole encoding or any sub-range of it.
 func TestWriteChunkReplaysWrites(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 500; trial++ {
 		var chunk Writer
 		var scratch Writer
 		randomWrites(rng, &chunk, &scratch, 1+rng.Intn(10))
+		from, to := 0, chunk.Bits()
+		if trial%2 == 1 {
+			from = rng.Intn(to + 1)
+			to = from + rng.Intn(to-from+1)
+		}
 
 		var prefixA, prefixB Writer
 		randomWrites(rng, &prefixA, &prefixB, rng.Intn(10))
 
-		prefixA.WriteChunk(string(chunk.Bytes()), chunk.Bits())
-		r := NewReader(chunk.Bytes(), chunk.Bits())
+		prefixA.WriteChunk(string(chunk.Bytes()), from, to)
+		r := NewReader(chunk.Bytes(), to)
+		r.Seek(from)
 		for {
 			b, err := r.ReadBit()
 			if err != nil {
@@ -80,7 +93,7 @@ func TestWriteChunkReplaysWrites(t *testing.T) {
 			prefixB.WriteBit(b)
 		}
 		if prefixA.Bits() != prefixB.Bits() || string(prefixA.Bytes()) != string(prefixB.Bytes()) {
-			t.Fatalf("trial %d: chunk append diverges from bit replay", trial)
+			t.Fatalf("trial %d: chunk [%d, %d) append diverges from bit replay", trial, from, to)
 		}
 	}
 }

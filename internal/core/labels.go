@@ -12,11 +12,13 @@
 package core
 
 import (
+	"fmt"
 	mathbits "math/bits"
 	"slices"
 	"sort"
 	"strconv"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/algebra"
 	"repro/internal/bits"
@@ -50,13 +52,13 @@ type OperandSummary struct {
 	Input   int // V-node operands: the vertex's input label
 }
 
-// encCache memoizes an encoding: a node entry's Key or its fixed fields,
-// or an edge label's wire bits. The encoding is held once, as its key —
-// the packed bytes followed by the decimal bit count — and read from the
-// key's byte prefix. Entries and labels are immutable once handed out by the prover or
-// a Decoder (corruption experiments go through Clone, which starts with an
-// empty cache), so the encoding is computed at most once; the sync.Once
-// makes concurrent verifiers (VerifyParallelCtx, dist) race-free.
+// encCache memoizes an encoding: a node entry's Key or an edge label's wire
+// bits. The encoding is held once, as its key — the packed bytes followed
+// by the decimal bit count — and read from the key's byte prefix. Entries
+// and labels are immutable once handed out by the prover or a Decoder
+// (corruption experiments go through Clone, which starts with an empty
+// cache), so the encoding is computed at most once; the sync.Once makes
+// concurrent verifiers (VerifyParallelCtx, dist) race-free.
 type encCache struct {
 	once  sync.Once
 	key   string
@@ -70,8 +72,9 @@ type encCache struct {
 // every append, and a buffer of its own would escape with it.
 func (c *encCache) set(w *bits.Writer, buf *[]byte) {
 	c.nbits = w.Bits()
-	c.key = string(w.Buffer()) + strconv.Itoa(c.nbits)
-	*buf = w.Buffer()[:0]
+	b := strconv.AppendInt(w.Buffer(), int64(c.nbits), 10)
+	c.key = string(b)
+	*buf = b[:0]
 	encBufs.Put(buf)
 }
 
@@ -123,7 +126,6 @@ type NodeEntry struct {
 	RootMember *ChildSummary
 
 	cache encCache // Key: the entry as a one-row table
-	fixed encCache // writeFixed's fields, spliced into every row
 }
 
 // CEdgeLabel is the certificate of one completion edge: the node entries
@@ -227,13 +229,25 @@ func (l *Labeling) MaxBits() int {
 //
 // A row is an entry's fixed fields (writeFixed: everything but its ids),
 // then its index block: the indices of its vertex-id, class-id and node-id
-// occurrences, in that order. The fixed fields do not depend on the label,
-// so each entry encodes them once and every row splices them in; only the
-// index block is written per label. An entry's bits thus depend on the
-// label that carries it, so the label is the unit that is encoded and
-// cached (EdgeLabel.cache). A node entry's Key is the same writer run over
-// a table of that one entry: its own dictionaries, then its row, so it
-// depends on the entry alone.
+// occurrences, in that order. An entry's bits thus depend on the label that
+// carries it, so the label is the unit that is encoded and cached
+// (EdgeLabel.cache). A node entry's Key is the same writer run over a table
+// of that one entry: its own dictionaries, then its row, so it depends on
+// the entry alone.
+//
+// On one StructuralProof, class ids are a label's only property-dependent
+// bits: the structure fixes every label's certificate paths (so its table
+// rows, one per node, and their node ids), every entry's fixed fields and
+// vertex ids, and the label's embedding and pointing fields; a property
+// pass contributes only the class ids its entries carry. The label of one
+// real edge under any two properties therefore differs only in its class
+// dictionary and its rows' class-index blocks. The first property pass to
+// encode an edge's label records where those bits sit (labelLayout); every
+// later pass over the same structure copies the rest from that encoding
+// and writes only its own class bits (labelLayout.splice). The layouts
+// live as long as the structure. Labels encoded without a structure — a
+// decoded label's canonicality check, a clone, an entry's Key — run the
+// full writer alone.
 
 // dictionary replaces every id of occ by its row in a dictionary of the
 // distinct ids in first-use order, which it appends to ids and returns.
@@ -400,12 +414,14 @@ func writeIDDict(w *bits.Writer, ids []uint64) int {
 // writeTable writes a table's dictionaries and rows and, for a label
 // (l non-nil, idx its certificates' row indices), the rest of the label,
 // whose own vertex ids join the vertex dictionary after the rows' ids.
-// Occurrences are gathered into stack buffers and replaced by their
-// dictionary rows in place, so an honest table allocates nothing.
-func writeTable(w *bits.Writer, rows []*NodeEntry, l *EdgeLabel, idx []int) {
+// When holes is non-nil it appends the bit spans the class bits took, then
+// the encoding's length (labelLayout.holes), and returns it. Occurrences are gathered into stack buffers
+// and replaced by their dictionary rows in place, so an honest table
+// allocates nothing.
+func writeTable(w *bits.Writer, rows []*NodeEntry, l *EdgeLabel, idx []int, holes []int32) []int32 {
 	var vBuf [8 * linearRows]uint64
-	var cBuf, nBuf, vIDs, cIDs, nIDs [2 * linearRows]uint64
-	var vSlots, cSlots, nSlots [4 * linearRows]int32
+	var cBuf, nBuf, vIDs, nIDs [2 * linearRows]uint64
+	var vSlots, nSlots [4 * linearRows]int32
 	var endBuf [16][3]int
 	occV, occC, occN, ends := vBuf[:0], cBuf[:0], nBuf[:0], endBuf[:0]
 	for _, e := range rows {
@@ -417,25 +433,133 @@ func writeTable(w *bits.Writer, rows []*NodeEntry, l *EdgeLabel, idx []int) {
 		occV = l.appendVertexIDs(occV)
 	}
 	rwV := writeIDDict(w, dictionary(occV, vIDs[:0], vSlots[:]))
-	cd := dictionary(occC, cIDs[:0], cSlots[:])
-	w.WriteUvarint(uint64(len(cd)))
-	for _, id := range cd {
-		writeClassID(w, int(id))
-	}
-	rwC := rowWidth(len(cd))
+	from := w.Bits()
+	rwC := writeClassDict(w, occC)
+	holes = markHole(holes, from, w.Bits())
 	rwN := writeIDDict(w, dictionary(occN, nIDs[:0], nSlots[:]))
-	var from [3]int
+	var at [3]int
 	for r, e := range rows {
-		e.materializeFixed()
-		w.WriteChunk(e.fixed.bytes(), e.fixed.nbits)
-		writeUints(w, occV[from[0]:ends[r][0]], rwV)
-		writeUints(w, occC[from[1]:ends[r][1]], rwC)
-		writeUints(w, occN[from[2]:ends[r][2]], rwN)
-		from = ends[r]
+		e.writeFixed(w)
+		writeUints(w, occV[at[0]:ends[r][0]], rwV)
+		from = w.Bits()
+		writeUints(w, occC[at[1]:ends[r][1]], rwC)
+		holes = markHole(holes, from, w.Bits())
+		writeUints(w, occN[at[2]:ends[r][2]], rwN)
+		at = ends[r]
 	}
 	if l != nil {
 		l.encodeTail(w, occV[rowsEnd:], rwV, rowWidth(len(rows)), idx)
 	}
+	if holes != nil {
+		holes = append(holes, int32(w.Bits()))
+	}
+	return holes
+}
+
+// markHole appends the span [from, to) to holes unless holes is nil.
+func markHole(holes []int32, from, to int) []int32 {
+	if holes == nil {
+		return nil
+	}
+	return append(holes, int32(from), int32(to))
+}
+
+// writeClassDict replaces the class-id occurrences occ by their rows in the
+// dictionary of their distinct ids in first-use order, writes that
+// dictionary — its size, then every id (writeClassID) — and returns the
+// width of an index into it. An id of collision rank 0, almost every id,
+// is its hash followed by the one-bit varint 0, so runs of them are packed
+// into words of up to 56 bits before they reach the writer.
+func writeClassDict(w *bits.Writer, occ []uint64) int {
+	var ids [2 * linearRows]uint64
+	var slots [4 * linearRows]int32
+	cd := dictionary(occ, ids[:0], slots[:])
+	w.WriteUvarint(uint64(len(cd)))
+	const idBits = algebra.ClassHashBits + 1
+	var word uint64
+	n := 0
+	for _, id := range cd {
+		if id>>algebra.ClassHashBits != 0 {
+			w.WriteUint(word, n)
+			word, n = 0, 0
+			writeClassID(w, int(id))
+			continue
+		}
+		if n+idBits > 56 {
+			w.WriteUint(word, n)
+			word, n = 0, 0
+		}
+		word, n = word<<idBits|id<<1, n+idBits
+	}
+	w.WriteUint(word, n)
+	return rowWidth(len(cd))
+}
+
+// labelLayout is the property-independent part of one real edge's label on
+// one structure: an encoding of the label under the property that encoded
+// it first, the bit spans of that encoding that hold the property's class
+// bits, and where each table row is first used. holes[0:2] is the class
+// dictionary's span, holes[2+2r:4+2r] row r's class-index block, and the
+// last value the encoding's length; everything between the spans — the row
+// count, the vertex and node dictionaries, each row's fixed fields and its
+// vertex- and node-index blocks, and the tail — is the same under every
+// property. rowAt[r] is the position, among the label's certificate path
+// entries in wire order, of row r's first use.
+type labelLayout struct {
+	src   string
+	holes []int32
+	rowAt []int32
+}
+
+// layoutSlot is one real edge's layout, filled by the first property pass
+// that encodes the edge's label.
+type layoutSlot struct {
+	once sync.Once
+	lay  labelLayout
+}
+
+// splice writes l's encoding from a layout recorded on the same edge of
+// the same structure under another property: the layout's bits with l's
+// class dictionary and class-index blocks in place of the recorded ones.
+// Its rows are the entries at the layout's first-use positions, and each
+// row's class occurrences are its entry's.
+func (lay *labelLayout) splice(w *bits.Writer, l *EdgeLabel) {
+	var rowBuf [16]*NodeEntry
+	rows, p := rowBuf[:0], int32(0)
+	for i := -1; i < len(l.Emb); i++ {
+		c := l.Own
+		if i >= 0 {
+			c = l.Emb[i].Payload
+		} else if c == nil {
+			continue
+		}
+		for _, e := range c.Path {
+			if len(rows) < len(lay.rowAt) && lay.rowAt[len(rows)] == p {
+				rows = append(rows, e)
+			}
+			p++
+		}
+	}
+	h := lay.holes
+	if len(rows) != len(lay.rowAt) {
+		panic(fmt.Sprintf("core: a label with %d rows spliced into a %d-row layout", len(rows), len(lay.rowAt)))
+	}
+	var cBuf [2 * linearRows]uint64
+	var endBuf [16]int
+	occC, ends := cBuf[:0], endBuf[:0]
+	for _, e := range rows {
+		occC = e.appendClassIDs(occC)
+		ends = append(ends, len(occC))
+	}
+	w.WriteChunk(lay.src, 0, int(h[0]))
+	rwC := writeClassDict(w, occC)
+	from := 0
+	for r := range rows {
+		w.WriteChunk(lay.src, int(h[2*r+1]), int(h[2*r+2]))
+		writeUints(w, occC[from:ends[r]], rwC)
+		from = ends[r]
+	}
+	w.WriteChunk(lay.src, int(h[len(h)-2]), int(h[len(h)-1]))
 }
 
 // writeUints writes values, each in exactly width bits. A label writes a
@@ -498,24 +622,6 @@ func (n *NodeEntry) writeFixed(w *bits.Writer) {
 	}
 }
 
-// materializeFixed encodes the entry's fixed fields once; every table row
-// carrying the entry splices them in.
-func (n *NodeEntry) materializeFixed() {
-	n.fixed.once.Do(func() {
-		buf := encBuf()
-		w := bits.NewWriter(*buf)
-		n.writeFixed(&w)
-		n.fixed.set(&w, buf)
-	})
-}
-
-// encodeRaw is the entry's canonical encoding: writeTable over a table of
-// this one entry. Callers go through Key, which caches its output.
-func (n *NodeEntry) encodeRaw(w *bits.Writer) {
-	rows := [1]*NodeEntry{n}
-	writeTable(w, rows[:], nil, nil)
-}
-
 // Key returns a canonical encoding of the entry (payload bytes plus the
 // exact bit count, so partial final bytes cannot alias), used for the
 // per-vertex consistency checks ("all incident edges agree on B(G)") and to
@@ -527,7 +633,8 @@ func (n *NodeEntry) Key() string {
 	n.cache.once.Do(func() {
 		buf := encBuf()
 		w := bits.NewWriter(*buf)
-		n.encodeRaw(&w)
+		rows := [1]*NodeEntry{n}
+		writeTable(&w, rows[:], nil, nil, nil)
 		n.cache.set(&w, buf)
 	})
 	return n.cache.key
@@ -619,16 +726,52 @@ func (l *EdgeLabel) Bits() int {
 
 // materialize encodes the label once and caches its bytes; Bits,
 // AppendLabel, EncodeLabel and Key all read that one encoding. The prover
-// materializes its labels on its worker pool; a decoded label is
-// materialized by its canonicality check, so it holds the bits it was
-// checked against.
+// materializes its labels on its worker pool through its structure's
+// layouts (materializeOn); a decoded label is materialized by its
+// canonicality check, so it holds the bits it was checked against.
 func (l *EdgeLabel) materialize() {
+	l.cache.once.Do(func() { l.encode(false) })
+}
+
+// materializeOn is materialize for a prover label whose edge's layout is
+// slot: the first label of the edge to get here encodes in full and fills
+// the slot (counted in builds), and every other one only splices its class
+// bits into the slot's layout. A label whose cache is already set (one
+// carried over from an earlier generation) touches neither.
+func (l *EdgeLabel) materializeOn(slot *layoutSlot, builds *atomic.Int64) {
 	l.cache.once.Do(func() {
-		buf := encBuf()
-		w := bits.NewWriter(*buf)
-		l.encodeRaw(&w)
-		l.cache.set(&w, buf)
+		filled := false
+		slot.once.Do(func() {
+			slot.lay = l.encode(true)
+			slot.lay.src = l.cache.key
+			builds.Add(1)
+			filled = true
+		})
+		if !filled {
+			l.spliceFrom(&slot.lay)
+		}
 	})
+}
+
+// encode writes the label in full into its cache and, with record set,
+// returns its layout but for src (see encodeRaw). Callers run it under the
+// cache's once. The writer lives on this frame: one captured by a closure
+// would escape to the heap and pay a write barrier on every append.
+func (l *EdgeLabel) encode(record bool) labelLayout {
+	buf := encBuf()
+	w := bits.NewWriter(*buf)
+	lay := l.encodeRaw(&w, record)
+	l.cache.set(&w, buf)
+	return lay
+}
+
+// spliceFrom writes the label into its cache from its edge's layout.
+// Callers run it under the cache's once.
+func (l *EdgeLabel) spliceFrom(lay *labelLayout) {
+	buf := encBuf()
+	w := bits.NewWriter(*buf)
+	lay.splice(&w, l)
+	l.cache.set(&w, buf)
 }
 
 // appendVertexIDs appends the vertex ids the label writes itself, in wire
@@ -653,13 +796,27 @@ func (l *EdgeLabel) Key() string {
 
 // encodeRaw is the bit-level definition of the label's canonical encoding:
 // its row count, then its table (writeTable), which ends with encodeTail.
-// Callers go through materialize, which caches its output.
-func (l *EdgeLabel) encodeRaw(w *bits.Writer) {
+// With record set it returns the label's layout but for src: the spans of
+// its class bits and its rows' first-use positions, in one allocation.
+func (l *EdgeLabel) encodeRaw(w *bits.Writer, record bool) labelLayout {
 	var rowBuf [16]*NodeEntry
 	var idxBuf [64]int
 	rows, idx := l.table(rowBuf[:0], idxBuf[:0])
+	var lay labelLayout
+	if record {
+		buf := make([]int32, 3*len(rows)+3)
+		lay.holes, lay.rowAt = buf[:0:2*len(rows)+3], buf[2*len(rows)+3:]
+		next := 0
+		for p, r := range idx {
+			if r == next {
+				lay.rowAt[next] = int32(p)
+				next++
+			}
+		}
+	}
 	w.WriteUvarint(uint64(len(rows)))
-	writeTable(w, rows, l, idx)
+	lay.holes = writeTable(w, rows, l, idx, lay.holes)
+	return lay
 }
 
 // encodeTail writes the label after its table's rows: its certificates as

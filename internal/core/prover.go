@@ -200,10 +200,12 @@ type encoder struct {
 	// without touching the registry (lock-free on the pool).
 	classIDs  []int
 	mergedIDs []int
-	// certs memoizes the completion-edge certificates buildLabels
-	// assembled, so the next incremental generation can reuse any whose
+	// certEdges and certs are the completion edges (real ones in EdgesSeq
+	// order, then virtual ones) and the certificates buildLabels assembled
+	// for them, so the next incremental generation can reuse any whose
 	// root-to-owner entry path is unchanged.
-	certs map[graph.Edge]*CEdgeLabel
+	certEdges []graph.Edge
+	certs     []*CEdgeLabel
 }
 
 // buildEncoderReuse computes classes bottom-up over the hierarchy (the
@@ -428,14 +430,18 @@ func (enc *encoder) buildCert(e graph.Edge) (*CEdgeLabel, error) {
 	if !ok {
 		return nil, fmt.Errorf("core: completion edge %v has no owner", e)
 	}
-	nodes := owner.NodePath()
-	cl := &CEdgeLabel{Path: make([]*NodeEntry, 0, len(nodes))}
-	for _, n := range nodes {
-		entry := enc.entries[n.ID]
-		if entry == nil {
+	// The path runs root to owner; it is filled from the owner up, so no
+	// node path is materialized.
+	depth := 0
+	for n := owner; n != nil; n = n.Parent {
+		depth++
+	}
+	cl := &CEdgeLabel{Path: make([]*NodeEntry, depth)}
+	for n := owner; n != nil; n = n.Parent {
+		depth--
+		if cl.Path[depth] = enc.entries[n.ID]; cl.Path[depth] == nil {
 			return nil, fmt.Errorf("core: node %d has no entry", n.ID)
 		}
-		cl.Path = append(cl.Path, entry)
 	}
 	if owner.Kind == lanewidth.PNode {
 		pos := -1
@@ -473,66 +479,62 @@ func (enc *encoder) buildLabels(prev *encoder, prevLab *Labeling, ru *reuseCount
 	for e := range orig.EdgesSeq() {
 		edges = append(edges, e)
 	}
+	nReal := len(edges)
 	edges = append(edges, sp.Completion.Virtual...)
+	var prevCerts map[graph.Edge]*CEdgeLabel
+	if prev != nil {
+		prevCerts = make(map[graph.Edge]*CEdgeLabel, len(prev.certEdges))
+		for i, e := range prev.certEdges {
+			prevCerts[e] = prev.certs[i]
+		}
+	}
 	built := make([]*CEdgeLabel, len(edges))
 	if err := par.ForErr(workers, len(edges), func(_, i int) error {
 		cl, err := enc.buildCert(edges[i])
 		if err != nil {
 			return err
 		}
-		if prev != nil {
-			if pcl, ok := prev.certs[edges[i]]; ok && certShallowEqual(cl, pcl) {
-				cl = pcl
-			}
+		if pcl, ok := prevCerts[edges[i]]; ok && certShallowEqual(cl, pcl) {
+			cl = pcl
 		}
 		built[i] = cl
 		return nil
 	}); err != nil {
 		return nil, err
 	}
-	certs := make(map[graph.Edge]*CEdgeLabel, len(edges))
-	for i, e := range edges {
-		certs[e] = built[i]
-	}
-	enc.certs = certs
+	enc.certEdges, enc.certs = edges, built
 
-	labeling := &Labeling{Edges: make(map[graph.Edge]*EdgeLabel, orig.M())}
-	for e := range orig.EdgesSeq() {
-		labeling.Edges[e] = &EdgeLabel{Own: certs[e]}
-	}
-	// Embedding certification for virtual completion edges (Theorem 1).
-	for _, ve := range sp.Completion.Virtual {
-		path := sp.embPaths[ve]
-		payload := certs[ve]
-		total := len(path) - 1
-		for i := 0; i+1 < len(path); i++ {
-			re := graph.NewEdge(path[i], path[i+1])
-			el, ok := labeling.Edges[re]
-			if !ok {
-				return nil, fmt.Errorf("core: embedding path uses unknown edge %v", re)
+	// labels holds the real edges' labels in EdgesSeq order, the order of
+	// the structure's layout slots. Embedding certification (Theorem 1):
+	// each label carries an entry for every virtual edge whose embedding
+	// path uses its edge, in the order the structure filed them.
+	labeling := &Labeling{Edges: make(map[graph.Edge]*EdgeLabel, nReal)}
+	labels := make([]*EdgeLabel, nReal)
+	for i, e := range edges[:nReal] {
+		el := &EdgeLabel{Own: built[i], Pointing: sp.pointing[i]}
+		if refs := sp.embRefs[sp.embStart[i]:sp.embStart[i+1]]; len(refs) > 0 {
+			el.Emb = make([]EmbEntry, len(refs))
+			for k, r := range refs {
+				ve := sp.Completion.Virtual[r.virt]
+				el.Emb[k] = EmbEntry{
+					UID:     sp.Cfg.IDs[ve.U],
+					VID:     sp.Cfg.IDs[ve.V],
+					Fwd:     int(r.fwd),
+					Bwd:     int(r.bwd),
+					Payload: built[nReal+int(r.virt)],
+				}
 			}
-			el.Emb = append(el.Emb, EmbEntry{
-				UID:     sp.Cfg.IDs[ve.U],
-				VID:     sp.Cfg.IDs[ve.V],
-				Fwd:     i + 1,
-				Bwd:     total - i,
-				Payload: payload,
-			})
 		}
-	}
-	// Root-anchor pointing scheme (Proposition 2.2), shared by the structure.
-	//lint:certlint ignore mapiter per-edge field set: each iteration writes one distinct label's Pointing, never shared state
-	for e, pl := range sp.pointing {
-		p := pl
-		labeling.Edges[e].Pointing = &p
+		labels[i] = el
+		labeling.Edges[e] = el
 	}
 	// Final incremental pass: a label whose every component survived from
 	// the previous generation is replaced by the previous label instance, so
 	// it is not encoded again.
 	if prevLab != nil {
-		for e, el := range labeling.Edges {
-			if pe, ok := prevLab.Edges[e]; ok && labelShallowEqual(el, pe) {
-				labeling.Edges[e] = pe
+		for i, e := range edges[:nReal] {
+			if pe, ok := prevLab.Edges[e]; ok && labelShallowEqual(labels[i], pe) {
+				labels[i], labeling.Edges[e] = pe, pe
 				if ru != nil {
 					ru.ReusedLabels++
 				}
@@ -540,16 +542,14 @@ func (enc *encoder) buildLabels(prev *encoder, prevLab *Labeling, ru *reuseCount
 		}
 	}
 	if ru != nil {
-		ru.TotalLabels += len(labeling.Edges)
+		ru.TotalLabels += nReal
 	}
 	// Encode every label once, on the pool (each label's once-guard is hit
 	// by one worker): MaxBits, MarshalBinary and EncodedLabels then read
-	// the cached bytes. Reused labels already hold theirs.
-	labels := make([]*EdgeLabel, 0, len(labeling.Edges))
-	for e := range orig.EdgesSeq() {
-		labels = append(labels, labeling.Edges[e])
-	}
-	par.For(workers, len(labels), func(_, i int) { labels[i].materialize() })
+	// the cached bytes. Reused labels already hold theirs. The first pass
+	// to encode an edge lays it out and later passes splice.
+	slots := sp.labelSlots()
+	par.For(workers, len(labels), func(_, i int) { labels[i].materializeOn(&slots[i], &sp.layoutBuilds) })
 	return labeling, nil
 }
 

@@ -5,7 +5,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/cert"
@@ -85,12 +87,15 @@ type StructuralProof struct {
 	// members holds each T-node's member infos (pre-order, root first),
 	// indexed by node id; nil for nodes that are not T-nodes.
 	members [][]lanewidth.MemberInfo
-	// embPaths orients each virtual edge's embedding path to start at the
-	// edge's U endpoint, pre-validated against the real edge set.
-	embPaths map[graph.Edge][]graph.Vertex
+	// embStart and embRefs hold, per real edge in EdgesSeq order, the
+	// embedding entries its label carries: real edge i's are
+	// embRefs[embStart[i]:embStart[i+1]], in Completion.Virtual order.
+	embStart []int32
+	embRefs  []embRef
 	// pointing is the Proposition 2.2 labeling anchoring the hierarchy
-	// root's designated vertex; labelings copy these values per edge.
-	pointing map[graph.Edge]cert.PointingLabel
+	// root's designated vertex, per real edge in EdgesSeq order; every
+	// labeling of the structure shares these values.
+	pointing []*cert.PointingLabel
 	// art holds the property-independent slice of each node's label entry,
 	// indexed by node id.
 	art []*nodeArtifact
@@ -104,6 +109,22 @@ type StructuralProof struct {
 	// over this structure (see sweepPlan).
 	planOnce sync.Once
 	plan     *sweepPlan
+
+	// layouts holds one label layout per real edge, dense in EdgesSeq order,
+	// allocated on the first property pass; the pass that first encodes an
+	// edge's label fills its slot, and every later pass over this structure
+	// only splices its class ids into it (see labelLayout). layoutBuilds
+	// counts the slots filled.
+	layoutOnce   sync.Once
+	layouts      []layoutSlot
+	layoutBuilds atomic.Int64
+}
+
+// labelSlots returns the structure's layout slots, allocating them on
+// first use.
+func (sp *StructuralProof) labelSlots() []layoutSlot {
+	sp.layoutOnce.Do(func() { sp.layouts = make([]layoutSlot, sp.Cfg.G.M()) })
+	return sp.layouts
 }
 
 // Stages returns the build stages' wall-clock breakdown (SweepMillis is zero;
@@ -135,6 +156,11 @@ type nodeArtifact struct {
 	bridgeReal bool
 	rootMember int // T-node: id of the tree's root member
 }
+
+// embRef is one embedding entry of a real edge's label: the virtual edge it
+// simulates, as an index into Completion.Virtual, and the real edge's
+// 1-based rank on that edge's oriented embedding path in both directions.
+type embRef struct{ virt, fwd, bwd int32 }
 
 // SingleVertex reports whether the configuration is the one-vertex network,
 // which carries no labels (the verifier decides locally).
@@ -589,22 +615,49 @@ func memberFoldEqual(pa *nodeArtifact, mi *lanewidth.MemberInfo, cfg *cert.Confi
 	return true
 }
 
-// orientEmbedding fixes every virtual edge's path orientation and validates
-// it against the real edge set, so label assembly never re-derives either.
+// orientEmbedding orients every virtual edge's embedding path to start at
+// the edge's U endpoint, validates it against the real edge set, and files
+// each of its edges' embedding entries under that real edge, so label
+// assembly never re-derives any of it.
 func (sp *StructuralProof) orientEmbedding() error {
 	g := sp.Cfg.G
-	sp.embPaths = make(map[graph.Edge][]graph.Vertex, len(sp.Completion.Virtual))
-	for _, ve := range sp.Completion.Virtual {
+	index := make(map[graph.Edge]int32, g.M())
+	for e := range g.EdgesSeq() {
+		index[e] = int32(len(index))
+	}
+	// One pass counts each real edge's entries and records the real edge
+	// under every path edge, path after path; the second files the entries.
+	sp.embStart = make([]int32, g.M()+1)
+	lens := make([]int32, len(sp.Completion.Virtual))
+	var real []int32
+	for j, ve := range sp.Completion.Virtual {
 		path := sp.Emb.OrientedPath(ve)
 		if len(path) < 2 {
 			return fmt.Errorf("core: virtual edge %v lacks an embedding path", ve)
 		}
 		for i := 0; i+1 < len(path); i++ {
-			if !g.HasEdge(path[i], path[i+1]) {
-				return fmt.Errorf("core: embedding path uses unknown edge %v", graph.NewEdge(path[i], path[i+1]))
+			e := graph.NewEdge(path[i], path[i+1])
+			r, ok := index[e]
+			if !ok {
+				return fmt.Errorf("core: embedding path uses unknown edge %v", e)
 			}
+			sp.embStart[r+1]++
+			real = append(real, r)
 		}
-		sp.embPaths[ve] = path
+		lens[j] = int32(len(path) - 1)
+	}
+	for i := range g.M() {
+		sp.embStart[i+1] += sp.embStart[i]
+	}
+	sp.embRefs = make([]embRef, len(real))
+	next := slices.Clone(sp.embStart[:g.M()])
+	for j, n := range lens {
+		for i := range n {
+			r := real[0]
+			real = real[1:]
+			sp.embRefs[next[r]] = embRef{virt: int32(j), fwd: i + 1, bwd: n - i}
+			next[r]++
+		}
 	}
 	return nil
 }
@@ -617,6 +670,10 @@ func (sp *StructuralProof) buildPointing() error {
 	if err != nil {
 		return err
 	}
-	sp.pointing = pointing
+	sp.pointing = make([]*cert.PointingLabel, 0, len(pointing))
+	for e := range sp.Cfg.G.EdgesSeq() {
+		p := pointing[e]
+		sp.pointing = append(sp.pointing, &p)
+	}
 	return nil
 }

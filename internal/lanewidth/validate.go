@@ -79,18 +79,6 @@ func (h *Hierarchy) ownerTable() (map[graph.Edge]*Node, error) {
 	return owners, nil
 }
 
-// NodePath returns the chain of nodes from the root down to n (inclusive).
-func (n *Node) NodePath() []*Node {
-	var rev []*Node
-	for x := n; x != nil; x = x.Parent {
-		rev = append(rev, x)
-	}
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	return rev
-}
-
 // MemberInfo describes one member of a T-node's internal tree: the member
 // node, its tree parent (nil for the tree root), its tree children, and the
 // out-terminals of Tree-merge applied to its subtree, aligned with the
