@@ -291,7 +291,7 @@ func (c *Certificate) UnmarshalBinary(data []byte) error {
 	out.labelings = make(map[string]*core.Labeling, nProps)
 	var dec core.Decoder // one per call: labels of every property share components
 	var back []byte      // re-encoding scratch of the canonicality check
-	dec.Grow(int(m*nProps), 8*len(r))
+	dec.Grow(int(m), int(nProps), 8*len(r))
 	for p := uint64(0); p < nProps; p++ {
 		nameLen, err := take("property name length")
 		if err != nil {

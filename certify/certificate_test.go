@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"strings"
 	"testing"
 
@@ -123,7 +124,8 @@ func TestNonCanonicalCopyRejectedAfterInterning(t *testing.T) {
 	withParent := func(parent int) *core.EdgeLabel {
 		el := l.Edges[target].Clone()
 		en := el.Own.Path[at]
-		en.ParentID, en.MergedClassID, en.MergedOutIDs, en.Children = parent, 0, nil, nil
+		en.ParentID, en.MergedOutIDs, en.Children = parent, nil, nil
+		en.Classes = slices.Insert(en.Classes, 1, 0) // the member's merged class id 0
 		return el
 	}
 	data, nbits := core.EncodeLabel(withParent(-2))

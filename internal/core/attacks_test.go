@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/algebra"
@@ -53,10 +54,10 @@ func TestAttackRejectingRootClass(t *testing.T) {
 	forged := labeling.Clone()
 	for _, el := range forged.Edges {
 		root := el.Own.Path[0]
-		root.ClassID = el.Own.Path[len(el.Own.Path)-1].ClassID
+		root.Classes[0] = el.Own.Path[len(el.Own.Path)-1].Classes[0]
 		for _, emb := range el.Emb {
 			embRoot := emb.Payload.Path[0]
-			embRoot.ClassID = emb.Payload.Path[len(emb.Payload.Path)-1].ClassID
+			embRoot.Classes[0] = emb.Payload.Path[len(emb.Payload.Path)-1].Classes[0]
 		}
 	}
 	if AllAccept(verify(t, s, cfg, forged)) {
@@ -90,13 +91,13 @@ func TestAttackPhantomChild(t *testing.T) {
 			if en.ParentID == -1 {
 				continue
 			}
-			phantom := ChildSummary{
-				NodeID:        9999,
-				Lanes:         append([]int(nil), en.Lanes[:1]...),
-				InIDs:         []uint64{en.OutIDs[0]},
-				MergedOutIDs:  []uint64{12345},
-				MergedClassID: en.ClassID,
+			phantom := &NodeSummary{
+				NodeID:       9999,
+				Lanes:        append([]int(nil), en.Lanes[:1]...),
+				InIDs:        []uint64{en.OutIDs[0]},
+				MergedOutIDs: []uint64{12345},
 			}
+			en.Classes = slices.Insert(en.Classes, en.opsAt(), en.Classes[0]) // the phantom's merged class
 			en.Children = append(en.Children, phantom)
 		}
 	}

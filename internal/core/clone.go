@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/graph"
 )
 
@@ -47,58 +49,31 @@ func (c *CEdgeLabel) clone() *CEdgeLabel {
 	return out
 }
 
+// clone copies the entry and its shape, so a forgery through the clone
+// never writes to a shape other entries share.
 func (n *NodeEntry) clone() *NodeEntry {
-	out := &NodeEntry{
-		NodeID:        n.NodeID,
-		Kind:          n.Kind,
-		Lanes:         append([]int(nil), n.Lanes...),
-		InIDs:         append([]uint64(nil), n.InIDs...),
-		OutIDs:        append([]uint64(nil), n.OutIDs...),
-		ClassID:       n.ClassID,
-		ParentID:      n.ParentID,
-		MergedClassID: n.MergedClassID,
-		MergedOutIDs:  append([]uint64(nil), n.MergedOutIDs...),
-		PathIDs:       append([]uint64(nil), n.PathIDs...),
-		RealBits:      append([]bool(nil), n.RealBits...),
-		VInputs:       append([]int(nil), n.VInputs...),
-		LaneI:         n.LaneI,
-		LaneJ:         n.LaneJ,
-		BridgeReal:    n.BridgeReal,
-	}
-	for _, c := range n.Children {
-		out.Children = append(out.Children, c.clone())
-	}
-	if n.Left != nil {
-		out.Left = n.Left.clone()
-	}
-	if n.Right != nil {
-		out.Right = n.Right.clone()
-	}
-	if n.RootMember != nil {
-		rm := n.RootMember.clone()
-		out.RootMember = &rm
+	out := &NodeEntry{Classes: slices.Clone(n.Classes)}
+	if n.Shape != nil {
+		s := *n.Shape
+		s.NodeSummary = cloneSummary(s.NodeSummary)
+		s.PathIDs, s.RealBits, s.VInputs = slices.Clone(s.PathIDs), slices.Clone(s.RealBits), slices.Clone(s.VInputs)
+		s.Left, s.Right, s.RootMember = cloneSummary(s.Left), cloneSummary(s.Right), cloneSummary(s.RootMember)
+		s.Children = nil
+		for _, c := range n.Children {
+			s.Children = append(s.Children, cloneSummary(c))
+		}
+		out.Shape = &s
 	}
 	return out
 }
 
-func (c ChildSummary) clone() ChildSummary {
-	return ChildSummary{
-		NodeID:        c.NodeID,
-		Lanes:         append([]int(nil), c.Lanes...),
-		InIDs:         append([]uint64(nil), c.InIDs...),
-		MergedOutIDs:  append([]uint64(nil), c.MergedOutIDs...),
-		MergedClassID: c.MergedClassID,
+// cloneSummary returns a copy of the summary, or nil for nil.
+func cloneSummary(s *NodeSummary) *NodeSummary {
+	if s == nil {
+		return nil
 	}
-}
-
-func (o *OperandSummary) clone() *OperandSummary {
-	return &OperandSummary{
-		NodeID:  o.NodeID,
-		Kind:    o.Kind,
-		Lanes:   append([]int(nil), o.Lanes...),
-		InIDs:   append([]uint64(nil), o.InIDs...),
-		OutIDs:  append([]uint64(nil), o.OutIDs...),
-		ClassID: o.ClassID,
-		Input:   o.Input,
-	}
+	c := *s
+	c.Lanes, c.InIDs = slices.Clone(c.Lanes), slices.Clone(c.InIDs)
+	c.OutIDs, c.MergedOutIDs = slices.Clone(c.OutIDs), slices.Clone(c.MergedOutIDs)
+	return &c
 }

@@ -34,7 +34,7 @@ func TestCloneIsFaithfulAndIndependent(t *testing.T) {
 	// Mutate every mutable field of every clone entry.
 	for _, el := range clone.Edges {
 		for _, en := range el.Own.Path {
-			en.ClassID += 1000
+			en.Classes[0] += 1000
 			for l := range en.InIDs {
 				en.InIDs[l] += 7
 			}
@@ -45,10 +45,10 @@ func TestCloneIsFaithfulAndIndependent(t *testing.T) {
 				en.VInputs[i] += 3
 			}
 			for ci := range en.Children {
-				en.Children[ci].MergedClassID += 5
+				en.Classes[2+ci] += 5 // child ci's merged class
 			}
 			if en.Left != nil {
-				en.Left.ClassID += 9
+				en.Classes[en.opsAt()] += 9 // the left operand's class
 			}
 			if en.RootMember != nil {
 				en.RootMember.NodeID += 2

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/algebra"
@@ -189,7 +190,7 @@ func corrupt(rng *rand.Rand, labeling *Labeling) string {
 				continue
 			}
 			en := pick(el.Own)
-			en.ClassID += 1 + rng.Intn(3)
+			en.Classes[0] += 1 + rng.Intn(3)
 			return "class id"
 		case 1:
 			if el.Own == nil {
@@ -220,7 +221,7 @@ func corrupt(rng *rand.Rand, labeling *Labeling) string {
 			if en.ParentID == -1 {
 				continue
 			}
-			en.MergedClassID += 1 + rng.Intn(3)
+			en.Classes[1] += 1 + rng.Intn(3)
 			return "merged class id"
 		case 4:
 			if len(el.Emb) == 0 {
@@ -248,6 +249,8 @@ func corrupt(rng *rand.Rand, labeling *Labeling) string {
 			if len(en.Children) == 0 {
 				continue
 			}
+			last := 1 + len(en.Children) // the last child's merged class
+			en.Classes = slices.Delete(en.Classes, last, last+1)
 			en.Children = en.Children[:len(en.Children)-1]
 			return "dropped child summary"
 		case 8:
@@ -261,7 +264,7 @@ func corrupt(rng *rand.Rand, labeling *Labeling) string {
 			if root.RootMember == nil {
 				continue
 			}
-			root.RootMember.MergedClassID += 1 + rng.Intn(3)
+			root.Classes[len(root.Classes)-1] += 1 + rng.Intn(3) // the root member's merged class
 			return "root member class"
 		}
 	}
@@ -339,7 +342,7 @@ func TestVerifyAtNeverPanicsOnGarbage(t *testing.T) {
 		{ID: 1, Labels: []*EdgeLabel{{Own: &CEdgeLabel{}}}},
 		{ID: 1, Labels: []*EdgeLabel{{Own: &CEdgeLabel{Path: []*NodeEntry{{}}}}}},
 		{ID: 1, Labels: []*EdgeLabel{{
-			Own: &CEdgeLabel{Path: []*NodeEntry{{Kind: 99, Lanes: []int{0}}}},
+			Own: &CEdgeLabel{Path: []*NodeEntry{{Shape: &Shape{NodeSummary: &NodeSummary{Kind: 99, Lanes: []int{0}}}}}},
 			Emb: []EmbEntry{{UID: 1, VID: 1, Fwd: 0, Bwd: 0}},
 		}}},
 	}

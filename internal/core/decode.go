@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	mathbits "math/bits"
+	"slices"
 
 	"repro/internal/algebra"
 	"repro/internal/bits"
@@ -40,18 +41,21 @@ func DecodeLabel(data []byte, nbits int) (*EdgeLabel, error) {
 // certificate holds the entries of every node on its root-to-owner path
 // (Observation 5.5), and a completion edge's certificate rides on every real
 // edge of its embedding path, so the labels of one labeling repeat the same
-// node entries and certificates many times. A Decoder builds each distinct
-// NodeEntry and CEdgeLabel once and hands every later copy the same pointer,
-// exactly as the prover shares them; the memoized encodings and keys of an
-// entry are then computed once per distinct entry.
+// node entries and certificates many times, and the labelings of several
+// properties over one structure repeat the same entry shapes. A Decoder
+// builds each distinct Shape, NodeEntry and CEdgeLabel once and hands every
+// later copy the same pointer, exactly as the prover shares them; the
+// memoized encodings and keys of an entry are then computed once per
+// distinct entry.
 //
-// An entry's vertex ids and class ids are indices into its label's
-// dictionaries, so the same entry has different bits in different labels.
-// Entries are keyed by their raw bits with every index replaced by the
-// dictionary value it selects — not by their canonical Key. The parse is
-// deterministic, so equal keys decode to equal values and sharing is sound
-// even for non-canonical input: a Decoder accepts and rejects exactly the
-// streams DecodeLabel does, whatever it decoded before.
+// An entry's ids are indices into its label's dictionaries, so the same
+// entry has different bits in different labels. A shape is keyed by its
+// entry's raw fixed bits with every vertex and node index replaced by the
+// dictionary value it selects, and an entry by its shape's ordinal plus the
+// class ids its class indices select — not by their canonical Key. The
+// parse is deterministic, so equal keys decode to equal values and sharing
+// is sound even for non-canonical input: a Decoder accepts and rejects
+// exactly the streams DecodeLabel does, whatever it decoded before.
 // A certificate's bits are row indices into its label's entry table, so
 // certificates are keyed by the interned identities of their entries plus
 // their owner position instead. Canonicality remains the caller's check
@@ -62,12 +66,14 @@ func DecodeLabel(data []byte, nbits int) (*EdgeLabel, error) {
 //
 // The zero value is ready to use. A Decoder is not safe for concurrent use.
 type Decoder struct {
+	shapes  map[string]shapeRef
 	entries map[string]entryRef
 	certs   map[string]*CEdgeLabel
 
-	key  []byte       // interning key under construction
-	path []*NodeEntry // path of the certificate being parsed
-	ids  u64Arena     // backing store of built entries' id slices
+	key     []byte        // interning key under construction
+	path    []*NodeEntry  // path of the certificate being parsed
+	ids     arena[uint64] // backing store of built shapes' id slices
+	classes arena[int]    // backing store of built entries' class vectors
 
 	// Entry table of the label being parsed: its rows, their index width,
 	// and the number of rows its certificates have used so far.
@@ -82,18 +88,26 @@ type Decoder struct {
 	vRW, cRW, nRW       int
 	vUsed, cUsed, nUsed int
 
-	// keying is set while the skip pass builds an entry's interning key in
-	// key.
+	// keying is set while the skip pass builds a shape's interning key in
+	// key and gathers its entry's class ids in cvals.
 	keying bool
+	cvals  []uint64
 
-	// Ids of the entry being built, in index-block order.
+	// Ids of the shape being built, in index-block order.
 	vals []uint64
 
 	// Write-only targets of the skip pass.
-	lanes  []int
-	skip   NodeEntry
-	skipOp OperandSummary
-	skipRM ChildSummary
+	lanes   []int
+	skip    Shape
+	skipOwn NodeSummary
+	skipSum NodeSummary
+}
+
+// shapeRef is an interned shape and its ordinal in the Decoder, which entry
+// keys are built from.
+type shapeRef struct {
+	s  *Shape
+	id uint64
 }
 
 // entryRef is an interned entry and its ordinal in the Decoder, which
@@ -115,27 +129,29 @@ const minEntryBits = 0 + // node index into a one-node dictionary
 	1 + // BridgeReal
 	3 // operand and root-member presence bits
 
-// Grow sizes the Decoder's intern tables for the labels of the given
-// number of edges, so that decoding them does not rehash the tables as
-// they fill: an honest labeling carries about three distinct node entries
-// and two distinct certificates per edge. Every entry takes at least
-// minEntryBits of the input, so the hint is capped by the bits the input
-// has left, and a header that declares more edges than the input carries
-// cannot make the Decoder reserve more than the input could fill. Grow
-// must come before the first DecodeLabel; later calls do nothing.
-func (d *Decoder) Grow(edges, bits int) {
+// Grow sizes the Decoder's intern tables for the labels of edges edges
+// under props properties, so that decoding them does not rehash the tables:
+// an honest labeling carries about three distinct entries and two distinct
+// certificates per edge, and one structure's labelings share their entries'
+// shapes. Every entry takes at least minEntryBits of the input, so the hint
+// is capped by the bits the input has left, and a header that declares more
+// edges than the input carries cannot make the Decoder reserve more than the
+// input could fill. Grow must come before the first DecodeLabel; later calls
+// do nothing.
+func (d *Decoder) Grow(edges, props, bits int) {
 	if d.entries != nil {
 		return
 	}
 	most := bits / minEntryBits
-	d.entries = make(map[string]entryRef, min(3*edges, most))
-	d.certs = make(map[string]*CEdgeLabel, min(2*edges, most))
+	d.shapes = make(map[string]shapeRef, min(3*edges, most))
+	d.entries = make(map[string]entryRef, min(3*edges*props, most))
+	d.certs = make(map[string]*CEdgeLabel, min(2*edges*props, most))
 }
 
 // DecodeLabel parses one label, sharing every node entry whose exact bits
 // and every certificate whose entries this Decoder has decoded before.
 func (d *Decoder) DecodeLabel(data []byte, nbits int) (*EdgeLabel, error) {
-	d.Grow(0, 0)
+	d.Grow(0, 0, 0)
 	return d.decodeEdgeLabel(bits.NewReader(data, nbits))
 }
 
@@ -359,106 +375,142 @@ func (d *Decoder) cedge(r *bits.Reader) (*CEdgeLabel, error) {
 	return c, nil
 }
 
-// keyValue appends the dictionary value an index just read selects to the
-// interning key of the entry being skipped.
+// keyValue appends the dictionary value a vertex or node index just read
+// selects to the interning key of the shape being skipped.
 func (d *Decoder) keyValue(v uint64) {
 	if d.keying {
 		d.key = binary.AppendUvarint(d.key, v)
 	}
 }
 
+// entryBox holds a newly decoded shape side by side with its own summary
+// and its first entry, so the three cost one allocation and sit together.
+type entryBox struct {
+	e   NodeEntry
+	s   Shape
+	own NodeSummary
+}
+
 // entry parses one node entry: a skip pass finds its extent, checks its
-// indices against the label's dictionaries and builds its interning key —
-// the raw bits of its fixed fields, then the value every index selects —
-// and the entry is built only when that key is new to this Decoder.
+// indices against the label's dictionaries, builds its shape's interning
+// key — the raw bits of its fixed fields, then the value every vertex and
+// node index selects — and gathers its class ids. The shape is built only
+// when its key is new to this Decoder, and the entry only when its shape
+// and class ids are.
 func (d *Decoder) entry(r *bits.Reader) (entryRef, error) {
 	start, vUsed, cUsed, nUsed := r.Pos(), d.vUsed, d.cUsed, d.nUsed
-	d.key, d.keying = d.key[:0], true
-	_, err := d.parseEntry(r, false)
+	d.key, d.cvals, d.keying = d.key[:0], d.cvals[:0], true
+	err := d.parseShape(r, nil)
 	d.keying = false
 	if err != nil {
 		return entryRef{}, err
 	}
+	var box *entryBox
+	sref, ok := d.shapes[string(d.key)]
+	if !ok {
+		end, vEnd, cEnd, nEnd := r.Pos(), d.vUsed, d.cUsed, d.nUsed
+		r.Seek(start)
+		d.vUsed, d.cUsed, d.nUsed = vUsed, cUsed, nUsed
+		box = &entryBox{}
+		box.s.NodeSummary = &box.own
+		if err := d.parseShape(r, &box.s); err != nil {
+			return entryRef{}, err
+		}
+		d.vUsed, d.cUsed, d.nUsed = vEnd, cEnd, nEnd
+		if r.Pos() != end {
+			return entryRef{}, fmt.Errorf("core: entry build pass read %d bits, skip pass %d", r.Pos()-start, end-start)
+		}
+		sref = shapeRef{s: &box.s, id: uint64(len(d.shapes))}
+		d.shapes[string(d.key)] = sref
+	}
+	if n := sref.s.classCount(); len(d.cvals) > n {
+		// A member whose parent id reads −1 is not a member: its merged
+		// and child class ids go, as the writer drops its other member
+		// fields.
+		d.cvals = slices.Delete(d.cvals, 1, 1+len(d.cvals)-n)
+	}
+	d.key = binary.AppendUvarint(d.key[:0], sref.id)
+	for _, c := range d.cvals {
+		d.key = binary.AppendUvarint(d.key, c)
+	}
 	if ref, ok := d.entries[string(d.key)]; ok {
 		return ref, nil
 	}
-	end, vEnd, cEnd, nEnd := r.Pos(), d.vUsed, d.cUsed, d.nUsed
-	r.Seek(start)
-	d.vUsed, d.cUsed, d.nUsed = vUsed, cUsed, nUsed
-	e, err := d.parseEntry(r, true)
-	if err != nil {
-		return entryRef{}, err
+	e := &NodeEntry{}
+	if box != nil {
+		e = &box.e
 	}
-	d.vUsed, d.cUsed, d.nUsed = vEnd, cEnd, nEnd
-	if r.Pos() != end {
-		return entryRef{}, fmt.Errorf("core: entry build pass read %d bits, skip pass %d", r.Pos()-start, end-start)
+	e.Shape, e.Classes = sref.s, d.classes.alloc(len(d.cvals))
+	for i, c := range d.cvals {
+		e.Classes[i] = int(c)
 	}
 	ref := entryRef{e: e, id: uint64(len(d.entries))}
 	d.entries[string(d.key)] = ref
 	return ref, nil
 }
 
-// parseEntry is the one grammar of a node entry: its fixed fields (see
-// NodeEntry.writeFixed), whose lane lists and counts determine how many
-// ids it names, then one index per vertex-id, class-id and node-id
-// occurrence, in that order. With build set it returns the decoded entry.
-// Without, it is the skip pass: it reads the same bits and runs the same
-// plausibility checks, but allocates nothing — scalars land in d.skip and
-// d.skipOp, lane lists in d.lanes, indices are checked and keyed but not
-// kept — and returns nil.
-func (d *Decoder) parseEntry(r *bits.Reader, build bool) (*NodeEntry, error) {
-	start := r.Pos()
-	e := &d.skip
-	if build {
-		e = &NodeEntry{}
+// parseShape is the one grammar of a node entry: its fixed fields (see
+// Shape.writeFixed), whose lane lists and counts determine how many ids it
+// names, then one index per vertex-id, class-id and node-id occurrence, in
+// that order. With e non-nil it decodes the shape into e, whose own
+// summary is set; the class ids are the skip pass's. With e nil it is the
+// skip pass: it reads the same bits and runs the same plausibility checks,
+// but allocates nothing — scalars land in d.skip, d.skipOwn and d.skipSum,
+// lane lists in d.lanes, indices are checked and keyed but not kept.
+func (d *Decoder) parseShape(r *bits.Reader, e *Shape) error {
+	start, build := r.Pos(), e != nil
+	if !build {
+		e = &d.skip
+		e.NodeSummary = &d.skipOwn
 	}
 	// nV, nC and nN count the entry's vertex-id, class-id and node-id
 	// occurrences as its fixed fields are read.
-	nV, nC, nN := 0, 1, 1 // ClassID, NodeID
+	nV, nC, nN := 0, 1, 1 // own class, NodeID
 	kind, err := r.ReadUint(3)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	e.Kind = lanewidth.Kind(kind)
 	if e.Lanes, err = d.parseLanes(r, build); err != nil {
-		return nil, err
+		return err
 	}
 	nV += 2 * len(e.Lanes) // InIDs, OutIDs
 	member, err := r.ReadBit()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	// Non-members write no tree-member fields.
-	e.ParentID, e.MergedClassID, e.MergedOutIDs, e.Children = -1, 0, nil, nil
+	e.ParentID, e.MergedOutIDs, e.Children = -1, nil, nil
 	if member {
-		nV, nC, nN = nV+len(e.Lanes), nC+1, nN+1 // MergedOutIDs, MergedClassID, ParentID
+		nV, nC, nN = nV+len(e.Lanes), nC+1, nN+1 // MergedOutIDs, merged class, ParentID
 		nChildren, err := r.ReadUvarint()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if nChildren > 1<<12 {
-			return nil, fmt.Errorf("core: implausible child count %d", nChildren)
+			return fmt.Errorf("core: implausible child count %d", nChildren)
 		}
+		var kids []NodeSummary
 		if build {
-			e.Children = make([]ChildSummary, nChildren)
+			kids, e.Children = make([]NodeSummary, nChildren), make([]*NodeSummary, nChildren)
 		}
 		for i := range int(nChildren) {
 			lanes, err := d.parseLanes(r, build)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if build {
-				e.Children[i].Lanes = lanes
+				kids[i].Lanes, e.Children[i] = lanes, &kids[i]
 			}
 			nV, nC, nN = nV+2*len(lanes), nC+1, nN+1
 		}
 	}
 	nPath, err := r.ReadUvarint()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if nPath > 1<<12 {
-		return nil, fmt.Errorf("core: implausible path-id count %d", nPath)
+		return fmt.Errorf("core: implausible path-id count %d", nPath)
 	}
 	nV += int(nPath)
 	// RealBits and VInputs lengths are kind-determined: one real bit per
@@ -467,7 +519,7 @@ func (d *Decoder) parseEntry(r *bits.Reader, build bool) (*NodeEntry, error) {
 	for i := uint64(1); i < nPath; i++ {
 		b, err := r.ReadBit()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if build {
 			e.RealBits = append(e.RealBits, b)
@@ -476,7 +528,7 @@ func (d *Decoder) parseEntry(r *bits.Reader, build bool) (*NodeEntry, error) {
 	for i := uint64(0); i < nPath; i++ {
 		in, err := r.ReadUvarint()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if build {
 			e.VInputs = append(e.VInputs, int(in))
@@ -484,43 +536,43 @@ func (d *Decoder) parseEntry(r *bits.Reader, build bool) (*NodeEntry, error) {
 	}
 	li, err := r.ReadUvarint()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	lj, err := r.ReadUvarint()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	e.LaneI, e.LaneJ = int(li), int(lj)
 	if e.BridgeReal, err = r.ReadBit(); err != nil {
-		return nil, err
+		return err
 	}
 	e.Left, e.Right = nil, nil
-	for _, dst := range []**OperandSummary{&e.Left, &e.Right} {
+	for _, dst := range []**NodeSummary{&e.Left, &e.Right} {
 		has, err := r.ReadBit()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if !has {
 			continue
 		}
 		if *dst, err = d.parseOperand(r, build); err != nil {
-			return nil, err
+			return err
 		}
 		nV, nC, nN = nV+2*len((*dst).Lanes), nC+1, nN+1
 	}
 	hasRM, err := r.ReadBit()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	e.RootMember = nil
 	if hasRM {
 		lanes, err := d.parseLanes(r, build)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		e.RootMember = &d.skipRM
+		e.RootMember = &d.skipSum
 		if build {
-			e.RootMember = &ChildSummary{}
+			e.RootMember = &NodeSummary{}
 		}
 		e.RootMember.Lanes = lanes
 		nV, nC, nN = nV+2*len(lanes), nC+1, nN+1
@@ -529,19 +581,13 @@ func (d *Decoder) parseEntry(r *bits.Reader, build bool) (*NodeEntry, error) {
 		d.key = binary.AppendUvarint(d.key, uint64(r.Pos()-start))
 		d.key = r.AppendBits(d.key, start, r.Pos())
 	}
-	if err := d.parseIndices(r, e, member, build, nV, nC, nN); err != nil {
-		return nil, err
-	}
-	if !build {
-		return nil, nil
-	}
-	return e, nil
+	return d.parseIndices(r, e, member, build, nV, nC, nN)
 }
 
 // parseIndices reads an entry's index block — nV vertex-id, nC class-id
-// and nN node-id indices — and, when building, fills the entry's ids in
-// the order appendVertexIDs, appendClassIDs and appendNodeIDs list them.
-func (d *Decoder) parseIndices(r *bits.Reader, e *NodeEntry, member, build bool, nV, nC, nN int) error {
+// and nN node-id indices — and, when building, fills the shape's ids in
+// the order appendVertexIDs and appendNodeIDs list them.
+func (d *Decoder) parseIndices(r *bits.Reader, e *Shape, member, build bool, nV, nC, nN int) error {
 	d.vals = d.vals[:0]
 	for range nV {
 		v, err := d.vertexID(r)
@@ -554,15 +600,10 @@ func (d *Decoder) parseIndices(r *bits.Reader, e *NodeEntry, member, build bool,
 	}
 	vertices := len(d.vals)
 	for range nC {
-		c, err := d.classID(r)
-		if err != nil {
+		if _, err := d.classID(r); err != nil {
 			return err
 		}
-		if build {
-			d.vals = append(d.vals, uint64(c))
-		}
 	}
-	classes := len(d.vals)
 	for range nN {
 		n, err := d.nodeID(r)
 		if err != nil {
@@ -575,39 +616,38 @@ func (d *Decoder) parseIndices(r *bits.Reader, e *NodeEntry, member, build bool,
 	if !build {
 		return nil
 	}
-	vs, cs, ns := d.vals[:vertices], d.vals[vertices:classes], d.vals[classes:]
+	vs, ns := d.vals[:vertices], d.vals[vertices:]
 	take := func(n int) []uint64 {
 		ids := d.ids.alloc(n)
 		copy(ids, vs)
 		vs = vs[n:]
 		return ids
 	}
-	next := func(vals *[]uint64) int {
-		v := (*vals)[0]
-		*vals = (*vals)[1:]
+	next := func() int {
+		v := ns[0]
+		ns = ns[1:]
 		return int(v)
 	}
 	e.InIDs, e.OutIDs = take(len(e.Lanes)), take(len(e.Lanes))
-	e.ClassID, e.NodeID = next(&cs), next(&ns)
+	e.NodeID = next()
 	if member {
 		e.MergedOutIDs = take(len(e.Lanes))
-		e.MergedClassID, e.ParentID = next(&cs), next(&ns)
-		for i := range e.Children {
-			c := &e.Children[i]
+		e.ParentID = next()
+		for _, c := range e.Children {
 			c.InIDs, c.MergedOutIDs = take(len(c.Lanes)), take(len(c.Lanes))
-			c.MergedClassID, c.NodeID = next(&cs), next(&ns)
+			c.NodeID = next()
 		}
 	}
 	e.PathIDs = take(len(e.VInputs))
 	for _, op := range e.operands() {
 		if op != nil {
 			op.InIDs, op.OutIDs = take(len(op.Lanes)), take(len(op.Lanes))
-			op.ClassID, op.NodeID = next(&cs), next(&ns)
+			op.NodeID = next()
 		}
 	}
 	if rm := e.RootMember; rm != nil {
 		rm.InIDs, rm.MergedOutIDs = take(len(rm.Lanes)), take(len(rm.Lanes))
-		rm.MergedClassID, rm.NodeID = next(&cs), next(&ns)
+		rm.NodeID = next()
 	}
 	return nil
 }
@@ -654,13 +694,18 @@ func readClassID(r *bits.Reader) (int, error) {
 // vertexID reads one vertex-id occurrence: an index into the label's
 // vertex dictionary.
 func (d *Decoder) vertexID(r *bits.Reader) (uint64, error) {
-	return d.index(r, "vertex", d.vdict, d.vRW, &d.vUsed)
+	v, err := d.index(r, "vertex", d.vdict, d.vRW, &d.vUsed)
+	d.keyValue(v)
+	return v, err
 }
 
 // classID reads one class-id occurrence: an index into the label's class
 // dictionary.
 func (d *Decoder) classID(r *bits.Reader) (int, error) {
 	c, err := d.index(r, "class", d.cdict, d.cRW, &d.cUsed)
+	if d.keying {
+		d.cvals = append(d.cvals, c)
+	}
 	return int(c), err
 }
 
@@ -682,14 +727,15 @@ func (d *Decoder) index(r *bits.Reader, what string, dict []uint64, rw int, used
 	if i == uint64(*used) {
 		*used++
 	}
-	d.keyValue(dict[i])
 	return dict[i], nil
 }
 
 // nodeID reads one node-id occurrence: an index into the label's node
 // dictionary.
 func (d *Decoder) nodeID(r *bits.Reader) (uint64, error) {
-	return d.index(r, "node", d.ndict, d.nRW, &d.nUsed)
+	n, err := d.index(r, "node", d.ndict, d.nRW, &d.nUsed)
+	d.keyValue(n)
+	return n, err
 }
 
 // parseLanes reads a lane list: a fresh slice when building, the reused
@@ -726,11 +772,11 @@ func (d *Decoder) parseLanes(r *bits.Reader, build bool) ([]int, error) {
 }
 
 // parseOperand reads a B-node operand's fixed fields — kind, lanes and
-// input — into a fresh summary, or into d.skipOp on the skip pass.
-func (d *Decoder) parseOperand(r *bits.Reader, build bool) (*OperandSummary, error) {
-	o := &d.skipOp
+// input — into a fresh summary, or into d.skipSum on the skip pass.
+func (d *Decoder) parseOperand(r *bits.Reader, build bool) (*NodeSummary, error) {
+	o := &d.skipSum
 	if build {
-		o = &OperandSummary{}
+		o = &NodeSummary{}
 	}
 	kind, err := r.ReadUint(3)
 	if err != nil {

@@ -456,7 +456,7 @@ func TestMinEntryBits(t *testing.T) {
 	}
 	d := Decoder{cdict: []uint64{1}, ndict: []uint64{0}}
 	r := bits.NewReader(w.Bytes(), w.Bits())
-	if _, err := d.parseEntry(r, true); err != nil || r.Pos() != minEntryBits {
+	if err := d.parseShape(r, &Shape{NodeSummary: new(NodeSummary)}); err != nil || r.Pos() != minEntryBits {
 		t.Fatalf("the smallest entry does not parse: %v", err)
 	}
 }
@@ -526,7 +526,8 @@ func TestEntryTableMergesByKey(t *testing.T) {
 	for _, rows := range []int{3, linearRows, 3 * linearRows} {
 		own := &CEdgeLabel{OwnerPos: 1}
 		for i := range rows {
-			own.Path = append(own.Path, &NodeEntry{NodeID: i + 1, Kind: lanewidth.TNode, ParentID: -1, PathIDs: []uint64{uint64(i)}, VInputs: []int{0}})
+			own.Path = append(own.Path, &NodeEntry{Shape: &Shape{NodeSummary: &NodeSummary{NodeID: i + 1, Kind: lanewidth.TNode},
+				ParentID: -1, PathIDs: []uint64{uint64(i)}, VInputs: []int{0}}, Classes: []int{0}})
 		}
 		el := &EdgeLabel{Own: own, Emb: []EmbEntry{{UID: 1, VID: 2, Fwd: 1, Bwd: 1, Payload: own.clone()}}}
 		single := &EdgeLabel{Own: own}
@@ -573,9 +574,10 @@ func TestVertexDictionaryWritesEachIDOnce(t *testing.T) {
 		for i := range 2 * d {
 			ids = append(ids, uint64(1<<10+i%d))
 		}
-		entry := &NodeEntry{NodeID: 1, Kind: lanewidth.PNode, ParentID: -1, PathIDs: ids,
-			RealBits: make([]bool, len(ids)-1), VInputs: make([]int, len(ids))}
-		plain := &NodeEntry{NodeID: 1, Kind: lanewidth.PNode, ParentID: -1, RealBits: entry.RealBits[:0], VInputs: entry.VInputs}
+		entry := &NodeEntry{Shape: &Shape{NodeSummary: &NodeSummary{NodeID: 1, Kind: lanewidth.PNode}, ParentID: -1, PathIDs: ids,
+			RealBits: make([]bool, len(ids)-1), VInputs: make([]int, len(ids))}, Classes: []int{0}}
+		plain := &NodeEntry{Shape: &Shape{NodeSummary: &NodeSummary{NodeID: 1, Kind: lanewidth.PNode}, ParentID: -1,
+			RealBits: entry.RealBits[:0], VInputs: entry.VInputs}, Classes: []int{0}}
 		// Against an entry with the same fields but no vertex ids, the
 		// path costs its dictionary (γ(d) and γ(11) over γ(0) and γ(0), d
 		// ids of 11 bits) and 2d indices, plus its longer length and real

@@ -73,9 +73,9 @@ func FuzzDecodeLabel(f *testing.F) {
 				skip.Seek(start)
 				build.Seek(start)
 				d.vUsed, d.cUsed, d.nUsed = 0, 0, 0
-				_, skipErr := d.parseEntry(skip, false)
+				skipErr := d.parseShape(skip, nil)
 				d.vUsed, d.cUsed, d.nUsed = 0, 0, 0
-				_, buildErr := d.parseEntry(build, true)
+				buildErr := d.parseShape(build, &Shape{NodeSummary: new(NodeSummary)})
 				if (skipErr == nil) != (buildErr == nil) || skip.Pos() != build.Pos() {
 					t.Fatalf("entry at bit %d: skip pass (%v) ends at %d, build pass (%v) at %d",
 						start, skipErr, skip.Pos(), buildErr, build.Pos())
@@ -146,7 +146,7 @@ func TestDecodeRejectsTruncatedStreams(t *testing.T) {
 // label re-encodes byte-identically (the flip hit bits the decoder
 // discards, e.g. a non-member's merged-class field), or it belongs to the
 // tiny deterministic tail of bookkeeping-only mutations (≤0.5% of flips,
-// e.g. a ChildSummary.NodeID on a copy no binding vertex dereferences)
+// e.g. a child summary's NodeID on a copy no binding vertex dereferences)
 // whose algebraic content the verifier fully re-checks. The verifier must
 // never panic along the way.
 func TestVerifierRejectsBitFlippedStreams(t *testing.T) {

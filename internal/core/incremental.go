@@ -396,14 +396,13 @@ func touchedVertices(edits []Edit) []graph.Vertex {
 // artifactEqual reports whether two node artifacts carry identical
 // property-independent content.
 func artifactEqual(a, b *nodeArtifact) bool {
-	if a.member != b.member || a.parentID != b.parentID ||
-		a.input != b.input || a.bridgeReal != b.bridgeReal ||
-		a.rootMember != b.rootMember {
+	if a.NodeID != b.NodeID || a.Kind != b.Kind || a.member != b.member || a.parentID != b.parentID ||
+		a.Input != b.Input || a.bridgeReal != b.bridgeReal || a.rootMember != b.rootMember {
 		return false
 	}
-	return slices.Equal(a.lanes, b.lanes) && slices.Equal(a.treeChildren, b.treeChildren) &&
-		slices.Equal(a.vInputs, b.vInputs) && slices.Equal(a.inIDs, b.inIDs) &&
-		slices.Equal(a.outIDs, b.outIDs) && slices.Equal(a.mergedOutIDs, b.mergedOutIDs) &&
+	return slices.Equal(a.Lanes, b.Lanes) && slices.Equal(a.treeChildren, b.treeChildren) &&
+		slices.Equal(a.vInputs, b.vInputs) && slices.Equal(a.InIDs, b.InIDs) &&
+		slices.Equal(a.OutIDs, b.OutIDs) && slices.Equal(a.MergedOutIDs, b.MergedOutIDs) &&
 		slices.Equal(a.pathIDs, b.pathIDs) && slices.Equal(a.realBits, b.realBits)
 }
 

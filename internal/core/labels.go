@@ -27,31 +27,6 @@ import (
 	"repro/internal/lanewidth"
 )
 
-// ChildSummary is B(Tree-merge(T_child)) as carried on the edges of the
-// parent member (Lemma 6.5, T-node case). Sibling lane sets are disjoint,
-// so a member stores at most k of these. The id slices are lane-aligned:
-// InIDs[i] and MergedOutIDs[i] are the terminals on Lanes[i].
-type ChildSummary struct {
-	NodeID        int
-	Lanes         []int
-	InIDs         []uint64
-	MergedOutIDs  []uint64
-	MergedClassID int
-}
-
-// OperandSummary is the basic information of a B-node operand (a V-node or
-// T-node), carried on the edges of the B-node's subgraph (Lemma 6.5,
-// B-node case). InIDs and OutIDs are lane-aligned, as in ChildSummary.
-type OperandSummary struct {
-	NodeID  int
-	Kind    lanewidth.Kind
-	Lanes   []int
-	InIDs   []uint64
-	OutIDs  []uint64
-	ClassID int
-	Input   int // V-node operands: the vertex's input label
-}
-
 // encCache memoizes an encoding: a node entry's Key or an edge label's wire
 // bits. The encoding is held once, as its key — the packed bytes followed
 // by the decimal bit count — and read from the key's byte prefix. Entries
@@ -88,26 +63,38 @@ func encBuf() *[]byte { return encBufs.Get().(*[]byte) }
 // bytes returns the packed bytes of the cached encoding.
 func (c *encCache) bytes() string { return c.key[:(c.nbits+7)/8] }
 
-// NodeEntry is the basic information B(G) of one hierarchy node, stored on
-// every edge of the node's subgraph. An edge's certificate holds the entries
-// of the ≤ 2k nodes on its root-to-owner path (Observation 5.5). The id
-// slices are aligned with the sorted Lanes: InIDs[i], OutIDs[i] and
-// MergedOutIDs[i] are the terminals on Lanes[i], exactly as the wire
-// carries them.
-type NodeEntry struct {
-	NodeID  int
-	Kind    lanewidth.Kind
-	Lanes   []int
-	InIDs   []uint64
-	OutIDs  []uint64
-	ClassID int
+// NodeSummary is what a node entry says about one hierarchy node: the
+// node's own basic fields, and the part of a tree child's (Lemma 6.5,
+// T-node case), a B-node operand's or a T-node's root member's that the
+// entry repeats. The id slices are aligned with the sorted Lanes: InIDs[i],
+// OutIDs[i] and MergedOutIDs[i] are the terminals on Lanes[i], exactly as
+// the wire carries them. A child or root-member summary carries NodeID,
+// Lanes, InIDs and MergedOutIDs; an operand summary NodeID, Kind, Lanes,
+// InIDs, OutIDs and, for a V-node, Input. Other fields are ignored there.
+type NodeSummary struct {
+	NodeID       int
+	Kind         lanewidth.Kind
+	Lanes        []int
+	InIDs        []uint64
+	OutIDs       []uint64
+	MergedOutIDs []uint64 // tree members only
+	Input        int      // V-nodes: the vertex's input label
+}
 
-	// Tree-member fields (set when the node is a member of a T-node's tree;
-	// MergedOutIDs is nil otherwise).
-	ParentID      int // enclosing T-node id
-	MergedClassID int
-	MergedOutIDs  []uint64
-	Children      []ChildSummary
+// Shape is the property-independent part of a node entry: everything but
+// its class ids. On one StructuralProof a node has one shape, which every
+// property pass's entry for the node points at, and one summary, which its
+// shape and the shapes of the entries that summarize it point at; entries
+// are immutable, and so are shapes and summaries (corruption goes through
+// Clone, which copies them).
+type Shape struct {
+	*NodeSummary // the node's own
+
+	// Tree-member fields (ParentID, the enclosing T-node's id, is -1 for a
+	// node outside every T-node's tree; MergedOutIDs and Children are then
+	// nil).
+	ParentID int
+	Children []*NodeSummary
 
 	// E-node: PathIDs = [in, out]; RealBits[0] marks the edge real.
 	// P-node: PathIDs in lane order; RealBits per consecutive path edge.
@@ -120,12 +107,45 @@ type NodeEntry struct {
 	// B-node.
 	LaneI, LaneJ int
 	BridgeReal   bool
-	Left, Right  *OperandSummary
+	Left, Right  *NodeSummary
 
 	// T-node: summary of its tree's root member.
-	RootMember *ChildSummary
+	RootMember *NodeSummary
+}
+
+// NodeEntry is the basic information B(G) of one hierarchy node under one
+// property, stored on every edge of the node's subgraph. An edge's
+// certificate holds the entries of the ≤ 2k nodes on its root-to-owner path
+// (Observation 5.5). An entry is its node's shape plus its class ids.
+type NodeEntry struct {
+	*Shape
+	// Classes holds the entry's class ids in wire order: its own class
+	// (Classes[0]); for a tree member its merged class (Classes[1]) and
+	// each child's merged class (Classes[2+i]); from opsAt each operand's
+	// class; and its root member's merged class, last. Its length is the
+	// shape's classCount, which readers check before they index it.
+	Classes []int
 
 	cache encCache // Key: the entry as a one-row table
+}
+
+// classCount is the number of class ids an entry of this shape carries.
+func (s *Shape) classCount() int {
+	n := s.opsAt()
+	for _, sum := range [3]*NodeSummary{s.Left, s.Right, s.RootMember} {
+		if sum != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// opsAt is where an entry's class vector holds its operands' class ids.
+func (s *Shape) opsAt() int {
+	if s.member() {
+		return 2 + len(s.Children)
+	}
+	return 1
 }
 
 // CEdgeLabel is the certificate of one completion edge: the node entries
@@ -157,10 +177,12 @@ func sameCert(a, b *CEdgeLabel) bool {
 }
 
 // sameEntry reports whether two node entries have the same canonical
-// encoding. Pointers and node ids are compared first, so shared entries
-// and entries of different nodes never have their keys compared.
+// encoding. Pointers, shapes and node ids are compared first, so shared
+// entries, entries of one shape and entries of different nodes never have
+// their keys compared.
 func sameEntry(a, b *NodeEntry) bool {
-	return a == b || a.NodeID == b.NodeID && a.Key() == b.Key()
+	return a == b || a.Shape == b.Shape && slices.Equal(a.Classes, b.Classes) ||
+		a.NodeID == b.NodeID && a.Key() == b.Key()
 }
 
 // EmbEntry simulates a virtual completion edge on one real edge of its
@@ -321,33 +343,33 @@ func writeLanes(w *bits.Writer, lanes []int) {
 	}
 }
 
-// member reports whether the entry is a member of a T-node's tree. Only
-// members write the tree-member fields.
-func (n *NodeEntry) member() bool { return n.ParentID != -1 }
+// member reports whether the node is a member of a T-node's tree. Only
+// members' entries write the tree-member fields.
+func (s *Shape) member() bool { return s.ParentID != -1 }
 
-// operands returns the entry's B-node operand slots in wire order.
-func (n *NodeEntry) operands() [2]*OperandSummary { return [2]*OperandSummary{n.Left, n.Right} }
+// operands returns the B-node operand slots in wire order.
+func (s *Shape) operands() [2]*NodeSummary { return [2]*NodeSummary{s.Left, s.Right} }
 
-// appendVertexIDs appends every vertex-id occurrence the entry writes, in
-// wire order.
-func (n *NodeEntry) appendVertexIDs(dst []uint64) []uint64 {
-	dst = appendLaneIDs(dst, n.Lanes, n.InIDs)
-	dst = appendLaneIDs(dst, n.Lanes, n.OutIDs)
-	if n.member() {
-		dst = appendLaneIDs(dst, n.Lanes, n.MergedOutIDs)
-		for i := range n.Children {
-			dst = appendLaneIDs(dst, n.Children[i].Lanes, n.Children[i].InIDs)
-			dst = appendLaneIDs(dst, n.Children[i].Lanes, n.Children[i].MergedOutIDs)
+// appendVertexIDs appends every vertex-id occurrence an entry of this shape
+// writes, in wire order.
+func (s *Shape) appendVertexIDs(dst []uint64) []uint64 {
+	dst = appendLaneIDs(dst, s.Lanes, s.InIDs)
+	dst = appendLaneIDs(dst, s.Lanes, s.OutIDs)
+	if s.member() {
+		dst = appendLaneIDs(dst, s.Lanes, s.MergedOutIDs)
+		for _, c := range s.Children {
+			dst = appendLaneIDs(dst, c.Lanes, c.InIDs)
+			dst = appendLaneIDs(dst, c.Lanes, c.MergedOutIDs)
 		}
 	}
-	dst = append(dst, n.PathIDs...)
-	for _, op := range n.operands() {
+	dst = append(dst, s.PathIDs...)
+	for _, op := range s.operands() {
 		if op != nil {
 			dst = appendLaneIDs(dst, op.Lanes, op.InIDs)
 			dst = appendLaneIDs(dst, op.Lanes, op.OutIDs)
 		}
 	}
-	if rm := n.RootMember; rm != nil {
+	if rm := s.RootMember; rm != nil {
 		dst = appendLaneIDs(dst, rm.Lanes, rm.InIDs)
 		dst = appendLaneIDs(dst, rm.Lanes, rm.MergedOutIDs)
 	}
@@ -355,42 +377,30 @@ func (n *NodeEntry) appendVertexIDs(dst []uint64) []uint64 {
 }
 
 // appendClassIDs appends every class-id occurrence the entry writes, in
-// wire order.
+// wire order: its class vector.
 func (n *NodeEntry) appendClassIDs(dst []uint64) []uint64 {
-	dst = append(dst, uint64(n.ClassID))
-	if n.member() {
-		dst = append(dst, uint64(n.MergedClassID))
-		for i := range n.Children {
-			dst = append(dst, uint64(n.Children[i].MergedClassID))
-		}
-	}
-	for _, op := range n.operands() {
-		if op != nil {
-			dst = append(dst, uint64(op.ClassID))
-		}
-	}
-	if rm := n.RootMember; rm != nil {
-		dst = append(dst, uint64(rm.MergedClassID))
+	for _, c := range n.Classes {
+		dst = append(dst, uint64(c))
 	}
 	return dst
 }
 
-// appendNodeIDs appends every node-id occurrence the entry writes, in
-// wire order.
-func (n *NodeEntry) appendNodeIDs(dst []uint64) []uint64 {
-	dst = append(dst, uint64(n.NodeID))
-	if n.member() {
-		dst = append(dst, uint64(n.ParentID))
-		for i := range n.Children {
-			dst = append(dst, uint64(n.Children[i].NodeID))
+// appendNodeIDs appends every node-id occurrence an entry of this shape
+// writes, in wire order.
+func (s *Shape) appendNodeIDs(dst []uint64) []uint64 {
+	dst = append(dst, uint64(s.NodeID))
+	if s.member() {
+		dst = append(dst, uint64(s.ParentID))
+		for _, c := range s.Children {
+			dst = append(dst, uint64(c.NodeID))
 		}
 	}
-	for _, op := range n.operands() {
+	for _, op := range s.operands() {
 		if op != nil {
 			dst = append(dst, uint64(op.NodeID))
 		}
 	}
-	if rm := n.RootMember; rm != nil {
+	if rm := s.RootMember; rm != nil {
 		dst = append(dst, uint64(rm.NodeID))
 	}
 	return dst
@@ -583,32 +593,32 @@ func writeUints(w *bits.Writer, vals []uint64, width int) {
 	}
 }
 
-// writeFixed writes the entry's fields other than its ids, which follow
+// writeFixed writes an entry's fields other than its ids, which follow
 // them in a table row as indices: its kind and lanes, the tree-member
 // flag and its children's lane lists, its path length, real bits and
 // inputs, its B-node bridge, and its operands' and root member's kinds,
-// lanes and inputs.
-func (n *NodeEntry) writeFixed(w *bits.Writer) {
-	w.WriteUint(uint64(n.Kind), 3)
-	writeLanes(w, n.Lanes)
-	w.WriteBit(n.member())
-	if n.member() {
-		w.WriteUvarint(uint64(len(n.Children)))
-		for i := range n.Children {
-			writeLanes(w, n.Children[i].Lanes)
+// lanes and inputs. They are all the shape's.
+func (s *Shape) writeFixed(w *bits.Writer) {
+	w.WriteUint(uint64(s.Kind), 3)
+	writeLanes(w, s.Lanes)
+	w.WriteBit(s.member())
+	if s.member() {
+		w.WriteUvarint(uint64(len(s.Children)))
+		for _, c := range s.Children {
+			writeLanes(w, c.Lanes)
 		}
 	}
-	w.WriteUvarint(uint64(len(n.PathIDs)))
-	for _, b := range n.RealBits {
+	w.WriteUvarint(uint64(len(s.PathIDs)))
+	for _, b := range s.RealBits {
 		w.WriteBit(b)
 	}
-	for _, in := range n.VInputs {
+	for _, in := range s.VInputs {
 		w.WriteUvarint(uint64(in))
 	}
-	w.WriteUvarint(uint64(n.LaneI))
-	w.WriteUvarint(uint64(n.LaneJ))
-	w.WriteBit(n.BridgeReal)
-	for _, op := range n.operands() {
+	w.WriteUvarint(uint64(s.LaneI))
+	w.WriteUvarint(uint64(s.LaneJ))
+	w.WriteBit(s.BridgeReal)
+	for _, op := range s.operands() {
 		w.WriteBit(op != nil)
 		if op != nil {
 			w.WriteUint(uint64(op.Kind), 3)
@@ -616,8 +626,8 @@ func (n *NodeEntry) writeFixed(w *bits.Writer) {
 			w.WriteUvarint(uint64(op.Input))
 		}
 	}
-	w.WriteBit(n.RootMember != nil)
-	if rm := n.RootMember; rm != nil {
+	w.WriteBit(s.RootMember != nil)
+	if rm := s.RootMember; rm != nil {
 		writeLanes(w, rm.Lanes)
 	}
 }
@@ -866,20 +876,10 @@ func lanesDisjoint(a, b []int) bool {
 	return true
 }
 
-// laneIndex returns the position of lane l in a lane list, or -1.
-func laneIndex(lanes []int, l int) int {
-	for i, m := range lanes {
-		if m == l {
-			return i
-		}
-	}
-	return -1
-}
-
 // idOn returns the id a lane-aligned slice holds for lane l, or 0 when l is
 // not one of the lanes.
 func idOn(lanes []int, ids []uint64, l int) uint64 {
-	if i := laneIndex(lanes, l); i >= 0 && i < len(ids) {
+	if i := slices.Index(lanes, l); i >= 0 && i < len(ids) {
 		return ids[i]
 	}
 	return 0

@@ -155,7 +155,7 @@ func entrySplit(s map[string]int, e *NodeEntry, rwV, rwC, rwN int) {
 	lanes(e.Lanes)
 	vertices(2 * len(e.Lanes))
 	class()
-	child := func(c *ChildSummary) {
+	child := func(c *NodeSummary) {
 		node()
 		lanes(c.Lanes)
 		vertices(2 * len(c.Lanes))
@@ -166,8 +166,8 @@ func entrySplit(s map[string]int, e *NodeEntry, rwV, rwC, rwN int) {
 		class()
 		vertices(len(e.Lanes))
 		s["rest"] += bits.UvarintLen(uint64(len(e.Children)))
-		for i := range e.Children {
-			child(&e.Children[i])
+		for _, c := range e.Children {
+			child(c)
 		}
 	}
 	s["rest"] += bits.UvarintLen(uint64(len(e.PathIDs))) + len(e.RealBits)
@@ -176,7 +176,7 @@ func entrySplit(s map[string]int, e *NodeEntry, rwV, rwC, rwN int) {
 		s["rest"] += bits.UvarintLen(uint64(in))
 	}
 	s["rest"] += bits.UvarintLen(uint64(e.LaneI)) + bits.UvarintLen(uint64(e.LaneJ)) + 1 + 3 // BridgeReal, presence bits
-	for _, op := range []*OperandSummary{e.Left, e.Right} {
+	for _, op := range e.operands() {
 		if op != nil {
 			node()
 			s["rest"] += 3 + bits.UvarintLen(uint64(op.Input))

@@ -59,11 +59,15 @@ func withClassRanks(l *EdgeLabel) *EdgeLabel {
 		}
 	}
 	for _, e := range l.Own.Path {
-		rank(&e.ClassID)
-		rank(&e.MergedClassID)
+		rank(&e.Classes[0])
+		if e.member() {
+			rank(&e.Classes[1])
+		}
+		at := e.opsAt()
 		for _, op := range e.operands() {
 			if op != nil {
-				rank(&op.ClassID)
+				rank(&e.Classes[at])
+				at++
 			}
 		}
 	}

@@ -355,7 +355,11 @@ func mutateLabeling(c *choices, clone, orig *Labeling, cfg *cert.Config) {
 	}
 	var classIDs, nodeIDs []int
 	for _, s := range sites {
-		classIDs = append(classIDs, s.orig.ClassID, s.orig.MergedClassID)
+		merged := 0
+		if s.orig.member() {
+			merged = s.orig.Classes[1]
+		}
+		classIDs = append(classIDs, s.orig.Classes[0], merged)
 		nodeIDs = append(nodeIDs, s.orig.NodeID)
 	}
 	vertexID := func() uint64 {
@@ -442,20 +446,24 @@ func mutateLabeling(c *choices, clone, orig *Labeling, cfg *cert.Config) {
 		re := classID()
 		switch c.intn(4) {
 		case 0:
-			mut = func(e *NodeEntry) { e.ClassID = re(e.ClassID) }
+			mut = func(e *NodeEntry) { e.Classes[0] = re(e.Classes[0]) }
 		case 1:
-			mut = func(e *NodeEntry) { e.MergedClassID = re(e.MergedClassID) }
+			mut = func(e *NodeEntry) {
+				if e.member() {
+					e.Classes[1] = re(e.Classes[1])
+				}
+			}
 		case 2:
 			mut = func(e *NodeEntry) {
 				if len(e.Children) > 0 {
-					ch := &e.Children[i%len(e.Children)]
-					ch.MergedClassID = re(ch.MergedClassID)
+					k := 2 + i%len(e.Children)
+					e.Classes[k] = re(e.Classes[k])
 				}
 			}
 		default:
 			mut = func(e *NodeEntry) {
 				if e.Left != nil {
-					e.Left.ClassID = re(e.Left.ClassID)
+					e.Classes[e.opsAt()] = re(e.Classes[e.opsAt()])
 				}
 			}
 		}
@@ -482,7 +490,7 @@ func mutateLabeling(c *choices, clone, orig *Labeling, cfg *cert.Config) {
 			mut = func(e *NodeEntry) { e.NodeID = v }
 		case 1:
 			v := nodeID(-1)
-			mut = func(e *NodeEntry) { e.ParentID = v }
+			mut = func(e *NodeEntry) { setParent(e, v) }
 		default:
 			v := nodeID(0)
 			mut = func(e *NodeEntry) {
@@ -516,7 +524,8 @@ func mutateLabeling(c *choices, clone, orig *Labeling, cfg *cert.Config) {
 		mut = func(e *NodeEntry) { e.LaneI, e.LaneJ = e.LaneJ, e.LaneI }
 	default: // drop tree membership
 		mut = func(e *NodeEntry) {
-			e.ParentID, e.MergedClassID, e.MergedOutIDs, e.Children = -1, 0, nil, nil
+			setParent(e, -1)
+			e.MergedOutIDs, e.Children = nil, nil
 		}
 	}
 	target := sites[c.intn(len(sites))].orig
@@ -534,6 +543,21 @@ func mutateLabeling(c *choices, clone, orig *Labeling, cfg *cert.Config) {
 			return
 		}
 	}
+}
+
+// setParent sets an entry's parent id and keeps its class vector in step
+// with its membership: an entry that joins a tree gets merged class 0 and
+// no child classes, and one that leaves a tree loses its merged and child
+// classes (its children and merged out-terminals stay, unwritten).
+func setParent(e *NodeEntry, parent int) {
+	switch {
+	case !e.member() && parent != -1:
+		e.Classes = slices.Insert(e.Classes, 1, 0)
+		e.Children = nil
+	case e.member() && parent == -1:
+		e.Classes = slices.Delete(e.Classes, 1, e.opsAt())
+	}
+	e.ParentID = parent
 }
 
 // TestSoundnessOracle runs the oracle over a fixed pseudo-random sample of

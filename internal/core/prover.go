@@ -149,7 +149,7 @@ func (s *Scheme) proveWith(ctx context.Context, sp *StructuralProof, prev *encod
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	rootClass := s.Reg.Class(enc.entries[sp.Hierarchy.Root.ID].ClassID)
+	rootClass := s.Reg.Class(enc.classIDs[sp.Hierarchy.Root.ID])
 	accept, err := algebra.Accept(s.Prop, rootClass)
 	if err != nil {
 		return nil, nil, nil, err
@@ -209,11 +209,11 @@ type encoder struct {
 }
 
 // buildEncoderReuse computes classes bottom-up over the hierarchy (the
-// level-scheduled sweep of sweep.go) and assembles the node entries from the
-// structure's shared artifacts, both on a pool of workers. When prev is
-// non-nil (incremental re-proving), entries whose encoded content is
-// provably unchanged are carried over from the previous generation by
-// pointer — see entryReusable for the exact conditions.
+// level-scheduled sweep of sweep.go) and assembles the node entries on the
+// structure's shared shapes, both on a pool of workers. When prev is
+// non-nil (incremental re-proving), an entry whose shape carried over from
+// the previous generation's structure and whose class ids are unchanged
+// is the previous entry, by pointer.
 func (s *Scheme) buildEncoderReuse(ctx context.Context, sp *StructuralProof, prev *encoder, ru *reuseCounters, workers int) (*encoder, error) {
 	nn := len(sp.Hierarchy.Nodes)
 	enc := &encoder{
@@ -227,7 +227,7 @@ func (s *Scheme) buildEncoderReuse(ctx context.Context, sp *StructuralProof, pre
 		return nil, err
 	}
 	// Intern the full class set — node classes and member-merge intermediates
-	// (entry assembly references the latter via mergedID) — then fix the
+	// (entry assembly references the latter through mergedIDs) — then fix the
 	// registry numbering by class content and snapshot the canonical ids.
 	// Ids are content hashes with content-ordered collision ranks, so after
 	// Canonicalize they depend only on the set of distinct classes in this
@@ -240,41 +240,14 @@ func (s *Scheme) buildEncoderReuse(ctx context.Context, sp *StructuralProof, pre
 	s.Reg.Canonicalize()
 	enc.classIDs = s.Reg.InternAll(enc.classes)
 	enc.mergedIDs = s.Reg.InternAll(enc.merged)
-
-	// Assemble entries for every node (V-nodes ride inside B summaries).
-	// Workers fill disjoint entry slots, each carving fresh entries from its
-	// own arena; entryReusable reads only read-only state, so reuse is
-	// decided the same way on any worker.
-	reused := func(i int) bool {
-		return prev != nil && i < len(prev.entries) && enc.entries[i] == prev.entries[i]
-	}
-	arenas := make([]entryArena, workers)
-	if err := par.ForErr(workers, nn, func(worker, i int) error {
-		if i&255 == 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-		n := sp.Hierarchy.Nodes[i]
-		if n.Kind == lanewidth.VNode {
-			return nil
-		}
-		if prev != nil && n.ID < len(prev.entries) {
-			if pe := prev.entries[n.ID]; pe != nil && enc.entryReusable(n, pe, prev) {
-				enc.entries[n.ID] = pe
-				return nil
-			}
-		}
-		enc.entries[n.ID] = enc.entryFor(n, &arenas[worker])
-		return nil
-	}); err != nil {
+	if err := enc.assembleEntries(ctx, prev, workers); err != nil {
 		return nil, err
 	}
 	if ru != nil {
 		for i, e := range enc.entries {
 			if e != nil {
 				ru.TotalEntries++
-				if reused(i) {
+				if prev != nil && i < len(prev.entries) && e == prev.entries[i] {
 					ru.ReusedEntries++
 				}
 			}
@@ -283,143 +256,59 @@ func (s *Scheme) buildEncoderReuse(ctx context.Context, sp *StructuralProof, pre
 	return enc, nil
 }
 
-// entryReusable reports whether the previous generation's entry for node n
-// can stand in for the one entryFor would build now: every encoded field
-// must be provably equal. The artifact pointers compare equal exactly when
-// the incremental structure build canonicalized them (content-equal across
-// generations), which covers all property-independent payloads; what
-// remains is the node kind, the property-dependent class ids, and the
-// identity of referenced operands/children. Class ids are canonical (content
-// order, see Registry.Canonicalize), so the id comparisons below succeed
-// exactly when the previous generation's encoded ids are still valid now.
-func (enc *encoder) entryReusable(n *lanewidth.Node, pe *NodeEntry, prev *encoder) bool {
-	art, prevArt := enc.sp.art, prev.sp.art
-	clean := func(id int) bool {
-		return id < len(prevArt) && art[id] == prevArt[id]
-	}
-	if !clean(n.ID) || pe.Kind != n.Kind {
-		return false
-	}
-	a := art[n.ID]
-	if pe.ClassID != enc.classID(n.ID) {
-		return false
-	}
-	if a.member {
-		if pe.MergedClassID != enc.mergedID(n.ID) {
-			return false
-		}
-		if len(pe.Children) != len(a.treeChildren) {
-			return false
-		}
-		for i, childID := range a.treeChildren {
-			if pe.Children[i].NodeID != childID || !clean(childID) {
-				return false
-			}
-			if pe.Children[i].MergedClassID != enc.mergedID(childID) {
-				return false
+// assembleEntries assembles an entry for every node but the V-nodes, which
+// ride inside their B-node's entry as operand summaries: the node's shape
+// plus this pass's class ids, in one entry slab and one class slab.
+// Workers fill disjoint rows; an entry of the previous generation with the
+// same shape and class ids stands in for its row.
+func (enc *encoder) assembleEntries(ctx context.Context, prev *encoder, workers int) error {
+	sp := enc.sp
+	rows, classes := make([]NodeEntry, sp.nEntries), make([]int, sp.nClasses)
+	return par.ForErr(workers, len(sp.shapes), func(_, i int) error {
+		if i&255 == 0 {
+			if err := ctx.Err(); err != nil {
+				return err
 			}
 		}
-	}
-	switch n.Kind {
-	case lanewidth.BNode:
-		if pe.LaneI != n.LaneI || pe.LaneJ != n.LaneJ {
-			return false
+		sh := sp.shapes[i]
+		if sh == nil {
+			return nil
 		}
-		for idx, op := range []*lanewidth.Node{n.Left, n.Right} {
-			sum := pe.Left
-			if idx == 1 {
-				sum = pe.Right
-			}
-			if sum == nil || sum.NodeID != op.ID || sum.Kind != op.Kind || !clean(op.ID) {
-				return false
-			}
-			if sum.ClassID != enc.classID(op.ID) {
-				return false
+		at := sp.entryAt[i]
+		e := &rows[at.row]
+		e.Shape = sh
+		e.Classes = enc.appendClasses(classes[at.class:at.class:int(at.class)+sh.classCount()], sh)
+		enc.entries[i] = e
+		if prev != nil && i < len(prev.entries) {
+			if pe := prev.entries[i]; pe != nil && pe.Shape == sh && slices.Equal(pe.Classes, e.Classes) {
+				enc.entries[i] = pe
 			}
 		}
-	case lanewidth.TNode:
-		if pe.RootMember == nil || pe.RootMember.NodeID != a.rootMember || !clean(a.rootMember) {
-			return false
-		}
-		if pe.RootMember.MergedClassID != enc.mergedID(a.rootMember) {
-			return false
-		}
-	}
-	return true
+		return nil
+	})
 }
 
-func (enc *encoder) classID(nodeID int) int  { return enc.classIDs[nodeID] }
-func (enc *encoder) mergedID(nodeID int) int { return enc.mergedIDs[nodeID] }
-
-// childSummary assembles the Lemma 6.5 summary of a folded member: its
-// lanes and ids are shared with the artifact, only the class id is
-// property-specific.
-func (enc *encoder) childSummary(nodeID int) ChildSummary {
-	ca := enc.sp.art[nodeID]
-	return ChildSummary{
-		NodeID:        nodeID,
-		Lanes:         ca.lanes,
-		InIDs:         ca.inIDs,
-		MergedOutIDs:  ca.mergedOutIDs,
-		MergedClassID: enc.mergedID(nodeID),
-	}
-}
-
-// entryFor fills one node's entry: all identifier and payload data aliases
-// the structure's artifact (read-only), the class ids come from this pass.
-// The entry itself comes from the arena (fields assigned individually — the
-// embedded cache holds sync.Onces that must not be copied over).
-func (enc *encoder) entryFor(n *lanewidth.Node, arena *entryArena) *NodeEntry {
-	a := enc.sp.art[n.ID]
-	e := arena.alloc()
-	e.NodeID = n.ID
-	e.Kind = n.Kind
-	e.Lanes = a.lanes
-	e.InIDs = a.inIDs
-	e.OutIDs = a.outIDs
-	e.ClassID = enc.classID(n.ID)
-	e.ParentID = -1
-	if a.member {
-		e.ParentID = a.parentID
-		e.MergedOutIDs = a.mergedOutIDs
-		e.MergedClassID = enc.mergedID(n.ID)
-		if len(a.treeChildren) > 0 {
-			e.Children = make([]ChildSummary, 0, len(a.treeChildren))
-			for _, childID := range a.treeChildren {
-				e.Children = append(e.Children, enc.childSummary(childID))
-			}
+// appendClasses appends the class ids of this pass's entry of shape s, in
+// wire order (see NodeEntry.Classes). Class ids are canonical (content
+// order, see Registry.Canonicalize), so two passes' vectors for one shape
+// are equal exactly when their entries encode the same.
+func (enc *encoder) appendClasses(dst []int, s *Shape) []int {
+	dst = append(dst, enc.classIDs[s.NodeID])
+	if s.member() {
+		dst = append(dst, enc.mergedIDs[s.NodeID])
+		for _, c := range s.Children {
+			dst = append(dst, enc.mergedIDs[c.NodeID])
 		}
 	}
-	switch n.Kind {
-	case lanewidth.ENode, lanewidth.PNode:
-		e.PathIDs = a.pathIDs
-		e.RealBits = a.realBits
-		e.VInputs = a.vInputs
-	case lanewidth.BNode:
-		e.LaneI, e.LaneJ = n.LaneI, n.LaneJ
-		e.BridgeReal = a.bridgeReal
-		mkOperand := func(op *lanewidth.Node) *OperandSummary {
-			oa := enc.sp.art[op.ID]
-			sum := &OperandSummary{
-				NodeID:  op.ID,
-				Kind:    op.Kind,
-				Lanes:   oa.lanes,
-				InIDs:   oa.inIDs,
-				OutIDs:  oa.outIDs,
-				ClassID: enc.classID(op.ID),
-			}
-			if op.Kind == lanewidth.VNode {
-				sum.Input = oa.input
-			}
-			return sum
+	for _, op := range s.operands() {
+		if op != nil {
+			dst = append(dst, enc.classIDs[op.NodeID])
 		}
-		e.Left = mkOperand(n.Left)
-		e.Right = mkOperand(n.Right)
-	case lanewidth.TNode:
-		rm := enc.childSummary(a.rootMember)
-		e.RootMember = &rm
 	}
-	return e
+	if rm := s.RootMember; rm != nil {
+		dst = append(dst, enc.mergedIDs[rm.NodeID])
+	}
+	return dst
 }
 
 // buildCert assembles one completion edge's certificate from the entry

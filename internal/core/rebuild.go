@@ -226,48 +226,51 @@ func (c *defCollector) addCert(ce *CEdgeLabel) {
 }
 
 func (c *defCollector) addEntry(e *NodeEntry) {
-	c.ref(e.ClassID)
+	if e.Shape == nil || e.NodeSummary == nil || len(e.Classes) != e.classCount() {
+		return // an in-memory forgery; the verifier rejects it
+	}
+	c.ref(e.Classes[0])
 	switch e.Kind {
 	case lanewidth.ENode:
 		if len(e.Lanes) == 1 && len(e.RealBits) == 1 && len(e.VInputs) == 2 {
-			c.add(classDef{op: defE, id: e.ClassID, lanes: e.Lanes, real: e.RealBits, inputs: e.VInputs})
+			c.add(classDef{op: defE, id: e.Classes[0], lanes: e.Lanes, real: e.RealBits, inputs: e.VInputs})
 		}
 	case lanewidth.PNode:
 		if len(e.Lanes) > 0 && len(e.RealBits) == len(e.PathIDs)-1 && len(e.VInputs) == len(e.PathIDs) {
-			c.add(classDef{op: defP, id: e.ClassID, lanes: e.Lanes, real: e.RealBits, inputs: e.VInputs})
+			c.add(classDef{op: defP, id: e.Classes[0], lanes: e.Lanes, real: e.RealBits, inputs: e.VInputs})
 		}
 	case lanewidth.BNode:
 		if e.Left != nil && e.Right != nil {
-			for _, op := range []*OperandSummary{e.Left, e.Right} {
-				c.ref(op.ClassID)
+			for k, op := range e.operands() {
+				c.ref(e.Classes[e.opsAt()+k])
 				if op.Kind == lanewidth.VNode && len(op.Lanes) == 1 {
 					c.input[0] = op.Input
-					c.add(classDef{op: defV, id: op.ClassID, lanes: op.Lanes, inputs: c.input[:]})
+					c.add(classDef{op: defV, id: e.Classes[e.opsAt()+k], lanes: op.Lanes, inputs: c.input[:]})
 				}
 			}
 			c.lanes = append(c.lanes[:0], e.LaneI, e.LaneJ)
-			c.deps = append(c.deps[:0], e.Left.ClassID, e.Right.ClassID)
+			c.deps = append(c.deps[:0], e.Classes[e.opsAt()], e.Classes[e.opsAt()+1])
 			c.real[0] = e.BridgeReal
-			c.add(classDef{op: defB, id: e.ClassID, lanes: c.lanes, real: c.real[:], deps: c.deps})
+			c.add(classDef{op: defB, id: e.Classes[0], lanes: c.lanes, real: c.real[:], deps: c.deps})
 		}
 	case lanewidth.TNode:
-		// checkTNode pins ClassID == RootMember.MergedClassID, whose
+		// checkTNode pins the own id to the root member's merged id, whose
 		// definition lives at the root member's own entry; recording the
 		// alias keeps the id resolvable when the two numbers agree.
 		if e.RootMember != nil {
-			c.ref(e.RootMember.MergedClassID)
-			c.deps = append(c.deps[:0], e.RootMember.MergedClassID)
-			c.add(classDef{op: defAlias, id: e.ClassID, deps: c.deps})
+			c.ref(e.Classes[len(e.Classes)-1])
+			c.deps = append(c.deps[:0], e.Classes[len(e.Classes)-1])
+			c.add(classDef{op: defAlias, id: e.Classes[0], deps: c.deps})
 		}
 	}
-	if e.ParentID != -1 {
+	if e.member() {
 		// Lemma 6.5 member fold: merged = fP(children..., own).
-		c.ref(e.MergedClassID)
-		c.deps = append(c.deps[:0], e.ClassID)
+		c.ref(e.Classes[1])
+		c.deps = append(c.deps[:0], e.Classes[0])
 		for i := range e.Children {
-			c.ref(e.Children[i].MergedClassID)
-			c.deps = append(c.deps, e.Children[i].MergedClassID)
+			c.ref(e.Classes[2+i])
+			c.deps = append(c.deps, e.Classes[2+i])
 		}
-		c.add(classDef{op: defFold, id: e.MergedClassID, deps: c.deps})
+		c.add(classDef{op: defFold, id: e.Classes[1], deps: c.deps})
 	}
 }

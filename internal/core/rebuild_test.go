@@ -92,7 +92,7 @@ func TestRebuildRegistryDetectsCorruption(t *testing.T) {
 		{"bump entry class id", func(l *Labeling) bool {
 			for _, el := range l.Edges {
 				if el.Own != nil && len(el.Own.Path) > 0 {
-					el.Own.Path[len(el.Own.Path)-1].ClassID += 2
+					el.Own.Path[len(el.Own.Path)-1].Classes[0] += 2
 					return true
 				}
 			}
@@ -105,7 +105,7 @@ func TestRebuildRegistryDetectsCorruption(t *testing.T) {
 				}
 				for _, e := range el.Own.Path {
 					if e.ParentID != -1 {
-						e.MergedClassID += 3
+						e.Classes[1] += 3 // the merged class
 						return true
 					}
 				}
@@ -161,19 +161,21 @@ func handLabeling(entries ...*NodeEntry) *Labeling {
 // handENode is an E-node entry on lane 0 with the given class id and real
 // bit.
 func handENode(nodeID, classID int, real bool) *NodeEntry {
-	return &NodeEntry{
-		NodeID: nodeID, Kind: lanewidth.ENode, Lanes: []int{0},
-		InIDs: []uint64{1}, OutIDs: []uint64{2}, ClassID: classID, ParentID: -1,
-		PathIDs: []uint64{1, 2}, RealBits: []bool{real}, VInputs: []int{0, 0},
-	}
+	return &NodeEntry{Shape: &Shape{
+		NodeSummary: &NodeSummary{NodeID: nodeID, Kind: lanewidth.ENode, Lanes: []int{0}, InIDs: []uint64{1}, OutIDs: []uint64{2}},
+		ParentID:    -1,
+		PathIDs:     []uint64{1, 2}, RealBits: []bool{real}, VInputs: []int{0, 0},
+	}, Classes: []int{classID}}
 }
 
 // member makes e a member of T-node 99 with the given merged id and one
 // child per given merged id.
 func member(e *NodeEntry, mergedID int, childIDs ...int) *NodeEntry {
-	e.ParentID, e.MergedClassID, e.MergedOutIDs = 99, mergedID, []uint64{2}
+	e.ParentID, e.MergedOutIDs = 99, []uint64{2}
+	e.Classes = append(e.Classes, mergedID)
 	for i, id := range childIDs {
-		e.Children = append(e.Children, ChildSummary{NodeID: 50 + i, Lanes: []int{0}, InIDs: []uint64{2}, MergedOutIDs: []uint64{3}, MergedClassID: id})
+		e.Children = append(e.Children, &NodeSummary{NodeID: 50 + i, Lanes: []int{0}, InIDs: []uint64{2}, MergedOutIDs: []uint64{3}})
+		e.Classes = append(e.Classes, id)
 	}
 	return e
 }

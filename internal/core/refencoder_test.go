@@ -65,7 +65,7 @@ func refWriteTable(w *bits.Writer, rows []*NodeEntry, l *EdgeLabel, idx []int) {
 	var occV, occC, occN []uint64
 	var ends [][3]int
 	for _, e := range rows {
-		occV, occC, occN = e.appendVertexIDs(occV), e.appendClassIDs(occC), e.appendNodeIDs(occN)
+		occV, occC, occN = e.appendVertexIDs(occV), refClassIDs(occC, e), e.appendNodeIDs(occN)
 		ends = append(ends, [3]int{len(occV), len(occC), len(occN)})
 	}
 	rowsEnd := len(occV)
@@ -162,6 +162,30 @@ func refWriteIDDict(w *bits.Writer, ids []uint64) int {
 	return rowWidth(len(ids))
 }
 
+// refClassIDs appends the entry's class ids field by field, in wire order:
+// its own, a member's merged class and its children's, its operands', and
+// its root member's.
+func refClassIDs(dst []uint64, n *NodeEntry) []uint64 {
+	dst = append(dst, uint64(n.Classes[0]))
+	if n.ParentID != -1 {
+		dst = append(dst, uint64(n.Classes[1]))
+		for i := range n.Children {
+			dst = append(dst, uint64(n.Classes[2+i]))
+		}
+	}
+	at := n.opsAt()
+	for _, op := range []*NodeSummary{n.Left, n.Right} {
+		if op != nil {
+			dst = append(dst, uint64(n.Classes[at]))
+			at++
+		}
+	}
+	if n.RootMember != nil {
+		dst = append(dst, uint64(n.Classes[at]))
+	}
+	return dst
+}
+
 // refWriteFixed writes an entry's fields other than its ids.
 func refWriteFixed(w *bits.Writer, n *NodeEntry) {
 	lanes := func(ls []int) {
@@ -189,7 +213,7 @@ func refWriteFixed(w *bits.Writer, n *NodeEntry) {
 	w.WriteUvarint(uint64(n.LaneI))
 	w.WriteUvarint(uint64(n.LaneJ))
 	w.WriteBit(n.BridgeReal)
-	for _, op := range []*OperandSummary{n.Left, n.Right} {
+	for _, op := range []*NodeSummary{n.Left, n.Right} {
 		w.WriteBit(op != nil)
 		if op != nil {
 			w.WriteUint(uint64(op.Kind), 3)

@@ -96,9 +96,16 @@ type StructuralProof struct {
 	// root's designated vertex, per real edge in EdgesSeq order; every
 	// labeling of the structure shares these values.
 	pointing []*cert.PointingLabel
-	// art holds the property-independent slice of each node's label entry,
-	// indexed by node id.
-	art []*nodeArtifact
+	// art holds the property-independent data of each node, and shapes the
+	// shape of each node's entry (nil for V-nodes, which have none), both
+	// indexed by node id. A property pass keeps its entries in one slab of
+	// nEntries rows and their class ids in one slab of nClasses ids;
+	// entryAt places each node's entry in them.
+	art      []*nodeArtifact
+	shapes   []*Shape
+	entryAt  []entrySpan
+	nEntries int
+	nClasses int
 
 	// stages records the build stages' wall clock (SweepMillis stays zero
 	// here; each property pass fills its own copy).
@@ -131,20 +138,20 @@ func (sp *StructuralProof) labelSlots() []layoutSlot {
 // it is measured per property pass and reported in Stats).
 func (sp *StructuralProof) Stages() StageTimings { return sp.stages }
 
-// nodeArtifact is the property-independent part of one hierarchy node's
-// NodeEntry: lane sets, identifiers aligned with them, payload identifiers,
-// real bits and input labels. The slices are shared read-only by every
-// labeling built from the same StructuralProof — per-property passes fill in
-// only the class ids.
+// nodeArtifact is the property-independent data of one hierarchy node:
+// its summary (lane set, identifiers aligned with it and, for a V-node, its
+// input label), its tree membership, and its payload identifiers, real bits
+// and input labels. The node's entry shape (buildShapes) is derived from
+// its artifact and the artifacts of the nodes it summarizes; the slices are
+// shared read-only by every shape and labeling built from the same
+// StructuralProof, and an unchanged artifact carries over to the next
+// generation by pointer.
 type nodeArtifact struct {
-	lanes  []int    // the node's sorted Lanes, shared
-	inIDs  []uint64 // inIDs[i] is the in-terminal id on lanes[i]
-	outIDs []uint64
+	*NodeSummary // apart from the artifact, so shapes pointing at it do not pin the rest
 
 	// Tree-member data (member is false for nodes outside any T-node tree).
 	member       bool
 	parentID     int
-	mergedOutIDs []uint64 // lane-aligned, like inIDs
 	treeChildren []int
 
 	// E-/P-node payloads.
@@ -152,7 +159,6 @@ type nodeArtifact struct {
 	realBits []bool
 	vInputs  []int
 
-	input      int // V-node: the vertex's input label
 	bridgeReal bool
 	rootMember int // T-node: id of the tree's root member
 }
@@ -383,28 +389,123 @@ func (sp *StructuralProof) assemble(prev *StructuralProof, first int, dirty map[
 		oErr, pErr = sp.orientEmbedding(), sp.buildPointing()
 	}
 	aErr := sp.buildArtifactsReuse(prev, first, dirty, workers)
+	if aErr == nil {
+		sp.buildShapes(prev, workers)
+	}
 	wg.Wait()
 	return cmp.Or(aErr, oErr, pErr)
 }
 
-// u64Arena carves small []uint64 views out of slab blocks, replacing the
-// three tiny allocations per hierarchy node (or decoded entry) the
-// lane-aligned id slices would cost. Views escape into long-lived artifacts
-// and labels, so blocks are simply abandoned to their lifetime rather than
-// reclaimed. Block sizes double from 64 to 4096 ids, so an arena that
-// carves only a few views stays small.
-type u64Arena struct {
-	block []uint64
+// entrySpan is where a property pass keeps one node's entry: its row of the
+// pass's entry slab and the start of its class ids in the class slab.
+type entrySpan struct{ row, class int32 }
+
+// buildShapes derives the entry shape of every node but the V-nodes from
+// the artifacts: the node's member and payload fields, and pointers to the
+// summaries of the node, its children, its operands and its root member,
+// which their artifacts point at. A node whose previous shape would come
+// out the same — its artifact carried over, and every summary it points at
+// is still the current artifacts' — keeps that shape by pointer, which is
+// what entry reuse keys on; the rest are built on the pool from one slab.
+func (sp *StructuralProof) buildShapes(prev *StructuralProof, workers int) {
+	nodes := sp.Hierarchy.Nodes
+	sp.shapes = make([]*Shape, len(nodes))
+	sp.entryAt = make([]entrySpan, len(nodes))
+	var fresh, kidsAt []int32
+	kids := 0
+	for i, n := range nodes {
+		if n.Kind == lanewidth.VNode {
+			continue
+		}
+		if ps := sp.prevShape(prev, n); ps != nil {
+			sp.shapes[i] = ps
+		} else {
+			fresh, kidsAt = append(fresh, int32(i)), append(kidsAt, int32(kids))
+			kids += len(sp.art[i].treeChildren)
+		}
+	}
+	slab, kidSlab := make([]Shape, len(fresh)), make([]*NodeSummary, kids)
+	par.For(workers, len(fresh), func(_, k int) {
+		n, s := nodes[fresh[k]], &slab[k]
+		sp.fillShape(s, n, kidSlab[kidsAt[k]:kidsAt[k]:int(kidsAt[k])+len(sp.art[n.ID].treeChildren)])
+		sp.shapes[n.ID] = s
+	})
+	for i, s := range sp.shapes {
+		if s != nil {
+			sp.entryAt[i] = entrySpan{int32(sp.nEntries), int32(sp.nClasses)}
+			sp.nEntries, sp.nClasses = sp.nEntries+1, sp.nClasses+s.classCount()
+		}
+	}
+}
+
+// fillShape fills node n's shape, appending its children's summaries to
+// kids.
+func (sp *StructuralProof) fillShape(s *Shape, n *lanewidth.Node, kids []*NodeSummary) {
+	a := sp.art[n.ID]
+	s.NodeSummary = a.NodeSummary
+	s.ParentID = a.parentID
+	for _, c := range a.treeChildren {
+		kids = append(kids, sp.art[c].NodeSummary)
+	}
+	s.Children = kids
+	s.PathIDs, s.RealBits, s.VInputs = a.pathIDs, a.realBits, a.vInputs
+	switch n.Kind {
+	case lanewidth.BNode:
+		s.LaneI, s.LaneJ, s.BridgeReal = n.LaneI, n.LaneJ, a.bridgeReal
+		s.Left, s.Right = sp.art[n.Left.ID].NodeSummary, sp.art[n.Right.ID].NodeSummary
+	case lanewidth.TNode:
+		s.RootMember = sp.art[a.rootMember].NodeSummary
+	}
+}
+
+// prevShape returns the previous generation's shape of node n when it is
+// exactly the shape fillShape would build now, or nil.
+func (sp *StructuralProof) prevShape(prev *StructuralProof, n *lanewidth.Node) *Shape {
+	if prev == nil || n.ID >= len(prev.shapes) || prev.shapes[n.ID] == nil ||
+		n.ID >= len(prev.art) || sp.art[n.ID] != prev.art[n.ID] {
+		return nil
+	}
+	ps, a := prev.shapes[n.ID], sp.art[n.ID]
+	if len(ps.Children) != len(a.treeChildren) {
+		return nil
+	}
+	for i, c := range a.treeChildren {
+		if ps.Children[i] != sp.art[c].NodeSummary {
+			return nil
+		}
+	}
+	switch n.Kind {
+	case lanewidth.BNode:
+		if ps.LaneI != n.LaneI || ps.LaneJ != n.LaneJ ||
+			ps.Left != sp.art[n.Left.ID].NodeSummary || ps.Right != sp.art[n.Right.ID].NodeSummary {
+			return nil
+		}
+	case lanewidth.TNode:
+		if ps.RootMember != sp.art[a.rootMember].NodeSummary {
+			return nil
+		}
+	}
+	return ps
+}
+
+// arena carves small slice views out of slab blocks, replacing the tiny
+// allocations per hierarchy node or decoded entry that lane-aligned id
+// slices and class vectors would cost. Views escape into long-lived
+// artifacts and labels, so blocks are simply abandoned to their lifetime
+// rather than reclaimed. Block sizes double from 64 to 4096 elements, so an
+// arena that carves only a few views stays small.
+type arena[T any] struct {
+	block []T
 	size  int // size of the last block made
 }
 
-func (a *u64Arena) alloc(n int) []uint64 {
+func (a *arena[T]) alloc(n int) []T {
 	if n == 0 {
 		return nil
 	}
 	if len(a.block) < n {
 		a.size = min(max(2*a.size, 64), 4096)
-		a.block = make([]uint64, max(a.size, n))
+		a.block = make([]T, max(a.size, n))
 	}
 	s := a.block[:n:n]
 	a.block = a.block[n:]
@@ -428,7 +529,7 @@ func (a *u64Arena) alloc(n int) []uint64 {
 //     re-derives just the payload the dirty edge invalidated.
 //   - Any other rebuilt node with a same-id predecessor is content-compared
 //     and canonicalized to the previous pointer on equality, which is what
-//     entryReusable's pointer test keys on.
+//     shape reuse (prevShape) keys on.
 func (sp *StructuralProof) buildArtifactsReuse(prev *StructuralProof, first int, dirty map[graph.Edge]bool, workers int) error {
 	h := sp.Hierarchy
 	var prevArt []*nodeArtifact
@@ -464,8 +565,9 @@ func (sp *StructuralProof) buildArtifactsReuse(prev *StructuralProof, first int,
 	}
 	// Nodes write disjoint sp.art slots from shared read-only inputs (the
 	// previous artifacts and the member tables), so they derive
-	// independently; each worker carves its id sequences from its own arena.
-	arenas := make([]u64Arena, par.Workers(workers))
+	// independently; each worker carves its id sequences and summaries from
+	// its own arenas.
+	arenas := make([]artArenas, par.Workers(workers))
 	return par.ForErr(workers, len(h.Nodes), func(worker, i int) error {
 		return ab.build(h.Nodes[i], &arenas[worker])
 	})
@@ -502,9 +604,15 @@ func (ab *artifactBuilder) ownsDirty(n *lanewidth.Node) bool {
 	return false
 }
 
+// artArenas are one artifact-building worker's arenas.
+type artArenas struct {
+	ids  arena[uint64]
+	sums arena[NodeSummary]
+}
+
 // ids carves the identifiers of lane-aligned terminals from the arena.
-func (ab *artifactBuilder) ids(arena *u64Arena, vs []graph.Vertex) []uint64 {
-	out := arena.alloc(len(vs))
+func (ab *artifactBuilder) ids(ar *artArenas, vs []graph.Vertex) []uint64 {
+	out := ar.ids.alloc(len(vs))
 	for i, v := range vs {
 		out[i] = ab.sp.Cfg.IDs[v]
 	}
@@ -522,7 +630,7 @@ func (ab *artifactBuilder) frozenParent(pa *nodeArtifact) bool {
 }
 
 // build derives (or carries over) one node's artifact into sp.art[n.ID].
-func (ab *artifactBuilder) build(n *lanewidth.Node, arena *u64Arena) error {
+func (ab *artifactBuilder) build(n *lanewidth.Node, ar *artArenas) error {
 	sp, cfg, g := ab.sp, ab.sp.Cfg, ab.sp.Cfg.G
 	var pa *nodeArtifact
 	if n.ID < ab.first && n != sp.Hierarchy.Root {
@@ -543,29 +651,25 @@ func (ab *artifactBuilder) build(n *lanewidth.Node, arena *u64Arena) error {
 		sp.art[n.ID] = pa
 		return nil
 	}
-	a := &nodeArtifact{
-		lanes:      n.Lanes,
-		inIDs:      ab.ids(arena, n.In),
-		outIDs:     ab.ids(arena, n.Out),
-		parentID:   -1,
-		rootMember: -1,
-	}
+	a := &nodeArtifact{NodeSummary: &ar.sums.alloc(1)[0], parentID: -1, rootMember: -1}
+	a.NodeID, a.Kind, a.Lanes = n.ID, n.Kind, n.Lanes
+	a.InIDs, a.OutIDs = ab.ids(ar, n.In), ab.ids(ar, n.Out)
 	if pa != nil && pa.member && pa.parentID < ab.first && pa.parentID != ab.rootID {
 		a.member = true
 		a.parentID = pa.parentID
-		a.mergedOutIDs = pa.mergedOutIDs
+		a.MergedOutIDs = pa.MergedOutIDs
 		a.treeChildren = pa.treeChildren
 	} else if mi := ab.memberInfo[n.ID]; mi != nil {
 		a.member = true
 		a.parentID = n.Parent.ID
-		a.mergedOutIDs = ab.ids(arena, mi.MergedOut)
+		a.MergedOutIDs = ab.ids(ar, mi.MergedOut)
 		for _, child := range mi.TreeChildren {
 			a.treeChildren = append(a.treeChildren, child.ID)
 		}
 	}
 	switch n.Kind {
 	case lanewidth.VNode:
-		a.input = cfg.Input(n.Vertex)
+		a.Input = cfg.Input(n.Vertex)
 	case lanewidth.ENode:
 		a.pathIDs = []uint64{cfg.IDs[n.In[0]], cfg.IDs[n.Out[0]]}
 		a.realBits = []bool{edgeReal(g, n.Edge)}
@@ -604,11 +708,11 @@ func memberFoldEqual(pa *nodeArtifact, mi *lanewidth.MemberInfo, cfg *cert.Confi
 			return false
 		}
 	}
-	if len(pa.mergedOutIDs) != len(mi.MergedOut) {
+	if len(pa.MergedOutIDs) != len(mi.MergedOut) {
 		return false
 	}
 	for i, v := range mi.MergedOut {
-		if pa.mergedOutIDs[i] != cfg.IDs[v] {
+		if pa.MergedOutIDs[i] != cfg.IDs[v] {
 			return false
 		}
 	}

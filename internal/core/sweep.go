@@ -108,7 +108,7 @@ func (enc *encoder) computeClass(n *lanewidth.Node) error {
 	)
 	switch n.Kind {
 	case lanewidth.VNode:
-		cls, err = s.baseV(n.Lanes[0], a.input)
+		cls, err = s.baseV(n.Lanes[0], a.Input)
 	case lanewidth.ENode:
 		cls, err = s.baseE(n.Lanes[0], a.realBits[0], a.vInputs)
 	case lanewidth.PNode:
@@ -152,19 +152,4 @@ func (enc *encoder) computeClass(n *lanewidth.Node) error {
 	}
 	enc.classes[n.ID] = cls
 	return nil
-}
-
-// entryArena hands out NodeEntry slots from slab blocks, replacing one
-// allocation per non-V hierarchy node. Entries escape into the labeling, so
-// blocks are abandoned to its lifetime rather than reclaimed; each sweep
-// worker owns its own arena, so allocation never contends.
-type entryArena struct{ buf []NodeEntry }
-
-func (a *entryArena) alloc() *NodeEntry {
-	if len(a.buf) == 0 {
-		a.buf = make([]NodeEntry, 256)
-	}
-	e := &a.buf[0]
-	a.buf = a.buf[1:]
-	return e
 }

@@ -121,8 +121,9 @@ type vertexScratch struct {
 	// index finds entries by node id once there are more than
 	// linearRows of them; a slot is empty unless its gen is gen, so
 	// starting a vertex's index is one increment.
-	index []entrySlot
-	gen   uint32
+	index   []entrySlot
+	gen     uint32
+	indexed int // views whose entries this scratch indexed
 }
 
 // entry returns the vertex's entry of node id, or nil when none is visible.
@@ -162,6 +163,9 @@ func (sc *vertexScratch) addEntry(e *NodeEntry) {
 	n := len(sc.entries)
 	if n <= linearRows {
 		return
+	}
+	if n == linearRows+1 {
+		sc.indexed++
 	}
 	if n == linearRows+1 || 2*n > len(sc.index) {
 		// Start a fresh generation, in a larger table when this one would
@@ -375,14 +379,17 @@ func (s *Scheme) validChain(path []*NodeEntry) bool {
 	if len(path) < 2 {
 		return false
 	}
-	if path[0].Kind != lanewidth.TNode || path[0].ParentID != -1 {
-		return false
-	}
 	for i, e := range path {
+		if e.Shape == nil || e.NodeSummary == nil || len(e.Classes) != e.classCount() {
+			return false
+		}
 		if !s.validLanes(e.Lanes) || !idsAligned(e.Lanes, e.InIDs, e.OutIDs) || e.NodeID < 0 {
 			return false
 		}
 		if i == 0 {
+			if e.Kind != lanewidth.TNode || e.ParentID != -1 {
+				return false
+			}
 			continue
 		}
 		prev := path[i-1]
@@ -468,7 +475,7 @@ func (s *Scheme) checkEntryStructure(entries []*NodeEntry) bool {
 			if !s.checkMemberFold(e) {
 				return false
 			}
-		} else if len(e.Children) != 0 || e.MergedClassID != 0 || len(e.MergedOutIDs) != 0 {
+		} else if len(e.Children) != 0 || len(e.MergedOutIDs) != 0 {
 			return false
 		}
 	}
@@ -496,7 +503,7 @@ func (s *Scheme) checkENode(e *NodeEntry) bool {
 		return false
 	}
 	cls, err := s.baseE(e.Lanes[0], e.RealBits[0], e.VInputs)
-	return s.classMatches(e.ClassID, cls, err)
+	return s.classMatches(e.Classes[0], cls, err)
 }
 
 func (s *Scheme) checkPNode(e *NodeEntry) bool {
@@ -510,14 +517,14 @@ func (s *Scheme) checkPNode(e *NodeEntry) bool {
 		}
 	}
 	cls, err := s.baseP(e.Lanes, e.RealBits, e.VInputs)
-	return s.classMatches(e.ClassID, cls, err)
+	return s.classMatches(e.Classes[0], cls, err)
 }
 
 func (s *Scheme) checkBNode(e *NodeEntry) bool {
 	if e.Left == nil || e.Right == nil {
 		return false
 	}
-	for _, op := range []*OperandSummary{e.Left, e.Right} {
+	for k, op := range e.operands() {
 		if !s.validLanes(op.Lanes) || !idsAligned(op.Lanes, op.InIDs, op.OutIDs) {
 			return false
 		}
@@ -527,7 +534,7 @@ func (s *Scheme) checkBNode(e *NodeEntry) bool {
 				return false
 			}
 			cls, err := s.baseV(op.Lanes[0], op.Input)
-			if !s.classMatches(op.ClassID, cls, err) {
+			if !s.classMatches(e.Classes[e.opsAt()+k], cls, err) {
 				return false
 			}
 		case lanewidth.TNode:
@@ -549,20 +556,20 @@ func (s *Scheme) checkBNode(e *NodeEntry) bool {
 	}
 	// Terminals inherited from the operands (every operand lane is one of
 	// e.Lanes, checked just above).
-	for _, op := range []*OperandSummary{e.Left, e.Right} {
+	for _, op := range e.operands() {
 		for i, l := range op.Lanes {
-			j := laneIndex(e.Lanes, l)
+			j := slices.Index(e.Lanes, l)
 			if e.InIDs[j] != op.InIDs[i] || e.OutIDs[j] != op.OutIDs[i] {
 				return false
 			}
 		}
 	}
-	if !laneIn(e.LaneI, e.Left.Lanes) || !laneIn(e.LaneJ, e.Right.Lanes) {
+	if !slices.Contains(e.Left.Lanes, e.LaneI) || !slices.Contains(e.Right.Lanes, e.LaneJ) {
 		return false
 	}
 	// fB recomputation (Proposition 6.1).
-	lc := s.Reg.Class(e.Left.ClassID)
-	rc := s.Reg.Class(e.Right.ClassID)
+	lc := s.Reg.Class(e.Classes[e.opsAt()])
+	rc := s.Reg.Class(e.Classes[e.opsAt()+1])
 	if lc == nil || rc == nil {
 		return false
 	}
@@ -571,7 +578,7 @@ func (s *Scheme) checkBNode(e *NodeEntry) bool {
 		bridgeLabel = algebra.EdgeReal
 	}
 	cls, err := s.bridgeMerge(lc, rc, e.LaneI, e.LaneJ, bridgeLabel)
-	return s.classMatches(e.ClassID, cls, err)
+	return s.classMatches(e.Classes[0], cls, err)
 }
 
 func (s *Scheme) checkTNode(e *NodeEntry) bool {
@@ -583,7 +590,7 @@ func (s *Scheme) checkTNode(e *NodeEntry) bool {
 		!slices.Equal(rm.MergedOutIDs, e.OutIDs) {
 		return false
 	}
-	return rm.MergedClassID == e.ClassID
+	return e.Classes[len(e.Classes)-1] == e.Classes[0]
 }
 
 // checkMemberFold verifies the Lemma 6.5 T-node fold at a member entry:
@@ -591,7 +598,7 @@ func (s *Scheme) checkTNode(e *NodeEntry) bool {
 // out-terminals overlay the children's, sibling lanes disjoint, and each
 // child's in-terminals glue onto this member's out-terminals.
 func (s *Scheme) checkMemberFold(e *NodeEntry) bool {
-	acc := s.Reg.Class(e.ClassID)
+	acc := s.Reg.Class(e.Classes[0])
 	if acc == nil || !idsAligned(e.Lanes, e.MergedOutIDs) {
 		return false
 	}
@@ -608,13 +615,13 @@ func (s *Scheme) checkMemberFold(e *NodeEntry) bool {
 			}
 		}
 		for i, l := range c.Lanes {
-			j := laneIndex(e.Lanes, l)
+			j := slices.Index(e.Lanes, l)
 			if c.InIDs[i] != e.OutIDs[j] {
 				return false // gluing violated
 			}
 			mergedOut[j] = c.MergedOutIDs[i]
 		}
-		childCls := s.Reg.Class(c.MergedClassID)
+		childCls := s.Reg.Class(e.Classes[2+ci])
 		if childCls == nil {
 			return false
 		}
@@ -624,7 +631,7 @@ func (s *Scheme) checkMemberFold(e *NodeEntry) bool {
 		}
 		acc = next
 	}
-	if !s.classMatches(e.MergedClassID, acc, nil) {
+	if !s.classMatches(e.Classes[1], acc, nil) {
 		return false
 	}
 	return slices.Equal(e.MergedOutIDs, mergedOut)
@@ -718,7 +725,7 @@ func (s *Scheme) checkRoles(view *VertexView, sc *vertexScratch) bool {
 			}
 			// V-node operand vertex: its only appearance in this node's
 			// subgraph is the bridge edge.
-			for _, op := range []*OperandSummary{e.Left, e.Right} {
+			for _, op := range e.operands() {
 				if op.Kind != lanewidth.VNode || view.ID != op.InIDs[0] {
 					continue
 				}
@@ -730,14 +737,14 @@ func (s *Scheme) checkRoles(view *VertexView, sc *vertexScratch) bool {
 				}
 			}
 			// Operand T entries visible here must match the summaries.
-			for _, op := range []*OperandSummary{e.Left, e.Right} {
+			for k, op := range e.operands() {
 				if op.Kind != lanewidth.TNode {
 					continue
 				}
 				if t := sc.entry(op.NodeID); t != nil {
 					if t.Kind != lanewidth.TNode || !slices.Equal(t.Lanes, op.Lanes) ||
 						!slices.Equal(t.InIDs, op.InIDs) || !slices.Equal(t.OutIDs, op.OutIDs) ||
-						t.ClassID != op.ClassID {
+						t.Classes[0] != e.Classes[e.opsAt()+k] {
 						return false
 					}
 				}
@@ -747,7 +754,7 @@ func (s *Scheme) checkRoles(view *VertexView, sc *vertexScratch) bool {
 		// Child-summary binding (Lemma 6.5): if this vertex is a listed
 		// child's in-terminal, the child's actual entry must be visible and
 		// match.
-		for _, c := range e.Children {
+		for ci, c := range e.Children {
 			if !slices.Contains(c.InIDs, view.ID) {
 				continue
 			}
@@ -757,7 +764,7 @@ func (s *Scheme) checkRoles(view *VertexView, sc *vertexScratch) bool {
 			}
 			if !slices.Equal(child.Lanes, c.Lanes) || !slices.Equal(child.InIDs, c.InIDs) ||
 				!slices.Equal(child.MergedOutIDs, c.MergedOutIDs) ||
-				child.MergedClassID != c.MergedClassID {
+				child.Classes[1] != e.Classes[2+ci] {
 				return false
 			}
 		}
@@ -791,7 +798,7 @@ func (s *Scheme) checkRootAndPointing(view *VertexView, sc *vertexScratch) bool 
 		return false
 	}
 	root := sc.ces[0].payload.Path[0]
-	rootCls := s.Reg.Class(root.ClassID)
+	rootCls := s.Reg.Class(root.Classes[0])
 	if rootCls == nil {
 		return false
 	}
@@ -814,18 +821,9 @@ func (s *Scheme) checkRootAndPointing(view *VertexView, sc *vertexScratch) bool 
 	return cert.VerifyPointingAt(view.ID, x, sc.pls, false)
 }
 
-func laneIn(l int, lanes []int) bool {
-	for _, m := range lanes {
-		if l == m {
-			return true
-		}
-	}
-	return false
-}
-
 func laneSubset(sub, super []int) bool {
 	for _, l := range sub {
-		if !laneIn(l, super) {
+		if !slices.Contains(super, l) {
 			return false
 		}
 	}

@@ -12,18 +12,23 @@ import (
 	"repro/internal/lanewidth"
 )
 
-// starLabeling proves bipartiteness of the star K_{1,leaves} and returns a
-// scheme whose registry is rebuilt from the decoded labeling, as a
-// verifier holding only the certificate has it.
-func starLabeling(tb testing.TB, leaves int) (*Scheme, *cert.Config, *Labeling) {
-	tb.Helper()
+// star returns K_{1,leaves} with hub 0.
+func star(tb testing.TB, leaves int) *graph.Graph {
 	g := graph.New(leaves + 1)
 	for v := 1; v <= leaves; v++ {
 		if err := g.AddEdge(0, v); err != nil {
 			tb.Fatal(err)
 		}
 	}
-	cfg := cert.NewConfig(g)
+	return g
+}
+
+// starLabeling proves bipartiteness of the star K_{1,leaves} and returns a
+// scheme whose registry is rebuilt from the decoded labeling, as a
+// verifier holding only the certificate has it.
+func starLabeling(tb testing.TB, leaves int) (*Scheme, *cert.Config, *Labeling) {
+	tb.Helper()
+	cfg := cert.NewConfig(star(tb, leaves))
 	labeling, _, err := prove(NewScheme(algebra.Colorable{Q: 2}, 4), cfg, nil)
 	if err != nil {
 		tb.Fatal(err)
@@ -35,6 +40,83 @@ func starLabeling(tb testing.TB, leaves int) (*Scheme, *cert.Config, *Labeling) 
 		tb.Fatal(err)
 	}
 	return s, cfg, decoded
+}
+
+// TestForgedHubViews forges the hub's view of K_{1,40} and K_{1,120},
+// whose more than linearRows entries the verifier finds through its entry
+// index, and requires the hub to reject each forgery on a view it indexed:
+// a class id flipped on one copy of the root entry, one lane id of that
+// copy's shape changed (both on the hub's last label, read after the index
+// is built), and, against maxdeg:d, a certificate moved onto K_{1,d+1}:
+// K_{1,d} with a pendant vertex on one leaf is proved, and the pendant
+// edge's label is moved onto an edge from the hub. Each forgery is
+// verified in memory and after a wire round trip.
+func TestForgedHubViews(t *testing.T) {
+	type forgery struct {
+		s   *Scheme
+		cfg *cert.Config
+		l   *Labeling
+	}
+	for _, d := range []int{40, 120} {
+		s, cfg, honest := starLabeling(t, d)
+		hub := cfg.G.Neighbors(0)
+		last := graph.NewEdge(0, hub[len(hub)-1])
+		forge := func(mutate func(*NodeEntry)) *Labeling {
+			forged := &Labeling{Edges: maps.Clone(honest.Edges)}
+			l := honest.Edges[last].Clone()
+			mutate(l.Own.Path[0])
+			forged.Edges[last] = l
+			return forged
+		}
+		cases := map[string]forgery{
+			"class id": {s, cfg, forge(func(e *NodeEntry) { e.Classes[0] ^= 1 })},
+			"lane id":  {s, cfg, forge(func(e *NodeEntry) { e.Lanes[len(e.Lanes)-1] = s.MaxLanes - 1 })},
+		}
+		// K_{1,d} with a pendant vertex x = d+1 on leaf d has maximum
+		// degree d; moving the label of edge {d, x}, less its embedding
+		// entries, onto {0, x} gives K_{1,d+1}.
+		pendant := star(t, d+1)
+		if err := pendant.RemoveEdge(0, d+1); err != nil {
+			t.Fatal(err)
+		}
+		if err := pendant.AddEdge(d, d+1); err != nil {
+			t.Fatal(err)
+		}
+		mcfg := cert.NewConfig(pendant)
+		ml, _, err := prove(NewScheme(algebra.MaxDegreeAtMost{D: d}, 4), mcfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		moved := &Labeling{Edges: maps.Clone(ml.Edges)}
+		delete(moved.Edges, graph.NewEdge(d, d+1))
+		l := ml.Edges[graph.NewEdge(d, d+1)].Clone()
+		l.Emb = nil // the hub's embedding check would reject them before any entry is read
+		moved.Edges[graph.NewEdge(0, d+1)] = l
+		ms := NewScheme(algebra.MaxDegreeAtMost{D: d}, 4)
+		if err := ms.RebuildRegistry(moved); err != nil {
+			t.Fatal(err)
+		}
+		cases["extra leaf"] = forgery{ms, &cert.Config{G: star(t, d+1), IDs: mcfg.IDs, VInput: mcfg.VInput}, moved}
+
+		if sc := (&vertexScratch{}); !s.verifyVertex(cfg, honest, 0, sc) || sc.indexed != 1 {
+			t.Fatalf("K_{1,%d}: the honest hub rejects, or its view was not indexed", d)
+		}
+		for name, c := range cases {
+			wire, ok := wireRoundTrip(c.l)
+			if !ok {
+				t.Fatalf("K_{1,%d} %s: the forgery does not survive the wire", d, name)
+			}
+			for _, l := range []*Labeling{c.l, wire} {
+				sc := &vertexScratch{}
+				if c.s.verifyVertex(c.cfg, l, 0, sc) {
+					t.Fatalf("K_{1,%d}: the hub accepts a forged %s", d, name)
+				}
+				if sc.indexed != 1 {
+					t.Fatalf("K_{1,%d} %s: the hub's view was not indexed", d, name)
+				}
+			}
+		}
+	}
 }
 
 // verifyStar verifies a star labeling on one worker and returns the time

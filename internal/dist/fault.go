@@ -147,7 +147,7 @@ func injectFlipClass(rng *rand.Rand, el *core.EdgeLabel) bool {
 	if !FlipClass.hosts(el) {
 		return false
 	}
-	el.Own.Path[rng.Intn(len(el.Own.Path))].ClassID += 1 + rng.Intn(3)
+	el.Own.Path[rng.Intn(len(el.Own.Path))].Classes[0] += 1 + rng.Intn(3)
 	return true
 }
 

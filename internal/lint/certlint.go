@@ -9,7 +9,7 @@
 //     package (byte-identity across worker counts dies exactly this way).
 //   - oncecopy: by-value copies or whole-struct literal overwrites of
 //     structs carrying memoized sync.Once encoding caches (the NodeEntry
-//     arena re-initialization bug class PR 8 had to dodge by hand).
+//     slab re-initialization bug class PR 8 had to dodge by hand).
 //   - ctxpoll: loops in exported context-taking functions that never poll
 //     ctx and never call into a polling helper (cancellation added in
 //     PR 4 must stay prompt as code grows).

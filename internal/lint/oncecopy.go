@@ -14,11 +14,12 @@ import (
 //
 // go vet's copylocks already rejects most copies of lock-carrying values,
 // but it deliberately permits composite literals — and a composite literal
-// is exactly the NodeEntry arena bug class PR 8 had to dodge by hand:
-// `*slot = NodeEntry{…}` stamps a zero sync.Once over a slot whose old
-// memoized encoding may still be observed through pointers handed to
-// concurrent verifiers. Arena re-initialization must be field-by-field,
-// leaving the cache words alone, or allocate fresh storage via &T{…}.
+// is exactly the slab bug class PR 8 had to dodge by hand: `*slot =
+// NodeEntry{…}` stamps a zero sync.Once over a slot whose old memoized
+// encoding may still be observed through pointers handed to concurrent
+// verifiers. A property pass's entry slab must be filled field-by-field
+// (a shape pointer and class ids), leaving the cache words alone, or
+// fresh storage allocated via &T{…}.
 //
 // Flagged shapes:
 //   - T{…} composite literal of a Once-carrying struct anywhere except
