@@ -44,14 +44,19 @@ func TestCloneIsFaithfulAndIndependent(t *testing.T) {
 			for i := range en.VInputs {
 				en.VInputs[i] += 3
 			}
-			for ci := range en.Children {
+			for ci, c := range en.Children {
 				en.Classes[2+ci] += 5 // child ci's merged class
+				mutateSummary(c)
 			}
 			if en.Left != nil {
 				en.Classes[en.opsAt()] += 9 // the left operand's class
 			}
-			if en.RootMember != nil {
-				en.RootMember.NodeID += 2
+			// Summaries are shared between shapes on the prover side, so
+			// writes through the clone's must reach none of them.
+			for _, sum := range []*NodeSummary{en.Left, en.Right, en.RootMember} {
+				if sum != nil {
+					mutateSummary(sum)
+				}
 			}
 		}
 		for i := range el.Emb {
@@ -64,5 +69,15 @@ func TestCloneIsFaithfulAndIndependent(t *testing.T) {
 	// The original must still verify (untouched by clone mutations).
 	if !AllAccept(verify(t, s, cfg, labeling)) {
 		t.Fatal("mutating the clone corrupted the original labeling")
+	}
+}
+
+// mutateSummary shifts the summary's node id and every one of its ids.
+func mutateSummary(s *NodeSummary) {
+	s.NodeID += 2
+	for _, ids := range [][]uint64{s.InIDs, s.OutIDs, s.MergedOutIDs} {
+		for l := range ids {
+			ids[l] += 7
+		}
 	}
 }

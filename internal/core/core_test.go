@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"maps"
 	"math"
 	"math/rand"
 	"slices"
@@ -345,11 +346,43 @@ func TestVerifyAtNeverPanicsOnGarbage(t *testing.T) {
 			Own: &CEdgeLabel{Path: []*NodeEntry{{Shape: &Shape{NodeSummary: &NodeSummary{Kind: 99, Lanes: []int{0}}}}}},
 			Emb: []EmbEntry{{UID: 1, VID: 1, Fwd: 0, Bwd: 0}},
 		}}},
+		// Two copies of one virtual edge's certificate, one with a nil
+		// shape: they are compared before any chain is checked.
+		{ID: 1, Labels: []*EdgeLabel{{
+			Own: &CEdgeLabel{Path: []*NodeEntry{{}}},
+			Emb: []EmbEntry{
+				{UID: 2, VID: 3, Fwd: 1, Bwd: 2, Payload: &CEdgeLabel{Path: []*NodeEntry{{}}}},
+				{UID: 2, VID: 3, Fwd: 2, Bwd: 1, Payload: &CEdgeLabel{Path: []*NodeEntry{{Shape: &Shape{NodeSummary: &NodeSummary{}}}}}},
+			},
+		}}},
 	}
 	for i, view := range views {
 		if s.VerifyAt(view) {
 			t.Fatalf("garbage view %d accepted", i)
 		}
+	}
+
+	// A nil child summary in one member entry of an honest labeling.
+	cs := NewScheme(algebra.Colorable{Q: 3}, 6)
+	cfg := cert.NewConfig(graph.CycleGraph(9))
+	labeling, _, err := prove(cs, cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	forged := &Labeling{Edges: maps.Clone(labeling.Edges)}
+	for e, el := range labeling.Edges {
+		c := el.Clone()
+		if i := slices.IndexFunc(c.Own.Path, func(n *NodeEntry) bool { return len(n.Children) > 0 }); i >= 0 {
+			c.Own.Path[i].Children[0] = nil
+			forged.Edges[e] = c
+			break
+		}
+	}
+	if maps.EqualFunc(forged.Edges, labeling.Edges, func(a, b *EdgeLabel) bool { return a == b }) {
+		t.Fatal("no member entry with children to forge")
+	}
+	if AllAccept(verify(t, cs, cfg, forged)) {
+		t.Fatal("a nil child summary was accepted")
 	}
 }
 

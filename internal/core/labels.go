@@ -179,10 +179,17 @@ func sameCert(a, b *CEdgeLabel) bool {
 // sameEntry reports whether two node entries have the same canonical
 // encoding. Pointers, shapes and node ids are compared first, so shared
 // entries, entries of one shape and entries of different nodes never have
-// their keys compared.
+// their keys compared. Distinct entries must both be well-formed.
 func sameEntry(a, b *NodeEntry) bool {
-	return a == b || a.Shape == b.Shape && slices.Equal(a.Classes, b.Classes) ||
-		a.NodeID == b.NodeID && a.Key() == b.Key()
+	return a == b || a.wellFormed() && b.wellFormed() &&
+		(a.Shape == b.Shape && slices.Equal(a.Classes, b.Classes) || a.NodeID == b.NodeID && a.Key() == b.Key())
+}
+
+// wellFormed reports whether every field of an entry (an in-memory
+// forgery, perhaps) can be read: summaries set, class ids as many as due.
+func (e *NodeEntry) wellFormed() bool {
+	return e != nil && e.Shape != nil && e.NodeSummary != nil &&
+		!slices.Contains(e.Children, nil) && len(e.Classes) == e.classCount()
 }
 
 // EmbEntry simulates a virtual completion edge on one real edge of its

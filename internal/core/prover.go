@@ -258,32 +258,39 @@ func (s *Scheme) buildEncoderReuse(ctx context.Context, sp *StructuralProof, pre
 
 // assembleEntries assembles an entry for every node but the V-nodes, which
 // ride inside their B-node's entry as operand summaries: the node's shape
-// plus this pass's class ids, in one entry slab and one class slab.
-// Workers fill disjoint rows; an entry of the previous generation with the
-// same shape and class ids stands in for its row.
+// plus this pass's class ids, gathered in worker scratch. An incremental
+// pass keeps the previous generation's entry when its shape is the same
+// pointer and its class ids are equal; only the other entries are carved
+// from the worker's arenas.
 func (enc *encoder) assembleEntries(ctx context.Context, prev *encoder, workers int) error {
-	sp := enc.sp
-	rows, classes := make([]NodeEntry, sp.nEntries), make([]int, sp.nClasses)
-	return par.ForErr(workers, len(sp.shapes), func(_, i int) error {
+	shapes := enc.sp.shapes
+	carvers := make([]struct {
+		rows    arena[NodeEntry]
+		classes arena[int]
+		scratch []int // class ids
+	}, par.Workers(workers))
+	return par.ForErr(workers, len(shapes), func(w, i int) error {
 		if i&255 == 0 {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
 		}
-		sh := sp.shapes[i]
+		sh := shapes[i]
 		if sh == nil {
 			return nil
 		}
-		at := sp.entryAt[i]
-		e := &rows[at.row]
-		e.Shape = sh
-		e.Classes = enc.appendClasses(classes[at.class:at.class:int(at.class)+sh.classCount()], sh)
-		enc.entries[i] = e
+		c := &carvers[w]
+		c.scratch = enc.appendClasses(c.scratch[:0], sh)
 		if prev != nil && i < len(prev.entries) {
-			if pe := prev.entries[i]; pe != nil && pe.Shape == sh && slices.Equal(pe.Classes, e.Classes) {
+			if pe := prev.entries[i]; pe != nil && pe.Shape == sh && slices.Equal(pe.Classes, c.scratch) {
 				enc.entries[i] = pe
+				return nil
 			}
 		}
+		e := &c.rows.alloc(1)[0]
+		e.Shape, e.Classes = sh, c.classes.alloc(len(c.scratch))
+		copy(e.Classes, c.scratch)
+		enc.entries[i] = e
 		return nil
 	})
 }

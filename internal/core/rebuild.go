@@ -219,14 +219,12 @@ func (c *defCollector) addCert(ce *CEdgeLabel) {
 	}
 	c.seenCert[ce] = true
 	for _, e := range ce.Path {
-		if e != nil {
-			c.addEntry(e)
-		}
+		c.addEntry(e)
 	}
 }
 
 func (c *defCollector) addEntry(e *NodeEntry) {
-	if e.Shape == nil || e.NodeSummary == nil || len(e.Classes) != e.classCount() {
+	if !e.wellFormed() {
 		return // an in-memory forgery; the verifier rejects it
 	}
 	c.ref(e.Classes[0])

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"repro/internal/cert"
 	"repro/internal/graph"
@@ -98,14 +99,9 @@ type StructuralProof struct {
 	pointing []*cert.PointingLabel
 	// art holds the property-independent data of each node, and shapes the
 	// shape of each node's entry (nil for V-nodes, which have none), both
-	// indexed by node id. A property pass keeps its entries in one slab of
-	// nEntries rows and their class ids in one slab of nClasses ids;
-	// entryAt places each node's entry in them.
-	art      []*nodeArtifact
-	shapes   []*Shape
-	entryAt  []entrySpan
-	nEntries int
-	nClasses int
+	// indexed by node id.
+	art    []*nodeArtifact
+	shapes []*Shape
 
 	// stages records the build stages' wall clock (SweepMillis stays zero
 	// here; each property pass fills its own copy).
@@ -396,46 +392,31 @@ func (sp *StructuralProof) assemble(prev *StructuralProof, first int, dirty map[
 	return cmp.Or(aErr, oErr, pErr)
 }
 
-// entrySpan is where a property pass keeps one node's entry: its row of the
-// pass's entry slab and the start of its class ids in the class slab.
-type entrySpan struct{ row, class int32 }
-
 // buildShapes derives the entry shape of every node but the V-nodes from
 // the artifacts: the node's member and payload fields, and pointers to the
 // summaries of the node, its children, its operands and its root member,
 // which their artifacts point at. A node whose previous shape would come
 // out the same — its artifact carried over, and every summary it points at
 // is still the current artifacts' — keeps that shape by pointer, which is
-// what entry reuse keys on; the rest are built on the pool from one slab.
+// what entry reuse keys on; the rest are carved from per-worker arenas.
 func (sp *StructuralProof) buildShapes(prev *StructuralProof, workers int) {
 	nodes := sp.Hierarchy.Nodes
 	sp.shapes = make([]*Shape, len(nodes))
-	sp.entryAt = make([]entrySpan, len(nodes))
-	var fresh, kidsAt []int32
-	kids := 0
-	for i, n := range nodes {
+	arenas := make([]struct {
+		shapes arena[Shape]
+		kids   arena[*NodeSummary]
+	}, par.Workers(workers))
+	par.For(workers, len(nodes), func(w, i int) {
+		n := nodes[i]
 		if n.Kind == lanewidth.VNode {
-			continue
+			return
 		}
-		if ps := sp.prevShape(prev, n); ps != nil {
-			sp.shapes[i] = ps
-		} else {
-			fresh, kidsAt = append(fresh, int32(i)), append(kidsAt, int32(kids))
-			kids += len(sp.art[i].treeChildren)
+		if sp.shapes[i] = sp.prevShape(prev, n); sp.shapes[i] == nil {
+			ar := &arenas[w]
+			sp.shapes[i] = &ar.shapes.alloc(1)[0]
+			sp.fillShape(sp.shapes[i], n, ar.kids.alloc(len(sp.art[i].treeChildren))[:0])
 		}
-	}
-	slab, kidSlab := make([]Shape, len(fresh)), make([]*NodeSummary, kids)
-	par.For(workers, len(fresh), func(_, k int) {
-		n, s := nodes[fresh[k]], &slab[k]
-		sp.fillShape(s, n, kidSlab[kidsAt[k]:kidsAt[k]:int(kidsAt[k])+len(sp.art[n.ID].treeChildren)])
-		sp.shapes[n.ID] = s
 	})
-	for i, s := range sp.shapes {
-		if s != nil {
-			sp.entryAt[i] = entrySpan{int32(sp.nEntries), int32(sp.nClasses)}
-			sp.nEntries, sp.nClasses = sp.nEntries+1, sp.nClasses+s.classCount()
-		}
-	}
 }
 
 // fillShape fills node n's shape, appending its children's summaries to
@@ -489,11 +470,11 @@ func (sp *StructuralProof) prevShape(prev *StructuralProof, n *lanewidth.Node) *
 }
 
 // arena carves small slice views out of slab blocks, replacing the tiny
-// allocations per hierarchy node or decoded entry that lane-aligned id
-// slices and class vectors would cost. Views escape into long-lived
-// artifacts and labels, so blocks are simply abandoned to their lifetime
-// rather than reclaimed. Block sizes double from 64 to 4096 elements, so an
-// arena that carves only a few views stays small.
+// allocations per node, shape, entry or decoded entry that id slices, class
+// vectors, summaries and rows would cost. Views escape into long-lived
+// artifacts and labels, so blocks are abandoned to their lifetime. Blocks
+// double from 64 elements up to 32 KB (4096 ids), so a small arena stays
+// small and a view outliving the rest of its block pins at most that much.
 type arena[T any] struct {
 	block []T
 	size  int // size of the last block made
@@ -504,7 +485,8 @@ func (a *arena[T]) alloc(n int) []T {
 		return nil
 	}
 	if len(a.block) < n {
-		a.size = min(max(2*a.size, 64), 4096)
+		var zero T
+		a.size = min(max(2*a.size, 64), max(64, 32<<10/int(unsafe.Sizeof(zero))))
 		a.block = make([]T, max(a.size, n))
 	}
 	s := a.block[:n:n]
@@ -604,10 +586,11 @@ func (ab *artifactBuilder) ownsDirty(n *lanewidth.Node) bool {
 	return false
 }
 
-// artArenas are one artifact-building worker's arenas.
+// artArenas are one artifact-building worker's arenas and scratch summary.
 type artArenas struct {
-	ids  arena[uint64]
-	sums arena[NodeSummary]
+	ids     arena[uint64]
+	sums    arena[NodeSummary]
+	scratch NodeSummary
 }
 
 // ids carves the identifiers of lane-aligned terminals from the arena.
@@ -651,7 +634,8 @@ func (ab *artifactBuilder) build(n *lanewidth.Node, ar *artArenas) error {
 		sp.art[n.ID] = pa
 		return nil
 	}
-	a := &nodeArtifact{NodeSummary: &ar.sums.alloc(1)[0], parentID: -1, rootMember: -1}
+	ar.scratch = NodeSummary{} // carved below once the artifact is known to be new
+	a := &nodeArtifact{NodeSummary: &ar.scratch, parentID: -1, rootMember: -1}
 	a.NodeID, a.Kind, a.Lanes = n.ID, n.Kind, n.Lanes
 	a.InIDs, a.OutIDs = ab.ids(ar, n.In), ab.ids(ar, n.Out)
 	if pa != nil && pa.member && pa.parentID < ab.first && pa.parentID != ab.rootID {
@@ -689,6 +673,10 @@ func (ab *artifactBuilder) build(n *lanewidth.Node, ar *artArenas) error {
 	}
 	if n.ID < len(ab.prevArt) && artifactEqual(a, ab.prevArt[n.ID]) {
 		a = ab.prevArt[n.ID]
+	} else {
+		sum := &ar.sums.alloc(1)[0]
+		*sum = *a.NodeSummary
+		a.NodeSummary = sum
 	}
 	sp.art[n.ID] = a
 	return nil

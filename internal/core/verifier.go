@@ -380,7 +380,7 @@ func (s *Scheme) validChain(path []*NodeEntry) bool {
 		return false
 	}
 	for i, e := range path {
-		if e.Shape == nil || e.NodeSummary == nil || len(e.Classes) != e.classCount() {
+		if !e.wellFormed() {
 			return false
 		}
 		if !s.validLanes(e.Lanes) || !idsAligned(e.Lanes, e.InIDs, e.OutIDs) || e.NodeID < 0 {

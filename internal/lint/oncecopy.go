@@ -17,9 +17,9 @@ import (
 // is exactly the slab bug class PR 8 had to dodge by hand: `*slot =
 // NodeEntry{…}` stamps a zero sync.Once over a slot whose old memoized
 // encoding may still be observed through pointers handed to concurrent
-// verifiers. A property pass's entry slab must be filled field-by-field
-// (a shape pointer and class ids), leaving the cache words alone, or
-// fresh storage allocated via &T{…}.
+// verifiers. An entry carved from a property pass's arena must be filled
+// field-by-field (a shape pointer and class ids), leaving the cache words
+// alone, or fresh storage allocated via &T{…}.
 //
 // Flagged shapes:
 //   - T{…} composite literal of a Once-carrying struct anywhere except
