@@ -12,6 +12,9 @@ import (
 	"encoding/hex"
 	"sort"
 	"testing"
+
+	"repro/internal/mso"
+	"repro/internal/msoc"
 )
 
 // goldenParallelism lists the levels every digest is checked at: 1 runs every
@@ -22,16 +25,18 @@ var goldenParallelism = []int{1, 2, 0}
 // Only a deliberate wire-format change may re-capture it; any other change
 // that moves a digest has changed what the prover emits.
 var goldenDigests = map[string]string{
-	"family/caterpillar": "b6d64925c7bd3c6dfe54eaa7ca4112ef4de06b8f651b880cb4f057df02b0a9fc",
-	"family/cycle":       "222d059308343c817afbaf25b53806dd3092ebcbb1a126beee878e7e3ccd457a",
-	"family/interval":    "1c1de51f05a2d79fd832d60aaebef0b79a01681bd5d0762aa683445c68755d5c",
-	"family/ladder":      "1ceee4b652bd3232cc6f17a0bf05ab9d0b04055bd0982ae1f4552082e588819a",
-	"family/lobster":     "b1def892cceae5ee9330c086f44f1f6ffa32fbe679ee8e84f9beafb6ea7bd2ee",
-	"family/path":        "4f7811ffeeff449e8641340364d8516742615673b61d5c7b2a40c4c40cc660ec",
-	"family/spider":      "660410f29978e4a76c2bd07a8eb2111f29c4086800e72da49fdf207aba0dc10d",
-	"pair/ladder":        "4332f5ac0e82ffbc810cd1ca4650953e44d523e79629feaa7fd96e55ee9c6ad5",
-	"updater/ladder10":   "4f4cdc75958c1acc63788562ab5faecadf88123a0c6cb5bb17d0e883e8eae728",
-	"updater/ladder200":  "b94dfac6ba53ccea0ba39f8c7365d9ce387b6fc4ed01dec4aafa73dd813a61f7",
+	"family/caterpillar":       "b6d64925c7bd3c6dfe54eaa7ca4112ef4de06b8f651b880cb4f057df02b0a9fc",
+	"family/cycle":             "222d059308343c817afbaf25b53806dd3092ebcbb1a126beee878e7e3ccd457a",
+	"family/interval":          "1c1de51f05a2d79fd832d60aaebef0b79a01681bd5d0762aa683445c68755d5c",
+	"family/ladder":            "1ceee4b652bd3232cc6f17a0bf05ab9d0b04055bd0982ae1f4552082e588819a",
+	"family/lobster":           "b1def892cceae5ee9330c086f44f1f6ffa32fbe679ee8e84f9beafb6ea7bd2ee",
+	"family/path":              "4f7811ffeeff449e8641340364d8516742615673b61d5c7b2a40c4c40cc660ec",
+	"family/spider":            "660410f29978e4a76c2bd07a8eb2111f29c4086800e72da49fdf207aba0dc10d",
+	"pair/ladder":              "4332f5ac0e82ffbc810cd1ca4650953e44d523e79629feaa7fd96e55ee9c6ad5",
+	"formula/3color-path":      "3cac0a88709781f094b3e55e36f459c4732d7c28a2c147688b7e7ebb4deb09bb",
+	"formula/bipartite-ladder": "3478810fa4b7f743b9f114ace76c606b6137e7cab9e0da35e4846e0acf7ad9c3",
+	"updater/ladder10":         "4f4cdc75958c1acc63788562ab5faecadf88123a0c6cb5bb17d0e883e8eae728",
+	"updater/ladder200":        "b94dfac6ba53ccea0ba39f8c7365d9ce387b6fc4ed01dec4aafa73dd813a61f7",
 }
 
 func certDigest(t *testing.T, crt *Certificate) string {
@@ -82,6 +87,10 @@ func TestGoldenCertificateDigests(t *testing.T) {
 	}
 	cases := map[string]proveCase{
 		"pair/ladder": {Ladder(7), []string{"bipartite", "maxdeg:3"}},
+		// Compiled formulas: class ids come from msoc's characteristic-tree
+		// digests, so these rows pin the compiler's output as well.
+		"formula/bipartite-ladder": {Ladder(12), []string{msoc.Prefix + mso.BipartiteFormula().String()}},
+		"formula/3color-path":      {Path(48), []string{msoc.Prefix + mso.ThreeColorableFormula().String()}},
 	}
 	for name, fc := range families() {
 		cases["family/"+name] = proveCase{fc.g, []string{fc.prop}}
