@@ -347,3 +347,44 @@ func retainedMBPerCert(b *testing.B, prove func() any) float64 {
 	runtime.KeepAlive(certs)
 	return (float64(ms.HeapAlloc) - float64(base)) / held / 1e6
 }
+
+// BenchmarkProveCompiledCold measures a cold prove of a compiled formula:
+// every op compiles the formula afresh, so msoc's interner and compose
+// memo start empty and the op pays for every characteristic-tree join.
+// The structure is built once, outside the timer.
+func BenchmarkProveCompiledCold(b *testing.B) {
+	ctx := context.Background()
+	for _, bc := range []struct {
+		name    string
+		formula func() mso.Formula
+		g       *certify.Graph
+	}{
+		{"bipartite-ladder2048", mso.BipartiteFormula, certify.Ladder(2048)},
+		{"3color-path4096", mso.ThreeColorableFormula, certify.Path(4096)},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			src := bc.formula().String()
+			c, err := certify.New(certify.WithFormula(src))
+			if err != nil {
+				b.Fatal(err)
+			}
+			st, err := c.BuildStructure(ctx, bc.g)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				c, err := certify.New(certify.WithFormula(src))
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				if _, bst, err := c.ProveBatchOn(ctx, st); err != nil || len(bst.Failed) > 0 {
+					b.Fatalf("prove: %v %v", err, bst)
+				}
+			}
+		})
+	}
+}

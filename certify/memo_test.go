@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/mso"
+	"repro/internal/msoc"
 )
 
 // memoProps resolves the memo tests' property set: a plain and a
@@ -211,6 +212,53 @@ func TestWarmCertifierComputesNothingTwice(t *testing.T) {
 	for _, p := range cold {
 		if p.algebraMemo().Len() == 0 {
 			t.Fatalf("%s: verify did not evaluate through the verifier's configured property", p.Name())
+		}
+	}
+}
+
+// TestSecondBatchComposesNothing pins msoc's side of a warm prove: once a
+// batch has proved a structure, a second ProveBatchOn of the same compiled
+// properties on it runs no compose walk and interns no node.
+func TestSecondBatchComposesNothing(t *testing.T) {
+	ctx := context.Background()
+	var props []Property
+	var compiled []*msoc.Prop
+	for _, f := range []mso.Formula{mso.BipartiteFormula(), mso.ThreeColorableFormula()} {
+		p, err := FormulaProperty(f.String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		props = append(props, p)
+		compiled = append(compiled, p.p.(*msoc.Prop))
+	}
+	c, err := New(WithProperties(props...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := c.BuildStructure(ctx, Caterpillar(10, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats := func() []msoc.Stats {
+		out := make([]msoc.Stats, len(compiled))
+		for i, p := range compiled {
+			out[i] = p.Stats()
+		}
+		return out
+	}
+	for pass := 1; pass <= 2; pass++ {
+		before := stats()
+		if _, bst, err := c.ProveBatchOn(ctx, st); err != nil || len(bst.Failed) > 0 {
+			t.Fatalf("pass %d: %v %v", pass, err, bst)
+		}
+		after := stats()
+		for i, p := range props {
+			switch {
+			case pass == 1 && after[i].Composes == before[i].Composes:
+				t.Fatalf("%s: the first batch composed nothing (%+v)", p.Name(), after[i])
+			case pass == 2 && after[i] != before[i]:
+				t.Fatalf("%s: the second batch moved the counters %+v → %+v", p.Name(), before[i], after[i])
+			}
 		}
 	}
 }

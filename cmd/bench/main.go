@@ -20,7 +20,8 @@
 //
 // E13 compiles the five reference MSO₂ formulas with internal/msoc and
 // compares compile time, registry class counts, and prove overhead against
-// the hand-written catalog algebras:
+// the hand-written catalog algebras, on paths or cycles of the given size
+// plus compiled 3-colourability on a four-rung ladder:
 //
 //	bench -exp e13 -json                         # → BENCH_E13.json
 package main

@@ -124,6 +124,7 @@ type vertexScratch struct {
 	index   []entrySlot
 	gen     uint32
 	indexed int // views whose entries this scratch indexed
+	probes  int // entry rows and claims examined finding entries and parent claims
 }
 
 // entry returns the vertex's entry of node id, or nil when none is visible.
@@ -138,6 +139,7 @@ func (sc *vertexScratch) entry(id int) *NodeEntry {
 func (sc *vertexScratch) row(id int) int {
 	if len(sc.entries) <= linearRows {
 		for r, e := range sc.entries {
+			sc.probes++
 			if e.NodeID == id {
 				return r
 			}
@@ -146,6 +148,7 @@ func (sc *vertexScratch) row(id int) int {
 	}
 	mask := uint64(len(sc.index) - 1)
 	for h := dictHash(uint64(id)) & mask; ; h = (h + 1) & mask {
+		sc.probes++
 		s := sc.index[h]
 		if s.gen != sc.gen {
 			return -1
@@ -212,12 +215,14 @@ func (sc *vertexScratch) parentClaims(parent, child int) int {
 		}
 		slices.SortFunc(sc.claims, compareClaims)
 		sc.claimed = true
+		sc.probes += len(sc.entries) + len(sc.claims)
 	}
 	i, _ := slices.BinarySearchFunc(sc.claims, childClaim{parent, child}, compareClaims)
 	j := i
 	for j < len(sc.claims) && sc.claims[j] == (childClaim{parent, child}) {
 		j++
 	}
+	sc.probes += 1 + j - i
 	return j - i
 }
 

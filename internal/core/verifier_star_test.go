@@ -131,28 +131,37 @@ func verifyStar(tb testing.TB, s *Scheme, cfg *cert.Config, l *Labeling) time.Du
 	return time.Since(start)
 }
 
-// TestVerifyStarScales pins the verifier's cost at a hub to near-linear in
+// TestVerifyStarScales pins the verifier's work at a hub to near-linear in
 // its degree: a hub's view holds entries and child claims in proportion to
 // its degree, and scanning all of them for each one made K_{1,4000} take
 // about 22 times as long as K_{1,1000}. Quadrupling the degree may cost at
-// most 8 times as much (the fastest of three runs each).
+// most 8 times as many entry-index probes and claim reads at the hub (a
+// deterministic count; the quadratic scan reads about 16 times as many).
+// The wall times of a whole verification are logged, not bounded: they
+// measure the host's load as much as the verifier.
 func TestVerifyStarScales(t *testing.T) {
 	if testing.Short() {
-		t.Skip("times two star verifications")
+		t.Skip("verifies two stars")
 	}
-	fastest := func(leaves int) time.Duration {
+	hub := func(leaves int) (probes int, fastest time.Duration) {
 		s, cfg, l := starLabeling(t, leaves)
-		best := time.Duration(1 << 62)
-		for range 3 {
-			best = min(best, verifyStar(t, s, cfg, l))
+		sc := &vertexScratch{}
+		if !s.verifyVertex(cfg, l, 0, sc) || sc.indexed != 1 {
+			t.Fatalf("K_{1,%d}: the honest hub rejects, or its view was not indexed", leaves)
 		}
-		return best
+		fastest = time.Duration(1 << 62)
+		for range 3 {
+			fastest = min(fastest, verifyStar(t, s, cfg, l))
+		}
+		return sc.probes, fastest
 	}
-	small, large := fastest(1000), fastest(4000)
+	small, smallT := hub(1000)
+	large, largeT := hub(4000)
 	ratio := float64(large) / float64(small)
-	t.Logf("K_{1,1000}: %v, K_{1,4000}: %v, ratio %.1f", small, large, ratio)
+	t.Logf("hub probes K_{1,1000}: %d, K_{1,4000}: %d, ratio %.2f; wall %v and %v, ratio %.1f",
+		small, large, ratio, smallT, largeT, float64(largeT)/float64(smallT))
 	if ratio > 8 {
-		t.Fatalf("K_{1,4000} verifies %.1f times slower than K_{1,1000}, want ≤ 8", ratio)
+		t.Fatalf("the K_{1,4000} hub makes %.2f times the probes of the K_{1,1000} hub, want ≤ 8", ratio)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -89,9 +90,13 @@ type setEntry struct {
 	sub  *node
 }
 
-// node is one hash-consed characteristic-tree node. id is the 16-byte
-// content digest assigned by the interner; nodes with equal ids are the
-// same pointer within one Prop.
+// node is one hash-consed characteristic-tree node. Within one Prop equal
+// content is one pointer: the interner finds a node by its identity (its
+// scalar fields and its children's pointers) and numbers each new node
+// with a serial. id is the new node's 16-byte content digest, computed
+// once from its scalar fields and its children's ids; table keys and the
+// order of deduplicated children read it, so it is what makes them equal
+// in every process and interning order.
 type node struct {
 	op   op
 	srt  qsort
@@ -107,7 +112,9 @@ type node struct {
 	bot     *node      // the ⊥ child: variable bound outside this part
 	entries []setEntry // set quantifier children
 
-	id string
+	id     string
+	serial uint32 // interning order within the Prop
+	next   *node  // the next node whose identity hash is the same
 }
 
 // computeID digests the node's content; children must be interned already.
@@ -160,26 +167,108 @@ func (n *node) computeID() string {
 	return string(sum[:16])
 }
 
-// interner hash-conses nodes by content digest. It is shared by all tables
-// of one Prop and guarded by a mutex because Join runs concurrently under
-// the parallel prover.
-type interner struct {
-	mu    sync.Mutex
-	nodes map[string]*node
+// identHash hashes the node's identity: its scalar fields and the serials
+// of its children, which are interned already. Equal identities are equal
+// content, since a child's serial stands for its whole subtree.
+func (n *node) identHash() uint64 {
+	h := uint64(n.op) | uint64(n.srt)<<8 | uint64(n.leaf)<<16
+	if n.val {
+		h |= 1 << 24
+	}
+	h = mix(h, uint64(uint32(n.lvl))|uint64(uint32(n.a))<<32)
+	h = mix(h, uint64(uint32(n.b)))
+	h = mix(h, n.vec)
+	ref := func(c *node) uint64 {
+		if c == nil {
+			return 0
+		}
+		return uint64(c.serial) + 1
+	}
+	h = mix(h, ref(n.sym)|ref(n.bot)<<32)
+	h = mix(h, uint64(len(n.sub))|uint64(len(n.others))<<20|uint64(len(n.entries))<<40)
+	for _, c := range n.sub {
+		h = mix(h, ref(c))
+	}
+	for _, c := range n.others {
+		h = mix(h, ref(c))
+	}
+	for _, e := range n.entries {
+		h = mix(mix(h, e.mask), ref(e.sub))
+	}
+	return h
 }
 
-func newInterner() *interner { return &interner{nodes: map[string]*node{}} }
+func mix(h, w uint64) uint64 {
+	h = (h ^ w) * 0x9e3779b97f4a7c15
+	return h ^ h>>29
+}
 
-func (in *interner) intern(n *node) *node {
-	d := n.computeID()
+// sameIdentity reports whether two nodes have equal scalar fields and the
+// same children, in order.
+func (n *node) sameIdentity(o *node) bool {
+	return n.op == o.op && n.srt == o.srt && n.leaf == o.leaf && n.val == o.val &&
+		n.lvl == o.lvl && n.a == o.a && n.b == o.b && n.vec == o.vec &&
+		n.sym == o.sym && n.bot == o.bot &&
+		slices.Equal(n.sub, o.sub) && slices.Equal(n.others, o.others) &&
+		slices.Equal(n.entries, o.entries)
+}
+
+// interner hash-conses nodes by identity. It is shared by all tables of
+// one Prop and guarded by a mutex because Join runs concurrently under the
+// parallel prover. A lookup hashes the candidate's identity and compares
+// it with the nodes of that hash; only a node that is new is allocated and
+// digested. Identity and digest agree (both cover the scalar fields and
+// the children, whose pointers are as unique as their ids), so the ids,
+// table keys and class ids are those a digest-keyed interner assigns.
+type interner struct {
+	mu     sync.Mutex
+	byHash map[uint64]*node // identity hash -> its most recent node
+	nodes  []*node          // by serial
+	calls  int
+}
+
+func newInterner() *interner { return &interner{byHash: map[uint64]*node{}} }
+
+func (in *interner) lookup(h uint64, t *node) *node {
+	for n := in.byHash[h]; n != nil; n = n.next {
+		if n.sameIdentity(t) {
+			return n
+		}
+	}
+	return nil
+}
+
+func (in *interner) intern(t node) *node {
+	h := t.identHash()
 	in.mu.Lock()
-	defer in.mu.Unlock()
-	if ex, ok := in.nodes[d]; ok {
+	in.calls++
+	ex := in.lookup(h, &t)
+	in.mu.Unlock()
+	if ex != nil {
 		return ex
 	}
-	n.id = d
-	in.nodes[d] = n
+	// Digest outside the lock; a concurrent intern of the same node wins
+	// the insert below and this copy is dropped.
+	n := new(node)
+	*n = t
+	n.id = n.computeID()
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	if ex := in.lookup(h, n); ex != nil {
+		return ex
+	}
+	n.serial = uint32(len(in.nodes))
+	n.next = in.byHash[h]
+	in.byHash[h] = n
+	in.nodes = append(in.nodes, n)
 	return n
+}
+
+// node returns the node with the given serial.
+func (in *interner) node(serial uint32) *node {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	return in.nodes[serial]
 }
 
 // Prop is a compiled MSO₂ property. It implements algebra.Property, so it
@@ -195,10 +284,11 @@ type Prop struct {
 	bridgeTab  *table
 	bridgeErr  error
 
-	mu      sync.Mutex
-	joins   map[string]*table
-	accepts map[string]bool
-	ctxs    map[string]*composeCtx
+	mu       sync.Mutex
+	joins    map[string]*table
+	accepts  map[string]bool
+	ctxs     map[string]*composeCtx
+	composes int
 
 	// The constant leaves, pre-interned: they are built on nearly every
 	// atom evaluation, so skip the hash on the hot path. bTrue and absF
@@ -207,17 +297,30 @@ type Prop struct {
 	bTrue, bFalse, baTrue, absF *node
 }
 
-// composeCtx is the shared combine memo of one compose context (the spec
-// maps plus the merged adjacency matrix): any two joins with the same
-// context rewrite leaves identically, so (subtree pair, environment)
-// triples — which recur heavily across class pairs and set-entry products
-// thanks to hash-consing — combine once, property-wide.
-type composeCtx struct {
-	mu   sync.Mutex
-	memo map[comboKey]*node
+var _ algebra.Property = (*Prop)(nil)
+
+// Stats counts the work a compiled property has done since it was
+// compiled.
+type Stats struct {
+	Composes    int // compose walks run: joins whose result was not yet known
+	MemoEntries int // combine memo entries held, over every compose context
+	InternCalls int // node constructions looked up in the interner
+	NewNodes    int // distinct nodes interned
 }
 
-var _ algebra.Property = (*Prop)(nil)
+// Stats returns the property's compose and interning counters.
+func (p *Prop) Stats() Stats {
+	p.mu.Lock()
+	st := Stats{Composes: p.composes}
+	for _, ctx := range p.ctxs {
+		st.MemoEntries += ctx.size()
+	}
+	p.mu.Unlock()
+	p.in.mu.Lock()
+	st.InternCalls, st.NewNodes = p.in.calls, len(p.in.nodes)
+	p.in.mu.Unlock()
+	return st
+}
 
 // Name implements algebra.Property; it is "mso:" + the canonical formula.
 func (p *Prop) Name() string { return p.name }
@@ -225,14 +328,14 @@ func (p *Prop) Name() string { return p.name }
 // Formula returns the compiled formula (used by the model-checking oracle).
 func (p *Prop) Formula() mso.Formula { return p.f }
 
-func (p *Prop) mk(n *node) *node { return p.in.intern(n) }
+func (p *Prop) mk(n node) *node { return p.in.intern(n) }
 
 // initLeaves pre-interns the boolean leaf singletons.
 func (p *Prop) initLeaves() {
-	p.bTrue = p.mk(&node{op: opLeaf, leaf: lfBool, val: true})
-	p.bFalse = p.mk(&node{op: opLeaf, leaf: lfBool})
-	p.baTrue = p.mk(&node{op: opLeaf, leaf: lfBoolAnd, val: true})
-	p.absF = p.mk(&node{op: opLeaf, leaf: lfAbsFalse})
+	p.bTrue = p.mk(node{op: opLeaf, leaf: lfBool, val: true})
+	p.bFalse = p.mk(node{op: opLeaf, leaf: lfBool})
+	p.baTrue = p.mk(node{op: opLeaf, leaf: lfBoolAnd, val: true})
+	p.absF = p.mk(node{op: opLeaf, leaf: lfAbsFalse})
 }
 
 func (p *Prop) nBool(v bool) *node {
@@ -267,7 +370,7 @@ func (p *Prop) nEqSS(a, b int) *node {
 	if a > b {
 		a, b = b, a
 	}
-	return p.mk(&node{op: opLeaf, leaf: lfEqSS, a: a, b: b})
+	return p.mk(node{op: opLeaf, leaf: lfEqSS, a: a, b: b})
 }
 
 func (p *Prop) nAdjSS(a, b int) *node {
@@ -277,7 +380,7 @@ func (p *Prop) nAdjSS(a, b int) *node {
 	if a > b {
 		a, b = b, a
 	}
-	return p.mk(&node{op: opLeaf, leaf: lfAdjSS, a: a, b: b})
+	return p.mk(node{op: opLeaf, leaf: lfAdjSS, a: a, b: b})
 }
 
 // nVec keeps empty vectors: an open vector with no bits still reads as
@@ -286,7 +389,7 @@ func (p *Prop) nAdjSS(a, b int) *node {
 // the referenced variable is instantiated at an internalized vertex. That
 // decision is what lets Iff membership tests over dead vertices fold.
 func (p *Prop) nVec(ref int, vec uint64) *node {
-	return p.mk(&node{op: opLeaf, leaf: lfVec, a: ref, vec: vec})
+	return p.mk(node{op: opLeaf, leaf: lfVec, a: ref, vec: vec})
 }
 
 // nVecC is the closed-vector variant: the complete answer set of an owned
@@ -295,7 +398,7 @@ func (p *Prop) nVecC(ref int, vec uint64) *node {
 	if vec == 0 {
 		return p.absF
 	}
-	return p.mk(&node{op: opLeaf, leaf: lfVecC, a: ref, vec: vec})
+	return p.mk(node{op: opLeaf, leaf: lfVecC, a: ref, vec: vec})
 }
 
 // nExtS is a deferred refutation against an outside object: adjacency or
@@ -307,7 +410,7 @@ func (p *Prop) nVecC(ref int, vec uint64) *node {
 // over ⊥ children never fold and dead vertices' assignments linger as one
 // subtree variant each, multiplying set entries exponentially.
 func (p *Prop) nExtS(ref int) *node {
-	return p.mk(&node{op: opLeaf, leaf: lfExtS, a: ref})
+	return p.mk(node{op: opLeaf, leaf: lfExtS, a: ref})
 }
 
 // nConn folds a connective only when absolute constants fully decide it.
@@ -351,7 +454,7 @@ func (p *Prop) nConn(o op, subs ...*node) *node {
 			return p.nAbs((subs[0] == t) == (subs[1] == t))
 		}
 	}
-	return p.mk(&node{op: o, sub: subs})
+	return p.mk(node{op: o, sub: subs})
 }
 
 // foldQuant drops neutral anonymous children and reports an absorbing one:
@@ -388,7 +491,7 @@ func (p *Prop) nQuantV(o op, lvl int, sym *node, others []*node, bot *node) *nod
 	if sym == neutral && bot == neutral && len(kept) == 0 {
 		return neutral
 	}
-	return p.mk(&node{op: o, srt: qVertex, lvl: lvl, sym: sym, others: dedupNodes(kept), bot: bot})
+	return p.mk(node{op: o, srt: qVertex, lvl: lvl, sym: sym, others: dedupNodes(kept), bot: bot})
 }
 
 func (p *Prop) nQuantE(o op, others []*node, bot *node) *node {
@@ -403,7 +506,7 @@ func (p *Prop) nQuantE(o op, others []*node, bot *node) *node {
 	if bot == neutral && len(kept) == 0 {
 		return neutral
 	}
-	return p.mk(&node{op: o, srt: qEdge, others: dedupNodes(kept), bot: bot})
+	return p.mk(node{op: o, srt: qEdge, others: dedupNodes(kept), bot: bot})
 }
 
 // nQuantSet folds like foldQuant but over set entries. Dropping a decided
@@ -429,7 +532,7 @@ func (p *Prop) nQuantSet(o op, srt qsort, entries []setEntry) *node {
 	if len(kept) == 0 {
 		return neutral
 	}
-	return p.mk(&node{op: o, srt: srt, entries: dedupEntries(kept)})
+	return p.mk(node{op: o, srt: srt, entries: dedupEntries(kept)})
 }
 
 type nodesByID []*node

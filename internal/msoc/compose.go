@@ -3,6 +3,7 @@ package msoc
 import (
 	"bytes"
 	"fmt"
+	"sync"
 
 	"repro/internal/algebra"
 	"repro/internal/graph"
@@ -128,8 +129,7 @@ func identity(n, offset int) []int {
 // ORs the preimages' vector bits — there is no per-constant subtree to
 // choose, so same-side fusion cannot manufacture chimera witnesses.
 //
-// An environment is immutable, so it is held as a string of int8 levels:
-// it compares by content and is part of a memo key without a copy.
+// An environment is immutable, so it is held as a string of int8 levels.
 type envT string
 
 func newEnv(n int) envT { return envT(bytes.Repeat([]byte{0xff}, n)) } // every level -1
@@ -143,11 +143,65 @@ func envWith(env envT, lvl, m int) envT {
 // at returns level i's entry: -1 or a merged node.
 func (e envT) at(i int) int8 { return int8(e[i]) }
 
-// comboKey is a combine memo key. Nodes are hash-consed within a Prop, so
-// equal subtrees are one pointer and the pointers identify them exactly.
+// envRef is an environment of one compose context together with its id
+// there, which is what the context's memo keys carry.
+type envRef struct {
+	lv envT
+	id uint32
+}
+
+// comboKey is a combine memo key: the two subtrees' serials and the
+// environment's id. Nodes are hash-consed within a Prop, so equal
+// subtrees are one serial and the serials identify them exactly; the key
+// holds no pointer, so the memo costs the collector nothing to scan.
 type comboKey struct {
-	x, y *node
-	env  envT
+	x, y, env uint32
+}
+
+// composeCtx is the shared combine memo of one compose context (the spec
+// maps plus the merged adjacency matrix): any two joins with the same
+// context rewrite leaves identically, so (subtree pair, environment)
+// triples — which recur heavily across class pairs and set-entry products
+// thanks to hash-consing — combine once, property-wide. The context also
+// numbers the environments its walks meet; id 0 is every level live.
+type composeCtx struct {
+	mu    sync.Mutex
+	memo  map[comboKey]uint32 // the combined node's serial
+	envs  map[string]envRef
+	nextE uint32
+}
+
+func newComposeCtx() *composeCtx {
+	return &composeCtx{memo: map[comboKey]uint32{}, envs: map[string]envRef{}}
+}
+
+// env interns an environment of the context; only one the context has not
+// met before is copied.
+func (ctx *composeCtx) env(lv []byte) envRef {
+	ctx.mu.Lock()
+	defer ctx.mu.Unlock()
+	e, ok := ctx.envs[string(lv)]
+	if !ok {
+		e = envRef{envT(lv), ctx.nextE}
+		ctx.nextE++
+		ctx.envs[string(e.lv)] = e
+	}
+	return e
+}
+
+// size returns the number of memo entries.
+func (ctx *composeCtx) size() int {
+	ctx.mu.Lock()
+	defer ctx.mu.Unlock()
+	return len(ctx.memo)
+}
+
+// envWith is env with level lvl instantiated at merged node m.
+func (ctx *composeCtx) envWith(env envRef, lvl, m int) envRef {
+	var buf [16]byte
+	lv := append(buf[:0], env.lv...)
+	lv[lvl] = byte(int8(m))
+	return ctx.env(lv)
 }
 
 // composer carries the per-compose state of the lockstep walk. The memo
@@ -227,12 +281,13 @@ func (p *Prop) compose(ta, tb *table, spec algebra.JoinSpec) (*table, error) {
 	p.mu.Lock()
 	ctx, ok := p.ctxs[ctxKey]
 	if !ok {
-		ctx = &composeCtx{memo: map[comboKey]*node{}}
+		ctx = newComposeCtx()
 		p.ctxs[ctxKey] = ctx
 	}
+	p.composes++
 	p.mu.Unlock()
 	cc := &composer{p: p, spec: spec, mNM: mNM, resOf: resOf, ctx: ctx}
-	root := cc.combine(ta.root, tb.root, newEnv(p.nlvls))
+	root := cc.combine(ta.root, tb.root, ctx.env([]byte(newEnv(p.nlvls))))
 	if cc.err != nil {
 		return nil, cc.err
 	}
@@ -251,7 +306,7 @@ func (p *Prop) compose(ta, tb *table, spec algebra.JoinSpec) (*table, error) {
 	return t, nil
 }
 
-func (cc *composer) combine(x, y *node, env envT) *node {
+func (cc *composer) combine(x, y *node, env envRef) *node {
 	if cc.err != nil {
 		return cc.p.nBool(false)
 	}
@@ -267,17 +322,17 @@ func (cc *composer) combine(x, y *node, env envT) *node {
 		}
 		return cc.fail("misaligned tables (%d/%d vs %d/%d)", x.op, x.srt, y.op, y.srt)
 	}
-	key := comboKey{x, y, env}
+	key := comboKey{x.serial, y.serial, env.id}
 	cc.ctx.mu.Lock()
 	r0, hit := cc.ctx.memo[key]
 	cc.ctx.mu.Unlock()
 	if hit {
-		return r0
+		return cc.p.in.node(r0)
 	}
 	var r *node
 	switch x.op {
 	case opLeaf:
-		r = cc.mergeLeaves(cc.rewrite(x, cc.spec.MapA, env), cc.rewrite(y, cc.spec.MapB, env))
+		r = cc.mergeLeaves(cc.rewrite(x, cc.spec.MapA, env.lv), cc.rewrite(y, cc.spec.MapB, env.lv))
 	case opExists, opForall:
 		switch x.srt {
 		case qVertex:
@@ -299,7 +354,7 @@ func (cc *composer) combine(x, y *node, env envT) *node {
 			// the symbolic children at it via the environment.
 			for m := 0; m < cc.spec.NM; m++ {
 				if cc.resOf[m] < 0 {
-					others = append(others, cc.combine(x.sym, y.sym, envWith(env, x.lvl, m)))
+					others = append(others, cc.combine(x.sym, y.sym, cc.ctx.envWith(env, x.lvl, m)))
 				}
 			}
 			bot := cc.combine(x.bot, y.bot, env)
@@ -336,7 +391,7 @@ func (cc *composer) combine(x, y *node, env envT) *node {
 	}
 	if cc.err == nil {
 		cc.ctx.mu.Lock()
-		cc.ctx.memo[key] = r
+		cc.ctx.memo[key] = r.serial
 		cc.ctx.mu.Unlock()
 	}
 	return r
@@ -347,7 +402,7 @@ func (cc *composer) combine(x, y *node, env envT) *node {
 // must make one choice per merged vertex. Entries that disagree with
 // themselves (two fused constants of one side, different bits) are
 // unrealizable and drop out.
-func (cc *composer) combineVSet(x, y *node, env envT) *node {
+func (cc *composer) combineVSet(x, y *node, env envRef) *node {
 	profA, okA := cc.profiles(x.entries, cc.spec.MapA)
 	profB, okB := cc.profiles(y.entries, cc.spec.MapB)
 	var entries []setEntry
