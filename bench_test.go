@@ -349,9 +349,10 @@ func retainedMBPerCert(b *testing.B, prove func() any) float64 {
 }
 
 // BenchmarkProveCompiledCold measures a cold prove of a compiled formula:
-// every op compiles the formula afresh, so msoc's interner and compose
-// memo start empty and the op pays for every characteristic-tree join.
-// The structure is built once, outside the timer.
+// every op compiles the formula afresh (tens of microseconds), so msoc's
+// interner and compose memo start empty and the op pays for every
+// characteristic-tree join. The structure is built once, outside the
+// timer.
 func BenchmarkProveCompiledCold(b *testing.B) {
 	ctx := context.Background()
 	for _, bc := range []struct {
@@ -375,12 +376,10 @@ func BenchmarkProveCompiledCold(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				b.StopTimer()
 				c, err := certify.New(certify.WithFormula(src))
 				if err != nil {
 					b.Fatal(err)
 				}
-				b.StartTimer()
 				if _, bst, err := c.ProveBatchOn(ctx, st); err != nil || len(bst.Failed) > 0 {
 					b.Fatalf("prove: %v %v", err, bst)
 				}

@@ -165,10 +165,9 @@ type comboKey struct {
 // thanks to hash-consing — combine once, property-wide. The context also
 // numbers the environments its walks meet; id 0 is every level live.
 type composeCtx struct {
-	mu    sync.Mutex
-	memo  map[comboKey]uint32 // the combined node's serial
-	envs  map[string]envRef
-	nextE uint32
+	mu   sync.Mutex
+	memo map[comboKey]uint32 // the combined node's serial
+	envs map[string]envRef
 }
 
 func newComposeCtx() *composeCtx {
@@ -182,8 +181,7 @@ func (ctx *composeCtx) env(lv []byte) envRef {
 	defer ctx.mu.Unlock()
 	e, ok := ctx.envs[string(lv)]
 	if !ok {
-		e = envRef{envT(lv), ctx.nextE}
-		ctx.nextE++
+		e = envRef{envT(lv), uint32(len(ctx.envs))}
 		ctx.envs[string(e.lv)] = e
 	}
 	return e
