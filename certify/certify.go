@@ -27,7 +27,6 @@ import (
 	"repro/internal/algebra"
 	"repro/internal/cert"
 	"repro/internal/core"
-	"repro/internal/dist"
 	"repro/internal/interval"
 )
 
@@ -301,38 +300,17 @@ func (c *Certifier) ProveBatch(ctx context.Context, g *Graph) (*Certificate, *Ba
 // on cancellation. Certificates decoded from the wire verify exactly like
 // freshly proved ones: the class registry is reconstructed from the labels.
 func (c *Certifier) Verify(ctx context.Context, g *Graph, crt *Certificate) error {
-	return c.verify(ctx, g, crt, func(cfg *cert.Config, s *core.Scheme, l *core.Labeling) ([]bool, error) {
-		return s.VerifyParallelCtx(ctx, cfg, l)
-	})
-}
-
-// VerifyDistributed checks the certificate by running the distributed
-// verification round (internal/dist) once per property: every processor
-// compares its copies of its incident edge labels with its neighbors' and
-// then runs the Theorem 1 verifier. The round runs on the same worker pool
-// as Verify, and its semantics match Verify's.
-func (c *Certifier) VerifyDistributed(ctx context.Context, g *Graph, crt *Certificate) error {
-	return c.verify(ctx, g, crt, func(cfg *cert.Config, s *core.Scheme, l *core.Labeling) ([]bool, error) {
-		res, err := dist.Run(ctx, cfg, s, l)
-		return res.Verdicts, err
-	})
-}
-
-// verify binds the certificate to the graph and runs one verification per
-// property, in certificate order, on a copy of the property's scheme whose
-// worker bound is the certifier's parallelism (a Scheme holds scalars and
-// pointers to its registry and memo, which the verifier's pool already
-// shares across goroutines).
-func (c *Certifier) verify(ctx context.Context, g *Graph, crt *Certificate,
-	run func(*cert.Config, *core.Scheme, *core.Labeling) ([]bool, error)) error {
 	cfg, err := c.bindCertificate(g, crt)
 	if err != nil {
 		return err
 	}
 	for _, name := range crt.props {
+		// A copy of the scheme carries the certifier's worker bound (a
+		// Scheme holds scalars and pointers to its registry and memo,
+		// which the verifier's pool already shares across goroutines).
 		scheme := *crt.schemes[name]
 		scheme.Workers = c.parallelism
-		verdicts, err := run(cfg, &scheme, crt.labelings[name])
+		verdicts, err := scheme.VerifyParallelCtx(ctx, cfg, crt.labelings[name])
 		if err != nil {
 			return err
 		}
@@ -341,6 +319,18 @@ func (c *Certifier) verify(ctx context.Context, g *Graph, crt *Certificate,
 		}
 	}
 	return nil
+}
+
+// VerifyDistributed checks the certificate as the distributed verification
+// round of the self-stabilization model does: every processor checks that
+// its neighbors' copies of their shared edge labels agree with its own,
+// then runs the Theorem 1 verifier on its view. In one process every
+// processor reads the certificate's one labeling, so the copies always
+// agree and the round is exactly Verify's pass, with Verify's verdicts and
+// errors. Copies that can disagree live in separate memories; the
+// multi-process runtime certify/distnet compares them byte for byte.
+func (c *Certifier) VerifyDistributed(ctx context.Context, g *Graph, crt *Certificate) error {
+	return c.Verify(ctx, g, crt)
 }
 
 // bindCertificate validates the certificate against the graph and ensures

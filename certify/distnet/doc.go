@@ -4,9 +4,12 @@
 // deployment, cmd/vertexd), and nodes exchange their copies of cut-edge
 // labels over TCP each round using the certificate's canonical label
 // encoding. Darts between vertices of the same partition short-circuit in
-// memory. Every vertex is decided by the rule the in-process round of
-// internal/dist applies (dist.Checker.CheckVertex), so a TCP cluster and dist.Run
-// reach the same verdict on the same labeling.
+// memory. A vertex rejects when a peer's copy of a shared label differs
+// from its own copy's encoding in any bit, or when either copy is missing
+// (asymmetric memory corruption is exactly such a disagreement); peer
+// copies are compared as bytes and never decoded. Otherwise the vertex runs
+// the Theorem 1 verifier on its own copies, so a clean cluster reaches the
+// verdict certify.Verify reaches on the same labeling.
 //
 // A Coordinator numbers rounds, broadcasts round starts over per-partition
 // control connections, and aggregates per-partition verdicts into a global

@@ -2,6 +2,7 @@ package distnet
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -130,9 +131,10 @@ type Node struct {
 	wg        sync.WaitGroup
 }
 
-// roundState collects the label frames received for one round.
+// roundState collects the label frames received for one round: each
+// peer's copies of the cut-edge labels, by edge, as the bits it sent.
 type roundState struct {
-	got       map[int]map[graph.Edge]*core.EdgeLabel
+	got       map[int]map[graph.Edge]labelEntry
 	done      chan struct{}
 	completed bool
 }
@@ -353,7 +355,7 @@ func (n *Node) servePeer(c net.Conn, br *bufio.Reader, from int) {
 				n.logf("distnet[%d]: peer %d claims partition %d", n.part, from, msg.from)
 				return
 			}
-			got, err := n.decodeCutLabels(msg, expect)
+			got, err := indexCutLabels(msg, expect)
 			if err != nil {
 				n.logf("distnet[%d]: labels from %d: %v", n.part, from, err)
 				return
@@ -367,15 +369,17 @@ func (n *Node) servePeer(c net.Conn, br *bufio.Reader, from int) {
 	}
 }
 
-// decodeCutLabels turns a labels frame into this round's remote-copy map,
-// enforcing that the entries are exactly the shared cut darts. A bits==0
-// entry is the peer declaring "no label in memory" — a legitimate corrupted
-// state, detected by the agreement check, not a protocol violation.
-func (n *Node) decodeCutLabels(msg labelsMsg, expect map[graph.Edge]bool) (map[graph.Edge]*core.EdgeLabel, error) {
+// indexCutLabels turns a labels frame into this round's remote-copy map,
+// enforcing that the entries are exactly the shared cut darts. The copies
+// stay as the bits the peer sent: decide compares them with the node's own
+// copies bit for bit, so none is ever decoded. A bits==0 entry is the peer
+// declaring "no label in memory" — a legitimate corrupted state, rejected
+// by the agreement check, not a protocol violation.
+func indexCutLabels(msg labelsMsg, expect map[graph.Edge]bool) (map[graph.Edge]labelEntry, error) {
 	if len(msg.entries) != len(expect) {
 		return nil, fmt.Errorf("%w: %d entries for %d shared cut darts", ErrProtocol, len(msg.entries), len(expect))
 	}
-	out := make(map[graph.Edge]*core.EdgeLabel, len(msg.entries))
+	out := make(map[graph.Edge]labelEntry, len(msg.entries))
 	for _, e := range msg.entries {
 		key := graph.NewEdge(e.u, e.v)
 		if !expect[key] {
@@ -384,18 +388,7 @@ func (n *Node) decodeCutLabels(msg labelsMsg, expect map[graph.Edge]bool) (map[g
 		if _, dup := out[key]; dup {
 			return nil, fmt.Errorf("%w: duplicate cut dart {%d,%d}", ErrProtocol, e.u, e.v)
 		}
-		if e.bits == 0 {
-			out[key] = nil
-			continue
-		}
-		l, err := core.DecodeLabel(e.data, e.bits)
-		if err != nil {
-			// A copy that does not decode is indistinguishable from erased
-			// memory: record it as absent and let the agreement check reject.
-			out[key] = nil
-			continue
-		}
-		out[key] = l
+		out[key] = e
 	}
 	return out, nil
 }
@@ -404,7 +397,7 @@ func (n *Node) decodeCutLabels(msg labelsMsg, expect map[graph.Edge]bool) (map[g
 // round and the next are live: older frames are stragglers or duplicates of
 // an abandoned round, newer ones cannot be trusted to belong to any round
 // this node will run — both are discarded, never mixed into the wrong round.
-func (n *Node) deliver(round uint64, from int, got map[graph.Edge]*core.EdgeLabel) {
+func (n *Node) deliver(round uint64, from int, got map[graph.Edge]labelEntry) {
 	n.roundMu.Lock()
 	defer n.roundMu.Unlock()
 	if n.started && (round < n.cur || round > n.cur+1) {
@@ -422,7 +415,7 @@ func (n *Node) deliver(round uint64, from int, got map[graph.Edge]*core.EdgeLabe
 func (n *Node) ensureRound(round uint64) *roundState {
 	st, ok := n.rounds[round]
 	if !ok {
-		st = &roundState{got: map[int]map[graph.Edge]*core.EdgeLabel{}, done: make(chan struct{})}
+		st = &roundState{got: map[int]map[graph.Edge]labelEntry{}, done: make(chan struct{})}
 		n.rounds[round] = st
 	}
 	return st
@@ -565,7 +558,7 @@ func (n *Node) outPeers() []int {
 
 // runRound executes one verification round: snapshot label memory, publish
 // cut-dart copies to every peer, gather the peers' copies for this round
-// number, and decide every local vertex through the shared round engine.
+// number, and decide every local vertex.
 // A peer whose copies never arrive makes the verdict incomplete — the
 // coordinator abandons the round and re-runs it, so detection latency
 // degrades under churn but a verdict is never computed from a partial or
@@ -620,7 +613,7 @@ func (n *Node) runRound(r uint64) verdictMsg {
 	// deliver overwrite st.got[from] while the verification loop below reads
 	// it outside the lock. Inner maps are filed whole and never mutated
 	// after delivery, so copying the outer map alone is race-free.
-	got := make(map[int]map[graph.Edge]*core.EdgeLabel, len(st.got))
+	got := make(map[int]map[graph.Edge]labelEntry, len(st.got))
 	for from, labels := range st.got {
 		got[from] = labels
 	}
@@ -630,24 +623,9 @@ func (n *Node) runRound(r uint64) verdictMsg {
 	}
 
 	v := verdictMsg{round: r, accepted: true}
-	nTotal := n.cl.g.N()
-	// One Checker and one pair of copy lists serve every local vertex.
-	var check dist.Checker
-	var mine, remote []*core.EdgeLabel
+	var c roundCheck // serves every local vertex
 	for _, u := range n.locals {
-		neighbors := n.cl.g.Neighbors(u)
-		mine, remote = mine[:0], remote[:0]
-		for _, w := range neighbors {
-			e := graph.NewEdge(u, w)
-			mine = append(mine, snap[e])
-			if p := PartOf(w, nTotal, n.cl.parts); p == n.part {
-				remote = append(remote, snap[e]) // local dart short-circuits in memory
-			} else {
-				remote = append(remote, got[p][e])
-			}
-		}
-		ok := check.CheckVertex(n.cl.scheme, n.cl.cfg.IDs[u], n.cl.cfg.Input(u), len(neighbors) == 0, mine, remote)
-		if !ok {
+		if !n.decide(&c, u, snap, got) {
 			v.accepted = false
 			v.rejectedTotal++
 			if len(v.rejected) < maxWireRejected {
@@ -656,6 +634,46 @@ func (n *Node) runRound(r uint64) verdictMsg {
 		}
 	}
 	return v
+}
+
+// roundCheck is the memory a round's decisions reuse from vertex to vertex:
+// the verifier's scratch, the view's label list, and the buffer an own copy
+// is encoded into for comparison. The zero value is ready to use.
+type roundCheck struct {
+	scratch core.Scratch
+	labels  []*core.EdgeLabel
+	own     []byte
+}
+
+// decide is vertex u's round-end decision. Every incident edge must have a
+// label in u's memory, and for a cut edge the peer's copy must have the bit
+// count and bytes of the own copy's canonical encoding: asymmetric memory
+// corruption is exactly a disagreement between the two copies, and an
+// honest peer sends the canonical bytes, so a copy the peer reports absent
+// or that differs in any bit rejects. A local edge's two endpoints share
+// this node's memory, so its copies agree. The local verifier of Theorem 1
+// then decides u's view of its own copies.
+func (n *Node) decide(c *roundCheck, u graph.Vertex, snap map[graph.Edge]*core.EdgeLabel, got map[int]map[graph.Edge]labelEntry) bool {
+	neighbors := n.cl.g.Neighbors(u)
+	c.labels = c.labels[:0]
+	for _, w := range neighbors {
+		e := graph.NewEdge(u, w)
+		l := snap[e]
+		if l == nil {
+			return false
+		}
+		if p := PartOf(w, n.cl.g.N(), n.cl.parts); p != n.part {
+			peer := got[p][e]
+			var nbits int
+			c.own, nbits = core.AppendLabel(c.own[:0], l)
+			if peer.bits != nbits || !bytes.Equal(peer.data, c.own) {
+				return false
+			}
+		}
+		c.labels = append(c.labels, l)
+	}
+	view := core.VertexView{ID: n.cl.cfg.IDs[u], Input: n.cl.cfg.Input(u), Isolated: len(neighbors) == 0, Labels: c.labels}
+	return n.cl.scheme.VerifyAtWith(&view, &c.scratch)
 }
 
 // sendCutLabels publishes this round's cut-dart copies to every peer,

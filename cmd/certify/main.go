@@ -79,7 +79,7 @@ func run(args []string) error {
 		markEvery = fs.Int("mark", 2, "for input-set properties: mark every k-th vertex as X")
 		lanesMax  = fs.Int("lanes", certify.DefaultMaxLanes, "lane budget (certifies pathwidth ≤ lanes-1)")
 		paper     = fs.Bool("paper", false, "use the Proposition 4.6 recursive lane construction")
-		distFlag  = fs.Bool("dist", false, "verify with the distributed round: every vertex also checks its neighbors' copies of the shared edge labels")
+		distFlag  = fs.Bool("dist", false, "verify through the distributed round (Certifier.VerifyDistributed); in one process every vertex reads the same labels, so it is the plain verifier's pass")
 		corrupt   = fs.String("corrupt", "", "inject a fault after proving: "+strings.Join(certify.FaultNames(), "|"))
 		seed      = fs.Int64("seed", 1, "random seed (interval generation and fault placement)")
 		outPath   = fs.String("out", "", "write the certificate to this file after proving")

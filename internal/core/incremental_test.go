@@ -487,52 +487,3 @@ func TestIncrementalFillsBuildStages(t *testing.T) {
 		t.Fatalf("incremental build stages not recorded: %+v", st)
 	}
 }
-
-// TestRungEditCarvesOnlyNewArtifactIDs pins where a generation's artifact
-// identifiers go: a rebuilt artifact gathers its terminal ids in worker
-// scratch and carves them from the id arena only when it does not
-// canonicalize to the previous generation's artifact. After a rung edit
-// in the middle of Ladder(256) the words carved must equal the ids of the
-// new artifacts exactly (a merged-out list taken over from the previous
-// artifact is shared, not carved).
-func TestRungEditCarvesOnlyNewArtifactIDs(t *testing.T) {
-	const k = 256
-	inc, err := NewIncremental(context.Background(), cert.NewConfig(gen.Ladder(k)),
-		[]algebra.Property{algebra.Colorable{Q: 2}}, nil, IncrementalOptions{MaxLanes: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	u, v := graph.Vertex(k), graph.Vertex(k+1)
-	for _, op := range []EditOp{EditRemove, EditAdd} {
-		prev := inc.gen.sp
-		us, err := inc.UpdateBatch(context.Background(), []Edit{{Op: op, U: u, V: v}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if us.Fallback {
-			t.Fatalf("%v: rung edit fell back to a full re-prove", op)
-		}
-		sp := inc.gen.sp
-		want, fresh := 0, 0
-		for id, a := range sp.art {
-			var pa *nodeArtifact
-			if id < len(prev.art) {
-				pa = prev.art[id]
-			}
-			if a == pa {
-				continue
-			}
-			fresh++
-			want += len(a.InIDs) + len(a.OutIDs)
-			shared := pa != nil && len(a.MergedOutIDs) > 0 && len(pa.MergedOutIDs) > 0 &&
-				&a.MergedOutIDs[0] == &pa.MergedOutIDs[0]
-			if !shared {
-				want += len(a.MergedOutIDs)
-			}
-		}
-		if sp.artIDWords != want {
-			t.Fatalf("%v: %d id words carved, the %d new artifacts hold %d", op, sp.artIDWords, fresh, want)
-		}
-		t.Logf("%v: %d id words carved for %d new artifacts of %d", op, sp.artIDWords, fresh, len(sp.art))
-	}
-}

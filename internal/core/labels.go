@@ -804,8 +804,8 @@ func (l *EdgeLabel) appendVertexIDs(dst []uint64) []uint64 {
 }
 
 // Key returns a canonical encoding of the whole edge label (bytes plus bit
-// count), used for the cross-endpoint agreement check of the distributed
-// simulator. It is the label's cached encoding.
+// count), so two labels are equal exactly when their keys are. It is the
+// label's cached encoding.
 func (l *EdgeLabel) Key() string {
 	l.materialize()
 	return l.cache.key

@@ -102,9 +102,6 @@ type StructuralProof struct {
 	// indexed by node id.
 	art    []*nodeArtifact
 	shapes []*Shape
-	// artIDWords counts the identifiers carved for the artifacts this
-	// structure built (a carried-over artifact carves none).
-	artIDWords int
 
 	// stages records the build stages' wall clock (SweepMillis stays zero
 	// here; each property pass fills its own copy).
@@ -553,15 +550,9 @@ func (sp *StructuralProof) buildArtifactsReuse(prev *StructuralProof, first int,
 	// independently; each worker carves its id sequences and summaries from
 	// its own arenas.
 	arenas := make([]artArenas, par.Workers(workers))
-	if err := par.ForErr(workers, len(h.Nodes), func(worker, i int) error {
+	return par.ForErr(workers, len(h.Nodes), func(worker, i int) error {
 		return ab.build(h.Nodes[i], &arenas[worker])
-	}); err != nil {
-		return err
-	}
-	for i := range arenas {
-		sp.artIDWords += arenas[i].carved
-	}
-	return nil
+	})
 }
 
 // artifactBuilder bundles the read-only inputs of one buildArtifactsReuse
@@ -595,34 +586,19 @@ func (ab *artifactBuilder) ownsDirty(n *lanewidth.Node) bool {
 	return false
 }
 
-// artArenas are one artifact-building worker's arenas and scratch: a
-// rebuilt artifact's summary and identifiers are gathered in the scratch
-// and carved only when the artifact does not canonicalize to the previous
-// one.
+// artArenas are one artifact-building worker's arenas and scratch summary.
 type artArenas struct {
 	ids     arena[uint64]
 	sums    arena[NodeSummary]
 	scratch NodeSummary
-	in      []uint64
-	out     []uint64
-	merged  []uint64
-	carved  int // identifiers carved from ids
 }
 
-// gather fills buf with the identifiers of lane-aligned terminals.
-func (ab *artifactBuilder) gather(buf []uint64, vs []graph.Vertex) []uint64 {
-	buf = buf[:0]
-	for _, v := range vs {
-		buf = append(buf, ab.sp.Cfg.IDs[v])
+// ids carves the identifiers of lane-aligned terminals from the arena.
+func (ab *artifactBuilder) ids(ar *artArenas, vs []graph.Vertex) []uint64 {
+	out := ar.ids.alloc(len(vs))
+	for i, v := range vs {
+		out[i] = ab.sp.Cfg.IDs[v]
 	}
-	return buf
-}
-
-// carve copies gathered identifiers into the id arena.
-func (ar *artArenas) carve(ids []uint64) []uint64 {
-	out := ar.ids.alloc(len(ids))
-	copy(out, ids)
-	ar.carved += len(out)
 	return out
 }
 
@@ -661,9 +637,7 @@ func (ab *artifactBuilder) build(n *lanewidth.Node, ar *artArenas) error {
 	ar.scratch = NodeSummary{} // carved below once the artifact is known to be new
 	a := &nodeArtifact{NodeSummary: &ar.scratch, parentID: -1, rootMember: -1}
 	a.NodeID, a.Kind, a.Lanes = n.ID, n.Kind, n.Lanes
-	ar.in, ar.out = ab.gather(ar.in, n.In), ab.gather(ar.out, n.Out)
-	a.InIDs, a.OutIDs = ar.in, ar.out
-	gatheredMerged := false
+	a.InIDs, a.OutIDs = ab.ids(ar, n.In), ab.ids(ar, n.Out)
 	if pa != nil && pa.member && pa.parentID < ab.first && pa.parentID != ab.rootID {
 		a.member = true
 		a.parentID = pa.parentID
@@ -672,8 +646,7 @@ func (ab *artifactBuilder) build(n *lanewidth.Node, ar *artArenas) error {
 	} else if mi := ab.memberInfo[n.ID]; mi != nil {
 		a.member = true
 		a.parentID = n.Parent.ID
-		ar.merged = ab.gather(ar.merged, mi.MergedOut)
-		a.MergedOutIDs, gatheredMerged = ar.merged, true
+		a.MergedOutIDs = ab.ids(ar, mi.MergedOut)
 		for _, child := range mi.TreeChildren {
 			a.treeChildren = append(a.treeChildren, child.ID)
 		}
@@ -701,10 +674,6 @@ func (ab *artifactBuilder) build(n *lanewidth.Node, ar *artArenas) error {
 	if n.ID < len(ab.prevArt) && artifactEqual(a, ab.prevArt[n.ID]) {
 		a = ab.prevArt[n.ID]
 	} else {
-		a.InIDs, a.OutIDs = ar.carve(a.InIDs), ar.carve(a.OutIDs)
-		if gatheredMerged {
-			a.MergedOutIDs = ar.carve(a.MergedOutIDs)
-		}
 		sum := &ar.sums.alloc(1)[0]
 		*sum = *a.NodeSummary
 		a.NodeSummary = sum

@@ -249,8 +249,8 @@ func (s *Scheme) VerifyAt(view *VertexView) bool {
 }
 
 // Scratch is the reusable working memory of vertex verifications. A
-// goroutine that verifies vertex after vertex (a worker of dist.Run, a
-// distnet node's round) keeps one and passes it to every VerifyAtWith, so
+// goroutine that verifies vertex after vertex (a distnet node's round)
+// keeps one and passes it to every VerifyAtWith, so
 // that once it is warm a view allocates nothing. The zero value is ready
 // to use; a Scratch is not safe for concurrent use.
 type Scratch struct{ sc vertexScratch }

@@ -1,7 +1,10 @@
-// Transient-fault injection: the corruption model of the self-stabilization
-// scenario. A fault mutates the label memory of one edge; soundness of the
-// scheme (Theorem 1) means one verification round detects every such
-// corruption at some processor.
+// Package dist is the transient-fault catalog of the self-stabilization
+// scenario (the paper's Section 1 motivation): a fault mutates the label
+// memory of one edge, and soundness of the scheme (Theorem 1) means one
+// verification round detects every such corruption at some processor.
+// certify's Corrupt, the corruption experiments and the fault controller
+// of certify/distnet all inject through this catalog (Fault, AllFaults,
+// Inject).
 package dist
 
 import (
@@ -82,27 +85,19 @@ func InjectorFor(f Fault) Injector {
 // never mutated: only the corrupted edge's label is deep-cloned, the rest
 // is shared (verification is read-only).
 func Inject(rng *rand.Rand, l *core.Labeling, f Fault) (*core.Labeling, bool) {
-	if InjectorFor(f) == nil || l == nil {
+	inject := InjectorFor(f)
+	if inject == nil || l == nil {
 		return nil, false
 	}
+	// The edges are tried in a seeded random order (sorted first, so the
+	// sequence is reproducible per rng seed). Candidates are probed with
+	// hosts before anything is cloned, and an injector draws from rng only
+	// once it applies, so probing changes neither the chosen edge nor the
+	// corruption.
 	edges := make([]graph.Edge, 0, len(l.Edges))
 	for e := range l.Edges {
 		edges = append(edges, e)
 	}
-	return injectAt(rng, l, edges, f)
-}
-
-// injectAt tries the fault on the candidate edges in a seeded random order
-// (sorted first, so the sequence is reproducible per rng seed; the slice is
-// reordered in place) and returns a copy-on-write labeling with the first
-// successful corruption: only the corrupted edge's label is deep-cloned,
-// every other label is shared with the input, which is never mutated.
-// Candidates are probed with hosts before anything is cloned, and an
-// injector draws from rng only once it applies, so probing changes neither
-// the chosen edge nor the corruption. It is the single construction behind
-// Inject and RunWithMemoryFault.
-func injectAt(rng *rand.Rand, l *core.Labeling, edges []graph.Edge, f Fault) (*core.Labeling, bool) {
-	inject := InjectorFor(f)
 	slices.SortFunc(edges, func(a, b graph.Edge) int {
 		return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V))
 	})

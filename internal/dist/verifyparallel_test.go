@@ -64,14 +64,26 @@ func sameVerdicts(t *testing.T, what, name string, want, got []bool) {
 }
 
 func TestVerifyParallelMatchesVerify(t *testing.T) {
+	matchesInline(t, 42)
+}
+
+// matchesInline compares the verifier at 4 workers with its inline run on
+// every family, honest and under 8 seeded trials of every fault: the honest
+// labeling must be accepted and no corruption may be.
+func matchesInline(t *testing.T, seed int64) {
+	t.Helper()
 	for _, fam := range verifyFamilies(t) {
 		t.Run(fam.name, func(t *testing.T) {
 			s := core.NewScheme(fam.prop, 8)
 			cfg := cert.NewConfig(fam.g)
 			labeling := prove(t, s, cfg)
-			sameVerdicts(t, "honest", "parallel", verify(t, s, 1, cfg, labeling), verify(t, s, 4, cfg, labeling))
+			honest := verify(t, s, 4, cfg, labeling)
+			sameVerdicts(t, "honest", "parallel", verify(t, s, 1, cfg, labeling), honest)
+			if !core.AllAccept(honest) {
+				t.Fatal("honest labeling rejected")
+			}
 
-			rng := rand.New(rand.NewSource(42))
+			rng := rand.New(rand.NewSource(seed))
 			for _, fault := range AllFaults {
 				for trial := 0; trial < 8; trial++ {
 					mutated, ok := Inject(rng, labeling, fault)
