@@ -1,11 +1,13 @@
 package certify
 
 import (
-	"cmp"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"hash/fnv"
+	"iter"
+	"maps"
 	mathbits "math/bits"
 	"math/rand"
 	"slices"
@@ -29,46 +31,62 @@ import (
 //	CRC32-IEEE trailer (4 bytes)
 //
 // Integers are unsigned varints; edges are sorted by endpoints, and each
-// label's bytes are the exact core.EncodeLabel bit stream, which
-// MarshalBinary writes straight into one exactly sized output buffer.
-// Version 4 is the label grammar with per-entry vertex-id dictionaries: a
-// label writes each distinct node entry once, in an entry table in
-// first-use order, and each of its certificates as row indices into that
-// table (as version 3 did); each entry writes its distinct vertex ids once,
-// in first-use order, and every vertex-id occurrence as an index into
-// them. Identifiers keep version 2's fixed widths: one varint width per
-// identifier kind and then each identifier in exactly that many bits, and
-// a class id is a 16-bit content hash plus a varint collision rank. There
-// is no decoder for versions 1 to 3 (version 3 wrote every vertex-id
-// occurrence in full); their blobs fail with the unsupported-version
-// error.
+// label's bytes are its exact core.EncodeLabel bit stream. Version 5 is the
+// label grammar with label-wide dictionaries: a label opens with the row
+// count of its entry table, then the distinct vertex ids, class ids and
+// node ids it writes, each dictionary in first-use order (identifiers in
+// one fixed width per dictionary; a class id as a 16-bit content hash plus
+// a varint collision rank), then each distinct node entry once, its ids as
+// dictionary indices, then every certificate as row indices into that
+// table, then its embedding and pointing fields. Other versions fail with
+// the unsupported-version error.
 // Decoding is strict — wrong magic, unknown version, truncation, trailing
 // bytes, CRC mismatch, or non-canonical label bytes all fail with
 // ErrBadCertificate — and a decoded certificate re-marshals
 // byte-identically.
 //
-// A decoded certificate shares its repeated components by pointer, as a
-// proved one does: every copy of a node entry with the same bits on the
-// wire, and every completion-edge certificate with the same entries and
-// owner position, is one value in memory. Its labels are therefore
-// read-only; Corrupt copies before it mutates. Each component is held
-// once, in the layout the wire uses — identifiers as slices aligned with
-// the lanes, and one cached encoding per shared entry — while certificates
-// and whole labels are encoded only when marshaled.
+// A proved certificate keeps each property's labels at rest as their wire
+// bytes: one buffer per property holding its edge entries exactly as the
+// container lists them, so a stored certificate costs about its marshaled
+// size, and MarshalBinary, EncodedLabels and MaxBits only read those bytes.
+// Verification needs the labels themselves: the first Verify or
+// VerifyDistributed decodes them into a view the certificate keeps from
+// then on. A certificate decoded from the wire keeps the view its decode
+// built instead, whose labels hold their own encodings, and assembles the
+// buffers from them only when one of those methods first needs them. In
+// the view, as in a prover's output, every copy of a node entry with the
+// same bits, and every completion-edge certificate with the same entries
+// and owner position, is one value in memory. Corrupt decodes only the
+// label it corrupts, and copies it before it mutates.
 type Certificate struct {
 	maxLanes    int
 	n, m        int
 	fingerprint uint64
 	props       []string // batch order
-	labelings   map[string]*core.Labeling
 
-	// schemes are the per-property verification schemes. Proving fills them
-	// with the prover's own schemes (shared registries); for decoded
-	// certificates they are rebuilt under schemeMu on first verification,
-	// reconstructing each registry from the labels (core.RebuildRegistry),
-	// so concurrent Verify calls on one decoded certificate are safe.
-	schemeMu sync.Mutex
-	schemes  map[string]*core.Scheme
+	// mu guards the state built on first use, so concurrent calls on one
+	// certificate are safe: labels (per property, its labels at rest), view
+	// (the decoded labels) and schemes, the per-property verification
+	// schemes. A proved certificate and its Corrupt outputs carry the
+	// prover's own schemes (shared registries); a decoded one rebuilds them
+	// on first verification, reconstructing each registry from the view
+	// (core.RebuildRegistry).
+	mu      sync.Mutex
+	labels  map[string]*storedLabels
+	view    map[string]*core.Labeling
+	schemes map[string]*core.Scheme
+}
+
+// storedLabels is one property's labeling at rest.
+type storedLabels struct {
+	// entries are its edge entries as the wire lists them: per edge, in
+	// canonical order, the endpoints and the label's bit count as varints,
+	// then the label's bytes.
+	entries []byte
+	// faults holds, per edge in the same order, the faults of the catalog
+	// its label can host (dist.Hosted), so that Corrupt decodes only the
+	// label it corrupts.
+	faults []dist.FaultSet
 }
 
 // MaxLaneBudget is the largest lane budget the certificate wire format can
@@ -123,11 +141,15 @@ func (c *Certificate) Fingerprint() uint64 { return c.fingerprint }
 // MaxBits returns the proof size of one property's labeling — the largest
 // edge label in bits — or 0 for properties the certificate does not carry.
 func (c *Certificate) MaxBits(property string) int {
-	l, ok := c.labelings[property]
+	s, ok := c.stored()[property]
 	if !ok {
 		return 0
 	}
-	return l.MaxBits()
+	best := 0
+	for _, x := range storedEntries(s.entries) {
+		best = max(best, x.nbits)
+	}
+	return best
 }
 
 // fingerprint hashes the certified configuration: vertex count, identifier
@@ -156,25 +178,22 @@ func fingerprint(cfg *cert.Config) uint64 {
 	return h.Sum64()
 }
 
-// MarshalBinary encodes the certificate into the versioned wire format. The
-// output is sized exactly up front from the labels' memoized bit counts, and
-// every label is encoded straight into it.
+// MarshalBinary encodes the certificate into the versioned wire format:
+// the header, then each property's stored edge entries copied in, in one
+// exactly sized buffer.
 func (c *Certificate) MarshalBinary() ([]byte, error) {
 	if len(c.props) == 0 {
 		return nil, fmt.Errorf("%w: cannot marshal an empty certificate", ErrBadConfig)
 	}
+	labels := c.stored()
 	size := len(certMagic) + 1 + uvarintLen(uint64(c.maxLanes)) + uvarintLen(uint64(c.n)) +
 		uvarintLen(uint64(c.m)) + 8 + uvarintLen(uint64(len(c.props))) + 4
 	for _, name := range c.props {
-		l, ok := c.labelings[name]
+		s, ok := labels[name]
 		if !ok {
 			return nil, fmt.Errorf("%w: certificate lists property %q without a labeling", ErrBadCertificate, name)
 		}
-		size += uvarintLen(uint64(len(name))) + len(name) + uvarintLen(uint64(len(l.Edges)))
-		for e, el := range l.Edges {
-			nbits := el.Bits()
-			size += uvarintLen(uint64(e.U)) + uvarintLen(uint64(e.V)) + uvarintLen(uint64(nbits)) + (nbits+7)/8
-		}
+		size += uvarintLen(uint64(len(name))) + len(name) + uvarintLen(uint64(c.m)) + len(s.entries)
 	}
 	out := make([]byte, 0, size)
 	out = append(out, certMagic...)
@@ -185,18 +204,10 @@ func (c *Certificate) MarshalBinary() ([]byte, error) {
 	out = binary.BigEndian.AppendUint64(out, c.fingerprint)
 	out = binary.AppendUvarint(out, uint64(len(c.props)))
 	for _, name := range c.props {
-		l := c.labelings[name]
-		edges := sortedEdges(l)
 		out = binary.AppendUvarint(out, uint64(len(name)))
 		out = append(out, name...)
-		out = binary.AppendUvarint(out, uint64(len(edges)))
-		for _, e := range edges {
-			el := l.Edges[e]
-			out = binary.AppendUvarint(out, uint64(e.U))
-			out = binary.AppendUvarint(out, uint64(e.V))
-			out = binary.AppendUvarint(out, uint64(el.Bits()))
-			out, _ = core.AppendLabel(out, el)
-		}
+		out = binary.AppendUvarint(out, uint64(c.m))
+		out = append(out, labels[name].entries...)
 	}
 	return binary.BigEndian.AppendUint32(out, crc32.ChecksumIEEE(out)), nil
 }
@@ -204,16 +215,171 @@ func (c *Certificate) MarshalBinary() ([]byte, error) {
 // uvarintLen returns the byte length of v's binary.AppendUvarint encoding.
 func uvarintLen(v uint64) int { return (mathbits.Len64(v|1) + 6) / 7 }
 
-// sortedEdges returns a labeling's edges in wire order: by endpoints.
-func sortedEdges(l *core.Labeling) []graph.Edge {
-	edges := make([]graph.Edge, 0, len(l.Edges))
-	for e := range l.Edges {
-		edges = append(edges, e)
+// storeLabels returns a labeling at rest. edges yields its edges in
+// canonical order, and each label's bytes are copied from its cached
+// encoding (the prover materializes every label it hands out, and a
+// decoded label holds the bits it was checked against).
+func storeLabels(edges iter.Seq[graph.Edge], l *core.Labeling) *storedLabels {
+	els := make([]*core.EdgeLabel, 0, len(l.Edges))
+	s := &storedLabels{faults: make([]dist.FaultSet, 0, len(l.Edges))}
+	size := 0
+	for e := range edges {
+		el := l.Edges[e]
+		els = append(els, el)
+		s.faults = append(s.faults, dist.Hosted(el))
+		size += entrySize(e, el.Bits())
 	}
-	slices.SortFunc(edges, func(a, b graph.Edge) int {
-		return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V))
-	})
-	return edges
+	s.entries = make([]byte, 0, size)
+	for e := range edges {
+		s.entries = appendEntry(s.entries, e, els[0])
+		els = els[1:]
+	}
+	return s
+}
+
+// entrySize is the wire size of an edge entry with an nbits-bit label.
+func entrySize(e graph.Edge, nbits int) int {
+	return uvarintLen(uint64(e.U)) + uvarintLen(uint64(e.V)) + uvarintLen(uint64(nbits)) + (nbits+7)/8
+}
+
+// appendEntry appends one edge entry — endpoints, bit count, label bytes —
+// to dst.
+func appendEntry(dst []byte, e graph.Edge, el *core.EdgeLabel) []byte {
+	dst = binary.AppendUvarint(dst, uint64(e.U))
+	dst = binary.AppendUvarint(dst, uint64(e.V))
+	dst = binary.AppendUvarint(dst, uint64(el.Bits()))
+	dst, _ = core.AppendLabel(dst, el)
+	return dst
+}
+
+// badCert returns a decoding failure, matching ErrBadCertificate.
+func badCert(format string, args ...any) error {
+	return wrapErr(ErrBadCertificate, fmt.Errorf(format, args...))
+}
+
+// takeUvarint reads the varint at the front of *r, advancing *r past it.
+func takeUvarint(r *[]byte, field string) (uint64, error) {
+	v, k := binary.Uvarint(*r)
+	if k <= 0 {
+		return 0, badCert("truncated %s", field)
+	}
+	*r = (*r)[k:]
+	return v, nil
+}
+
+// edgeEntry is one edge entry of a property's labeling on the wire.
+type edgeEntry struct {
+	e     graph.Edge
+	nbits int
+	label []byte // the label's bytes
+}
+
+// noEdge precedes every edge in canonical order.
+var noEdge = graph.Edge{U: -1, V: -1}
+
+// readEntry parses the edge entry at the start of r and returns it with the
+// rest of r. The edge must join two of n vertices and follow prev in
+// canonical order, and the label's declared size must be plausible and
+// present.
+func readEntry(r []byte, n int, prev graph.Edge) (edgeEntry, []byte, error) {
+	u, err := takeUvarint(&r, "edge endpoint")
+	if err != nil {
+		return edgeEntry{}, nil, err
+	}
+	v, err := takeUvarint(&r, "edge endpoint")
+	if err != nil {
+		return edgeEntry{}, nil, err
+	}
+	if u >= v || v >= uint64(n) {
+		return edgeEntry{}, nil, badCert("invalid edge {%d,%d}", u, v)
+	}
+	e := graph.Edge{U: int(u), V: int(v)}
+	if graph.CompareEdges(e, prev) <= 0 {
+		return edgeEntry{}, nil, badCert("edge %v out of canonical order", e)
+	}
+	nbits, err := takeUvarint(&r, "label bit count")
+	if err != nil {
+		return edgeEntry{}, nil, err
+	}
+	if nbits > maxLabelBits {
+		return edgeEntry{}, nil, badCert("implausible label size %d bits", nbits)
+	}
+	nbytes := (nbits + 7) / 8
+	if uint64(len(r)) < nbytes {
+		return edgeEntry{}, nil, badCert("truncated label payload")
+	}
+	return edgeEntry{e: e, nbits: int(nbits), label: r[:nbytes]}, r[nbytes:], nil
+}
+
+// stored returns the certificate's labels at rest. A certificate decoded
+// from the wire builds them from its view on first use, in canonical edge
+// order.
+func (c *Certificate) stored() map[string]*storedLabels {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.labels == nil {
+		c.labels = make(map[string]*storedLabels, len(c.props))
+		for _, name := range c.props {
+			l := c.view[name]
+			edges := slices.SortedFunc(maps.Keys(l.Edges), graph.CompareEdges)
+			c.labels[name] = storeLabels(slices.Values(edges), l)
+		}
+	}
+	return c.labels
+}
+
+// storedEntries iterates stored edge entries with their offsets. They were
+// written by storeLabels or checked by decodeLabels, so they parse (against
+// any vertex count: the check that they fit the certificate's ran then).
+func storedEntries(entries []byte) iter.Seq2[int, edgeEntry] {
+	return func(yield func(int, edgeEntry) bool) {
+		r, prev := entries, noEdge
+		for len(r) > 0 {
+			x, rest, err := readEntry(r, maxCertVertices, prev)
+			if err != nil {
+				panic("certify: stored labels do not parse: " + err.Error())
+			}
+			if !yield(len(entries)-len(r), x) {
+				return
+			}
+			r, prev = rest, x.e
+		}
+	}
+}
+
+// decodeLabels decodes the m edge entries at the start of r with dec and
+// returns their labeling and the rest of r. Each entry must name an edge of
+// an n-vertex graph, in canonical order, and carry a label whose bytes are
+// exactly its re-encoding. UnmarshalBinary decodes each property through
+// it, and so does the first verification of a certificate it did not
+// decode.
+func decodeLabels(dec *core.Decoder, r []byte, n, m int) (*core.Labeling, []byte, error) {
+	l := &core.Labeling{Edges: make(map[graph.Edge]*core.EdgeLabel, m)}
+	var back []byte // re-encoding scratch of the canonicality check
+	prev := noEdge
+	for range m {
+		x, rest, err := readEntry(r, n, prev)
+		if err != nil {
+			return nil, nil, err
+		}
+		r, prev = rest, x.e
+		el, err := dec.DecodeLabel(x.label, x.nbits)
+		if err != nil {
+			return nil, nil, badCert("label for edge %v: %v", x.e, err)
+		}
+		// Canonicality: the payload must be the exact re-encoding, so the
+		// bytes a certificate stores, marshals and ships are its labels'
+		// encodings, and labels cannot smuggle unread trailing bits, dirty
+		// padding or a repeated entry-table row. The decoder interns
+		// entries by raw bits, so this check alone decides canonicality.
+		var backBits int
+		back, backBits = core.AppendLabel(back[:0], el)
+		if backBits != x.nbits || string(back) != string(x.label) {
+			return nil, nil, badCert("label for edge %v is not canonically encoded", x.e)
+		}
+		l.Edges[x.e] = el
+	}
+	return l, r, nil
 }
 
 // UnmarshalBinary strictly decodes a certificate previously produced by
@@ -223,31 +389,21 @@ func sortedEdges(l *core.Labeling) []graph.Edge {
 // with an error matching ErrBadCertificate. On success the receiver
 // re-marshals byte-identically.
 func (c *Certificate) UnmarshalBinary(data []byte) error {
-	bad := func(format string, args ...any) error {
-		return wrapErr(ErrBadCertificate, fmt.Errorf(format, args...))
-	}
 	if len(data) < len(certMagic)+1+8+4 {
-		return bad("short blob (%d bytes)", len(data))
+		return badCert("short blob (%d bytes)", len(data))
 	}
 	body, trailer := data[:len(data)-4], data[len(data)-4:]
 	if crc32.ChecksumIEEE(body) != binary.BigEndian.Uint32(trailer) {
-		return bad("CRC mismatch")
+		return badCert("CRC mismatch")
 	}
 	if string(body[:len(certMagic)]) != certMagic {
-		return bad("bad magic %q", body[:len(certMagic)])
+		return badCert("bad magic %q", body[:len(certMagic)])
 	}
 	if v := body[len(certMagic)]; v != certVersion {
-		return bad("unsupported format version %d (want %d)", v, certVersion)
+		return badCert("unsupported format version %d (want %d)", v, certVersion)
 	}
 	r := body[len(certMagic)+1:]
-	take := func(field string) (uint64, error) {
-		v, n := binary.Uvarint(r)
-		if n <= 0 {
-			return 0, bad("truncated %s", field)
-		}
-		r = r[n:]
-		return v, nil
-	}
+	take := func(field string) (uint64, error) { return takeUvarint(&r, field) }
 	maxLanes, err := take("lane budget")
 	if err != nil {
 		return err
@@ -261,10 +417,10 @@ func (c *Certificate) UnmarshalBinary(data []byte) error {
 		return err
 	}
 	if maxLanes == 0 || maxLanes > MaxLaneBudget || n == 0 || n > maxCertVertices || m > maxCertEdges {
-		return bad("implausible header (lanes=%d n=%d m=%d)", maxLanes, n, m)
+		return badCert("implausible header (lanes=%d n=%d m=%d)", maxLanes, n, m)
 	}
 	if len(r) < 8 {
-		return bad("truncated fingerprint")
+		return badCert("truncated fingerprint")
 	}
 	fp := binary.BigEndian.Uint64(r[:8])
 	r = r[8:]
@@ -273,7 +429,7 @@ func (c *Certificate) UnmarshalBinary(data []byte) error {
 		return err
 	}
 	if nProps == 0 || nProps > maxCertProps {
-		return bad("implausible property count %d", nProps)
+		return badCert("implausible property count %d", nProps)
 	}
 	// Every declared size field below is attacker-controlled: before any
 	// size-hinted allocation, cap it against the bytes actually remaining in
@@ -281,16 +437,12 @@ func (c *Certificate) UnmarshalBinary(data []byte) error {
 	// ≥ minEdgeBytes on the wire), so a 100-byte blob declaring 2²⁶ edges is
 	// rejected as truncated instead of reserving gigabytes.
 	if nProps > uint64(len(r))/minPropBytes {
-		return bad("property count %d exceeds the %d remaining bytes", nProps, len(r))
+		return badCert("property count %d exceeds the %d remaining bytes", nProps, len(r))
 	}
-	var out decodedCertificate
-	out.maxLanes = int(maxLanes)
-	out.n = int(n)
-	out.m = int(m)
-	out.fingerprint = fp
-	out.labelings = make(map[string]*core.Labeling, nProps)
+	// The receiver is written only once the whole blob has decoded.
+	var props []string
+	view := make(map[string]*core.Labeling, nProps)
 	var dec core.Decoder // one per call: labels of every property share components
-	var back []byte      // re-encoding scratch of the canonicality check
 	dec.Grow(int(m), int(nProps), 8*len(r))
 	for p := uint64(0); p < nProps; p++ {
 		nameLen, err := take("property name length")
@@ -298,138 +450,112 @@ func (c *Certificate) UnmarshalBinary(data []byte) error {
 			return err
 		}
 		if nameLen == 0 || nameLen > maxCertNameLen {
-			return bad("implausible property name length %d", nameLen)
+			return badCert("implausible property name length %d", nameLen)
 		}
 		if uint64(len(r)) < nameLen {
-			return bad("truncated property name")
+			return badCert("truncated property name")
 		}
 		name := string(r[:nameLen])
 		r = r[nameLen:]
 		if !utf8.ValidString(name) {
-			return bad("property name is not valid UTF-8")
+			return badCert("property name is not valid UTF-8")
 		}
-		if _, dup := out.labelings[name]; dup {
-			return bad("duplicate property %q", name)
+		if _, dup := view[name]; dup {
+			return badCert("duplicate property %q", name)
 		}
 		nEdges, err := take("edge count")
 		if err != nil {
 			return err
 		}
 		if nEdges > maxCertEdges || nEdges != m {
-			return bad("labeling for %q covers %d edges, configuration has %d", name, nEdges, m)
+			return badCert("labeling for %q covers %d edges, configuration has %d", name, nEdges, m)
 		}
 		if nEdges > uint64(len(r))/minEdgeBytes {
-			return bad("labeling for %q declares %d edges, only %d bytes remain", name, nEdges, len(r))
+			return badCert("labeling for %q declares %d edges, only %d bytes remain", name, nEdges, len(r))
 		}
-		l := &core.Labeling{Edges: make(map[graph.Edge]*core.EdgeLabel, nEdges)}
-		prev := graph.Edge{U: -1, V: -1}
-		for i := uint64(0); i < nEdges; i++ {
-			u, err := take("edge endpoint")
-			if err != nil {
-				return err
-			}
-			v, err := take("edge endpoint")
-			if err != nil {
-				return err
-			}
-			if u >= v || v >= n {
-				return bad("invalid edge {%d,%d}", u, v)
-			}
-			e := graph.Edge{U: int(u), V: int(v)}
-			if e.U < prev.U || (e.U == prev.U && e.V <= prev.V) {
-				return bad("edge %v out of canonical order", e)
-			}
-			prev = e
-			nbits, err := take("label bit count")
-			if err != nil {
-				return err
-			}
-			if nbits > maxLabelBits {
-				return bad("implausible label size %d bits", nbits)
-			}
-			nbytes := (nbits + 7) / 8
-			if uint64(len(r)) < nbytes {
-				return bad("truncated label payload")
-			}
-			payload := r[:nbytes]
-			r = r[nbytes:]
-			el, derr := dec.DecodeLabel(payload, int(nbits))
-			if derr != nil {
-				return bad("label for edge %v: %v", e, derr)
-			}
-			// Canonicality: the payload must be the exact re-encoding, so a
-			// decoded certificate re-marshals byte-identically and labels
-			// cannot smuggle unread trailing bits, dirty padding or a
-			// repeated entry-table row. The decoder interns entries by raw
-			// bits, so this check alone decides canonicality; it splices
-			// the shared entries' cached encodings.
-			var backBits int
-			back, backBits = core.AppendLabel(back[:0], el)
-			if backBits != int(nbits) || string(back) != string(payload) {
-				return bad("label for edge %v is not canonically encoded", e)
-			}
-			l.Edges[e] = el
+		l, rest, err := decodeLabels(&dec, r, int(n), int(nEdges))
+		if err != nil {
+			return err
 		}
-		out.props = append(out.props, name)
-		out.labelings[name] = l
+		props = append(props, name)
+		view[name] = l
+		r = rest
 	}
 	if len(r) != 0 {
-		return bad("%d trailing bytes", len(r))
+		return badCert("%d trailing bytes", len(r))
 	}
-	c.schemeMu.Lock()
-	defer c.schemeMu.Unlock()
-	c.maxLanes = out.maxLanes
-	c.n = out.n
-	c.m = out.m
-	c.fingerprint = out.fingerprint
-	c.props = out.props
-	c.labelings = out.labelings
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.maxLanes = int(maxLanes)
+	c.n = int(n)
+	c.m = int(m)
+	c.fingerprint = fp
+	c.props = props
+	c.labels = nil
+	c.view = view
 	c.schemes = nil
 	return nil
 }
 
-// decodedCertificate carries UnmarshalBinary's in-flight fields (the
-// receiver is only written after full validation, and without copying its
-// mutex).
-type decodedCertificate struct {
-	maxLanes    int
-	n, m        int
-	fingerprint uint64
-	props       []string
-	labelings   map[string]*core.Labeling
+// verifyState returns the certificate's decoded view (viewLocked) and its
+// per-property verification schemes, building what is missing under mu. A decoded certificate's schemes are built here: each property
+// resolves to the verifying certifier's configured instance of that name,
+// whose memo the scheme then shares, or else through the catalog, and its
+// class registry is reconstructed from the view (proved certificates keep
+// the prover's schemes and skip this). An unresolvable property name fails
+// with ErrUnknownProperty; a labeling that does not determine a consistent
+// registry fails verification (ErrVerifyFailed).
+func (c *Certificate) verifyState(v *Certifier) (map[string]*core.Labeling, map[string]*core.Scheme, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	view, err := c.viewLocked()
+	if err != nil {
+		return nil, nil, err
+	}
+	if c.schemes == nil {
+		schemes := make(map[string]*core.Scheme, len(c.props))
+		for _, name := range c.props {
+			p, ok := v.property(name)
+			if !ok {
+				if p, err = PropertyByName(name); err != nil {
+					return nil, nil, err
+				}
+			}
+			s := core.NewSchemeMemo(p.p, c.maxLanes, p.algebraMemo())
+			if err := s.RebuildRegistry(view[name]); err != nil {
+				return nil, nil, newVerifyError(name, nil)
+			}
+			schemes[name] = s
+		}
+		c.schemes = schemes
+	}
+	return view, c.schemes, nil
 }
 
-// ensureSchemes builds the per-property verification schemes of a decoded
-// certificate: each property resolves to the verifying certifier's
-// configured instance of that name, whose memo the scheme then shares, or
-// else through the catalog, and its class registry is reconstructed from
-// the labeling (fresh certificates keep the prover's schemes and skip
-// this). An unresolvable property name fails with ErrUnknownProperty; a
-// labeling that does not determine a consistent registry fails
-// verification (ErrVerifyFailed).
-func (c *Certificate) ensureSchemes(v *Certifier) error {
-	c.schemeMu.Lock()
-	defer c.schemeMu.Unlock()
-	if c.schemes != nil {
-		return nil
+// viewLocked returns the certificate's decoded labels, decoding the stored
+// ones on first use through UnmarshalBinary's loop (decodeLabels, one
+// Decoder for every property). Stored labels that do not decode fail with
+// ErrBadCertificate. Callers hold mu.
+func (c *Certificate) viewLocked() (map[string]*core.Labeling, error) {
+	if c.view != nil {
+		return c.view, nil
 	}
-	schemes := make(map[string]*core.Scheme, len(c.props))
+	size := 0
 	for _, name := range c.props {
-		p, ok := v.property(name)
-		if !ok {
-			var err error
-			if p, err = PropertyByName(name); err != nil {
-				return err
-			}
-		}
-		s := core.NewSchemeMemo(p.p, c.maxLanes, p.algebraMemo())
-		if err := s.RebuildRegistry(c.labelings[name]); err != nil {
-			return newVerifyError(name, nil)
-		}
-		schemes[name] = s
+		size += len(c.labels[name].entries)
 	}
-	c.schemes = schemes
-	return nil
+	var dec core.Decoder
+	dec.Grow(c.m, len(c.props), 8*size)
+	view := make(map[string]*core.Labeling, len(c.props))
+	for _, name := range c.props {
+		l, _, err := decodeLabels(&dec, c.labels[name].entries, c.n, c.m)
+		if err != nil {
+			return nil, err
+		}
+		view[name] = l
+	}
+	c.view = view
+	return view, nil
 }
 
 // LabelBlob is the canonical encoding of one edge's label — the exact
@@ -444,19 +570,20 @@ type LabelBlob struct {
 
 // EncodedLabels returns one property's labeling as per-edge canonical label
 // encodings, sorted by edge endpoints, or ok=false when the certificate does
-// not carry the property. The distributed runtime (certify/distnet)
-// partitions these blobs across processes as each processor's label memory
-// and re-ships them between peers during verification rounds.
+// not carry the property. The blobs are cut from one copy of the stored
+// labels, so they never alias the certificate. The distributed runtime
+// (certify/distnet) partitions these blobs across processes as each
+// processor's label memory and re-ships them between peers during
+// verification rounds.
 func (c *Certificate) EncodedLabels(property string) ([]LabelBlob, bool) {
-	l, ok := c.labelings[property]
+	s, ok := c.stored()[property]
 	if !ok {
 		return nil, false
 	}
-	edges := sortedEdges(l)
-	out := make([]LabelBlob, len(edges))
-	for i, e := range edges {
-		data, nbits := core.EncodeLabel(l.Edges[e])
-		out[i] = LabelBlob{U: e.U, V: e.V, Bits: nbits, Data: data}
+	entries := bytes.Clone(s.entries)
+	out := make([]LabelBlob, 0, c.m)
+	for _, x := range storedEntries(entries) {
+		out = append(out, LabelBlob{U: x.e.U, V: x.e.V, Bits: x.nbits, Data: slices.Clip(x.label)})
 	}
 	return out, true
 }
@@ -473,9 +600,14 @@ func FaultNames() []string {
 
 // Corrupt returns a copy of the certificate with the named transient fault
 // injected into every property's labeling (seeded, so corruption is
-// reproducible). The receiver is unchanged. Soundness of the scheme means
-// one verification round rejects every corrupted certificate; Corrupt
-// exists to demonstrate exactly that.
+// reproducible). The receiver is unchanged. Each stored label's fault set
+// tells the injection which labels can host the fault, so only the label
+// it corrupts is decoded, and that label's re-encoding is spliced into a
+// copy of its property's stored labels. When the receiver already holds a
+// decoded view, the copy shares it but for the corrupted label, so
+// verifying the copy decodes nothing. Soundness of the scheme means one
+// verification round rejects every corrupted certificate; Corrupt exists to
+// demonstrate exactly that.
 func (c *Certificate) Corrupt(seed int64, fault string) (*Certificate, error) {
 	var f dist.Fault
 	found := false
@@ -489,24 +621,66 @@ func (c *Certificate) Corrupt(seed int64, fault string) (*Certificate, error) {
 		return nil, fmt.Errorf("%w: unknown fault %q (have %v)", ErrBadConfig, fault, FaultNames())
 	}
 	rng := rand.New(rand.NewSource(seed))
-	c.schemeMu.Lock()
-	schemes := c.schemes
-	c.schemeMu.Unlock()
+	labels := c.stored()
+	c.mu.Lock()
+	schemes, view := c.schemes, c.view
+	c.mu.Unlock()
 	out := &Certificate{
 		maxLanes:    c.maxLanes,
 		n:           c.n,
 		m:           c.m,
 		fingerprint: c.fingerprint,
 		props:       append([]string(nil), c.props...),
-		labelings:   make(map[string]*core.Labeling, len(c.labelings)),
+		labels:      make(map[string]*storedLabels, len(labels)),
 		schemes:     schemes,
 	}
+	if view != nil {
+		out.view = make(map[string]*core.Labeling, len(view))
+	}
+	var dec core.Decoder
+	edges := make([]graph.Edge, 0, c.m)
+	at := make([]int, 0, c.m+1) // each edge entry's offset, then the end
 	for _, name := range c.props {
-		mutated, ok := dist.Inject(rng, c.labelings[name], f)
+		s := labels[name]
+		edges, at = edges[:0], at[:0]
+		for off, x := range storedEntries(s.entries) {
+			edges, at = append(edges, x.e), append(at, off)
+		}
+		at = append(at, len(s.entries))
+		var decodeErr error
+		label := func(e graph.Edge) *core.EdgeLabel {
+			i, _ := slices.BinarySearchFunc(edges, e, graph.CompareEdges)
+			if !s.faults[i].Has(f) {
+				return nil // cannot host the fault: nothing to decode
+			}
+			x, _, _ := readEntry(s.entries[at[i]:], c.n, noEdge)
+			el, err := dec.DecodeLabel(x.label, x.nbits)
+			if err != nil && decodeErr == nil {
+				decodeErr = badCert("label for edge %v: %v", e, err)
+			}
+			return el
+		}
+		e, bad, ok := dist.Inject(rng, edges, label, f)
+		if decodeErr != nil {
+			return nil, decodeErr
+		}
 		if !ok {
 			return nil, fmt.Errorf("%w: fault %s not injectable on the %s labeling", ErrBadConfig, fault, name)
 		}
-		out.labelings[name] = mutated
+		i, _ := slices.BinarySearchFunc(edges, e, graph.CompareEdges)
+		spliced := make([]byte, 0, at[i]+entrySize(e, bad.Bits())+len(s.entries)-at[i+1])
+		spliced = appendEntry(append(spliced, s.entries[:at[i]]...), e, bad)
+		corrupted := &storedLabels{
+			entries: append(spliced, s.entries[at[i+1]:]...),
+			faults:  slices.Clone(s.faults),
+		}
+		corrupted.faults[i] = dist.Hosted(bad)
+		out.labels[name] = corrupted
+		if view != nil {
+			l := &core.Labeling{Edges: maps.Clone(view[name].Edges)}
+			l.Edges[e] = bad
+			out.view[name] = l
+		}
 	}
 	return out, nil
 }

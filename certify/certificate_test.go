@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"maps"
 	"slices"
 	"strings"
 	"testing"
@@ -20,6 +21,24 @@ import (
 // probe checks past the checksum.
 func fixCRC(blob []byte) {
 	binary.BigEndian.PutUint32(blob[len(blob)-4:], crc32.ChecksumIEEE(blob[:len(blob)-4]))
+}
+
+// labelings returns the certificate's decoded view, decoding its stored
+// labels as its first verification would.
+func (c *Certificate) labelings(t testing.TB) map[string]*core.Labeling {
+	t.Helper()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	view, err := c.viewLocked()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return view
+}
+
+// sortedEdges returns a labeling's edges in wire order: by endpoints.
+func sortedEdges(l *core.Labeling) []graph.Edge {
+	return slices.SortedFunc(maps.Keys(l.Edges), graph.CompareEdges)
 }
 
 // honestBlob proves a small two-property certificate and marshals it.
@@ -115,7 +134,7 @@ func TestNonCanonicalCopyRejectedAfterInterning(t *testing.T) {
 		t.Fatal(err)
 	}
 	name := honest.props[0]
-	l := honest.labelings[name]
+	l := honest.labelings(t)[name]
 	target, at := repeatedNonMember(t, l)
 	// Two copies whose entry claims parent id −2 or −3: both write the
 	// member fields and every node id in 64 bits, and their encodings
@@ -164,7 +183,7 @@ func TestOverWideCopyRejectedAfterInterning(t *testing.T) {
 		t.Fatal(err)
 	}
 	name := honest.props[0]
-	l := honest.labelings[name]
+	l := honest.labelings(t)[name]
 	// Find, in wire order, a label whose own path repeats the non-member
 	// root entry an earlier label already carried.
 	seen := false
@@ -258,24 +277,17 @@ func repeatedNonMember(t *testing.T, l *core.Labeling) (graph.Edge, int) {
 // one property carries the given label instead of its own.
 func marshalWithLabel(t *testing.T, honest *Certificate, name string, e graph.Edge, el *core.EdgeLabel) []byte {
 	t.Helper()
-	labelings := make(map[string]*core.Labeling, len(honest.labelings))
-	for p, hl := range honest.labelings {
-		labelings[p] = hl
-	}
-	l := honest.labelings[name]
-	swapped := &core.Labeling{Edges: make(map[graph.Edge]*core.EdgeLabel, len(l.Edges))}
-	for k, v := range l.Edges {
-		swapped.Edges[k] = v
-	}
+	labels := maps.Clone(honest.stored())
+	swapped := &core.Labeling{Edges: maps.Clone(honest.labelings(t)[name].Edges)}
 	swapped.Edges[e] = el
-	labelings[name] = swapped
+	labels[name] = storeLabels(slices.Values(sortedEdges(swapped)), swapped)
 	bad := &Certificate{
 		maxLanes:    honest.maxLanes,
 		n:           honest.n,
 		m:           honest.m,
 		fingerprint: honest.fingerprint,
 		props:       honest.props,
-		labelings:   labelings,
+		labels:      labels,
 	}
 	blob, err := bad.MarshalBinary()
 	if err != nil {
@@ -295,8 +307,8 @@ func TestDuplicateLaneRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	name := honest.props[0]
-	target := sortedEdges(honest.labelings[name])[0]
-	forged := honest.labelings[name].Edges[target].Clone()
+	target := sortedEdges(honest.labelings(t)[name])[0]
+	forged := honest.labelings(t)[name].Edges[target].Clone()
 	en := forged.Own.Path[0]
 	dup := func(s []uint64) []uint64 {
 		if s == nil {

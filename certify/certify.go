@@ -299,8 +299,14 @@ func (c *Certifier) ProveBatch(ctx context.Context, g *Graph) (*Certificate, *Ba
 // ErrVerifyFailed) naming the rejecting vertices otherwise, and ctx.Err()
 // on cancellation. Certificates decoded from the wire verify exactly like
 // freshly proved ones: the class registry is reconstructed from the labels.
+// A certificate that was not decoded from the wire decodes its stored
+// labels on its first verification and keeps them.
 func (c *Certifier) Verify(ctx context.Context, g *Graph, crt *Certificate) error {
 	cfg, err := c.bindCertificate(g, crt)
+	if err != nil {
+		return err
+	}
+	view, schemes, err := crt.verifyState(c)
 	if err != nil {
 		return err
 	}
@@ -308,9 +314,9 @@ func (c *Certifier) Verify(ctx context.Context, g *Graph, crt *Certificate) erro
 		// A copy of the scheme carries the certifier's worker bound (a
 		// Scheme holds scalars and pointers to its registry and memo,
 		// which the verifier's pool already shares across goroutines).
-		scheme := *crt.schemes[name]
+		scheme := *schemes[name]
 		scheme.Workers = c.parallelism
-		verdicts, err := scheme.VerifyParallelCtx(ctx, cfg, crt.labelings[name])
+		verdicts, err := scheme.VerifyParallelCtx(ctx, cfg, view[name])
 		if err != nil {
 			return err
 		}
@@ -333,9 +339,7 @@ func (c *Certifier) VerifyDistributed(ctx context.Context, g *Graph, crt *Certif
 	return c.Verify(ctx, g, crt)
 }
 
-// bindCertificate validates the certificate against the graph and ensures
-// its per-property schemes exist (building them — including the registry
-// reconstruction — for certificates decoded from the wire).
+// bindCertificate validates the certificate against the graph.
 func (c *Certifier) bindCertificate(g *Graph, crt *Certificate) (*cert.Config, error) {
 	if g == nil || g.g == nil {
 		return nil, fmt.Errorf("%w: nil graph", ErrBadConfig)
@@ -349,9 +353,6 @@ func (c *Certifier) bindCertificate(g *Graph, crt *Certificate) (*cert.Config, e
 	}
 	if crt.n != g.N() || crt.m != g.M() || crt.fingerprint != fingerprint(cfg) {
 		return nil, wrapErr(ErrWrongGraph, fmt.Errorf("certificate is for n=%d m=%d fp=%016x", crt.n, crt.m, crt.fingerprint))
-	}
-	if err := crt.ensureSchemes(c); err != nil {
-		return nil, err
 	}
 	return cfg, nil
 }
@@ -428,7 +429,7 @@ func (c *Certifier) ProveBatchOn(ctx context.Context, st *Structure) (*Certifica
 		n:           st.sp.Cfg.G.N(),
 		m:           st.sp.Cfg.G.M(),
 		fingerprint: fingerprint(st.sp.Cfg),
-		labelings:   map[string]*core.Labeling{},
+		labels:      map[string]*storedLabels{},
 		schemes:     map[string]*core.Scheme{},
 	}
 	// The core batch keys results by the algebra's display names; the public
@@ -441,7 +442,7 @@ func (c *Certifier) ProveBatchOn(ctx context.Context, st *Structure) (*Certifica
 			continue
 		}
 		crt.props = append(crt.props, name)
-		crt.labelings[name] = l
+		crt.labels[name] = storeLabels(st.sp.Cfg.G.EdgesSeq(), l)
 		crt.schemes[name] = batch.Scheme(display)
 	}
 	if len(crt.props) == 0 {

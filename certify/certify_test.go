@@ -109,7 +109,7 @@ func TestWireRoundTripEveryFamily(t *testing.T) {
 			// node entry and certificate, across both properties.
 			entries, entryKeys := map[*core.NodeEntry]bool{}, map[string]bool{}
 			certs, certKeys := map[*core.CEdgeLabel]bool{}, map[string]bool{}
-			for _, l := range decoded.labelings {
+			for _, l := range decoded.labelings(t) {
 				for _, el := range l.Edges {
 					payloads := []*core.CEdgeLabel{el.Own}
 					for _, emb := range el.Emb {

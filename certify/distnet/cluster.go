@@ -38,13 +38,12 @@ func PartOf(v, n, parts int) int {
 // verification, the partition count, and the wire protocol version. Peers
 // and coordinators exchange it in their hello frames, so a process launched
 // against the wrong graph, certificate, property, or partition count is
-// refused at handshake instead of corrupting rounds.
+// refused at handshake instead of corrupting rounds. It validates the tuple
+// as NewNode does, but decodes no label: a coordinator starts without
+// touching the labeling.
 func ClusterFingerprint(g *certify.Graph, crt *certify.Certificate, property string, parts int) (uint64, error) {
-	cl, err := buildCluster(g, crt, property, parts)
-	if err != nil {
-		return 0, err
-	}
-	return cl.fp, nil
+	_, fp, err := checkTuple(g, crt, property, parts)
+	return fp, err
 }
 
 // ResolveProperty returns the property a cluster over the certificate
@@ -83,28 +82,53 @@ type cluster struct {
 	fp       uint64
 }
 
-// buildCluster validates the (graph, certificate, property, parts) tuple and
-// derives the shared cluster state.
-func buildCluster(pub *certify.Graph, crt *certify.Certificate, property string, parts int) (*cluster, error) {
+// checkTuple validates the (graph, certificate, property, parts) tuple —
+// the partition count in range, the property carried by the certificate,
+// the certificate bound to the graph and labeling its every edge — and
+// returns the resolved property and the cluster fingerprint.
+func checkTuple(pub *certify.Graph, crt *certify.Certificate, property string, parts int) (string, uint64, error) {
 	if pub == nil {
-		return nil, errors.New("distnet: nil graph")
+		return "", 0, errors.New("distnet: nil graph")
 	}
 	if crt == nil {
-		return nil, errors.New("distnet: nil certificate")
+		return "", 0, errors.New("distnet: nil certificate")
 	}
 	if parts < 1 || parts > maxWireParts {
-		return nil, fmt.Errorf("distnet: partition count %d out of range [1, %d]", parts, maxWireParts)
+		return "", 0, fmt.Errorf("distnet: partition count %d out of range [1, %d]", parts, maxWireParts)
 	}
 	property, err := ResolveProperty(crt, property)
 	if err != nil {
-		return nil, err
+		return "", 0, err
 	}
 	gfp, err := pub.Fingerprint()
 	if err != nil {
-		return nil, err
+		return "", 0, err
 	}
 	if gfp != crt.Fingerprint() {
-		return nil, fmt.Errorf("distnet: certificate is for configuration %016x, graph is %016x", crt.Fingerprint(), gfp)
+		return "", 0, fmt.Errorf("distnet: certificate is for configuration %016x, graph is %016x", crt.Fingerprint(), gfp)
+	}
+	// Every labeling of a certificate covers its M() edges.
+	if crt.M() != pub.M() {
+		return "", 0, fmt.Errorf("distnet: labeling covers %d edges, graph has %d", crt.M(), pub.M())
+	}
+
+	h := fnv.New64a()
+	var buf [8]byte
+	binary.BigEndian.PutUint64(buf[:], gfp)
+	h.Write(buf[:])
+	h.Write([]byte{wireVersion})
+	h.Write([]byte(property))
+	binary.BigEndian.PutUint64(buf[:], uint64(parts))
+	h.Write(buf[:])
+	return property, h.Sum64(), nil
+}
+
+// buildCluster validates the (graph, certificate, property, parts) tuple and
+// derives the shared cluster state.
+func buildCluster(pub *certify.Graph, crt *certify.Certificate, property string, parts int) (*cluster, error) {
+	property, fp, err := checkTuple(pub, crt, property, parts)
+	if err != nil {
+		return nil, err
 	}
 
 	// Rebuild the internal topology and configuration from the public graph.
@@ -134,13 +158,7 @@ func buildCluster(pub *certify.Graph, crt *certify.Certificate, property string,
 	// same label-content-only reconstruction wire certificates use. One
 	// decoder for all labels shares repeated entries by pointer; fault
 	// injection is copy-on-write, so shared entries are never written.
-	blobs, ok := crt.EncodedLabels(property)
-	if !ok {
-		return nil, fmt.Errorf("distnet: certificate does not carry property %q", property)
-	}
-	if len(blobs) != g.M() {
-		return nil, fmt.Errorf("distnet: labeling covers %d edges, graph has %d", len(blobs), g.M())
-	}
+	blobs, _ := crt.EncodedLabels(property) // checkTuple found the property
 	pristine := &core.Labeling{Edges: make(map[graph.Edge]*core.EdgeLabel, len(blobs))}
 	var dec core.Decoder
 	for _, b := range blobs {
@@ -159,15 +177,6 @@ func buildCluster(pub *certify.Graph, crt *certify.Certificate, property string,
 		return nil, fmt.Errorf("distnet: %w", err)
 	}
 
-	h := fnv.New64a()
-	var buf [8]byte
-	binary.BigEndian.PutUint64(buf[:], gfp)
-	h.Write(buf[:])
-	h.Write([]byte{wireVersion})
-	h.Write([]byte(property))
-	binary.BigEndian.PutUint64(buf[:], uint64(parts))
-	h.Write(buf[:])
-
 	return &cluster{
 		g:        g,
 		cfg:      cfg,
@@ -175,7 +184,7 @@ func buildCluster(pub *certify.Graph, crt *certify.Certificate, property string,
 		pristine: pristine,
 		property: property,
 		parts:    parts,
-		fp:       h.Sum64(),
+		fp:       fp,
 	}, nil
 }
 

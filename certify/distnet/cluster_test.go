@@ -89,6 +89,39 @@ func TestClusterFingerprintSeparates(t *testing.T) {
 	}
 }
 
+// TestClusterFingerprintWithoutDecode pins that the coordinator's
+// fingerprint is the one every node derives for the same tuple, and that
+// computing it decodes nothing: its allocations do not grow with the edge
+// count (decoding the labeling allocates per label).
+func TestClusterFingerprintWithoutDecode(t *testing.T) {
+	var allocs []float64
+	for _, n := range []int{512, 8192} {
+		g := certify.Interval(1, n, 2)
+		crt := proveLocal(t, g, "3color")
+		fp, err := ClusterFingerprint(g, crt, "", 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		node, err := NewNode(NodeConfig{Graph: g, Certificate: crt, Part: 1, Parts: 3, Addr: "127.0.0.1:0"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		node.Close()
+		if got := node.ClusterFingerprint(); got != fp {
+			t.Fatalf("n=%d: node fingerprint %016x, ClusterFingerprint %016x", n, got, fp)
+		}
+		allocs = append(allocs, testing.AllocsPerRun(5, func() {
+			if _, err := ClusterFingerprint(g, crt, "", 3); err != nil {
+				t.Fatal(err)
+			}
+		}))
+		t.Logf("n=%d m=%d: %.0f allocations", n, g.M(), allocs[len(allocs)-1])
+	}
+	if allocs[1] > allocs[0] {
+		t.Fatalf("ClusterFingerprint allocations grow with m: %.0f → %.0f", allocs[0], allocs[1])
+	}
+}
+
 func TestBuildClusterValidation(t *testing.T) {
 	g := certify.Path(12)
 	crt := proveLocal(t, g, "bipartite")

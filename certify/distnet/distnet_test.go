@@ -412,19 +412,21 @@ func TestClusterFormulaCertificate(t *testing.T) {
 	}
 
 	// A fault that makes the labels contradict their own class table is
-	// refused when the cluster is built, before any round runs; every other
-	// fault must be caught by the first round.
+	// refused when the cluster's nodes are built, before any round runs;
+	// every other fault must be caught by the first round.
 	for _, fault := range certify.FaultNames() {
 		bad, err := fx.crt.Corrupt(1, fault)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := distnet.ClusterFingerprint(fx.g, bad, prop.Name(), 2); err != nil {
+		n, err := distnet.NewNode(distnet.NodeConfig{Graph: fx.g, Certificate: bad, Property: prop.Name(), Parts: 2, Addr: "127.0.0.1:0"})
+		if err != nil {
 			if !errors.Is(err, core.ErrRegistryRebuild) {
 				t.Fatalf("%s: cluster refused the certificate for another reason: %v", fault, err)
 			}
 			continue
 		}
+		n.Close()
 		cl := startCluster(t, fixture{g: fx.g, crt: bad}, prop.Name(), 2, 0, 0)
 		v, rounds, err := cl.coord.RunUntilVerdict(ctx(t), 4)
 		if err != nil {

@@ -5,8 +5,10 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -511,11 +513,13 @@ func (n *Node) applyFault(m faultMsg) faultAckMsg {
 		rng := rand.New(rand.NewSource(m.seed))
 		n.memMu.Lock()
 		defer n.memMu.Unlock()
-		mutated, ok := dist.Inject(rng, &core.Labeling{Edges: n.mem}, fault)
+		edges := slices.SortedFunc(maps.Keys(n.mem), graph.CompareEdges)
+		e, el, ok := dist.Inject(rng, edges, func(e graph.Edge) *core.EdgeLabel { return n.mem[e] }, fault)
 		if !ok {
 			return faultAckMsg{applied: false, detail: fmt.Sprintf("fault %s not applicable to any local label", m.name)}
 		}
-		n.mem = mutated.Edges
+		n.mem = maps.Clone(n.mem)
+		n.mem[e] = el
 		n.logf("distnet[%d]: injected memory fault %s", n.part, m.name)
 		return faultAckMsg{applied: true, detail: fmt.Sprintf("memory fault %s injected", m.name)}
 	case faultKindTransport:

@@ -207,12 +207,13 @@ func (u *Updater) snapshot() (*Certificate, *Graph, error) {
 		n:           g.N(),
 		m:           g.M(),
 		fingerprint: fingerprint(cfg),
-		labelings:   make(map[string]*core.Labeling, len(u.catalog)),
+		labels:      make(map[string]*storedLabels, len(u.catalog)),
 		schemes:     make(map[string]*core.Scheme, len(u.catalog)),
 	}
-	for display, catalog := range u.catalogOf {
-		crt.labelings[catalog] = labs[display]
-		crt.schemes[catalog] = schemes[display]
+	for _, p := range u.c.props {
+		name, display := p.Name(), p.p.Name()
+		crt.labels[name] = storeLabels(g.EdgesSeq(), labs[display])
+		crt.schemes[name] = schemes[display]
 	}
 	crt.props = append(crt.props, u.catalog...)
 	return crt, snap, nil

@@ -2,7 +2,9 @@ package dist
 
 import (
 	"context"
+	"maps"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/algebra"
@@ -35,6 +37,22 @@ func prove(t *testing.T, s *core.Scheme, cfg *cert.Config) *core.Labeling {
 		t.Fatalf("prove: %v", err)
 	}
 	return labeling
+}
+
+// injectCopy applies the fault through Inject and returns a copy of the
+// labeling with the corrupted label swapped in.
+func injectCopy(rng *rand.Rand, l *core.Labeling, f Fault) (*core.Labeling, bool) {
+	if l == nil {
+		return nil, false
+	}
+	edges := slices.SortedFunc(maps.Keys(l.Edges), graph.CompareEdges)
+	e, el, ok := Inject(rng, edges, func(e graph.Edge) *core.EdgeLabel { return l.Edges[e] }, f)
+	if !ok {
+		return nil, false
+	}
+	mutated := &core.Labeling{Edges: maps.Clone(l.Edges)}
+	mutated.Edges[e] = el
+	return mutated, true
 }
 
 // verify runs the verifier on a copy of the scheme with the given worker
@@ -131,7 +149,7 @@ func TestRunSoundness(t *testing.T) {
 			rng := rand.New(rand.NewSource(11))
 			for _, fault := range AllFaults {
 				for trial := 0; trial < 20; trial++ {
-					mutated, ok := Inject(rng, labeling, fault)
+					mutated, ok := injectCopy(rng, labeling, fault)
 					if !ok {
 						t.Fatalf("fault %v not injectable", fault)
 					}

@@ -8,8 +8,6 @@
 package dist
 
 import (
-	"cmp"
-	"maps"
 	"math/rand"
 	"slices"
 
@@ -79,41 +77,58 @@ func InjectorFor(f Fault) Injector {
 	return nil
 }
 
-// Inject returns a copy of the labeling with the fault applied to one edge
-// chosen at random among those the fault applies to, or ok=false when no
-// edge label of the labeling can host the fault. The input labeling is
-// never mutated: only the corrupted edge's label is deep-cloned, the rest
-// is shared (verification is read-only).
-func Inject(rng *rand.Rand, l *core.Labeling, f Fault) (*core.Labeling, bool) {
+// Inject applies the fault to one label chosen at random among those it
+// applies to, and returns that label's edge and its corrupted copy, or
+// ok=false when no label can host the fault. edges lists the labeling's
+// edges in canonical order (graph.CompareEdges), so the choice is
+// reproducible per rng seed; label returns an edge's label and is called
+// only for the edges Inject probes (nil for a label known not to host the
+// fault, see Hosted). No label is mutated: the chosen one is deep-cloned,
+// and the caller swaps the copy in.
+func Inject(rng *rand.Rand, edges []graph.Edge, label func(graph.Edge) *core.EdgeLabel, f Fault) (graph.Edge, *core.EdgeLabel, bool) {
 	inject := InjectorFor(f)
-	if inject == nil || l == nil {
-		return nil, false
+	if inject == nil {
+		return graph.Edge{}, nil, false
 	}
-	// The edges are tried in a seeded random order (sorted first, so the
-	// sequence is reproducible per rng seed). Candidates are probed with
-	// hosts before anything is cloned, and an injector draws from rng only
-	// once it applies, so probing changes neither the chosen edge nor the
-	// corruption.
-	edges := make([]graph.Edge, 0, len(l.Edges))
-	for e := range l.Edges {
-		edges = append(edges, e)
+	// The edges are tried in a seeded random order: a shuffle of their
+	// positions, which draws from rng exactly as shuffling the edges would.
+	// Candidates are probed with hosts before anything is cloned, and an
+	// injector draws from rng only once it applies, so probing changes
+	// neither the chosen edge nor the corruption.
+	order := make([]int32, len(edges))
+	for i := range order {
+		order[i] = int32(i)
 	}
-	slices.SortFunc(edges, func(a, b graph.Edge) int {
-		return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V))
-	})
-	rng.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
-	for _, e := range edges {
-		el := l.Edges[e]
+	rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+	for _, i := range order {
+		el := label(edges[i])
 		if !f.hosts(el) {
 			continue
 		}
 		trial := el.Clone()
 		inject(rng, trial) // hosts(el) holds, so it applies to the clone
-		mutated := &core.Labeling{Edges: maps.Clone(l.Edges)}
-		mutated.Edges[e] = trial
-		return mutated, true
+		return edges[i], trial, true
 	}
-	return nil, false
+	return graph.Edge{}, nil, false
+}
+
+// FaultSet is a set of faults of the catalog, one bit per fault.
+type FaultSet uint8
+
+// Has reports whether the fault is in the set.
+func (s FaultSet) Has(f Fault) bool { return s&(1<<f) != 0 }
+
+// Hosted returns the faults that apply to the label. A holder of encoded
+// labels keeps it per label, so that Inject's label accessor can answer
+// nil for a label that cannot host the fault without decoding it.
+func Hosted(el *core.EdgeLabel) FaultSet {
+	var s FaultSet
+	for _, f := range AllFaults {
+		if f.hosts(el) {
+			s |= 1 << f
+		}
+	}
+	return s
 }
 
 // hosts reports whether the fault applies to the label: exactly the

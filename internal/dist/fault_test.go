@@ -48,7 +48,7 @@ func TestInjectDoesNotMutateInput(t *testing.T) {
 	labeling := prove(t, s, cfg)
 	rng := rand.New(rand.NewSource(5))
 	for _, f := range AllFaults {
-		mutated, ok := Inject(rng, labeling, f)
+		mutated, ok := injectCopy(rng, labeling, f)
 		if !ok {
 			t.Fatalf("fault %v not injectable", f)
 		}
@@ -74,7 +74,7 @@ func TestAllFaultsApplicableEveryFamily(t *testing.T) {
 			labeling := prove(t, s, cfg)
 			rng := rand.New(rand.NewSource(11))
 			for _, f := range AllFaults {
-				mutated, ok := Inject(rng, labeling, f)
+				mutated, ok := injectCopy(rng, labeling, f)
 				if !ok {
 					t.Errorf("fault %v not applicable on family %s", f, tc.name)
 					continue
@@ -93,14 +93,14 @@ func TestInjectNotInjectable(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	empty := &core.Labeling{Edges: map[graph.Edge]*core.EdgeLabel{}}
 	for _, f := range AllFaults {
-		if _, ok := Inject(rng, empty, f); ok {
+		if _, ok := injectCopy(rng, empty, f); ok {
 			t.Errorf("fault %v injectable on empty labeling", f)
 		}
 	}
-	if _, ok := Inject(rng, nil, FlipClass); ok {
+	if _, ok := injectCopy(rng, nil, FlipClass); ok {
 		t.Error("fault injectable on nil labeling")
 	}
-	if _, ok := Inject(rng, empty, numFaults); ok {
+	if _, ok := injectCopy(rng, empty, numFaults); ok {
 		t.Error("unknown fault injectable")
 	}
 }
@@ -167,15 +167,16 @@ func TestShiftTerminalPicksSortedLane(t *testing.T) {
 // the fault, so an injector that cloned every label it tried would
 // allocate in proportion to the edges probed (236,712 allocations at
 // m = 2047 when every candidate was cloned); probing first clones one
-// label. The copy-on-write map adds one table per ~900 edges, which the
-// constant leaves room for (80 and 86 allocations at the two sizes).
+// label, and the shuffled order of the edges is one slice.
 func TestInjectAllocationsDoNotGrow(t *testing.T) {
 	const maxAllocs = 128
 	for _, n := range []int{256, 2048} {
 		g, _ := gen.IntervalGraph(rand.New(rand.NewSource(1)), n, 2)
 		labeling := prove(t, core.NewScheme(algebra.Colorable{Q: 3}, 3), cert.NewConfig(g))
+		edges := g.Edges()
+		label := func(e graph.Edge) *core.EdgeLabel { return labeling.Edges[e] }
 		allocs := testing.AllocsPerRun(5, func() {
-			if _, ok := Inject(rand.New(rand.NewSource(1)), labeling, FlipRealBit); !ok {
+			if _, _, ok := Inject(rand.New(rand.NewSource(1)), edges, label, FlipRealBit); !ok {
 				t.Fatal("flip-real-bit not injectable")
 			}
 		})

@@ -86,7 +86,7 @@ func matchesInline(t *testing.T, seed int64) {
 			rng := rand.New(rand.NewSource(seed))
 			for _, fault := range AllFaults {
 				for trial := 0; trial < 8; trial++ {
-					mutated, ok := Inject(rng, labeling, fault)
+					mutated, ok := injectCopy(rng, labeling, fault)
 					if !ok {
 						continue
 					}

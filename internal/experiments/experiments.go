@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"maps"
 	"math"
 	"math/rand"
 	"runtime"
@@ -262,16 +263,20 @@ func E5Soundness(seed int64, trials int) ([]E5Row, error) {
 	if err != nil {
 		return nil, err
 	}
+	edges := g.Edges()
+	label := func(e graph.Edge) *core.EdgeLabel { return labeling.Edges[e] }
 	rng := rand.New(rand.NewSource(seed))
 	var rows []E5Row
 	for _, fault := range dist.AllFaults {
 		injected, detected := 0, 0
 		for trial := 0; trial < trials; trial++ {
-			mutated, ok := dist.Inject(rng, labeling, fault)
+			e, el, ok := dist.Inject(rng, edges, label, fault)
 			if !ok {
 				continue
 			}
 			injected++
+			mutated := &core.Labeling{Edges: maps.Clone(labeling.Edges)}
+			mutated.Edges[e] = el
 			ok, err := accepts(s, cfg, mutated)
 			if err != nil {
 				return nil, err

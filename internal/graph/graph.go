@@ -8,10 +8,11 @@
 package graph
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"iter"
-	"sort"
+	"slices"
 	"sync/atomic"
 )
 
@@ -48,6 +49,12 @@ func (e Edge) Other(w Vertex) Vertex {
 func (e Edge) Has(w Vertex) bool { return e.U == w || e.V == w }
 
 func (e Edge) String() string { return fmt.Sprintf("{%d,%d}", e.U, e.V) }
+
+// CompareEdges orders edges by endpoints, U first: the deterministic order
+// of Edges, and the canonical edge order of certificates.
+func CompareEdges(a, b Edge) int {
+	return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V))
+}
 
 // ErrVertexRange is returned when an operation references a vertex outside
 // 0..N()-1.
@@ -277,12 +284,7 @@ func (g *Graph) sortedEdges() []Edge {
 	for e := range g.set {
 		out = append(out, e)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].U != out[j].U {
-			return out[i].U < out[j].U
-		}
-		return out[i].V < out[j].V
-	})
+	slices.SortFunc(out, CompareEdges)
 	g.sorted.Store(&out)
 	return out
 }
