@@ -45,31 +45,33 @@ import (
 // ErrBadCertificate — and a decoded certificate re-marshals
 // byte-identically.
 //
-// A proved certificate keeps each property's labels at rest as their wire
-// bytes: one buffer per property holding its edge entries exactly as the
-// container lists them, so a stored certificate costs about its marshaled
-// size, and MarshalBinary, EncodedLabels and MaxBits only read those bytes.
-// Verification needs the labels themselves: the first Verify or
-// VerifyDistributed decodes them into a view the certificate keeps from
-// then on. A certificate decoded from the wire keeps the view its decode
-// built instead, whose labels hold their own encodings, and assembles the
-// buffers from them only when one of those methods first needs them. In
-// the view, as in a prover's output, every copy of a node entry with the
-// same bits, and every completion-edge certificate with the same entries
-// and owner position, is one value in memory. Corrupt decodes only the
-// label it corrupts, and copies it before it mutates.
+// A certificate keeps its labels in one form at rest. A proved certificate
+// (and a Corrupt output) keeps each property's labels as their wire bytes:
+// one buffer per property holding its edge entries exactly as the container
+// lists them, so it costs about its marshaled size, and MarshalBinary,
+// EncodedLabels and MaxBits only read those bytes. Verification needs the
+// labels themselves, so every Verify or VerifyDistributed of such a
+// certificate decodes them into a view it drops when it returns. A
+// certificate decoded from the wire keeps the view its decode built
+// instead, whose labels hold their own encodings, and assembles the wire
+// bytes from them for each call that reads them. In a view, as in a
+// prover's output, every copy of a node entry with the same bits, and every
+// completion-edge certificate with the same entries and owner position, is
+// one value in memory. Corrupt decodes only the labels its injection
+// probes, and copies the one it corrupts before it mutates it.
 type Certificate struct {
 	maxLanes    int
 	n, m        int
 	fingerprint uint64
 	props       []string // batch order
 
-	// mu guards the state built on first use, so concurrent calls on one
-	// certificate are safe: labels (per property, its labels at rest), view
-	// (the decoded labels) and schemes, the per-property verification
-	// schemes. A proved certificate and its Corrupt outputs carry the
-	// prover's own schemes (shared registries); a decoded one rebuilds them
-	// on first verification, reconstructing each registry from the view
+	// mu guards the labels at rest and schemes, the per-property
+	// verification schemes, so concurrent calls on one certificate are
+	// safe. Exactly one of labels and view is set: labels holds each
+	// property's stored labels, view a decoded certificate's labels. A
+	// proved certificate and its Corrupt outputs carry the prover's own
+	// schemes (shared registries); a decoded one rebuilds them on first
+	// verification, reconstructing each registry from its labels
 	// (core.RebuildRegistry).
 	mu      sync.Mutex
 	labels  map[string]*storedLabels
@@ -77,7 +79,7 @@ type Certificate struct {
 	schemes map[string]*core.Scheme
 }
 
-// storedLabels is one property's labeling at rest.
+// storedLabels is one property's labeling as its wire bytes.
 type storedLabels struct {
 	// entries are its edge entries as the wire lists them: per edge, in
 	// canonical order, the endpoints and the label's bit count as varints,
@@ -85,7 +87,9 @@ type storedLabels struct {
 	entries []byte
 	// faults holds, per edge in the same order, the faults of the catalog
 	// its label can host (dist.Hosted), so that Corrupt decodes only the
-	// label it corrupts.
+	// label it corrupts. Every prove pays for them (a walk of each label's
+	// path entries), since a fault such as flip-real-bit fits few labels,
+	// and finding one by decoding is about a whole decode.
 	faults []dist.FaultSet
 }
 
@@ -141,7 +145,11 @@ func (c *Certificate) Fingerprint() uint64 { return c.fingerprint }
 // MaxBits returns the proof size of one property's labeling — the largest
 // edge label in bits — or 0 for properties the certificate does not carry.
 func (c *Certificate) MaxBits(property string) int {
-	s, ok := c.stored()[property]
+	labels, view := c.atRest()
+	if l, ok := view[property]; ok {
+		return l.MaxBits()
+	}
+	s, ok := labels[property]
 	if !ok {
 		return 0
 	}
@@ -179,20 +187,21 @@ func fingerprint(cfg *cert.Config) uint64 {
 }
 
 // MarshalBinary encodes the certificate into the versioned wire format:
-// the header, then each property's stored edge entries copied in, in one
-// exactly sized buffer.
+// the header, then each property's edge entries copied in, in one exactly
+// sized buffer.
 func (c *Certificate) MarshalBinary() ([]byte, error) {
 	if len(c.props) == 0 {
 		return nil, fmt.Errorf("%w: cannot marshal an empty certificate", ErrBadConfig)
 	}
-	labels := c.stored()
+	parts := make([][]byte, len(c.props))
 	size := len(certMagic) + 1 + uvarintLen(uint64(c.maxLanes)) + uvarintLen(uint64(c.n)) +
 		uvarintLen(uint64(c.m)) + 8 + uvarintLen(uint64(len(c.props))) + 4
-	for _, name := range c.props {
-		s, ok := labels[name]
+	for i, name := range c.props {
+		s, ok := c.stored(name)
 		if !ok {
 			return nil, fmt.Errorf("%w: certificate lists property %q without a labeling", ErrBadCertificate, name)
 		}
+		parts[i] = s.entries
 		size += uvarintLen(uint64(len(name))) + len(name) + uvarintLen(uint64(c.m)) + len(s.entries)
 	}
 	out := make([]byte, 0, size)
@@ -203,11 +212,11 @@ func (c *Certificate) MarshalBinary() ([]byte, error) {
 	out = binary.AppendUvarint(out, uint64(c.m))
 	out = binary.BigEndian.AppendUint64(out, c.fingerprint)
 	out = binary.AppendUvarint(out, uint64(len(c.props)))
-	for _, name := range c.props {
+	for i, name := range c.props {
 		out = binary.AppendUvarint(out, uint64(len(name)))
 		out = append(out, name...)
 		out = binary.AppendUvarint(out, uint64(c.m))
-		out = append(out, labels[name].entries...)
+		out = append(out, parts[i]...)
 	}
 	return binary.BigEndian.AppendUint32(out, crc32.ChecksumIEEE(out)), nil
 }
@@ -215,8 +224,8 @@ func (c *Certificate) MarshalBinary() ([]byte, error) {
 // uvarintLen returns the byte length of v's binary.AppendUvarint encoding.
 func uvarintLen(v uint64) int { return (mathbits.Len64(v|1) + 6) / 7 }
 
-// storeLabels returns a labeling at rest. edges yields its edges in
-// canonical order, and each label's bytes are copied from its cached
+// storeLabels returns a labeling as its wire bytes. edges yields its edges
+// in canonical order, and each label's bytes are copied from its cached
 // encoding (the prover materializes every label it hands out, and a
 // decoded label holds the bits it was checked against).
 func storeLabels(edges iter.Seq[graph.Edge], l *core.Labeling) *storedLabels {
@@ -311,21 +320,32 @@ func readEntry(r []byte, n int, prev graph.Edge) (edgeEntry, []byte, error) {
 	return edgeEntry{e: e, nbits: int(nbits), label: r[:nbytes]}, r[nbytes:], nil
 }
 
-// stored returns the certificate's labels at rest. A certificate decoded
-// from the wire builds them from its view on first use, in canonical edge
-// order.
-func (c *Certificate) stored() map[string]*storedLabels {
+// atRest returns the certificate's labels in their form at rest: the
+// stored edge entries of a proved certificate, or the view of a decoded
+// one (the other is nil).
+func (c *Certificate) atRest() (map[string]*storedLabels, map[string]*core.Labeling) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.labels == nil {
-		c.labels = make(map[string]*storedLabels, len(c.props))
-		for _, name := range c.props {
-			l := c.view[name]
-			edges := slices.SortedFunc(maps.Keys(l.Edges), graph.CompareEdges)
-			c.labels[name] = storeLabels(slices.Values(edges), l)
-		}
+	return c.labels, c.view
+}
+
+// stored returns one property's labeling as its wire bytes, and whether
+// the certificate carries the property. A proved certificate returns the
+// labels it stores, which callers must not modify; a decoded one
+// assembles them from its view, in canonical edge order, for this call
+// alone, so it never holds its labels twice.
+func (c *Certificate) stored(property string) (*storedLabels, bool) {
+	labels, view := c.atRest()
+	if view == nil {
+		s, ok := labels[property]
+		return s, ok
 	}
-	return c.labels
+	l, ok := view[property]
+	if !ok {
+		return nil, false
+	}
+	edges := slices.SortedFunc(maps.Keys(l.Edges), graph.CompareEdges)
+	return storeLabels(slices.Values(edges), l), true
 }
 
 // storedEntries iterates stored edge entries with their offsets. They were
@@ -351,8 +371,7 @@ func storedEntries(entries []byte) iter.Seq2[int, edgeEntry] {
 // returns their labeling and the rest of r. Each entry must name an edge of
 // an n-vertex graph, in canonical order, and carry a label whose bytes are
 // exactly its re-encoding. UnmarshalBinary decodes each property through
-// it, and so does the first verification of a certificate it did not
-// decode.
+// it, and so does every verification of a certificate it did not decode.
 func decodeLabels(dec *core.Decoder, r []byte, n, m int) (*core.Labeling, []byte, error) {
 	l := &core.Labeling{Edges: make(map[graph.Edge]*core.EdgeLabel, m)}
 	var back []byte // re-encoding scratch of the canonicality check
@@ -497,21 +516,22 @@ func (c *Certificate) UnmarshalBinary(data []byte) error {
 	return nil
 }
 
-// verifyState returns the certificate's decoded view (viewLocked) and its
-// per-property verification schemes, building what is missing under mu. A decoded certificate's schemes are built here: each property
-// resolves to the verifying certifier's configured instance of that name,
-// whose memo the scheme then shares, or else through the catalog, and its
-// class registry is reconstructed from the view (proved certificates keep
-// the prover's schemes and skip this). An unresolvable property name fails
-// with ErrUnknownProperty; a labeling that does not determine a consistent
-// registry fails verification (ErrVerifyFailed).
+// verifyState returns the certificate's decoded labels (labelView) and its
+// per-property verification schemes, building the schemes under mu if they
+// are missing. A decoded certificate's schemes are built here: each
+// property resolves to the verifying certifier's configured instance of
+// that name, whose memo the scheme then shares, or else through the
+// catalog, and its class registry is reconstructed from the labels (proved
+// certificates keep the prover's schemes and skip this). An unresolvable
+// property name fails with ErrUnknownProperty; a labeling that does not
+// determine a consistent registry fails verification (ErrVerifyFailed).
 func (c *Certificate) verifyState(v *Certifier) (map[string]*core.Labeling, map[string]*core.Scheme, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	view, err := c.viewLocked()
+	view, err := c.labelView()
 	if err != nil {
 		return nil, nil, err
 	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	if c.schemes == nil {
 		schemes := make(map[string]*core.Scheme, len(c.props))
 		for _, name := range c.props {
@@ -532,29 +552,30 @@ func (c *Certificate) verifyState(v *Certifier) (map[string]*core.Labeling, map[
 	return view, c.schemes, nil
 }
 
-// viewLocked returns the certificate's decoded labels, decoding the stored
-// ones on first use through UnmarshalBinary's loop (decodeLabels, one
-// Decoder for every property). Stored labels that do not decode fail with
-// ErrBadCertificate. Callers hold mu.
-func (c *Certificate) viewLocked() (map[string]*core.Labeling, error) {
-	if c.view != nil {
-		return c.view, nil
+// labelView returns the certificate's labels decoded: a decoded
+// certificate's view, or a proved certificate's stored labels decoded
+// through UnmarshalBinary's loop (decodeLabels, one Decoder for every
+// property) into a view the certificate does not keep. Stored labels that
+// do not decode fail with ErrBadCertificate.
+func (c *Certificate) labelView() (map[string]*core.Labeling, error) {
+	labels, view := c.atRest()
+	if view != nil {
+		return view, nil
 	}
 	size := 0
-	for _, name := range c.props {
-		size += len(c.labels[name].entries)
+	for _, s := range labels {
+		size += len(s.entries)
 	}
 	var dec core.Decoder
 	dec.Grow(c.m, len(c.props), 8*size)
-	view := make(map[string]*core.Labeling, len(c.props))
+	view = make(map[string]*core.Labeling, len(c.props))
 	for _, name := range c.props {
-		l, _, err := decodeLabels(&dec, c.labels[name].entries, c.n, c.m)
+		l, _, err := decodeLabels(&dec, labels[name].entries, c.n, c.m)
 		if err != nil {
 			return nil, err
 		}
 		view[name] = l
 	}
-	c.view = view
 	return view, nil
 }
 
@@ -570,17 +591,20 @@ type LabelBlob struct {
 
 // EncodedLabels returns one property's labeling as per-edge canonical label
 // encodings, sorted by edge endpoints, or ok=false when the certificate does
-// not carry the property. The blobs are cut from one copy of the stored
-// labels, so they never alias the certificate. The distributed runtime
-// (certify/distnet) partitions these blobs across processes as each
-// processor's label memory and re-ships them between peers during
-// verification rounds.
+// not carry the property. The blobs are cut from one copy of the
+// property's edge entries, so they never alias the certificate. The
+// distributed runtime (certify/distnet) partitions these blobs across
+// processes as each processor's label memory and re-ships them between
+// peers during verification rounds.
 func (c *Certificate) EncodedLabels(property string) ([]LabelBlob, bool) {
-	s, ok := c.stored()[property]
+	s, ok := c.stored(property)
 	if !ok {
 		return nil, false
 	}
-	entries := bytes.Clone(s.entries)
+	entries := s.entries
+	if labels, _ := c.atRest(); labels != nil {
+		entries = bytes.Clone(entries) // the certificate's own bytes
+	}
 	out := make([]LabelBlob, 0, c.m)
 	for _, x := range storedEntries(entries) {
 		out = append(out, LabelBlob{U: x.e.U, V: x.e.V, Bits: x.nbits, Data: slices.Clip(x.label)})
@@ -600,14 +624,13 @@ func FaultNames() []string {
 
 // Corrupt returns a copy of the certificate with the named transient fault
 // injected into every property's labeling (seeded, so corruption is
-// reproducible). The receiver is unchanged. Each stored label's fault set
-// tells the injection which labels can host the fault, so only the label
-// it corrupts is decoded, and that label's re-encoding is spliced into a
-// copy of its property's stored labels. When the receiver already holds a
-// decoded view, the copy shares it but for the corrupted label, so
-// verifying the copy decodes nothing. Soundness of the scheme means one
-// verification round rejects every corrupted certificate; Corrupt exists to
-// demonstrate exactly that.
+// reproducible). The receiver is unchanged. Each label's fault set tells
+// the injection which labels can host the fault, so it decodes only the
+// label it corrupts, and that label's re-encoding is spliced into a copy
+// of its property's edge entries, which the copy keeps at rest as a proved
+// certificate does. Soundness of the scheme means one verification round
+// rejects every corrupted certificate; Corrupt exists to demonstrate
+// exactly that.
 func (c *Certificate) Corrupt(seed int64, fault string) (*Certificate, error) {
 	var f dist.Fault
 	found := false
@@ -621,9 +644,8 @@ func (c *Certificate) Corrupt(seed int64, fault string) (*Certificate, error) {
 		return nil, fmt.Errorf("%w: unknown fault %q (have %v)", ErrBadConfig, fault, FaultNames())
 	}
 	rng := rand.New(rand.NewSource(seed))
-	labels := c.stored()
 	c.mu.Lock()
-	schemes, view := c.schemes, c.view
+	schemes := c.schemes
 	c.mu.Unlock()
 	out := &Certificate{
 		maxLanes:    c.maxLanes,
@@ -631,17 +653,14 @@ func (c *Certificate) Corrupt(seed int64, fault string) (*Certificate, error) {
 		m:           c.m,
 		fingerprint: c.fingerprint,
 		props:       append([]string(nil), c.props...),
-		labels:      make(map[string]*storedLabels, len(labels)),
+		labels:      make(map[string]*storedLabels, len(c.props)),
 		schemes:     schemes,
-	}
-	if view != nil {
-		out.view = make(map[string]*core.Labeling, len(view))
 	}
 	var dec core.Decoder
 	edges := make([]graph.Edge, 0, c.m)
 	at := make([]int, 0, c.m+1) // each edge entry's offset, then the end
 	for _, name := range c.props {
-		s := labels[name]
+		s, _ := c.stored(name)
 		edges, at = edges[:0], at[:0]
 		for off, x := range storedEntries(s.entries) {
 			edges, at = append(edges, x.e), append(at, off)
@@ -676,11 +695,6 @@ func (c *Certificate) Corrupt(seed int64, fault string) (*Certificate, error) {
 		}
 		corrupted.faults[i] = dist.Hosted(bad)
 		out.labels[name] = corrupted
-		if view != nil {
-			l := &core.Labeling{Edges: maps.Clone(view[name].Edges)}
-			l.Edges[e] = bad
-			out.view[name] = l
-		}
 	}
 	return out, nil
 }

@@ -23,13 +23,11 @@ func fixCRC(blob []byte) {
 	binary.BigEndian.PutUint32(blob[len(blob)-4:], crc32.ChecksumIEEE(blob[:len(blob)-4]))
 }
 
-// labelings returns the certificate's decoded view, decoding its stored
-// labels as its first verification would.
+// labelings returns the certificate's decoded labels, decoding its stored
+// labels as a verification would.
 func (c *Certificate) labelings(t testing.TB) map[string]*core.Labeling {
 	t.Helper()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	view, err := c.viewLocked()
+	view, err := c.labelView()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,17 +275,17 @@ func repeatedNonMember(t *testing.T, l *core.Labeling) (graph.Edge, int) {
 // one property carries the given label instead of its own.
 func marshalWithLabel(t *testing.T, honest *Certificate, name string, e graph.Edge, el *core.EdgeLabel) []byte {
 	t.Helper()
-	labels := maps.Clone(honest.stored())
-	swapped := &core.Labeling{Edges: maps.Clone(honest.labelings(t)[name].Edges)}
+	view := maps.Clone(honest.labelings(t))
+	swapped := &core.Labeling{Edges: maps.Clone(view[name].Edges)}
 	swapped.Edges[e] = el
-	labels[name] = storeLabels(slices.Values(sortedEdges(swapped)), swapped)
+	view[name] = swapped
 	bad := &Certificate{
 		maxLanes:    honest.maxLanes,
 		n:           honest.n,
 		m:           honest.m,
 		fingerprint: honest.fingerprint,
 		props:       honest.props,
-		labels:      labels,
+		view:        view,
 	}
 	blob, err := bad.MarshalBinary()
 	if err != nil {

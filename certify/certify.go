@@ -300,7 +300,7 @@ func (c *Certifier) ProveBatch(ctx context.Context, g *Graph) (*Certificate, *Ba
 // on cancellation. Certificates decoded from the wire verify exactly like
 // freshly proved ones: the class registry is reconstructed from the labels.
 // A certificate that was not decoded from the wire decodes its stored
-// labels on its first verification and keeps them.
+// labels for each verification and drops them when it returns.
 func (c *Certifier) Verify(ctx context.Context, g *Graph, crt *Certificate) error {
 	cfg, err := c.bindCertificate(g, crt)
 	if err != nil {

@@ -57,12 +57,14 @@ func provedInterval(t *testing.T) (*Certifier, *Graph, *Certificate) {
 }
 
 // TestRetainedCertificateCostsItsWireSize pins that a certificate keeps its
-// labels as their wire bytes: a proved certificate, and a Corrupt output of
-// one, each hold at most 1.5 times their MarshalBinary length of live heap.
-// Each proved certificate comes from its own ProveBatch, whose structure is
-// garbage once the certificate is returned, so everything the certificate
-// keeps reachable counts. A certificate that kept the prover's labeling
-// held 13.8 times its blob on Interval(1, 32768, 2).
+// labels as their wire bytes: a proved certificate, one that has also been
+// verified, and a Corrupt output of one each hold at most 1.5 times their
+// MarshalBinary length of live heap. Each proved certificate comes from its
+// own ProveBatch, whose structure is garbage once the certificate is
+// returned, so everything the certificate keeps reachable counts. A
+// certificate that kept the prover's labeling held 13.8 times its blob on
+// Interval(1, 32768, 2), and one that kept the view its first Verify
+// decoded held 18.7 times its blob here.
 func TestRetainedCertificateCostsItsWireSize(t *testing.T) {
 	const limit = 1.5
 	c, g, crt := provedInterval(t) // the warm-up fills the property's memo
@@ -77,6 +79,16 @@ func TestRetainedCertificateCostsItsWireSize(t *testing.T) {
 	check("proved certificate", len(mustMarshal(t, crt)), func() any {
 		crt, _, err := c.ProveBatch(context.Background(), g)
 		if err != nil {
+			t.Fatal(err)
+		}
+		return crt
+	})
+	check("proved and verified certificate", len(mustMarshal(t, crt)), func() any {
+		crt, _, err := c.ProveBatch(context.Background(), g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Verify(context.Background(), g, crt); err != nil {
 			t.Fatal(err)
 		}
 		return crt
@@ -130,5 +142,37 @@ func TestCorruptDecodesOnlyWhatItProbes(t *testing.T) {
 	t.Logf("decoding the whole certificate: %d bytes allocated", whole)
 	if whole < limit {
 		t.Fatalf("a whole decode allocates %d bytes, under the %d-byte bound: the bound cannot tell", whole, limit)
+	}
+}
+
+// TestMarshaledDecodedCertificateKeepsOneCopy pins that a certificate
+// decoded from the wire keeps only its decoded labels: marshaling it,
+// reading its encoded labels or corrupting it assembles the wire bytes for
+// that call, so it then holds less than a quarter of its blob more than a
+// decoded certificate that was never marshaled (keeping the bytes would add
+// the whole blob).
+func TestMarshaledDecodedCertificateKeepsOneCopy(t *testing.T) {
+	_, _, crt := provedInterval(t)
+	blob := mustMarshal(t, crt)
+	decode := func() *Certificate {
+		var d Certificate
+		if err := d.UnmarshalBinary(blob); err != nil {
+			t.Fatal(err)
+		}
+		return &d
+	}
+	plain := retainedBytes(func() any { return decode() })
+	used := retainedBytes(func() any {
+		d := decode()
+		mustMarshal(t, d)
+		d.EncodedLabels("3color")
+		if _, err := d.Corrupt(1, "flip-class"); err != nil {
+			t.Fatal(err)
+		}
+		return d
+	})
+	t.Logf("decoded: %.0f bytes held; marshaled too: %.0f (blob %d bytes)", plain, used, len(blob))
+	if used-plain > float64(len(blob))/4 {
+		t.Errorf("marshaling a decoded certificate keeps %.0f more bytes, over a quarter of its %d-byte blob", used-plain, len(blob))
 	}
 }

@@ -115,6 +115,9 @@ func Inject(rng *rand.Rand, edges []graph.Edge, label func(graph.Edge) *core.Edg
 // FaultSet is a set of faults of the catalog, one bit per fault.
 type FaultSet uint8
 
+// A FaultSet has a bit for every fault of the catalog.
+var _ [8 - numFaults]struct{}
+
 // Has reports whether the fault is in the set.
 func (s FaultSet) Has(f Fault) bool { return s&(1<<f) != 0 }
 
