@@ -31,15 +31,17 @@ import (
 //	CRC32-IEEE trailer (4 bytes)
 //
 // Integers are unsigned varints; edges are sorted by endpoints, and each
-// label's bytes are its exact core.EncodeLabel bit stream. Version 5 is the
-// label grammar with label-wide dictionaries: a label opens with the row
-// count of its entry table, then the distinct vertex ids, class ids and
-// node ids it writes, each dictionary in first-use order (identifiers in
-// one fixed width per dictionary; a class id as a 16-bit content hash plus
-// a varint collision rank), then each distinct node entry once, its ids as
-// dictionary indices, then every certificate as row indices into that
-// table, then its embedding and pointing fields. Other versions fail with
-// the unsupported-version error.
+// label's bytes are its exact core.EncodeLabel bit stream. Version 6 is the
+// label grammar with label-wide, sorted id dictionaries: a label opens with
+// the row count of its entry table, then the distinct vertex ids, class ids
+// and node ids it writes — vertex and node ids in ascending order, each
+// dictionary in the shorter of one fixed width and varint gaps between
+// consecutive ids, a flag bit naming which; class ids in first-use order,
+// each as a 16-bit content hash plus a varint collision rank — then each
+// distinct node entry once, its ids as dictionary indices, then every
+// certificate as row indices into that table, then its embedding and
+// pointing fields. Other versions, the retired 1–5 included, fail with the
+// unsupported-version error.
 // Decoding is strict — wrong magic, unknown version, truncation, trailing
 // bytes, CRC mismatch, or non-canonical label bytes all fail with
 // ErrBadCertificate — and a decoded certificate re-marshals
@@ -102,7 +104,7 @@ const MaxLaneBudget = 1 << 12
 // Wire-format constants.
 const (
 	certMagic   = "PLSC" // Proof Labeling Scheme Certificate
-	certVersion = 5
+	certVersion = 6
 
 	// Decode plausibility bounds; anything larger is rejected outright.
 	// maxLabelBits is ~910,000× the worst version-5 label of a

@@ -123,9 +123,8 @@ func TestCertificateRoundTripIdentity(t *testing.T) {
 // raw bits, not by value: a later copy of a node entry that decodes to the
 // same value as an earlier, already interned copy, but with different bits,
 // is still rejected as non-canonical. The forged copy is a non-member entry
-// written as a member whose parent id, 2^64−1 in 64 bits, decodes to the
-// non-member parent −1; the decoder reads and drops the member fields that
-// follow it.
+// written as a member whose parent id, 2^64−1, decodes to the non-member
+// parent −1; the decoder reads and drops the member fields that follow it.
 func TestNonCanonicalCopyRejectedAfterInterning(t *testing.T) {
 	var honest Certificate
 	if err := honest.UnmarshalBinary(honestBlob(t)); err != nil {
@@ -134,35 +133,25 @@ func TestNonCanonicalCopyRejectedAfterInterning(t *testing.T) {
 	name := honest.props[0]
 	l := honest.labelings(t)[name]
 	target, at := repeatedNonMember(t, l)
-	// Two copies whose entry claims parent id −2 or −3: both write the
-	// member fields and every node id in 64 bits, and their encodings
-	// differ only in the parent id's two low bits. Or-ing them writes
-	// parent id 2^64−1.
-	withParent := func(parent int) *core.EdgeLabel {
-		el := l.Edges[target].Clone()
-		en := el.Own.Path[at]
-		en.ParentID, en.MergedOutIDs, en.Children = parent, nil, nil
-		en.Classes = slices.Insert(en.Classes, 1, 0) // the member's merged class id 0
-		return el
-	}
-	data, nbits := core.EncodeLabel(withParent(-2))
-	other, otherBits := core.EncodeLabel(withParent(-3))
-	if otherBits != nbits {
-		t.Fatalf("parent ids −2 and −3 encode to %d and %d bits", nbits, otherBits)
-	}
-	blob := marshalWithLabel(t, &honest, name, target, withParent(-2))
-	pos := bytes.Index(blob, data)
-	if pos < 0 {
-		t.Fatal("the forged label's bytes are not in the marshaled blob")
-	}
-	for i := range data {
-		data[i] |= other[i]
-	}
-	if dec, err := core.DecodeLabel(data, nbits); err != nil || dec.Key() != l.Edges[target].Key() {
+	// A copy whose entry claims parent id −2 writes the member fields, and
+	// 2^64−2 is the largest id of its node dictionary; the forgery names
+	// 2^64−1 in its place.
+	el := l.Edges[target].Clone()
+	en := el.Own.Path[at]
+	en.ParentID, en.MergedOutIDs, en.Children = -2, nil, nil
+	en.Classes = slices.Insert(en.Classes, 1, 0) // the member's merged class id 0
+	data, nbits := core.EncodeLabel(el)
+	forged, forgedBits := withNodeDict(t, data, nbits, func(w *bits.Writer, ids []uint64) {
+		if ids[len(ids)-1] != 1<<64-2 {
+			t.Fatalf("the node dictionary %v does not end in 2^64−2", ids)
+		}
+		ids[len(ids)-1] = 1<<64 - 1
+		writeIDDict(w, canon, ids)
+	})
+	if dec, err := core.DecodeLabel(forged, forgedBits); err != nil || dec.Key() != l.Edges[target].Key() {
 		t.Fatalf("the forged label must decode to the honest value (err %v)", err)
 	}
-	copy(blob[pos:], data)
-	fixCRC(blob)
+	blob := spliceLabel(t, marshalWithLabel(t, &honest, name, target, el), data, nbits, forged, forgedBits)
 
 	var c Certificate
 	if err := c.UnmarshalBinary(blob); !errors.Is(err, ErrBadCertificate) {
@@ -200,23 +189,28 @@ func TestOverWideCopyRejectedAfterInterning(t *testing.T) {
 	if target.U < 0 {
 		t.Fatal("no repeated non-member root entry in the honest labeling")
 	}
-	// Encode a copy whose root node id has bit 62 set, above every node id
-	// of the label, then clear that bit: the label's node ids are now
-	// written wider than its widest node id needs, and every value is the
-	// honest one.
-	forged := l.Edges[target].Clone()
-	root := forged.Own.Path[0]
-	root.NodeID |= 1 << 62
-	data, nbits := core.EncodeLabel(forged)
-	blob := marshalWithLabel(t, &honest, name, target, forged)
-	at := bytes.Index(blob, data)
-	if at < 0 {
-		t.Fatal("the forged label's bytes are not in the marshaled blob")
+	data, nbits := core.EncodeLabel(l.Edges[target])
+	forged, forgedBits := withNodeDict(t, data, nbits, func(w *bits.Writer, ids []uint64) {
+		writeIDDict(w, widthOf(ids)+1, ids)
+	})
+	if _, err := core.DecodeLabel(forged, forgedBits); err == nil || !strings.Contains(err.Error(), "width") {
+		t.Fatalf("an over-wide node id width decoded, or failed for another reason: %v", err)
 	}
+	blob := spliceLabel(t, marshalWithLabel(t, &honest, name, target, l.Edges[target]), data, nbits, forged, forgedBits)
+
+	var c Certificate
+	if err := c.UnmarshalBinary(blob); !errors.Is(err, ErrBadCertificate) {
+		t.Fatalf("over-wide second copy of an interned entry accepted: err=%v", err)
+	}
+}
+
+// withNodeDict returns a label's bits with its node dictionary rewritten:
+// write gets the dictionary's ids, in order, and writes its replacement.
+// The label's dictionaries are parsed as PLSC v6 lays them out: the row
+// count, then the vertex, class and node dictionaries.
+func withNodeDict(t *testing.T, data []byte, nbits int, write func(w *bits.Writer, ids []uint64)) ([]byte, int) {
+	t.Helper()
 	r := bits.NewReader(data, nbits)
-	// The root entry is the first row of the label's entry table, so its
-	// node id is the first id of the node dictionary, which follows the
-	// vertex and class dictionaries.
 	read := func(field string) uint64 {
 		v, err := r.ReadUvarint()
 		if err != nil {
@@ -224,27 +218,59 @@ func TestOverWideCopyRejectedAfterInterning(t *testing.T) {
 		}
 		return v
 	}
+	idDict := func(what string) []uint64 {
+		gapped, err := r.ReadBit()
+		if err != nil {
+			t.Fatalf("reading the %s dictionary's coding: %v", what, err)
+		}
+		var ids []uint64
+		n := read(what + " dictionary size")
+		if gapped {
+			prev := ^uint64(0)
+			for range n {
+				prev += read(what+" gap") + 1
+				ids = append(ids, prev)
+			}
+			return ids
+		}
+		width := int(read(what + " width"))
+		for range n {
+			id, err := r.ReadUint(width)
+			if err != nil {
+				t.Fatalf("reading a %s id: %v", what, err)
+			}
+			ids = append(ids, id)
+		}
+		return ids
+	}
 	read("table row count")
-	vertices := read("vertex dictionary size")
-	vertexWidth := read("vertex width")
-	r.Seek(r.Pos() + int(vertices*vertexWidth))
+	idDict("vertex")
 	for range read("class dictionary size") {
 		r.Seek(r.Pos() + 16)
 		read("class collision rank")
 	}
-	read("node dictionary size")
-	read("node width")
-	data[r.Pos()/8] &^= 1 << uint(7-r.Pos()%8)
-	if _, err := core.DecodeLabel(data, nbits); err == nil || !strings.Contains(err.Error(), "width") {
-		t.Fatalf("an over-wide node id width decoded, or failed for another reason: %v", err)
-	}
-	copy(blob[at:], data)
-	fixCRC(blob)
+	from := r.Pos()
+	ids := idDict("node")
+	var w bits.Writer
+	w.WriteChunk(string(data), 0, from)
+	write(&w, ids)
+	w.WriteChunk(string(data), r.Pos(), nbits)
+	return w.Bytes(), w.Bits()
+}
 
-	var c Certificate
-	if err := c.UnmarshalBinary(blob); !errors.Is(err, ErrBadCertificate) {
-		t.Fatalf("over-wide second copy of an interned entry accepted: err=%v", err)
+// spliceLabel returns the blob with one label's bit count and bytes
+// replaced by another's, and its CRC recomputed.
+func spliceLabel(t *testing.T, blob, old []byte, oldBits int, label []byte, nbits int) []byte {
+	t.Helper()
+	entry := append(binary.AppendUvarint(nil, uint64(oldBits)), old...)
+	at := bytes.Index(blob, entry)
+	if at < 0 {
+		t.Fatal("the label's bytes are not in the marshaled blob")
 	}
+	out := binary.AppendUvarint(slices.Clone(blob[:at]), uint64(nbits))
+	out = append(append(out, label...), blob[at+len(entry):]...)
+	fixCRC(out)
+	return out
 }
 
 // repeatedNonMember finds, in wire order, a label whose own path repeats a
@@ -390,9 +416,11 @@ func TestCertificateVersionPinned(t *testing.T) {
 }
 
 // TestCertificateVersion1Rejected pins that the retired versions — 1
-// (varint identifiers), 2 (certificates written in full) and 3 (every
-// vertex-id occurrence written in full) — have no decoder: a blob
-// declaring one fails on the version byte.
+// (varint identifiers), 2 (certificates written in full), 3 (every
+// vertex-id occurrence written in full), 4 (one vertex-id dictionary per
+// entry) and 5 (label dictionaries in first-use order, ids in a fixed
+// width) — have no decoder: a blob declaring one fails on the version
+// byte.
 func TestCertificateVersion1Rejected(t *testing.T) {
 	for v := byte(1); v < certVersion; v++ {
 		blob := honestBlob(t)

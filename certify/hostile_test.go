@@ -131,13 +131,49 @@ type hostileLabelPayload struct {
 	want string
 }
 
-// writeIDDict writes a vertex-id or node-id dictionary: its size, the given
-// width, then each id in that width.
+// canon, given as a dictionary's width, writes the dictionary in its
+// canonical coding.
+const canon = -1
+
+// writeIDDict writes a vertex-id or node-id dictionary in the fixed-width
+// coding — a 0 flag bit, its size, the given width, then each id in that
+// width — or, given canon as its width, in the shorter of that coding at
+// its widest id's width and the gap coding (a 1 flag bit, its size, its
+// first id, then each later id's distance to the one before it, less
+// one), fixed width on a tie.
 func writeIDDict(w *bits.Writer, width int, ids []uint64) {
+	if width == canon {
+		width = widthOf(ids)
+		fixed, gapped := bits.UvarintLen(uint64(width))+len(ids)*width, 0
+		for i, id := range ids {
+			if i > 0 {
+				id -= ids[i-1] + 1
+			}
+			gapped += bits.UvarintLen(id)
+		}
+		if gapped < fixed {
+			writeGapDict(w, ids...)
+			return
+		}
+	}
+	w.WriteBit(false)
 	w.WriteUvarint(uint64(len(ids)))
 	w.WriteUvarint(uint64(width))
 	for _, id := range ids {
 		w.WriteUint(id, width)
+	}
+}
+
+// writeGapDict writes a vertex-id or node-id dictionary of the given ids
+// in the gap coding, whether or not that is its shorter coding.
+func writeGapDict(w *bits.Writer, ids ...uint64) {
+	w.WriteBit(true)
+	w.WriteUvarint(uint64(len(ids)))
+	for i, id := range ids {
+		if i > 0 {
+			id -= ids[i-1] + 1
+		}
+		w.WriteUvarint(id)
 	}
 }
 
@@ -150,17 +186,17 @@ func widthOf(ids []uint64) int {
 	return width
 }
 
-// writeDicts writes a label's dictionaries, each id list in its widest
-// id's width: the vertex ids, the class ids (collision rank 0), then the
-// node ids.
-func writeDicts(w *bits.Writer, vertex []uint64, classes []uint64, nodes []uint64) {
-	writeIDDict(w, widthOf(vertex), vertex)
+// writeDicts writes a label's dictionaries: the vertex ids and the node ids
+// in the given widths (canon for their canonical codings), and between
+// them the class ids (collision rank 0).
+func writeDicts(w *bits.Writer, vertexWidth int, vertex []uint64, classes []uint64, nodeWidth int, nodes []uint64) {
+	writeIDDict(w, vertexWidth, vertex)
 	w.WriteUvarint(uint64(len(classes)))
 	for _, c := range classes {
 		w.WriteUint(c, 16)
 		w.WriteUvarint(0) // collision rank
 	}
-	writeIDDict(w, widthOf(nodes), nodes)
+	writeIDDict(w, nodeWidth, nodes)
 }
 
 // indexWidth returns the width of an index into a dictionary of n ids.
@@ -228,7 +264,7 @@ func tableLabel(nodeIDs []uint64, rw int, rows ...uint64) *bits.Writer {
 	}
 	w := new(bits.Writer)
 	w.WriteUvarint(uint64(len(nodeIDs)))
-	writeDicts(w, nil, []uint64{7}, nodes)
+	writeDicts(w, canon, nil, []uint64{7}, canon, nodes)
 	for _, id := range nodeIDs {
 		writeTinyEntry(w, len(nodes), slices.Index(nodes, id), 1, 0)
 	}
@@ -236,22 +272,23 @@ func tableLabel(nodeIDs []uint64, rw int, rows ...uint64) *bits.Writer {
 }
 
 // dictLabel writes a label whose one entry's path ids are the given
-// indices into a vertex dictionary of the given ids.
-func dictLabel(dict []uint64, rows ...uint64) *bits.Writer {
+// indices into a vertex dictionary of the given ids in the given width.
+func dictLabel(width int, dict []uint64, rows ...uint64) *bits.Writer {
 	w := new(bits.Writer)
 	w.WriteUvarint(1) // table rows
-	writeDicts(w, dict, []uint64{7}, []uint64{1})
+	writeDicts(w, width, dict, []uint64{7}, canon, []uint64{1})
 	writePathEntry(w, 1, 0, 1, 0, len(dict), rows...)
 	return ownLabel(w, 0, 0)
 }
 
 // dictTable writes a label whose table holds one tiny entry per index
 // pair, its node and class the given indices into node and class
-// dictionaries of the given ids, the rows used in order.
-func dictTable(nodes, classes []uint64, node, class []int) *bits.Writer {
+// dictionaries of the given ids, the node ids in the given width, the rows
+// used in order.
+func dictTable(nodeWidth int, nodes, classes []uint64, node, class []int) *bits.Writer {
 	w := new(bits.Writer)
 	w.WriteUvarint(uint64(len(node)))
-	writeDicts(w, nil, classes, nodes)
+	writeDicts(w, canon, nil, classes, nodeWidth, nodes)
 	var rows []uint64
 	for i := range node {
 		writeTinyEntry(w, len(nodes), node[i], len(classes), class[i])
@@ -266,7 +303,10 @@ func dictTable(nodes, classes []uint64, node, class []int) *bits.Writer {
 // that lie — a row index past the table, an unused row, rows used out of
 // table order, a repeated row, and a row count far past the bits that
 // follow — and vertex, class and node dictionaries that lie the same five
-// ways, plus a width-0 dictionary declaring two ids.
+// ways (for the sorted vertex and node dictionaries, out of order means
+// not strictly ascending), plus a width-0 dictionary declaring two ids, a
+// dictionary in its longer coding, and gap-coded dictionaries whose ids
+// pass 2⁶⁴−1 or whose size is far past the bits that follow.
 func hostileLabelPayloads() map[string]hostileLabelPayload {
 	out := map[string]hostileLabelPayload{}
 
@@ -275,6 +315,7 @@ func hostileLabelPayloads() map[string]hostileLabelPayload {
 	// dictionary declares a width of 65.
 	w := new(bits.Writer)
 	w.WriteUvarint(0) // empty entry table
+	w.WriteBit(false) // fixed width
 	w.WriteUvarint(3) // vertex dictionary size
 	w.WriteUvarint(65)
 	out["label id width 65"] = hostileLabelPayload{w, "width"}
@@ -312,6 +353,7 @@ func hostileLabelPayloads() map[string]hostileLabelPayload {
 
 	w = new(bits.Writer)
 	w.WriteUvarint(1)
+	w.WriteBit(false)       // fixed width
 	w.WriteUvarint(1)       // vertex dictionary size
 	w.WriteUvarint(1 << 20) // vertex id width
 	w.WriteUint(0, 64)      // room for one entry
@@ -338,21 +380,51 @@ func hostileLabelPayloads() map[string]hostileLabelPayload {
 	w.WriteUint(0, 64)
 	out["huge table row count"] = hostileLabelPayload{w, "entry table of"}
 
-	out["vertex index past the dictionary"] = hostileLabelPayload{dictLabel([]uint64{1, 2, 3}, 0, 1, 3), "vertex index 3"}
-	out["unused dictionary row"] = hostileLabelPayload{dictLabel([]uint64{1, 2}, 0), "used by no id"}
-	out["dictionary rows out of first-use order"] = hostileLabelPayload{dictLabel([]uint64{1, 2}, 1, 0), "used before row"}
-	out["duplicate dictionary id"] = hostileLabelPayload{dictLabel([]uint64{2, 2}, 0, 1), "not canonically encoded"}
+	out["vertex index past the dictionary"] = hostileLabelPayload{dictLabel(canon, []uint64{1, 2, 3}, 0, 1, 3), "vertex index 3"}
+	out["unused dictionary row"] = hostileLabelPayload{dictLabel(canon, []uint64{1, 2}, 0), "used by no id"}
+	out["dictionary not ascending"] = hostileLabelPayload{dictLabel(2, []uint64{2, 1}, 0, 1), "id 1 follows id 2"}
+	out["duplicate dictionary id"] = hostileLabelPayload{dictLabel(2, []uint64{2, 2}, 0, 1), "id 2 follows id 2"}
+	// Three consecutive ids are shorter as gaps, four spread ones in a
+	// fixed width: either in its longer coding decodes, and fails the
+	// re-encode check.
+	out["dictionary in the longer fixed coding"] = hostileLabelPayload{dictLabel(2, []uint64{1, 2, 3}, 0, 1, 2), "not canonically encoded"}
+	w = new(bits.Writer)
+	w.WriteUvarint(1) // table rows
+	writeGapDict(w, 100, 400, 700, 1000)
+	w.WriteUvarint(1)  // one class
+	w.WriteUint(7, 16) // class hash
+	w.WriteUvarint(0)  // collision rank
+	writeIDDict(w, canon, []uint64{1})
+	writePathEntry(w, 1, 0, 1, 0, 4, 0, 1, 2, 3)
+	out["dictionary in the longer gap coding"] = hostileLabelPayload{ownLabel(w, 0, 0), "not canonically encoded"}
+	// A gap-coded dictionary whose ids pass 2⁶⁴−1, and one whose size is
+	// far past the bits that follow.
+	w = new(bits.Writer)
+	w.WriteUvarint(1) // table rows
+	w.WriteBit(true)  // gaps
+	w.WriteUvarint(3)
+	for _, gap := range []uint64{1 << 63, 1 << 62, 1 << 62} {
+		w.WriteUvarint(gap)
+	}
+	w.WriteUint(0, 64)
+	out["gap-coded ids past 2^64"] = hostileLabelPayload{w, "overflows 64 bits"}
+	w = new(bits.Writer)
+	w.WriteUvarint(1) // table rows
+	w.WriteBit(true)  // gaps
+	w.WriteUvarint(1 << 40)
+	w.WriteUint(0, 64)
+	out["huge gap-coded dictionary"] = hostileLabelPayload{w, "gap-coded ids in"}
 
 	one, two, three := []uint64{7}, []uint64{7, 8}, []uint64{7, 8, 9}
 	nodes := []uint64{1, 2, 3}
-	out["class index past the dictionary"] = hostileLabelPayload{dictTable(nodes, three, []int{0, 1, 2}, []int{0, 1, 3}), "class index 3"}
-	out["unused class dictionary row"] = hostileLabelPayload{dictTable(nodes[:2], two, []int{0, 1}, []int{0, 0}), "class dictionary row 1 of 2 is used by no id"}
-	out["class dictionary rows out of first-use order"] = hostileLabelPayload{dictTable(nodes[:2], two, []int{0, 1}, []int{1, 0}), "used before row"}
-	out["duplicate class dictionary id"] = hostileLabelPayload{dictTable(nodes[:2], []uint64{8, 8}, []int{0, 1}, []int{0, 1}), "not canonically encoded"}
-	out["node index past the dictionary"] = hostileLabelPayload{dictTable(nodes, three, []int{0, 1, 3}, []int{0, 1, 2}), "node index 3"}
-	out["unused node dictionary row"] = hostileLabelPayload{dictTable(nodes[:2], one, []int{0}, []int{0}), "node dictionary row 1 of 2 is used by no id"}
-	out["node dictionary rows out of first-use order"] = hostileLabelPayload{dictTable(nodes[:2], two, []int{1, 0}, []int{0, 1}), "used before row"}
-	out["duplicate node dictionary id"] = hostileLabelPayload{dictTable([]uint64{2, 2}, two, []int{0, 1}, []int{0, 1}), "not canonically encoded"}
+	out["class index past the dictionary"] = hostileLabelPayload{dictTable(canon, nodes, three, []int{0, 1, 2}, []int{0, 1, 3}), "class index 3"}
+	out["unused class dictionary row"] = hostileLabelPayload{dictTable(canon, nodes[:2], two, []int{0, 1}, []int{0, 0}), "class dictionary row 1 of 2 is used by no id"}
+	out["class dictionary rows out of first-use order"] = hostileLabelPayload{dictTable(canon, nodes[:2], two, []int{0, 1}, []int{1, 0}), "used before row"}
+	out["duplicate class dictionary id"] = hostileLabelPayload{dictTable(canon, nodes[:2], []uint64{8, 8}, []int{0, 1}, []int{0, 1}), "not canonically encoded"}
+	out["node index past the dictionary"] = hostileLabelPayload{dictTable(canon, nodes, three, []int{0, 1, 3}, []int{0, 1, 2}), "node index 3"}
+	out["unused node dictionary row"] = hostileLabelPayload{dictTable(canon, nodes[:2], one, []int{0}, []int{0}), "node dictionary row 1 of 2 is used by no id"}
+	out["node dictionary not ascending"] = hostileLabelPayload{dictTable(2, []uint64{2, 1}, two, []int{0, 1}, []int{0, 1}), "id 1 follows id 2"}
+	out["duplicate node dictionary id"] = hostileLabelPayload{dictTable(2, []uint64{2, 2}, two, []int{0, 1}, []int{0, 1}), "id 2 follows id 2"}
 
 	// Dictionary sizes past the bits that follow, and past the ids a
 	// width of 0 can hold.
@@ -362,6 +434,7 @@ func hostileLabelPayloads() map[string]hostileLabelPayload {
 	} {
 		w = new(bits.Writer)
 		w.WriteUvarint(1) // table rows
+		w.WriteBit(false) // fixed width
 		w.WriteUvarint(d.size)
 		w.WriteUvarint(d.width)
 		w.WriteUint(0, 64)
@@ -378,6 +451,7 @@ func hostileLabelPayloads() map[string]hostileLabelPayload {
 	w.WriteUvarint(1)
 	writeIDDict(w, 0, nil)
 	w.WriteUvarint(0)
+	w.WriteBit(false)       // fixed width
 	w.WriteUvarint(1 << 40) // node dictionary size
 	w.WriteUvarint(1)
 	w.WriteUint(0, 64)
@@ -431,8 +505,14 @@ func TestHostileLabelFieldsRejected(t *testing.T) {
 	if err := c.UnmarshalBinary(oneLabelBlob(tableLabel([]uint64{1, 2}, 1, 0, 1))); err != nil {
 		t.Fatalf("a two-row table used in order is rejected: %v", err)
 	}
-	if err := c.UnmarshalBinary(oneLabelBlob(dictLabel([]uint64{1, 2, 3}, 0, 1, 2))); err != nil {
+	if err := c.UnmarshalBinary(oneLabelBlob(dictLabel(canon, []uint64{1, 2, 3}, 0, 1, 2))); err != nil {
 		t.Fatalf("a three-id dictionary used in order is rejected: %v", err)
+	}
+	if err := c.UnmarshalBinary(oneLabelBlob(dictLabel(canon, []uint64{1, 2, 3}, 2, 0, 1))); err != nil {
+		t.Fatalf("a three-id dictionary used out of order is rejected: %v", err)
+	}
+	if err := c.UnmarshalBinary(oneLabelBlob(dictLabel(canon, []uint64{100, 400, 700, 1000}, 0, 1, 2, 3))); err != nil {
+		t.Fatalf("a fixed-width dictionary is rejected: %v", err)
 	}
 	blobs := hostileBlobs()
 	for name, payload := range hostileLabelPayloads() {

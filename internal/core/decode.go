@@ -82,11 +82,15 @@ type Decoder struct {
 	used     int
 
 	// Dictionaries of the label being parsed: its vertex ids, class ids
-	// (as uint64) and node ids, the width of an index into each, and the
-	// number of each one's rows used so far.
+	// (as uint64) and node ids, and the width of an index into each. The
+	// class dictionary's rows are first used in order, so the rows used so
+	// far are a count; the vertex and node dictionaries are sorted, and
+	// their indices may name rows in any order, so which rows were used is
+	// a bitmap.
 	vdict, cdict, ndict []uint64
 	vRW, cRW, nRW       int
-	vUsed, cUsed, nUsed int
+	cUsed               int
+	vRows, nRows        rowMarks
 
 	// keying is set while the skip pass builds a shape's interning key in
 	// key and gathers its entry's class ids in cvals.
@@ -230,11 +234,11 @@ func (d *Decoder) decodeEdgeLabel(r *bits.Reader) (*EdgeLabel, error) {
 		out.Pointing = &p
 	}
 	for _, dict := range []struct {
-		what       string
-		used, size int
-	}{{"vertex", d.vUsed, len(d.vdict)}, {"class", d.cUsed, len(d.cdict)}, {"node", d.nUsed, len(d.ndict)}} {
-		if dict.used != dict.size {
-			return nil, fmt.Errorf("core: %s dictionary row %d of %d is used by no id", dict.what, dict.used, dict.size)
+		what         string
+		unused, size int
+	}{{"vertex", d.vRows.unused(), len(d.vdict)}, {"class", d.cUsed, len(d.cdict)}, {"node", d.nRows.unused(), len(d.ndict)}} {
+		if dict.unused != dict.size {
+			return nil, fmt.Errorf("core: %s dictionary row %d of %d is used by no id", dict.what, dict.unused, dict.size)
 		}
 	}
 	return out, nil
@@ -290,20 +294,47 @@ func (d *Decoder) dictionaries(r *bits.Reader) error {
 	if d.ndict, err = readIDDict(r, "node", d.ndict[:0]); err != nil {
 		return err
 	}
-	d.vRW, d.vUsed = rowWidth(len(d.vdict)), 0
-	d.cRW, d.cUsed = rowWidth(len(d.cdict)), 0
-	d.nRW, d.nUsed = rowWidth(len(d.ndict)), 0
+	d.vRW, d.cRW, d.nRW = rowWidth(len(d.vdict)), rowWidth(len(d.cdict)), rowWidth(len(d.ndict))
+	d.cUsed = 0
+	d.vRows.reset(len(d.vdict))
+	d.nRows.reset(len(d.ndict))
 	return nil
 }
 
-// readIDDict appends a vertex-id or node-id dictionary to dst: its size,
-// bounded by the bits that remain at its width (and by the 2^width
-// distinct ids the width holds) before dst grows, its width, which must be
-// exactly the widest id's bit length, and its ids.
+// readIDDict appends a vertex-id or node-id dictionary to dst: its coding
+// flag and size, then its ids, which must be strictly ascending. A
+// fixed-width dictionary's size is bounded by the bits that remain at its
+// width (and by the 2^width distinct ids the width holds) before dst
+// grows, and its width must be exactly the widest id's bit length; a
+// gap-coded one's size is bounded by the bits that remain, one per gap,
+// and its ids must not pass 2⁶⁴−1. Which coding is shorter is the
+// re-encode check's to enforce.
 func readIDDict(r *bits.Reader, what string, dst []uint64) ([]uint64, error) {
+	gapped, err := r.ReadBit()
+	if err != nil {
+		return nil, err
+	}
 	n, err := r.ReadUvarint()
 	if err != nil {
 		return nil, err
+	}
+	if gapped {
+		if n > uint64(r.Remaining()) {
+			return nil, fmt.Errorf("core: %s dictionary of %d gap-coded ids in %d remaining bits", what, n, r.Remaining())
+		}
+		prev := ^uint64(0) // the first id is its own gap
+		for i := uint64(0); i < n; i++ {
+			gap, err := r.ReadUvarint()
+			if err != nil {
+				return nil, err
+			}
+			if i > 0 && gap >= ^uint64(0)-prev {
+				return nil, fmt.Errorf("core: %s dictionary id %d plus gap %d overflows 64 bits", what, prev, gap)
+			}
+			prev += gap + 1
+			dst = append(dst, prev)
+		}
+		return dst, nil
 	}
 	width, err := readWidth(r)
 	if err != nil {
@@ -318,7 +349,10 @@ func readIDDict(r *bits.Reader, what string, dst []uint64) ([]uint64, error) {
 		if err != nil {
 			return nil, err
 		}
-		widest = max(widest, v)
+		if i > 0 && v <= widest {
+			return nil, fmt.Errorf("core: %s dictionary id %d follows id %d", what, v, widest)
+		}
+		widest = v
 		dst = append(dst, v)
 	}
 	if err := checkWidth(what+" dictionary", width, widest); err != nil {
@@ -398,7 +432,7 @@ type entryBox struct {
 // when its key is new to this Decoder, and the entry only when its shape
 // and class ids are.
 func (d *Decoder) entry(r *bits.Reader) (entryRef, error) {
-	start, vUsed, cUsed, nUsed := r.Pos(), d.vUsed, d.cUsed, d.nUsed
+	start := r.Pos()
 	d.key, d.cvals, d.keying = d.key[:0], d.cvals[:0], true
 	err := d.parseShape(r, nil)
 	d.keying = false
@@ -408,15 +442,16 @@ func (d *Decoder) entry(r *bits.Reader) (entryRef, error) {
 	var box *entryBox
 	sref, ok := d.shapes[string(d.key)]
 	if !ok {
-		end, vEnd, cEnd, nEnd := r.Pos(), d.vUsed, d.cUsed, d.nUsed
+		// The build pass reads the indices the skip pass checked: it marks
+		// the same vertex and node rows again, and its class indices all
+		// name rows already used.
+		end := r.Pos()
 		r.Seek(start)
-		d.vUsed, d.cUsed, d.nUsed = vUsed, cUsed, nUsed
 		box = &entryBox{}
 		box.s.NodeSummary = &box.own
 		if err := d.parseShape(r, &box.s); err != nil {
 			return entryRef{}, err
 		}
-		d.vUsed, d.cUsed, d.nUsed = vEnd, cEnd, nEnd
 		if r.Pos() != end {
 			return entryRef{}, fmt.Errorf("core: entry build pass read %d bits, skip pass %d", r.Pos()-start, end-start)
 		}
@@ -694,48 +729,87 @@ func readClassID(r *bits.Reader) (int, error) {
 // vertexID reads one vertex-id occurrence: an index into the label's
 // vertex dictionary.
 func (d *Decoder) vertexID(r *bits.Reader) (uint64, error) {
-	v, err := d.index(r, "vertex", d.vdict, d.vRW, &d.vUsed)
-	d.keyValue(v)
-	return v, err
-}
-
-// classID reads one class-id occurrence: an index into the label's class
-// dictionary.
-func (d *Decoder) classID(r *bits.Reader) (int, error) {
-	c, err := d.index(r, "class", d.cdict, d.cRW, &d.cUsed)
-	if d.keying {
-		d.cvals = append(d.cvals, c)
-	}
-	return int(c), err
-}
-
-// index reads one index into a dictionary of the label, in exactly the
-// dictionary's index width, and returns the value it selects. Rows must be
-// first used in dictionary order, so the occurrences determine the
-// dictionary's order.
-func (d *Decoder) index(r *bits.Reader, what string, dict []uint64, rw int, used *int) (uint64, error) {
-	i, err := r.ReadUint(rw)
+	i, err := d.index(r, "vertex", len(d.vdict), d.vRW)
 	if err != nil {
 		return 0, err
 	}
-	if i >= uint64(len(dict)) {
-		return 0, fmt.Errorf("core: %s index %d in a %d-id dictionary", what, i, len(dict))
+	d.vRows.mark(i)
+	d.keyValue(d.vdict[i])
+	return d.vdict[i], nil
+}
+
+// classID reads one class-id occurrence: an index into the label's class
+// dictionary, whose rows must be first used in dictionary order, so the
+// occurrences determine the dictionary's order.
+func (d *Decoder) classID(r *bits.Reader) (int, error) {
+	i, err := d.index(r, "class", len(d.cdict), d.cRW)
+	if err != nil {
+		return 0, err
 	}
-	if i > uint64(*used) {
-		return 0, fmt.Errorf("core: %s dictionary row %d used before row %d", what, i, *used)
+	if i > uint64(d.cUsed) {
+		return 0, fmt.Errorf("core: class dictionary row %d used before row %d", i, d.cUsed)
 	}
-	if i == uint64(*used) {
-		*used++
+	if i == uint64(d.cUsed) {
+		d.cUsed++
 	}
-	return dict[i], nil
+	if d.keying {
+		d.cvals = append(d.cvals, d.cdict[i])
+	}
+	return int(d.cdict[i]), nil
 }
 
 // nodeID reads one node-id occurrence: an index into the label's node
 // dictionary.
 func (d *Decoder) nodeID(r *bits.Reader) (uint64, error) {
-	n, err := d.index(r, "node", d.ndict, d.nRW, &d.nUsed)
-	d.keyValue(n)
-	return n, err
+	i, err := d.index(r, "node", len(d.ndict), d.nRW)
+	if err != nil {
+		return 0, err
+	}
+	d.nRows.mark(i)
+	d.keyValue(d.ndict[i])
+	return d.ndict[i], nil
+}
+
+// index reads one index into a dictionary of size rows of the label, in
+// exactly the dictionary's index width rw, and returns it.
+func (d *Decoder) index(r *bits.Reader, what string, rows, rw int) (uint64, error) {
+	i, err := r.ReadUint(rw)
+	if err != nil {
+		return 0, err
+	}
+	if i >= uint64(rows) {
+		return 0, fmt.Errorf("core: %s index %d in a %d-id dictionary", what, i, rows)
+	}
+	return i, nil
+}
+
+// rowMarks records which rows of a sorted dictionary an index has named: a
+// bitmap, reused from label to label. Marking a row twice changes nothing,
+// so an entry's skip and build passes both mark its rows.
+type rowMarks struct {
+	words []uint64
+	size  int
+}
+
+// reset clears the marks for a dictionary of size rows.
+func (m *rowMarks) reset(size int) {
+	n := (size + 63) / 64
+	m.words, m.size = slices.Grow(m.words[:0], n)[:n], size
+	clear(m.words)
+}
+
+// mark marks row i.
+func (m *rowMarks) mark(i uint64) { m.words[i/64] |= 1 << (i % 64) }
+
+// unused returns the first row no index has named, or the dictionary's
+// size when every row has been named.
+func (m *rowMarks) unused() int {
+	for k, w := range m.words {
+		if w != ^uint64(0) {
+			return min(64*k+mathbits.TrailingZeros64(^w), m.size)
+		}
+	}
+	return m.size
 }
 
 // parseLanes reads a lane list: a fresh slice when building, the reused

@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"errors"
-	mathbits "math/bits"
 	"runtime"
 	"slices"
 	"strings"
@@ -122,15 +121,41 @@ type hostileLabel struct {
 	want  string
 }
 
+// canon, given as a dictionary's width, writes the dictionary as the
+// encoder does: in its shorter coding (refWriteIDDict).
+const canon = -1
+
+// writeFixedDict writes a vertex-id or node-id dictionary in the
+// fixed-width coding: its flag, its size, the given width, then each id in
+// that width.
+func writeFixedDict(w *bits.Writer, width int, ids []uint64) {
+	w.WriteBit(false)
+	w.WriteUvarint(uint64(len(ids)))
+	w.WriteUvarint(uint64(width))
+	for _, id := range ids {
+		w.WriteUint(id, width)
+	}
+}
+
+// writeGapDict writes a vertex-id or node-id dictionary in the gap coding:
+// its flag, its size, then the given gaps.
+func writeGapDict(w *bits.Writer, gaps ...uint64) {
+	w.WriteBit(true)
+	w.WriteUvarint(uint64(len(gaps)))
+	for _, g := range gaps {
+		w.WriteUvarint(g)
+	}
+}
+
 // writeDicts writes a table's dictionaries: the vertex ids, each in
 // vertexWidth bits, the class ids, then the node ids, each in nodeWidth
-// bits.
+// bits; a width of canon writes its dictionary as the encoder does.
 func writeDicts(w *bits.Writer, vertexWidth int, vertex []uint64, nodeWidth int, nodes []uint64, classes ...int) {
 	writeIDs := func(width int, ids []uint64) {
-		w.WriteUvarint(uint64(len(ids)))
-		w.WriteUvarint(uint64(width))
-		for _, id := range ids {
-			w.WriteUint(id, width)
+		if width == canon {
+			refWriteIDDict(w, ids)
+		} else {
+			writeFixedDict(w, width, ids)
 		}
 	}
 	writeIDs(vertexWidth, vertex)
@@ -235,7 +260,7 @@ func hostileLabels(t *testing.T) map[string]hostileLabel {
 	pointing := func(width int, dict []uint64, idx ...uint64) *bits.Writer {
 		var w bits.Writer
 		w.WriteUvarint(0)
-		writeDicts(&w, width, dict, 0, nil)
+		writeDicts(&w, width, dict, canon, nil)
 		w.WriteBit(false) // no own certificate
 		w.WriteUvarint(0) // no embedding entries
 		w.WriteBit(true)
@@ -246,7 +271,8 @@ func hostileLabels(t *testing.T) map[string]hostileLabel {
 		w.WriteUvarint(1) // DV
 		return &w
 	}
-	canonical("a pointing label in its own width", pointing(2, []uint64{1, 2}, 0, 0, 1))
+	canonical("a pointing label in its own coding", pointing(canon, []uint64{1, 2}, 0, 0, 1))
+	canonical("a pointing label in its own width", pointing(canon, []uint64{1000, 1500, 2000}, 0, 2, 1))
 	// A pointing label whose ids need 2 bits, written in 8.
 	add("label width over widest id", "vertex dictionary id width", pointing(8, []uint64{1, 2}, 0, 0, 1))
 	add("pointing index past the dictionary", "vertex index 3", pointing(2, []uint64{1, 2, 3}, 0, 1, 3))
@@ -256,6 +282,7 @@ func hostileLabels(t *testing.T) map[string]hostileLabel {
 	for name, width := range map[string]uint64{"label width 65": 65, "label width 2^40": 1 << 40} {
 		var w bits.Writer
 		w.WriteUvarint(0)
+		w.WriteBit(false) // fixed width
 		w.WriteUvarint(2)
 		w.WriteUvarint(width)
 		w.WriteUint(0, 64)
@@ -263,17 +290,18 @@ func hostileLabels(t *testing.T) map[string]hostileLabel {
 	}
 
 	w := ownEntry()
+	w.WriteBit(false) // fixed width
 	w.WriteUvarint(1)
 	w.WriteUvarint(65)
 	w.WriteUint(0, 64)
 	add("entry vertex width 65", "exceeds 64", w)
 
 	w = ownEntry()
-	w.WriteUvarint(0)
-	w.WriteUvarint(0) // empty vertex dictionary
+	refWriteIDDict(w, nil) // empty vertex dictionary
 	w.WriteUvarint(1)
 	w.WriteUint(1, algebra.ClassHashBits)
 	w.WriteUvarint(0) // one class
+	w.WriteBit(false) // fixed width
 	w.WriteUvarint(1)
 	w.WriteUvarint(65)
 	w.WriteUint(0, 64)
@@ -288,7 +316,7 @@ func hostileLabels(t *testing.T) map[string]hostileLabel {
 		writeOwnTail(w, 0, 0)
 		return w
 	}
-	canonical("the minimal entry in its own widths", idEntry(1, 1))
+	canonical("the minimal entry in its own codings", idEntry(canon, canon))
 	add("entry vertex width over widest id", "vertex dictionary id width", idEntry(2, 1))
 	add("entry node width 64 over widest id", "node dictionary id width", idEntry(1, 64))
 
@@ -299,9 +327,8 @@ func hostileLabels(t *testing.T) map[string]hostileLabel {
 		"collision rank one past the cap": algebra.MaxClassRank + 1,
 	} {
 		w = ownEntry()
-		w.WriteUvarint(0)
-		w.WriteUvarint(0) // empty vertex dictionary
-		w.WriteUvarint(1) // one class
+		refWriteIDDict(w, nil) // empty vertex dictionary
+		w.WriteUvarint(1)      // one class
 		w.WriteUint(0, algebra.ClassHashBits)
 		w.WriteUvarint(rank)
 		add(name, "collision rank", w)
@@ -313,7 +340,7 @@ func hostileLabels(t *testing.T) map[string]hostileLabel {
 		var w bits.Writer
 		w.WriteUvarint(uint64(len(nodeIDs)))
 		nodes, rows := rowsOf(nodeIDs...)
-		writeDicts(&w, 1, []uint64{1}, mathbits.Len64(slices.Max(nodes)), nodes, 1)
+		writeDicts(&w, canon, []uint64{1}, canon, nodes, 1)
 		for _, r := range rows {
 			writeMinEntry(&w, rowWidth(len(nodes)), r)
 		}
@@ -344,52 +371,91 @@ func hostileLabels(t *testing.T) map[string]hostileLabel {
 
 	// Vertex dictionaries. vertexLabel writes a label whose one entry's
 	// path ids are the given indices into a vertex dictionary of the given
-	// ids.
-	vertexLabel := func(dict []uint64, path ...uint64) *bits.Writer {
+	// ids in the given width.
+	vertexLabel := func(width int, dict []uint64, path ...uint64) *bits.Writer {
 		w := ownEntry()
-		writeDicts(w, 2, dict, 1, []uint64{1}, 1)
+		writeDicts(w, width, dict, canon, []uint64{1}, 1)
 		writeEntry(w, 0, 0, 0, 0, rowWidth(len(dict)), path...)
 		writeOwnTail(w, 0, 0)
 		return w
 	}
-	canonical("a three-id vertex dictionary used in order", vertexLabel([]uint64{1, 2, 3}, 0, 1, 2))
-	add("vertex index past the dictionary", "vertex index 3", vertexLabel([]uint64{1, 2, 3}, 0, 1, 3))
-	add("unused dictionary row", "vertex dictionary row 1 of 2 is used by no id", vertexLabel([]uint64{1, 2}, 0))
-	add("dictionary rows out of first-use order", "vertex dictionary row 1 used before row 0", vertexLabel([]uint64{1, 2}, 1, 0))
-	add("duplicate dictionary id", "", vertexLabel([]uint64{2, 2}, 0, 1))
+	canonical("a three-id vertex dictionary used in order", vertexLabel(canon, []uint64{1, 2, 3}, 0, 1, 2))
+	canonical("a vertex dictionary used out of order", vertexLabel(canon, []uint64{1, 2, 3}, 2, 0, 1))
+	add("vertex index past the dictionary", "vertex index 3", vertexLabel(canon, []uint64{1, 2, 3}, 0, 1, 3))
+	add("unused dictionary row", "vertex dictionary row 1 of 2 is used by no id", vertexLabel(canon, []uint64{1, 2}, 0))
+	add("dictionary not ascending", "vertex dictionary id 1 follows id 2", vertexLabel(2, []uint64{2, 1}, 0, 1))
+	add("duplicate dictionary id", "vertex dictionary id 2 follows id 2", vertexLabel(2, []uint64{2, 2}, 0, 1))
 
-	// A vertex row first used out of order across the rows of a table:
-	// the first entry uses row 1 before the second uses row 0.
-	w = &bits.Writer{}
-	w.WriteUvarint(2)
-	writeDicts(w, 2, []uint64{1, 2}, 2, []uint64{1, 2}, 1)
-	writeEntry(w, 1, 0, 0, 0, 1, 1)
-	writeEntry(w, 1, 1, 0, 0, 1, 0)
-	writeOwnTail(w, 1, 0, 1)
-	add("vertex rows out of first-use order across entries", "vertex dictionary row 1 used before row 0", w)
+	// A vertex row that neither entry of a two-row table uses, and its
+	// honest twin, whose second entry uses a row the first does not.
+	twoEntries := func(second uint64) *bits.Writer {
+		w := &bits.Writer{}
+		w.WriteUvarint(2)
+		writeDicts(w, canon, []uint64{1, 2}, canon, []uint64{1, 2}, 1)
+		writeEntry(w, 1, 0, 0, 0, 1, 1)
+		writeEntry(w, 1, 1, 0, 0, 1, second)
+		writeOwnTail(w, 1, 0, 1)
+		return w
+	}
+	canonical("vertex rows first used out of order across entries", twoEntries(0))
+	add("vertex row unused across entries", "vertex dictionary row 0 of 2 is used by no id", twoEntries(1))
 
 	// A vertex dictionary size far past the bits that follow, and one past
 	// the ids a width of 0 can hold. Both streams end in 64 zero bits, so
 	// only the size's bounds can reject them.
 	w = ownEntry()
+	w.WriteBit(false) // fixed width
 	w.WriteUvarint(1 << 40)
 	w.WriteUvarint(1)
 	w.WriteUint(0, 64)
 	add("huge dictionary", "vertex dictionary of", w)
 
 	w = ownEntry()
+	w.WriteBit(false) // fixed width
 	w.WriteUvarint(2)
 	w.WriteUvarint(0)
 	w.WriteUint(0, 64)
 	add("width-0 dictionary of two ids", "vertex dictionary of 2 ids at width 0", w)
 
+	// Gap-coded vertex dictionaries: a size far past the bits that follow,
+	// rejected before the dictionary grows, and ids that pass 2⁶⁴−1.
+	w = ownEntry()
+	w.WriteBit(true) // gaps
+	w.WriteUvarint(1 << 40)
+	w.WriteUint(0, 64)
+	add("huge gap-coded dictionary", "gap-coded ids in", w)
+
+	w = ownEntry()
+	writeGapDict(w, 1<<63, 1<<62, 1<<62)
+	w.WriteUint(0, 64)
+	add("gap-coded ids past 2^64", "overflows 64 bits", w)
+
+	// A dictionary in the longer of its two codings decodes, and fails
+	// the re-encode check: three consecutive ids are shorter as gaps, and
+	// four spread ones in a fixed width.
+	add("dictionary in the longer fixed coding", "", vertexLabel(2, []uint64{1, 2, 3}, 0, 1, 2))
+	spread := []uint64{100, 400, 700, 1000}
+	if fixed, gapped := refIDDictBits(spread); fixed >= gapped {
+		t.Fatalf("%v takes %d bits in a fixed width and %d as gaps", spread, fixed, gapped)
+	}
+	w = ownEntry()
+	writeGapDict(w, 100, 299, 299, 299)
+	w.WriteUvarint(1) // one class
+	w.WriteUint(1, algebra.ClassHashBits)
+	w.WriteUvarint(0) // collision rank
+	refWriteIDDict(w, []uint64{1})
+	writeEntry(w, 0, 0, 0, 0, 2, 0, 1, 2, 3)
+	writeOwnTail(w, 0, 0)
+	add("dictionary in the longer gap coding", "", w)
+
 	// Class and node dictionaries. dictTable writes a label whose table
 	// has one minimal entry per index pair, its class and node the given
-	// indices into class and node dictionaries of the given ids.
-	dictTable := func(classes []int, nodes []uint64, ci, ni []uint64) *bits.Writer {
+	// indices into class and node dictionaries of the given ids, the node
+	// ids in the given width.
+	dictTable := func(classes []int, nodeWidth int, nodes []uint64, ci, ni []uint64) *bits.Writer {
 		var w bits.Writer
 		w.WriteUvarint(uint64(len(ci)))
-		writeDicts(&w, 1, []uint64{1}, mathbits.Len64(slices.Max(nodes)), nodes, classes...)
+		writeDicts(&w, canon, []uint64{1}, nodeWidth, nodes, classes...)
 		var rows []uint64
 		for i := range ci {
 			writeEntry(&w, rowWidth(len(nodes)), ni[i], rowWidth(len(classes)), ci[i], 0, 0)
@@ -400,7 +466,7 @@ func hostileLabels(t *testing.T) map[string]hostileLabel {
 	}
 	three, two := []uint64{1, 2, 3}, []uint64{1, 2}
 	classLabel := func(classes []int, ci ...uint64) *bits.Writer {
-		return dictTable(classes, three[:len(ci)], ci, []uint64{0, 1, 2}[:len(ci)])
+		return dictTable(classes, canon, three[:len(ci)], ci, []uint64{0, 1, 2}[:len(ci)])
 	}
 	canonical("a three-id class dictionary used in order", classLabel([]int{1, 2, 3}, 0, 1, 2))
 	add("class index past the dictionary", "class index 3", classLabel([]int{1, 2, 3}, 0, 1, 3))
@@ -408,27 +474,27 @@ func hostileLabels(t *testing.T) map[string]hostileLabel {
 	add("class dictionary rows out of first-use order", "class dictionary row 1 used before row 0", classLabel([]int{1, 2}, 1, 0))
 	add("duplicate class dictionary id", "", classLabel([]int{2, 2}, 0, 1))
 
-	nodeLabel := func(nodes []uint64, ni ...uint64) *bits.Writer {
-		return dictTable([]int{1, 2, 3}[:len(ni)], nodes, []uint64{0, 1, 2}[:len(ni)], ni)
+	nodeLabel := func(width int, nodes []uint64, ni ...uint64) *bits.Writer {
+		return dictTable([]int{1, 2, 3}[:len(ni)], width, nodes, []uint64{0, 1, 2}[:len(ni)], ni)
 	}
-	canonical("a three-id node dictionary used in order", nodeLabel(three, 0, 1, 2))
-	add("node index past the dictionary", "node index 3", nodeLabel(three, 0, 1, 3))
-	add("unused node dictionary row", "node dictionary row 1 of 2 is used by no id", nodeLabel(two, 0))
-	add("node dictionary rows out of first-use order", "node dictionary row 1 used before row 0", nodeLabel(two, 1, 0))
-	add("duplicate node dictionary id", "", nodeLabel([]uint64{2, 2}, 0, 1))
+	canonical("a three-id node dictionary used in order", nodeLabel(canon, three, 0, 1, 2))
+	canonical("a node dictionary used out of order", nodeLabel(canon, two, 1, 0))
+	add("node index past the dictionary", "node index 3", nodeLabel(canon, three, 0, 1, 3))
+	add("unused node dictionary row", "node dictionary row 1 of 2 is used by no id", nodeLabel(canon, two, 0))
+	add("node dictionary not ascending", "node dictionary id 1 follows id 2", nodeLabel(2, []uint64{2, 1}, 0, 1))
+	add("duplicate node dictionary id", "node dictionary id 2 follows id 2", nodeLabel(2, []uint64{2, 2}, 0, 1))
 
 	// Class and node dictionary sizes far past the bits that follow.
 	w = ownEntry()
-	w.WriteUvarint(0)
-	w.WriteUvarint(0) // empty vertex dictionary
+	refWriteIDDict(w, nil) // empty vertex dictionary
 	w.WriteUvarint(1 << 40)
 	w.WriteUint(0, 64)
 	add("huge class dictionary", "class dictionary of", w)
 
 	w = ownEntry()
-	w.WriteUvarint(0)
-	w.WriteUvarint(0) // empty vertex dictionary
-	w.WriteUvarint(0) // empty class dictionary
+	refWriteIDDict(w, nil) // empty vertex dictionary
+	w.WriteUvarint(0)      // empty class dictionary
+	w.WriteBit(false)      // fixed width
 	w.WriteUvarint(1 << 40)
 	w.WriteUvarint(1)
 	w.WriteUint(0, 64)
@@ -455,6 +521,7 @@ func TestMinEntryBits(t *testing.T) {
 		t.Fatalf("the smallest entry takes %d bits, minEntryBits is %d", w.Bits(), minEntryBits)
 	}
 	d := Decoder{cdict: []uint64{1}, ndict: []uint64{0}}
+	d.nRows.reset(1)
 	r := bits.NewReader(w.Bytes(), w.Bits())
 	if err := d.parseShape(r, &Shape{NodeSummary: new(NodeSummary)}); err != nil || r.Pos() != minEntryBits {
 		t.Fatalf("the smallest entry does not parse: %v", err)
@@ -478,16 +545,17 @@ func decodeCanonical(d *Decoder, data []byte, nbits int) error {
 var errNotCanonical = errors.New("re-encoding differs")
 
 // TestDecodeRejectsHostileWidthsAndRanks pins the checks of the fixed-width
-// fields, the entry table and the vertex-id and class-id dictionaries: an
-// id width above 64, an id width wider than the widest id it carries (a
-// second encoding of the same ids), a collision rank whose id does not fit
-// an int, a row, vertex or class index past its table or dictionary, a row
-// no certificate or dictionary id no occurrence uses, rows used out of
-// order, a row count or dictionary size the remaining bits (or, for the
-// vertex dictionary, its width) cannot hold, and a repeated row or
-// dictionary id (which decodes and fails the re-encode check) are each
-// rejected — without a panic, and
-// without an allocation sized by the lying field.
+// fields, the entry table and the vertex-id, class-id and node-id
+// dictionaries: an id width above 64, an id width wider than the widest id
+// it carries (a second encoding of the same ids), a collision rank whose id
+// does not fit an int, a row or index past its table or dictionary, a row
+// no certificate or dictionary id no occurrence uses, table or class rows
+// used out of order, a vertex or node dictionary that is not strictly
+// ascending, gap-coded ids past 2⁶⁴−1, a row count or dictionary size the
+// remaining bits (or, for a fixed-width dictionary, its width) cannot hold,
+// and a repeated row or class id or a dictionary in its longer coding
+// (which decode and fail the re-encode check) are each rejected — without
+// a panic, and without an allocation sized by the lying field.
 func TestDecodeRejectsHostileWidthsAndRanks(t *testing.T) {
 	for name, h := range hostileLabels(t) {
 		t.Run(strings.ReplaceAll(name, " ", "-"), func(t *testing.T) {
@@ -564,7 +632,8 @@ func keyBits(e *NodeEntry) int {
 
 // TestVertexDictionaryWritesEachIDOnce pins the vertex-id dictionary: an
 // entry whose path names d distinct vertices, each twice, writes each id
-// once and every occurrence as a bitlen(d−1)-bit index — whether the
+// once, in its dictionary's shorter coding, and every occurrence as a
+// bitlen(d−1)-bit index — whether the
 // dictionary is small enough for the stack index or large enough to grow
 // it — and decodes back to its own bits. A second row naming the same
 // vertices adds its indices and no dictionary id.
@@ -579,11 +648,11 @@ func TestVertexDictionaryWritesEachIDOnce(t *testing.T) {
 		plain := &NodeEntry{Shape: &Shape{NodeSummary: &NodeSummary{NodeID: 1, Kind: lanewidth.PNode}, ParentID: -1,
 			RealBits: entry.RealBits[:0], VInputs: entry.VInputs}, Classes: []int{0}}
 		// Against an entry with the same fields but no vertex ids, the
-		// path costs its dictionary (γ(d) and γ(11) over γ(0) and γ(0), d
-		// ids of 11 bits) and 2d indices, plus its longer length and real
-		// bits.
-		want := keyBits(plain) - bits.UvarintLen(0) - bits.UvarintLen(0) - bits.UvarintLen(0) +
-			bits.UvarintLen(11) + bits.UvarintLen(uint64(d)) + 11*d + 2*d*rowWidth(d) +
+		// path costs its dictionary (d ids over none) and 2d indices, plus
+		// its longer length and real bits.
+		dict := func(ids ...uint64) int { return min(refIDDictBits(ids)) }
+		want := keyBits(plain) - dict() - bits.UvarintLen(0) +
+			dict(ids[:d]...) + 2*d*rowWidth(d) +
 			bits.UvarintLen(uint64(len(ids))) + len(ids) - 1
 		if got := keyBits(entry); got != want {
 			t.Fatalf("d=%d: the entry takes %d bits, want %d", d, got, want)
@@ -597,14 +666,14 @@ func TestVertexDictionaryWritesEachIDOnce(t *testing.T) {
 		twin.NodeID = 2
 		two := &EdgeLabel{Own: &CEdgeLabel{Path: []*NodeEntry{entry, twin}}}
 		// The twin's fields are its Key less its own dictionaries (its d
-		// vertex ids, its class, its 2-bit node id). Beside them the
-		// second row grows the node dictionary from {1} to {1, 2}, gives
-		// both rows' node indices a bit, and adds a row to the table
-		// count, the certificate's path length and its 1-bit row indices.
+		// vertex ids, its class, its node id 2). Beside them the second
+		// row grows the node dictionary from {1} to {1, 2}, gives both
+		// rows' node indices a bit, and adds a row to the table count, the
+		// certificate's path length and its 1-bit row indices.
 		g := bits.UvarintLen
-		twinFields := keyBits(twin) - (g(uint64(d)) + g(11) + 11*d) -
-			(g(1) + algebra.ClassHashBits + g(0)) - (g(1) + g(2) + 2)
-		nodeDict := (g(2) + g(2) + 2*2) - (g(1) + g(1) + 1)
+		twinFields := keyBits(twin) - dict(ids[:d]...) -
+			(g(1) + algebra.ClassHashBits + g(0)) - dict(2)
+		nodeDict := dict(1, 2) - dict(1)
 		if extra, want := two.Bits()-nbits, twinFields+nodeDict+2+2*(g(2)-g(1))+2; extra != want {
 			t.Fatalf("d=%d: a second row naming the same ids adds %d bits, want %d", d, extra, want)
 		}

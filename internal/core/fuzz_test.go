@@ -72,9 +72,9 @@ func FuzzDecodeLabel(f *testing.F) {
 				skip, build := bits.NewReader(data, nbits), bits.NewReader(data, nbits)
 				skip.Seek(start)
 				build.Seek(start)
-				d.vUsed, d.cUsed, d.nUsed = 0, 0, 0
+				d.cUsed = 0
 				skipErr := d.parseShape(skip, nil)
-				d.vUsed, d.cUsed, d.nUsed = 0, 0, 0
+				d.cUsed = 0
 				buildErr := d.parseShape(build, &Shape{NodeSummary: new(NodeSummary)})
 				if (skipErr == nil) != (buildErr == nil) || skip.Pos() != build.Pos() {
 					t.Fatalf("entry at bit %d: skip pass (%v) ends at %d, build pass (%v) at %d",

@@ -13,6 +13,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	mathbits "math/bits"
 	"slices"
 	"sort"
@@ -244,17 +245,22 @@ func (l *Labeling) MaxBits() int {
 // its parent's, children's and operands' summaries, a node id in its
 // parent's and children's entries, a class in every entry that names it),
 // so the table opens with three dictionaries of the distinct ids its label
-// writes, each in first-use order: vertex ids, class ids and node ids. The
-// vertex and node dictionaries are each written as their size, the bit
-// length of their widest id, then every id in that width; the class
-// dictionary as its size, then every class id as a fixed-width content
-// hash plus a varint collision rank (writeClassID). Every occurrence — in
-// the rows, and the label's own embedding endpoints and pointing ids after
-// them — is an index into its dictionary in exactly rowWidth(size) bits.
-// The dictionaries come before the rows because the rows' index widths
-// depend on their sizes. Requiring every width to be exactly the bit
-// length of its widest id and every dictionary row to be first used in its
-// own order keeps the encoding canonical.
+// writes: vertex ids, class ids and node ids. The vertex and node
+// dictionaries list their ids in ascending order, so the ids of one label,
+// which sit close together, can be written as small gaps; each is written
+// in the shorter of two codings (writeIDDict): its size, the bit length of
+// its widest id and every id in that width, or its size and the gaps. The
+// class dictionary lists its ids in first-use order (class ids are
+// hashes, with nothing to gain from sorting) as its size, then every
+// class id as a fixed-width content hash plus a varint collision rank
+// (writeClassID). Every occurrence — in the rows, and the label's own
+// embedding endpoints and pointing ids after them — is an index into its
+// dictionary in exactly rowWidth(size) bits. The dictionaries come before
+// the rows because the rows' index widths depend on their sizes. The
+// encoding is canonical: a width is exactly the bit length of its widest
+// id, a sorted dictionary is strictly ascending and written in its shorter
+// coding, a class dictionary's rows are first used in its own order, and
+// every dictionary row is used.
 //
 // A row is an entry's fixed fields (writeFixed: everything but its ids),
 // then its index block: the indices of its vertex-id, class-id and node-id
@@ -279,12 +285,12 @@ func (l *Labeling) MaxBits() int {
 // full writer alone.
 
 // dictionary replaces every id of occ by its row in a dictionary of the
-// distinct ids in first-use order, which it appends to ids and returns.
-// Rows are found through slots, an open-addressing index of row+1 values
-// (0 marks a free slot; its length is a power of two), started on the
-// caller's buffer and replaced by one twice the size when it passes half
-// full.
-func dictionary(occ, ids []uint64, slots []int32) []uint64 {
+// distinct ids, which it appends to ids and returns: in first-use order,
+// or in ascending order when sorted is set. Rows are found through slots,
+// an open-addressing index of row+1 values (0 marks a free slot; its
+// length is a power of two), started on the caller's buffer and replaced
+// by one twice the size when it passes half full.
+func dictionary(occ, ids []uint64, slots []int32, sorted bool) []uint64 {
 	for k, id := range occ {
 		if 2*(len(ids)+1) > len(slots) {
 			slots = dictSlots(ids, max(64, 2*len(slots)))
@@ -302,7 +308,54 @@ func dictionary(occ, ids []uint64, slots []int32) []uint64 {
 			}
 		}
 	}
+	if sorted {
+		sortRows(occ, ids, slots)
+	}
 	return ids
+}
+
+// sortRows sorts a dictionary built in first-use order and renumbers the
+// rows in occ to match; slots, at least twice as long as the dictionary
+// and free once it is built, holds each first-use row's new row. Each id
+// is sorted with its first-use row packed below it, in one sort of plain
+// words; ids too wide to share a word with a row are sorted alone, and
+// each occurrence then finds its row by binary search.
+func sortRows(occ, ids []uint64, slots []int32) {
+	shift := mathbits.Len(uint(len(ids)))
+	if len(ids) > 0 && mathbits.Len64(slices.Max(ids))+shift > 64 {
+		for k, r := range occ {
+			occ[k] = ids[r]
+		}
+		slices.Sort(ids)
+		for k, id := range occ {
+			occ[k] = rowOf(ids, id)
+		}
+		return
+	}
+	for r, id := range ids {
+		ids[r] = id<<shift | uint64(r)
+	}
+	slices.Sort(ids)
+	for i, v := range ids {
+		slots[v&(1<<shift-1)] = int32(i)
+		ids[i] = v >> shift
+	}
+	for k, r := range occ {
+		occ[k] = uint64(slots[r])
+	}
+}
+
+// rowOf returns the row of id in the ascending ids, which hold it.
+func rowOf(ids []uint64, id uint64) uint64 {
+	lo, hi := 0, len(ids)
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); ids[m] < id {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return uint64(lo)
 }
 
 // dictSlots returns a fresh open-addressing index of n slots over ids.
@@ -413,19 +466,42 @@ func (s *Shape) appendNodeIDs(dst []uint64) []uint64 {
 	return dst
 }
 
-// writeIDDict writes a vertex-id or node-id dictionary — its size, the bit
-// length of its widest id, then every id in that width — and returns the
-// width of an index into it.
+// writeIDDict writes a vertex-id or node-id dictionary, its ids in
+// ascending order, in the shorter of two codings (fixed width on a tie),
+// and returns the width of an index into it. A flag bit names the coding,
+// then comes the size; fixed width follows it with the bit length of the
+// widest id and every id in that width, gaps with the first id and then
+// each id's distance to the one before it, less one, all as varints.
 func writeIDDict(w *bits.Writer, ids []uint64) int {
-	var widest uint64
-	for _, id := range ids {
-		widest = max(widest, id)
+	width := 0
+	if len(ids) > 0 {
+		width = mathbits.Len64(ids[len(ids)-1])
 	}
-	width := mathbits.Len64(widest)
+	gapped := gapBits(ids) < bits.UvarintLen(uint64(width))+len(ids)*width
+	w.WriteBit(gapped)
 	w.WriteUvarint(uint64(len(ids)))
-	w.WriteUvarint(uint64(width))
-	writeUints(w, ids, width)
+	if gapped {
+		w.WriteGaps(ids)
+	} else {
+		w.WriteUvarint(uint64(width))
+		writeUints(w, ids, width)
+	}
 	return rowWidth(len(ids))
+}
+
+// gapBits returns the bits the gap coding of ascending ids takes after its
+// size. A first id of 2⁶⁴−1 has no varint, so its gap coding is priced
+// above any fixed-width one.
+func gapBits(ids []uint64) int {
+	if len(ids) > 0 && ids[0] == ^uint64(0) {
+		return math.MaxInt
+	}
+	n, prev := 0, ^uint64(0)
+	for _, id := range ids {
+		n += bits.UvarintLen(id - prev - 1)
+		prev = id
+	}
+	return n
 }
 
 // writeTable writes a table's dictionaries and rows and, for a label
@@ -449,11 +525,11 @@ func writeTable(w *bits.Writer, rows []*NodeEntry, l *EdgeLabel, idx []int, hole
 	if l != nil {
 		occV = l.appendVertexIDs(occV)
 	}
-	rwV := writeIDDict(w, dictionary(occV, vIDs[:0], vSlots[:]))
+	rwV := writeIDDict(w, dictionary(occV, vIDs[:0], vSlots[:], true))
 	from := w.Bits()
 	rwC := writeClassDict(w, occC)
 	holes = markHole(holes, from, w.Bits())
-	rwN := writeIDDict(w, dictionary(occN, nIDs[:0], nSlots[:]))
+	rwN := writeIDDict(w, dictionary(occN, nIDs[:0], nSlots[:], true))
 	var at [3]int
 	for r, e := range rows {
 		e.writeFixed(w)
@@ -490,7 +566,7 @@ func markHole(holes []int32, from, to int) []int32 {
 func writeClassDict(w *bits.Writer, occ []uint64) int {
 	var ids [2 * linearRows]uint64
 	var slots [4 * linearRows]int32
-	cd := dictionary(occ, ids[:0], slots[:])
+	cd := dictionary(occ, ids[:0], slots[:], false)
 	w.WriteUvarint(uint64(len(cd)))
 	const idBits = algebra.ClassHashBits + 1
 	var word uint64

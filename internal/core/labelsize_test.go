@@ -1,7 +1,6 @@
 package core
 
 import (
-	mathbits "math/bits"
 	"math/rand"
 	"testing"
 
@@ -75,6 +74,90 @@ func TestLabelSizeLabelDictionary(t *testing.T) {
 	}
 }
 
+// TestLabelSizeSortedDictionaries pins the sorted vertex-id and node-id
+// dictionaries, each in the shorter of a fixed width and gaps between
+// consecutive ids. Under version 5, which listed them in first-use order
+// in a fixed width, the worst label at n=8192 was 1133 bits; sorted and
+// gap-coded it is 919. The pin is 0.9× the version-5 size.
+func TestLabelSizeSortedDictionaries(t *testing.T) {
+	const v5Bits = 1133
+	if got := worstLabelBits(t, 8192); 10*got > 9*v5Bits {
+		t.Fatalf("worst label at n=8192 is %d bits, want ≤ 0.9 × %d", got, v5Bits)
+	}
+}
+
+// TestIDAssignmentCannotGrowALabel pins what the coding flag buys: under
+// any identifier assignment, each label's vertex-id and node-id dictionary
+// takes at most its version-5 size — γ(d) + γ(w) + d·w for d ids of width
+// w, in a fixed width — plus the flag bit. Gaps win on the canonical ids
+// v+1, which sit close together in a label; under a random permutation or
+// random 40-bit ids they are scattered, and the fixed width is kept. Every
+// label's field split must sum to its size, so the dictionary bits
+// checked are the encoder's.
+func TestIDAssignmentCannotGrowALabel(t *testing.T) {
+	g, _ := gen.IntervalGraph(rand.New(rand.NewSource(1)), 2048, 2)
+	assignments := []struct {
+		name   string
+		assign func(ids []uint64)
+	}{
+		{"identity", func([]uint64) {}},
+		{"permuted", func(ids []uint64) {
+			for v, p := range rand.New(rand.NewSource(2)).Perm(len(ids)) {
+				ids[v] = uint64(p) + 1
+			}
+		}},
+		{"random 40-bit", func(ids []uint64) {
+			rng, seen := rand.New(rand.NewSource(3)), map[uint64]bool{}
+			for v := range ids {
+				id := rng.Uint64() >> 24
+				for id == 0 || seen[id] {
+					id = rng.Uint64() >> 24
+				}
+				ids[v], seen[id] = id, true
+			}
+		}},
+	}
+	for _, a := range assignments {
+		cfg := cert.NewConfig(g)
+		a.assign(cfg.IDs)
+		labeling, _, err := prove(NewScheme(algebra.Colorable{Q: 3}, 8), cfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var v5, v6 [2]int // vertex, node dictionary bits over all labels
+		for e, l := range labeling.Edges {
+			split, sum := labelSplit(l), 0
+			for _, f := range splitFields {
+				sum += split[f]
+			}
+			if sum != l.Bits() {
+				t.Fatalf("%s, edge %v: the split sums to %d bits, the label has %d", a.name, e, sum, l.Bits())
+			}
+			rows, _ := l.table(nil, nil)
+			var occV, occN []uint64
+			for _, en := range rows {
+				occV, occN = en.appendVertexIDs(occV), en.appendNodeIDs(occN)
+			}
+			occV = l.appendVertexIDs(occV)
+			for i, dict := range []struct {
+				field string
+				occ   []uint64
+			}{{"vertex ids", occV}, {"node ids", occN}} {
+				ids := refSortedDictionary(dict.occ)
+				width := refWidth(ids)
+				old := bits.UvarintLen(uint64(len(ids))) + bits.UvarintLen(uint64(width)) + len(ids)*width
+				if split[dict.field] > old+1 {
+					t.Fatalf("%s, edge %v: %s take %d bits, %d in version 5", a.name, e, dict.field, split[dict.field], old)
+				}
+				v5[i], v6[i] = v5[i]+old, v6[i]+split[dict.field]
+			}
+		}
+		per := func(n int) float64 { return float64(n) / float64(len(labeling.Edges)) }
+		t.Logf("%-13s per label: vertex ids %6.1f bits (v5 %6.1f), node ids %5.1f bits (v5 %5.1f)",
+			a.name, per(v6[0]), per(v5[0]), per(v6[1]), per(v5[1]))
+	}
+}
+
 // splitFields names the parts labelSplit divides a label's bits into, in
 // the order they are logged.
 var splitFields = []string{
@@ -84,7 +167,8 @@ var splitFields = []string{
 
 // labelSplit accounts a label's bits by field, mirroring the encoder field
 // by field: vertex ids and node ids (the label's vertex and node
-// dictionaries: size, width and ids), vertex indices and node indices
+// dictionaries in their shorter coding: flag, size, and width and ids or
+// gaps), vertex indices and node indices
 // (every occurrence in the rows as a dictionary index), class ids (the
 // class dictionary: its size and ids), class indices, the label's own
 // embedding and pointing fields (their vertex ids as indices), lane
@@ -100,17 +184,12 @@ func labelSplit(l *EdgeLabel) map[string]int {
 	}
 	occV = l.appendVertexIDs(occV)
 	idDict := func(field string, occ []uint64) int {
-		ids := dictionary(occ, nil, nil)
-		var widest uint64
-		for _, id := range ids {
-			widest = max(widest, id)
-		}
-		width := mathbits.Len64(widest)
-		s[field] += bits.UvarintLen(uint64(len(ids))) + bits.UvarintLen(uint64(width)) + len(ids)*width
+		ids := refSortedDictionary(occ)
+		s[field] += min(refIDDictBits(ids))
 		return rowWidth(len(ids))
 	}
 	rwV, rwN := idDict("vertex ids", occV), idDict("node ids", occN)
-	cd := dictionary(occC, nil, nil)
+	cd := refDictionary(occC)
 	s["class ids"] += bits.UvarintLen(uint64(len(cd)))
 	for _, id := range cd {
 		s["class ids"] += algebra.ClassHashBits + bits.UvarintLen(id>>algebra.ClassHashBits)

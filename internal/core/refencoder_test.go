@@ -1,6 +1,6 @@
 package core
 
-// The reference encoder: a label's PLSC v5 bits written straight from its
+// The reference encoder: a label's PLSC v6 bits written straight from its
 // fields, one write per field, with no cached component, no shared layout
 // and no splice. The package's encoder writes the property-independent
 // bits of a label once per edge of a structure and splices in each
@@ -72,7 +72,7 @@ func refWriteTable(w *bits.Writer, rows []*NodeEntry, l *EdgeLabel, idx []int) {
 	if l != nil {
 		occV = l.appendVertexIDs(occV)
 	}
-	vd, cd, nd := refDictionary(occV), refDictionary(occC), refDictionary(occN)
+	vd, cd, nd := refSortedDictionary(occV), refDictionary(occC), refSortedDictionary(occN)
 	rwV := refWriteIDDict(w, vd)
 	w.WriteUvarint(uint64(len(cd)))
 	for _, id := range cd {
@@ -145,21 +145,74 @@ func refDictionary(occ []uint64) []uint64 {
 	return ids
 }
 
-// refWriteIDDict writes a vertex-id or node-id dictionary and returns the
-// width of an index into it.
+// refSortedDictionary replaces every id of occ by its row in the ascending
+// list of its distinct ids, and returns that list.
+func refSortedDictionary(occ []uint64) []uint64 {
+	ids := slices.Compact(slices.Sorted(slices.Values(occ)))
+	for k, id := range occ {
+		occ[k] = uint64(slices.Index(ids, id))
+	}
+	return ids
+}
+
+// refWriteIDDict writes a vertex-id or node-id dictionary, its ids
+// ascending, and returns the width of an index into it: a flag bit, 0 for
+// fixed width and 1 for gaps, and the size; then either the width and
+// every id in it, or the first id and every later id's distance to the
+// one before it, less one, as varints — whichever of the two is shorter,
+// fixed width on a tie.
 func refWriteIDDict(w *bits.Writer, ids []uint64) int {
+	fixed, gapped := refIDDictBits(ids)
+	w.WriteBit(gapped < fixed)
+	w.WriteUvarint(uint64(len(ids)))
+	if gapped < fixed {
+		for i, id := range ids {
+			if i == 0 {
+				w.WriteUvarint(id)
+			} else {
+				w.WriteUvarint(id - ids[i-1] - 1)
+			}
+		}
+	} else {
+		width := refWidth(ids)
+		w.WriteUvarint(uint64(width))
+		for _, id := range ids {
+			w.WriteUint(id, width)
+		}
+	}
+	return rowWidth(len(ids))
+}
+
+// refIDDictBits returns the bits an ascending vertex-id or node-id
+// dictionary takes in its fixed-width and in its gap coding, flag bit and
+// size included. A first id of 2⁶⁴−1 has no varint, so it has no gap
+// coding.
+func refIDDictBits(ids []uint64) (fixed, gapped int) {
+	head := 1 + bits.UvarintLen(uint64(len(ids)))
+	fixed = head + bits.UvarintLen(uint64(refWidth(ids))) + len(ids)*refWidth(ids)
+	gapped = head
+	for i, id := range ids {
+		switch {
+		case i > 0:
+			gapped += bits.UvarintLen(id - ids[i-1] - 1)
+		case id == ^uint64(0):
+			return fixed, fixed + 1
+		default:
+			gapped += bits.UvarintLen(id)
+		}
+	}
+	return fixed, gapped
+}
+
+// refWidth returns the bit length of the widest id.
+func refWidth(ids []uint64) int {
 	width := 0
 	for _, id := range ids {
 		for id>>uint(width) != 0 {
 			width++
 		}
 	}
-	w.WriteUvarint(uint64(len(ids)))
-	w.WriteUvarint(uint64(width))
-	for _, id := range ids {
-		w.WriteUint(id, width)
-	}
-	return rowWidth(len(ids))
+	return width
 }
 
 // refClassIDs appends the entry's class ids field by field, in wire order:
