@@ -331,21 +331,26 @@ func BenchmarkProveBatchOnWarmStructure(b *testing.B) {
 
 // retainedMBPerCert returns the live heap, in MB, that one certificate from
 // prove holds: HeapAlloc after a collection with four certificates held,
-// minus HeapAlloc after a collection before them, divided by four.
+// minus HeapAlloc after they are dropped and collected, divided by four.
+// The baseline is taken after the proves, not before them: a prove also
+// leaves behind memory that outlives it but that no certificate holds
+// (memos, layouts, pools), and a baseline taken first would count that
+// against the certificates.
 func retainedMBPerCert(b *testing.B, prove func() any) float64 {
 	const held = 4
 	var ms runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&ms)
-	base := ms.HeapAlloc
 	certs := make([]any, held)
 	for i := range certs {
 		certs[i] = prove()
 	}
 	runtime.GC()
 	runtime.ReadMemStats(&ms)
+	withCerts := ms.HeapAlloc
 	runtime.KeepAlive(certs)
-	return (float64(ms.HeapAlloc) - float64(base)) / held / 1e6
+	clear(certs)
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	return (float64(withCerts) - float64(ms.HeapAlloc)) / held / 1e6
 }
 
 // BenchmarkProveCompiledCold measures a cold prove of a compiled formula:
