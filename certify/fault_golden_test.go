@@ -16,11 +16,11 @@ import (
 // corrupted blobs all depend on that. Only a deliberate change of the
 // corruption model or of the wire format may re-capture the table.
 var faultDigests = map[string]string{
-	"flip-class":     "b127644ef26d2117f9a8fa30875cba54e4cd0f4adbc007ad7358e89f768cd159",
-	"flip-real-bit":  "ffd73659c8016a944dffcd17b9e3b5453ee2a340d4e2153c51fffc48f9f32bc3",
-	"shift-terminal": "36180a4597faf5310f7b33541011411d9db0d74511eb1e7ee5cda37e18b252a4",
-	"rank-skew":      "2e44473d64d0982809a0a33542f9e749459f37cb925da6fa0471562883aa9cc9",
-	"erase-label":    "fedf04752b96d00df90e927e712c8f17ea10853fa29d7677488b6f10a4a3f195",
+	"flip-class":     "c7e2c7bcd33a671e9893481a71236c0857454e625428e60e533b6ab40d40dc19",
+	"flip-real-bit":  "712782c62f52092d774d5f970c246c1dedbc537d6f62c523361ca955b714dcb7",
+	"shift-terminal": "ff1a7a5bd230d0d171a0fed5f201ab3b7b3ea5e815ff9c5c3362c811553ab3f5",
+	"rank-skew":      "7fa6c428c50964915f77b363b3c62e933fc9d5d4c50bb3b36defcf2a1a8638a9",
+	"erase-label":    "60fad6320fb4c017c2b8a58d25be21c2234315db2f4abf8e2f96ef5df948572a",
 }
 
 const faultSeed = 7

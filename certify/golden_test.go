@@ -25,18 +25,18 @@ var goldenParallelism = []int{1, 2, 0}
 // Only a deliberate wire-format change may re-capture it; any other change
 // that moves a digest has changed what the prover emits.
 var goldenDigests = map[string]string{
-	"family/caterpillar":       "b6d64925c7bd3c6dfe54eaa7ca4112ef4de06b8f651b880cb4f057df02b0a9fc",
-	"family/cycle":             "222d059308343c817afbaf25b53806dd3092ebcbb1a126beee878e7e3ccd457a",
-	"family/interval":          "1c1de51f05a2d79fd832d60aaebef0b79a01681bd5d0762aa683445c68755d5c",
-	"family/ladder":            "1ceee4b652bd3232cc6f17a0bf05ab9d0b04055bd0982ae1f4552082e588819a",
-	"family/lobster":           "b1def892cceae5ee9330c086f44f1f6ffa32fbe679ee8e84f9beafb6ea7bd2ee",
-	"family/path":              "4f7811ffeeff449e8641340364d8516742615673b61d5c7b2a40c4c40cc660ec",
-	"family/spider":            "660410f29978e4a76c2bd07a8eb2111f29c4086800e72da49fdf207aba0dc10d",
-	"pair/ladder":              "4332f5ac0e82ffbc810cd1ca4650953e44d523e79629feaa7fd96e55ee9c6ad5",
-	"formula/3color-path":      "3cac0a88709781f094b3e55e36f459c4732d7c28a2c147688b7e7ebb4deb09bb",
-	"formula/bipartite-ladder": "3478810fa4b7f743b9f114ace76c606b6137e7cab9e0da35e4846e0acf7ad9c3",
-	"updater/ladder10":         "4f4cdc75958c1acc63788562ab5faecadf88123a0c6cb5bb17d0e883e8eae728",
-	"updater/ladder200":        "b94dfac6ba53ccea0ba39f8c7365d9ce387b6fc4ed01dec4aafa73dd813a61f7",
+	"family/caterpillar":       "9266da32270fdce4a76644d1903a41bea5ead04ee133f444d5cdf29f8bedf569",
+	"family/cycle":             "0b0568ba424afbbe84c924779dd280b7c9a5753ab4819df1a08ba143f6feeb33",
+	"family/interval":          "c48f49d6530f5c21db244909d5137996cbdb0755dbe03108e8e8707a238eb16e",
+	"family/ladder":            "f991ab9ad09aef0e30daf8b211bf2301131358e469e263c3ff2ee874f1ab7167",
+	"family/lobster":           "2730225955f6105ec35c144f196b128b43b56e929db4754a2ad27d2262fa0ff3",
+	"family/path":              "ab0a260a21ad8c8d2a8cf63dad379c391642afaaeb7f1b03220de9f5915352de",
+	"family/spider":            "74ebf050b5ce160f631bb2928c6a2ab8a7028900af0f79dfdfc6c10119a161d4",
+	"pair/ladder":              "94d0cd214a59dc1d6708ab4cac449d982de1ef938d5540e171742cb008096630",
+	"formula/3color-path":      "747ed0a60592d3f3e6b66af176d9dbaa009ffb2b2be0b7ff8ae252b900de19a2",
+	"formula/bipartite-ladder": "70231c8204ddcc7102e22296403da736254a96ae427b0ee89e995f6a8de3adf5",
+	"updater/ladder10":         "6f756c2015c6cefedfd5bd34c64586bb56eb08fce26ee288f2e66bb460f08357",
+	"updater/ladder200":        "62569d7231c75ff92529efdd8669f9020ae8880df659fe76617bdc51d7b214a4",
 }
 
 func certDigest(t *testing.T, crt *Certificate) string {
