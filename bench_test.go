@@ -332,10 +332,9 @@ func BenchmarkProveBatchOnWarmStructure(b *testing.B) {
 // retainedMBPerCert returns the live heap, in MB, that one certificate from
 // prove holds: HeapAlloc after a collection with four certificates held,
 // minus HeapAlloc after they are dropped and collected, divided by four.
-// The baseline is taken after the proves, not before them: a prove also
-// leaves behind memory that outlives it but that no certificate holds
-// (memos, layouts, pools), and a baseline taken first would count that
-// against the certificates.
+// The baseline is read once the certificates are dropped, not before the
+// proves: the heap before them holds memory the proves release, which a
+// baseline read first would count off the certificates.
 func retainedMBPerCert(b *testing.B, prove func() any) float64 {
 	const held = 4
 	var ms runtime.MemStats

@@ -107,8 +107,8 @@ const (
 	certVersion = 6
 
 	// Decode plausibility bounds; anything larger is rejected outright.
-	// maxLabelBits is ~910,000× the worst version-5 label of a
-	// 32768-vertex width-2 interval graph under 8 lanes (1181 bits);
+	// maxLabelBits is ~1,150,000× the worst version-6 label of a
+	// 32768-vertex width-2 interval graph under 8 lanes (935 bits);
 	// minEdgeBytes below counts only an edge entry's u, v and bit-count
 	// varints, which the label grammar does not touch.
 	maxCertProps    = 1 << 10

@@ -33,13 +33,13 @@ const (
 	// maxFramePayload caps any frame's declared payload: large enough for a
 	// full cut-label batch of the biggest supported partitions, small enough
 	// that a hostile peer cannot make a node reserve unbounded memory. With
-	// label-wide id dictionaries (PLSC v5) the worst label of a
-	// 32768-vertex width-2 interval graph under 8 lanes is 1181 bits (~148
-	// bytes), so one frame holds ~28,000 such labels.
+	// sorted, gap-coded id dictionaries (PLSC v6) the worst label of a
+	// 32768-vertex width-2 interval graph under 8 lanes is 935 bits (~117
+	// bytes), so one frame holds ~35,000 such labels.
 	maxFramePayload = 4 << 20
 
-	// maxLabelBits caps one shipped label encoding: 1<<22 bits is ~3,500×
-	// that 1181-bit v5 label, which grows by a few dozen bits per doubling
+	// maxLabelBits caps one shipped label encoding: 1<<22 bits is ~4,500×
+	// that 935-bit v6 label, which grows by a few dozen bits per doubling
 	// of n, so the cap sits far above any honest O(log n)-bit label.
 	maxLabelBits = 1 << 22
 	// maxWireRejected caps the rejected-vertex list one verdict frame

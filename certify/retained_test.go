@@ -7,23 +7,24 @@ import (
 )
 
 // retainedBytes returns the live heap one value from build holds: HeapAlloc
-// after a collection with four values held, minus HeapAlloc after a
-// collection before them, divided by four (the method of the root
-// package's retainedMBPerCert, in bytes).
+// after a collection with four values held, minus HeapAlloc after they are
+// dropped and collected, divided by four (the method of the root package's
+// retainedMBPerCert, in bytes).
 func retainedBytes(build func() any) float64 {
 	const held = 4
 	var ms runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&ms)
-	base := ms.HeapAlloc
 	values := make([]any, held)
 	for i := range values {
 		values[i] = build()
 	}
 	runtime.GC()
 	runtime.ReadMemStats(&ms)
+	with := ms.HeapAlloc
 	runtime.KeepAlive(values)
-	return (float64(ms.HeapAlloc) - float64(base)) / held
+	clear(values)
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	return (float64(with) - float64(ms.HeapAlloc)) / held
 }
 
 // allocatedBytes returns the bytes f allocates.

@@ -343,19 +343,19 @@ func readIDDict(r *bits.Reader, what string, dst []uint64) ([]uint64, error) {
 	if n > uint64(r.Remaining()/max(1, width)) || width < 64 && n > 1<<width {
 		return nil, fmt.Errorf("core: %s dictionary of %d ids at width %d in %d remaining bits", what, n, width, r.Remaining())
 	}
-	var widest uint64
+	var last uint64 // the widest id, as they ascend
 	for i := uint64(0); i < n; i++ {
 		v, err := r.ReadUint(width)
 		if err != nil {
 			return nil, err
 		}
-		if i > 0 && v <= widest {
-			return nil, fmt.Errorf("core: %s dictionary id %d follows id %d", what, v, widest)
+		if i > 0 && v <= last {
+			return nil, fmt.Errorf("core: %s dictionary id %d follows id %d", what, v, last)
 		}
-		widest = v
+		last = v
 		dst = append(dst, v)
 	}
-	if err := checkWidth(what+" dictionary", width, widest); err != nil {
+	if err := checkWidth(what+" dictionary", width, last); err != nil {
 		return nil, err
 	}
 	return dst, nil
@@ -729,13 +729,25 @@ func readClassID(r *bits.Reader) (int, error) {
 // vertexID reads one vertex-id occurrence: an index into the label's
 // vertex dictionary.
 func (d *Decoder) vertexID(r *bits.Reader) (uint64, error) {
-	i, err := d.index(r, "vertex", len(d.vdict), d.vRW)
+	return d.sortedIndex(r, "vertex", d.vdict, d.vRW, &d.vRows)
+}
+
+// nodeID reads one node-id occurrence: an index into the label's node
+// dictionary.
+func (d *Decoder) nodeID(r *bits.Reader) (uint64, error) {
+	return d.sortedIndex(r, "node", d.ndict, d.nRW, &d.nRows)
+}
+
+// sortedIndex reads one index into a sorted dictionary of the label, marks
+// the row it names, and returns the id there (keyed, on the skip pass).
+func (d *Decoder) sortedIndex(r *bits.Reader, what string, dict []uint64, rw int, rows *rowMarks) (uint64, error) {
+	i, err := d.index(r, what, len(dict), rw)
 	if err != nil {
 		return 0, err
 	}
-	d.vRows.mark(i)
-	d.keyValue(d.vdict[i])
-	return d.vdict[i], nil
+	rows.mark(i)
+	d.keyValue(dict[i])
+	return dict[i], nil
 }
 
 // classID reads one class-id occurrence: an index into the label's class
@@ -756,18 +768,6 @@ func (d *Decoder) classID(r *bits.Reader) (int, error) {
 		d.cvals = append(d.cvals, d.cdict[i])
 	}
 	return int(d.cdict[i]), nil
-}
-
-// nodeID reads one node-id occurrence: an index into the label's node
-// dictionary.
-func (d *Decoder) nodeID(r *bits.Reader) (uint64, error) {
-	i, err := d.index(r, "node", len(d.ndict), d.nRW)
-	if err != nil {
-		return 0, err
-	}
-	d.nRows.mark(i)
-	d.keyValue(d.ndict[i])
-	return d.ndict[i], nil
 }
 
 // index reads one index into a dictionary of size rows of the label, in

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -91,9 +92,11 @@ func TestLabelSizeSortedDictionaries(t *testing.T) {
 // takes at most its version-5 size — γ(d) + γ(w) + d·w for d ids of width
 // w, in a fixed width — plus the flag bit. Gaps win on the canonical ids
 // v+1, which sit close together in a label; under a random permutation or
-// random 40-bit ids they are scattered, and the fixed width is kept. Every
-// label's field split must sum to its size, so the dictionary bits
-// checked are the encoder's.
+// random 40-bit ids they are scattered, and the fixed width is kept.
+// Random 64-bit ids are too wide to be sorted packed with their rows, so
+// the encoder's other sort runs. Every label must match the reference
+// encoder byte for byte and its field split must sum to its size, so the
+// dictionary bits checked are the encoder's.
 func TestIDAssignmentCannotGrowALabel(t *testing.T) {
 	g, _ := gen.IntervalGraph(rand.New(rand.NewSource(1)), 2048, 2)
 	assignments := []struct {
@@ -106,16 +109,8 @@ func TestIDAssignmentCannotGrowALabel(t *testing.T) {
 				ids[v] = uint64(p) + 1
 			}
 		}},
-		{"random 40-bit", func(ids []uint64) {
-			rng, seen := rand.New(rand.NewSource(3)), map[uint64]bool{}
-			for v := range ids {
-				id := rng.Uint64() >> 24
-				for id == 0 || seen[id] {
-					id = rng.Uint64() >> 24
-				}
-				ids[v], seen[id] = id, true
-			}
-		}},
+		{"random 40-bit", randomIDs(3, 40)},
+		{"random 64-bit", randomIDs(4, 64)},
 	}
 	for _, a := range assignments {
 		cfg := cert.NewConfig(g)
@@ -124,7 +119,7 @@ func TestIDAssignmentCannotGrowALabel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var v5, v6 [2]int // vertex, node dictionary bits over all labels
+		var v5, v6, gaps [2]int // vertex, node dictionary bits over all labels
 		for e, l := range labeling.Edges {
 			split, sum := labelSplit(l), 0
 			for _, f := range splitFields {
@@ -133,6 +128,7 @@ func TestIDAssignmentCannotGrowALabel(t *testing.T) {
 			if sum != l.Bits() {
 				t.Fatalf("%s, edge %v: the split sums to %d bits, the label has %d", a.name, e, sum, l.Bits())
 			}
+			requireRefEncoding(t, fmt.Sprintf("%s, edge %v", a.name, e), l)
 			rows, _ := l.table(nil, nil)
 			var occV, occN []uint64
 			for _, en := range rows {
@@ -149,12 +145,28 @@ func TestIDAssignmentCannotGrowALabel(t *testing.T) {
 				if split[dict.field] > old+1 {
 					t.Fatalf("%s, edge %v: %s take %d bits, %d in version 5", a.name, e, dict.field, split[dict.field], old)
 				}
-				v5[i], v6[i] = v5[i]+old, v6[i]+split[dict.field]
+				_, gapped := refIDDictBits(ids)
+				v5[i], v6[i], gaps[i] = v5[i]+old, v6[i]+split[dict.field], gaps[i]+gapped
 			}
 		}
 		per := func(n int) float64 { return float64(n) / float64(len(labeling.Edges)) }
-		t.Logf("%-13s per label: vertex ids %6.1f bits (v5 %6.1f), node ids %5.1f bits (v5 %5.1f)",
-			a.name, per(v6[0]), per(v5[0]), per(v6[1]), per(v5[1]))
+		t.Logf("%-13s per label: vertex ids %6.1f bits (v5 %6.1f, gaps alone %6.1f), node ids %5.1f bits (v5 %5.1f, gaps alone %5.1f)",
+			a.name, per(v6[0]), per(v5[0]), per(gaps[0]), per(v6[1]), per(v5[1]), per(gaps[1]))
+	}
+}
+
+// randomIDs returns an assignment of distinct, nonzero, seeded random ids
+// of the given bit length.
+func randomIDs(seed int64, width int) func(ids []uint64) {
+	return func(ids []uint64) {
+		rng, seen := rand.New(rand.NewSource(seed)), map[uint64]bool{}
+		for v := range ids {
+			id := rng.Uint64() >> (64 - width)
+			for id == 0 || seen[id] {
+				id = rng.Uint64() >> (64 - width)
+			}
+			ids[v], seen[id] = id, true
+		}
 	}
 }
 
