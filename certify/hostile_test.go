@@ -414,6 +414,30 @@ func hostileLabelPayloads() map[string]hostileLabelPayload {
 	w.WriteUvarint(1 << 40)
 	w.WriteUint(0, 64)
 	out["huge gap-coded dictionary"] = hostileLabelPayload{w, "gap-coded ids in"}
+	// A gap-coded dictionary of one-bit gaps that fill the label (2¹⁶ of
+	// them, an 8 KiB label): the gaps fit, but the index every row needs
+	// does not, so it is rejected before the ids are read. Given room for
+	// those indices (2¹² gaps and zero bits), it is read and rejected by the
+	// first field past it, having held 8 bytes per 13 bits of label.
+	for name, d := range map[string]struct {
+		gaps int
+		want string
+	}{
+		"gap-coded dictionary of one-bit gaps":                          {1 << 16, "gap-coded ids in"},
+		"gap-coded dictionary of one-bit gaps and room for its indices": {1 << 12, "class index 0"},
+	} {
+		w = new(bits.Writer)
+		w.WriteUvarint(1) // table rows
+		w.WriteBit(true)  // gaps
+		w.WriteUvarint(uint64(d.gaps))
+		for range d.gaps {
+			w.WriteUvarint(0)
+		}
+		if d.gaps < 1<<16 {
+			w.WriteUint(0, d.gaps*indexWidth(d.gaps))
+		}
+		out[name] = hostileLabelPayload{w, d.want}
+	}
 
 	one, two, three := []uint64{7}, []uint64{7, 8}, []uint64{7, 8, 9}
 	nodes := []uint64{1, 2, 3}

@@ -94,34 +94,6 @@ func (w *Writer) WriteUvarint(v uint64) {
 	w.writeBits(v, width)                    // value bits below the leading 1
 }
 
-// WriteGaps appends ascending vals as WriteUvarint codes of their gaps: the
-// first value itself, then each later value's distance to the one before
-// it, less one. Runs of short codes are packed into words of up to 56
-// bits before they are written.
-func (w *Writer) WriteGaps(vals []uint64) {
-	var word uint64
-	n, prev := 0, ^uint64(0) // the first value is its own gap
-	for _, v := range vals {
-		gap := v - prev - 1
-		prev = v
-		width := mathbits.Len64(gap+1) - 1
-		if width < 0 || 2*width+1 > 56 {
-			w.writeBits(word, n)
-			word, n = 0, 0
-			w.WriteUvarint(gap)
-			continue
-		}
-		if n+2*width+1 > 56 {
-			w.writeBits(word, n)
-			word, n = 0, 0
-		}
-		// width ones, a zero, then the low width bits of gap+1.
-		code := (uint64(1)<<uint(width)-1)<<uint(width+1) | (gap+1)&(1<<uint(width)-1)
-		word, n = word<<uint(2*width+1)|code, n+2*width+1
-	}
-	w.writeBits(word, n)
-}
-
 // WriteChunk appends the bits [from, to) of a pre-encoded bit sequence
 // (buf, packed as a Writer packs it), bit-for-bit identical to replaying
 // the writes that produced those bits. buf is a string so that a cached

@@ -62,37 +62,6 @@ func TestUvarintRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWriteGapsMatchesUvarints pins WriteGaps to its definition: one
-// WriteUvarint per gap, whether the codes are packed into words or are
-// too long to be, the 2⁶⁴−1 wrap included.
-func TestWriteGapsMatchesUvarints(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	cases := [][]uint64{nil, {0}, {1 << 63}, {^uint64(0)}, {0, ^uint64(0)}, {5, 6, 7, 1 << 40, 1<<40 + 3}}
-	for range 200 {
-		var vals []uint64
-		v, step := uint64(rng.Intn(1000)), uint64(1)<<uint(rng.Intn(40))
-		for range rng.Intn(40) {
-			vals = append(vals, v)
-			v += 1 + uint64(rng.Int63n(int64(step)))
-		}
-		cases = append(cases, vals)
-	}
-	for _, vals := range cases {
-		var got, want Writer
-		got.WriteUint(1, 3) // start off a byte boundary
-		want.WriteUint(1, 3)
-		got.WriteGaps(vals)
-		prev := ^uint64(0)
-		for _, v := range vals {
-			want.WriteUvarint(v - prev - 1)
-			prev = v
-		}
-		if got.Bits() != want.Bits() || string(got.Bytes()) != string(want.Bytes()) {
-			t.Fatalf("%v: WriteGaps wrote %d bits %x, the gaps' varints %d bits %x", vals, got.Bits(), got.Bytes(), want.Bits(), want.Bytes())
-		}
-	}
-}
-
 func TestUvarintCost(t *testing.T) {
 	// The cost of encoding v must be Θ(log v): 2⌊log₂(v+1)⌋ + 1 bits.
 	for _, v := range []uint64{0, 1, 7, 1024, 1 << 40} {

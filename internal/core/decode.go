@@ -302,13 +302,13 @@ func (d *Decoder) dictionaries(r *bits.Reader) error {
 }
 
 // readIDDict appends a vertex-id or node-id dictionary to dst: its coding
-// flag and size, then its ids, which must be strictly ascending. A
-// fixed-width dictionary's size is bounded by the bits that remain at its
-// width (and by the 2^width distinct ids the width holds) before dst
-// grows, and its width must be exactly the widest id's bit length; a
-// gap-coded one's size is bounded by the bits that remain, one per gap,
-// and its ids must not pass 2⁶⁴−1. Which coding is shorter is the
-// re-encode check's to enforce.
+// flag and size, then its ids, which must be strictly ascending. Before
+// dst grows, the size is bounded by the bits that remain: every row takes
+// at least one gap bit or its width here, and, as every row must be used,
+// one index of rowWidth(size) bits after it; a fixed-width size is also
+// bounded by the 2^width distinct ids the width holds. A fixed width must
+// be exactly the widest id's bit length, and gap-coded ids must not pass
+// 2⁶⁴−1. Which coding is shorter is the re-encode check's to enforce.
 func readIDDict(r *bits.Reader, what string, dst []uint64) ([]uint64, error) {
 	gapped, err := r.ReadBit()
 	if err != nil {
@@ -319,9 +319,10 @@ func readIDDict(r *bits.Reader, what string, dst []uint64) ([]uint64, error) {
 		return nil, err
 	}
 	if gapped {
-		if n > uint64(r.Remaining()) {
+		if !dictFits(n, 1, r.Remaining()) {
 			return nil, fmt.Errorf("core: %s dictionary of %d gap-coded ids in %d remaining bits", what, n, r.Remaining())
 		}
+		dst = slices.Grow(dst, int(n))
 		prev := ^uint64(0) // the first id is its own gap
 		for i := uint64(0); i < n; i++ {
 			gap, err := r.ReadUvarint()
@@ -340,9 +341,10 @@ func readIDDict(r *bits.Reader, what string, dst []uint64) ([]uint64, error) {
 	if err != nil {
 		return nil, err
 	}
-	if n > uint64(r.Remaining()/max(1, width)) || width < 64 && n > 1<<width {
+	if !dictFits(n, width, r.Remaining()) || width < 64 && n > 1<<width {
 		return nil, fmt.Errorf("core: %s dictionary of %d ids at width %d in %d remaining bits", what, n, width, r.Remaining())
 	}
+	dst = slices.Grow(dst, int(n))
 	var last uint64 // the widest id, as they ascend
 	for i := uint64(0); i < n; i++ {
 		v, err := r.ReadUint(width)
@@ -359,6 +361,13 @@ func readIDDict(r *bits.Reader, what string, dst []uint64) ([]uint64, error) {
 		return nil, err
 	}
 	return dst, nil
+}
+
+// dictFits reports whether a dictionary of n rows fits in the remaining
+// bits when each row takes at least per bits and one index of
+// rowWidth(n) bits.
+func dictFits(n uint64, per, remaining int) bool {
+	return n <= uint64(remaining) && n*uint64(per+rowWidth(int(n))) <= uint64(remaining)
 }
 
 // cedge parses one completion-edge certificate: its path as row indices

@@ -430,6 +430,22 @@ func hostileLabels(t *testing.T) map[string]hostileLabel {
 	w.WriteUint(0, 64)
 	add("gap-coded ids past 2^64", "overflows 64 bits", w)
 
+	// A gap-coded dictionary of 2¹⁶ one-bit gaps that fill the label: the
+	// gaps fit the bits, but the index every row needs does not, so it is
+	// rejected before 2¹⁶ ids are read. Given room for those indices (zero
+	// bits), it is read into the Decoder's reused buffer and rejected by
+	// the first field past it.
+	const oneBitGaps = 1 << 16
+	w = ownEntry()
+	writeGapDict(w, make([]uint64, oneBitGaps)...)
+	add("gap-coded dictionary of one-bit gaps", "gap-coded ids in", w)
+	w = ownEntry()
+	writeGapDict(w, make([]uint64, oneBitGaps)...)
+	for range oneBitGaps * rowWidth(oneBitGaps) / 64 {
+		w.WriteUint(0, 64)
+	}
+	add("gap-coded dictionary of one-bit gaps and room for its indices", "class index 0", w)
+
 	// A dictionary in the longer of its two codings decodes, and fails
 	// the re-encode check: three consecutive ids are shorter as gaps, and
 	// four spread ones in a fixed width.

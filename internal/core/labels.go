@@ -289,7 +289,9 @@ func (l *Labeling) MaxBits() int {
 // or in ascending order when sorted is set. Rows are found through slots,
 // an open-addressing index of row+1 values (0 marks a free slot; its
 // length is a power of two), started on the caller's buffer and replaced
-// by one twice the size when it passes half full.
+// by one twice the size when it passes half full. A sorted dictionary is
+// built in first-use order, then sorted, and each occurrence finds its
+// new row by binary search.
 func dictionary(occ, ids []uint64, slots []int32, sorted bool) []uint64 {
 	for k, id := range occ {
 		if 2*(len(ids)+1) > len(slots) {
@@ -309,53 +311,16 @@ func dictionary(occ, ids []uint64, slots []int32, sorted bool) []uint64 {
 		}
 	}
 	if sorted {
-		sortRows(occ, ids, slots)
-	}
-	return ids
-}
-
-// sortRows sorts a dictionary built in first-use order and renumbers the
-// rows in occ to match; slots, at least twice as long as the dictionary
-// and free once it is built, holds each first-use row's new row. Each id
-// is sorted with its first-use row packed below it, in one sort of plain
-// words; ids too wide to share a word with a row are sorted alone, and
-// each occurrence then finds its row by binary search.
-func sortRows(occ, ids []uint64, slots []int32) {
-	shift := mathbits.Len(uint(len(ids)))
-	if len(ids) > 0 && mathbits.Len64(slices.Max(ids))+shift > 64 {
 		for k, r := range occ {
 			occ[k] = ids[r]
 		}
 		slices.Sort(ids)
 		for k, id := range occ {
-			occ[k] = rowOf(ids, id)
-		}
-		return
-	}
-	for r, id := range ids {
-		ids[r] = id<<shift | uint64(r)
-	}
-	slices.Sort(ids)
-	for i, v := range ids {
-		slots[v&(1<<shift-1)] = int32(i)
-		ids[i] = v >> shift
-	}
-	for k, r := range occ {
-		occ[k] = uint64(slots[r])
-	}
-}
-
-// rowOf returns the row of id in the ascending ids, which hold it.
-func rowOf(ids []uint64, id uint64) uint64 {
-	lo, hi := 0, len(ids)
-	for lo < hi {
-		if m := int(uint(lo+hi) >> 1); ids[m] < id {
-			lo = m + 1
-		} else {
-			hi = m
+			r, _ := slices.BinarySearch(ids, id)
+			occ[k] = uint64(r)
 		}
 	}
-	return uint64(lo)
+	return ids
 }
 
 // dictSlots returns a fresh open-addressing index of n slots over ids.
@@ -481,7 +446,11 @@ func writeIDDict(w *bits.Writer, ids []uint64) int {
 	w.WriteBit(gapped)
 	w.WriteUvarint(uint64(len(ids)))
 	if gapped {
-		w.WriteGaps(ids)
+		prev := ^uint64(0) // the first id is its own gap
+		for _, id := range ids {
+			w.WriteUvarint(id - prev - 1)
+			prev = id
+		}
 	} else {
 		w.WriteUvarint(uint64(width))
 		writeUints(w, ids, width)
