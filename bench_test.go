@@ -29,7 +29,8 @@ var benchOut io.Writer = os.Stdout
 
 // BenchmarkBuildStructure measures the structure pipeline (decomposition →
 // lanes → transcript → hierarchy) on a path, sequential vs all cores. The
-// allocation count is the pin for the arena-backed id sequences.
+// allocation count is the pin for the arena-backed id sequences;
+// retained-MB/structure is the live heap one built structure holds.
 func BenchmarkBuildStructure(b *testing.B) {
 	g := graph.PathGraph(4096)
 	pd := interval.OrderingDecomposition(g, interval.HeuristicOrdering(g))
@@ -39,13 +40,19 @@ func BenchmarkBuildStructure(b *testing.B) {
 	}{{"seq", 1}, {"par", 0}} {
 		b.Run(bc.name, func(b *testing.B) {
 			cfg := cert.NewConfig(g)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				_, err := core.BuildStructureCtx(context.Background(), cfg, pd, core.StructureOptions{Parallelism: bc.workers})
+			build := func() any {
+				sp, err := core.BuildStructureCtx(context.Background(), cfg, pd, core.StructureOptions{Parallelism: bc.workers})
 				if err != nil {
 					b.Fatal(err)
 				}
+				return sp
 			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				build()
+			}
+			b.StopTimer()
+			b.ReportMetric(retainedBytesEach(4, build)/1e6, "retained-MB/structure")
 		})
 	}
 }
@@ -320,7 +327,7 @@ func BenchmarkProveBatchOnWarmStructure(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	b.ReportMetric(retainedMBPerCert(b, func() any {
+	b.ReportMetric(retainedMBPerCert(func() any {
 		crt, _, err := c.ProveBatchOn(ctx, st)
 		if err != nil {
 			b.Fatal(err)
@@ -330,26 +337,31 @@ func BenchmarkProveBatchOnWarmStructure(b *testing.B) {
 }
 
 // retainedMBPerCert returns the live heap, in MB, that one certificate from
-// prove holds: HeapAlloc after a collection with four certificates held,
-// minus HeapAlloc after they are dropped and collected, divided by four.
-// The baseline is read once the certificates are dropped, not before the
-// proves: the heap before them holds memory the proves release, which a
-// baseline read first would count off the certificates.
-func retainedMBPerCert(b *testing.B, prove func() any) float64 {
-	const held = 4
+// prove holds (see retainedBytesEach).
+func retainedMBPerCert(prove func() any) float64 {
+	return retainedBytesEach(4, prove) / 1e6
+}
+
+// retainedBytesEach returns the live heap one value from build holds:
+// HeapAlloc after a collection with held values kept, minus HeapAlloc after
+// they are dropped and collected, divided by held. The baseline is read
+// once the values are dropped, not before they are built: the heap before
+// them holds memory the builds release, which a baseline read first would
+// count off the values.
+func retainedBytesEach(held int, build func() any) float64 {
 	var ms runtime.MemStats
-	certs := make([]any, held)
-	for i := range certs {
-		certs[i] = prove()
+	values := make([]any, held)
+	for i := range values {
+		values[i] = build()
 	}
 	runtime.GC()
 	runtime.ReadMemStats(&ms)
-	withCerts := ms.HeapAlloc
-	runtime.KeepAlive(certs)
-	clear(certs)
+	with := ms.HeapAlloc
+	runtime.KeepAlive(values)
+	clear(values)
 	runtime.GC()
 	runtime.ReadMemStats(&ms)
-	return (float64(withCerts) - float64(ms.HeapAlloc)) / held / 1e6
+	return (float64(with) - float64(ms.HeapAlloc)) / float64(held)
 }
 
 // BenchmarkProveCompiledCold measures a cold prove of a compiled formula:

@@ -115,7 +115,7 @@ func WithPaperConstruction(on bool) Option {
 
 // WithParallelism bounds the worker count of every pooled stage the
 // certifier runs — the structure build (lane embedding, hierarchy
-// validation, artifact derivation), the number of property passes ProveBatch
+// validation, node tables), the number of property passes ProveBatch
 // and an Updater run at once, each pass's class sweep, entry and label
 // assembly, and the per-vertex verifier. 0 (the default) means GOMAXPROCS;
 // 1 runs everything inline on the calling goroutine, one property after

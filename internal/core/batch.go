@@ -125,7 +125,7 @@ func (b *Batch) ProveAllWithCtx(ctx context.Context, sp *StructuralProof) (map[s
 		stats.Lanes = sp.Partition.K()
 		stats.VirtualEdges = len(sp.Completion.Virtual)
 		stats.Congestion = sp.congestion
-		stats.HierarchyDepth = sp.Hierarchy.Depth()
+		stats.HierarchyDepth = sp.depth
 	}
 	results, err := provePasses(ctx, sp, b.schemes, nil, b.opts.Parallelism)
 	if err != nil {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 
 	"repro/internal/algebra"
@@ -391,19 +390,6 @@ func touchedVertices(edits []Edit) []graph.Vertex {
 		}
 	}
 	return out
-}
-
-// artifactEqual reports whether two node artifacts carry identical
-// property-independent content.
-func artifactEqual(a, b *nodeArtifact) bool {
-	if a.NodeID != b.NodeID || a.Kind != b.Kind || a.member != b.member || a.parentID != b.parentID ||
-		a.Input != b.Input || a.bridgeReal != b.bridgeReal || a.rootMember != b.rootMember {
-		return false
-	}
-	return slices.Equal(a.Lanes, b.Lanes) && slices.Equal(a.treeChildren, b.treeChildren) &&
-		slices.Equal(a.vInputs, b.vInputs) && slices.Equal(a.InIDs, b.InIDs) &&
-		slices.Equal(a.OutIDs, b.OutIDs) && slices.Equal(a.MergedOutIDs, b.MergedOutIDs) &&
-		slices.Equal(a.pathIDs, b.pathIDs) && slices.Equal(a.realBits, b.realBits)
 }
 
 // Snapshot returns the current generation's labelings, schemes and stats

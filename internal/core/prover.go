@@ -10,7 +10,6 @@ import (
 	"repro/internal/algebra"
 	"repro/internal/cert"
 	"repro/internal/graph"
-	"repro/internal/lanewidth"
 	"repro/internal/par"
 )
 
@@ -29,7 +28,7 @@ var ErrDisconnected = errors.New("core: graph must be connected")
 
 // ErrStaleStructure is returned by ProveWithCtx when the structural proof was
 // built against an earlier generation of the graph: the graph mutated after
-// BuildStructureCtx, so the structure's decomposition, embedding and artifact
+// BuildStructureCtx, so the structure's decomposition, embedding and node
 // tables no longer describe it.
 var ErrStaleStructure = errors.New("core: structural proof is stale (graph mutated since build)")
 
@@ -149,7 +148,7 @@ func (s *Scheme) proveWith(ctx context.Context, sp *StructuralProof, prev *encod
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	rootClass := s.Reg.Class(enc.classIDs[sp.Hierarchy.Root.ID])
+	rootClass := s.Reg.Class(enc.classIDs[sp.root])
 	accept, err := algebra.Accept(s.Prop, rootClass)
 	if err != nil {
 		return nil, nil, nil, err
@@ -166,7 +165,7 @@ func (s *Scheme) proveWith(ctx context.Context, sp *StructuralProof, prev *encod
 		Lanes:           sp.Partition.K(),
 		VirtualEdges:    len(sp.Completion.Virtual),
 		Congestion:      sp.congestion,
-		HierarchyDepth:  sp.Hierarchy.Depth(),
+		HierarchyDepth:  sp.depth,
 		RegistryClasses: s.Reg.Size(),
 		MaxLabelBits:    labeling.MaxBits(),
 		Stages:          sp.stages,
@@ -215,7 +214,7 @@ type encoder struct {
 // the previous generation's structure and whose class ids are unchanged
 // is the previous entry, by pointer.
 func (s *Scheme) buildEncoderReuse(ctx context.Context, sp *StructuralProof, prev *encoder, ru *reuseCounters, workers int) (*encoder, error) {
-	nn := len(sp.Hierarchy.Nodes)
+	nn := len(sp.summaries)
 	enc := &encoder{
 		scheme:  s,
 		sp:      sp,
@@ -318,39 +317,23 @@ func (enc *encoder) appendClasses(dst []int, s *Shape) []int {
 	return dst
 }
 
-// buildCert assembles one completion edge's certificate from the entry
-// table, safe for concurrent calls on distinct edges (it only reads shared
-// state).
-func (enc *encoder) buildCert(e graph.Edge) (*CEdgeLabel, error) {
-	owner, ok := enc.sp.owners[e]
-	if !ok {
-		return nil, fmt.Errorf("core: completion edge %v has no owner", e)
-	}
+// buildCert assembles the certificate of the completion edge owned as o
+// from the entry table, safe for concurrent calls on distinct edges (it only
+// reads shared state).
+func (enc *encoder) buildCert(o edgeOwner) (*CEdgeLabel, error) {
+	parent := enc.sp.parent
 	// The path runs root to owner; it is filled from the owner up, so no
 	// node path is materialized.
 	depth := 0
-	for n := owner; n != nil; n = n.Parent {
+	for n := o.node; n != -1; n = parent[n] {
 		depth++
 	}
-	cl := &CEdgeLabel{Path: make([]*NodeEntry, depth)}
-	for n := owner; n != nil; n = n.Parent {
+	cl := &CEdgeLabel{Path: make([]*NodeEntry, depth), OwnerPos: int(o.pos)}
+	for n := o.node; n != -1; n = parent[n] {
 		depth--
-		if cl.Path[depth] = enc.entries[n.ID]; cl.Path[depth] == nil {
-			return nil, fmt.Errorf("core: node %d has no entry", n.ID)
+		if cl.Path[depth] = enc.entries[n]; cl.Path[depth] == nil {
+			return nil, fmt.Errorf("core: node %d has no entry", n)
 		}
-	}
-	if owner.Kind == lanewidth.PNode {
-		pos := -1
-		for i := 0; i+1 < len(owner.PathVs); i++ {
-			if graph.NewEdge(owner.PathVs[i], owner.PathVs[i+1]) == e {
-				pos = i
-				break
-			}
-		}
-		if pos == -1 {
-			return nil, fmt.Errorf("core: edge %v not on owner path", e)
-		}
-		cl.OwnerPos = pos
 	}
 	return cl, nil
 }
@@ -371,7 +354,7 @@ func (enc *encoder) buildLabels(prev *encoder, prevLab *Labeling, ru *reuseCount
 	// no matter how many labels carry it.
 	// Real and virtual edges partition the completion edge set, so the
 	// table covers every edge a label below asks for.
-	edges := make([]graph.Edge, 0, len(sp.owners))
+	edges := make([]graph.Edge, 0, len(sp.edgeOwners))
 	for e := range orig.EdgesSeq() {
 		edges = append(edges, e)
 	}
@@ -386,7 +369,7 @@ func (enc *encoder) buildLabels(prev *encoder, prevLab *Labeling, ru *reuseCount
 	}
 	built := make([]*CEdgeLabel, len(edges))
 	if err := par.ForErr(workers, len(edges), func(_, i int) error {
-		cl, err := enc.buildCert(edges[i])
+		cl, err := enc.buildCert(sp.edgeOwners[i])
 		if err != nil {
 			return err
 		}

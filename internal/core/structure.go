@@ -26,7 +26,7 @@ type StructureOptions struct {
 	// first-fit partition with shortest-path embeddings.
 	UsePaperConstruction bool
 	// Parallelism bounds the worker count of the build's pooled stages
-	// (embedding, hierarchy validation, member folds, artifact derivation):
+	// (embedding, hierarchy validation, member folds, node tables):
 	// 0 means GOMAXPROCS, 1 runs every stage inline on the calling
 	// goroutine. The structure is identical for every value.
 	Parallelism int
@@ -34,7 +34,7 @@ type StructureOptions struct {
 
 // StageTimings is the cost breakdown of one prove: the wall-clock
 // milliseconds of the structure build's pipeline stages (decomposition,
-// lane construction, lanewidth transcript, hierarchy + artifact assembly)
+// lane construction, lanewidth transcript, hierarchy + node-table assembly)
 // and of the property pass's class sweep, plus the pass's memo misses.
 // Build stages are recorded on the StructuralProof and copied into every
 // Stats derived from it; Sweep and MemoMisses are per property pass. All of
@@ -57,22 +57,22 @@ func sinceMillis(t time.Time) float64 {
 }
 
 // StructuralProof is the property-independent half of the Theorem 1 prover:
-// everything Sections 4–5 derive from the configuration alone — the
-// validated path decomposition, lane partition, completion, embedding,
-// lanewidth transcript, hierarchical decomposition — plus the per-node
-// boundary/order tables and the root-anchor pointing labels that the label
-// encoder consumes. A StructuralProof is immutable once built and safe for
-// concurrent use: Scheme.ProveWithCtx runs only the property-dependent algebra
-// sweep (Section 6) against it, so certifying B properties of one
-// configuration builds the structure once instead of B times (see
-// Batch.ProveAllWithCtx).
+// what Sections 4–5 derive from the configuration alone — the validated
+// path decomposition, lane partition and completion — reduced to the tables
+// a property pass reads: each hierarchy node's summary and entry shape, its
+// parent, each completion edge's owner, the embedding entries and
+// root-anchor pointing labels every label carries. The lanewidth hierarchy,
+// its member tables and the embedding they are derived from are dropped
+// once the structure is assembled. A StructuralProof is immutable once
+// built and safe for concurrent use: Scheme.ProveWithCtx runs only the
+// property-dependent algebra sweep (Section 6) against it, so certifying B
+// properties of one configuration builds the structure once instead of B
+// times (see Batch.ProveAllWithCtx).
 type StructuralProof struct {
 	Cfg        *cert.Config
 	PD         *interval.PathDecomposition
 	Partition  *lanes.Partition
 	Completion *lanes.Completion
-	Emb        lanes.Embedding
-	Hierarchy  *lanewidth.Hierarchy
 
 	singleVertex bool
 	congestion   int
@@ -83,11 +83,20 @@ type StructuralProof struct {
 	// that no longer exists.
 	graphGen uint64
 
-	// owners maps every completion edge to its owning hierarchy node.
-	owners map[graph.Edge]*lanewidth.Node
-	// members holds each T-node's member infos (pre-order, root first),
-	// indexed by node id; nil for nodes that are not T-nodes.
-	members [][]lanewidth.MemberInfo
+	// summaries holds every hierarchy node's summary and shapes its entry
+	// shape (nil for V-nodes, which have none), both indexed by node id. A
+	// shape points at its node's summary and at those of the nodes it
+	// repeats (tree children, operands, root member).
+	summaries []*NodeSummary
+	shapes    []*Shape
+	// parent holds each node's parent id in the hierarchy, -1 for the root;
+	// root is the root T-node's id and depth the hierarchy depth (nodes on
+	// the longest root-to-leaf path).
+	parent      []int32
+	root, depth int
+	// owners holds each completion edge's owning node, real edges in
+	// EdgesSeq order, then Completion.Virtual.
+	edgeOwners []edgeOwner
 	// embStart and embRefs hold, per real edge in EdgesSeq order, the
 	// embedding entries its label carries: real edge i's are
 	// embRefs[embStart[i]:embStart[i+1]], in Completion.Virtual order.
@@ -97,18 +106,13 @@ type StructuralProof struct {
 	// root's designated vertex, per real edge in EdgesSeq order; every
 	// labeling of the structure shares these values.
 	pointing []*cert.PointingLabel
-	// art holds the property-independent data of each node, and shapes the
-	// shape of each node's entry (nil for V-nodes, which have none), both
-	// indexed by node id.
-	art    []*nodeArtifact
-	shapes []*Shape
 
 	// stages records the build stages' wall clock (SweepMillis stays zero
 	// here; each property pass fills its own copy).
 	stages StageTimings
 
 	// plan is the class sweep's dependency schedule, derived lazily from the
-	// hierarchy on the first property pass and shared by every property pass
+	// shapes on the first property pass and shared by every property pass
 	// over this structure (see sweepPlan).
 	planOnce sync.Once
 	plan     *sweepPlan
@@ -123,6 +127,10 @@ type StructuralProof struct {
 	layoutBuilds atomic.Int64
 }
 
+// edgeOwner is the hierarchy node owning a completion edge and, when that
+// node is a P-node, the edge's position on its path (0 otherwise).
+type edgeOwner struct{ node, pos int32 }
+
 // labelSlots returns the structure's layout slots, allocating them on
 // first use.
 func (sp *StructuralProof) labelSlots() []layoutSlot {
@@ -133,31 +141,6 @@ func (sp *StructuralProof) labelSlots() []layoutSlot {
 // Stages returns the build stages' wall-clock breakdown (SweepMillis is zero;
 // it is measured per property pass and reported in Stats).
 func (sp *StructuralProof) Stages() StageTimings { return sp.stages }
-
-// nodeArtifact is the property-independent data of one hierarchy node:
-// its summary (lane set, identifiers aligned with it and, for a V-node, its
-// input label), its tree membership, and its payload identifiers, real bits
-// and input labels. The node's entry shape (buildShapes) is derived from
-// its artifact and the artifacts of the nodes it summarizes; the slices are
-// shared read-only by every shape and labeling built from the same
-// StructuralProof, and an unchanged artifact carries over to the next
-// generation by pointer.
-type nodeArtifact struct {
-	*NodeSummary // apart from the artifact, so shapes pointing at it do not pin the rest
-
-	// Tree-member data (member is false for nodes outside any T-node tree).
-	member       bool
-	parentID     int
-	treeChildren []int
-
-	// E-/P-node payloads.
-	pathIDs  []uint64
-	realBits []bool
-	vInputs  []int
-
-	bridgeReal bool
-	rootMember int // T-node: id of the tree's root member
-}
 
 // embRef is one embedding entry of a real edge's label: the virtual edge it
 // simulates, as an index into Completion.Virtual, and the real edge's
@@ -176,7 +159,7 @@ func (sp *StructuralProof) Congestion() int { return sp.congestion }
 // one is computed (exactly for small graphs). The result can be shared by
 // any number of concurrent Scheme.ProveWithCtx calls. Cancellation is
 // observed between the pipeline stages (decomposition, lane construction,
-// transcript, hierarchy, artifact tables) and aborts the build with
+// transcript, hierarchy, node tables) and aborts the build with
 // ctx.Err().
 func BuildStructureCtx(ctx context.Context, cfg *cert.Config, pd *interval.PathDecomposition, opts StructureOptions) (*StructuralProof, error) {
 	gen, err := buildGeneration(ctx, cfg, pd, opts, nil, nil)
@@ -212,7 +195,7 @@ func (gen *generation) covers(u, v graph.Vertex) bool {
 
 // buildGeneration runs the structure pipeline — decomposition, lane
 // partition, completion and embedding (Section 4), lanewidth transcript,
-// hierarchy and artifact tables (Section 5) — and records each stage's wall
+// hierarchy and node tables (Section 5) — and records each stage's wall
 // clock on the structure. It is the one build behind BuildStructureCtx and
 // every generation of the incremental engine.
 //
@@ -315,7 +298,7 @@ func buildGeneration(ctx context.Context, cfg *cert.Config, pd *interval.PathDec
 	// Section 5: lanewidth transcript and hierarchical decomposition. Nodes
 	// below the mark a shared transcript prefix yields are identical to the
 	// previous generation's (deterministic replay), so validation and
-	// artifact assembly touch only the dirty region. The root's skipped
+	// node-table assembly touch only the dirty region. The root's skipped
 	// subgraph check relies on the connectivity verified above.
 	stageStart = time.Now()
 	log, err := lanewidth.FromCompletion(g, r, p)
@@ -339,8 +322,8 @@ func buildGeneration(ctx context.Context, cfg *cert.Config, pd *interval.PathDec
 		return nil, err
 	}
 
-	sp := &StructuralProof{Cfg: cfg, PD: pd, Partition: p, Completion: c, Emb: emb, Hierarchy: h}
-	if err := sp.assemble(prevSP, first, dirty, workers); err != nil {
+	sp := &StructuralProof{Cfg: cfg, PD: pd, Partition: p, Completion: c}
+	if err := sp.assemble(h, emb, prevSP, first, dirty, workers); err != nil {
 		return nil, err
 	}
 	stages.HierarchyMillis = sinceMillis(stageStart)
@@ -348,133 +331,95 @@ func buildGeneration(ctx context.Context, cfg *cert.Config, pd *interval.PathDec
 	return &generation{sp: sp, r: r, te: te, log: log, dirtyOps: len(log.Ops) - clean}, nil
 }
 
-// assemble derives the shared per-node tables of a structure whose stage
-// fields (Cfg through Hierarchy) are set. The member folds and artifact
-// derivation run on the pool; with workers > 1 the three mutually
-// independent table builds (artifacts, embedding orientation, root
-// pointing) also overlap. Output is identical for every workers value.
+// assemble derives the tables a property pass reads from the hierarchy h
+// and the embedding emb, which the structure does not keep. The node
+// tables and member folds run on the pool; with workers > 1 the node
+// tables, embedding orientation, root pointing and edge owners (mutually
+// independent) also overlap. Output is identical for every workers value.
 //
 // With prev set, per-node state carries over from the previous generation's
 // structure: nodes below the first mark (see lanewidth.BuildHierarchyMark)
-// whose artifacts provably cannot have changed take the previous artifact
-// pointer without being rebuilt or compared, and frozen T-nodes skip their
-// member folds. dirty is the set of graph edges the generation's edit batch
-// touched (in either direction); any node owning one is rebuilt regardless
-// of the mark, since its real bits read the edited adjacency.
-func (sp *StructuralProof) assemble(prev *StructuralProof, first int, dirty map[graph.Edge]bool, workers int) error {
-	h := sp.Hierarchy
-	sp.congestion = sp.Emb.Congestion()
+// whose data provably cannot have changed take the previous summary and
+// shape pointers without being rebuilt or compared, and frozen T-nodes skip
+// their member folds. dirty is the set of graph edges the generation's edit
+// batch touched (in either direction); any node owning one is rebuilt
+// regardless of the mark, since its real bits read the edited adjacency.
+func (sp *StructuralProof) assemble(h *lanewidth.Hierarchy, emb lanes.Embedding, prev *StructuralProof, first int, dirty map[graph.Edge]bool, workers int) error {
+	sp.congestion = emb.Congestion()
 	sp.graphGen = sp.Cfg.G.Generation()
-	sp.owners = h.EdgeOwners()
-	sp.members = h.MembersByTNodeFromP(first, workers)
+	sp.root, sp.depth = h.Root.ID, h.Depth()
 	// Warm the graph's lazily cached edge order while construction is still
 	// single-threaded; concurrent ProveWithCtx calls then only read it.
 	sp.Cfg.G.EdgesSeq()
-	// The three table builds read disjoint inputs (artifacts walk the
-	// hierarchy, orientation the embedding, pointing the graph) and write
-	// disjoint fields, so they may overlap.
-	var (
-		wg         sync.WaitGroup
-		oErr, pErr error
-	)
-	if workers > 1 {
-		wg.Add(2)
-		go func() { defer wg.Done(); oErr = sp.orientEmbedding() }()
-		go func() { defer wg.Done(); pErr = sp.buildPointing() }()
-	} else {
-		oErr, pErr = sp.orientEmbedding(), sp.buildPointing()
+	// The side tables read disjoint inputs (orientation the embedding,
+	// pointing the graph, owners the hierarchy's edge table) and write
+	// disjoint fields, so they may overlap with each other and the nodes.
+	side := []func() error{
+		func() error { return sp.orientEmbedding(emb) },
+		func() error { return sp.buildPointing(h.Root.RootMember().In[0]) },
+		func() error { return sp.buildOwners(h) },
 	}
-	aErr := sp.buildArtifactsReuse(prev, first, dirty, workers)
-	if aErr == nil {
-		sp.buildShapes(prev, workers)
+	errs := make([]error, len(side))
+	var wg sync.WaitGroup
+	for i, f := range side {
+		if workers > 1 {
+			wg.Add(1)
+			go func() { defer wg.Done(); errs[i] = f() }()
+		} else {
+			errs[i] = f()
+		}
 	}
+	nErr := sp.buildNodes(h, prev, first, dirty, workers)
 	wg.Wait()
-	return cmp.Or(aErr, oErr, pErr)
+	return cmp.Or(append([]error{nErr}, errs...)...)
 }
 
-// buildShapes derives the entry shape of every node but the V-nodes from
-// the artifacts: the node's member and payload fields, and pointers to the
-// summaries of the node, its children, its operands and its root member,
-// which their artifacts point at. A node whose previous shape would come
-// out the same — its artifact carried over, and every summary it points at
-// is still the current artifacts' — keeps that shape by pointer, which is
-// what entry reuse keys on; the rest are carved from per-worker arenas.
-func (sp *StructuralProof) buildShapes(prev *StructuralProof, workers int) {
-	nodes := sp.Hierarchy.Nodes
-	sp.shapes = make([]*Shape, len(nodes))
-	arenas := make([]struct {
-		shapes arena[Shape]
-		kids   arena[*NodeSummary]
-	}, par.Workers(workers))
-	par.For(workers, len(nodes), func(w, i int) {
-		n := nodes[i]
-		if n.Kind == lanewidth.VNode {
-			return
+// buildOwners files every completion edge's owning node and every node's
+// parent id.
+func (sp *StructuralProof) buildOwners(h *lanewidth.Hierarchy) error {
+	sp.parent = make([]int32, len(h.Nodes))
+	for i, n := range h.Nodes {
+		sp.parent[i] = -1
+		if n.Parent != nil {
+			sp.parent[i] = int32(n.Parent.ID)
 		}
-		if sp.shapes[i] = sp.prevShape(prev, n); sp.shapes[i] == nil {
-			ar := &arenas[w]
-			sp.shapes[i] = &ar.shapes.alloc(1)[0]
-			sp.fillShape(sp.shapes[i], n, ar.kids.alloc(len(sp.art[i].treeChildren))[:0])
+	}
+	owners := h.EdgeOwners()
+	sp.edgeOwners = make([]edgeOwner, 0, sp.Cfg.G.M()+len(sp.Completion.Virtual))
+	own := func(e graph.Edge) error {
+		n, ok := owners[e]
+		if !ok {
+			return fmt.Errorf("core: completion edge %v has no owner", e)
 		}
-	})
-}
-
-// fillShape fills node n's shape, appending its children's summaries to
-// kids.
-func (sp *StructuralProof) fillShape(s *Shape, n *lanewidth.Node, kids []*NodeSummary) {
-	a := sp.art[n.ID]
-	s.NodeSummary = a.NodeSummary
-	s.ParentID = a.parentID
-	for _, c := range a.treeChildren {
-		kids = append(kids, sp.art[c].NodeSummary)
-	}
-	s.Children = kids
-	s.PathIDs, s.RealBits, s.VInputs = a.pathIDs, a.realBits, a.vInputs
-	switch n.Kind {
-	case lanewidth.BNode:
-		s.LaneI, s.LaneJ, s.BridgeReal = n.LaneI, n.LaneJ, a.bridgeReal
-		s.Left, s.Right = sp.art[n.Left.ID].NodeSummary, sp.art[n.Right.ID].NodeSummary
-	case lanewidth.TNode:
-		s.RootMember = sp.art[a.rootMember].NodeSummary
-	}
-}
-
-// prevShape returns the previous generation's shape of node n when it is
-// exactly the shape fillShape would build now, or nil.
-func (sp *StructuralProof) prevShape(prev *StructuralProof, n *lanewidth.Node) *Shape {
-	if prev == nil || n.ID >= len(prev.shapes) || prev.shapes[n.ID] == nil ||
-		n.ID >= len(prev.art) || sp.art[n.ID] != prev.art[n.ID] {
+		o := edgeOwner{node: int32(n.ID)}
+		if n.Kind == lanewidth.PNode {
+			if o.pos = int32(slices.Index(n.OwnedEdges(), e)); o.pos < 0 {
+				return fmt.Errorf("core: edge %v not on owner path", e)
+			}
+		}
+		sp.edgeOwners = append(sp.edgeOwners, o)
 		return nil
 	}
-	ps, a := prev.shapes[n.ID], sp.art[n.ID]
-	if len(ps.Children) != len(a.treeChildren) {
-		return nil
-	}
-	for i, c := range a.treeChildren {
-		if ps.Children[i] != sp.art[c].NodeSummary {
-			return nil
+	for e := range sp.Cfg.G.EdgesSeq() {
+		if err := own(e); err != nil {
+			return err
 		}
 	}
-	switch n.Kind {
-	case lanewidth.BNode:
-		if ps.LaneI != n.LaneI || ps.LaneJ != n.LaneJ ||
-			ps.Left != sp.art[n.Left.ID].NodeSummary || ps.Right != sp.art[n.Right.ID].NodeSummary {
-			return nil
-		}
-	case lanewidth.TNode:
-		if ps.RootMember != sp.art[a.rootMember].NodeSummary {
-			return nil
+	for _, e := range sp.Completion.Virtual {
+		if err := own(e); err != nil {
+			return err
 		}
 	}
-	return ps
+	return nil
 }
 
 // arena carves small slice views out of slab blocks, replacing the tiny
 // allocations per node, shape, entry or decoded entry that id slices, class
 // vectors, summaries and rows would cost. Views escape into long-lived
-// artifacts and labels, so blocks are abandoned to their lifetime. Blocks
-// double from 64 elements up to 32 KB (4096 ids), so a small arena stays
-// small and a view outliving the rest of its block pins at most that much.
+// summaries, shapes and labels, so blocks are abandoned to their lifetime.
+// Blocks double from 64 elements up to 32 KB (4096 ids), so a small arena
+// stays small and a view outliving the rest of its block pins at most that
+// much.
 type arena[T any] struct {
 	block []T
 	size  int // size of the last block made
@@ -494,91 +439,96 @@ func (a *arena[T]) alloc(n int) []T {
 	return s
 }
 
-// buildArtifactsReuse derives the per-node boundary/order tables every
-// labeling shares — identifier maps in lane order, member folds, and the
-// E-/P-node path payloads with their real bits and input labels — with three
-// escalating levels of carry-over from a previous generation (nil prev
-// disables all three):
+// buildNodes derives every node's summary and entry shape in two pool
+// passes: the first settles each node's summary and its shape's own fields
+// (member fold, payload), the second links each shape to the summaries it
+// repeats. Carry-over from a previous generation (nil prev disables it)
+// comes in three escalating levels:
 //
 //   - A node below the first mark whose tree membership is frozen (it is not
 //     a member, or its parent T-node is itself below the mark) and whose
-//     owned edges avoid the dirty set takes the previous artifact pointer
-//     outright: every field is derived from frozen state, so nothing is
-//     rebuilt or even compared.
+//     owned edges avoid the dirty set takes the previous summary outright:
+//     every field is derived from frozen state, so nothing is rebuilt or
+//     even compared.
 //   - A rebuilt node below the mark whose parent T-node is frozen copies its
-//     member fold (merged-out terminals, tree children, parent id) from the
-//     previous artifact — the fold reads only the frozen subtree — and
-//     re-derives just the payload the dirty edge invalidated.
+//     member fold (merged-out terminals, parent id) from the previous
+//     generation — the fold reads only the frozen subtree — and re-derives
+//     just the payload the dirty edge invalidated.
 //   - Any other rebuilt node with a same-id predecessor is content-compared
-//     and canonicalized to the previous pointer on equality, which is what
-//     shape reuse (prevShape) keys on.
-func (sp *StructuralProof) buildArtifactsReuse(prev *StructuralProof, first int, dirty map[graph.Edge]bool, workers int) error {
-	h := sp.Hierarchy
-	var prevArt []*nodeArtifact
+//     and canonicalized to the previous summary on equality.
+//
+// A node whose summary carried over keeps its previous shape too when every
+// summary that shape points at is still the current one, which is what
+// entry reuse keys on; otherwise it gets a new shape with the previous
+// shape's own fields.
+func (sp *StructuralProof) buildNodes(h *lanewidth.Hierarchy, prev *StructuralProof, first int, dirty map[graph.Edge]bool, workers int) error {
+	nb := &nodeBuilder{sp: sp, h: h, first: first, dirty: dirty}
 	if prev != nil {
-		prevArt = prev.art
+		nb.prevSums, nb.prevShapes = prev.summaries, prev.shapes
 	}
-	if first > len(prevArt) {
-		first = len(prevArt)
-	}
-	memberInfo := make([]*lanewidth.MemberInfo, len(h.Nodes))
-	rootMember := make([]bool, len(h.Nodes))
-	for tid, mis := range sp.members {
-		if tid < first && tid != h.Root.ID {
-			// Frozen T-nodes carry shallow member infos (no merged-out fold);
-			// their members' folds come from the previous artifacts below.
-			continue
-		}
+	nb.first = min(nb.first, len(nb.prevSums))
+	nb.info = make([]*lanewidth.MemberInfo, len(h.Nodes))
+	nb.inRootTree = make([]bool, len(h.Nodes))
+	for tid, mis := range h.MembersByTNodeFromP(first, workers) {
 		for i := range mis {
 			id := mis[i].Node.ID
-			memberInfo[id] = &mis[i]
-			rootMember[id] = tid == h.Root.ID
+			nb.info[id] = &mis[i]
+			nb.inRootTree[id] = tid == h.Root.ID
 		}
 	}
-	sp.art = make([]*nodeArtifact, len(h.Nodes))
-	ab := &artifactBuilder{
-		sp:         sp,
-		prevArt:    prevArt,
-		first:      first,
-		dirty:      dirty,
-		memberInfo: memberInfo,
-		rootMember: rootMember,
-		rootID:     h.Root.ID,
+	sp.summaries = make([]*NodeSummary, len(h.Nodes))
+	sp.shapes = make([]*Shape, len(h.Nodes))
+	// Nodes write disjoint slots from shared read-only inputs, so they
+	// derive independently; each worker carves from its own arenas.
+	arenas := make([]nodeArenas, par.Workers(workers))
+	if err := par.ForErr(workers, len(h.Nodes), func(w, i int) error {
+		return nb.settle(h.Nodes[i], &arenas[w])
+	}); err != nil {
+		return err
 	}
-	// Nodes write disjoint sp.art slots from shared read-only inputs (the
-	// previous artifacts and the member tables), so they derive
-	// independently; each worker carves its id sequences and summaries from
-	// its own arenas.
-	arenas := make([]artArenas, par.Workers(workers))
-	return par.ForErr(workers, len(h.Nodes), func(worker, i int) error {
-		return ab.build(h.Nodes[i], &arenas[worker])
+	par.For(workers, len(h.Nodes), func(w, i int) {
+		if n := h.Nodes[i]; n.Kind != lanewidth.VNode {
+			nb.link(n, &arenas[w])
+		}
 	})
+	return nil
 }
 
-// artifactBuilder bundles the read-only inputs of one buildArtifactsReuse
-// pass so per-node derivation can run on any goroutine.
-type artifactBuilder struct {
+// nodeBuilder bundles the read-only inputs of one buildNodes pass so
+// per-node derivation can run on any goroutine.
+type nodeBuilder struct {
 	sp         *StructuralProof
-	prevArt    []*nodeArtifact
+	h          *lanewidth.Hierarchy
+	prevSums   []*NodeSummary
+	prevShapes []*Shape
 	first      int
 	dirty      map[graph.Edge]bool
-	memberInfo []*lanewidth.MemberInfo // by node id; nil outside folded trees
-	rootMember []bool                  // by node id: a member of the root's tree
-	rootID     int
+	info       []*lanewidth.MemberInfo // by node id; nil for non-members
+	inRootTree []bool                  // by node id: a member of the root's tree
 }
 
-func (ab *artifactBuilder) ownsDirty(n *lanewidth.Node) bool {
-	if len(ab.dirty) == 0 {
+// nodeArenas are one worker's arenas and scratch node.
+type nodeArenas struct {
+	ids    arena[uint64]
+	sums   arena[NodeSummary]
+	shapes arena[Shape]
+	kids   arena[*NodeSummary]
+	sum    NodeSummary
+	shape  Shape
+}
+
+func (nb *nodeBuilder) ownsDirty(n *lanewidth.Node) bool {
+	if len(nb.dirty) == 0 {
 		return false
 	}
 	switch n.Kind {
 	case lanewidth.ENode:
-		return ab.dirty[n.Edge]
+		return nb.dirty[n.Edge]
 	case lanewidth.BNode:
-		return ab.dirty[n.Bridge]
+		return nb.dirty[n.Bridge]
 	case lanewidth.PNode:
 		for i := 0; i+1 < len(n.PathVs); i++ {
-			if ab.dirty[graph.NewEdge(n.PathVs[i], n.PathVs[i+1])] {
+			if nb.dirty[graph.NewEdge(n.PathVs[i], n.PathVs[i+1])] {
 				return true
 			}
 		}
@@ -586,132 +536,201 @@ func (ab *artifactBuilder) ownsDirty(n *lanewidth.Node) bool {
 	return false
 }
 
-// artArenas are one artifact-building worker's arenas and scratch summary.
-type artArenas struct {
-	ids     arena[uint64]
-	sums    arena[NodeSummary]
-	scratch NodeSummary
-}
-
 // ids carves the identifiers of lane-aligned terminals from the arena.
-func (ab *artifactBuilder) ids(ar *artArenas, vs []graph.Vertex) []uint64 {
+func (nb *nodeBuilder) ids(ar *nodeArenas, vs []graph.Vertex) []uint64 {
 	out := ar.ids.alloc(len(vs))
 	for i, v := range vs {
-		out[i] = ab.sp.Cfg.IDs[v]
+		out[i] = nb.sp.Cfg.IDs[v]
 	}
 	return out
 }
 
-// frozenParent reports whether a previous artifact's member fold is frozen:
-// its parent T-node was created by a clean op. The root is never that
-// T-node: its id is reserved below any mark (see BuildHierarchyMark) but its
-// tree is rebuilt every generation, so root members — like the root itself —
-// must be re-derived and can at most canonicalize to the previous pointer by
-// content comparison.
-func (ab *artifactBuilder) frozenParent(pa *nodeArtifact) bool {
-	return !pa.member || (pa.parentID < ab.first && pa.parentID != ab.rootID)
-}
-
-// build derives (or carries over) one node's artifact into sp.art[n.ID].
-func (ab *artifactBuilder) build(n *lanewidth.Node, ar *artArenas) error {
-	sp, cfg, g := ab.sp, ab.sp.Cfg, ab.sp.Cfg.G
-	var pa *nodeArtifact
-	if n.ID < ab.first && n != sp.Hierarchy.Root {
-		pa = ab.prevArt[n.ID]
+// kids returns node n's tree children, nil when n is not a tree member.
+func (nb *nodeBuilder) kids(n *lanewidth.Node) []*lanewidth.Node {
+	if mi := nb.info[n.ID]; mi != nil {
+		return mi.TreeChildren
 	}
-	if pa != nil && ab.frozenParent(pa) && !ab.ownsDirty(n) {
-		sp.art[n.ID] = pa
-		return nil
-	}
-	// Root members dominate the rebuilt set but rarely change: their
-	// payload halves are frozen (id below the mark), so the previous
-	// artifact stands whenever the member's fold — parent, tree children,
-	// merged out-terminals — matches the fresh member info. Comparing
-	// against the previous artifact directly skips building throwaway
-	// id slices for the overwhelmingly common unchanged case.
-	if pa != nil && pa.member && pa.parentID == ab.rootID && ab.rootMember[n.ID] && !ab.ownsDirty(n) &&
-		memberFoldEqual(pa, ab.memberInfo[n.ID], cfg) {
-		sp.art[n.ID] = pa
-		return nil
-	}
-	ar.scratch = NodeSummary{} // carved below once the artifact is known to be new
-	a := &nodeArtifact{NodeSummary: &ar.scratch, parentID: -1, rootMember: -1}
-	a.NodeID, a.Kind, a.Lanes = n.ID, n.Kind, n.Lanes
-	a.InIDs, a.OutIDs = ab.ids(ar, n.In), ab.ids(ar, n.Out)
-	if pa != nil && pa.member && pa.parentID < ab.first && pa.parentID != ab.rootID {
-		a.member = true
-		a.parentID = pa.parentID
-		a.MergedOutIDs = pa.MergedOutIDs
-		a.treeChildren = pa.treeChildren
-	} else if mi := ab.memberInfo[n.ID]; mi != nil {
-		a.member = true
-		a.parentID = n.Parent.ID
-		a.MergedOutIDs = ab.ids(ar, mi.MergedOut)
-		for _, child := range mi.TreeChildren {
-			a.treeChildren = append(a.treeChildren, child.ID)
-		}
-	}
-	switch n.Kind {
-	case lanewidth.VNode:
-		a.Input = cfg.Input(n.Vertex)
-	case lanewidth.ENode:
-		a.pathIDs = []uint64{cfg.IDs[n.In[0]], cfg.IDs[n.Out[0]]}
-		a.realBits = []bool{edgeReal(g, n.Edge)}
-		a.vInputs = []int{cfg.Input(n.In[0]), cfg.Input(n.Out[0])}
-	case lanewidth.PNode:
-		for _, v := range n.PathVs {
-			a.pathIDs = append(a.pathIDs, cfg.IDs[v])
-		}
-		a.realBits = pathRealBits(g, n.PathVs)
-		a.vInputs = vertexInputs(cfg, n.PathVs)
-	case lanewidth.BNode:
-		a.bridgeReal = edgeReal(g, n.Bridge)
-	case lanewidth.TNode:
-		a.rootMember = n.RootMember().ID
-	default:
-		return fmt.Errorf("core: unknown node kind %v", n.Kind)
-	}
-	if n.ID < len(ab.prevArt) && artifactEqual(a, ab.prevArt[n.ID]) {
-		a = ab.prevArt[n.ID]
-	} else {
-		sum := &ar.sums.alloc(1)[0]
-		*sum = *a.NodeSummary
-		a.NodeSummary = sum
-	}
-	sp.art[n.ID] = a
 	return nil
 }
 
-// memberFoldEqual reports whether a previous artifact's member fold matches
-// a freshly derived member info: same tree children (by id, in order) and
-// the same merged out-terminal identifier per lane. Payload fields are not
-// compared — callers only consult it for nodes below the mark, whose payload
-// halves are frozen by construction.
-func memberFoldEqual(pa *nodeArtifact, mi *lanewidth.MemberInfo, cfg *cert.Config) bool {
-	if len(pa.treeChildren) != len(mi.TreeChildren) {
-		return false
+// frozenFold reports whether the previous generation's member fold of a
+// node is frozen, given its previous shape (nil for a V-node): the node is
+// a tree member whose parent T-node was created by a clean op. The root is
+// never that T-node: its id is reserved below any mark (see
+// BuildHierarchyMark) but its tree is rebuilt every generation, so root
+// members — like the root itself — must be re-derived and can at most
+// canonicalize to the previous summary by content comparison.
+func (nb *nodeBuilder) frozenFold(ps *Shape) bool {
+	return ps != nil && ps.member() && ps.ParentID < nb.first && ps.ParentID != nb.h.Root.ID
+}
+
+// settle derives (or carries over) node n's summary into sp.summaries and,
+// when the summary is new, carves its shape with the shape's own fields
+// (link fills the rest). A carried-over summary leaves the shape slot nil
+// for link to settle.
+func (nb *nodeBuilder) settle(n *lanewidth.Node, ar *nodeArenas) error {
+	sp, cfg, g := nb.sp, nb.sp.Cfg, nb.sp.Cfg.G
+	var psum *NodeSummary
+	var psh *Shape
+	if n.ID < len(nb.prevSums) {
+		psum, psh = nb.prevSums[n.ID], nb.prevShapes[n.ID]
 	}
-	for i, c := range mi.TreeChildren {
-		if pa.treeChildren[i] != c.ID {
-			return false
+	if n.ID < nb.first && n != nb.h.Root && !nb.ownsDirty(n) {
+		// Frozen below the mark: not a member, or a member of a frozen tree.
+		if psh == nil || !psh.member() || nb.frozenFold(psh) {
+			sp.summaries[n.ID] = psum
+			return nil
+		}
+		// Root members dominate the rebuilt set but rarely change: their
+		// payload halves are frozen (id below the mark), so the previous
+		// summary stands whenever the member's fold — parent, tree
+		// children, merged out-terminals — matches the fresh member info.
+		// Comparing against the previous generation directly skips building
+		// throwaway id slices for the overwhelmingly common unchanged case.
+		if psh.ParentID == nb.h.Root.ID && nb.inRootTree[n.ID] && memberFoldEqual(psum, psh, nb.info[n.ID], cfg) {
+			sp.summaries[n.ID] = psum
+			return nil
 		}
 	}
-	if len(pa.MergedOutIDs) != len(mi.MergedOut) {
+	sum, sh := &ar.sum, &ar.shape // carved below once the node is known to be new
+	*sum = NodeSummary{NodeID: n.ID, Kind: n.Kind, Lanes: n.Lanes, InIDs: nb.ids(ar, n.In), OutIDs: nb.ids(ar, n.Out)}
+	*sh = Shape{ParentID: -1}
+	if n.ID < nb.first && n != nb.h.Root && nb.frozenFold(psh) {
+		sh.ParentID, sum.MergedOutIDs = psh.ParentID, psum.MergedOutIDs
+	} else if mi := nb.info[n.ID]; mi != nil {
+		sh.ParentID, sum.MergedOutIDs = n.Parent.ID, nb.ids(ar, mi.MergedOut)
+	}
+	rootMember := -1
+	switch n.Kind {
+	case lanewidth.VNode:
+		sum.Input = cfg.Input(n.Vertex)
+	case lanewidth.ENode:
+		sh.PathIDs = []uint64{cfg.IDs[n.In[0]], cfg.IDs[n.Out[0]]}
+		sh.RealBits = []bool{edgeReal(g, n.Edge)}
+		sh.VInputs = []int{cfg.Input(n.In[0]), cfg.Input(n.Out[0])}
+	case lanewidth.PNode:
+		for _, v := range n.PathVs {
+			sh.PathIDs = append(sh.PathIDs, cfg.IDs[v])
+		}
+		sh.RealBits = pathRealBits(g, n.PathVs)
+		sh.VInputs = vertexInputs(cfg, n.PathVs)
+	case lanewidth.BNode:
+		sh.BridgeReal = edgeReal(g, n.Bridge)
+	case lanewidth.TNode:
+		rootMember = n.RootMember().ID
+	default:
+		return fmt.Errorf("core: unknown node kind %v", n.Kind)
+	}
+	if psum != nil && summaryEqual(sum, psum) && ownFieldsEqual(sh, nb.kids(n), rootMember, psh) {
+		sp.summaries[n.ID] = psum
+		return nil
+	}
+	ns := &ar.sums.alloc(1)[0]
+	*ns = *sum
+	sp.summaries[n.ID] = ns
+	if n.Kind != lanewidth.VNode {
+		sp.shapes[n.ID] = &ar.shapes.alloc(1)[0]
+		*sp.shapes[n.ID] = *sh
+		sp.shapes[n.ID].NodeSummary = ns
+	}
+	return nil
+}
+
+// link completes node n's shape once every summary is settled: its tree
+// children's, operands' and root member's summaries. A node whose summary
+// carried over keeps its previous shape when that shape already points at
+// exactly these summaries; otherwise it gets a new shape with the previous
+// one's own fields.
+func (nb *nodeBuilder) link(n *lanewidth.Node, ar *nodeArenas) {
+	sp := nb.sp
+	s := sp.shapes[n.ID]
+	if s == nil {
+		ps := nb.prevShapes[n.ID]
+		if nb.sameLinks(ps, n) {
+			sp.shapes[n.ID] = ps
+			return
+		}
+		s = &ar.shapes.alloc(1)[0]
+		*s = Shape{NodeSummary: sp.summaries[n.ID], ParentID: ps.ParentID,
+			PathIDs: ps.PathIDs, RealBits: ps.RealBits, VInputs: ps.VInputs, BridgeReal: ps.BridgeReal}
+		sp.shapes[n.ID] = s
+	}
+	kids := nb.kids(n)
+	s.Children = ar.kids.alloc(len(kids))
+	for i, c := range kids {
+		s.Children[i] = sp.summaries[c.ID]
+	}
+	switch n.Kind {
+	case lanewidth.BNode:
+		s.LaneI, s.LaneJ = n.LaneI, n.LaneJ
+		s.Left, s.Right = sp.summaries[n.Left.ID], sp.summaries[n.Right.ID]
+	case lanewidth.TNode:
+		s.RootMember = sp.summaries[n.RootMember().ID]
+	}
+}
+
+// sameLinks reports whether the previous shape ps of node n points at
+// exactly the summaries link would give n now.
+func (nb *nodeBuilder) sameLinks(ps *Shape, n *lanewidth.Node) bool {
+	sums := nb.sp.summaries
+	if !slices.EqualFunc(ps.Children, nb.kids(n), func(k *NodeSummary, c *lanewidth.Node) bool { return k == sums[c.ID] }) {
 		return false
 	}
-	for i, v := range mi.MergedOut {
-		if pa.MergedOutIDs[i] != cfg.IDs[v] {
-			return false
-		}
+	switch n.Kind {
+	case lanewidth.BNode:
+		return ps.LaneI == n.LaneI && ps.LaneJ == n.LaneJ &&
+			ps.Left == sums[n.Left.ID] && ps.Right == sums[n.Right.ID]
+	case lanewidth.TNode:
+		return ps.RootMember == sums[n.RootMember().ID]
 	}
 	return true
+}
+
+// summaryEqual reports whether two summaries have the same content.
+func summaryEqual(a, b *NodeSummary) bool {
+	return a.NodeID == b.NodeID && a.Kind == b.Kind && a.Input == b.Input &&
+		slices.Equal(a.Lanes, b.Lanes) && slices.Equal(a.InIDs, b.InIDs) &&
+		slices.Equal(a.OutIDs, b.OutIDs) && slices.Equal(a.MergedOutIDs, b.MergedOutIDs)
+}
+
+// ownFieldsEqual reports whether a node's freshly derived shape fields — the
+// parent id and payload in s, its tree children kids and its T-node root
+// member's id (-1 for other kinds) — match those of its previous shape ps
+// (nil for a V-node, whose fresh fields are then all empty).
+func ownFieldsEqual(s *Shape, kids []*lanewidth.Node, rootMember int, ps *Shape) bool {
+	if ps == nil {
+		ps = &Shape{ParentID: -1}
+	}
+	prevRoot := -1
+	if ps.RootMember != nil {
+		prevRoot = ps.RootMember.NodeID
+	}
+	return s.ParentID == ps.ParentID && s.BridgeReal == ps.BridgeReal && rootMember == prevRoot &&
+		childIDsEqual(ps.Children, kids) && slices.Equal(s.PathIDs, ps.PathIDs) &&
+		slices.Equal(s.RealBits, ps.RealBits) && slices.Equal(s.VInputs, ps.VInputs)
+}
+
+// memberFoldEqual reports whether a previous generation's member fold
+// (summary and shape) matches a freshly derived member info: same tree
+// children (by id, in order) and the same merged out-terminal identifier
+// per lane. Payload fields are not compared — callers only consult it for
+// nodes below the mark, whose payload halves are frozen by construction.
+func memberFoldEqual(psum *NodeSummary, ps *Shape, mi *lanewidth.MemberInfo, cfg *cert.Config) bool {
+	return childIDsEqual(ps.Children, mi.TreeChildren) &&
+		slices.EqualFunc(psum.MergedOutIDs, mi.MergedOut, func(id uint64, v graph.Vertex) bool { return id == cfg.IDs[v] })
+}
+
+// childIDsEqual reports whether the summaries name exactly the nodes, in
+// order.
+func childIDsEqual(sums []*NodeSummary, nodes []*lanewidth.Node) bool {
+	return slices.EqualFunc(sums, nodes, func(s *NodeSummary, n *lanewidth.Node) bool { return s.NodeID == n.ID })
 }
 
 // orientEmbedding orients every virtual edge's embedding path to start at
 // the edge's U endpoint, validates it against the real edge set, and files
 // each of its edges' embedding entries under that real edge, so label
 // assembly never re-derives any of it.
-func (sp *StructuralProof) orientEmbedding() error {
+func (sp *StructuralProof) orientEmbedding(emb lanes.Embedding) error {
 	g := sp.Cfg.G
 	index := make(map[graph.Edge]int32, g.M())
 	for e := range g.EdgesSeq() {
@@ -723,7 +742,7 @@ func (sp *StructuralProof) orientEmbedding() error {
 	lens := make([]int32, len(sp.Completion.Virtual))
 	var real []int32
 	for j, ve := range sp.Completion.Virtual {
-		path := sp.Emb.OrientedPath(ve)
+		path := emb.OrientedPath(ve)
 		if len(path) < 2 {
 			return fmt.Errorf("core: virtual edge %v lacks an embedding path", ve)
 		}
@@ -757,8 +776,8 @@ func (sp *StructuralProof) orientEmbedding() error {
 // buildPointing computes the Proposition 2.2 root-anchor labels for the
 // hierarchy root's designated vertex (the root member's in-terminal on its
 // first lane) — property-independent, shared by every labeling.
-func (sp *StructuralProof) buildPointing() error {
-	pointing, err := cert.ProvePointing(sp.Cfg, sp.Hierarchy.Root.RootMember().In[0])
+func (sp *StructuralProof) buildPointing(designated graph.Vertex) error {
+	pointing, err := cert.ProvePointing(sp.Cfg, designated)
 	if err != nil {
 		return err
 	}

@@ -9,65 +9,73 @@ import (
 	"repro/internal/par"
 )
 
-// sweepPlan schedules the class sweep as dependency levels: level 0 holds the
-// nodes whose class needs no other node's (V-, E- and P-leaves), level d the
-// nodes all of whose prerequisites sit strictly below d — a B-node above both
-// operands, a T-node above every tree member. Nodes within a level are
-// independent, so the sweep runs each level as one pool loop with a
-// barrier between levels; the level count is bounded by the hierarchy depth
-// (≤ 2k), so barrier overhead is O(k) regardless of n. The plan reads only
-// the hierarchy and member tables, never property state, so it is computed
-// once per structure and shared by every property pass over it.
+// sweepPlan schedules the class sweep as dependency levels of node ids:
+// level 0 holds the nodes whose class needs no other node's (V-, E- and
+// P-leaves), level d the nodes all of whose prerequisites sit strictly below
+// d — a B-node above both operands, a T-node above every tree member. Nodes
+// within a level are independent, so the sweep runs each level as one pool
+// loop with a barrier between levels; the level count is bounded by the
+// hierarchy depth (≤ 2k), so barrier overhead is O(k) regardless of n. The
+// plan reads only the shapes, never property state, so it is computed once
+// per structure and shared by every property pass over it.
 type sweepPlan struct {
-	levels [][]*lanewidth.Node
+	levels [][]int32
 }
 
-// schedule derives the structure's sweep plan on first use.
+// schedule derives the structure's sweep plan on first use. Node ids are
+// creation order, and every node is created after its operands or members
+// except the root, whose id is reserved (see lanewidth.BuildHierarchyMark),
+// so one pass in id order with the root last sees every prerequisite's
+// level first.
 func (sp *StructuralProof) schedule() *sweepPlan {
 	sp.planOnce.Do(func() {
-		h := sp.Hierarchy
-		level := make([]int, len(h.Nodes))
-		for i := range level {
-			level[i] = -1
-		}
-		var levelOf func(n *lanewidth.Node) int
-		levelOf = func(n *lanewidth.Node) int {
-			if l := level[n.ID]; l >= 0 {
-				return l
-			}
-			best := -1
-			switch n.Kind {
-			case lanewidth.BNode:
-				if l := levelOf(n.Left); l > best {
-					best = l
+		level := make([]int32, len(sp.summaries))
+		var members []int32
+		maxLevel := int32(0)
+		setLevel := func(id int) {
+			best := int32(-1)
+			if s := sp.shapes[id]; s != nil {
+				for _, op := range s.operands() {
+					if op != nil {
+						best = max(best, level[op.NodeID])
+					}
 				}
-				if l := levelOf(n.Right); l > best {
-					best = l
-				}
-			case lanewidth.TNode:
-				for _, mi := range sp.members[n.ID] {
-					if l := levelOf(mi.Node); l > best {
-						best = l
+				if s.RootMember != nil {
+					members = sp.appendMembers(members[:0], s)
+					for _, m := range members {
+						best = max(best, level[m])
 					}
 				}
 			}
-			l := best + 1
-			level[n.ID] = l
-			return l
+			level[id] = best + 1
+			maxLevel = max(maxLevel, best+1)
 		}
-		maxLevel := 0
-		for _, n := range h.Nodes {
-			if l := levelOf(n); l > maxLevel {
-				maxLevel = l
+		for id := range level {
+			if id != sp.root {
+				setLevel(id)
 			}
 		}
-		levels := make([][]*lanewidth.Node, maxLevel+1)
-		for _, n := range h.Nodes {
-			levels[level[n.ID]] = append(levels[level[n.ID]], n)
+		setLevel(sp.root)
+		levels := make([][]int32, maxLevel+1)
+		for id, l := range level {
+			levels[l] = append(levels[l], int32(id))
 		}
 		sp.plan = &sweepPlan{levels: levels}
 	})
 	return sp.plan
+}
+
+// appendMembers appends the ids of the members of T-node shape t's tree to
+// dst: the root member first, and every member after its tree parent.
+func (sp *StructuralProof) appendMembers(dst []int32, t *Shape) []int32 {
+	start := len(dst)
+	dst = append(dst, int32(t.RootMember.NodeID))
+	for i := start; i < len(dst); i++ {
+		for _, c := range sp.shapes[dst[i]].Children {
+			dst = append(dst, int32(c.NodeID))
+		}
+	}
+	return dst
 }
 
 // sweep computes every node's class level by level. Every node's class is
@@ -79,14 +87,15 @@ func (sp *StructuralProof) schedule() *sweepPlan {
 // is polled once per 256 nodes of a level, so a level holding most of the
 // leaves is cancellable even when it runs inline.
 func (s *Scheme) sweep(ctx context.Context, enc *encoder, workers int) error {
+	members := make([][]int32, par.Workers(workers)) // per-worker T-node scratch
 	for _, nodes := range enc.sp.schedule().levels {
-		if err := par.ForErr(workers, len(nodes), func(_, i int) error {
+		if err := par.ForErr(workers, len(nodes), func(w, i int) error {
 			if i&255 == 0 {
 				if err := ctx.Err(); err != nil {
 					return err
 				}
 			}
-			return enc.computeClass(nodes[i])
+			return enc.computeClass(int(nodes[i]), &members[w])
 		}); err != nil {
 			return err
 		}
@@ -95,61 +104,62 @@ func (s *Scheme) sweep(ctx context.Context, enc *encoder, workers int) error {
 }
 
 // computeClass derives one node's class assuming every prerequisite class is
-// already present (the schedule guarantees it). T-nodes fold their members in
-// reverse pre-order, so children fold before parents; the merged slots a
-// fold writes belong to its own tree's members only, so concurrent T-nodes
-// never touch the same slot.
-func (enc *encoder) computeClass(n *lanewidth.Node) error {
+// already present (the schedule guarantees it). A T-node folds its members
+// children first: each member's merged class is its own class merged with
+// each tree child's, in tree order. The merged slots a fold writes belong to
+// its own tree's members only, so concurrent T-nodes never touch the same
+// slot. members is the worker's scratch for a T-node's member list.
+func (enc *encoder) computeClass(id int, members *[]int32) error {
 	s, sp := enc.scheme, enc.sp
-	a := sp.art[n.ID]
+	sum, sh := sp.summaries[id], sp.shapes[id]
 	var (
 		cls *algebra.Class
 		err error
 	)
-	switch n.Kind {
+	switch sum.Kind {
 	case lanewidth.VNode:
-		cls, err = s.baseV(n.Lanes[0], a.Input)
+		cls, err = s.baseV(sum.Lanes[0], sum.Input)
 	case lanewidth.ENode:
-		cls, err = s.baseE(n.Lanes[0], a.realBits[0], a.vInputs)
+		cls, err = s.baseE(sum.Lanes[0], sh.RealBits[0], sh.VInputs)
 	case lanewidth.PNode:
-		cls, err = s.baseP(n.Lanes, a.realBits, a.vInputs)
+		cls, err = s.baseP(sum.Lanes, sh.RealBits, sh.VInputs)
 	case lanewidth.BNode:
-		lc, rc := enc.classes[n.Left.ID], enc.classes[n.Right.ID]
+		lc, rc := enc.classes[sh.Left.NodeID], enc.classes[sh.Right.NodeID]
 		if lc == nil || rc == nil {
-			return fmt.Errorf("core: B-node %d scheduled before its operands", n.ID)
+			return fmt.Errorf("core: B-node %d scheduled before its operands", id)
 		}
 		bridgeLabel := 0
-		if a.bridgeReal {
+		if sh.BridgeReal {
 			bridgeLabel = algebra.EdgeReal
 		}
-		cls, err = s.bridgeMerge(lc, rc, n.LaneI, n.LaneJ, bridgeLabel)
+		cls, err = s.bridgeMerge(lc, rc, sh.LaneI, sh.LaneJ, bridgeLabel)
 	case lanewidth.TNode:
-		members := sp.members[n.ID]
-		for i := len(members) - 1; i >= 0; i-- {
-			mi := members[i]
-			acc := enc.classes[mi.Node.ID]
+		*members = sp.appendMembers((*members)[:0], sh)
+		for i := len(*members) - 1; i >= 0; i-- {
+			m := sp.shapes[(*members)[i]]
+			acc := enc.classes[m.NodeID]
 			if acc == nil {
-				return fmt.Errorf("core: T-node %d scheduled before member %d", n.ID, mi.Node.ID)
+				return fmt.Errorf("core: T-node %d scheduled before member %d", id, m.NodeID)
 			}
-			for _, child := range mi.TreeChildren {
-				childMerged := enc.merged[child.ID]
+			for _, child := range m.Children {
+				childMerged := enc.merged[child.NodeID]
 				if childMerged == nil {
-					return fmt.Errorf("core: member %d folded before child %d", mi.Node.ID, child.ID)
+					return fmt.Errorf("core: member %d folded before child %d", m.NodeID, child.NodeID)
 				}
 				acc, err = s.parentMerge(childMerged, acc)
 				if err != nil {
 					return err
 				}
 			}
-			enc.merged[mi.Node.ID] = acc
+			enc.merged[m.NodeID] = acc
 		}
-		cls = enc.merged[a.rootMember]
+		cls = enc.merged[sh.RootMember.NodeID]
 	default:
-		return fmt.Errorf("core: unknown node kind %v", n.Kind)
+		return fmt.Errorf("core: unknown node kind %v", sum.Kind)
 	}
 	if err != nil {
 		return err
 	}
-	enc.classes[n.ID] = cls
+	enc.classes[id] = cls
 	return nil
 }

@@ -430,7 +430,7 @@ func (s *connScratch) walk(tv *TreeVertex) {
 // member order and tree children but a nil MergedOut. The incremental
 // structure rebuild reads MergedOut only for members of non-frozen T-nodes
 // (frozen members' folds are carried over from the previous generation's
-// artifacts), while the class sweep reads only order and children, so the
+// summaries), while the class sweep reads only order and children, so the
 // shallow entries lose nothing it needs. first = 0 computes every fold.
 //
 // The per-T-node folds run on a worker pool. Folds of distinct T-nodes are

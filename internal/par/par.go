@@ -1,6 +1,6 @@
 // Package par provides the small deterministic-friendly parallel-for used by
-// the prover's hot paths (lane embedding, hierarchy validation, artifact and
-// entry assembly). It is deliberately minimal: a bounded worker pool over an
+// the prover's hot paths (lane embedding, hierarchy validation, node-table
+// and entry assembly). It is deliberately minimal: a bounded worker pool over an
 // index range, with per-worker identities so callers can hand each worker its
 // own scratch arena, and first-error propagation. Determinism of results is
 // the caller's contract — every call site writes disjoint, index-addressed
