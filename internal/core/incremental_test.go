@@ -87,25 +87,8 @@ func sameEdgeSet(a map[graph.Edge]bool, g *graph.Graph) bool {
 // enough for several 64-node pool chunks per sweep level.
 func TestIncrementalDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	// Lane budgets are kept tight so a fallback onto a wide heuristic
-	// decomposition fails fast with ErrTooManyLanes (exercising rollback)
-	// instead of grinding through a high-lane algebra sweep.
-	families := []struct {
-		name     string
-		build    func() *graph.Graph
-		props    []string
-		maxLanes int
-	}{
-		{"ladder", func() *graph.Graph { return gen.Ladder(16) }, []string{"bipartite"}, 4},
-		{"grid", func() *graph.Graph { return gen.Grid(4, 6) }, []string{"bipartite"}, 6},
-		{"caterpillar", func() *graph.Graph { return gen.Caterpillar(10, 3) }, []string{"3color"}, 4},
-		{"lobster", func() *graph.Graph { return gen.Lobster(8, 2) }, []string{"bipartite"}, 12},
-		{"binarytree", func() *graph.Graph { return gen.BinaryTree(4) }, []string{"3color"}, 4},
-		{"spiderfree", func() *graph.Graph { return gen.SpiderFreeCaterpillar(rand.New(rand.NewSource(11)), 36) }, []string{"3color"}, 4},
-		{"ladder200", func() *graph.Graph { return gen.Ladder(200) }, []string{"bipartite"}, 4},
-	}
 	const steps = 30
-	for _, fam := range families {
+	for _, fam := range differentialFamilies {
 		fam := fam
 		t.Run(fam.name, func(t *testing.T) {
 			// The first run draws each batch from rng and records it; later
@@ -122,11 +105,95 @@ func TestIncrementalDifferential(t *testing.T) {
 						recorded = append(recorded, edits)
 						return edits
 					}
-					runDifferential(t, fam.name, fam.build(), fam.props, fam.maxLanes, parallelism, steps, propose)
+					applied, rejected, reused := runDifferential(t, fam.name, fam.build(), fam.props, fam.maxLanes, parallelism, steps, propose)
+					if applied == 0 {
+						t.Fatalf("no update of %d steps succeeded (rejected=%d); families must exercise the incremental path", steps, rejected)
+					}
+					if reused == 0 {
+						t.Fatalf("no node entry was ever reused across %d applied updates", applied)
+					}
 				})
 			}
 		})
 	}
+}
+
+// FuzzIncrementalEdits drives the incremental engine over
+// TestIncrementalDifferential's families with fuzzed edit sequences and
+// holds every outcome to its oracle: an accepted batch leaves every
+// labeling byte-identical to a fresh prove of the edited graph, a rejected
+// one rolls graph and labelings back. family picks the graph (and, past the
+// family count, parallelism 2); script is read by editScript.
+func FuzzIncrementalEdits(f *testing.F) {
+	f.Add(uint8(0), []byte{0, 0, 2, 0, 0, 0, 2, 0})          // a ladder rung removed, then restored
+	f.Add(uint8(8), []byte{1, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0}) // a grid batch of two edits, then one
+	f.Fuzz(func(t *testing.T, family uint8, script []byte) {
+		fam := differentialFamilies[int(family)%len(differentialFamilies)]
+		parallelism := 1 + int(family)/len(differentialFamilies)%2
+		batches := splitEditScript(script)
+		applied, rejected, _ := runDifferential(t, fam.name, fam.build(), fam.props, fam.maxLanes, parallelism, len(batches),
+			func(step int, g *graph.Graph) []Edit { return editBatch(batches[step], g) })
+		t.Logf("%s, parallelism %d: %d batches applied, %d rejected", fam.name, parallelism, applied, rejected)
+	})
+}
+
+// maxFuzzBatches bounds the batches one fuzz input applies, each checked
+// against a fresh prove.
+const maxFuzzBatches = 8
+
+// splitEditScript cuts a fuzz script into at most maxFuzzBatches batches: a
+// header byte h announces 1 + h%3 edits of three bytes each (see editBatch).
+// A truncated last batch is dropped.
+func splitEditScript(script []byte) [][]byte {
+	var batches [][]byte
+	for len(script) > 0 && len(batches) < maxFuzzBatches {
+		n := 3 * (1 + int(script[0])%3)
+		if len(script) < 1+n {
+			break
+		}
+		batches = append(batches, script[1:1+n])
+		script = script[1+n:]
+	}
+	return batches
+}
+
+// editBatch reads a batch's edits against the current graph, three bytes
+// each: u = the first two (big-endian) mod n, then a byte e with
+// v = u + 1 + e%8 (possibly out of range) and the toggle of {u, v} (add
+// when absent, remove when present), or its opposite, an invalid edit,
+// when e's high bit is set.
+func editBatch(b []byte, g *graph.Graph) []Edit {
+	edits := make([]Edit, 0, len(b)/3)
+	for ; len(b) >= 3; b = b[3:] {
+		u := graph.Vertex((int(b[0])<<8 | int(b[1])) % g.N())
+		v := u + 1 + graph.Vertex(b[2]%8)
+		present := v < g.N() && g.HasEdge(u, v)
+		op := EditAdd
+		if present != (b[2]&0x80 != 0) {
+			op = EditRemove
+		}
+		edits = append(edits, Edit{Op: op, U: u, V: v})
+	}
+	return edits
+}
+
+// differentialFamilies are the graphs the incremental engine is checked on
+// against fresh proves. Lane budgets are kept tight so a fallback onto a
+// wide heuristic decomposition fails fast with ErrTooManyLanes (exercising
+// rollback) instead of grinding through a high-lane algebra sweep.
+var differentialFamilies = []struct {
+	name     string
+	build    func() *graph.Graph
+	props    []string
+	maxLanes int
+}{
+	{"ladder", func() *graph.Graph { return gen.Ladder(16) }, []string{"bipartite"}, 4},
+	{"grid", func() *graph.Graph { return gen.Grid(4, 6) }, []string{"bipartite"}, 6},
+	{"caterpillar", func() *graph.Graph { return gen.Caterpillar(10, 3) }, []string{"3color"}, 4},
+	{"lobster", func() *graph.Graph { return gen.Lobster(8, 2) }, []string{"bipartite"}, 12},
+	{"binarytree", func() *graph.Graph { return gen.BinaryTree(4) }, []string{"3color"}, 4},
+	{"spiderfree", func() *graph.Graph { return gen.SpiderFreeCaterpillar(rand.New(rand.NewSource(11)), 36) }, []string{"3color"}, 4},
+	{"ladder200", func() *graph.Graph { return gen.Ladder(200) }, []string{"bipartite"}, 4},
 }
 
 // randomEditBatch proposes a batch: usually one edit, every fifth step up
@@ -167,8 +234,9 @@ func randomEditBatch(rng *rand.Rand, step int, g *graph.Graph) []Edit {
 
 // runDifferential applies steps proposed batches to an engine over g at
 // the given parallelism and checks every outcome against a fresh prove (see
-// TestIncrementalDifferential).
-func runDifferential(t *testing.T, name string, g *graph.Graph, propNames []string, maxLanes, parallelism, steps int, propose func(step int, g *graph.Graph) []Edit) {
+// TestIncrementalDifferential). It returns how many batches were applied
+// and rejected, and how many node entries the applied ones reused.
+func runDifferential(t *testing.T, name string, g *graph.Graph, propNames []string, maxLanes, parallelism, steps int, propose func(step int, g *graph.Graph) []Edit) (applied, rejected, reusedTotal int) {
 	t.Helper()
 	props, err := algebra.ByNames(propNames)
 	if err != nil {
@@ -179,7 +247,6 @@ func runDifferential(t *testing.T, name string, g *graph.Graph, propNames []stri
 	if err != nil {
 		t.Fatalf("NewIncremental: %v", err)
 	}
-	applied, rejected, reusedTotal := 0, 0, 0
 	for step := 0; step < steps; step++ {
 		edits := propose(step, g)
 		before := edgeSet(g)
@@ -223,12 +290,7 @@ func runDifferential(t *testing.T, name string, g *graph.Graph, propNames []stri
 			requireStatsEqual(t, name+" "+propName, us.PerProperty[prop.Name()], wantStats)
 		}
 	}
-	if applied == 0 {
-		t.Fatalf("no update of %d steps succeeded (rejected=%d); families must exercise the incremental path", steps, rejected)
-	}
-	if reusedTotal == 0 {
-		t.Fatalf("no node entry was ever reused across %d applied updates", applied)
-	}
+	return applied, rejected, reusedTotal
 }
 
 // TestIncrementalFallbackObservable forces an uncovered edge addition and
