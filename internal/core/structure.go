@@ -371,7 +371,7 @@ func (sp *StructuralProof) assemble(h *lanewidth.Hierarchy, emb lanes.Embedding,
 	}
 	nErr := sp.buildNodes(h, prev, first, dirty, workers)
 	wg.Wait()
-	return cmp.Or(append([]error{nErr}, errs...)...)
+	return cmp.Or(nErr, cmp.Or(errs...))
 }
 
 // buildOwners files every completion edge's owning node and every node's
