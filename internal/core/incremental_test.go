@@ -122,8 +122,10 @@ func TestIncrementalDifferential(t *testing.T) {
 // TestIncrementalDifferential's families with fuzzed edit sequences and
 // holds every outcome to its oracle: an accepted batch leaves every
 // labeling byte-identical to a fresh prove of the edited graph, a rejected
-// one rolls graph and labelings back. family picks the graph (and, past the
-// family count, parallelism 2); script is read by editScript.
+// one rolls graph and labelings back. family picks the graph (its residue
+// modulo the family count) and the parallelism (1 or 2, by the quotient's
+// parity); script is cut into batches by splitEditScript and read by
+// editBatch.
 func FuzzIncrementalEdits(f *testing.F) {
 	f.Add(uint8(0), []byte{0, 0, 2, 0, 0, 0, 2, 0})          // a ladder rung removed, then restored
 	f.Add(uint8(8), []byte{1, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0}) // a grid batch of two edits, then one

@@ -16,13 +16,14 @@ import (
 // at most 500 bytes of live heap per hierarchy node. A structure keeps only
 // what a property pass reads (per-node summaries and shapes, parent and
 // owner ids, the embedding entries and pointing labels), not the hierarchy
-// graph or the tables assembly derives it from.
+// graph or the tables assembly derives it from. Structures are built
+// inline (Parallelism 1), so no pool goroutine runs while the heap is read.
 func TestStructureRetainsOnlyPassTables(t *testing.T) {
 	const maxBytesPerNode = 500
 	g, _ := gen.IntervalGraph(rand.New(rand.NewSource(1)), 32768, 2)
 	cfg := cert.NewConfig(g)
 	build := func() any {
-		sp, err := core.BuildStructureCtx(context.Background(), cfg, nil, core.StructureOptions{Parallelism: 2})
+		sp, err := core.BuildStructureCtx(context.Background(), cfg, nil, core.StructureOptions{Parallelism: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
