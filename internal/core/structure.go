@@ -94,7 +94,7 @@ type StructuralProof struct {
 	// the longest root-to-leaf path).
 	parent      []int32
 	root, depth int
-	// owners holds each completion edge's owning node, real edges in
+	// edgeOwners holds each completion edge's owning node, real edges in
 	// EdgesSeq order, then Completion.Virtual.
 	edgeOwners []edgeOwner
 	// embStart and embRefs hold, per real edge in EdgesSeq order, the
@@ -339,9 +339,10 @@ func buildGeneration(ctx context.Context, cfg *cert.Config, pd *interval.PathDec
 //
 // With prev set, per-node state carries over from the previous generation's
 // structure: nodes below the first mark (see lanewidth.BuildHierarchyMark)
-// whose data provably cannot have changed take the previous summary and
-// shape pointers without being rebuilt or compared, and frozen T-nodes skip
-// their member folds. dirty is the set of graph edges the generation's edit
+// whose data provably cannot have changed take the previous summary pointer
+// without being rebuilt or compared (and the previous shape, when the
+// summaries it points at are unchanged), and frozen T-nodes skip their
+// member folds. dirty is the set of graph edges the generation's edit
 // batch touched (in either direction); any node owning one is rebuilt
 // regardless of the mark, since its real bits read the edited adjacency.
 func (sp *StructuralProof) assemble(h *lanewidth.Hierarchy, emb lanes.Embedding, prev *StructuralProof, first int, dirty map[graph.Edge]bool, workers int) error {
